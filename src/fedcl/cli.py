@@ -19,7 +19,7 @@ import sys
 
 from . import data as dataio
 from .config import ConfigError, parse_config
-from .store import ResultsStore, emit_table, run_suite, verify_store
+from .store import IncompleteRunError, ResultsStore, emit_table, run_suite, verify_store
 
 
 def _resolve_out(args) -> str:
@@ -37,13 +37,10 @@ def _load_dataset(suite_spec, data_override: str | None) -> dataio.Dataset:
 
 def _cmd_run(args) -> int:
     try:
-        suite = parse_config(args.config)
+        suite = parse_config(args.config, seed=args.seed)
     except ConfigError as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return 2
-    if args.seed is not None:
-        for spec in suite.experiments:
-            spec.values["seed"] = args.seed
     dataset = _load_dataset(suite.suite, args.data)
     out_dir = _resolve_out(args)
     store, failures = run_suite(suite, dataset, out_dir, n_workers=args.workers)
@@ -72,7 +69,11 @@ def _cmd_verify(args) -> int:
         print(f"invalid config: {exc}", file=sys.stderr)
         return 2
     store = ResultsStore(_resolve_out(args))
-    records = store.list_runs()
+    try:
+        records = store.list_runs()
+    except IncompleteRunError as exc:
+        print(str(exc), file=sys.stderr)
+        return 1
     if not records:
         print("results store is empty", file=sys.stderr)
         return 1

@@ -213,8 +213,9 @@ def _validate_choices(values: dict, path: str = "experiment") -> None:
         raise ConfigError(f"{path}.rounds: must be >= 1, got {values['rounds']}")
 
 
-def parse_config(path: str) -> BenchmarkSuite:
-    """Parse and fully validate a benchmark config file."""
+def parse_config(path: str, seed: int | None = None) -> BenchmarkSuite:
+    """Parse and fully validate a benchmark config file. A ``seed`` replaces
+    the config's seed and any seeds sweep before duplicates are dropped."""
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     read = parser.read(path)
     if not read:
@@ -263,6 +264,8 @@ def parse_config(path: str) -> BenchmarkSuite:
     cl_methods = sweeps.get("cl_methods", [base["cl_method"]])
     seeds = [_coerce(s, int, "sweep.seeds") if isinstance(s, str) else s
              for s in sweeps.get("seeds", [base["seed"]])]
+    if seed is not None:
+        seeds = [seed]
 
     experiments = []
     for strat, n_cli, aug, method, seed in itertools.product(
@@ -278,7 +281,8 @@ def parse_config(path: str) -> BenchmarkSuite:
         experiments.append(spec)
 
     # sweeping cl_methods with a strategies sweep can produce duplicates
-    # (every FCL method is forced onto fedavg); keep first occurrence
+    # (every FCL method is forced onto fedavg), as can a seed override;
+    # keep first occurrence
     seen = set()
     unique = []
     for spec in experiments:

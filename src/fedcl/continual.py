@@ -2,7 +2,7 @@
 importance maps with their quadratic penalties, plus the naive-rehearsal
 replay buffer and mixed-batch sampler.
 
-Importance maps share the flat parameter layout of nn.ParameterVector.
+Importance maps share the flat parameter layout of nn.MlpModel.params.
 Penalties never touch BatchNorm running-statistic slots (they are not
 optimized parameters); gamma and beta are included.
 """

@@ -1,6 +1,10 @@
 """Minimal differentiable network core: dense layers, batch normalization,
-MSE loss, hand-derived reverse-mode gradients, SGD/Adam optimizers, and a
-flat parameter-vector view used by the aggregation and regularization code.
+MSE loss, hand-derived reverse-mode gradients and SGD/Adam optimizers.
+
+Every model parameter lives in one float64 vector, ``MlpModel.params``, laid
+out by ``LAYOUT``; each layer's arrays are reshaped views into it. The
+aggregation and regularization code works on that vector directly, so every
+write to a layer array happens in place.
 
 The architecture is fixed: 29 -> 16 -> 16 -> 8 with a BatchNorm layer after
 each hidden dense layer. Hidden activation is identity by default (a config
@@ -32,8 +36,8 @@ class LinearLayer:
     def init_uniform(self, rng: np.random.Generator) -> None:
         # uniform in +-1/sqrt(fan_in)
         bound = 1.0 / np.sqrt(self.in_dim)
-        self.weight = rng.uniform(-bound, bound, size=(self.out_dim, self.in_dim))
-        self.bias = rng.uniform(-bound, bound, size=self.out_dim)
+        self.weight[...] = rng.uniform(-bound, bound, size=(self.out_dim, self.in_dim))
+        self.bias[...] = rng.uniform(-bound, bound, size=self.out_dim)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         return x @ self.weight.T + self.bias
@@ -60,18 +64,31 @@ class BatchNormLayer:
         self.running_mean = np.zeros(dim, dtype=np.float64)
         self.running_var = np.ones(dim, dtype=np.float64)
 
+    def reset(self) -> None:
+        """Identity transform and fresh running statistics, written in place."""
+        self.gamma[...] = 1.0
+        self.beta[...] = 0.0
+        self.running_mean[...] = 0.0
+        self.running_var[...] = 1.0
+
     def forward(self, x: np.ndarray, train: bool, update_running: bool = True):
         """Returns (y, cache); cache records which normalization was used."""
         if train:
-            if x.shape[0] < 2:
+            n = x.shape[0]
+            if n < 2:
                 raise ValueError("batch normalization in train mode needs a batch of at least 2")
-            mean = x.mean(axis=0)
-            var = x.var(axis=0)
+            # the ufunc sequence of x.mean(axis=0) and x.var(axis=0), without
+            # their wrapper overhead; the results are bit-identical
+            mean = np.add.reduce(x, axis=0) / n
+            centred = x - mean
+            var = np.add.reduce(centred * centred, axis=0) / n
             std = np.sqrt(var + self.epsilon)
-            xhat = (x - mean) / std
+            xhat = centred / std
             if update_running:
-                self.running_mean = (1.0 - self.momentum) * self.running_mean + self.momentum * mean
-                self.running_var = (1.0 - self.momentum) * self.running_var + self.momentum * var
+                self.running_mean[...] = ((1.0 - self.momentum) * self.running_mean
+                                          + self.momentum * mean)
+                self.running_var[...] = ((1.0 - self.momentum) * self.running_var
+                                         + self.momentum * var)
             y = self.gamma * xhat + self.beta
             return y, ("train", xhat, std)
         std = np.sqrt(self.running_var + self.epsilon)
@@ -87,12 +104,18 @@ class BatchNormLayer:
         dxhat = dy * self.gamma
         if kind == "eval":
             return dxhat / std, dgamma, dbeta
-        dx = (dxhat - dxhat.mean(axis=0) - xhat * (dxhat * xhat).mean(axis=0)) / std
+        n = dy.shape[0]
+        dx = (dxhat - np.add.reduce(dxhat, axis=0) / n
+              - xhat * (np.add.reduce(dxhat * xhat, axis=0) / n)) / std
         return dx, dgamma, dbeta
 
 
 class MlpModel:
-    """Fixed-topology regressor: Linear(29,16) BN Linear(16,16) BN Linear(16,8)."""
+    """Fixed-topology regressor: Linear(29,16) BN Linear(16,16) BN Linear(16,8).
+
+    ``params`` is the single store of every parameter (``LAYOUT`` order);
+    the layer arrays are views into it, bound once here. Write to it in
+    place (``params[...] = v``); rebinding it detaches the layers."""
 
     def __init__(self, hidden_activation: str = "identity"):
         if hidden_activation not in ("identity", "relu"):
@@ -103,16 +126,20 @@ class MlpModel:
         self.lin2 = LinearLayer(HIDDEN_DIM, HIDDEN_DIM)
         self.bn2 = BatchNormLayer(HIDDEN_DIM)
         self.out = LinearLayer(HIDDEN_DIM, OUT_DIM)
+        self.params = np.empty(PARAM_COUNT, dtype=np.float64)
+        for name, (start, stop, shape) in OFFSETS.items():
+            layer_name, attr = name.split(".")
+            layer = getattr(self, layer_name)
+            view = self.params[start:stop].reshape(shape)
+            view[...] = getattr(layer, attr)  # the layer's initial values
+            setattr(layer, attr, view)
 
     def init_params(self, rng: np.random.Generator) -> None:
         self.lin1.init_uniform(rng)
         self.lin2.init_uniform(rng)
         self.out.init_uniform(rng)
-        for bn in (self.bn1, self.bn2):
-            bn.gamma = np.ones(bn.dim)
-            bn.beta = np.zeros(bn.dim)
-            bn.running_mean = np.zeros(bn.dim)
-            bn.running_var = np.ones(bn.dim)
+        self.bn1.reset()
+        self.bn2.reset()
 
     def _activate(self, h: np.ndarray) -> np.ndarray:
         if self.hidden_activation == "relu":
@@ -148,7 +175,7 @@ class MlpModel:
 
     def clone(self) -> "MlpModel":
         m = MlpModel(self.hidden_activation)
-        inject_params(m, extract_params(self))
+        m.params[...] = self.params
         return m
 
 
@@ -210,28 +237,25 @@ def running_stat_mask() -> np.ndarray:
     return mask
 
 
-def _resolve(model: MlpModel, name: str):
-    layer_name, attr = name.split(".")
-    return getattr(model, layer_name), attr
-
-
 def extract_params(model: MlpModel) -> np.ndarray:
-    """Flatten all parameters (including BN running stats) into one vector."""
-    vec = np.empty(PARAM_COUNT, dtype=np.float64)
-    for name, (start, stop, _shape) in OFFSETS.items():
-        layer, attr = _resolve(model, name)
-        vec[start:stop] = getattr(layer, attr).ravel()
-    return vec
+    """A copy of the model's parameter vector (including BN running stats)."""
+    return model.params.copy()
 
 
 def inject_params(model: MlpModel, vec: np.ndarray) -> None:
-    """Write a flat parameter vector back into the model (copying)."""
+    """Copy a flat parameter vector into the model's parameter vector."""
     vec = np.asarray(vec, dtype=np.float64)
     if vec.shape != (PARAM_COUNT,):
         raise ValueError(f"expected parameter vector of length {PARAM_COUNT}, got shape {vec.shape}")
-    for name, (start, stop, shape) in OFFSETS.items():
-        layer, attr = _resolve(model, name)
-        setattr(layer, attr, vec[start:stop].reshape(shape).copy())
+    model.params[...] = vec
+
+
+# gradient blocks of backward, in the order it produces them
+_OUT_W, _OUT_B = slot_slice("out.weight"), slot_slice("out.bias")
+_BN2_G, _BN2_B = slot_slice("bn2.gamma"), slot_slice("bn2.beta")
+_LIN2_W, _LIN2_B = slot_slice("lin2.weight"), slot_slice("lin2.bias")
+_BN1_G, _BN1_B = slot_slice("bn1.gamma"), slot_slice("bn1.beta")
+_LIN1_W, _LIN1_B = slot_slice("lin1.weight"), slot_slice("lin1.bias")
 
 
 # ---------------------------------------------------------------------------
@@ -269,35 +293,32 @@ def backward(model: MlpModel, batch: np.ndarray, target: np.ndarray,
     n, width = pred.shape
     dy = 2.0 * (pred - target) / (n * width)
 
-    grads = {}
+    vec = np.zeros(PARAM_COUNT, dtype=np.float64)
     # output linear
-    grads["out.weight"] = dy.T @ cache["a2"]
-    grads["out.bias"] = dy.sum(axis=0)
+    vec[_OUT_W] = (dy.T @ cache["a2"]).ravel()
+    vec[_OUT_B] = dy.sum(axis=0)
     da2 = dy @ model.out.weight
     # activation 2
     db2 = da2 * (cache["b2"] > 0.0) if model.hidden_activation == "relu" else da2
     # bn2
-    dh2, grads["bn2.gamma"], grads["bn2.beta"] = model.bn2.backward(db2, cache["bn2"])
+    dh2, vec[_BN2_G], vec[_BN2_B] = model.bn2.backward(db2, cache["bn2"])
     # lin2
-    grads["lin2.weight"] = dh2.T @ cache["a1"]
-    grads["lin2.bias"] = dh2.sum(axis=0)
+    vec[_LIN2_W] = (dh2.T @ cache["a1"]).ravel()
+    vec[_LIN2_B] = dh2.sum(axis=0)
     da1 = dh2 @ model.lin2.weight
     # activation 1
     db1 = da1 * (cache["b1"] > 0.0) if model.hidden_activation == "relu" else da1
     # bn1
-    dh1, grads["bn1.gamma"], grads["bn1.beta"] = model.bn1.backward(db1, cache["bn1"])
+    dh1, vec[_BN1_G], vec[_BN1_B] = model.bn1.backward(db1, cache["bn1"])
     # lin1
-    grads["lin1.weight"] = dh1.T @ cache["x"]
-    grads["lin1.bias"] = dh1.sum(axis=0)
+    vec[_LIN1_W] = (dh1.T @ cache["x"]).ravel()
+    vec[_LIN1_B] = dh1.sum(axis=0)
 
-    vec = np.zeros(PARAM_COUNT, dtype=np.float64)
-    for name, g in grads.items():
-        vec[slot_slice(name)] = g.ravel()
     if extra_penalty_grad is not None:
         extra_penalty_grad = np.asarray(extra_penalty_grad, dtype=np.float64)
         if extra_penalty_grad.shape != (PARAM_COUNT,):
             raise ValueError("penalty gradient has wrong length")
-        vec = vec + extra_penalty_grad
+        vec += extra_penalty_grad
     return vec
 
 
@@ -333,8 +354,10 @@ class Optimizer:
         grads = np.asarray(grads, dtype=np.float64)
         if params.shape != grads.shape:
             raise ValueError(f"shape mismatch: params {params.shape} vs grads {grads.shape}")
-        if np.isnan(grads).any():
-            raise ValueError("NaN in gradients")
+        # checked before any state changes, so a rejected step leaves the
+        # optimizer as it was
+        if not np.isfinite(grads).all():
+            raise ValueError("NaN or inf in gradients")
         if self.kind == "sgd":
             self.step_count += 1
             return params - self.learning_rate * grads

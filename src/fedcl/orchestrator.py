@@ -123,9 +123,7 @@ def evaluate(params: np.ndarray, test_set: dataio.Dataset,
 
 def _broadcast(client: ClientState, global_params: np.ndarray, strategy_kind: str) -> None:
     if strategy_kind == "fedbn":
-        merged = nn.extract_params(client.model)
-        merged[~_BN_MASK] = global_params[~_BN_MASK]
-        nn.inject_params(client.model, merged)
+        client.model.params[~_BN_MASK] = global_params[~_BN_MASK]
     else:
         nn.inject_params(client.model, global_params)
 
@@ -154,12 +152,19 @@ def local_train(client: ClientState, global_params: np.ndarray, config: Experime
     # FedDistill: the personalised teacher trains on the raw shard first
     if strat.kind == "feddistill":
         tseed = derive_seed(cfg.seed, 20, client.client_id, task_index, round_index)
+        teacher = client.teacher_model.params
         for epoch in range(cfg.local_epochs):
-            for bx, by in dataio.minibatches(client.shard, batch_size, tseed, epoch):
-                g = nn.backward(client.teacher_model, bx, by)
-                theta = nn.extract_params(client.teacher_model)
-                nn.inject_params(client.teacher_model, client.teacher_optimizer.step(theta, g))
+            for b, (bx, by) in enumerate(dataio.minibatches(client.shard, batch_size,
+                                                            tseed, epoch)):
+                try:
+                    g = nn.backward(client.teacher_model, bx, by)
+                    teacher[...] = client.teacher_optimizer.step(teacher, g)
+                except ValueError as exc:
+                    raise ExperimentError(f"teacher epoch {epoch} batch {b}: {exc}") from exc
 
+    # the model's own parameter vector: every read and write below goes
+    # through it, in place
+    theta = client.model.params
     bseed = derive_seed(cfg.seed, 21, client.client_id, task_index, round_index)
     for epoch in range(cfg.local_epochs):
         if use_replay:
@@ -167,26 +172,25 @@ def local_train(client: ClientState, global_params: np.ndarray, config: Experime
                                           cfg.penalty.mix_ratio, bseed, epoch)
         else:
             batches = dataio.minibatches(client.shard, batch_size, bseed, epoch)
-        for bx, by in batches:
-            target = by
-            if strat.kind == "feddistill" and strat.distill_weight > 0.0:
-                tpred = client.teacher_model.forward(bx, mode="eval")
-                target = fed.distill_target(by, tpred, strat.distill_weight)
-            penalty_grad = None
-            if (strat.kind == "fedprox" and strat.mu > 0.0) or penalized:
-                theta_now = nn.extract_params(client.model)
+        for b, (bx, by) in enumerate(batches):
+            try:
+                target = by
+                if strat.kind == "feddistill" and strat.distill_weight > 0.0:
+                    tpred = client.teacher_model.forward(bx, mode="eval")
+                    target = fed.distill_target(by, tpred, strat.distill_weight)
+                penalty_grad = None
                 if strat.kind == "fedprox" and strat.mu > 0.0:
-                    _, penalty_grad = fed.fedprox_penalty(theta_now, omega_t, strat.mu)
+                    _, penalty_grad = fed.fedprox_penalty(theta, omega_t, strat.mu)
                 if penalized:
-                    _, pg = cl.quadratic_penalty(theta_now, client.anchors,
-                                                 client.importances, lam)
+                    _, pg = cl.quadratic_penalty(theta, client.anchors, client.importances, lam)
                     penalty_grad = pg if penalty_grad is None else penalty_grad + pg
-            g = nn.backward(client.model, bx, target, penalty_grad)
-            theta_before = nn.extract_params(client.model)
-            theta_after = client.optimizer.step(theta_before, g)
-            nn.inject_params(client.model, theta_after)
-            if cfg.cl_method == "si" and client.si_acc is not None:
-                cl.si_accumulate(client.si_acc, g, theta_after - theta_before)
+                g = nn.backward(client.model, bx, target, penalty_grad)
+                stepped = client.optimizer.step(theta, g)
+                if cfg.cl_method == "si" and client.si_acc is not None:
+                    cl.si_accumulate(client.si_acc, g, stepped - theta)
+                theta[...] = stepped
+            except ValueError as exc:
+                raise ExperimentError(f"epoch {epoch} batch {b}: {exc}") from exc
 
     params = nn.extract_params(client.model)
     pred = client.model.forward(client.shard.features, mode="eval")

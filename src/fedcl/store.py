@@ -54,6 +54,10 @@ def _build_report(result: RunResult) -> dict:
     return {"final": result.round_logs[-1].report.as_dict(), "after_task": after_task}
 
 
+class IncompleteRunError(ValueError):
+    """A run directory lacks one of the files every complete run has."""
+
+
 class ResultsStore:
     """Append-only directory-per-run result store."""
 
@@ -88,6 +92,9 @@ class ResultsStore:
 
     def load_run(self, run_id: str) -> RunRecord:
         d = self.run_dir(run_id)
+        for name in ("config.json", "rounds.csv", "report.json"):
+            if not os.path.isfile(os.path.join(d, name)):
+                raise IncompleteRunError(f"incomplete run directory {d}: missing {name}")
         with open(os.path.join(d, "config.json"), encoding="utf-8") as fh:
             snapshot = json.load(fh)
         with open(os.path.join(d, "rounds.csv"), newline="", encoding="utf-8") as fh:

@@ -7,7 +7,7 @@ in the Optimizer instance the caller owns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -117,13 +117,6 @@ def fedopt_server_step(global_params: np.ndarray, updates: list[ClientUpdate],
         return mean.copy()
     delta = global_params - mean
     return server_opt.step(global_params, delta)
-
-
-@dataclass
-class TeacherState:
-    """Per-client personalised model; trained locally, never aggregated."""
-    params: np.ndarray
-    optimizer: nn.Optimizer = field(default_factory=lambda: nn.Optimizer("adam", 1e-3))
 
 
 def distill_target(labels: np.ndarray, teacher_pred: np.ndarray, distill_weight: float) -> np.ndarray:

@@ -59,6 +59,18 @@ class TestRun:
         assert main(["run", "--config", config_path]) == 0
         assert os.path.isdir(out_dir)
 
+    def test_seed_override_reports_the_runs_it_wrote(self, tmp_path, capsys):
+        path = tmp_path / "bench.ini"
+        path.write_text(CONFIG + "\n[sweep]\nseeds = 1, 2\n")
+        out_dir = tmp_path / "results"
+        assert main(["run", "--config", str(path), "--out", str(out_dir),
+                     "--seed", "9"]) == 0
+        assert "1 run(s) completed" in capsys.readouterr().out
+        run_dirs = [p for p in out_dir.iterdir() if p.is_dir()]
+        assert len(run_dirs) == 1
+        snapshot = json.loads((run_dirs[0] / "config.json").read_text())
+        assert snapshot["config"]["seed"] == 9
+
     def test_data_csv_override(self, config_path, tmp_path):
         csv_path = str(tmp_path / "data.csv")
         main(["synth", "--out", csv_path, "--n", "120"])
@@ -71,6 +83,16 @@ class TestTable:
     def test_empty_store_exits_1(self, tmp_path, capsys):
         assert main(["table", "--out", str(tmp_path / "nothing")]) == 1
         assert "empty" in capsys.readouterr().err
+
+    def test_incomplete_run_directory_exits_1(self, config_path, tmp_path, capsys):
+        out_dir = tmp_path / "results"
+        main(["run", "--config", config_path, "--out", str(out_dir)])
+        run_dir = next(p for p in out_dir.iterdir() if p.is_dir())
+        (run_dir / "rounds.csv").unlink()
+        capsys.readouterr()
+        assert main(["table", "--out", str(out_dir)]) == 1
+        err = capsys.readouterr().err
+        assert str(run_dir) in err and "rounds.csv" in err
 
     def test_csv_format(self, config_path, tmp_path, capsys):
         out_dir = str(tmp_path / "results")
@@ -103,6 +125,16 @@ class TestVerify:
         main(["run", "--config", config_path, "--out", out_dir])
         capsys.readouterr()
         assert main(["verify", "--out", out_dir]) == 2
+
+    def test_verify_incomplete_run_directory_exits_1(self, config_path, tmp_path, capsys):
+        out_dir = tmp_path / "results"
+        main(["run", "--config", config_path, "--out", str(out_dir)])
+        run_dir = next(p for p in out_dir.iterdir() if p.is_dir())
+        (run_dir / "report.json").unlink()
+        capsys.readouterr()
+        assert main(["verify", "--config", config_path, "--out", str(out_dir)]) == 1
+        err = capsys.readouterr().err
+        assert str(run_dir) in err and "report.json" in err
 
     def test_verify_empty_store_exits_1(self, config_path, tmp_path):
         assert main(["verify", "--config", config_path,

@@ -1,10 +1,11 @@
 import json
+import os
 
 import pytest
 
 from fedcl import data as dataio
 from fedcl.config import BenchmarkSuite, ConfigError, ExperimentSpec, parse_config
-from fedcl.store import (ResultsStore, emit_table, execute_experiment,
+from fedcl.store import (IncompleteRunError, ResultsStore, emit_table, execute_experiment,
                          run_suite, verify_store)
 
 
@@ -76,6 +77,12 @@ class TestParseConfig:
         assert len(suite.experiments) == 16
         ids = {spec.run_id() for spec in suite.experiments}
         assert len(ids) == 16
+
+    def test_seed_override_collapses_seeds_sweep(self, tmp_path):
+        suite = parse_config(write_config(tmp_path, SWEEP), seed=9)
+        assert len(suite.experiments) == 8
+        assert {spec.values["seed"] for spec in suite.experiments} == {9}
+        assert len({spec.run_id() for spec in suite.experiments}) == 8
 
     def test_fcl_sweep_forced_to_fedavg_and_deduped(self, tmp_path):
         text = """
@@ -164,6 +171,15 @@ class TestStore:
         assert failures == []
         record = store.list_runs()[0]
         assert set(record.report["after_task"]) == {"0", "1"}
+
+    def test_incomplete_run_directory_named(self, small_suite, dataset, tmp_path):
+        store, _ = run_suite(small_suite, dataset, str(tmp_path / "out"))
+        rid = small_suite.experiments[0].run_id()
+        os.remove(os.path.join(store.run_dir(rid), "rounds.csv"))
+        with pytest.raises(IncompleteRunError, match="rounds.csv") as info:
+            store.load_run(rid)
+        assert isinstance(info.value, ValueError)
+        assert store.run_dir(rid) in str(info.value)
 
     def test_failures_do_not_stop_suite(self, dataset, tmp_path):
         text = """

@@ -80,6 +80,23 @@ class TestForward:
         assert np.max(np.abs(y.mean(axis=0))) <= 1e-9
         assert np.max(np.abs(y.var(axis=0) - 1.0)) <= 1e-6
 
+    def test_batchnorm_train_statistics_bit_equal_to_mean_and_var(self, rng):
+        # reference: ndarray.mean / ndarray.var, which the layer must match exactly
+        bn = nn.BatchNormLayer(16)
+        x = rng.normal(3.0, 2.0, size=(13, 16))
+        mean, var = x.mean(axis=0), x.var(axis=0)
+        _, cache = bn.forward(x, train=True)
+        _, xhat, std = cache
+        assert np.array_equal(std, np.sqrt(var + bn.epsilon))
+        assert np.array_equal(xhat, (x - mean) / std)
+        assert np.array_equal(bn.running_mean, (1.0 - bn.momentum) * 0.0 + bn.momentum * mean)
+        assert np.array_equal(bn.running_var, (1.0 - bn.momentum) * 1.0 + bn.momentum * var)
+        dy = rng.normal(size=x.shape)
+        dx, _, _ = bn.backward(dy, cache)
+        dxhat = dy * bn.gamma
+        expected = (dxhat - dxhat.mean(axis=0) - xhat * (dxhat * xhat).mean(axis=0)) / std
+        assert np.array_equal(dx, expected)
+
 
 class TestMseLoss:
     def test_zero_when_equal(self, rng):
@@ -218,12 +235,67 @@ class TestOptimizer:
         with pytest.raises(ValueError, match="NaN"):
             nn.Optimizer("sgd").step(np.zeros(2), np.array([np.nan, 0.0]))
 
+    @pytest.mark.parametrize("kind", ["sgd", "adam"])
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_inf_gradient_rejected_before_state_changes(self, kind, bad):
+        opt = nn.Optimizer(kind, 0.1)
+        with pytest.raises(ValueError, match="inf"):
+            opt.step(np.zeros(2), np.array([bad, 0.0]))
+        assert opt.step_count == 0 and opt.m is None and opt.v is None
+
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             nn.Optimizer("sgd").step(np.zeros(2), np.zeros(3))
 
 
 class TestParameterVector:
+    def test_layer_arrays_are_views_into_params(self, rng):
+        for model in (nn.MlpModel(), random_model(rng), random_model(rng).clone()):
+            assert model.params.shape == (nn.PARAM_COUNT,)
+            for name, (start, stop, shape) in nn.OFFSETS.items():
+                layer, attr = name.split(".")
+                arr = getattr(getattr(model, layer), attr)
+                assert arr.shape == shape
+                assert np.shares_memory(arr, model.params), name
+                assert np.array_equal(arr.ravel(), model.params[start:stop])
+
+    def test_writes_reach_params_in_place(self, rng):
+        m = nn.MlpModel()
+        storage = m.params
+        m.init_params(rng)
+        assert m.params is storage
+        assert np.array_equal(m.params[nn.slot_slice("lin1.weight")], m.lin1.weight.ravel())
+        assert np.any(m.params[nn.slot_slice("lin1.weight")] != 0.0)
+        vec = rng.normal(size=nn.PARAM_COUNT)
+        nn.inject_params(m, vec)
+        assert m.params is storage
+        assert np.array_equal(m.out.bias, vec[nn.slot_slice("out.bias")])
+
+    def test_train_forward_updates_running_stats_inside_params(self, rng):
+        m = random_model(rng)
+        before = m.params.copy()
+        m.forward(rng.normal(size=(8, 29)), mode="train")
+        moved = m.params != before
+        assert np.all(moved[nn.running_stat_mask()])
+        assert not np.any(moved[~nn.running_stat_mask()])
+
+    def test_extract_returns_a_copy(self, rng):
+        m = random_model(rng)
+        vec = nn.extract_params(m)
+        assert not np.shares_memory(vec, m.params)
+        vec += 1.0
+        assert not np.array_equal(vec, m.params)
+
+    def test_clone_is_independent(self, rng):
+        m = random_model(rng)
+        c = m.clone()
+        assert np.array_equal(c.params, m.params)
+        assert not np.shares_memory(c.params, m.params)
+        original = m.params.copy()
+        c.forward(rng.normal(size=(8, 29)), mode="train")
+        c.params[nn.slot_slice("out.weight")] += 1.0
+        assert np.array_equal(m.params, original)
+
     def test_round_trip_identity(self, rng):
         m = random_model(rng)
         vec = nn.extract_params(m)

@@ -98,6 +98,33 @@ class TestRunFl:
             orch.local_train(client, np.zeros(nn.PARAM_COUNT), cfg, 0, 0)
         _ = parts
 
+    def test_non_finite_gradient_names_client_round_and_step(self):
+        cfg = config(n_clients=1, n_rounds=1)
+        features = np.zeros((4, 29))
+        features[2, 3] = np.inf
+        shard = dataio.Dataset(features, np.full((4, 8), 3.0), "synthetic")
+        client = orch.ClientState(0, shard, nn.MlpModel(), nn.Optimizer("adam", 0.1))
+        with np.errstate(invalid="ignore"), pytest.raises(
+                ExperimentError, match=r"client 0 failed in round 3: epoch 0 batch 0: NaN or inf"):
+            orch._collect_updates([client], np.zeros(nn.PARAM_COUNT), cfg, 0, 3, 1)
+
+    def test_update_is_not_aliased_to_the_client_model(self):
+        # a round-r update must survive the same client training in round r+1
+        train, _, _ = synth()
+        cfg = config()
+        parts = dataio.partition_clients(train, cfg.n_clients, cfg.seed)
+        template = nn.MlpModel()
+        template.init_params(np.random.default_rng([cfg.seed, 100]))
+        clients = orch._build_clients(cfg, [p.shard for p in parts],
+                                      nn.extract_params(template))
+        first, _ = orch.local_train(clients[0], nn.extract_params(template), cfg, 0, 0)
+        kept = first.params.copy()
+        second, _ = orch.local_train(clients[0], first.params, cfg, 0, 1)
+        assert np.array_equal(first.params, kept)
+        assert not np.array_equal(second.params, kept)
+        for update in (first, second):
+            assert not np.shares_memory(update.params, clients[0].model.params)
+
     def test_descent_direction(self, rng):
         # a tiny SGD step on one batch reduces that batch's train-mode loss
         for _ in range(50):
