@@ -43,7 +43,7 @@ def _cmd_run(args) -> int:
         return 2
     dataset = _load_dataset(suite.suite, args.data)
     out_dir = _resolve_out(args)
-    store, failures = run_suite(suite, dataset, out_dir, n_workers=args.workers)
+    store, failures = run_suite(suite, dataset, out_dir)
     print(f"{len(suite.experiments) - len(failures)} run(s) completed, "
           f"{len(failures)} failed, results in {out_dir}")
     for run_id, message in failures:
@@ -84,7 +84,7 @@ def _cmd_verify(args) -> int:
     else:
         print("verify needs --config or --data to rebuild the dataset", file=sys.stderr)
         return 2
-    violations = verify_store(store, dataset, n_workers=args.workers)
+    violations = verify_store(store, dataset)
     if violations:
         for run_id, message in violations:
             print(f"REPRODUCIBILITY VIOLATION {run_id}: {message}", file=sys.stderr)
@@ -110,7 +110,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--data", help="dataset CSV (overrides the config's dataset path)")
     p_run.add_argument("--out", help="results directory (or FEDCL_OUT)")
     p_run.add_argument("--seed", type=int, help="override every experiment's seed")
-    p_run.add_argument("--workers", type=int, default=1, help="client worker threads")
     p_run.set_defaults(func=_cmd_run)
 
     p_table = sub.add_parser("table", help="emit a comparison table")
@@ -122,7 +121,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--config", help="config file naming the dataset source")
     p_verify.add_argument("--data", help="dataset CSV")
     p_verify.add_argument("--out", help="results directory (or FEDCL_OUT)")
-    p_verify.add_argument("--workers", type=int, default=1)
     p_verify.set_defaults(func=_cmd_verify)
 
     p_synth = sub.add_parser("synth", help="generate a synthetic dataset CSV")

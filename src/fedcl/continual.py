@@ -82,7 +82,11 @@ def quadratic_penalty(theta: np.ndarray, anchors: list[AnchorParams],
     """Sum over (anchor, importance) pairs of (lambda/2) * sum_i I_i (theta_i - theta*_i)^2.
 
     Shared by EWC (one pair per task), EWC-Online (single running pair),
-    SI and MAS (Omega in place of Fisher). Returns (value, gradient)."""
+    SI and MAS (Omega in place of Fisher). Returns (value, gradient).
+
+    For a (C, P) stack of parameter vectors, every anchor and importance map
+    is stacked the same way (row k belongs to model k), and the value is one
+    number per row."""
     if len(anchors) != len(importances):
         raise ValueError("need one importance map per anchor")
     value = 0.0
@@ -91,7 +95,7 @@ def quadratic_penalty(theta: np.ndarray, anchors: list[AnchorParams],
         if anchor.theta_star.shape != theta.shape or imp.shape != theta.shape:
             raise ValueError("parameter layout mismatch")
         diff = (theta - anchor.theta_star) * _PENALIZED_MASK
-        value += 0.5 * lambda_ * float((imp * diff) @ diff)
+        value = value + 0.5 * lambda_ * np.einsum("...i,...i->...", imp * diff, diff)
         grad += lambda_ * imp * diff
     return value, grad
 
@@ -123,8 +127,9 @@ class SiAccumulator:
 
 def si_accumulate(acc: SiAccumulator, grad_before_step: np.ndarray,
                   delta_theta: np.ndarray) -> None:
-    """Per-step path-integral update w_i += (-g_i) * dtheta_i (in place)."""
-    acc.omega_running = acc.omega_running + (-grad_before_step) * delta_theta
+    """Per-step path-integral update w_i += (-g_i) * dtheta_i, in place, so an
+    accumulator whose ``omega_running`` is a view of stacked rows updates them."""
+    acc.omega_running += (-grad_before_step) * delta_theta
 
 
 def si_consolidate(acc: SiAccumulator, theta_end: np.ndarray) -> np.ndarray:
@@ -198,7 +203,10 @@ class ReplayBuffer:
             self.add(ds.features[i], ds.labels[i])
 
     def sample(self, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-        idx = rng.integers(0, len(self.features), size=n)
+        return self.rows(rng.integers(0, len(self.features), size=n))
+
+    def rows(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Copies of the stored (features, labels) at positions ``idx``."""
         return (np.stack([self.features[i] for i in idx]),
                 np.stack([self.labels[i] for i in idx]))
 
@@ -211,27 +219,42 @@ def nr_store(buffer: ReplayBuffer, task_samples: dataio.Dataset, seed: int = 0) 
     return buffer
 
 
+def nr_mixed_indices(buffer: ReplayBuffer, n: int, batch_size: int, mix_ratio: float,
+                     seed: int, epoch: int) -> list[tuple[np.ndarray, np.ndarray | None]]:
+    """The batches of ``nr_mixed_batches`` for an n-row new shard, as
+    (new-shard row indices, buffer positions or None) pairs. The buffer
+    positions are the draws ``ReplayBuffer.sample`` would make, in order."""
+    if batch_size < 2:
+        raise ValueError(f"batch_size must be >= 2, got {batch_size}")
+    n_buf = int(np.floor(mix_ratio * batch_size))
+    if len(buffer) == 0 or n_buf == 0:
+        return [(idx, None) for idx in dataio.minibatch_indices(n, batch_size, seed, epoch)]
+    n_new = batch_size - n_buf
+    if n_new < 1:
+        n_new = 1  # mix_ratio 1.0 still advances through the new shard
+    rng = np.random.default_rng([seed, 10, epoch])
+    perm = rng.permutation(n)
+    return [(perm[pos:pos + n_new], rng.integers(0, len(buffer), size=n_buf))
+            for pos in range(0, n, n_new)]
+
+
+def mixed_batch_rows(buffer: ReplayBuffer | None, new_shard: dataio.Dataset,
+                     new_idx: np.ndarray, buffer_idx: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """The (features, labels) of one batch of ``nr_mixed_indices``: the new
+    shard's rows, then the buffer's."""
+    features, labels = new_shard.features[new_idx], new_shard.labels[new_idx]
+    if buffer_idx is None:
+        return features, labels
+    bf, bl = buffer.rows(buffer_idx)
+    return np.concatenate([features, bf]), np.concatenate([labels, bl])
+
+
 def nr_mixed_batches(buffer: ReplayBuffer, new_shard: dataio.Dataset, batch_size: int,
                      mix_ratio: float, seed: int, epoch: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """Batches mixing floor(mix_ratio * batch_size) buffer samples (uniform
     with replacement) with epoch-shuffled new-shard samples. Every new-shard
     sample appears exactly once per epoch. An empty buffer degrades to plain
     minibatches."""
-    if batch_size < 2:
-        raise ValueError(f"batch_size must be >= 2, got {batch_size}")
-    n_buf = int(np.floor(mix_ratio * batch_size))
-    if len(buffer) == 0 or n_buf == 0:
-        return dataio.minibatches(new_shard, batch_size, seed, epoch)
-    n_new = batch_size - n_buf
-    if n_new < 1:
-        n_new = 1  # mix_ratio 1.0 still advances through the new shard
-    n = len(new_shard)
-    rng = np.random.default_rng([seed, 10, epoch])
-    perm = rng.permutation(n)
-    batches = []
-    for pos in range(0, n, n_new):
-        idx = perm[pos:pos + n_new]
-        bf, bl = buffer.sample(n_buf, rng)
-        batches.append((np.concatenate([new_shard.features[idx], bf]),
-                        np.concatenate([new_shard.labels[idx], bl])))
-    return batches
+    return [mixed_batch_rows(buffer, new_shard, new_idx, buffer_idx)
+            for new_idx, buffer_idx in nr_mixed_indices(buffer, len(new_shard), batch_size,
+                                                        mix_ratio, seed, epoch)]

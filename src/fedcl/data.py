@@ -268,10 +268,10 @@ def synthetic_two_task(n_per_task: int, seed: int = 0, noise_std: float = 0.1):
 # Minibatching
 # ---------------------------------------------------------------------------
 
-def minibatches(ds: Dataset, batch_size: int, seed: int, epoch: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per-(seed, epoch) shuffled minibatches; a trailing batch of size 1 is
-    dropped (train-mode BatchNorm needs at least 2 samples)."""
-    n = len(ds)
+def minibatch_indices(n: int, batch_size: int, seed: int, epoch: int) -> list[np.ndarray]:
+    """Row indices of each per-(seed, epoch) shuffled minibatch of an n-row
+    dataset; a trailing batch of size 1 is dropped (train-mode BatchNorm
+    needs at least 2 samples)."""
     if batch_size < 2:
         raise ValueError(f"batch_size must be >= 2, got {batch_size}")
     if batch_size > n:
@@ -282,5 +282,11 @@ def minibatches(ds: Dataset, batch_size: int, seed: int, epoch: int) -> list[tup
         idx = perm[pos:pos + batch_size]
         if len(idx) == 1:
             break
-        batches.append((ds.features[idx], ds.labels[idx]))
+        batches.append(idx)
     return batches
+
+
+def minibatches(ds: Dataset, batch_size: int, seed: int, epoch: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The (features, labels) rows of each batch of ``minibatch_indices``."""
+    return [(ds.features[idx], ds.labels[idx])
+            for idx in minibatch_indices(len(ds), batch_size, seed, epoch)]

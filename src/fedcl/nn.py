@@ -6,6 +6,14 @@ out by ``LAYOUT``; each layer's arrays are reshaped views into it. The
 aggregation and regularization code works on that vector directly, so every
 write to a layer array happens in place.
 
+An ``MlpModel`` can also hold a stack of C models of the same topology:
+``params`` is then (C, P), every layer array gains a leading C axis, and
+forward, backward and the optimizer step all C models with one call each.
+The layer code is written once over that optional leading axis: matmuls are
+``np.matmul`` over the trailing two axes and batch reductions run over axis
+-2, so a single model is the no-axis case and model k of a stack computes
+exactly the bits it would compute alone.
+
 The architecture is fixed: 29 -> 16 -> 16 -> 8 with a BatchNorm layer after
 each hidden dense layer. Hidden activation is identity by default (a config
 switch enables ReLU). All math is float64 so finite-difference checks and
@@ -25,7 +33,9 @@ BN_MOMENTUM = 0.1
 
 
 class LinearLayer:
-    """Dense layer y = x @ W.T + b with weight shape (out, in)."""
+    """Dense layer y = x @ W.T + b with weight shape (out, in). A stack of C
+    layers has weight (C, out, in) and bias (C, 1, out), and maps a
+    (C, B, in) batch."""
 
     def __init__(self, in_dim: int, out_dim: int):
         self.in_dim = in_dim
@@ -40,7 +50,9 @@ class LinearLayer:
         self.bias[...] = rng.uniform(-bound, bound, size=self.out_dim)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        return x @ self.weight.T + self.bias
+        y = x @ self.weight.swapaxes(-1, -2)
+        y += self.bias
+        return y
 
 
 class BatchNormLayer:
@@ -48,7 +60,9 @@ class BatchNormLayer:
 
     Train mode normalizes with batch statistics and updates the running
     statistics as running <- (1 - momentum) * running + momentum * batch.
-    Eval mode uses the running statistics only.
+    Eval mode uses the running statistics only. A stack of C layers holds
+    its per-feature vectors as (C, 1, dim), so that they broadcast over each
+    layer's own batch of a (C, B, dim) input; statistics reduce over axis -2.
     """
 
     def __init__(self, dim: int, momentum: float = BN_MOMENTUM, epsilon: float = BN_EPSILON):
@@ -74,39 +88,44 @@ class BatchNormLayer:
     def forward(self, x: np.ndarray, train: bool, update_running: bool = True):
         """Returns (y, cache); cache records which normalization was used."""
         if train:
-            n = x.shape[0]
+            n = x.shape[-2]
             if n < 2:
                 raise ValueError("batch normalization in train mode needs a batch of at least 2")
             # the ufunc sequence of x.mean(axis=0) and x.var(axis=0), without
             # their wrapper overhead; the results are bit-identical
-            mean = np.add.reduce(x, axis=0) / n
+            stacked = x.ndim == 3
+            mean = np.add.reduce(x, axis=-2, keepdims=stacked) / n
             centred = x - mean
-            var = np.add.reduce(centred * centred, axis=0) / n
+            var = np.add.reduce(centred * centred, axis=-2, keepdims=stacked) / n
             std = np.sqrt(var + self.epsilon)
             xhat = centred / std
-            if update_running:
-                self.running_mean[...] = ((1.0 - self.momentum) * self.running_mean
-                                          + self.momentum * mean)
-                self.running_var[...] = ((1.0 - self.momentum) * self.running_var
-                                         + self.momentum * var)
-            y = self.gamma * xhat + self.beta
+            if update_running:  # in place, rounding as (1 - m) * running + m * batch
+                self.running_mean *= 1.0 - self.momentum
+                self.running_mean += self.momentum * mean
+                self.running_var *= 1.0 - self.momentum
+                self.running_var += self.momentum * var
+            y = self.gamma * xhat
+            y += self.beta
             return y, ("train", xhat, std)
         std = np.sqrt(self.running_var + self.epsilon)
         xhat = (x - self.running_mean) / std
-        return self.gamma * xhat + self.beta, ("eval", xhat, std)
+        y = self.gamma * xhat
+        y += self.beta
+        return y, ("eval", xhat, std)
 
     def backward(self, dy: np.ndarray, cache) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Returns (dx, dgamma, dbeta). In eval mode the running statistics
-        are constants, so dx is a plain elementwise rescale."""
+        """Returns (dx, dgamma, dbeta), with dgamma and dbeta (dim,) or
+        (C, dim). In eval mode the running statistics are constants, so dx
+        is a plain elementwise rescale."""
         kind, xhat, std = cache
-        dgamma = (dy * xhat).sum(axis=0)
-        dbeta = dy.sum(axis=0)
+        dgamma = np.add.reduce(dy * xhat, axis=-2)
+        dbeta = np.add.reduce(dy, axis=-2)
         dxhat = dy * self.gamma
         if kind == "eval":
             return dxhat / std, dgamma, dbeta
-        n = dy.shape[0]
-        dx = (dxhat - np.add.reduce(dxhat, axis=0) / n
-              - xhat * (np.add.reduce(dxhat * xhat, axis=0) / n)) / std
+        n = dy.shape[-2]
+        dx = (dxhat - np.add.reduce(dxhat, axis=-2, keepdims=True) / n
+              - xhat * (np.add.reduce(dxhat * xhat, axis=-2, keepdims=True) / n)) / std
         return dx, dgamma, dbeta
 
 
@@ -115,24 +134,40 @@ class MlpModel:
 
     ``params`` is the single store of every parameter (``LAYOUT`` order);
     the layer arrays are views into it, bound once here. Write to it in
-    place (``params[...] = v``); rebinding it detaches the layers."""
+    place (``params[...] = v``); rebinding it detaches the layers.
 
-    def __init__(self, hidden_activation: str = "identity"):
+    Passing ``params`` binds the model to an existing float64 array instead
+    of fresh storage, without changing its values: a (P,) array is one
+    model, a (C, P) array a stack of C models (row k is model k), and a
+    view of rows of a larger stack steps those rows in place. The layer
+    arrays of a stack gain a leading C axis; its per-feature vectors (biases
+    and BatchNorm vectors) are (C, 1, dim), to broadcast over each model's
+    batch."""
+
+    def __init__(self, hidden_activation: str = "identity", params: np.ndarray | None = None):
         if hidden_activation not in ("identity", "relu"):
             raise ValueError(f"unknown hidden activation {hidden_activation!r}")
+        fresh = params is None
+        if fresh:
+            params = np.zeros(PARAM_COUNT, dtype=np.float64)
+        elif (params.dtype != np.float64 or params.ndim not in (1, 2)
+              or params.shape[-1] != PARAM_COUNT):
+            raise ValueError(f"expected float64 parameters of shape ({PARAM_COUNT},) or "
+                             f"(C, {PARAM_COUNT}), got {params.dtype} {params.shape}")
         self.hidden_activation = hidden_activation
         self.lin1 = LinearLayer(IN_DIM, HIDDEN_DIM)
         self.bn1 = BatchNormLayer(HIDDEN_DIM)
         self.lin2 = LinearLayer(HIDDEN_DIM, HIDDEN_DIM)
         self.bn2 = BatchNormLayer(HIDDEN_DIM)
         self.out = LinearLayer(HIDDEN_DIM, OUT_DIM)
-        self.params = np.empty(PARAM_COUNT, dtype=np.float64)
-        for name, (start, stop, shape) in OFFSETS.items():
-            layer_name, attr = name.split(".")
-            layer = getattr(self, layer_name)
-            view = self.params[start:stop].reshape(shape)
-            view[...] = getattr(layer, attr)  # the layer's initial values
-            setattr(layer, attr, view)
+        self.params = params
+        lead = params.shape[:-1]
+        for layer_name, attr, slots, shape, stacked_shape in _BINDINGS:
+            view = params[..., slots].reshape(lead + stacked_shape if lead else shape)
+            setattr(getattr(self, layer_name), attr, view)
+        if fresh:  # the layers' initial values: zero linear layers, identity BatchNorm
+            self.bn1.reset()
+            self.bn2.reset()
 
     def init_params(self, rng: np.random.Generator) -> None:
         self.lin1.init_uniform(rng)
@@ -147,10 +182,14 @@ class MlpModel:
         return h
 
     def forward(self, batch: np.ndarray, mode: str = "eval") -> np.ndarray:
+        """Predictions for a (B, 29) batch; for a stack of C models, a
+        client-major (C*B, 29) batch gives client-major (C*B, 8) predictions."""
         y, _ = self._forward_cached(batch, mode)
-        return y
+        return y.reshape(-1, OUT_DIM)
 
     def _forward_cached(self, batch: np.ndarray, mode: str):
+        """Forward pass keeping what backward needs; a stack of C models
+        splits the client-major batch into (C, B, 29) and returns (C, B, 8)."""
         if mode not in ("train", "eval"):
             raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
         batch = np.asarray(batch, dtype=np.float64)
@@ -158,6 +197,12 @@ class MlpModel:
             raise ValueError(f"expected batch of shape (B, {IN_DIM}), got {batch.shape}")
         if batch.shape[0] < 1:
             raise ValueError("empty batch")
+        if self.params.ndim == 2:
+            n_models = self.params.shape[0]
+            if batch.shape[0] % n_models:
+                raise ValueError(f"a stack of {n_models} models needs a client-major batch "
+                                 f"of a multiple of {n_models} rows, got {batch.shape[0]}")
+            batch = batch.reshape(n_models, -1, IN_DIM)
         train = mode == "train"
         cache = {"x": batch}
         h1 = self.lin1.forward(batch)
@@ -174,9 +219,7 @@ class MlpModel:
         return y, cache
 
     def clone(self) -> "MlpModel":
-        m = MlpModel(self.hidden_activation)
-        m.params[...] = self.params
-        return m
+        return MlpModel(self.hidden_activation, self.params.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +256,13 @@ def _build_offsets():
 
 OFFSETS, PARAM_COUNT = _build_offsets()
 
+# (layer, attribute, slots, shape, shape in a stack): how MlpModel binds the
+# layer arrays to its parameters; a stack's per-feature vectors get a
+# broadcast axis for the batch
+_BINDINGS = [(*name.split("."), slice(start, stop), shape,
+              (1,) + shape if len(shape) == 1 else shape)
+             for name, (start, stop, shape) in OFFSETS.items()]
+
 
 def slot_slice(name: str) -> slice:
     start, stop, _ = OFFSETS[name]
@@ -243,10 +293,11 @@ def extract_params(model: MlpModel) -> np.ndarray:
 
 
 def inject_params(model: MlpModel, vec: np.ndarray) -> None:
-    """Copy a flat parameter vector into the model's parameter vector."""
+    """Copy a flat parameter vector (or a (C, P) stack, for a stacked model)
+    into the model's parameters."""
     vec = np.asarray(vec, dtype=np.float64)
-    if vec.shape != (PARAM_COUNT,):
-        raise ValueError(f"expected parameter vector of length {PARAM_COUNT}, got shape {vec.shape}")
+    if vec.shape != model.params.shape:
+        raise ValueError(f"expected parameters of shape {model.params.shape}, got shape {vec.shape}")
     model.params[...] = vec
 
 
@@ -285,38 +336,45 @@ def backward(model: MlpModel, batch: np.ndarray, target: np.ndarray,
     In train mode the forward updates BN running statistics, as a training
     step would; eval mode treats them as constants (used by importance-map
     computation). Running-statistic slots receive zero gradient either way.
+
+    For a stack of C models, ``batch`` is client-major (C*B, 29) and
+    ``target`` (C*B, 8): rows k*B to (k+1)*B - 1 belong to model k, whose
+    loss is averaged over its own B rows. The gradient then has the shape of
+    ``model.params``, (C, P), as does ``extra_penalty_grad``.
     """
     target = np.asarray(target, dtype=np.float64)
     pred, cache = model._forward_cached(batch, mode)
-    if pred.shape != target.shape:
+    if target.shape != (pred.size // OUT_DIM, OUT_DIM):
         raise ValueError(f"shape mismatch: pred {pred.shape} vs target {target.shape}")
-    n, width = pred.shape
+    target = target.reshape(pred.shape)
+    n, width = pred.shape[-2:]
     dy = 2.0 * (pred - target) / (n * width)
 
-    vec = np.zeros(PARAM_COUNT, dtype=np.float64)
+    lead = model.params.shape[:-1]
+    vec = np.zeros(model.params.shape, dtype=np.float64)
     # output linear
-    vec[_OUT_W] = (dy.T @ cache["a2"]).ravel()
-    vec[_OUT_B] = dy.sum(axis=0)
+    vec[..., _OUT_W] = (dy.swapaxes(-1, -2) @ cache["a2"]).reshape(lead + (-1,))
+    vec[..., _OUT_B] = np.add.reduce(dy, axis=-2)
     da2 = dy @ model.out.weight
     # activation 2
     db2 = da2 * (cache["b2"] > 0.0) if model.hidden_activation == "relu" else da2
     # bn2
-    dh2, vec[_BN2_G], vec[_BN2_B] = model.bn2.backward(db2, cache["bn2"])
+    dh2, vec[..., _BN2_G], vec[..., _BN2_B] = model.bn2.backward(db2, cache["bn2"])
     # lin2
-    vec[_LIN2_W] = (dh2.T @ cache["a1"]).ravel()
-    vec[_LIN2_B] = dh2.sum(axis=0)
+    vec[..., _LIN2_W] = (dh2.swapaxes(-1, -2) @ cache["a1"]).reshape(lead + (-1,))
+    vec[..., _LIN2_B] = np.add.reduce(dh2, axis=-2)
     da1 = dh2 @ model.lin2.weight
     # activation 1
     db1 = da1 * (cache["b1"] > 0.0) if model.hidden_activation == "relu" else da1
     # bn1
-    dh1, vec[_BN1_G], vec[_BN1_B] = model.bn1.backward(db1, cache["bn1"])
+    dh1, vec[..., _BN1_G], vec[..., _BN1_B] = model.bn1.backward(db1, cache["bn1"])
     # lin1
-    vec[_LIN1_W] = (dh1.T @ cache["x"]).ravel()
-    vec[_LIN1_B] = dh1.sum(axis=0)
+    vec[..., _LIN1_W] = (dh1.swapaxes(-1, -2) @ cache["x"]).reshape(lead + (-1,))
+    vec[..., _LIN1_B] = np.add.reduce(dh1, axis=-2)
 
     if extra_penalty_grad is not None:
         extra_penalty_grad = np.asarray(extra_penalty_grad, dtype=np.float64)
-        if extra_penalty_grad.shape != (PARAM_COUNT,):
+        if extra_penalty_grad.shape != vec.shape:
             raise ValueError("penalty gradient has wrong length")
         vec += extra_penalty_grad
     return vec
@@ -327,7 +385,11 @@ def backward(model: MlpModel, batch: np.ndarray, target: np.ndarray,
 # ---------------------------------------------------------------------------
 
 class Optimizer:
-    """SGD or Adam on flat parameter vectors. State lives in the instance."""
+    """SGD or Adam on flat parameter vectors. State lives in the instance.
+
+    The state takes the shape of the parameters it steps: for a (C, P)
+    stack of vectors, Adam's moments are (C, P) and ``step_count`` holds one
+    count per row (see ``stack``, ``rows`` and ``unstack``)."""
 
     def __init__(self, kind: str = "sgd", learning_rate: float = 1e-3,
                  beta1: float = 0.9, beta2: float = 0.999, epsilon: float = 1e-8):
@@ -349,6 +411,38 @@ class Optimizer:
         self.m = None
         self.v = None
 
+    def _like(self) -> "Optimizer":
+        return Optimizer(self.kind, self.learning_rate, self.beta1, self.beta2, self.epsilon)
+
+    @classmethod
+    def stack(cls, optimizers: list["Optimizer"], params: np.ndarray) -> "Optimizer":
+        """One optimizer for the (C, P) stack ``params`` whose state row k is
+        ``optimizers[k]``'s state. Adam moments an optimizer has not started
+        are zeros, which is where its first step would start them."""
+        stacked = optimizers[0]._like()
+        stacked.step_count = np.array([o.step_count for o in optimizers])
+        if stacked.kind == "adam":
+            zeros = np.zeros(params.shape[-1])
+            stacked.m = np.stack([zeros if o.m is None else o.m for o in optimizers])
+            stacked.v = np.stack([zeros if o.v is None else o.v for o in optimizers])
+        return stacked
+
+    def rows(self, sel: int | slice) -> "Optimizer":
+        """An optimizer for rows ``sel`` of a stacked optimizer whose state is
+        a view of this one's, so its steps update these rows in place."""
+        view = self._like()
+        view.step_count = self.step_count[sel, ...]
+        if self.m is not None:
+            view.m, view.v = self.m[sel], self.v[sel]
+        return view
+
+    def unstack(self, optimizers: list["Optimizer"]) -> None:
+        """Write state row k of a stacked optimizer back into ``optimizers[k]``."""
+        for k, opt in enumerate(optimizers):
+            opt.step_count = int(self.step_count[k])
+            if self.m is not None:
+                opt.m, opt.v = self.m[k], self.v[k]
+
     def step(self, params: np.ndarray, grads: np.ndarray) -> np.ndarray:
         params = np.asarray(params, dtype=np.float64)
         grads = np.asarray(grads, dtype=np.float64)
@@ -358,16 +452,26 @@ class Optimizer:
         # optimizer as it was
         if not np.isfinite(grads).all():
             raise ValueError("NaN or inf in gradients")
+        self.step_count += 1  # in place when it is a view of a stack's counts
         if self.kind == "sgd":
-            self.step_count += 1
             return params - self.learning_rate * grads
         if self.m is None:
             self.m = np.zeros_like(params)
             self.v = np.zeros_like(params)
-        self.step_count += 1
+        # in place, so the moments of a view step the stack's rows
+        self.m *= self.beta1
+        self.m += (1.0 - self.beta1) * grads
+        self.v *= self.beta2
+        self.v += (1.0 - self.beta2) * grads ** 2
+        # 1 - beta**t by Python's float pow, one value per row: numpy's
+        # vectorised np.power differs from it in the last bit for some t
         t = self.step_count
-        self.m = self.beta1 * self.m + (1.0 - self.beta1) * grads
-        self.v = self.beta2 * self.v + (1.0 - self.beta2) * grads ** 2
-        m_hat = self.m / (1.0 - self.beta1 ** t)
-        v_hat = self.v / (1.0 - self.beta2 ** t)
+        if np.ndim(t) == 0:
+            t = int(t)
+            m_hat = self.m / (1.0 - self.beta1 ** t)
+            v_hat = self.v / (1.0 - self.beta2 ** t)
+        else:
+            t = t.tolist()
+            m_hat = self.m / np.array([1.0 - self.beta1 ** s for s in t])[:, None]
+            v_hat = self.v / np.array([1.0 - self.beta2 ** s for s in t])[:, None]
         return params - self.learning_rate * m_hat / (np.sqrt(v_hat) + self.epsilon)

@@ -1,16 +1,23 @@
 """Experiment driver: round loops, client local training, aggregation
 barriers, continual-learning task sequencing, and evaluation scheduling.
 
+Local training is client-stacked: ``local_train`` gathers a round's cohort
+of clients into (C, P) arrays (parameters, optimizer state, SI path
+integrals, CL anchors), takes each step of every client whose batch has the
+same row count with one ``nn.backward`` and one ``Optimizer.step`` on views
+of their rows, and writes the state back to each ``ClientState``.
+
 Determinism: every random draw comes from a stream derived from
-(seed, purpose, client, task, round, ...) via numpy's SeedSequence, so
-results are bit-identical regardless of how many worker threads run the
-clients.
+(seed, purpose, client, task, round, ...) via numpy's SeedSequence, and
+model k of a stack computes exactly the bits it would compute alone, so
+results are bit-identical however the clients of a round are grouped into
+cohorts.
 """
 
 from __future__ import annotations
 
+import itertools
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -121,81 +128,196 @@ def evaluate(params: np.ndarray, test_set: dataio.Dataset,
     return compute_report(pred, test_set.labels)
 
 
-def _broadcast(client: ClientState, global_params: np.ndarray, strategy_kind: str) -> None:
-    if strategy_kind == "fedbn":
-        client.model.params[~_BN_MASK] = global_params[~_BN_MASK]
-    else:
-        nn.inject_params(client.model, global_params)
+@dataclass
+class _Rows:
+    """Views of rows lo:hi of a ``_Stack``, stepped together in place. A
+    single row is a plain one-model view: (P,) parameters, 2-D batches."""
+    theta: np.ndarray
+    model: nn.MlpModel
+    optimizer: nn.Optimizer
+    si_acc: cl.SiAccumulator | None
+    anchors: list[cl.AnchorParams]
+    importances: list[np.ndarray]
 
 
-def local_train(client: ClientState, global_params: np.ndarray, config: ExperimentConfig,
-                task_index: int, round_index: int) -> tuple[fed.ClientUpdate, float]:
-    """One client's round: broadcast, local epochs with strategy/CL loss
-    terms, and the resulting update. Returns (update, post-training shard loss)."""
-    if len(client.shard) < 2:
-        raise ExperimentError(f"client {client.client_id}: shard too small to train on")
+class _Stack:
+    """One round's training state of a cohort of models, stacked: row k of
+    every array belongs to the k-th model."""
+
+    def __init__(self, models: list[nn.MlpModel], optimizers: list[nn.Optimizer],
+                 si_accs: list[cl.SiAccumulator] | None = None,
+                 anchors: list[list[cl.AnchorParams]] | None = None,
+                 importances: list[list[np.ndarray]] | None = None):
+        self.hidden_activation = models[0].hidden_activation
+        self.params = np.stack([m.params for m in models])
+        self.optimizer = nn.Optimizer.stack(optimizers, self.params)
+        self.si_acc = None
+        if si_accs:
+            self.si_acc = cl.SiAccumulator(np.stack([a.theta_at_task_start for a in si_accs]),
+                                           np.stack([a.omega_running for a in si_accs]),
+                                           si_accs[0].xi)
+        self.anchors = [cl.AnchorParams(np.stack([a[i].theta_star for a in anchors]),
+                                        anchors[0][i].task_id)
+                        for i in range(len(anchors[0]))] if anchors else []
+        self.importances = [np.stack([imp[i] for imp in importances])
+                            for i in range(len(importances[0]))] if importances else []
+        self._rows: dict[tuple[int, int], _Rows] = {}
+
+    def rows(self, lo: int, hi: int) -> _Rows:
+        rows = self._rows.get((lo, hi))
+        if rows is None:
+            sel = lo if hi - lo == 1 else slice(lo, hi)
+            theta = self.params[sel]
+            acc = self.si_acc
+            rows = _Rows(theta, nn.MlpModel(self.hidden_activation, theta),
+                         self.optimizer.rows(sel),
+                         None if acc is None else cl.SiAccumulator(
+                             acc.theta_at_task_start[sel], acc.omega_running[sel], acc.xi),
+                         [cl.AnchorParams(a.theta_star[sel], a.task_id) for a in self.anchors],
+                         [imp[sel] for imp in self.importances])
+            self._rows[(lo, hi)] = rows
+        return rows
+
+    def unstack(self, models: list[nn.MlpModel], optimizers: list[nn.Optimizer],
+                si_accs: list[cl.SiAccumulator] | None = None) -> None:
+        """Write row k of the state back into the k-th model, optimizer and
+        SI accumulator."""
+        for model, row in zip(models, self.params):
+            model.params[...] = row
+        self.optimizer.unstack(optimizers)
+        if self.si_acc is not None:
+            for acc, row in zip(si_accs, self.si_acc.omega_running):
+                acc.omega_running = row
+
+
+def _schedule(plans: list[list[tuple]]) -> list[tuple[int, int, int]]:
+    """(step j, lo, hi) for every run of adjacent rows lo:hi whose j-th
+    batches have the same row count; plans[k][j] is row k's j-th batch as
+    (new-shard indices, buffer positions or None)."""
+    sizes = [[len(new) + (0 if buf is None else len(buf)) for new, buf in plan]
+             for plan in plans]
+    schedule = []
+    for j, column in enumerate(itertools.zip_longest(*sizes, fillvalue=0)):
+        lo = 0
+        for rows, run in itertools.groupby(column):
+            hi = lo + len(tuple(run))
+            if rows:
+                schedule.append((j, lo, hi))
+            lo = hi
+    return schedule
+
+
+def _train_epochs(stack: _Stack, members: list[ClientState], plan, loss_terms,
+                  config: ExperimentConfig, round_index: int, label: str) -> None:
+    """Every local epoch of a stack: ``plan(k, epoch)`` gives row k's
+    batches, ``loss_terms(lo, hi, rows, x, y)`` a run's (target, penalty
+    gradient or None)."""
+    for epoch in range(config.local_epochs):
+        plans = [plan(k, epoch) for k in range(len(members))]
+        for j, lo, hi in _schedule(plans):
+            rows = stack.rows(lo, hi)
+            if hi - lo == 1:
+                x, y = cl.mixed_batch_rows(members[lo].buffer, members[lo].shard, *plans[lo][j])
+            else:
+                xs, ys = zip(*(cl.mixed_batch_rows(members[k].buffer, members[k].shard,
+                                                   *plans[k][j]) for k in range(lo, hi)))
+                x, y = np.concatenate(xs), np.concatenate(ys)
+            g = None
+            try:
+                target, penalty_grad = loss_terms(lo, hi, rows, x, y)
+                g = nn.backward(rows.model, x, target, penalty_grad)
+                stepped = rows.optimizer.step(rows.theta, g)
+                if rows.si_acc is not None:
+                    cl.si_accumulate(rows.si_acc, g, stepped - rows.theta)
+                rows.theta[...] = stepped
+            except ValueError as exc:
+                bad = lo
+                if g is not None:  # the first row whose gradient is not finite
+                    bad += int(np.argmin(np.isfinite(g).reshape(hi - lo, -1).all(axis=1)))
+                raise ExperimentError(
+                    f"client {members[bad].client_id} failed in round {round_index}: "
+                    f"{label}epoch {epoch} batch {j}: {exc}") from exc
+
+
+def local_train(clients: list[ClientState], global_params: np.ndarray, config: ExperimentConfig,
+                task_index: int, round_index: int) -> tuple[list[fed.ClientUpdate], list[float]]:
+    """One round of local training for a cohort of clients, trained as one
+    stack: broadcast, local epochs with strategy/CL loss terms, and the
+    resulting updates. Returns (updates, post-training shard losses), in the
+    order of ``clients``."""
     cfg = config
     strat = cfg.strategy
-    # small shards (e.g. task splits at 10 clients) cap the batch size
-    batch_size = min(cfg.batch_size, len(client.shard))
-    _broadcast(client, global_params, strat.kind)
-    if not cfg.persist_client_optimizer:
-        client.optimizer.reset()
-    omega_t = global_params.copy()
+    for c in clients:
+        if len(c.shard) < 2:
+            raise ExperimentError(f"client {c.client_id} failed in round {round_index}: "
+                                  "shard too small to train on")
+        if not cfg.persist_client_optimizer:
+            c.optimizer.reset()
+    # rows follow shard size, so that clients whose batches have equal row
+    # counts are adjacent and step as one run, also in a ragged last batch
+    members = sorted(clients, key=lambda c: len(c.shard))
+
+    def batches(purpose, replay):
+        seeds = [derive_seed(cfg.seed, purpose, c.client_id, task_index, round_index)
+                 for c in members]
+
+        def plan(k, epoch):
+            c = members[k]
+            # small shards (e.g. task splits at 10 clients) cap the batch size
+            batch_size = min(cfg.batch_size, len(c.shard))
+            if replay and c.buffer is not None and len(c.buffer) > 0:
+                return cl.nr_mixed_indices(c.buffer, len(c.shard), batch_size,
+                                           cfg.penalty.mix_ratio, seeds[k], epoch)
+            return [(idx, None) for idx in
+                    dataio.minibatch_indices(len(c.shard), batch_size, seeds[k], epoch)]
+        return plan
+
+    # FedDistill: the personalised teachers train on the raw shards first
+    teacher = None
+    if strat.kind == "feddistill":
+        teachers = [c.teacher_model for c in members]
+        teacher_opts = [c.teacher_optimizer for c in members]
+        teacher = _Stack(teachers, teacher_opts)
+        _train_epochs(teacher, members, batches(20, False), lambda lo, hi, rows, x, y: (y, None),
+                      cfg, round_index, "teacher ")
+        teacher.unstack(teachers, teacher_opts)
 
     lam = cfg.penalty.effective_lambda(cfg.cl_method)
     penalized = (cfg.cl_method in ("ewc", "ewc_online", "si", "mas")
-                 and task_index > 0 and lam > 0.0 and client.anchors)
-    use_replay = (cfg.cl_method == "nr" and task_index > 0
-                  and client.buffer is not None and len(client.buffer) > 0)
+                 and task_index > 0 and lam > 0.0 and all(c.anchors for c in members))
+    si_accs = ([c.si_acc for c in members]
+               if cfg.cl_method == "si" and all(c.si_acc is not None for c in members) else None)
+    student = _Stack([c.model for c in members], [c.optimizer for c in members], si_accs,
+                     [c.anchors for c in members] if penalized else None,
+                     [c.importances for c in members] if penalized else None)
+    if strat.kind == "fedbn":
+        student.params[:, ~_BN_MASK] = global_params[~_BN_MASK]
+    else:
+        student.params[...] = global_params
 
-    # FedDistill: the personalised teacher trains on the raw shard first
-    if strat.kind == "feddistill":
-        tseed = derive_seed(cfg.seed, 20, client.client_id, task_index, round_index)
-        teacher = client.teacher_model.params
-        for epoch in range(cfg.local_epochs):
-            for b, (bx, by) in enumerate(dataio.minibatches(client.shard, batch_size,
-                                                            tseed, epoch)):
-                try:
-                    g = nn.backward(client.teacher_model, bx, by)
-                    teacher[...] = client.teacher_optimizer.step(teacher, g)
-                except ValueError as exc:
-                    raise ExperimentError(f"teacher epoch {epoch} batch {b}: {exc}") from exc
+    def loss_terms(lo, hi, rows, x, y):
+        target = y
+        if teacher is not None and strat.distill_weight > 0.0:
+            tpred = teacher.rows(lo, hi).model.forward(x, mode="eval")
+            target = fed.distill_target(y, tpred, strat.distill_weight)
+        penalty_grad = None
+        if strat.kind == "fedprox" and strat.mu > 0.0:
+            _, penalty_grad = fed.fedprox_penalty(rows.theta, global_params, strat.mu)
+        if penalized:
+            _, pg = cl.quadratic_penalty(rows.theta, rows.anchors, rows.importances, lam)
+            penalty_grad = pg if penalty_grad is None else penalty_grad + pg
+        return target, penalty_grad
 
-    # the model's own parameter vector: every read and write below goes
-    # through it, in place
-    theta = client.model.params
-    bseed = derive_seed(cfg.seed, 21, client.client_id, task_index, round_index)
-    for epoch in range(cfg.local_epochs):
-        if use_replay:
-            batches = cl.nr_mixed_batches(client.buffer, client.shard, batch_size,
-                                          cfg.penalty.mix_ratio, bseed, epoch)
-        else:
-            batches = dataio.minibatches(client.shard, batch_size, bseed, epoch)
-        for b, (bx, by) in enumerate(batches):
-            try:
-                target = by
-                if strat.kind == "feddistill" and strat.distill_weight > 0.0:
-                    tpred = client.teacher_model.forward(bx, mode="eval")
-                    target = fed.distill_target(by, tpred, strat.distill_weight)
-                penalty_grad = None
-                if strat.kind == "fedprox" and strat.mu > 0.0:
-                    _, penalty_grad = fed.fedprox_penalty(theta, omega_t, strat.mu)
-                if penalized:
-                    _, pg = cl.quadratic_penalty(theta, client.anchors, client.importances, lam)
-                    penalty_grad = pg if penalty_grad is None else penalty_grad + pg
-                g = nn.backward(client.model, bx, target, penalty_grad)
-                stepped = client.optimizer.step(theta, g)
-                if cfg.cl_method == "si" and client.si_acc is not None:
-                    cl.si_accumulate(client.si_acc, g, stepped - theta)
-                theta[...] = stepped
-            except ValueError as exc:
-                raise ExperimentError(f"epoch {epoch} batch {b}: {exc}") from exc
+    _train_epochs(student, members, batches(21, cfg.cl_method == "nr" and task_index > 0),
+                  loss_terms, cfg, round_index, "")
+    student.unstack([c.model for c in members], [c.optimizer for c in members], si_accs)
 
-    params = nn.extract_params(client.model)
-    pred = client.model.forward(client.shard.features, mode="eval")
-    train_loss, _ = nn.mse_loss(pred, client.shard.labels)
-    return fed.ClientUpdate(client.client_id, params, len(client.shard)), train_loss
+    updates, losses = [], []
+    for c in clients:
+        pred = c.model.forward(c.shard.features, mode="eval")
+        updates.append(fed.ClientUpdate(c.client_id, nn.extract_params(c.model), len(c.shard)))
+        losses.append(nn.mse_loss(pred, c.shard.labels)[0])
+    return updates, losses
 
 
 def _consolidate(client: ClientState, config: ExperimentConfig, task_index: int) -> None:
@@ -254,26 +376,6 @@ def _build_clients(config: ExperimentConfig, shards: list[dataio.Dataset],
     return clients
 
 
-def _collect_updates(clients: list[ClientState], global_params: np.ndarray,
-                     config: ExperimentConfig, task_index: int, round_index: int,
-                     n_workers: int) -> tuple[list[fed.ClientUpdate], list[float]]:
-    def work(client):
-        try:
-            return local_train(client, global_params, config, task_index, round_index)
-        except Exception as exc:
-            raise ExperimentError(
-                f"client {client.client_id} failed in round {round_index}: {exc}") from exc
-
-    if n_workers <= 1:
-        results = [work(c) for c in clients]
-    else:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            results = list(pool.map(work, clients))
-    updates = [r[0] for r in results]
-    losses = [r[1] for r in results]
-    return updates, losses
-
-
 def _aggregate(global_params: np.ndarray, updates: list[fed.ClientUpdate],
                config: ExperimentConfig, server_opt: nn.Optimizer | None) -> np.ndarray:
     strat = config.strategy
@@ -285,8 +387,7 @@ def _aggregate(global_params: np.ndarray, updates: list[fed.ClientUpdate],
     return fed.fedavg_aggregate(updates, weighted)
 
 
-def run_fl(config: ExperimentConfig, train: dataio.Dataset, test: dataio.Dataset,
-           n_workers: int = 1) -> RunResult:
+def run_fl(config: ExperimentConfig, train: dataio.Dataset, test: dataio.Dataset) -> RunResult:
     """Plain federated round loop (no task sequencing)."""
     if config.cl_method != "none":
         raise ValueError("run_fl requires cl_method == 'none'; use run_fcl")
@@ -306,7 +407,7 @@ def run_fl(config: ExperimentConfig, train: dataio.Dataset, test: dataio.Dataset
     events: list[tuple] = []
     for r in range(config.n_rounds):
         t0 = time.perf_counter()
-        updates, losses = _collect_updates(clients, global_params, config, 0, r, n_workers)
+        updates, losses = local_train(clients, global_params, config, 0, r)
         for c in clients:
             events.append(("local_train", c.client_id, 0, r))
         global_params = _aggregate(global_params, updates, config, server_opt)
@@ -316,21 +417,14 @@ def run_fl(config: ExperimentConfig, train: dataio.Dataset, test: dataio.Dataset
     return RunResult(logs, global_params, events)
 
 
-@dataclass
-class FclSchedule:
-    rounds_per_task: list[int]
-
-    @classmethod
-    def default(cls, config: ExperimentConfig) -> "FclSchedule":
-        per_task = config.rounds_per_task or config.n_rounds
-        return cls([per_task, per_task])
-
-
 def run_fcl(config: ExperimentConfig, train: dataio.Dataset, test: dataio.Dataset,
-            schedule: FclSchedule | None = None, n_workers: int = 1) -> RunResult:
+            rounds_per_task: list[int] | None = None) -> RunResult:
     """Sequential two-task (circle then arrow) federated loop with the
     configured continual-learning mechanism. cl_method 'none' runs the
     unregularized sequential baseline.
+
+    ``rounds_per_task`` lists the rounds of each task in order; it defaults
+    to ``config.rounds_per_task`` (else ``config.n_rounds``) for both tasks.
 
     Evaluation after task-1 rounds uses the circle-only test subset; task-2
     rounds are evaluated on the full test set. Augmentation, when enabled,
@@ -338,7 +432,8 @@ def run_fcl(config: ExperimentConfig, train: dataio.Dataset, test: dataio.Datase
     """
     if config.strategy.kind != "fedavg":
         raise ValueError("run_fcl adapts fedavg only")
-    schedule = schedule or FclSchedule.default(config)
+    if rounds_per_task is None:
+        rounds_per_task = [config.rounds_per_task or config.n_rounds] * 2
     parts = dataio.partition_clients(train, config.n_clients, config.seed)
     client_tasks = []
     for p in parts:
@@ -360,7 +455,7 @@ def run_fcl(config: ExperimentConfig, train: dataio.Dataset, test: dataio.Datase
     logs: list[RoundLog] = []
     events: list[tuple] = []
     round_counter = 0
-    for task_index, n_rounds in enumerate(schedule.rounds_per_task):
+    for task_index, n_rounds in enumerate(rounds_per_task):
         for c in clients:
             shard = client_tasks[c.client_id][task_index]
             if config.augmentation:
@@ -371,8 +466,8 @@ def run_fcl(config: ExperimentConfig, train: dataio.Dataset, test: dataio.Datase
                 c.optimizer.reset()
         for r in range(n_rounds):
             t0 = time.perf_counter()
-            updates, losses = _collect_updates(clients, global_params, config,
-                                               task_index, round_counter, n_workers)
+            updates, losses = local_train(clients, global_params, config,
+                                          task_index, round_counter)
             for c in clients:
                 events.append(("local_train", c.client_id, task_index, round_counter))
             if r == n_rounds - 1 and config.cl_method != "none":

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from . import __version__
 from . import data as dataio
 from .config import BenchmarkSuite, ExperimentSpec
-from .orchestrator import FclSchedule, RunResult, run_fcl, run_fl
+from .orchestrator import RunResult, run_fcl, run_fl
 
 
 @dataclass
@@ -111,40 +111,38 @@ class ResultsStore:
         return records
 
 
-def execute_experiment(spec: ExperimentSpec, dataset: dataio.Dataset,
-                       n_workers: int = 1) -> RunResult:
+def execute_experiment(spec: ExperimentSpec, dataset: dataio.Dataset) -> RunResult:
     """Split the shared dataset with the experiment's own seed and run it."""
     config = spec.build()
     train, test = dataio.train_test_split(dataset, 0.75, config.seed)
     if spec.is_fcl:
-        return run_fcl(config, train, test, FclSchedule.default(config), n_workers)
-    return run_fl(config, train, test, n_workers)
+        return run_fcl(config, train, test)
+    return run_fl(config, train, test)
 
 
-def run_suite(suite: BenchmarkSuite, dataset: dataio.Dataset, out_dir: str,
-              n_workers: int = 1) -> tuple[ResultsStore, list[tuple[str, str]]]:
+def run_suite(suite: BenchmarkSuite, dataset: dataio.Dataset,
+              out_dir: str) -> tuple[ResultsStore, list[tuple[str, str]]]:
     """Execute every experiment, persisting results. Individual failures are
     recorded and do not stop the suite. Returns (store, failures)."""
     store = ResultsStore(out_dir)
     failures = []
     for spec in suite.experiments:
         try:
-            result = execute_experiment(spec, dataset, n_workers)
+            result = execute_experiment(spec, dataset)
             store.write_run(spec, result)
         except Exception as exc:
             failures.append((spec.run_id(), str(exc)))
     return store, failures
 
 
-def verify_store(store: ResultsStore, dataset: dataio.Dataset,
-                 n_workers: int = 1) -> list[tuple[str, str]]:
+def verify_store(store: ResultsStore, dataset: dataio.Dataset) -> list[tuple[str, str]]:
     """Re-run every stored experiment and compare final metrics bit-exactly.
     Returns a list of (run_id, message) reproducibility violations."""
     violations = []
     for record in store.list_runs():
         spec = ExperimentSpec(record.values)
         try:
-            result = execute_experiment(spec, dataset, n_workers)
+            result = execute_experiment(spec, dataset)
         except Exception as exc:
             violations.append((record.run_id, f"re-run failed: {exc}"))
             continue

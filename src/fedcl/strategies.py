@@ -94,13 +94,16 @@ def fedbn_aggregate(updates: list[ClientUpdate], bn_mask: np.ndarray,
 
 
 def fedprox_penalty(omega: np.ndarray, omega_t: np.ndarray, mu: float) -> tuple[float, np.ndarray]:
-    """Proximal term (mu/2) * ||omega - omega_t||^2 and its gradient."""
-    if omega.shape != omega_t.shape:
+    """Proximal term (mu/2) * ||omega - omega_t||^2 and its gradient.
+
+    ``omega`` may be a (C, P) stack of vectors sharing the anchor
+    ``omega_t``; the value is then one number per row."""
+    if omega.shape[-1:] != omega_t.shape:
         raise ValueError("parameter layout mismatch")
     if mu < 0.0:
         raise ValueError("mu must be >= 0")
     diff = omega - omega_t
-    return 0.5 * mu * float(diff @ diff), mu * diff
+    return 0.5 * mu * np.einsum("...i,...i->...", diff, diff), mu * diff
 
 
 def fedopt_server_step(global_params: np.ndarray, updates: list[ClientUpdate],

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import finite_difference, random_model, rel_err
+import fedcl.orchestrator as orch
 from fedcl import continual as cl
 from fedcl import data as dataio
 from fedcl import nn
@@ -267,26 +268,41 @@ def test_criterion_08_metric_oracles():
                        f"{rmse_dev:.2e}, sqrt(0.219)=0.468 identity {identity}")
 
 
-def test_criterion_09_determinism_across_worker_pools():
+def test_criterion_09_determinism_across_worker_pools(monkeypatch):
+    # results do not depend on how clients are scheduled: each round's
+    # clients train as stacked cohorts of 1, 3 or all of them
+    original = orch.local_train
+
+    def run_in_chunks(size, run):
+        def chunked(clients, *args):
+            updates, losses = [], []
+            for i in range(0, len(clients), size):
+                u, l = original(clients[i:i + size], *args)
+                updates += u
+                losses += l
+            return updates, losses
+
+        with monkeypatch.context() as patch:
+            patch.setattr(orch, "local_train", chunked)
+            res = run()
+        return res.final_params, res.final_report.per_action_mse
+
+    def identical(finals):
+        return all(np.array_equal(finals[0][0], p) and np.array_equal(finals[0][1], m)
+                   for p, m in finals[1:])
+
     ds, _ = dataio.synthetic_generate(400, seed=0, noise_std=0.1)
     train, test = dataio.train_test_split(ds, 0.75, seed=0)
-    finals = []
-    for workers in (1, 4, 8):
-        res = run_fl(small_fl_config(n_clients=8), train, test, n_workers=workers)
-        finals.append((res.final_params, res.final_report.per_action_mse))
-    fl_ok = all(np.array_equal(finals[0][0], p) and np.array_equal(finals[0][1], m)
-                for p, m in finals[1:])
+    fl_ok = identical([run_in_chunks(size, lambda: run_fl(small_fl_config(n_clients=8),
+                                                          train, test))
+                       for size in (1, 3, 8)])
 
     ds2, _ = dataio.synthetic_two_task(200, seed=1, noise_std=0.1)
     train2, test2 = dataio.train_test_split(ds2, 0.75, seed=1)
-    fcl_finals = []
-    for workers in (1, 4, 8):
-        res = run_fcl(small_fl_config(n_clients=4, cl_method="nr"), train2, test2,
-                      n_workers=workers)
-        fcl_finals.append(res.final_params)
-    fcl_ok = all(np.array_equal(fcl_finals[0], p) for p in fcl_finals[1:])
+    fcl_ok = identical([run_in_chunks(size, lambda: run_fcl(
+        small_fl_config(n_clients=4, cl_method="nr"), train2, test2)) for size in (1, 3, 4)])
     report_line(9, fl_ok and fcl_ok,
-                f"determinism: worker pools 1/4/8 bit-identical (FL {fl_ok}, FCL {fcl_ok})")
+                f"determinism: cohorts of 1/3/all clients bit-identical (FL {fl_ok}, FCL {fcl_ok})")
 
 
 FL_GRID = """

@@ -6,8 +6,8 @@ from fedcl import continual as cl
 from fedcl import data as dataio
 from fedcl import nn
 from fedcl import strategies as fed
-from fedcl.orchestrator import (ExperimentConfig, ExperimentError, FclSchedule,
-                                derive_seed, evaluate, run_fcl, run_fl)
+from fedcl.orchestrator import (ExperimentConfig, ExperimentError, derive_seed, evaluate,
+                                run_fcl, run_fl)
 
 
 def synth(n=400, seed=0, noise=0.1):
@@ -25,6 +25,21 @@ def config(**kw):
     defaults = dict(n_clients=2, n_rounds=3, local_epochs=1, batch_size=16, seed=7)
     defaults.update(kw)
     return ExperimentConfig(**defaults)
+
+
+def train_in_chunks(monkeypatch, size):
+    """Make every round train its clients as cohorts of at most ``size``."""
+    original = orch.local_train
+
+    def chunked(clients, *args):
+        updates, losses = [], []
+        for i in range(0, len(clients), size):
+            u, l = original(clients[i:i + size], *args)
+            updates += u
+            losses += l
+        return updates, losses
+
+    monkeypatch.setattr(orch, "local_train", chunked)
 
 
 def logs_equal(a, b):
@@ -70,13 +85,18 @@ class TestRunFl:
         assert logs_equal(a.round_logs, b.round_logs)
         assert np.array_equal(a.final_params, b.final_params)
 
-    @pytest.mark.parametrize("workers", [4, 8])
-    def test_worker_pool_invariance(self, workers):
+    @pytest.mark.parametrize("chunk", [4, 8])
+    def test_worker_pool_invariance(self, chunk, monkeypatch):
+        # results do not depend on how a round's clients are grouped into
+        # stacked cohorts: one client at a time against cohorts of 4 and 8
         train, test, _ = synth()
-        serial = run_fl(config(n_clients=4), train, test, n_workers=1)
-        pooled = run_fl(config(n_clients=4), train, test, n_workers=workers)
-        assert np.array_equal(serial.final_params, pooled.final_params)
-        assert logs_equal(serial.round_logs, pooled.round_logs)
+        with monkeypatch.context() as patch:
+            train_in_chunks(patch, 1)
+            serial = run_fl(config(n_clients=8), train, test)
+        train_in_chunks(monkeypatch, chunk)
+        stacked = run_fl(config(n_clients=8), train, test)
+        assert np.array_equal(serial.final_params, stacked.final_params)
+        assert logs_equal(serial.round_logs, stacked.round_logs)
 
     def test_zero_learning_rate_sgd_keeps_broadcast(self):
         train, test, _ = synth()
@@ -95,7 +115,7 @@ class TestRunFl:
         parts = dataio.partition_clients(train, 2, cfg.seed)
         client = orch.ClientState(1, bad, nn.MlpModel(), nn.Optimizer("sgd", 0.1))
         with pytest.raises(ExperimentError, match="client 1"):
-            orch.local_train(client, np.zeros(nn.PARAM_COUNT), cfg, 0, 0)
+            orch.local_train([client], np.zeros(nn.PARAM_COUNT), cfg, 0, 0)
         _ = parts
 
     def test_non_finite_gradient_names_client_round_and_step(self):
@@ -106,7 +126,7 @@ class TestRunFl:
         client = orch.ClientState(0, shard, nn.MlpModel(), nn.Optimizer("adam", 0.1))
         with np.errstate(invalid="ignore"), pytest.raises(
                 ExperimentError, match=r"client 0 failed in round 3: epoch 0 batch 0: NaN or inf"):
-            orch._collect_updates([client], np.zeros(nn.PARAM_COUNT), cfg, 0, 3, 1)
+            orch.local_train([client], np.zeros(nn.PARAM_COUNT), cfg, 0, 3)
 
     def test_update_is_not_aliased_to_the_client_model(self):
         # a round-r update must survive the same client training in round r+1
@@ -117,9 +137,9 @@ class TestRunFl:
         template.init_params(np.random.default_rng([cfg.seed, 100]))
         clients = orch._build_clients(cfg, [p.shard for p in parts],
                                       nn.extract_params(template))
-        first, _ = orch.local_train(clients[0], nn.extract_params(template), cfg, 0, 0)
+        (first,), _ = orch.local_train([clients[0]], nn.extract_params(template), cfg, 0, 0)
         kept = first.params.copy()
-        second, _ = orch.local_train(clients[0], first.params, cfg, 0, 1)
+        (second,), _ = orch.local_train([clients[0]], first.params, cfg, 0, 1)
         assert np.array_equal(first.params, kept)
         assert not np.array_equal(second.params, kept)
         for update in (first, second):
@@ -176,7 +196,7 @@ class TestStrategyEquivalences:
         global_params = nn.extract_params(template)
         clients = orch._build_clients(cfg, [p.shard for p in parts], global_params)
         for r in range(2):
-            updates, _ = orch._collect_updates(clients, global_params, cfg, 0, r, 1)
+            updates, _ = orch.local_train(clients, global_params, cfg, 0, r)
             global_params = fed.fedavg_aggregate(updates)
         for c in clients:
             assert not np.array_equal(nn.extract_params(c.teacher_model), global_params)
@@ -197,7 +217,7 @@ class TestStrategyEquivalences:
                 model = nn.MlpModel()
                 nn.inject_params(model, start)
                 client = orch.ClientState(0, ds, model, nn.Optimizer("adam", 1e-3))
-                upd, _ = orch.local_train(client, start, cfg, 0, 0)
+                (upd,), _ = orch.local_train([client], start, cfg, 0, 0)
                 disp[mu] = np.linalg.norm(upd.params[mask] - start[mask])
         assert disp[1e6] <= 1e-3 * disp[0.0]
 
@@ -251,7 +271,7 @@ class TestRunFcl:
         circle_test = dataio.split_tasks(test).task1
         assert 0 < len(circle_test) < len(test)
         only_task1 = run_fcl(config(cl_method="ewc", n_rounds=2), train, test,
-                             schedule=FclSchedule([2]))
+                             rounds_per_task=[2])
         rep1 = evaluate(only_task1.final_params, circle_test)
         assert np.array_equal(rep1.per_action_mse,
                               result.round_logs[1].report.per_action_mse)
@@ -279,10 +299,13 @@ class TestRunFcl:
                   if e[0] == "local_train" and e[2] == 0 and e[3] == last_round]
         assert max(lt_idx) < min(imp_idx)
 
-    def test_determinism_with_workers(self):
+    def test_determinism_with_workers(self, monkeypatch):
+        # one client at a time against one stacked cohort
         train, test = two_task()
-        a = run_fcl(config(cl_method="nr", n_rounds=2, n_clients=2), train, test, n_workers=1)
-        b = run_fcl(config(cl_method="nr", n_rounds=2, n_clients=2), train, test, n_workers=4)
+        with monkeypatch.context() as patch:
+            train_in_chunks(patch, 1)
+            a = run_fcl(config(cl_method="nr", n_rounds=2, n_clients=2), train, test)
+        b = run_fcl(config(cl_method="nr", n_rounds=2, n_clients=2), train, test)
         assert np.array_equal(a.final_params, b.final_params)
 
     def test_data_isolation(self, monkeypatch):
@@ -291,9 +314,10 @@ class TestRunFcl:
         seen = {}
         original = orch.local_train
 
-        def audit(client, global_params, config_, task_index, round_index):
-            seen.setdefault(client.client_id, set()).add(id(client.shard))
-            return original(client, global_params, config_, task_index, round_index)
+        def audit(clients, global_params, config_, task_index, round_index):
+            for client in clients:
+                seen.setdefault(client.client_id, set()).add(id(client.shard))
+            return original(clients, global_params, config_, task_index, round_index)
 
         monkeypatch.setattr(orch, "local_train", audit)
         run_fcl(cfg, train, test)
