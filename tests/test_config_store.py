@@ -130,6 +130,8 @@ def small_suite(tmp_path):
 rounds = 2
 batch_size = 16
 seed = 5
+; strong enough that the two strategies differ in the tables' 3 decimals
+mu = 1.0
 
 [sweep]
 strategies = fedavg, fedprox

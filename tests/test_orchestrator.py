@@ -221,6 +221,18 @@ class TestStrategyEquivalences:
                 disp[mu] = np.linalg.norm(upd.params[mask] - start[mask])
         assert disp[1e6] <= 1e-3 * disp[0.0]
 
+    def test_fedprox_leaves_running_statistics_to_batchnorm(self):
+        # the running statistics are not optimized: a weak proximal term
+        # must not step them (Adam is nearly scale-free, so an unmasked
+        # gradient well above its epsilon moves them by about the learning
+        # rate, 1e-3, whatever mu is)
+        train, test, _ = synth()
+        a = run_fl(config(strategy=fed.StrategyConfig("fedavg"), n_rounds=2), train, test)
+        b = run_fl(config(strategy=fed.StrategyConfig("fedprox", mu=1e-5), n_rounds=2),
+                   train, test)
+        running = nn.running_stat_mask()
+        assert np.max(np.abs(a.final_params - b.final_params)[running]) <= 1e-6
+
     def test_fedbn_keeps_bn_local(self):
         train, test, _ = synth()
         cfg = config(strategy=fed.StrategyConfig("fedbn"), n_rounds=2)
