@@ -104,11 +104,11 @@ class ResultsStore:
         return RunRecord(snapshot["run_id"], snapshot["config"], rounds, report)
 
     def list_runs(self) -> list[RunRecord]:
-        records = []
-        for name in sorted(os.listdir(self.out_dir)):
-            if os.path.isfile(os.path.join(self.out_dir, name, "config.json")):
-                records.append(self.load_run(name))
-        return records
+        """Every run in the store. Each subdirectory is a run, and one that
+        lacks a run file raises ``IncompleteRunError``; plain files are
+        ignored."""
+        return [self.load_run(name) for name in sorted(os.listdir(self.out_dir))
+                if os.path.isdir(self.run_dir(name))]
 
 
 def execute_experiment(spec: ExperimentSpec, dataset: dataio.Dataset) -> RunResult:

@@ -14,11 +14,9 @@ def random_model(rng: np.random.Generator) -> nn.MlpModel:
     exercise non-trivial gamma/beta and running statistics."""
     m = nn.MlpModel()
     vec = rng.normal(0.0, 0.5, size=nn.PARAM_COUNT)
-    run_var = nn.running_stat_mask().copy()
     # running_var slots must stay positive
     for name in ("bn1.running_var", "bn2.running_var"):
         vec[nn.slot_slice(name)] = rng.uniform(0.5, 2.0, size=16)
-    _ = run_var
     nn.inject_params(m, vec)
     return m
 

@@ -94,6 +94,18 @@ class TestTable:
         err = capsys.readouterr().err
         assert str(run_dir) in err and "rounds.csv" in err
 
+    def test_run_directory_without_config_exits_1(self, config_path, tmp_path, capsys):
+        out_dir = tmp_path / "results"
+        for seed in ("1", "2"):
+            main(["run", "--config", config_path, "--out", str(out_dir), "--seed", seed])
+        run_dir = sorted(p for p in out_dir.iterdir() if p.is_dir())[0]
+        (run_dir / "config.json").unlink()
+        capsys.readouterr()
+        assert main(["table", "--out", str(out_dir)]) == 1
+        assert str(run_dir) in capsys.readouterr().err
+        assert main(["verify", "--config", config_path, "--out", str(out_dir)]) == 1
+        assert str(run_dir) in capsys.readouterr().err
+
     def test_csv_format(self, config_path, tmp_path, capsys):
         out_dir = str(tmp_path / "results")
         main(["run", "--config", config_path, "--out", out_dir])

@@ -183,6 +183,16 @@ class TestStore:
         assert isinstance(info.value, ValueError)
         assert store.run_dir(rid) in str(info.value)
 
+    def test_run_directory_without_config_named(self, small_suite, dataset, tmp_path):
+        store, _ = run_suite(small_suite, dataset, str(tmp_path / "out"))
+        (tmp_path / "out" / "spans.tsv").write_text("index\n")  # plain files are not runs
+        assert len(store.list_runs()) == 2
+        rid = small_suite.experiments[1].run_id()
+        os.remove(os.path.join(store.run_dir(rid), "config.json"))
+        with pytest.raises(IncompleteRunError, match="config.json") as info:
+            store.list_runs()
+        assert store.run_dir(rid) in str(info.value)
+
     def test_failures_do_not_stop_suite(self, dataset, tmp_path):
         text = """
 [experiment]
