@@ -333,3 +333,70 @@ class TestParameterVector:
             return nn.extract_params(m)
 
         assert np.array_equal(run(), run())
+
+
+class TestStackedModels:
+    @pytest.mark.parametrize("activation", ["identity", "relu"])
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    @pytest.mark.parametrize("n_models", [2, 5])
+    def test_stacked_backward_equals_each_models_own(self, rng, n_models, mode, activation):
+        singles = []
+        for _ in range(n_models):
+            m = nn.MlpModel(activation)
+            nn.inject_params(m, nn.extract_params(random_model(rng)))
+            singles.append(m)
+        stack = nn.MlpModel(activation, np.stack([m.params for m in singles]))
+        assert stack.lin1.weight.shape == (n_models, 16, 29)
+        assert stack.bn1.running_var.shape == (n_models, 1, 16)
+        for arr in (stack.lin1.weight, stack.out.bias, stack.bn2.running_mean):
+            assert np.shares_memory(arr, stack.params)
+        xs = [rng.normal(size=(6, 29)) for _ in singles]
+        ys = [rng.uniform(1, 5, size=(6, 8)) for _ in singles]
+        extra = rng.normal(size=stack.params.shape)
+        g = nn.backward(stack, np.concatenate(xs), np.concatenate(ys), extra, mode)
+        assert g.shape == (n_models, nn.PARAM_COUNT)
+        for k, m in enumerate(singles):
+            assert np.array_equal(g[k], nn.backward(m, xs[k], ys[k], extra[k], mode))
+            # train mode moved each model's running statistics inside params
+            assert np.array_equal(stack.params[k], m.params)
+        pred = stack.forward(np.concatenate(xs), mode="eval")
+        assert np.array_equal(pred, np.concatenate([m.forward(x, "eval")
+                                                    for m, x in zip(singles, xs)]))
+
+    def test_stacked_batch_must_split_evenly(self, rng):
+        stack = nn.MlpModel("identity", np.stack([random_model(rng).params] * 3))
+        with pytest.raises(ValueError, match="client-major"):
+            stack.forward(rng.normal(size=(10, 29)))
+
+    def test_stacked_adam_equals_per_row_adam(self, rng):
+        # step counts near 2,000 and beyond: numpy's vectorised power gives
+        # 1 - beta**t a different last bit than Python's for some t there
+        starts = [0, 700, 1500, 1980]
+        singles, params = [], []
+        for t0 in starts:
+            opt = nn.Optimizer("adam", 1e-3)
+            if t0:
+                opt.step_count = t0
+                opt.m = rng.normal(0.0, 0.01, size=40)
+                opt.v = rng.uniform(0.0, 1e-4, size=40)
+            singles.append(opt)
+            params.append(rng.normal(size=40))
+        stacked = nn.Optimizer.stack(singles, np.stack(params))
+        theta = np.stack(params)
+        for step in range(60):
+            g = rng.normal(size=theta.shape)
+            if step % 3:  # all rows together
+                theta = stacked.step(theta, g)
+                rows = range(len(starts))
+            else:  # rows 1:3 through a view, then row 0 alone
+                theta[1:3] = stacked.rows(slice(1, 3)).step(theta[1:3], g[1:3])
+                theta[0] = stacked.rows(0).step(theta[0], g[0])
+                rows = range(3)
+            for k in rows:
+                params[k] = singles[k].step(params[k], g[k])
+            assert np.array_equal(theta, np.stack(params))
+        back = [nn.Optimizer("adam", 1e-3) for _ in starts]
+        stacked.unstack(back)
+        for opt, ref in zip(back, singles):
+            assert opt.step_count == ref.step_count
+            assert np.array_equal(opt.m, ref.m) and np.array_equal(opt.v, ref.v)

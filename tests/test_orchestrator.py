@@ -77,6 +77,21 @@ class TestRunFl:
             nn.inject_params(model, opt.step(nn.extract_params(model), g))
         assert np.array_equal(result.final_params, nn.extract_params(model))
 
+    def test_single_client_adam_state_carries_over_rounds(self):
+        # one client's Adam moments and step count persist from round to
+        # round, as one optimizer stepping straight through would
+        train, test, _ = synth()
+        cfg = config(n_clients=1, n_rounds=2)
+        result = run_fl(cfg, train, test)
+        model = nn.MlpModel()
+        model.init_params(np.random.default_rng([cfg.seed, 100]))
+        opt = nn.Optimizer("adam", cfg.learning_rate)
+        shard = dataio.partition_clients(train, 1, cfg.seed)[0].shard
+        for r in range(2):
+            for bx, by in dataio.minibatches(shard, 16, derive_seed(cfg.seed, 21, 0, 0, r), 0):
+                model.params[...] = opt.step(model.params, nn.backward(model, bx, by))
+        assert np.array_equal(result.final_params, model.params)
+
     def test_deterministic_rerun(self):
         train, test, _ = synth()
         cfg = config()
@@ -372,3 +387,70 @@ class TestFclForgetting:
         _, base_after = self.fit_two_tasks("none")
         _, nr_after = self.fit_two_tasks("nr")
         assert nr_after < base_after
+
+
+class TestStackedEngine:
+    SIZES = [23, 37, 38, 50]  # batch 16: ragged last batches, 2 to 4 steps
+
+    def shards(self):
+        ds, _ = dataio.synthetic_two_task(100, seed=4, noise_std=0.1)
+        cuts = np.cumsum([0] + self.SIZES)
+        return [ds.subset(np.arange(cuts[k], cuts[k + 1])) for k in range(len(self.SIZES))]
+
+    def train(self, cfg, cohorts):
+        template = nn.MlpModel(cfg.hidden_activation)
+        template.init_params(np.random.default_rng([cfg.seed, 100]))
+        start = nn.extract_params(template)
+        clients = orch._build_clients(cfg, self.shards(), start)
+        out = {}
+        for task in (0, 1):
+            for r in range(2):
+                for cohort in cohorts:
+                    updates, losses = orch.local_train([clients[i] for i in cohort], start,
+                                                       cfg, task, 2 * task + r)
+                    for u, loss in zip(updates, losses):
+                        out[(task, r, u.client_id)] = (u.params, loss)
+            if cfg.cl_method != "none":
+                for c in clients:
+                    orch._consolidate(c, cfg, task)
+        return out, clients
+
+    @pytest.mark.parametrize("kw", [
+        dict(strategy=fed.StrategyConfig("feddistill")),
+        dict(strategy=fed.StrategyConfig("fedprox", mu=0.1)),
+        dict(strategy=fed.StrategyConfig("fedbn"), client_optimizer="sgd", learning_rate=0.01),
+        dict(cl_method="si"),
+        dict(cl_method="ewc", hidden_activation="relu"),
+        dict(cl_method="nr"),
+    ])
+    def test_ragged_cohort_equals_clients_trained_one_at_a_time(self, kw):
+        cfg = config(n_clients=4, local_epochs=2, **kw)
+        alone, alone_clients = self.train(cfg, [[0], [1], [2], [3]])
+        # a cohort in another order than its shard sizes
+        stacked, stacked_clients = self.train(cfg, [[3, 1, 0, 2]])
+        assert alone.keys() == stacked.keys()
+        for key, (params, loss) in alone.items():
+            assert np.array_equal(stacked[key][0], params), key
+            assert stacked[key][1] == loss, key
+        for a, b in zip(alone_clients, stacked_clients):
+            assert a.optimizer.step_count == b.optimizer.step_count
+            assert (a.optimizer.m is None) == (b.optimizer.m is None)
+            if a.optimizer.m is not None:
+                assert np.array_equal(a.optimizer.m, b.optimizer.m)
+                assert np.array_equal(a.optimizer.v, b.optimizer.v)
+
+    def test_non_finite_gradient_names_the_client_of_its_row(self):
+        cfg = config(n_clients=3, n_rounds=1)
+        ds, _ = dataio.synthetic_generate(120, seed=2)
+        shards = [ds.subset(np.arange(40 * k, 40 * (k + 1))) for k in range(3)]
+        row = 17
+        shards[2].features[row, 5] = np.inf
+        # the batch holding that row, in client 2's stream of round 0
+        seed = derive_seed(cfg.seed, 21, 2, 0, 0)
+        batch = next(b for b, idx in enumerate(dataio.minibatch_indices(40, 16, seed, 0))
+                     if row in idx)
+        clients = orch._build_clients(cfg, shards, np.zeros(nn.PARAM_COUNT))
+        with np.errstate(invalid="ignore"), pytest.raises(
+                ExperimentError,
+                match=rf"^client 2 failed in round 0: epoch 0 batch {batch}: NaN or inf"):
+            orch.local_train(clients, np.zeros(nn.PARAM_COUNT), cfg, 0, 0)
