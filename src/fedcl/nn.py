@@ -124,8 +124,10 @@ class BatchNormLayer:
         if kind == "eval":
             return dxhat / std, dgamma, dbeta
         n = dy.shape[-2]
-        dx = (dxhat - np.add.reduce(dxhat, axis=-2, keepdims=True) / n
-              - xhat * (np.add.reduce(dxhat * xhat, axis=-2, keepdims=True) / n)) / std
+        # (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)) / std, in place
+        dx = dxhat - np.add.reduce(dxhat, axis=-2, keepdims=True) / n
+        dx -= xhat * (np.add.reduce(dxhat * xhat, axis=-2, keepdims=True) / n)
+        dx /= std
         return dx, dgamma, dbeta
 
 
@@ -348,7 +350,9 @@ def backward(model: MlpModel, batch: np.ndarray, target: np.ndarray,
         raise ValueError(f"shape mismatch: pred {pred.shape} vs target {target.shape}")
     target = target.reshape(pred.shape)
     n, width = pred.shape[-2:]
-    dy = 2.0 * (pred - target) / (n * width)
+    dy = pred - target  # then 2 * dy / (n * width), in place
+    dy *= 2.0
+    dy /= n * width
 
     lead = model.params.shape[:-1]
     vec = np.zeros(model.params.shape, dtype=np.float64)
@@ -466,7 +470,7 @@ class Optimizer:
         # 1 - beta**t by Python's float pow, one value per row: numpy's
         # vectorised np.power differs from it in the last bit for some t
         t = self.step_count
-        if np.ndim(t) == 0:
+        if isinstance(t, int) or t.ndim == 0:
             t = int(t)
             m_hat = self.m / (1.0 - self.beta1 ** t)
             v_hat = self.v / (1.0 - self.beta2 ** t)
@@ -474,4 +478,9 @@ class Optimizer:
             t = t.tolist()
             m_hat = self.m / np.array([1.0 - self.beta1 ** s for s in t])[:, None]
             v_hat = self.v / np.array([1.0 - self.beta2 ** s for s in t])[:, None]
-        return params - self.learning_rate * m_hat / (np.sqrt(v_hat) + self.epsilon)
+        # params - lr * m_hat / (sqrt(v_hat) + eps), with the temporaries in place
+        m_hat *= self.learning_rate
+        np.sqrt(v_hat, out=v_hat)
+        v_hat += self.epsilon
+        m_hat /= v_hat
+        return params - m_hat
