@@ -143,12 +143,14 @@ class _Rows:
 
 class _Stack:
     """One round's training state of a cohort of models, stacked: row k of
-    every array belongs to the k-th model."""
+    every array belongs to the k-th model, its optimizer and SI
+    accumulator, which ``unstack`` writes back to."""
 
     def __init__(self, models: list[nn.MlpModel], optimizers: list[nn.Optimizer],
                  si_accs: list[cl.SiAccumulator] | None = None,
                  anchors: list[list[cl.AnchorParams]] | None = None,
                  importances: list[list[np.ndarray]] | None = None):
+        self._models, self._optimizers, self._si_accs = models, optimizers, si_accs
         self.hidden_activation = models[0].hidden_activation
         self.params = np.stack([m.params for m in models])
         self.optimizer = nn.Optimizer.stack(optimizers, self.params)
@@ -179,15 +181,12 @@ class _Stack:
             self._rows[(lo, hi)] = rows
         return rows
 
-    def unstack(self, models: list[nn.MlpModel], optimizers: list[nn.Optimizer],
-                si_accs: list[cl.SiAccumulator] | None = None) -> None:
-        """Write row k of the state back into the k-th model, optimizer and
-        SI accumulator."""
-        for model, row in zip(models, self.params):
+    def unstack(self) -> None:
+        for model, row in zip(self._models, self.params):
             model.params[...] = row
-        self.optimizer.unstack(optimizers)
+        self.optimizer.unstack(self._optimizers)
         if self.si_acc is not None:
-            for acc, row in zip(si_accs, self.si_acc.omega_running):
+            for acc, row in zip(self._si_accs, self.si_acc.omega_running):
                 acc.omega_running = row
 
 
@@ -208,13 +207,30 @@ def _schedule(plans: list[list[tuple]]) -> list[tuple[int, int, int]]:
     return schedule
 
 
-def _train_epochs(stack: _Stack, members: list[ClientState], plan, loss_terms,
-                  config: ExperimentConfig, round_index: int, label: str) -> None:
-    """Every local epoch of a stack: ``plan(k, epoch)`` gives row k's
-    batches, ``loss_terms(lo, hi, rows, x, y)`` a run's (target, penalty
-    gradient or None)."""
+def _epoch_batches(client: ClientState, config: ExperimentConfig, seed: int, epoch: int,
+                   replay: bool) -> list[tuple[np.ndarray, np.ndarray | None]]:
+    """One client's batches of an epoch, as (shard row indices, replay
+    buffer positions or None)."""
+    # small shards (e.g. task splits at 10 clients) cap the batch size
+    batch_size = min(config.batch_size, len(client.shard))
+    if replay and client.buffer is not None and len(client.buffer) > 0:
+        return cl.nr_mixed_indices(client.buffer, len(client.shard), batch_size,
+                                   config.penalty.mix_ratio, seed, epoch)
+    return [(idx, None) for idx in
+            dataio.minibatch_indices(len(client.shard), batch_size, seed, epoch)]
+
+
+def _train_epochs(stack: _Stack, members: list[ClientState], purpose: int, replay: bool,
+                  loss_terms, config: ExperimentConfig, task_index: int, round_index: int,
+                  label: str) -> None:
+    """Every local epoch of a stack, each client's batches drawn from its
+    ``purpose`` stream; ``loss_terms(lo, hi, rows, x, y)`` gives a run's
+    (target, penalty gradient or None)."""
+    seeds = [derive_seed(config.seed, purpose, c.client_id, task_index, round_index)
+             for c in members]
     for epoch in range(config.local_epochs):
-        plans = [plan(k, epoch) for k in range(len(members))]
+        plans = [_epoch_batches(c, config, seed, epoch, replay)
+                 for c, seed in zip(members, seeds)]
         for j, lo, hi in _schedule(plans):
             rows = stack.rows(lo, hi)
             if hi - lo == 1:
@@ -258,30 +274,14 @@ def local_train(clients: list[ClientState], global_params: np.ndarray, config: E
     # counts are adjacent and step as one run, also in a ragged last batch
     members = sorted(clients, key=lambda c: len(c.shard))
 
-    def batches(purpose, replay):
-        seeds = [derive_seed(cfg.seed, purpose, c.client_id, task_index, round_index)
-                 for c in members]
-
-        def plan(k, epoch):
-            c = members[k]
-            # small shards (e.g. task splits at 10 clients) cap the batch size
-            batch_size = min(cfg.batch_size, len(c.shard))
-            if replay and c.buffer is not None and len(c.buffer) > 0:
-                return cl.nr_mixed_indices(c.buffer, len(c.shard), batch_size,
-                                           cfg.penalty.mix_ratio, seeds[k], epoch)
-            return [(idx, None) for idx in
-                    dataio.minibatch_indices(len(c.shard), batch_size, seeds[k], epoch)]
-        return plan
-
     # FedDistill: the personalised teachers train on the raw shards first
     teacher = None
     if strat.kind == "feddistill":
-        teachers = [c.teacher_model for c in members]
-        teacher_opts = [c.teacher_optimizer for c in members]
-        teacher = _Stack(teachers, teacher_opts)
-        _train_epochs(teacher, members, batches(20, False), lambda lo, hi, rows, x, y: (y, None),
-                      cfg, round_index, "teacher ")
-        teacher.unstack(teachers, teacher_opts)
+        teacher = _Stack([c.teacher_model for c in members],
+                         [c.teacher_optimizer for c in members])
+        _train_epochs(teacher, members, 20, False, lambda lo, hi, rows, x, y: (y, None),
+                      cfg, task_index, round_index, "teacher ")
+        teacher.unstack()
 
     lam = cfg.penalty.effective_lambda(cfg.cl_method)
     penalized = (cfg.cl_method in ("ewc", "ewc_online", "si", "mas")
@@ -310,9 +310,9 @@ def local_train(clients: list[ClientState], global_params: np.ndarray, config: E
             penalty_grad = pg if penalty_grad is None else penalty_grad + pg
         return target, penalty_grad
 
-    _train_epochs(student, members, batches(21, cfg.cl_method == "nr" and task_index > 0),
-                  loss_terms, cfg, round_index, "")
-    student.unstack([c.model for c in members], [c.optimizer for c in members], si_accs)
+    _train_epochs(student, members, 21, cfg.cl_method == "nr" and task_index > 0,
+                  loss_terms, cfg, task_index, round_index, "")
+    student.unstack()
 
     updates, losses = [], []
     for c in clients:
