@@ -295,11 +295,10 @@ def extract_params(model: MlpModel) -> np.ndarray:
 
 
 def inject_params(model: MlpModel, vec: np.ndarray) -> None:
-    """Copy a flat parameter vector (or a (C, P) stack, for a stacked model)
-    into the model's parameters."""
+    """Copy a flat parameter vector into the model's parameter vector."""
     vec = np.asarray(vec, dtype=np.float64)
-    if vec.shape != model.params.shape:
-        raise ValueError(f"expected parameters of shape {model.params.shape}, got shape {vec.shape}")
+    if vec.shape != (PARAM_COUNT,):
+        raise ValueError(f"expected parameter vector of length {PARAM_COUNT}, got shape {vec.shape}")
     model.params[...] = vec
 
 
