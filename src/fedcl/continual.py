@@ -52,7 +52,9 @@ class AnchorParams:
     task_id: int
 
 
-_PENALIZED_MASK = ~nn.running_stat_mask()
+# the slots a penalty covers: every optimized slot, so all but the BatchNorm
+# running statistics
+PENALIZED_MASK = ~nn.running_stat_mask()
 
 
 def compute_fisher(model: nn.MlpModel, shard: dataio.Dataset, fisher_samples: int,
@@ -73,7 +75,7 @@ def compute_fisher(model: nn.MlpModel, shard: dataio.Dataset, fisher_samples: in
         g = nn.backward(probe, shard.features[idx], shard.labels[idx], mode="eval")
         total += g ** 2
     fisher = total / fisher_samples
-    fisher[~_PENALIZED_MASK] = 0.0
+    fisher[~PENALIZED_MASK] = 0.0
     return fisher
 
 
@@ -94,7 +96,7 @@ def quadratic_penalty(theta: np.ndarray, anchors: list[AnchorParams],
     for anchor, imp in zip(anchors, importances):
         if anchor.theta_star.shape != theta.shape or imp.shape != theta.shape:
             raise ValueError("parameter layout mismatch")
-        diff = (theta - anchor.theta_star) * _PENALIZED_MASK
+        diff = (theta - anchor.theta_star) * PENALIZED_MASK
         value = value + 0.5 * lambda_ * np.einsum("...i,...i->...", imp * diff, diff)
         grad += lambda_ * imp * diff
     return value, grad
@@ -137,7 +139,7 @@ def si_consolidate(acc: SiAccumulator, theta_end: np.ndarray) -> np.ndarray:
     accumulator for the next task."""
     drift = theta_end - acc.theta_at_task_start
     omega = np.maximum(acc.omega_running, 0.0) / (drift ** 2 + acc.xi)
-    omega[~_PENALIZED_MASK] = 0.0
+    omega[~PENALIZED_MASK] = 0.0
     acc.omega_running = np.zeros_like(theta_end)
     acc.theta_at_task_start = theta_end.copy()
     return omega
@@ -164,7 +166,7 @@ def mas_importance(model: nn.MlpModel, features: np.ndarray, seed: int) -> np.nd
         g = nn.backward(probe, features[i:i + 1], zero, mode="eval")
         total += np.abs(g * nn.OUT_DIM)
     omega = total / features.shape[0]
-    omega[~_PENALIZED_MASK] = 0.0
+    omega[~PENALIZED_MASK] = 0.0
     return omega
 
 

@@ -115,7 +115,6 @@ class ClientState:
 
 
 _BN_MASK = nn.bn_mask()
-_OPTIMIZED_MASK = ~nn.running_stat_mask()
 
 
 def evaluate(params: np.ndarray, test_set: dataio.Dataset,
@@ -303,8 +302,8 @@ def local_train(clients: list[ClientState], global_params: np.ndarray, config: E
             target = fed.distill_target(y, tpred, strat.distill_weight)
         penalty_grad = None
         if strat.kind == "fedprox" and strat.mu > 0.0:
-            _, penalty_grad = fed.fedprox_penalty(rows.theta, global_params, strat.mu,
-                                                  _OPTIMIZED_MASK)
+            _, penalty_grad = fed.fedprox_penalty(rows.theta, global_params, strat.mu)
+            penalty_grad *= cl.PENALIZED_MASK
         if penalized:
             _, pg = cl.quadratic_penalty(rows.theta, rows.anchors, rows.importances, lam)
             penalty_grad = pg if penalty_grad is None else penalty_grad + pg

@@ -93,24 +93,16 @@ def fedbn_aggregate(updates: list[ClientUpdate], bn_mask: np.ndarray,
     return FedBnResult(per_client=per_client, eval_params=eval_params)
 
 
-def fedprox_penalty(omega: np.ndarray, omega_t: np.ndarray, mu: float,
-                    mask: np.ndarray | None = None) -> tuple[float, np.ndarray]:
+def fedprox_penalty(omega: np.ndarray, omega_t: np.ndarray, mu: float) -> tuple[float, np.ndarray]:
     """Proximal term (mu/2) * ||omega - omega_t||^2 and its gradient.
 
-    ``mask`` marks the slots the term covers (all when None); the other
-    slots add nothing to the value and get zero gradient. For a model's
-    parameter vector it leaves out the BatchNorm running statistics, which
-    are not optimized. ``omega`` may be a (C, P) stack of vectors sharing
-    the anchor ``omega_t``; the value is then one number per row."""
+    ``omega`` may be a (C, P) stack of vectors sharing the anchor
+    ``omega_t``; the value is then one number per row."""
     if omega.shape[-1:] != omega_t.shape:
         raise ValueError("parameter layout mismatch")
-    if mask is not None and mask.shape != omega_t.shape:
-        raise ValueError("mask layout mismatch")
     if mu < 0.0:
         raise ValueError("mu must be >= 0")
     diff = omega - omega_t
-    if mask is not None:
-        diff = diff * mask
     return 0.5 * mu * np.einsum("...i,...i->...", diff, diff), mu * diff
 
 

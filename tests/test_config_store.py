@@ -123,23 +123,23 @@ class TestRunId:
         assert base.run_id() != bumped.run_id()
 
 
-@pytest.fixture
-def small_suite(tmp_path):
-    text = """
+SMALL_SUITE = """
 [experiment]
 rounds = 2
 batch_size = 16
 seed = 5
-; strong enough that the two strategies differ in the tables' 3 decimals
-mu = 1.0
-
+{extra}
 [sweep]
 strategies = fedavg, fedprox
 
 [suite]
 synthetic_n = 200
 """
-    return parse_config(write_config(tmp_path, text))
+
+
+@pytest.fixture
+def small_suite(tmp_path):
+    return parse_config(write_config(tmp_path, SMALL_SUITE.format(extra="")))
 
 
 @pytest.fixture
@@ -220,8 +220,11 @@ clients = 2, 500
 
 
 class TestEmitTable:
-    def test_markdown_marks_best_and_second(self, small_suite, dataset, tmp_path):
-        store, _ = run_suite(small_suite, dataset, str(tmp_path / "out"))
+    def test_markdown_marks_best_and_second(self, dataset, tmp_path):
+        # a proximal term strong enough that the two strategies differ in
+        # the table's 3 decimals
+        suite = parse_config(write_config(tmp_path, SMALL_SUITE.format(extra="mu = 1.0")))
+        store, _ = run_suite(suite, dataset, str(tmp_path / "out"))
         doc = emit_table(store, "markdown")
         assert "## Federated Learning" in doc
         assert "**" in doc and "[" in doc  # best bolded, runner-up bracketed

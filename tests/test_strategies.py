@@ -116,17 +116,6 @@ class TestFedProx:
         assert rel_err(grad, fd) <= 1e-6
 
 
-    def test_mask_leaves_out_running_statistics(self, rng):
-        w = rng.normal(size=nn.PARAM_COUNT)
-        wt = rng.normal(size=nn.PARAM_COUNT)
-        running = nn.running_stat_mask()
-        value, grad = fed.fedprox_penalty(w, wt, 0.5, ~running)
-        assert np.all(grad[running] == 0.0)
-        assert np.array_equal(grad[~running], 0.5 * (w - wt)[~running])
-        expected, _ = fed.fedprox_penalty(w[~running], wt[~running], 0.5)
-        assert value == pytest.approx(expected, rel=1e-12)
-
-
 class TestFedOpt:
     def test_sgd_lr1_equals_fedavg(self, rng):
         updates = make_updates(rng, 6)
