@@ -143,7 +143,8 @@ class _Rows:
 class _Stack:
     """One round's training state of a cohort of models, stacked: row k of
     every array belongs to the k-th model, its optimizer and SI
-    accumulator, which ``unstack`` writes back to."""
+    accumulator, which ``unstack`` writes back to. A cohort of one is not
+    copied: its only rows are the model's own state, stepped in place."""
 
     def __init__(self, models: list[nn.MlpModel], optimizers: list[nn.Optimizer],
                  si_accs: list[cl.SiAccumulator] | None = None,
@@ -151,6 +152,14 @@ class _Stack:
                  importances: list[list[np.ndarray]] | None = None):
         self._models, self._optimizers, self._si_accs = models, optimizers, si_accs
         self.hidden_activation = models[0].hidden_activation
+        self._rows: dict[tuple[int, int], _Rows] = {}
+        if len(models) == 1:
+            self.params = models[0].params
+            self._rows[(0, 1)] = _Rows(self.params, models[0], optimizers[0],
+                                       si_accs[0] if si_accs else None,
+                                       anchors[0] if anchors else [],
+                                       importances[0] if importances else [])
+            return
         self.params = np.stack([m.params for m in models])
         self.optimizer = nn.Optimizer.stack(optimizers, self.params)
         self.si_acc = None
@@ -163,7 +172,6 @@ class _Stack:
                         for i in range(len(anchors[0]))] if anchors else []
         self.importances = [np.stack([imp[i] for imp in importances])
                             for i in range(len(importances[0]))] if importances else []
-        self._rows: dict[tuple[int, int], _Rows] = {}
 
     def rows(self, lo: int, hi: int) -> _Rows:
         rows = self._rows.get((lo, hi))
@@ -181,6 +189,8 @@ class _Stack:
         return rows
 
     def unstack(self) -> None:
+        if len(self._models) == 1:
+            return
         for model, row in zip(self._models, self.params):
             model.params[...] = row
         self.optimizer.unstack(self._optimizers)
@@ -195,6 +205,8 @@ def _schedule(plans: list[list[tuple]]) -> list[tuple[int, int, int]]:
     (new-shard indices, buffer positions or None)."""
     sizes = [[len(new) + (0 if buf is None else len(buf)) for new, buf in plan]
              for plan in plans]
+    if len(plans) == 1:
+        return [(j, 0, 1) for j in range(len(plans[0]))]
     schedule = []
     for j, column in enumerate(itertools.zip_longest(*sizes, fillvalue=0)):
         lo = 0
@@ -291,7 +303,7 @@ def local_train(clients: list[ClientState], global_params: np.ndarray, config: E
                      [c.anchors for c in members] if penalized else None,
                      [c.importances for c in members] if penalized else None)
     if strat.kind == "fedbn":
-        student.params[:, ~_BN_MASK] = global_params[~_BN_MASK]
+        student.params[..., ~_BN_MASK] = global_params[~_BN_MASK]
     else:
         student.params[...] = global_params
 
