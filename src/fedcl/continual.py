@@ -5,6 +5,14 @@ replay buffer and mixed-batch sampler.
 Importance maps share the flat parameter layout of nn.MlpModel.params.
 Penalties never touch BatchNorm running-statistic slots (they are not
 optimized parameters); gamma and beta are included.
+
+Consolidation runs no per-sample or per-minibatch loop. MAS is in closed
+form: in eval mode each sample's gradient of a dense weight is the outer
+product of its output gradient delta and its input a, and
+|outer(delta, a)| = outer(|delta|, |a|), so the importance is
+|Delta|^T |A| / N from one eval pass over the shard. The Fisher diagonal
+takes all its minibatches in one ``nn.backward`` over a stack of the model,
+and the replay buffer keeps its rows in two preallocated arrays.
 """
 
 from __future__ import annotations
@@ -60,21 +68,26 @@ PENALIZED_MASK = ~nn.running_stat_mask()
 def compute_fisher(model: nn.MlpModel, shard: dataio.Dataset, fisher_samples: int,
                    seed: int, batch_size: int = 32) -> np.ndarray:
     """Empirical Fisher diagonal: mean over sampled minibatches of the
-    elementwise-squared MSE gradient. Works on a copy so the model's BN
-    running statistics are untouched."""
+    elementwise-squared MSE gradient.
+
+    The gradients are in eval mode: BN running statistics are frozen
+    constants, so single-sample shards are well-defined and the model is
+    left untouched. All minibatches take one ``nn.backward`` through a stack
+    of copies of the model, one per minibatch; model k of a stack computes
+    the bits it would compute alone, and the squared rows are summed in
+    sample order, so the result equals a per-minibatch loop bit for bit."""
     if len(shard) == 0:
         raise ValueError("cannot compute Fisher on an empty shard")
-    probe = model.clone()
+    if fisher_samples < 1:
+        raise ValueError(f"fisher_samples must be >= 1, got {fisher_samples}")
     bs = min(batch_size, len(shard))
     rng = np.random.default_rng([seed, 7])
-    total = np.zeros(nn.PARAM_COUNT)
-    for _ in range(fisher_samples):
-        idx = rng.choice(len(shard), size=bs, replace=False)
-        # eval-mode gradients: BN running statistics are frozen constants,
-        # so single-sample shards are well-defined
-        g = nn.backward(probe, shard.features[idx], shard.labels[idx], mode="eval")
-        total += g ** 2
-    fisher = total / fisher_samples
+    idx = np.concatenate([rng.choice(len(shard), size=bs, replace=False)
+                          for _ in range(fisher_samples)])
+    stack = nn.MlpModel(model.hidden_activation, np.tile(model.params, (fisher_samples, 1)))
+    g = nn.backward(stack, shard.features[idx], shard.labels[idx], mode="eval")
+    # a reduction over the leading axis adds row after row, like a running total
+    fisher = np.add.reduce(g ** 2, axis=0) / fisher_samples
     fisher[~PENALIZED_MASK] = 0.0
     return fisher
 
@@ -152,21 +165,31 @@ def si_consolidate(acc: SiAccumulator, theta_end: np.ndarray) -> np.ndarray:
 def mas_importance(model: nn.MlpModel, features: np.ndarray, seed: int) -> np.ndarray:
     """Omega_i = mean over samples of |d ||f(x)||^2_2 / d theta_i|.
 
-    Uses only features (unlabelled by construction). Gradients are taken
-    per sample in eval mode; backward computes the gradient of the 8-way
-    mean squared output, so scaling by 8 recovers the squared L2 norm."""
+    Uses only features (unlabelled by construction), in eval mode, where
+    BatchNorm is a fixed per-feature affine map, so no step mixes samples.
+    Sample n's gradient of a dense layer's weight is then the outer product
+    delta_n a_n^T of its output gradient and its input, and
+    |outer(delta, a)| = outer(|delta|, |a|), so the mean over N samples is
+    |Delta|^T |A| / N for the (N, .) stacks Delta and A. Gamma's gradient is
+    delta_n * xhat_n and a bias's or beta's delta_n, so theirs are column
+    means of absolute values. One eval forward over all samples and one
+    pass of ``nn.backward``'s chain rule give every stack; ``seed`` is
+    unused (the result is deterministic). Running-statistic slots stay 0."""
     features = np.asarray(features, dtype=np.float64)
-    if features.shape[0] == 0:
+    n = features.shape[0]
+    if n == 0:
         raise ValueError("cannot compute MAS importance on an empty shard")
-    _ = seed  # deterministic: plain mean over all samples
-    probe = model.clone()
-    total = np.zeros(nn.PARAM_COUNT)
-    zero = np.zeros((1, nn.OUT_DIM))
-    for i in range(features.shape[0]):
-        g = nn.backward(probe, features[i:i + 1], zero, mode="eval")
-        total += np.abs(g * nn.OUT_DIM)
-    omega = total / features.shape[0]
-    omega[~PENALIZED_MASK] = 0.0
+    _ = seed
+    pred, cache = model._forward_cached(features, "eval")
+    omega = np.zeros(nn.PARAM_COUNT)
+    # d ||f||^2 / df = 2 f, per sample
+    for scale, shift, delta, inp, dense in nn._backprop(model, 2.0 * pred, cache):
+        abs_delta = np.abs(delta)
+        if dense:
+            omega[scale] = (abs_delta.T @ np.abs(inp)).ravel() / n
+        else:
+            omega[scale] = np.add.reduce(abs_delta * np.abs(inp), axis=0) / n
+        omega[shift] = np.add.reduce(abs_delta, axis=0) / n
     return omega
 
 
@@ -175,42 +198,67 @@ def mas_importance(model: nn.MlpModel, features: np.ndarray, seed: int) -> np.nd
 # ---------------------------------------------------------------------------
 
 class ReplayBuffer:
-    """Reservoir-sampled store of previously seen (feature, label) pairs."""
+    """Reservoir-sampled store of previously seen (feature, label) pairs.
+
+    The rows live in two arrays of ``capacity`` rows, allocated with
+    ``np.empty`` by the first insert (which fixes the row shapes), so
+    capacity no row has reached yet is never written. ``features`` and
+    ``labels`` are views of the filled rows."""
 
     def __init__(self, capacity: int, seed: int = 0):
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
-        self.features: list[np.ndarray] = []
-        self.labels: list[np.ndarray] = []
+        self._features = self._labels = np.empty((0,))
         self.n_seen = 0
         self._rng = np.random.default_rng([seed, 9])
 
     def __len__(self) -> int:
-        return len(self.features)
+        return min(self.n_seen, self.capacity)
+
+    @property
+    def features(self) -> np.ndarray:
+        return self._features[:len(self)]
+
+    @property
+    def labels(self) -> np.ndarray:
+        return self._labels[:len(self)]
+
+    def _allocate(self, feature: np.ndarray, label: np.ndarray) -> None:
+        if self.n_seen == 0:
+            self._features = np.empty((self.capacity,) + feature.shape, dtype=feature.dtype)
+            self._labels = np.empty((self.capacity,) + label.shape, dtype=label.dtype)
 
     def add(self, feature: np.ndarray, label: np.ndarray) -> None:
+        self._allocate(feature, label)
         self.n_seen += 1
-        if len(self.features) < self.capacity:
-            self.features.append(feature.copy())
-            self.labels.append(label.copy())
-            return
-        j = int(self._rng.integers(0, self.n_seen))
+        j = self.n_seen - 1
+        if j >= self.capacity:  # full: keep with probability capacity / n_seen
+            j = int(self._rng.integers(0, self.n_seen))
         if j < self.capacity:
-            self.features[j] = feature.copy()
-            self.labels[j] = label.copy()
+            self._features[j] = feature
+            self._labels[j] = label
 
     def add_dataset(self, ds: dataio.Dataset) -> None:
-        for i in range(len(ds)):
+        """``add`` of every row in order: the rows that fit under capacity
+        are copied in one slice, and only the rest draw from the reservoir."""
+        if len(ds) == 0:
+            return
+        self._allocate(ds.features[0], ds.labels[0])
+        fill = len(self)
+        head = min(len(ds), self.capacity - fill)
+        self._features[fill:fill + head] = ds.features[:head]
+        self._labels[fill:fill + head] = ds.labels[:head]
+        self.n_seen += head
+        for i in range(head, len(ds)):
             self.add(ds.features[i], ds.labels[i])
 
     def sample(self, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-        return self.rows(rng.integers(0, len(self.features), size=n))
+        return self.rows(rng.integers(0, len(self), size=n))
 
     def rows(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Copies of the stored (features, labels) at positions ``idx``."""
-        return (np.stack([self.features[i] for i in idx]),
-                np.stack([self.labels[i] for i in idx]))
+        return self._features[idx], self._labels[idx]
 
 
 def nr_store(buffer: ReplayBuffer, task_samples: dataio.Dataset, seed: int = 0) -> ReplayBuffer:

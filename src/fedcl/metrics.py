@@ -42,16 +42,26 @@ def pcc(x: np.ndarray, y: np.ndarray) -> float | None:
     y = np.asarray(y, dtype=np.float64)
     if x.shape != y.shape or x.ndim != 1:
         raise ValueError(f"pcc expects two equal-length vectors, got {x.shape} and {y.shape}")
-    n = x.shape[0]
-    if n < 2:
+    if x.shape[0] < 2:
         raise ValueError("pcc needs at least 2 samples")
-    xc = x - x.mean()
-    yc = y - y.mean()
-    sx = np.sqrt((xc ** 2).mean())
-    sy = np.sqrt((yc ** 2).mean())
-    if sx < DEGENERATE_STD or sy < DEGENERATE_STD:
-        return None
-    return float((xc * yc).mean() / (sx * sy))
+    r, degenerate = _row_pcc(x[None], y[None])
+    return None if degenerate[0] else float(r[0])
+
+
+def _row_pcc(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pearson correlation of each row of x with the same row of y, for two
+    (K, N) arrays, and a mask of the rows where either side has (near-)zero
+    variance, whose correlation is meaningless. When the rows are
+    contiguous (or K is 1), each row takes the ufunc sequence of the 1-d
+    computation, so it equals that row's own correlation bit for bit."""
+    xc = x - x.mean(axis=1, keepdims=True)
+    yc = y - y.mean(axis=1, keepdims=True)
+    sx = np.sqrt((xc ** 2).mean(axis=1))
+    sy = np.sqrt((yc ** 2).mean(axis=1))
+    degenerate = (sx < DEGENERATE_STD) | (sy < DEGENERATE_STD)
+    scale = sx * sy
+    scale[degenerate] = 1.0  # their value is discarded; avoids dividing by 0
+    return (xc * yc).mean(axis=1) / scale, degenerate
 
 
 def compute_report(pred: np.ndarray, target: np.ndarray) -> MetricsReport:
@@ -64,14 +74,10 @@ def compute_report(pred: np.ndarray, target: np.ndarray) -> MetricsReport:
         raise ValueError("PCC needs at least 2 samples")
     per_action_mse = ((pred - target) ** 2).mean(axis=0)
     avg_mse = float(per_action_mse.mean())
-    per_action_pcc = np.full(pred.shape[1], np.nan)
-    degenerate = []
-    for a in range(pred.shape[1]):
-        r = pcc(pred[:, a], target[:, a])
-        if r is None:
-            degenerate.append(a)
-        else:
-            per_action_pcc[a] = r
+    # every action at once, on (actions, samples) rows
+    per_action_pcc, degenerate = _row_pcc(np.ascontiguousarray(pred.T),
+                                          np.ascontiguousarray(target.T))
+    per_action_pcc[degenerate] = np.nan
     finite = per_action_pcc[~np.isnan(per_action_pcc)]
     avg_pcc = float(finite.mean()) if finite.size else float("nan")
     return MetricsReport(
@@ -81,5 +87,5 @@ def compute_report(pred: np.ndarray, target: np.ndarray) -> MetricsReport:
         mean_per_action_rmse=float(np.sqrt(per_action_mse).mean()),
         per_action_pcc=per_action_pcc,
         avg_pcc=avg_pcc,
-        degenerate_actions=degenerate,
+        degenerate_actions=np.flatnonzero(degenerate).tolist(),
     )

@@ -113,22 +113,21 @@ class BatchNormLayer:
         y += self.beta
         return y, ("eval", xhat, std)
 
-    def backward(self, dy: np.ndarray, cache) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Returns (dx, dgamma, dbeta), with dgamma and dbeta (dim,) or
-        (C, dim). In eval mode the running statistics are constants, so dx
-        is a plain elementwise rescale."""
+    def backward(self, dy: np.ndarray, cache) -> np.ndarray:
+        """The input gradient dx. (The parameter gradients are batch sums of
+        dy * xhat for gamma and of dy for beta; module-level ``backward`` forms
+        them.) In eval mode the running statistics are constants, so dx is a
+        plain elementwise rescale, row by row."""
         kind, xhat, std = cache
-        dgamma = np.add.reduce(dy * xhat, axis=-2)
-        dbeta = np.add.reduce(dy, axis=-2)
         dxhat = dy * self.gamma
         if kind == "eval":
-            return dxhat / std, dgamma, dbeta
+            return dxhat / std
         n = dy.shape[-2]
         # (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)) / std, in place
         dx = dxhat - np.add.reduce(dxhat, axis=-2, keepdims=True) / n
         dx -= xhat * (np.add.reduce(dxhat * xhat, axis=-2, keepdims=True) / n)
         dx /= std
-        return dx, dgamma, dbeta
+        return dx
 
 
 class MlpModel:
@@ -328,6 +327,33 @@ def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
     return float(per_action.mean()), per_action
 
 
+def _backprop(model: MlpModel, dy: np.ndarray, cache):
+    """The chain rule of ``backward``: from the gradient ``dy`` at the
+    model's output and the forward ``cache``, yields one
+    (scale slots, shift slots, delta, input, dense) tuple per layer, output
+    layer first. ``delta`` is the gradient at the layer's output and
+    ``input`` what its scale multiplies: the layer input for a dense layer,
+    whose weight gradient is delta^T @ input; xhat for BatchNorm, whose
+    gamma gradient is the batch sum of delta * input. The shift (bias, beta)
+    gradient is the batch sum of delta.
+
+    Row i of every delta and input belongs to sample i. In eval mode no
+    step mixes rows, so one sample's gradient is built from its rows alone
+    (``continual.mas_importance`` relies on this)."""
+    relu = model.hidden_activation == "relu"
+    yield _OUT_W, _OUT_B, dy, cache["a2"], True
+    da2 = dy @ model.out.weight
+    db2 = da2 * (cache["b2"] > 0.0) if relu else da2
+    yield _BN2_G, _BN2_B, db2, cache["bn2"][1], False
+    dh2 = model.bn2.backward(db2, cache["bn2"])
+    yield _LIN2_W, _LIN2_B, dh2, cache["a1"], True
+    da1 = dh2 @ model.lin2.weight
+    db1 = da1 * (cache["b1"] > 0.0) if relu else da1
+    yield _BN1_G, _BN1_B, db1, cache["bn1"][1], False
+    dh1 = model.bn1.backward(db1, cache["bn1"])
+    yield _LIN1_W, _LIN1_B, dh1, cache["x"], True
+
+
 def backward(model: MlpModel, batch: np.ndarray, target: np.ndarray,
              extra_penalty_grad: np.ndarray | None = None,
              mode: str = "train") -> np.ndarray:
@@ -355,25 +381,12 @@ def backward(model: MlpModel, batch: np.ndarray, target: np.ndarray,
 
     lead = model.params.shape[:-1]
     vec = np.zeros(model.params.shape, dtype=np.float64)
-    # output linear
-    vec[..., _OUT_W] = (dy.swapaxes(-1, -2) @ cache["a2"]).reshape(lead + (-1,))
-    vec[..., _OUT_B] = np.add.reduce(dy, axis=-2)
-    da2 = dy @ model.out.weight
-    # activation 2
-    db2 = da2 * (cache["b2"] > 0.0) if model.hidden_activation == "relu" else da2
-    # bn2
-    dh2, vec[..., _BN2_G], vec[..., _BN2_B] = model.bn2.backward(db2, cache["bn2"])
-    # lin2
-    vec[..., _LIN2_W] = (dh2.swapaxes(-1, -2) @ cache["a1"]).reshape(lead + (-1,))
-    vec[..., _LIN2_B] = np.add.reduce(dh2, axis=-2)
-    da1 = dh2 @ model.lin2.weight
-    # activation 1
-    db1 = da1 * (cache["b1"] > 0.0) if model.hidden_activation == "relu" else da1
-    # bn1
-    dh1, vec[..., _BN1_G], vec[..., _BN1_B] = model.bn1.backward(db1, cache["bn1"])
-    # lin1
-    vec[..., _LIN1_W] = (dh1.swapaxes(-1, -2) @ cache["x"]).reshape(lead + (-1,))
-    vec[..., _LIN1_B] = np.add.reduce(dh1, axis=-2)
+    for scale, shift, delta, inp, dense in _backprop(model, dy, cache):
+        if dense:
+            vec[..., scale] = (delta.swapaxes(-1, -2) @ inp).reshape(lead + (-1,))
+        else:
+            vec[..., scale] = np.add.reduce(delta * inp, axis=-2)
+        vec[..., shift] = np.add.reduce(delta, axis=-2)
 
     if extra_penalty_grad is not None:
         extra_penalty_grad = np.asarray(extra_penalty_grad, dtype=np.float64)

@@ -86,6 +86,12 @@ class RoundLog:
     report: MetricsReport
     client_train_losses: list[float]
     wall_time: float
+    # seconds of each phase of the round; consolidate is 0 except in an FCL
+    # task's last round
+    local_train_time: float = 0.0
+    consolidate_time: float = 0.0
+    aggregate_time: float = 0.0
+    evaluate_time: float = 0.0
 
 
 @dataclass
@@ -421,12 +427,15 @@ def run_fl(config: ExperimentConfig, train: dataio.Dataset, test: dataio.Dataset
     for r in range(config.n_rounds):
         t0 = time.perf_counter()
         updates, losses = local_train(clients, global_params, config, 0, r)
-        for c in clients:
-            events.append(("local_train", c.client_id, 0, r))
+        t1 = time.perf_counter()
         global_params = _aggregate(global_params, updates, config, server_opt)
-        events.append(("aggregate", 0, r))
+        t2 = time.perf_counter()
         report = evaluate(global_params, test, config.hidden_activation)
-        logs.append(RoundLog(r, 0, report, losses, time.perf_counter() - t0))
+        t3 = time.perf_counter()
+        events.extend(("local_train", c.client_id, 0, r) for c in clients)
+        events.append(("aggregate", 0, r))
+        logs.append(RoundLog(r, 0, report, losses, t3 - t0, local_train_time=t1 - t0,
+                             aggregate_time=t2 - t1, evaluate_time=t3 - t2))
     return RunResult(logs, global_params, events)
 
 
@@ -481,16 +490,24 @@ def run_fcl(config: ExperimentConfig, train: dataio.Dataset, test: dataio.Datase
             t0 = time.perf_counter()
             updates, losses = local_train(clients, global_params, config,
                                           task_index, round_counter)
-            for c in clients:
-                events.append(("local_train", c.client_id, task_index, round_counter))
-            if r == n_rounds - 1 and config.cl_method != "none":
+            t1 = t2 = time.perf_counter()
+            consolidating = r == n_rounds - 1 and config.cl_method != "none"
+            if consolidating:
                 for c in clients:
                     _consolidate(c, config, task_index)
-                    events.append(("importance", c.client_id, task_index, round_counter))
+                t2 = time.perf_counter()
             global_params = _aggregate(global_params, updates, config, None)
-            events.append(("aggregate", task_index, round_counter))
+            t3 = time.perf_counter()
             report = evaluate(global_params, eval_sets[task_index], config.hidden_activation)
-            logs.append(RoundLog(round_counter, task_index, report, losses,
-                                 time.perf_counter() - t0))
+            t4 = time.perf_counter()
+            events.extend(("local_train", c.client_id, task_index, round_counter)
+                          for c in clients)
+            if consolidating:
+                events.extend(("importance", c.client_id, task_index, round_counter)
+                              for c in clients)
+            events.append(("aggregate", task_index, round_counter))
+            logs.append(RoundLog(round_counter, task_index, report, losses, t4 - t0,
+                                 local_train_time=t1 - t0, consolidate_time=t2 - t1,
+                                 aggregate_time=t3 - t2, evaluate_time=t4 - t3))
             round_counter += 1
     return RunResult(logs, global_params, events)

@@ -2,7 +2,9 @@
 
 Each run gets one directory named by its deterministic run-id containing a
 config snapshot, a per-round CSV log, and the final report. Directories are
-plain files so results diff and version cleanly.
+plain files so results diff and version cleanly. A run directory appears
+complete or not at all: it is written under a temporary name and moved into
+place.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import datetime
 import json
 import math
 import os
+import shutil
 from dataclasses import dataclass
 
 from . import __version__
@@ -43,6 +46,10 @@ def _round_rows(result: RunResult) -> list[dict]:
             "avg_pcc": repr(log.report.avg_pcc),
             "mean_client_train_loss": repr(sum(log.client_train_losses) / len(log.client_train_losses)),
             "wall_time": f"{log.wall_time:.4f}",
+            "local_train_time": f"{log.local_train_time:.4f}",
+            "consolidate_time": f"{log.consolidate_time:.4f}",
+            "aggregate_time": f"{log.aggregate_time:.4f}",
+            "evaluate_time": f"{log.evaluate_time:.4f}",
         })
     return rows
 
@@ -69,25 +76,42 @@ class ResultsStore:
         return os.path.join(self.out_dir, run_id)
 
     def write_run(self, spec: ExperimentSpec, result: RunResult) -> RunRecord:
+        """Write the run's files into a dot-prefixed temporary directory,
+        then move it into place, replacing any earlier directory of the run
+        as a whole; a write that fails leaves no run directory behind."""
         run_id = spec.run_id()
         d = self.run_dir(run_id)
-        os.makedirs(d, exist_ok=True)
-        snapshot = {
-            "run_id": run_id,
-            "config": spec.values,
-            "software_version": __version__,
-            "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        }
-        with open(os.path.join(d, "config.json"), "w", encoding="utf-8") as fh:
-            json.dump(snapshot, fh, indent=2)
-        rows = _round_rows(result)
-        with open(os.path.join(d, "rounds.csv"), "w", newline="", encoding="utf-8") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-            writer.writeheader()
-            writer.writerows(rows)
-        report = _build_report(result)
-        with open(os.path.join(d, "report.json"), "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2)
+        tmp = os.path.join(self.out_dir, f".{run_id}.{os.getpid()}")
+        shutil.rmtree(tmp, ignore_errors=True)  # left behind by a killed write
+        os.mkdir(tmp)
+        try:
+            snapshot = {
+                "run_id": run_id,
+                "config": spec.values,
+                "software_version": __version__,
+                "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+            }
+            with open(os.path.join(tmp, "config.json"), "w", encoding="utf-8") as fh:
+                json.dump(snapshot, fh, indent=2)
+            rows = _round_rows(result)
+            with open(os.path.join(tmp, "rounds.csv"), "w", newline="", encoding="utf-8") as fh:
+                writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
+                writer.writeheader()
+                writer.writerows(rows)
+            report = _build_report(result)
+            with open(os.path.join(tmp, "report.json"), "w", encoding="utf-8") as fh:
+                json.dump(report, fh, indent=2)
+            if os.path.isdir(d):
+                # os.replace moves a directory only onto an empty one, so the
+                # earlier run steps aside under a hidden name first
+                os.replace(d, tmp + ".old")
+                os.replace(tmp, d)
+                shutil.rmtree(tmp + ".old")
+            else:
+                os.replace(tmp, d)
+        except BaseException:
+            shutil.rmtree(tmp, ignore_errors=True)
+            raise
         return RunRecord(run_id, dict(spec.values), rows, report)
 
     def load_run(self, run_id: str) -> RunRecord:
@@ -105,10 +129,11 @@ class ResultsStore:
 
     def list_runs(self) -> list[RunRecord]:
         """Every run in the store. Each subdirectory is a run, and one that
-        lacks a run file raises ``IncompleteRunError``; plain files are
+        lacks a run file raises ``IncompleteRunError``; plain files and
+        dot-prefixed entries (``write_run``'s temporary directories) are
         ignored."""
         return [self.load_run(name) for name in sorted(os.listdir(self.out_dir))
-                if os.path.isdir(self.run_dir(name))]
+                if not name.startswith(".") and os.path.isdir(self.run_dir(name))]
 
 
 def execute_experiment(spec: ExperimentSpec, dataset: dataio.Dataset) -> RunResult:

@@ -5,8 +5,13 @@ import importlib
 import importlib.util
 import inspect
 import pathlib
+import sys
 
+import pytest
+
+from fedcl import data as dataio
 from fedcl import nn
+from fedcl.orchestrator import ExperimentConfig, run_fcl
 
 TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -39,3 +44,25 @@ def test_backward_arguments_the_row_counter_reads():
     names = list(params)
     assert names[1] == "batch" and names[4] == "mode"
     assert params["mode"].default == "train"
+
+
+@pytest.mark.parametrize("method", ["ewc", "mas", "nr"])
+def test_consolidation_adds_no_training_rows(method, monkeypatch):
+    # nn.backward.train_rows, the numerator of train_samples_per_s, counts
+    # train-mode rows; consolidation must take its gradients in eval mode
+    calls = []
+    original = nn.backward
+
+    def recording(*args, **kwargs):
+        mode = args[4] if len(args) > 4 else kwargs.get("mode", "train")
+        calls.append((sys._getframe(1).f_globals["__name__"], mode))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(nn, "backward", recording)
+    ds, _ = dataio.synthetic_two_task(200, seed=0, noise_std=0.05)
+    train, test = dataio.train_test_split(ds, 0.75, seed=0)
+    run_fcl(ExperimentConfig(n_clients=2, n_rounds=2, batch_size=16, cl_method=method),
+            train, test)
+    assert ("fedcl.orchestrator", "train") in calls
+    assert [mode for caller, mode in calls if caller == "fedcl.continual"
+            and mode == "train"] == []

@@ -193,6 +193,53 @@ class TestStore:
             store.list_runs()
         assert store.run_dir(rid) in str(info.value)
 
+    def test_rounds_csv_has_phase_columns(self, small_suite, dataset, tmp_path):
+        store, _ = run_suite(small_suite, dataset, str(tmp_path / "out"))
+        phases = ["local_train_time", "consolidate_time", "aggregate_time", "evaluate_time"]
+        for record in store.list_runs():
+            for row in record.rounds:
+                assert list(row)[-5:] == ["wall_time"] + phases
+                for name in phases:
+                    assert len(row[name].split(".")[1]) == 4
+                assert row["consolidate_time"] == "0.0000"
+
+    def test_failed_write_leaves_no_run_directory(self, small_suite, dataset, tmp_path,
+                                                  monkeypatch):
+        out = tmp_path / "out"
+        store, _ = run_suite(small_suite, dataset, str(out))
+        earlier = sorted(os.listdir(out))
+        real_dump = json.dump
+
+        def dump(obj, fh, **kw):
+            if os.path.basename(fh.name) == "report.json":
+                raise OSError("disk full")
+            real_dump(obj, fh, **kw)
+
+        monkeypatch.setattr(json, "dump", dump)
+        other = parse_config(write_config(tmp_path, SMALL_SUITE.format(extra="clients = 3"),
+                                          "other.ini"))
+        _, failures = run_suite(other, dataset, str(out))
+        assert len(failures) == 2 and all("disk full" in msg for _, msg in failures)
+        # a failed rewrite keeps the earlier run as it was
+        with pytest.raises(OSError, match="disk full"):
+            store.write_run(small_suite.experiments[0],
+                            execute_experiment(small_suite.experiments[0], dataset))
+        assert sorted(os.listdir(out)) == earlier
+        assert [r.run_id for r in store.list_runs()] == earlier
+
+    def test_rewrite_replaces_the_run_directory(self, small_suite, dataset, tmp_path):
+        store, _ = run_suite(small_suite, dataset, str(tmp_path / "out"))
+        spec = small_suite.experiments[0]
+        stale = os.path.join(store.run_dir(spec.run_id()), "stale.txt")
+        open(stale, "w").close()
+        store.write_run(spec, execute_experiment(spec, dataset))
+        assert not os.path.exists(stale)
+        assert sorted(os.listdir(store.run_dir(spec.run_id()))) == [
+            "config.json", "report.json", "rounds.csv"]
+        assert len(store.list_runs()) == 2
+        os.mkdir(tmp_path / "out" / ".hidden")  # e.g. a killed write's temporary directory
+        assert len(store.list_runs()) == 2
+
     def test_failures_do_not_stop_suite(self, dataset, tmp_path):
         text = """
 [experiment]

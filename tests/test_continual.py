@@ -45,6 +45,26 @@ class TestFisher:
         cl.compute_fisher(m, small_dataset(rng), fisher_samples=2, seed=3)
         assert np.array_equal(nn.extract_params(m), before)
 
+    @pytest.mark.parametrize("activation", ["identity", "relu"])
+    @pytest.mark.parametrize("n, samples", [(1, 3), (20, 1), (40, 8)])
+    def test_bit_equal_to_per_minibatch_loop(self, rng, activation, n, samples):
+        m = nn.MlpModel(activation, random_model(rng).params.copy())
+        ds = small_dataset(rng, n=n)
+        # reference: one eval-mode backward per sampled minibatch, summed in order
+        draws = np.random.default_rng([11, 7])
+        bs = min(32, n)
+        total = np.zeros(nn.PARAM_COUNT)
+        for _ in range(samples):
+            idx = draws.choice(n, size=bs, replace=False)
+            total += nn.backward(m.clone(), ds.features[idx], ds.labels[idx], mode="eval") ** 2
+        expected = total / samples
+        expected[nn.running_stat_mask()] = 0.0
+        assert np.array_equal(cl.compute_fisher(m, ds, samples, seed=11), expected)
+
+    def test_needs_at_least_one_sample(self, rng):
+        with pytest.raises(ValueError, match="fisher_samples"):
+            cl.compute_fisher(random_model(rng), small_dataset(rng), fisher_samples=0, seed=0)
+
 
 class TestQuadraticPenalty:
     def test_zero_at_anchor(self, rng):
@@ -200,6 +220,25 @@ class TestMas:
         assert rel_err(omega[idx], fd) <= 1e-5
 
 
+    @pytest.mark.parametrize("activation", ["identity", "relu"])
+    @pytest.mark.parametrize("n", [1, 7, 300])
+    def test_closed_form_equals_per_sample_backward(self, rng, activation, n):
+        m = nn.MlpModel(activation, random_model(rng).params.copy())
+        x = rng.uniform(0, 1, size=(n, 29))
+        # reference: one eval-mode backward per sample; backward's gradient of
+        # the 8-way mean squared output, times 8, is that of ||f(x)||^2
+        total = np.zeros(nn.PARAM_COUNT)
+        for i in range(n):
+            g = nn.backward(m, x[i:i + 1], np.zeros((1, nn.OUT_DIM)), mode="eval")
+            total += np.abs(g * nn.OUT_DIM)
+        expected = total / n
+        before = m.params.copy()
+        omega = cl.mas_importance(m, x, seed=0)
+        assert np.array_equal(m.params, before)
+        assert np.all(omega[nn.running_stat_mask()] == 0.0)
+        assert np.all(np.abs(omega - expected) <= 1e-12 * np.abs(expected))
+
+
 class TestReplayBuffer:
     def test_under_capacity_stores_all(self, rng):
         buf = cl.ReplayBuffer(1000, seed=0)
@@ -227,6 +266,32 @@ class TestReplayBuffer:
                 counts[int(feat[0])] += 1
         freq = counts / trials
         assert np.max(np.abs(freq - 0.1)) <= 0.02
+
+    @pytest.mark.parametrize("sizes", [(30, 40), (80,), (0, 50, 3)])
+    def test_add_dataset_equals_per_row_add(self, rng, sizes):
+        # capacity 50: the streams cross it inside one add_dataset, start past
+        # it, or fill it exactly and then continue
+        whole, rowwise = cl.ReplayBuffer(50, seed=3), cl.ReplayBuffer(50, seed=3)
+        for n in sizes:
+            ds = small_dataset(rng, n=n)
+            whole.add_dataset(ds)
+            for i in range(n):
+                rowwise.add(ds.features[i], ds.labels[i])
+        assert len(whole) == len(rowwise) == min(sum(sizes), 50)
+        assert whole.n_seen == rowwise.n_seen == sum(sizes)
+        assert np.array_equal(whole.features, rowwise.features)
+        assert np.array_equal(whole.labels, rowwise.labels)
+        assert whole._rng.integers(0, 1 << 62) == rowwise._rng.integers(0, 1 << 62)
+
+    def test_rows_are_copies_at_the_given_positions(self, rng):
+        buf = cl.ReplayBuffer(50, seed=4)
+        cl.nr_store(buf, small_dataset(rng, n=20))
+        idx = np.array([3, 0, 3, 19])
+        features, labels = buf.rows(idx)
+        assert np.array_equal(features, np.stack([buf.features[i] for i in idx]))
+        assert np.array_equal(labels, np.stack([buf.labels[i] for i in idx]))
+        features[0] = -1.0
+        assert not np.any(buf.features[3] == -1.0)
 
     def test_samples_are_bit_exact_copies(self, rng):
         ds = small_dataset(rng, n=20)

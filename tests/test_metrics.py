@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fedcl.metrics import compute_report, pcc
+from fedcl.metrics import DEGENERATE_STD, compute_report, pcc
 
 
 def two_pass_pcc(x, y):
@@ -13,6 +13,18 @@ def two_pass_pcc(x, y):
     vx = sum((float(a) - mx) ** 2 for a in x) / n
     vy = sum((float(b) - my) ** 2 for b in y) / n
     return cov / np.sqrt(vx * vy)
+
+
+def column_pcc(x, y):
+    """Reference: the one-column computation, in 1-d numpy calls; None when
+    degenerate."""
+    xc = x - x.mean()
+    yc = y - y.mean()
+    sx = np.sqrt((xc ** 2).mean())
+    sy = np.sqrt((yc ** 2).mean())
+    if sx < DEGENERATE_STD or sy < DEGENERATE_STD:
+        return None
+    return float((xc * yc).mean() / (sx * sy))
 
 
 class TestPcc:
@@ -96,6 +108,27 @@ class TestReport:
         b = compute_report(pred[perm], target[perm])
         assert a.avg_mse == pytest.approx(b.avg_mse, abs=1e-12)
         assert a.avg_pcc == pytest.approx(b.avg_pcc, abs=1e-12)
+
+    def test_bit_equal_to_per_column_pcc(self, rng):
+        for case in range(300):
+            n = int(rng.integers(2, 200))
+            pred = rng.normal(size=(n, 8)) * rng.uniform(0.0, 10.0, size=8)
+            target = rng.uniform(1, 5, size=(n, 8))
+            pred[:, case % 8] = 2.0  # a constant (degenerate) column
+            if case % 3 == 0:
+                target[:, (case + 1) % 8] = 3.0
+            rep = compute_report(pred, target)
+            expected = [column_pcc(pred[:, a], target[:, a]) for a in range(8)]
+            assert rep.degenerate_actions == [a for a, r in enumerate(expected) if r is None]
+            for a, r in enumerate(expected):
+                if r is None:
+                    assert np.isnan(rep.per_action_pcc[a])
+                    assert pcc(pred[:, a], target[:, a]) is None
+                else:
+                    assert rep.per_action_pcc[a] == r
+                    assert pcc(pred[:, a], target[:, a]) == r
+            finite = [r for r in expected if r is not None]
+            assert rep.avg_pcc == float(np.array(finite).mean())
 
     def test_shape_and_size_validation(self, rng):
         with pytest.raises(ValueError):

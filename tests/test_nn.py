@@ -92,7 +92,7 @@ class TestForward:
         assert np.array_equal(bn.running_mean, (1.0 - bn.momentum) * 0.0 + bn.momentum * mean)
         assert np.array_equal(bn.running_var, (1.0 - bn.momentum) * 1.0 + bn.momentum * var)
         dy = rng.normal(size=x.shape)
-        dx, _, _ = bn.backward(dy, cache)
+        dx = bn.backward(dy, cache)
         dxhat = dy * bn.gamma
         expected = (dxhat - dxhat.mean(axis=0) - xhat * (dxhat * xhat).mean(axis=0)) / std
         assert np.array_equal(dx, expected)

@@ -178,6 +178,32 @@ class TestRunFl:
             assert after < before
 
 
+PHASES = ("local_train_time", "consolidate_time", "aggregate_time", "evaluate_time")
+
+
+def check_phase_times(logs, consolidating_rounds):
+    for log in logs:
+        phases = [getattr(log, name) for name in PHASES]
+        assert all(t >= 0.0 for t in phases)
+        assert sum(phases) <= log.wall_time
+        if log.round_index in consolidating_rounds:
+            assert log.consolidate_time > 0.0
+        else:
+            assert log.consolidate_time == 0.0
+
+
+class TestPhaseTimes:
+    def test_fl_rounds_do_not_consolidate(self):
+        train, test, _ = synth()
+        check_phase_times(run_fl(config(), train, test).round_logs, set())
+
+    @pytest.mark.parametrize("method", ["none", "mas", "nr"])
+    def test_fcl_consolidates_in_each_tasks_last_round(self, method):
+        train, test = two_task()
+        result = run_fcl(config(cl_method=method), train, test, rounds_per_task=[2, 3])
+        check_phase_times(result.round_logs, set() if method == "none" else {1, 4})
+
+
 class TestStrategyEquivalences:
     def test_fedprox_mu_zero_is_fedavg(self):
         train, test, _ = synth()
