@@ -64,5 +64,6 @@ def test_consolidation_adds_no_training_rows(method, monkeypatch):
     run_fcl(ExperimentConfig(n_clients=2, n_rounds=2, batch_size=16, cl_method=method),
             train, test)
     assert ("fedcl.orchestrator", "train") in calls
-    assert [mode for caller, mode in calls if caller == "fedcl.continual"
-            and mode == "train"] == []
+    if method == "ewc":  # the Fisher diagonal's backward is seen
+        assert ("fedcl.continual", "eval") in calls
+    assert ("fedcl.continual", "train") not in calls
