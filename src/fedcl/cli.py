@@ -7,7 +7,7 @@ Subcommands:
     synth   generate a synthetic dataset CSV
 
 Exit codes: 0 success, 1 any experiment failed or verification violated,
-2 invalid configuration. Only the output directory may come from the
+2 invalid configuration or a dataset that cannot be read. Only the output directory may come from the
 environment (FEDCL_OUT); everything science-relevant lives in the config.
 """
 
@@ -26,13 +26,20 @@ def _resolve_out(args) -> str:
     return args.out or os.environ.get("FEDCL_OUT") or "results"
 
 
-def _load_dataset(suite_spec, data_override: str | None) -> dataio.Dataset:
+def _load_dataset(suite_spec, data_override: str | None) -> dataio.Dataset | None:
+    """The dataset of ``--data``, else of the config's suite (``suite_spec``
+    may be None when ``--data`` is given); ``None``, with the reason on
+    stderr, when the file cannot be read."""
     source = data_override or suite_spec.dataset
-    if source == "synthetic":
+    if source == "synthetic" and suite_spec is not None:
         ds, _ = dataio.synthetic_generate(suite_spec.synthetic_n, seed=0,
                                           noise_std=suite_spec.synthetic_noise)
         return ds
-    return dataio.load_csv(source)
+    try:
+        return dataio.load_csv(source)
+    except (dataio.DataError, OSError) as exc:
+        print(f"invalid dataset: {exc}", file=sys.stderr)
+        return None
 
 
 def _cmd_run(args) -> int:
@@ -42,6 +49,8 @@ def _cmd_run(args) -> int:
         print(f"invalid config: {exc}", file=sys.stderr)
         return 2
     dataset = _load_dataset(suite.suite, args.data)
+    if dataset is None:
+        return 2
     out_dir = _resolve_out(args)
     store, failures = run_suite(suite, dataset, out_dir)
     print(f"{len(suite.experiments) - len(failures)} run(s) completed, "
@@ -77,12 +86,11 @@ def _cmd_verify(args) -> int:
     if not records:
         print("results store is empty", file=sys.stderr)
         return 1
-    if suite is not None:
-        dataset = _load_dataset(suite.suite, args.data)
-    elif args.data:
-        dataset = dataio.load_csv(args.data)
-    else:
+    if suite is None and not args.data:
         print("verify needs --config or --data to rebuild the dataset", file=sys.stderr)
+        return 2
+    dataset = _load_dataset(suite.suite if suite else None, args.data)
+    if dataset is None:
         return 2
     violations = verify_store(store, dataset)
     if violations:

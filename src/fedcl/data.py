@@ -11,6 +11,7 @@ columns carry the 8 canonical ``label_*`` names and hold values on the
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -92,15 +93,68 @@ class TaskSplit:
 # ---------------------------------------------------------------------------
 
 def load_csv(path: str) -> Dataset:
-    """Parse a dataset CSV by header name; row order is preserved."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        rows = list(reader)
+    """Parse a dataset CSV by header name; row order is preserved.
 
+    A cell is a decimal or scientific-notation float64 literal as Python's
+    ``float()`` reads it (``1``, ``-0.5``, ``2.5e-3``, ``nan``, ``inf``),
+    optionally in double quotes and surrounded by spaces or tabs, and parses
+    to the same bits. Two forms that ``float()`` accepts are refused:
+    underscores between digits (``1_0``) and non-ASCII digits. ``#`` starts
+    no comment. Labels must lie in [1, 5]; NaN does not.
+
+    The body is streamed through one ``np.loadtxt`` pass. Only when that
+    fails does a second, validating pass walk the rows to report the first
+    bad one by its row number (the header is row 1).
+    """
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            first_line = fh.readline()
+            if not first_line:
+                raise DataError(f"{path}: empty file")
+            header = next(csv.reader([first_line]))
+            ordered_features = _check_header(path, header)
+            lines = 0
+
+            def counted_lines():
+                nonlocal lines
+                for line in fh:
+                    lines += 1
+                    yield line
+
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", UserWarning)  # a header-only file
+                    table = np.loadtxt(counted_lines(), dtype=np.float64, delimiter=",",
+                                       comments=None, quotechar='"', ndmin=2)
+                failure = None
+            except ValueError as exc:
+                table, failure = None, exc
+        if failure is not None or table.shape != (lines, len(header)):
+            # a blank line, a ragged row or a bad cell: name its row
+            rows = _check_rows(path, header, ordered_features)
+            # no bad row: a cell float() reads but loadtxt refuses, or else
+            # a quoted line break (one row over two lines) or no row at all
+            if failure is not None:
+                raise DataError(f"{path}: {failure}") from None
+            if len(table) != rows:
+                raise DataError(f"{path}: {len(table)} rows parsed, {rows} expected")
+            table = table.reshape(rows, len(header))
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc})") from None
+
+    # take, unlike table[:, index], returns C-ordered arrays
+    features = table.take([header.index(c) for c in ordered_features], axis=1)
+    labels = table.take([header.index(c) for c in LABEL_COLUMNS], axis=1)
+    outside = ~((labels >= 1.0) & (labels <= 5.0))
+    if outside.any():
+        i, j = divmod(int(np.argmax(outside)), N_LABELS)
+        raise DataError(f"{path}: row {i + 2}, column {LABEL_COLUMNS[j]!r}: "
+                        f"label {labels[i, j]} outside [1, 5]")
+    return Dataset(features, labels, "real", ordered_features)
+
+
+def _check_header(path: str, header: list[str]) -> list[str]:
+    """Validate the header; returns the feature columns in dataset order."""
     feature_cols = [c for c in header if c.startswith("f_")]
     label_cols = [c for c in header if c.startswith("label_")]
     unknown = [c for c in header if c not in feature_cols and c not in label_cols]
@@ -116,32 +170,33 @@ def load_csv(path: str) -> Dataset:
         raise DataError(f"{path}: missing feature column {CIRCLE_FLAG_COLUMN!r}")
     if len(feature_cols) != N_FEATURES:
         raise DataError(f"{path}: expected {N_FEATURES} feature columns, found {len(feature_cols)}")
-
     # flag column goes to feature index 0; the rest keep file order
-    ordered_features = [CIRCLE_FLAG_COLUMN] + [c for c in feature_cols if c != CIRCLE_FLAG_COLUMN]
-    col_index = {c: header.index(c) for c in header}
+    return [CIRCLE_FLAG_COLUMN] + [c for c in feature_cols if c != CIRCLE_FLAG_COLUMN]
 
-    n = len(rows)
-    features = np.empty((n, N_FEATURES))
-    labels = np.empty((n, N_LABELS))
-    for i, row in enumerate(rows):
-        if len(row) != len(header):
-            raise DataError(f"{path}: row {i + 2} has {len(row)} cells, expected {len(header)}")
-        for j, c in enumerate(ordered_features):
-            cell = row[col_index[c]]
-            try:
-                features[i, j] = float(cell)
-            except ValueError:
-                raise DataError(f"{path}: row {i + 2}, column {c!r}: non-numeric value {cell!r}") from None
-        for j, c in enumerate(LABEL_COLUMNS):
-            cell = row[col_index[c]]
-            try:
-                labels[i, j] = float(cell)
-            except ValueError:
-                raise DataError(f"{path}: row {i + 2}, column {c!r}: non-numeric value {cell!r}") from None
-            if not 1.0 <= labels[i, j] <= 5.0:
-                raise DataError(f"{path}: row {i + 2}, column {c!r}: label {labels[i, j]} outside [1, 5]")
-    return Dataset(features, labels, "real", ordered_features)
+
+def _check_rows(path: str, header: list[str], ordered_features: list[str]) -> int:
+    """Walk the body row by row and raise a ``DataError`` for the first bad
+    row: a wrong cell count, a cell ``float()`` cannot read, or a label
+    outside [1, 5], checked in that order, cells in dataset order. Returns
+    the number of rows when none is bad. Builds no arrays."""
+    columns = ([(c, header.index(c), False) for c in ordered_features]
+               + [(c, header.index(c), True) for c in LABEL_COLUMNS])
+    rows = 0
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for rows, row in enumerate(reader, 1):
+            if len(row) != len(header):
+                raise DataError(f"{path}: row {rows + 1} has {len(row)} cells, expected {len(header)}")
+            for c, k, is_label in columns:
+                try:
+                    value = float(row[k])
+                except ValueError:
+                    raise DataError(f"{path}: row {rows + 1}, column {c!r}: "
+                                    f"non-numeric value {row[k]!r}") from None
+                if is_label and not 1.0 <= value <= 5.0:
+                    raise DataError(f"{path}: row {rows + 1}, column {c!r}: label {value} outside [1, 5]")
+    return rows
 
 
 def save_csv(ds: Dataset, path: str) -> None:

@@ -35,13 +35,16 @@ BN_MOMENTUM = 0.1
 class LinearLayer:
     """Dense layer y = x @ W.T + b with weight shape (out, in). A stack of C
     layers has weight (C, out, in) and bias (C, 1, out), and maps a
-    (C, B, in) batch."""
+    (C, B, in) batch. ``arrays`` binds the layer to existing (weight, bias)
+    arrays instead of fresh zeros."""
 
-    def __init__(self, in_dim: int, out_dim: int):
+    def __init__(self, in_dim: int, out_dim: int, arrays: tuple | None = None):
         self.in_dim = in_dim
         self.out_dim = out_dim
-        self.weight = np.zeros((out_dim, in_dim), dtype=np.float64)
-        self.bias = np.zeros(out_dim, dtype=np.float64)
+        if arrays is None:
+            arrays = (np.zeros((out_dim, in_dim), dtype=np.float64),
+                      np.zeros(out_dim, dtype=np.float64))
+        self.weight, self.bias = arrays
 
     def init_uniform(self, rng: np.random.Generator) -> None:
         # uniform in +-1/sqrt(fan_in)
@@ -63,9 +66,12 @@ class BatchNormLayer:
     Eval mode uses the running statistics only. A stack of C layers holds
     its per-feature vectors as (C, 1, dim), so that they broadcast over each
     layer's own batch of a (C, B, dim) input; statistics reduce over axis -2.
+    ``arrays`` binds the layer to existing (gamma, beta, running_mean,
+    running_var) arrays instead of a fresh identity transform.
     """
 
-    def __init__(self, dim: int, momentum: float = BN_MOMENTUM, epsilon: float = BN_EPSILON):
+    def __init__(self, dim: int, momentum: float = BN_MOMENTUM, epsilon: float = BN_EPSILON,
+                 arrays: tuple | None = None):
         if not 0.0 < momentum < 1.0:
             raise ValueError(f"momentum must be in (0, 1), got {momentum}")
         if epsilon <= 0.0:
@@ -73,10 +79,10 @@ class BatchNormLayer:
         self.dim = dim
         self.momentum = momentum
         self.epsilon = epsilon
-        self.gamma = np.ones(dim, dtype=np.float64)
-        self.beta = np.zeros(dim, dtype=np.float64)
-        self.running_mean = np.zeros(dim, dtype=np.float64)
-        self.running_var = np.ones(dim, dtype=np.float64)
+        if arrays is None:
+            arrays = (np.ones(dim, dtype=np.float64), np.zeros(dim, dtype=np.float64),
+                      np.zeros(dim, dtype=np.float64), np.ones(dim, dtype=np.float64))
+        self.gamma, self.beta, self.running_mean, self.running_var = arrays
 
     def reset(self) -> None:
         """Identity transform and fresh running statistics, written in place."""
@@ -156,16 +162,16 @@ class MlpModel:
             raise ValueError(f"expected float64 parameters of shape ({PARAM_COUNT},) or "
                              f"(C, {PARAM_COUNT}), got {params.dtype} {params.shape}")
         self.hidden_activation = hidden_activation
-        self.lin1 = LinearLayer(IN_DIM, HIDDEN_DIM)
-        self.bn1 = BatchNormLayer(HIDDEN_DIM)
-        self.lin2 = LinearLayer(HIDDEN_DIM, HIDDEN_DIM)
-        self.bn2 = BatchNormLayer(HIDDEN_DIM)
-        self.out = LinearLayer(HIDDEN_DIM, OUT_DIM)
         self.params = params
         lead = params.shape[:-1]
-        for layer_name, attr, slots, shape, stacked_shape in _BINDINGS:
-            view = params[..., slots].reshape(lead + stacked_shape if lead else shape)
-            setattr(getattr(self, layer_name), attr, view)
+        views = {layer: tuple(params[..., slots].reshape(lead + stacked_shape if lead else shape)
+                              for slots, shape, stacked_shape in bindings)
+                 for layer, bindings in _BINDINGS.items()}
+        self.lin1 = LinearLayer(IN_DIM, HIDDEN_DIM, views["lin1"])
+        self.bn1 = BatchNormLayer(HIDDEN_DIM, arrays=views["bn1"])
+        self.lin2 = LinearLayer(HIDDEN_DIM, HIDDEN_DIM, views["lin2"])
+        self.bn2 = BatchNormLayer(HIDDEN_DIM, arrays=views["bn2"])
+        self.out = LinearLayer(HIDDEN_DIM, OUT_DIM, views["out"])
         if fresh:  # the layers' initial values: zero linear layers, identity BatchNorm
             self.bn1.reset()
             self.bn2.reset()
@@ -257,12 +263,14 @@ def _build_offsets():
 
 OFFSETS, PARAM_COUNT = _build_offsets()
 
-# (layer, attribute, slots, shape, shape in a stack): how MlpModel binds the
-# layer arrays to its parameters; a stack's per-feature vectors get a
-# broadcast axis for the batch
-_BINDINGS = [(*name.split("."), slice(start, stop), shape,
-              (1,) + shape if len(shape) == 1 else shape)
-             for name, (start, stop, shape) in OFFSETS.items()]
+# layer -> its (slots, shape, shape in a stack) in LAYOUT order, which is the
+# order of the layer constructors' ``arrays``: how MlpModel binds the layer
+# arrays to its parameters; a stack's per-feature vectors get a broadcast
+# axis for the batch
+_BINDINGS: dict[str, list[tuple[slice, tuple, tuple]]] = {}
+for _name, (_start, _stop, _shape) in OFFSETS.items():
+    _BINDINGS.setdefault(_name.split(".")[0], []).append(
+        (slice(_start, _stop), _shape, (1,) + _shape if len(_shape) == 1 else _shape))
 
 
 def slot_slice(name: str) -> slice:

@@ -160,8 +160,13 @@ def run_suite(suite: BenchmarkSuite, dataset: dataio.Dataset,
     return store, failures
 
 
+# the columns of rounds.csv that a re-run must reproduce exactly
+_TRAJECTORY_KEYS = ("avg_mse", "avg_rmse", "avg_pcc", "mean_client_train_loss")
+
+
 def verify_store(store: ResultsStore, dataset: dataio.Dataset) -> list[tuple[str, str]]:
-    """Re-run every stored experiment and compare final metrics bit-exactly.
+    """Re-run every stored experiment and compare bit-exactly the round count,
+    every round's metrics in ``rounds.csv`` and the final metrics.
     Returns a list of (run_id, message) reproducibility violations."""
     violations = []
     for record in store.list_runs():
@@ -171,6 +176,16 @@ def verify_store(store: ResultsStore, dataset: dataio.Dataset) -> list[tuple[str
         except Exception as exc:
             violations.append((record.run_id, f"re-run failed: {exc}"))
             continue
+        rows = _round_rows(result)
+        if len(rows) != len(record.rounds):
+            violations.append((record.run_id, f"rounds: stored {len(record.rounds)} "
+                                              f"!= re-run {len(rows)}"))
+        else:
+            for row, stored_row in zip(rows, record.rounds):
+                for key in _TRAJECTORY_KEYS:
+                    if stored_row.get(key) != row[key]:
+                        violations.append((record.run_id, f"round {row['round']}: {key}: stored "
+                                                          f"{stored_row.get(key)!r} != re-run {row[key]!r}"))
         fresh = _build_report(result)["final"]
         stored = record.report["final"]
         for key in ("avg_mse", "avg_rmse", "avg_pcc"):

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 
@@ -21,6 +22,15 @@ synthetic_n = 200
 def config_path(tmp_path):
     path = tmp_path / "bench.ini"
     path.write_text(CONFIG)
+    return str(path)
+
+
+@pytest.fixture
+def csv_without_label(tmp_path):
+    """A dataset CSV whose header lacks label_vacuuming."""
+    path = tmp_path / "nolabel.csv"
+    main(["synth", "--out", str(path), "--n", "120"])
+    path.write_text(path.read_text().replace("label_vacuuming", "label_hoovering"))
     return str(path)
 
 
@@ -78,6 +88,21 @@ class TestRun:
         assert main(["run", "--config", config_path, "--data", csv_path,
                      "--out", out_dir]) == 0
 
+    def test_missing_data_file_exits_2(self, config_path, tmp_path, capsys):
+        missing = str(tmp_path / "missing.csv")
+        assert main(["run", "--config", config_path, "--data", missing,
+                     "--out", str(tmp_path / "r")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid dataset: ") and missing in err
+
+    def test_missing_label_column_exits_2(self, config_path, csv_without_label, tmp_path, capsys):
+        capsys.readouterr()
+        assert main(["run", "--config", config_path, "--data", csv_without_label,
+                     "--out", str(tmp_path / "r")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid dataset: ") and "label_vacuuming" in err
+        assert not (tmp_path / "r").exists()
+
 
 class TestTable:
     def test_empty_store_exits_1(self, tmp_path, capsys):
@@ -131,6 +156,46 @@ class TestVerify:
         report.write_text(json.dumps(doc))
         assert main(["verify", "--config", config_path, "--out", out_dir]) == 1
         assert "REPRODUCIBILITY VIOLATION" in capsys.readouterr().err
+
+    def test_verify_detects_an_edited_middle_round(self, tmp_path, capsys):
+        config_path = tmp_path / "bench.ini"
+        config_path.write_text(CONFIG.replace("rounds = 2", "rounds = 3"))
+        out_dir = tmp_path / "results"
+        main(["run", "--config", str(config_path), "--out", str(out_dir)])
+        rounds_csv = next(p for p in out_dir.iterdir() if p.is_dir()) / "rounds.csv"
+        with open(rounds_csv, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 3
+        rows[1]["avg_mse"] = repr(float(rows[1]["avg_mse"]) * (1 + 1e-15))
+        with open(rounds_csv, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
+        capsys.readouterr()
+        assert main(["verify", "--config", str(config_path), "--out", str(out_dir)]) == 1
+        err = capsys.readouterr().err
+        assert "REPRODUCIBILITY VIOLATION" in err
+        assert f"round {rows[1]['round']}: avg_mse" in err
+        assert err.count("REPRODUCIBILITY VIOLATION") == 1
+
+    def test_verify_missing_data_file_exits_2(self, config_path, tmp_path, capsys):
+        out_dir = str(tmp_path / "results")
+        main(["run", "--config", config_path, "--out", out_dir])
+        capsys.readouterr()
+        missing = str(tmp_path / "missing.csv")
+        assert main(["verify", "--data", missing, "--out", out_dir]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid dataset: ") and missing in err
+
+    def test_verify_missing_label_column_exits_2(self, config_path, csv_without_label,
+                                                  tmp_path, capsys):
+        out_dir = str(tmp_path / "results")
+        main(["run", "--config", config_path, "--out", out_dir])
+        capsys.readouterr()
+        assert main(["verify", "--config", config_path, "--data", csv_without_label,
+                     "--out", out_dir]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid dataset: ") and "label_vacuuming" in err
 
     def test_verify_without_dataset_source_exits_2(self, config_path, tmp_path, capsys):
         out_dir = str(tmp_path / "results")

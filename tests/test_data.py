@@ -1,5 +1,12 @@
+import csv
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from fedcl import data as dataio
 from fedcl.data import DataError
@@ -70,6 +77,192 @@ class TestCsv:
         dataio.save_csv(shuffled, str(path))
         loaded = dataio.load_csv(str(path))
         assert np.array_equal(loaded.features[:, 0], ds.features[:, 0])
+
+
+
+def reference_load(path):
+    """The per-cell float() parser load_csv replaced: csv rows, one float()
+    per cell, the flag column first."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        rows = list(reader)
+    names = [c for c in header if c.startswith("f_")]
+    names = [dataio.CIRCLE_FLAG_COLUMN] + [c for c in names if c != dataio.CIRCLE_FLAG_COLUMN]
+    features = np.array([[float(row[header.index(c)]) for c in names] for row in rows])
+    labels = np.array([[float(row[header.index(c)]) for c in dataio.LABEL_COLUMNS] for row in rows])
+    return features, labels
+
+
+def write_lines(path, lines):
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+
+
+def saved_lines(tmp_path, ds):
+    """The lines save_csv writes for ds, header first."""
+    path = tmp_path / "saved.csv"
+    dataio.save_csv(ds, str(path))
+    return path.read_text(encoding="utf-8").splitlines()
+
+
+def with_cell(line, column, text):
+    cells = line.split(",")
+    cells[column] = text
+    return ",".join(cells)
+
+
+FIRST_LABEL = dataio.N_FEATURES  # save_csv writes the labels after the features
+
+
+class TestCsvParse:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_save_then_load_is_bit_identical(self, data):
+        n = data.draw(st.integers(1, 12))
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        others = data.draw(arrays(np.float64, (n, dataio.N_FEATURES - 1), elements=finite))
+        flag = data.draw(arrays(np.float64, (n, 1), elements=st.sampled_from([0.0, 1.0])))
+        labels = data.draw(arrays(np.float64, (n, dataio.N_LABELS), elements=st.floats(1.0, 5.0)))
+        at = data.draw(st.integers(0, dataio.N_FEATURES - 1))
+        names = list(dataio.DEFAULT_FEATURE_COLUMNS[1:])
+        names.insert(at, dataio.CIRCLE_FLAG_COLUMN)
+        stored = np.concatenate([others[:, :at], flag, others[:, at:]], axis=1)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "data.csv")
+            dataio.save_csv(dataio.Dataset(stored, labels, "synthetic", names), path)
+            loaded = dataio.load_csv(path)
+        assert loaded.features.tobytes() == np.concatenate([flag, others], axis=1).tobytes()
+        assert loaded.labels.tobytes() == labels.tobytes()
+
+    def test_equals_per_cell_float_parser(self, tmp_path):
+        # written the way the benchmark writes its file, plus edge values
+        rng = np.random.default_rng(7)
+        features = rng.uniform(0, 1, size=(400, 29))
+        features[:, 0] = rng.integers(0, 2, size=400)
+        features[:8, 1] = [-0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+                           -1e300, 1e-300, 0.1, 1 / 3]
+        labels = rng.uniform(1, 5, size=(400, 8))
+        labels[0] = [1.0, 5.0, 1.0000000000000002, 4.999999999999999, 3, 2, 2, 2]
+        path = tmp_path / "data.csv"
+        np.savetxt(path, np.hstack([features, labels]), fmt="%.17g", delimiter=",",
+                   header=",".join(dataio.DEFAULT_FEATURE_COLUMNS + dataio.LABEL_COLUMNS),
+                   comments="")
+        loaded = dataio.load_csv(str(path))
+        ref_features, ref_labels = reference_load(str(path))
+        assert loaded.features.tobytes() == ref_features.tobytes()
+        assert loaded.labels.tobytes() == ref_labels.tobytes()
+        assert loaded.features.flags.c_contiguous and loaded.labels.flags.c_contiguous
+
+    def test_first_bad_row_wins_across_kinds(self, tmp_path):
+        ds = make_dataset(6)
+        ds.labels[1, 2] = 7.0  # row 3: label out of range
+        lines = saved_lines(tmp_path, ds)
+        lines[4] = with_cell(lines[4], 1, "oops")  # row 5: non-numeric
+        path = tmp_path / "data.csv"
+        write_lines(path, lines)
+        with pytest.raises(DataError, match=r"row 3, column 'label_carry_warm_food': "
+                                            r"label 7.0 outside \[1, 5\]"):
+            dataio.load_csv(str(path))
+
+    def test_first_label_out_of_range_in_row_major_order(self, tmp_path):
+        ds = make_dataset(6)
+        ds.labels[3, 1] = 0.5
+        ds.labels[2, 6] = 9.0
+        ds.labels[2, 4] = 6.0
+        path = tmp_path / "data.csv"
+        dataio.save_csv(ds, str(path))
+        with pytest.raises(DataError, match=r"row 4, column 'label_carry_big_objects': label 6.0"):
+            dataio.load_csv(str(path))
+
+    @pytest.mark.parametrize("at, row", [(2, 3), (4, 5)])
+    def test_blank_line_names_its_row(self, tmp_path, at, row):
+        lines = saved_lines(tmp_path, make_dataset(3))
+        lines.insert(at, "")
+        path = tmp_path / "data.csv"
+        write_lines(path, lines)
+        with pytest.raises(DataError, match=rf"row {row} has 0 cells, expected 37"):
+            dataio.load_csv(str(path))
+
+    def test_every_row_one_cell_too_many(self, tmp_path):
+        lines = saved_lines(tmp_path, make_dataset(3))
+        path = tmp_path / "data.csv"
+        write_lines(path, lines[:1] + [line + ",1.0" for line in lines[1:]])
+        with pytest.raises(DataError, match="row 2 has 38 cells, expected 37"):
+            dataio.load_csv(str(path))
+
+    def test_header_only_gives_no_rows(self, tmp_path):
+        path = tmp_path / "data.csv"
+        write_lines(path, saved_lines(tmp_path, make_dataset(3))[:1])
+        loaded = dataio.load_csv(str(path))
+        assert loaded.features.shape == (0, 29) and loaded.labels.shape == (0, 8)
+
+    def test_one_row(self, tmp_path):
+        ds = make_dataset(1, seed=8)
+        path = tmp_path / "data.csv"
+        dataio.save_csv(ds, str(path))
+        loaded = dataio.load_csv(str(path))
+        assert loaded.features.shape == (1, 29) and loaded.labels.shape == (1, 8)
+        assert np.array_equal(loaded.features, ds.features)
+
+    def test_quoted_cells_accepted(self, tmp_path):
+        ds = make_dataset(4, seed=9)
+        lines = saved_lines(tmp_path, ds)
+        path = tmp_path / "data.csv"
+        write_lines(path, lines[:1] + [",".join(f'"{c}"' for c in line.split(","))
+                                       for line in lines[1:]])
+        loaded = dataio.load_csv(str(path))
+        assert np.array_equal(loaded.features, ds.features)
+        assert np.array_equal(loaded.labels, ds.labels)
+
+    def test_quoted_line_break_inside_a_cell_accepted(self, tmp_path):
+        ds = make_dataset(3, seed=10)
+        lines = saved_lines(tmp_path, ds)
+        cell = lines[2].split(",")[1]
+        lines[2] = with_cell(lines[2], 1, f'"{cell}\n"')  # row 3 spans two lines
+        path = tmp_path / "data.csv"
+        write_lines(path, lines)
+        loaded = dataio.load_csv(str(path))
+        assert np.array_equal(loaded.features, ds.features)
+
+    def test_hash_is_not_a_comment(self, tmp_path):
+        lines = saved_lines(tmp_path, make_dataset(3))
+        lines[2] = with_cell(lines[2], 3, "0.5#note")
+        path = tmp_path / "data.csv"
+        write_lines(path, lines)
+        with pytest.raises(DataError, match=r"row 3, column 'f_feat03': non-numeric value '0.5#note'"):
+            dataio.load_csv(str(path))
+
+    def test_nan_label_rejected(self, tmp_path):
+        lines = saved_lines(tmp_path, make_dataset(3))
+        lines[3] = with_cell(lines[3], FIRST_LABEL + 5, "nan")
+        path = tmp_path / "data.csv"
+        write_lines(path, lines)
+        with pytest.raises(DataError, match=r"row 4, column 'label_carry_small_objects': "
+                                            r"label nan outside \[1, 5\]"):
+            dataio.load_csv(str(path))
+
+    @pytest.mark.parametrize("cell", ["1_0", "\u0661"])
+    def test_cells_float_reads_but_loadtxt_refuses(self, tmp_path, cell):
+        # underscores and non-ASCII digits: float() accepts them, load_csv does not
+        lines = saved_lines(tmp_path, make_dataset(3))
+        lines[2] = with_cell(lines[2], 2, cell)
+        path = tmp_path / "data.csv"
+        write_lines(path, lines)
+        with pytest.raises(DataError, match=f"{path}: could not convert string '{cell}'"):
+            dataio.load_csv(str(path))
+
+    def test_not_utf8_rejected(self, tmp_path):
+        path = tmp_path / "data.csv"
+        dataio.save_csv(make_dataset(3), str(path))
+        path.write_bytes(path.read_bytes() + b"\xff\xfe,1\n")
+        with pytest.raises(DataError, match="not UTF-8"):
+            dataio.load_csv(str(path))
+
+    def test_empty_file_rejected(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("")
+        with pytest.raises(DataError, match="empty file"):
+            dataio.load_csv(str(path))
 
 
 class TestSplit:
