@@ -7,8 +7,9 @@ Subcommands:
     synth   generate a synthetic dataset CSV
 
 Exit codes: 0 success, 1 any experiment failed or verification violated,
-2 invalid configuration or a dataset that cannot be read. Only the output directory may come from the
-environment (FEDCL_OUT); everything science-relevant lives in the config.
+2 invalid configuration or a dataset that cannot be read. Only the output
+directory may come from the environment (FEDCL_OUT); everything
+science-relevant lives in the config.
 """
 
 from __future__ import annotations

@@ -97,7 +97,7 @@ def load_csv(path: str) -> Dataset:
 
     A cell is a decimal or scientific-notation float64 literal as Python's
     ``float()`` reads it (``1``, ``-0.5``, ``2.5e-3``, ``nan``, ``inf``),
-    optionally in double quotes and surrounded by spaces or tabs, and parses
+    optionally in double quotes and surrounded by whitespace, and parses
     to the same bits. Two forms that ``float()`` accepts are refused:
     underscores between digits (``1_0``) and non-ASCII digits. ``#`` starts
     no comment. Labels must lie in [1, 5]; NaN does not.
@@ -131,14 +131,12 @@ def load_csv(path: str) -> Dataset:
                 table, failure = None, exc
         if failure is not None or table.shape != (lines, len(header)):
             # a blank line, a ragged row or a bad cell: name its row
-            rows = _check_rows(path, header, ordered_features)
+            _check_rows(path, header, ordered_features)
             # no bad row: a cell float() reads but loadtxt refuses, or else
             # a quoted line break (one row over two lines) or no row at all
             if failure is not None:
                 raise DataError(f"{path}: {failure}") from None
-            if len(table) != rows:
-                raise DataError(f"{path}: {len(table)} rows parsed, {rows} expected")
-            table = table.reshape(rows, len(header))
+            table = table.reshape(-1, len(header))
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text ({exc})") from None
 
@@ -174,29 +172,27 @@ def _check_header(path: str, header: list[str]) -> list[str]:
     return [CIRCLE_FLAG_COLUMN] + [c for c in feature_cols if c != CIRCLE_FLAG_COLUMN]
 
 
-def _check_rows(path: str, header: list[str], ordered_features: list[str]) -> int:
+def _check_rows(path: str, header: list[str], ordered_features: list[str]) -> None:
     """Walk the body row by row and raise a ``DataError`` for the first bad
     row: a wrong cell count, a cell ``float()`` cannot read, or a label
-    outside [1, 5], checked in that order, cells in dataset order. Returns
-    the number of rows when none is bad. Builds no arrays."""
+    outside [1, 5], checked in that order, cells in dataset order. Builds
+    no arrays."""
     columns = ([(c, header.index(c), False) for c in ordered_features]
                + [(c, header.index(c), True) for c in LABEL_COLUMNS])
-    rows = 0
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         next(reader)
-        for rows, row in enumerate(reader, 1):
+        for number, row in enumerate(reader, 2):  # the header is row 1
             if len(row) != len(header):
-                raise DataError(f"{path}: row {rows + 1} has {len(row)} cells, expected {len(header)}")
+                raise DataError(f"{path}: row {number} has {len(row)} cells, expected {len(header)}")
             for c, k, is_label in columns:
                 try:
                     value = float(row[k])
                 except ValueError:
-                    raise DataError(f"{path}: row {rows + 1}, column {c!r}: "
+                    raise DataError(f"{path}: row {number}, column {c!r}: "
                                     f"non-numeric value {row[k]!r}") from None
                 if is_label and not 1.0 <= value <= 5.0:
-                    raise DataError(f"{path}: row {rows + 1}, column {c!r}: label {value} outside [1, 5]")
-    return rows
+                    raise DataError(f"{path}: row {number}, column {c!r}: label {value} outside [1, 5]")
 
 
 def save_csv(ds: Dataset, path: str) -> None:

@@ -263,14 +263,19 @@ def _build_offsets():
 
 OFFSETS, PARAM_COUNT = _build_offsets()
 
-# layer -> its (slots, shape, shape in a stack) in LAYOUT order, which is the
-# order of the layer constructors' ``arrays``: how MlpModel binds the layer
-# arrays to its parameters; a stack's per-feature vectors get a broadcast
-# axis for the batch
-_BINDINGS: dict[str, list[tuple[slice, tuple, tuple]]] = {}
-for _name, (_start, _stop, _shape) in OFFSETS.items():
-    _BINDINGS.setdefault(_name.split(".")[0], []).append(
-        (slice(_start, _stop), _shape, (1,) + _shape if len(_shape) == 1 else _shape))
+def _build_bindings():
+    """layer -> its (slots, shape, shape in a stack) in LAYOUT order, which is
+    the order of the layer constructors' ``arrays``: how MlpModel binds the
+    layer arrays to its parameters. A stack's per-feature vectors get a
+    broadcast axis for the batch."""
+    bindings = {}
+    for name, (start, stop, shape) in OFFSETS.items():
+        bindings.setdefault(name.split(".")[0], []).append(
+            (slice(start, stop), shape, (1,) + shape if len(shape) == 1 else shape))
+    return bindings
+
+
+_BINDINGS = _build_bindings()
 
 
 def slot_slice(name: str) -> slice:
