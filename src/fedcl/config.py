@@ -1,32 +1,33 @@
 """Benchmark configuration: INI-style key-value files with an optional
 sweep section expanded into a cartesian product of experiments.
 
-Schema (all keys optional unless noted; unknown keys are errors):
+Schema (all keys optional; unknown keys are errors; an empty value keeps
+the default; out-of-range values are rejected naming the key):
 
     [experiment]
-    clients = 2                 ; >= 1
-    rounds = 10                 ; >= 1
+    clients = 2
+    rounds = 10
     local_epochs = 1
     batch_size = 32
     seed = 42
     learning_rate = 0.001
     client_optimizer = adam     ; sgd | adam
     strategy = fedavg           ; fedavg | fedbn | fedprox | fedopt | feddistill
-    cl_method = none            ; none | ewc | ewc_online | si | mas | nr
-    augmentation = false
-    augment_sigma = 0.01
-    hidden_activation = identity  ; identity | relu
     mu = 0.01                   ; fedprox
-    server_optimizer = adam     ; fedopt
+    server_optimizer = adam     ; fedopt: sgd | adam
     server_learning_rate = 0.01 ; fedopt
     distill_weight = 0.5        ; feddistill
     weighted_aggregation = false
+    cl_method = none            ; none | ewc | ewc_online | si | mas | nr
     penalty_lambda =            ; empty -> per-method default
     gamma_online = 1.0
     fisher_samples = 8
     si_xi = 0.1
     buffer_capacity = 1000
     mix_ratio = 0.5
+    augmentation = false
+    augment_sigma = 0.01
+    hidden_activation = identity  ; identity | relu
     rounds_per_task =           ; FCL, empty -> rounds
 
     [sweep]                     ; comma lists, cartesian product
@@ -34,59 +35,91 @@ Schema (all keys optional unless noted; unknown keys are errors):
     clients = 2, 10
     augmentation = false, true
     cl_methods = none
+    seeds = 42
 
     [suite]
     dataset = synthetic         ; or a CSV path
     synthetic_n = 1000
     synthetic_noise = 0.1
+
+The ``[experiment]`` keys are the fields of ``ExperimentConfig`` and of the
+``StrategyConfig`` and ``PenaltyConfig`` nested in it, and the ``[suite]``
+keys those of ``SuiteSpec``: each key's name, type and default is declared
+once, on its dataclass field, and each range check once, in that
+dataclass.
 """
 
 from __future__ import annotations
 
 import configparser
+import dataclasses
+import functools
 import hashlib
 import itertools
 import json
+import typing
 from dataclasses import dataclass
 
-from .continual import CL_METHODS, PenaltyConfig
 from .orchestrator import ExperimentConfig
-from .strategies import STRATEGIES, StrategyConfig
 
 
 class ConfigError(ValueError):
     """Invalid benchmark configuration; message carries the key path."""
 
 
-_EXPERIMENT_KEYS = {
-    "clients": int,
-    "rounds": int,
-    "local_epochs": int,
-    "batch_size": int,
-    "seed": int,
-    "learning_rate": float,
-    "client_optimizer": str,
-    "strategy": str,
-    "cl_method": str,
-    "augmentation": bool,
-    "augment_sigma": float,
-    "hidden_activation": str,
-    "mu": float,
-    "server_optimizer": str,
-    "server_learning_rate": float,
-    "distill_weight": float,
-    "weighted_aggregation": bool,
-    "penalty_lambda": float,
-    "gamma_online": float,
-    "fisher_samples": int,
-    "si_xi": float,
-    "buffer_capacity": int,
-    "mix_ratio": float,
-    "rounds_per_task": int,
-}
+@dataclass
+class SuiteSpec:
+    """Dataset source shared by every experiment in the suite."""
+    dataset: str = "synthetic"
+    synthetic_n: int = 1000
+    synthetic_noise: float = 0.1
 
-_SWEEP_KEYS = {"strategies", "clients", "augmentation", "cl_methods", "seeds"}
-_SUITE_KEYS = {"dataset", "synthetic_n", "synthetic_noise"}
+    def __post_init__(self):
+        if self.synthetic_n < 1:
+            raise ValueError(f"synthetic_n must be >= 1, got {self.synthetic_n}")
+        if self.synthetic_noise < 0.0:
+            raise ValueError(f"synthetic_noise must be >= 0, got {self.synthetic_noise}")
+
+
+_hints = functools.cache(typing.get_type_hints)
+
+
+def _fields(cls, prefix: str = ""):
+    """(dotted path, type, default) of every field of a config dataclass,
+    walking into the config dataclasses nested in it; ``X | None`` gives X."""
+    for f in dataclasses.fields(cls):
+        typ = _hints(cls)[f.name]
+        if dataclasses.is_dataclass(typ):
+            yield from _fields(typ, f"{prefix}{f.name}.")
+        else:
+            typ = next(t for t in typing.get_args(typ) or (typ,) if t is not type(None))
+            yield prefix + f.name, typ, f.default
+
+
+def _instantiate(cls, by_path: dict, prefix: str = ""):
+    """``cls`` with every field taken from ``by_path``, keyed as ``_fields``."""
+    kwargs = {}
+    for f in dataclasses.fields(cls):
+        typ = _hints(cls)[f.name]
+        kwargs[f.name] = (_instantiate(typ, by_path, f"{prefix}{f.name}.")
+                          if dataclasses.is_dataclass(typ) else by_path[prefix + f.name])
+    return cls(**kwargs)
+
+
+# the INI names of the fields whose name differs; every other key is the
+# field's own name, also in a nested config
+_RENAMED = {"clients": "n_clients", "rounds": "n_rounds", "strategy": "strategy.kind",
+            "penalty_lambda": "penalty.lambda_", "si_xi": "penalty.xi"}
+_KEY_OF_PATH = {path: key for key, path in _RENAMED.items()}
+
+# [experiment] key -> (field path, type, default)
+EXPERIMENT_SCHEMA = {_KEY_OF_PATH.get(path, path.rpartition(".")[2]): (path, typ, default)
+                     for path, typ, default in _fields(ExperimentConfig)}
+SUITE_SCHEMA = {path: (path, typ, default) for path, typ, default in _fields(SuiteSpec)}
+
+# each [sweep] list and the [experiment] key it sweeps, in product order
+_SWEEPS = {"strategies": "strategy", "clients": "clients", "augmentation": "augmentation",
+           "cl_methods": "cl_method", "seeds": "seed"}
 
 
 def _parse_bool(raw: str, path: str) -> bool:
@@ -108,12 +141,19 @@ def _coerce(raw: str, typ, path: str):
         raise ConfigError(f"{path}: expected {typ.__name__}, got {raw!r}") from None
 
 
-@dataclass
-class SuiteSpec:
-    """Dataset source shared by every experiment in the suite."""
-    dataset: str = "synthetic"
-    synthetic_n: int = 1000
-    synthetic_noise: float = 0.1
+def _build(cls, schema: dict, values: dict, section: str):
+    """``cls`` from INI ``values``; a dataclass check's ``ValueError``, whose
+    message starts with a field's name, becomes a ``ConfigError`` naming the
+    INI key of that field (field names are unique across the nested
+    configs)."""
+    try:
+        return _instantiate(cls, {path: values[key] for key, (path, _, _) in schema.items()})
+    except ValueError as exc:
+        name, _, problem = str(exc).partition(" ")
+        keys = {path.rpartition(".")[2]: key for key, (path, _, _) in schema.items()}
+        if name in keys:
+            raise ConfigError(f"{section}.{keys[name]}: {problem}") from exc
+        raise ConfigError(f"{section}: {exc}") from exc
 
 
 @dataclass
@@ -130,42 +170,7 @@ class ExperimentSpec:
         return self.values["cl_method"] != "none"
 
     def build(self) -> ExperimentConfig:
-        v = self.values
-        strategy = StrategyConfig(
-            kind=v["strategy"],
-            mu=v["mu"],
-            server_optimizer=v["server_optimizer"],
-            server_learning_rate=v["server_learning_rate"],
-            distill_weight=v["distill_weight"],
-            weighted_aggregation=v["weighted_aggregation"],
-        )
-        penalty = PenaltyConfig(
-            lambda_=v["penalty_lambda"],
-            gamma_online=v["gamma_online"],
-            fisher_samples=v["fisher_samples"],
-            xi=v["si_xi"],
-            buffer_capacity=v["buffer_capacity"],
-            mix_ratio=v["mix_ratio"],
-        )
-        try:
-            return ExperimentConfig(
-                n_clients=v["clients"],
-                n_rounds=v["rounds"],
-                local_epochs=v["local_epochs"],
-                batch_size=v["batch_size"],
-                seed=v["seed"],
-                learning_rate=v["learning_rate"],
-                client_optimizer=v["client_optimizer"],
-                strategy=strategy,
-                cl_method=v["cl_method"],
-                penalty=penalty,
-                augmentation=v["augmentation"],
-                augment_sigma=v["augment_sigma"],
-                hidden_activation=v["hidden_activation"],
-                rounds_per_task=v["rounds_per_task"],
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        return _build(ExperimentConfig, EXPERIMENT_SCHEMA, self.values, "experiment")
 
 
 @dataclass
@@ -174,43 +179,16 @@ class BenchmarkSuite:
     suite: SuiteSpec
 
 
-_DEFAULTS = {
-    "clients": 2,
-    "rounds": 10,
-    "local_epochs": 1,
-    "batch_size": 32,
-    "seed": 42,
-    "learning_rate": 1e-3,
-    "client_optimizer": "adam",
-    "strategy": "fedavg",
-    "cl_method": "none",
-    "augmentation": False,
-    "augment_sigma": 0.01,
-    "hidden_activation": "identity",
-    "mu": 0.01,
-    "server_optimizer": "adam",
-    "server_learning_rate": 0.01,
-    "distill_weight": 0.5,
-    "weighted_aggregation": False,
-    "penalty_lambda": None,
-    "gamma_online": 1.0,
-    "fisher_samples": 8,
-    "si_xi": 0.1,
-    "buffer_capacity": 1000,
-    "mix_ratio": 0.5,
-    "rounds_per_task": None,
-}
-
-
-def _validate_choices(values: dict, path: str = "experiment") -> None:
-    if values["strategy"] not in STRATEGIES:
-        raise ConfigError(f"{path}.strategy: unknown strategy {values['strategy']!r}")
-    if values["cl_method"] not in CL_METHODS:
-        raise ConfigError(f"{path}.cl_method: unknown cl_method {values['cl_method']!r}")
-    if values["clients"] < 1:
-        raise ConfigError(f"{path}.clients: must be >= 1, got {values['clients']}")
-    if values["rounds"] < 1:
-        raise ConfigError(f"{path}.rounds: must be >= 1, got {values['rounds']}")
+def _read_section(parser: configparser.ConfigParser, section: str, schema: dict) -> dict:
+    """The section's defaults, overridden by its non-empty values."""
+    values = {key: default for key, (_, _, default) in schema.items()}
+    if parser.has_section(section):
+        for key, raw in parser.items(section):
+            if key not in schema:
+                raise ConfigError(f"{section}.{key}: unknown key")
+            if raw.strip():
+                values[key] = _coerce(raw, schema[key][1], f"{section}.{key}")
+    return values
 
 
 def parse_config(path: str, seed: int | None = None) -> BenchmarkSuite:
@@ -225,59 +203,29 @@ def parse_config(path: str, seed: int | None = None) -> BenchmarkSuite:
         if section not in ("experiment", "sweep", "suite"):
             raise ConfigError(f"unknown section [{section}]")
 
-    base = dict(_DEFAULTS)
-    if parser.has_section("experiment"):
-        for key, raw in parser.items("experiment"):
-            if key not in _EXPERIMENT_KEYS:
-                raise ConfigError(f"experiment.{key}: unknown key")
-            if raw.strip() == "":
-                continue
-            base[key] = _coerce(raw, _EXPERIMENT_KEYS[key], f"experiment.{key}")
+    base = _read_section(parser, "experiment", EXPERIMENT_SCHEMA)
+    suite = _build(SuiteSpec, SUITE_SCHEMA, _read_section(parser, "suite", SUITE_SCHEMA), "suite")
 
-    suite = SuiteSpec()
-    if parser.has_section("suite"):
-        for key, raw in parser.items("suite"):
-            if key not in _SUITE_KEYS:
-                raise ConfigError(f"suite.{key}: unknown key")
-            if key == "dataset":
-                suite.dataset = raw.strip()
-            elif key == "synthetic_n":
-                suite.synthetic_n = _coerce(raw, int, f"suite.{key}")
-            else:
-                suite.synthetic_noise = _coerce(raw, float, f"suite.{key}")
-
-    sweeps = {}
+    axes = {key: [base[key]] for key in _SWEEPS.values()}
     if parser.has_section("sweep"):
-        for key, raw in parser.items("sweep"):
-            if key not in _SWEEP_KEYS:
-                raise ConfigError(f"sweep.{key}: unknown key")
-            items = [s.strip() for s in raw.split(",") if s.strip()]
+        for name, raw in parser.items("sweep"):
+            if name not in _SWEEPS:
+                raise ConfigError(f"sweep.{name}: unknown key")
+            typ = EXPERIMENT_SCHEMA[_SWEEPS[name]][1]
+            items = [_coerce(s, typ, f"sweep.{name}") for s in raw.split(",") if s.strip()]
             if not items:
-                raise ConfigError(f"sweep.{key}: empty list")
-            sweeps[key] = items
-
-    strategies = sweeps.get("strategies", [base["strategy"]])
-    clients = [_coerce(c, int, "sweep.clients") if isinstance(c, str) else c
-               for c in sweeps.get("clients", [base["clients"]])]
-    augmentations = [_parse_bool(a, "sweep.augmentation") if isinstance(a, str) else a
-                     for a in sweeps.get("augmentation", [base["augmentation"]])]
-    cl_methods = sweeps.get("cl_methods", [base["cl_method"]])
-    seeds = [_coerce(s, int, "sweep.seeds") if isinstance(s, str) else s
-             for s in sweeps.get("seeds", [base["seed"]])]
+                raise ConfigError(f"sweep.{name}: empty list")
+            axes[_SWEEPS[name]] = items
     if seed is not None:
-        seeds = [seed]
+        axes["seed"] = [seed]
 
     experiments = []
-    for strat, n_cli, aug, method, seed in itertools.product(
-            strategies, clients, augmentations, cl_methods, seeds):
-        values = dict(base)
-        values.update(strategy=strat, clients=n_cli, augmentation=aug,
-                      cl_method=method, seed=seed)
-        if method != "none":
+    for combo in itertools.product(*axes.values()):
+        values = dict(base, **dict(zip(axes, combo)))
+        if values["cl_method"] != "none":
             values["strategy"] = "fedavg"  # FCL adapts fedavg only
-        _validate_choices(values)
         spec = ExperimentSpec(values)
-        spec.build()  # surface invalid combinations at parse time
+        spec.build()  # surface invalid values and combinations at parse time
         experiments.append(spec)
 
     # sweeping cl_methods with a strategies sweep can produce duplicates

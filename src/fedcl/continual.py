@@ -38,15 +38,20 @@ class PenaltyConfig:
     buffer_capacity: int = 1000    # NR
     mix_ratio: float = 0.5         # NR buffer fraction per batch
 
+    # each message starts with the field's name, which config.py maps to its INI key
     def __post_init__(self):
         if self.lambda_ is not None and self.lambda_ < 0.0:
-            raise ValueError("lambda must be >= 0")
+            raise ValueError(f"lambda_ must be >= 0, got {self.lambda_}")
         if not 0.0 < self.gamma_online <= 1.0:
-            raise ValueError("gamma_online must be in (0, 1]")
+            raise ValueError(f"gamma_online must be in (0, 1], got {self.gamma_online}")
+        if self.fisher_samples < 1:
+            raise ValueError(f"fisher_samples must be >= 1, got {self.fisher_samples}")
         if self.xi <= 0.0:
-            raise ValueError("xi must be positive")
+            raise ValueError(f"xi must be positive, got {self.xi}")
+        if self.buffer_capacity < 1:
+            raise ValueError(f"buffer_capacity must be >= 1, got {self.buffer_capacity}")
         if not 0.0 <= self.mix_ratio <= 1.0:
-            raise ValueError("mix_ratio must be in [0, 1]")
+            raise ValueError(f"mix_ratio must be in [0, 1], got {self.mix_ratio}")
 
     def effective_lambda(self, method: str) -> float:
         if self.lambda_ is not None:
@@ -261,10 +266,9 @@ class ReplayBuffer:
         return self._features[idx], self._labels[idx]
 
 
-def nr_store(buffer: ReplayBuffer, task_samples: dataio.Dataset, seed: int = 0) -> ReplayBuffer:
-    """Stream a task's samples through the reservoir. seed is accepted for
-    interface symmetry; the buffer owns its RNG stream."""
-    _ = seed
+def nr_store(buffer: ReplayBuffer, task_samples: dataio.Dataset) -> ReplayBuffer:
+    """Stream a task's samples through the reservoir, drawn from the
+    buffer's own RNG stream."""
     buffer.add_dataset(task_samples)
     return buffer
 

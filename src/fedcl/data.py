@@ -153,6 +153,9 @@ def load_csv(path: str) -> Dataset:
 
 def _check_header(path: str, header: list[str]) -> list[str]:
     """Validate the header; returns the feature columns in dataset order."""
+    duplicates = sorted({c for c in header if header.count(c) > 1})
+    if duplicates:
+        raise DataError(f"{path}: duplicate columns {duplicates}")
     feature_cols = [c for c in header if c.startswith("f_")]
     label_cols = [c for c in header if c.startswith("label_")]
     unknown = [c for c in header if c not in feature_cols and c not in label_cols]

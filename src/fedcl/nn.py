@@ -31,6 +31,9 @@ OUT_DIM = 8
 BN_EPSILON = 1e-5
 BN_MOMENTUM = 0.1
 
+HIDDEN_ACTIVATIONS = ("identity", "relu")
+OPTIMIZERS = ("sgd", "adam")
+
 
 class LinearLayer:
     """Dense layer y = x @ W.T + b with weight shape (out, in). A stack of C
@@ -152,7 +155,7 @@ class MlpModel:
     batch."""
 
     def __init__(self, hidden_activation: str = "identity", params: np.ndarray | None = None):
-        if hidden_activation not in ("identity", "relu"):
+        if hidden_activation not in HIDDEN_ACTIVATIONS:
             raise ValueError(f"unknown hidden activation {hidden_activation!r}")
         fresh = params is None
         if fresh:
@@ -422,7 +425,7 @@ class Optimizer:
 
     def __init__(self, kind: str = "sgd", learning_rate: float = 1e-3,
                  beta1: float = 0.9, beta2: float = 0.999, epsilon: float = 1e-8):
-        if kind not in ("sgd", "adam"):
+        if kind not in OPTIMIZERS:
             raise ValueError(f"unknown optimizer kind {kind!r}")
         if learning_rate < 0.0:
             raise ValueError("learning rate must be nonnegative")

@@ -53,30 +53,38 @@ class ExperimentConfig:
     augmentation: bool = False
     augment_sigma: float = 0.01
     hidden_activation: str = "identity"
-    persist_client_optimizer: bool = True
-    reset_optimizer_at_task: bool = True
     rounds_per_task: int | None = None  # FCL; defaults to n_rounds
 
+    # each message starts with the field's name, which config.py maps to its INI key
     def __post_init__(self):
-        self.validate()
-
-    def validate(self) -> None:
         if self.n_clients < 1:
-            raise ValueError("n_clients must be >= 1")
+            raise ValueError(f"n_clients must be >= 1, got {self.n_clients}")
         if self.n_rounds < 1:
-            raise ValueError("n_rounds must be >= 1")
+            raise ValueError(f"n_rounds must be >= 1, got {self.n_rounds}")
         if self.local_epochs < 1:
-            raise ValueError("local_epochs must be >= 1")
+            raise ValueError(f"local_epochs must be >= 1, got {self.local_epochs}")
         if self.batch_size < 2:
-            raise ValueError("batch_size must be >= 2")
+            raise ValueError(f"batch_size must be >= 2, got {self.batch_size}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.learning_rate < 0.0:
-            raise ValueError("learning_rate must be nonnegative")
-        if self.client_optimizer not in ("sgd", "adam"):
-            raise ValueError(f"unknown client optimizer {self.client_optimizer!r}")
+            raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate}")
+        if self.client_optimizer not in nn.OPTIMIZERS:
+            raise ValueError(f"client_optimizer must be one of {', '.join(nn.OPTIMIZERS)}, "
+                             f"got {self.client_optimizer!r}")
+        if self.hidden_activation not in nn.HIDDEN_ACTIVATIONS:
+            raise ValueError(f"hidden_activation must be one of "
+                             f"{', '.join(nn.HIDDEN_ACTIVATIONS)}, got {self.hidden_activation!r}")
+        if self.augment_sigma < 0.0:
+            raise ValueError(f"augment_sigma must be >= 0, got {self.augment_sigma}")
         if self.cl_method not in cl.CL_METHODS:
-            raise ValueError(f"unknown cl_method {self.cl_method!r}")
+            raise ValueError(f"cl_method must be one of {', '.join(cl.CL_METHODS)}, "
+                             f"got {self.cl_method!r}")
         if self.cl_method != "none" and self.strategy.kind != "fedavg":
-            raise ValueError("continual-learning methods are only combined with fedavg")
+            raise ValueError(f"cl_method {self.cl_method!r} combines only with strategy "
+                             f"fedavg, got {self.strategy.kind!r}")
+        if self.rounds_per_task is not None and self.rounds_per_task < 1:
+            raise ValueError(f"rounds_per_task must be >= 1, got {self.rounds_per_task}")
 
 
 @dataclass
@@ -285,8 +293,6 @@ def local_train(clients: list[ClientState], global_params: np.ndarray, config: E
         if len(c.shard) < 2:
             raise ExperimentError(f"client {c.client_id} failed in round {round_index}: "
                                   "shard too small to train on")
-        if not cfg.persist_client_optimizer:
-            c.optimizer.reset()
     # rows follow shard size, so that clients whose batches have equal row
     # counts are adjacent and step as one run, also in a ragged last batch
     members = sorted(clients, key=lambda c: len(c.shard))
@@ -367,7 +373,7 @@ def _consolidate(client: ClientState, config: ExperimentConfig, task_index: int)
         client.anchors.append(cl.AnchorParams(theta, task_index))
         client.importances.append(omega)
     elif method == "nr":
-        cl.nr_store(client.buffer, client.shard, fseed)
+        cl.nr_store(client.buffer, client.shard)
 
 
 def _build_clients(config: ExperimentConfig, shards: list[dataio.Dataset],
@@ -455,7 +461,8 @@ def run_fcl(config: ExperimentConfig, train: dataio.Dataset, test: dataio.Datase
     if config.strategy.kind != "fedavg":
         raise ValueError("run_fcl adapts fedavg only")
     if rounds_per_task is None:
-        rounds_per_task = [config.rounds_per_task or config.n_rounds] * 2
+        rounds_per_task = [config.n_rounds if config.rounds_per_task is None
+                           else config.rounds_per_task] * 2
     parts = dataio.partition_clients(train, config.n_clients, config.seed)
     client_tasks = []
     for p in parts:
@@ -484,7 +491,7 @@ def run_fcl(config: ExperimentConfig, train: dataio.Dataset, test: dataio.Datase
                 shard = dataio.augment(shard, config.augment_sigma,
                                        derive_seed(config.seed, 25, c.client_id, task_index))
             c.shard = shard
-            if task_index > 0 and config.reset_optimizer_at_task:
+            if task_index > 0:
                 c.optimizer.reset()
         for r in range(n_rounds):
             t0 = time.perf_counter()

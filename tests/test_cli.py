@@ -57,6 +57,35 @@ class TestRun:
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "r")]) == 2
         assert "invalid config" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("experiment", "mu", "-1"),
+        ("experiment", "gamma_online", "2"),
+        ("experiment", "mix_ratio", "2"),
+        ("experiment", "si_xi", "0"),
+        ("experiment", "penalty_lambda", "-1"),
+        ("experiment", "distill_weight", "3"),
+        ("experiment", "hidden_activation", "tanh"),
+        ("experiment", "server_optimizer", "rmsprop"),
+        ("experiment", "server_learning_rate", "-0.1"),
+        ("experiment", "buffer_capacity", "0"),
+        ("experiment", "fisher_samples", "0"),
+        ("experiment", "augment_sigma", "-0.01"),
+        ("experiment", "rounds_per_task", "0"),
+        ("experiment", "rounds_per_task", "-1"),
+        ("experiment", "seed", "-1"),
+        ("suite", "synthetic_n", "0"),
+        ("suite", "synthetic_noise", "-0.1"),
+    ])
+    def test_out_of_range_value_exits_2_naming_the_key(self, tmp_path, capsys,
+                                                       section, key, value):
+        path = tmp_path / "bad.ini"
+        path.write_text(f"[{section}]\n{key} = {value}\n")
+        out_dir = tmp_path / "r"
+        assert main(["run", "--config", str(path), "--out", str(out_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid config: ") and f"{section}.{key}:" in err
+        assert not out_dir.exists()
+
     def test_failed_experiment_exits_1(self, tmp_path, capsys):
         path = tmp_path / "bench.ini"
         path.write_text(CONFIG + "\n[sweep]\nclients = 500\n")

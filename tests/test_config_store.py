@@ -1,10 +1,20 @@
+import configparser
 import json
 import os
+import tempfile
+import textwrap
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fedcl import config as fconfig
+from fedcl import continual as cl
 from fedcl import data as dataio
-from fedcl.config import BenchmarkSuite, ConfigError, ExperimentSpec, parse_config
+from fedcl import nn
+from fedcl import strategies as fed
+from fedcl.config import (EXPERIMENT_SCHEMA, BenchmarkSuite, ConfigError, ExperimentSpec,
+                          parse_config)
 from fedcl.store import (IncompleteRunError, ResultsStore, emit_table, execute_experiment,
                          run_suite, verify_store)
 
@@ -121,6 +131,80 @@ class TestRunId:
         base = parse_config(write_config(tmp_path, MINIMAL)).experiments[0]
         bumped = ExperimentSpec(dict(base.values, seed=4))
         assert base.run_id() != bumped.run_id()
+
+    def test_pinned(self, tmp_path):
+        # a run id names a stored directory, so it must not move
+        assert parse_config(write_config(tmp_path, MINIMAL)).experiments[0].run_id() \
+            == "27b9f7665d42"
+        empty = parse_config(write_config(tmp_path, "[experiment]\n", "empty.ini"))
+        assert empty.experiments[0].run_id() == "5ce924aaaaae"
+
+
+# one strategy of valid values per [experiment] key
+VALID = {
+    "clients": st.integers(1, 10**6),
+    "rounds": st.integers(1, 10**6),
+    "local_epochs": st.integers(1, 100),
+    "batch_size": st.integers(2, 4096),
+    "seed": st.integers(0, 2**32 - 1),
+    "learning_rate": st.floats(0.0, 10.0),
+    "client_optimizer": st.sampled_from(nn.OPTIMIZERS),
+    "hidden_activation": st.sampled_from(nn.HIDDEN_ACTIVATIONS),
+    "augmentation": st.booleans(),
+    "augment_sigma": st.floats(0.0, 10.0),
+    "strategy": st.sampled_from(fed.STRATEGIES),
+    "mu": st.floats(0.0, 10.0),
+    "server_optimizer": st.sampled_from(nn.OPTIMIZERS),
+    "server_learning_rate": st.floats(0.0, 10.0),
+    "distill_weight": st.floats(0.0, 1.0),
+    "weighted_aggregation": st.booleans(),
+    "cl_method": st.sampled_from(cl.CL_METHODS),
+    "rounds_per_task": st.none() | st.integers(1, 10**6),
+    "penalty_lambda": st.none() | st.floats(0.0, 1e4),
+    "gamma_online": st.floats(0.0, 1.0, exclude_min=True),
+    "fisher_samples": st.integers(1, 1000),
+    "si_xi": st.floats(0.0, 10.0, exclude_min=True),
+    "buffer_capacity": st.integers(1, 10**6),
+    "mix_ratio": st.floats(0.0, 1.0),
+}
+
+
+def ini_text(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+class TestSchema:
+    def test_keys(self):
+        assert len(EXPERIMENT_SCHEMA) == 24 and set(VALID) == set(EXPERIMENT_SCHEMA)
+
+    def test_docstring_lists_every_key_with_its_default(self, tmp_path):
+        block = fconfig.__doc__.split("    [experiment]\n", 1)[1].split("\n\n", 1)[0]
+        text = "[experiment]\n" + textwrap.dedent(block)
+        parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
+        parser.read_string(text)
+        assert list(parser["experiment"]) == list(EXPERIMENT_SCHEMA)
+        values = parse_config(write_config(tmp_path, text)).experiments[0].values
+        assert values == {key: default for key, (_, _, default) in EXPERIMENT_SCHEMA.items()}
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_valid_values_round_trip(self, data):
+        values = {key: data.draw(strategy, label=key) for key, strategy in VALID.items()}
+        if values["cl_method"] != "none":
+            values["strategy"] = "fedavg"  # FCL adapts fedavg only
+        text = "[experiment]\n" + "".join(f"{k} = {ini_text(v)}\n" for k, v in values.items())
+        with tempfile.TemporaryDirectory() as work:
+            path = os.path.join(work, "bench.ini")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            (spec,) = parse_config(path).experiments
+        assert spec.values == values
+        assert {k: type(v) for k, v in spec.values.items()} == {k: type(v) for k, v in values.items()}
+        assert spec.run_id() == ExperimentSpec(values).run_id()
 
 
 SMALL_SUITE = """

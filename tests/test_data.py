@@ -78,6 +78,14 @@ class TestCsv:
         loaded = dataio.load_csv(str(path))
         assert np.array_equal(loaded.features[:, 0], ds.features[:, 0])
 
+    def test_duplicate_feature_column_named(self, tmp_path):
+        # 29 feature columns, one of them twice: f_feat02 is missing
+        path = tmp_path / "data.csv"
+        dataio.save_csv(make_dataset(3), str(path))
+        text = path.read_text()
+        path.write_text(text.replace("f_feat02", "f_feat01", 1))
+        with pytest.raises(DataError, match=r"duplicate columns \['f_feat01'\]"):
+            dataio.load_csv(str(path))
 
 
 def reference_load(path):

@@ -310,6 +310,17 @@ class TestRunFcl:
         with pytest.raises(ValueError):
             run_fcl(cfg, train, test)
 
+    @pytest.mark.parametrize("rounds", [0, -1])
+    def test_rounds_per_task_below_one_rejected(self, rounds):
+        # 0 once ran n_rounds per task, and -1 failed mid-run
+        with pytest.raises(ValueError, match="rounds_per_task must be >= 1"):
+            config(cl_method="ewc", rounds_per_task=rounds)
+
+    def test_rounds_per_task_sets_each_tasks_rounds(self):
+        train, test = two_task()
+        result = run_fcl(config(cl_method="ewc", n_rounds=3, rounds_per_task=1), train, test)
+        assert [log.task_index for log in result.round_logs] == [0, 1]
+
     def test_task_sequencing_and_eval_sets(self):
         train, test = two_task()
         cfg = config(cl_method="ewc", n_rounds=2)
