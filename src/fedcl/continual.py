@@ -105,10 +105,12 @@ def quadratic_penalty(theta: np.ndarray, anchors: list[AnchorParams],
     SI and MAS (Omega in place of Fisher). Returns (value, gradient).
 
     For a (C, P) stack of parameter vectors, every anchor and importance map
-    is stacked the same way (row k belongs to model k), and the value is one
-    number per row."""
+    is stacked the same way (row k belongs to model k), the value is one
+    number per row, and ``lambda_`` may be a (C,) array of one weight per
+    row."""
     if len(anchors) != len(importances):
         raise ValueError("need one importance map per anchor")
+    lam = np.asarray(lambda_, dtype=np.float64)[..., None]  # broadcasts over a row
     value = 0.0
     grad = np.zeros_like(theta)
     for anchor, imp in zip(anchors, importances):
@@ -116,7 +118,7 @@ def quadratic_penalty(theta: np.ndarray, anchors: list[AnchorParams],
             raise ValueError("parameter layout mismatch")
         diff = (theta - anchor.theta_star) * PENALIZED_MASK
         value = value + 0.5 * lambda_ * np.einsum("...i,...i->...", imp * diff, diff)
-        grad += lambda_ * imp * diff
+        grad += lam * imp * diff
     return value, grad
 
 

@@ -1,17 +1,27 @@
 """Experiment driver: round loops, client local training, aggregation
 barriers, continual-learning task sequencing, and evaluation scheduling.
 
-Local training is client-stacked: ``local_train`` gathers a round's cohort
-of clients into (C, P) arrays (parameters, optimizer state, SI path
-integrals, CL anchors), takes each step of every client whose batch has the
-same row count with one ``nn.backward`` and one ``Optimizer.step`` on views
-of their rows, and writes the state back to each ``ClientState``.
+Experiments train in lockstep groups. ``run_group`` advances experiments
+that share a ``group_key`` (and so their shards and every minibatch draw)
+round by round: each is a ``_Run``, and each round the clients of all its
+members train as one cohort through ``local_train``, in chunks of at most
+``COHORT_CAP`` clients; then each member consolidates, aggregates and
+evaluates on its own. ``run_fl`` and ``run_fcl`` run a group of one.
+
+Local training is client-stacked: ``local_train`` gathers a cohort of
+clients into (C, P) arrays (parameters, optimizer state, SI path
+integrals), takes each step of every client whose batch has the same row
+count with one ``nn.backward`` and one ``Optimizer.step`` on views of their
+rows, and writes the state back to each ``ClientState``. What a client's
+loss adds to the data loss (FedProx's mu and anchor, a CL penalty, a
+FedDistill teacher, NR replay) comes from its ``Member`` and its own state,
+so one cohort may mix the clients of several experiments.
 
 Determinism: every random draw comes from a stream derived from
 (seed, purpose, client, task, round, ...) via numpy's SeedSequence, and
 model k of a stack computes exactly the bits it would compute alone, so
 results are bit-identical however the clients of a round are grouped into
-cohorts.
+cohorts and however experiments are grouped.
 """
 
 from __future__ import annotations
@@ -95,7 +105,8 @@ class RoundLog:
     client_train_losses: list[float]
     wall_time: float
     # seconds of each phase of the round; consolidate is 0 except in an FCL
-    # task's last round
+    # task's last round. The clients of a group train together, so in a
+    # group local_train_time is the group's shared training seconds.
     local_train_time: float = 0.0
     consolidate_time: float = 0.0
     aggregate_time: float = 0.0
@@ -113,13 +124,48 @@ class RunResult:
         return self.round_logs[-1].report
 
 
+# The largest cohort ``run_group`` passes to one ``local_train`` call. A
+# stacked nn.backward costs least per model near 10 models and more past
+# that (cache misses), so a group's clients train in chunks of this many.
+COHORT_CAP = 10
+
+# what the experiments of a group share: their shards, task split, round
+# schedule and minibatch draws follow from these fields, and a stacked
+# optimizer steps every row with one kind and learning rate
+_GROUP_FIELDS = ("n_clients", "n_rounds", "rounds_per_task", "local_epochs", "batch_size", "seed",
+                 "augmentation", "augment_sigma", "hidden_activation", "client_optimizer",
+                 "learning_rate")
+
+
+def group_key(config: ExperimentConfig) -> tuple:
+    """Experiments whose configs have the same key (and that are all FL or
+    all FCL) can train in lockstep as one group."""
+    return tuple(getattr(config, name) for name in _GROUP_FIELDS)
+
+
+@dataclass
+class Member:
+    """One experiment as its clients see it: its config, the global
+    parameters broadcast to them this round (FedProx's anchor), and the
+    error that stopped it. Every loss term a client trains with comes from
+    its member and its own ``ClientState``, so one cohort may mix the
+    clients of several experiments."""
+    config: ExperimentConfig
+    global_params: np.ndarray
+    error: Exception | None = None
+    # a group's plain batch draws of the round, shared by its members: a
+    # draw depends only on its key, so the copies of a client draw it once
+    plans: dict | None = None
+
+
 @dataclass
 class ClientState:
     client_id: int
     shard: dataio.Dataset
     model: nn.MlpModel
     optimizer: nn.Optimizer
-    teacher_model: nn.MlpModel | None = None
+    member: Member
+    teacher_model: nn.MlpModel | None = None  # FedDistill with a nonzero weight
     teacher_optimizer: nn.Optimizer | None = None
     anchors: list[cl.AnchorParams] = field(default_factory=list)
     importances: list[np.ndarray] = field(default_factory=list)
@@ -144,73 +190,164 @@ def evaluate(params: np.ndarray, test_set: dataio.Dataset,
 
 @dataclass
 class _Rows:
-    """Views of rows lo:hi of a ``_Stack``, stepped together in place. A
-    single row is a plain one-model view: (P,) parameters, 2-D batches."""
+    """Views of rows lo:hi of a ``_Stack``, stepped together in place, and
+    the loss terms of the clients on them. A single row is a plain
+    one-model view: (P,) parameters, 2-D batches.
+
+    Each loss term covers the rows ``sel`` of the run (``slice(None)`` for
+    all of them, else their positions) and holds one value per covered row,
+    stacked like the rows (a plain value for a single row)."""
     theta: np.ndarray
     model: nn.MlpModel
     optimizer: nn.Optimizer
-    si_acc: cl.SiAccumulator | None
-    anchors: list[cl.AnchorParams]
-    importances: list[np.ndarray]
+    si: tuple | None = None          # SI: (sel, accumulator of the path integrals)
+    prox: tuple | None = None        # FedProx: (sel, mu, anchor)
+    penalties: list[tuple] = field(default_factory=list)  # (sel, lambda, anchors, importances)
+    distill: list[tuple] = field(default_factory=list)  # (sel, teacher rows' _Rows, weight)
+
+
+class _Part:
+    """The rows of a stack that carry one loss term, in row order, with
+    the term's values stacked the same way. The covered rows of a run are
+    consecutive here, so a run reads its values as views."""
+
+    def __init__(self, rows: list[int], *values: list):
+        self.rows = rows
+        self._pos = {r: q for q, r in enumerate(rows)}
+        self.values = [np.stack(v) for v in values]
+
+    def run(self, lo: int, hi: int):
+        """(sel, the run's values) for rows lo:hi, or None if none is covered."""
+        covered = [self._pos[r] for r in range(lo, hi) if r in self._pos]
+        if not covered:
+            return None
+        a, b = covered[0], covered[-1] + 1
+        sel = (slice(None) if b - a == hi - lo
+               else np.array([r - lo for r in self.rows[a:b]]))
+        return (sel, *(v[a] if hi - lo == 1 else v[a:b] for v in self.values))
 
 
 class _Stack:
     """One round's training state of a cohort of models, stacked: row k of
-    every array belongs to the k-th model, its optimizer and SI
-    accumulator, which ``unstack`` writes back to. A cohort of one is not
-    copied: its only rows are the model's own state, stepped in place."""
+    every array belongs to the k-th client's model and optimizer (or, with
+    ``teacher`` true, its FedDistill teacher model and optimizer), which
+    ``unstack`` writes back to. A cohort of one is not copied: its only rows
+    are the model's own state, stepped in place. The loss terms of a
+    student stack are stacked once per term over the rows that carry it
+    (``_Part``), and a run of rows reads them as views; the distillation
+    targets come from ``teachers``, the teacher stack of the clients with
+    teachers."""
 
-    def __init__(self, models: list[nn.MlpModel], optimizers: list[nn.Optimizer],
-                 si_accs: list[cl.SiAccumulator] | None = None,
-                 anchors: list[list[cl.AnchorParams]] | None = None,
-                 importances: list[list[np.ndarray]] | None = None):
-        self._models, self._optimizers, self._si_accs = models, optimizers, si_accs
-        self.hidden_activation = models[0].hidden_activation
+    def __init__(self, clients: list[ClientState], task_index: int, teacher: bool = False,
+                 teachers: "_Stack | None" = None):
+        self.clients, self.teachers = clients, teachers
+        self.row_of = {id(c): k for k, c in enumerate(clients)}
+        self._models = [c.teacher_model if teacher else c.model for c in clients]
+        self._optimizers = [c.teacher_optimizer if teacher else c.optimizer for c in clients]
+        self.hidden_activation = self._models[0].hidden_activation
         self._rows: dict[tuple[int, int], _Rows] = {}
-        if len(models) == 1:
-            self.params = models[0].params
-            self._rows[(0, 1)] = _Rows(self.params, models[0], optimizers[0],
-                                       si_accs[0] if si_accs else None,
-                                       anchors[0] if anchors else [],
-                                       importances[0] if importances else [])
+        self._si = self._prox = None
+        self._penalties: list[tuple[list[int], _Part]] = []  # (task ids, part) by anchor count
+        if not teacher:
+            self._stack_terms(task_index)
+        if len(clients) == 1:
+            self.params = self._models[0].params
+            self._rows[(0, 1)] = self._with_terms(
+                _Rows(self.params, self._models[0], self._optimizers[0]), 0, 1)
             return
-        self.params = np.stack([m.params for m in models])
-        self.optimizer = nn.Optimizer.stack(optimizers, self.params)
-        self.si_acc = None
-        if si_accs:
-            self.si_acc = cl.SiAccumulator(np.stack([a.theta_at_task_start for a in si_accs]),
-                                           np.stack([a.omega_running for a in si_accs]),
-                                           si_accs[0].xi)
-        self.anchors = [cl.AnchorParams(np.stack([a[i].theta_star for a in anchors]),
-                                        anchors[0][i].task_id)
-                        for i in range(len(anchors[0]))] if anchors else []
-        self.importances = [np.stack([imp[i] for imp in importances])
-                            for i in range(len(importances[0]))] if importances else []
+        self.params = np.stack([m.params for m in self._models])
+        self.optimizer = nn.Optimizer.stack(self._optimizers, self.params)
+
+    def _stack_terms(self, task_index: int) -> None:
+        def part(covers, *values):
+            """The _Part of the clients ``covers`` picks, with ``values`` of each."""
+            rows = [k for k, c in enumerate(self.clients) if covers(c)]
+            return (_Part(rows, *([value(self.clients[k]) for k in rows] for value in values))
+                    if rows else None)
+
+        self._si = part(lambda c: c.si_acc is not None, lambda c: c.si_acc.omega_running)
+        self._prox = part(lambda c: (c.member.config.strategy.kind == "fedprox"
+                                     and c.member.config.strategy.mu > 0.0),
+                          lambda c: c.member.config.strategy.mu, lambda c: c.member.global_params)
+        penalized = [c for c in self.clients if _penalty_lambda(c, task_index)]
+        for n in sorted({len(c.anchors) for c in penalized}):
+            task_ids = [a.task_id for a in next(c for c in penalized if len(c.anchors) == n).anchors]
+            self._penalties.append((task_ids, part(
+                lambda c, n=n: _penalty_lambda(c, task_index) > 0.0 and len(c.anchors) == n,
+                lambda c: _penalty_lambda(c, task_index),
+                *(lambda c, i=i: c.anchors[i].theta_star for i in range(n)),
+                *(lambda c, i=i: c.importances[i] for i in range(n)))))
 
     def rows(self, lo: int, hi: int) -> _Rows:
         rows = self._rows.get((lo, hi))
         if rows is None:
             sel = lo if hi - lo == 1 else slice(lo, hi)
             theta = self.params[sel]
-            acc = self.si_acc
-            rows = _Rows(theta, nn.MlpModel(self.hidden_activation, theta),
-                         self.optimizer.rows(sel),
-                         None if acc is None else cl.SiAccumulator(
-                             acc.theta_at_task_start[sel], acc.omega_running[sel], acc.xi),
-                         [cl.AnchorParams(a.theta_star[sel], a.task_id) for a in self.anchors],
-                         [imp[sel] for imp in self.importances])
+            rows = self._with_terms(_Rows(theta, nn.MlpModel(self.hidden_activation, theta),
+                                          self.optimizer.rows(sel)), lo, hi)
             self._rows[(lo, hi)] = rows
         return rows
 
+    def _with_terms(self, rows: _Rows, lo: int, hi: int) -> _Rows:
+        """Fill in the loss terms of rows lo:hi from the stacked parts."""
+        if self._si is not None and (si := self._si.run(lo, hi)):
+            sel, omega = si
+            # only the path integral is stepped; the task's start is not read
+            rows.si = sel, cl.SiAccumulator(None, omega)
+        if self._prox is not None:
+            rows.prox = self._prox.run(lo, hi)
+        for task_ids, part in self._penalties:
+            if run := part.run(lo, hi):
+                sel, lam, *arrays = run
+                n = len(task_ids)
+                rows.penalties.append((sel, lam, [cl.AnchorParams(a, t) for a, t
+                                                  in zip(arrays[:n], task_ids)], arrays[n:]))
+        if self.teachers is not None:
+            # each run of consecutive teacher rows forwards as one teacher view
+            k = hi - lo
+            pairs = [(i, self.teachers.row_of[id(c)]) for i, c in enumerate(self.clients[lo:hi])
+                     if c.teacher_model is not None]
+            for _, segment in itertools.groupby(enumerate(pairs), key=lambda e: e[1][1] - e[0]):
+                idx, teacher_rows = zip(*(pair for _, pair in segment))
+                rows.distill.append((
+                    slice(None) if len(idx) == k else np.array(idx),
+                    self.teachers.rows(teacher_rows[0], teacher_rows[-1] + 1),
+                    np.array([self.clients[lo + i].member.config.strategy.distill_weight
+                              for i in idx])[:, None, None]))
+        return rows
+
     def unstack(self) -> None:
+        if self._si is not None:  # in place: the accumulators keep their own arrays
+            for k, omega in zip(self._si.rows, self._si.values[0]):
+                self.clients[k].si_acc.omega_running[...] = omega
         if len(self._models) == 1:
             return
         for model, row in zip(self._models, self.params):
             model.params[...] = row
         self.optimizer.unstack(self._optimizers)
-        if self.si_acc is not None:
-            for acc, row in zip(self._si_accs, self.si_acc.omega_running):
-                acc.omega_running = row
+
+
+def _penalty_lambda(client: ClientState, task_index: int) -> float:
+    """The weight of the client's quadratic CL penalty (EWC, EWC-Online, SI,
+    MAS) this round; 0 when it trains without one."""
+    cfg = client.member.config
+    if cfg.cl_method not in ("ewc", "ewc_online", "si", "mas") or task_index == 0 \
+            or not client.anchors:
+        return 0.0
+    return cfg.penalty.effective_lambda(cfg.cl_method)
+
+
+def _replays(client: ClientState, task_index: int) -> bool:
+    return task_index > 0 and client.buffer is not None and len(client.buffer) > 0
+
+
+def _cohort_order(clients: list[ClientState], task_index: int) -> list[ClientState]:
+    """The rows of a cohort: clients whose batches have equal row counts
+    are adjacent, so they step as one run, also in a ragged last batch.
+    The sort is stable, so a group's chunks keep each member's clients
+    together where shard sizes allow (and its FedDistill teachers in one
+    stack)."""
+    return sorted(clients, key=lambda c: (_replays(c, task_index), len(c.shard)))
 
 
 def _schedule(plans: list[list[tuple]]) -> list[tuple[int, int, int]]:
@@ -232,123 +369,186 @@ def _schedule(plans: list[list[tuple]]) -> list[tuple[int, int, int]]:
     return schedule
 
 
-def _epoch_batches(client: ClientState, config: ExperimentConfig, seed: int, epoch: int,
-                   replay: bool) -> list[tuple[np.ndarray, np.ndarray | None]]:
-    """One client's batches of an epoch, as (shard row indices, replay
-    buffer positions or None)."""
+def _epoch_batches(client: ClientState, purpose: int, task_index: int, round_index: int,
+                   epoch: int, replay: bool) -> list[tuple[np.ndarray, np.ndarray | None]]:
+    """One client's batches of an epoch from its ``purpose`` stream, as
+    (shard row indices, replay buffer positions or None)."""
+    cfg, n, plans = client.member.config, len(client.shard), client.member.plans
     # small shards (e.g. task splits at 10 clients) cap the batch size
-    batch_size = min(config.batch_size, len(client.shard))
-    if replay and client.buffer is not None and len(client.buffer) > 0:
-        return cl.nr_mixed_indices(client.buffer, len(client.shard), batch_size,
-                                   config.penalty.mix_ratio, seed, epoch)
-    return [(idx, None) for idx in
-            dataio.minibatch_indices(len(client.shard), batch_size, seed, epoch)]
+    batch_size = min(cfg.batch_size, n)
+    if replay and _replays(client, task_index):
+        stream = derive_seed(cfg.seed, purpose, client.client_id, task_index, round_index)
+        return cl.nr_mixed_indices(client.buffer, n, batch_size, cfg.penalty.mix_ratio,
+                                   stream, epoch)
+    key = (cfg.seed, purpose, client.client_id, task_index, round_index, n, batch_size, epoch)
+    if plans is not None and key in plans:
+        return plans[key]
+    stream = derive_seed(cfg.seed, purpose, client.client_id, task_index, round_index)
+    plan = [(idx, None) for idx in dataio.minibatch_indices(n, batch_size, stream, epoch)]
+    if plans is not None:
+        plans[key] = plan
+    return plan
 
 
-def _train_epochs(stack: _Stack, members: list[ClientState], purpose: int, replay: bool,
-                  loss_terms, config: ExperimentConfig, task_index: int, round_index: int,
+def _fail(client: ClientState, message: str, exc: Exception) -> None:
+    """Stop the client's member with its first error."""
+    if client.member.error is None:
+        error = ExperimentError(message)
+        error.__cause__ = exc
+        client.member.error = error
+
+
+def _live_runs(clients: list[ClientState], lo: int, hi: int):
+    """The maximal runs a:b inside lo:hi of rows whose member has not failed."""
+    a = lo
+    for k in range(lo, hi + 1):
+        if k == hi or clients[k].member.error is not None:
+            if k > a:
+                yield a, k
+            a = k + 1
+
+
+def _batch(clients: list[ClientState], plans: list, j: int, lo: int,
+           hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """The client-major batch of rows lo:hi at step j, gathered in place."""
+    if hi - lo == 1:
+        return cl.mixed_batch_rows(clients[lo].buffer, clients[lo].shard, *plans[lo][j])
+    new, buf = plans[lo][j]
+    n = len(new) + (0 if buf is None else len(buf))
+    x, y = np.empty(((hi - lo) * n, nn.IN_DIM)), np.empty(((hi - lo) * n, nn.OUT_DIM))
+    for i in range(lo, hi):
+        s = slice((i - lo) * n, (i - lo + 1) * n)
+        x[s], y[s] = cl.mixed_batch_rows(clients[i].buffer, clients[i].shard, *plans[i][j])
+    return x, y
+
+
+def _loss_gradient(rows: _Rows, x: np.ndarray, y: np.ndarray, k: int) -> np.ndarray:
+    """The gradient of rows' loss on a client-major batch of k clients: the
+    data loss against the labels, or the distillation target of the rows
+    with teachers, plus each row's FedProx or CL penalty."""
+    target = y
+    if rows.distill:
+        target = y.reshape(k, -1, nn.OUT_DIM).copy()
+        for sel, teacher, weight in rows.distill:
+            tpred = teacher.model.forward(x.reshape(k, -1, nn.IN_DIM)[sel].reshape(-1, nn.IN_DIM),
+                                          mode="eval")
+            target[sel] = fed.distill_target(target[sel], tpred.reshape(target[sel].shape),
+                                             weight)
+        target = target.reshape(y.shape)
+    g = nn.backward(rows.model, x, target)
+    if rows.prox is not None:
+        sel, mu, anchor = rows.prox
+        _, pg = fed.fedprox_penalty(rows.theta[sel], anchor, mu)
+        pg *= cl.PENALIZED_MASK
+        g[sel] += pg
+    for sel, lam, anchors, importances in rows.penalties:
+        _, pg = cl.quadratic_penalty(rows.theta[sel], anchors, importances, lam)
+        g[sel] += pg
+    return g
+
+
+def _apply(rows: _Rows, g: np.ndarray) -> None:
+    stepped = rows.optimizer.step(rows.theta, g)
+    if rows.si is not None:
+        sel, acc = rows.si
+        cl.si_accumulate(acc, g[sel], (stepped - rows.theta)[sel])
+    rows.theta[...] = stepped
+
+
+def _step(stack: _Stack, plans: list, j: int, lo: int, hi: int, where: str) -> None:
+    """Step rows lo:hi of a stack on their j-th batches. A step that fails
+    stops the members of its failing rows; every other row is stepped from
+    the gradient already computed, since its forward has already moved its
+    BatchNorm running statistics."""
+    clients, k = stack.clients, hi - lo
+    rows = stack.rows(lo, hi)
+    x, y = _batch(clients, plans, j, lo, hi)
+    try:
+        g = _loss_gradient(rows, x, y, k)
+    except ValueError as exc:
+        for c in clients[lo:hi]:
+            _fail(c, f"client {c.client_id} {where}: {exc}", exc)
+        return
+    try:
+        _apply(rows, g)
+    except ValueError as exc:  # a row's gradient is not finite
+        finite = np.isfinite(g).reshape(k, -1).all(axis=1)
+        for i in np.flatnonzero(~finite):
+            c = clients[lo + i]
+            _fail(c, f"client {c.client_id} {where}: {exc}", exc)
+        for a, b in _live_runs(clients, lo, hi):
+            _apply(stack.rows(a, b), g[a - lo] if b - a == 1 else g[a - lo:b - lo])
+
+
+def _train_epochs(stack: _Stack, purpose: int, replay: bool, task_index: int, round_index: int,
                   label: str) -> None:
     """Every local epoch of a stack, each client's batches drawn from its
-    ``purpose`` stream; ``loss_terms(lo, hi, rows, x, y)`` gives a run's
-    (target, penalty gradient or None)."""
-    seeds = [derive_seed(config.seed, purpose, c.client_id, task_index, round_index)
-             for c in members]
-    for epoch in range(config.local_epochs):
-        plans = [_epoch_batches(c, config, seed, epoch, replay)
-                 for c, seed in zip(members, seeds)]
-        for j, lo, hi in _schedule(plans):
-            rows = stack.rows(lo, hi)
-            if hi - lo == 1:
-                x, y = cl.mixed_batch_rows(members[lo].buffer, members[lo].shard, *plans[lo][j])
-            else:
-                xs, ys = zip(*(cl.mixed_batch_rows(members[k].buffer, members[k].shard,
-                                                   *plans[k][j]) for k in range(lo, hi)))
-                x, y = np.concatenate(xs), np.concatenate(ys)
-            g = None
-            try:
-                target, penalty_grad = loss_terms(lo, hi, rows, x, y)
-                g = nn.backward(rows.model, x, target, penalty_grad)
-                stepped = rows.optimizer.step(rows.theta, g)
-                if rows.si_acc is not None:
-                    cl.si_accumulate(rows.si_acc, g, stepped - rows.theta)
-                rows.theta[...] = stepped
-            except ValueError as exc:
-                bad = lo
-                if g is not None:  # the first row whose gradient is not finite
-                    bad += int(np.argmin(np.isfinite(g).reshape(hi - lo, -1).all(axis=1)))
-                raise ExperimentError(
-                    f"client {members[bad].client_id} failed in round {round_index}: "
-                    f"{label}epoch {epoch} batch {j}: {exc}") from exc
+    ``purpose`` stream; the rows of a failed member sit out the remaining
+    steps."""
+    clients = stack.clients
+    for epoch in range(clients[0].member.config.local_epochs):
+        plans = [_epoch_batches(c, purpose, task_index, round_index, epoch, replay)
+                 for c in clients]
+        for j, run_lo, run_hi in _schedule(plans):
+            for lo, hi in _live_runs(clients, run_lo, run_hi):
+                _step(stack, plans, j, lo, hi,
+                      f"failed in round {round_index}: {label}epoch {epoch} batch {j}")
 
 
-def local_train(clients: list[ClientState], global_params: np.ndarray, config: ExperimentConfig,
-                task_index: int, round_index: int) -> tuple[list[fed.ClientUpdate], list[float]]:
+def local_train(clients: list[ClientState], task_index: int,
+                round_index: int) -> tuple[list[fed.ClientUpdate | None], list[float | None]]:
     """One round of local training for a cohort of clients, trained as one
-    stack: broadcast, local epochs with strategy/CL loss terms, and the
-    resulting updates. Returns (updates, post-training shard losses), in the
-    order of ``clients``."""
-    cfg = config
-    strat = cfg.strategy
+    stack; the clients may belong to several members. Each client takes its
+    member's global parameters (FedBN: all but the BatchNorm slots), trains
+    its local epochs with its own loss terms, and gives an update. Returns
+    (updates, post-training shard losses) in the order of ``clients``.
+
+    A failure stops the member of the failing client, not the cohort: the
+    error, naming client, round and step, becomes its ``Member.error``, and
+    every client of a failed member gets None for both."""
     for c in clients:
-        if len(c.shard) < 2:
-            raise ExperimentError(f"client {c.client_id} failed in round {round_index}: "
-                                  "shard too small to train on")
-    # rows follow shard size, so that clients whose batches have equal row
-    # counts are adjacent and step as one run, also in a ragged last batch
-    members = sorted(clients, key=lambda c: len(c.shard))
+        if c.member.error is None and len(c.shard) < 2:
+            c.member.error = ExperimentError(f"client {c.client_id} failed in round "
+                                             f"{round_index}: shard too small to train on")
+    live = _cohort_order([c for c in clients if c.member.error is None], task_index)
+    if len({c.member.config.local_epochs for c in live}) > 1:
+        raise ValueError("the clients of a cohort must train the same number of local epochs")
 
     # FedDistill: the personalised teachers train on the raw shards first
-    teacher = None
-    if strat.kind == "feddistill":
-        teacher = _Stack([c.teacher_model for c in members],
-                         [c.teacher_optimizer for c in members])
-        _train_epochs(teacher, members, 20, False, lambda lo, hi, rows, x, y: (y, None),
-                      cfg, task_index, round_index, "teacher ")
-        teacher.unstack()
+    teachers = None
+    distilling = [c for c in live if c.teacher_model is not None]
+    if distilling:
+        teachers = _Stack(distilling, task_index, teacher=True)
+        _train_epochs(teachers, 20, False, task_index, round_index, "teacher ")
+        teachers.unstack()
+        live = [c for c in live if c.member.error is None]
 
-    lam = cfg.penalty.effective_lambda(cfg.cl_method)
-    penalized = (cfg.cl_method in ("ewc", "ewc_online", "si", "mas")
-                 and task_index > 0 and lam > 0.0 and all(c.anchors for c in members))
-    si_accs = ([c.si_acc for c in members]
-               if cfg.cl_method == "si" and all(c.si_acc is not None for c in members) else None)
-    student = _Stack([c.model for c in members], [c.optimizer for c in members], si_accs,
-                     [c.anchors for c in members] if penalized else None,
-                     [c.importances for c in members] if penalized else None)
-    if strat.kind == "fedbn":
-        student.params[..., ~_BN_MASK] = global_params[~_BN_MASK]
-    else:
-        student.params[...] = global_params
-
-    def loss_terms(lo, hi, rows, x, y):
-        target = y
-        if teacher is not None and strat.distill_weight > 0.0:
-            tpred = teacher.rows(lo, hi).model.forward(x, mode="eval")
-            target = fed.distill_target(y, tpred, strat.distill_weight)
-        penalty_grad = None
-        if strat.kind == "fedprox" and strat.mu > 0.0:
-            _, penalty_grad = fed.fedprox_penalty(rows.theta, global_params, strat.mu)
-            penalty_grad *= cl.PENALIZED_MASK
-        if penalized:
-            _, pg = cl.quadratic_penalty(rows.theta, rows.anchors, rows.importances, lam)
-            penalty_grad = pg if penalty_grad is None else penalty_grad + pg
-        return target, penalty_grad
-
-    _train_epochs(student, members, 21, cfg.cl_method == "nr" and task_index > 0,
-                  loss_terms, cfg, task_index, round_index, "")
-    student.unstack()
+    if live:
+        for c in live:
+            if c.member.config.strategy.kind == "fedbn":
+                c.model.params[~_BN_MASK] = c.member.global_params[~_BN_MASK]
+            else:
+                c.model.params[...] = c.member.global_params
+        student = _Stack(live, task_index, teachers=teachers)
+        _train_epochs(student, 21, True, task_index, round_index, "")
+        student.unstack()
 
     updates, losses = [], []
     for c in clients:
+        if c.member.error is not None:
+            updates.append(None)
+            losses.append(None)
+            continue
         pred = c.model.forward(c.shard.features, mode="eval")
         updates.append(fed.ClientUpdate(c.client_id, nn.extract_params(c.model), len(c.shard)))
         losses.append(nn.mse_loss(pred, c.shard.labels)[0])
     return updates, losses
 
 
-def _consolidate(client: ClientState, config: ExperimentConfig, task_index: int) -> None:
+def _consolidate(client: ClientState, task_index: int) -> None:
     """Record CL state from the local model after the task's final local
     training and before the subsequent aggregation."""
-    cfg = config
+    cfg = client.member.config
     theta = nn.extract_params(client.model)
     fseed = derive_seed(cfg.seed, 22, client.client_id, task_index)
     method = cfg.cl_method
@@ -376,24 +576,27 @@ def _consolidate(client: ClientState, config: ExperimentConfig, task_index: int)
         cl.nr_store(client.buffer, client.shard)
 
 
-def _build_clients(config: ExperimentConfig, shards: list[dataio.Dataset],
-                   global_params: np.ndarray) -> list[ClientState]:
+def _build_clients(member: Member, shards: list[dataio.Dataset]) -> list[ClientState]:
+    """The member's clients, each starting from its global parameters."""
+    config = member.config
     clients = []
     for cid, shard in enumerate(shards):
         model = nn.MlpModel(config.hidden_activation)
-        nn.inject_params(model, global_params)
+        nn.inject_params(model, member.global_params)
         state = ClientState(
             client_id=cid,
             shard=shard,
             model=model,
             optimizer=nn.Optimizer(config.client_optimizer, config.learning_rate),
+            member=member,
         )
-        if config.strategy.kind == "feddistill":
+        # a teacher of weight 0 would train without reaching any target
+        if config.strategy.kind == "feddistill" and config.strategy.distill_weight > 0.0:
             state.teacher_model = nn.MlpModel(config.hidden_activation)
-            nn.inject_params(state.teacher_model, global_params)
+            nn.inject_params(state.teacher_model, member.global_params)
             state.teacher_optimizer = nn.Optimizer(config.client_optimizer, config.learning_rate)
         if config.cl_method == "si":
-            state.si_acc = cl.SiAccumulator(global_params.copy(), xi=config.penalty.xi)
+            state.si_acc = cl.SiAccumulator(member.global_params.copy(), xi=config.penalty.xi)
         if config.cl_method == "nr":
             state.buffer = cl.ReplayBuffer(config.penalty.buffer_capacity,
                                            seed=derive_seed(config.seed, 23, cid))
@@ -412,54 +615,28 @@ def _aggregate(global_params: np.ndarray, updates: list[fed.ClientUpdate],
     return fed.fedavg_aggregate(updates, weighted)
 
 
-def run_fl(config: ExperimentConfig, train: dataio.Dataset, test: dataio.Dataset) -> RunResult:
-    """Plain federated round loop (no task sequencing)."""
-    if config.cl_method != "none":
-        raise ValueError("run_fl requires cl_method == 'none'; use run_fcl")
+@dataclass
+class _Task:
+    shards: list[dataio.Dataset]  # client k's shard, shared by every member of a group
+    eval_set: dataio.Dataset
+    n_rounds: int
+
+
+def _fl_tasks(config: ExperimentConfig, train: dataio.Dataset,
+              test: dataio.Dataset) -> list[_Task]:
+    """Plain FL is one task: the (augmented) training set, partitioned."""
     if config.augmentation:
         train = dataio.augment(train, config.augment_sigma, derive_seed(config.seed, 24))
     parts = dataio.partition_clients(train, config.n_clients, config.seed)
-
-    template = nn.MlpModel(config.hidden_activation)
-    template.init_params(np.random.default_rng([config.seed, 100]))
-    global_params = nn.extract_params(template)
-    clients = _build_clients(config, [p.shard for p in parts], global_params)
-    server_opt = (nn.Optimizer(config.strategy.server_optimizer,
-                               config.strategy.server_learning_rate)
-                  if config.strategy.kind == "fedopt" else None)
-
-    logs: list[RoundLog] = []
-    events: list[tuple] = []
-    for r in range(config.n_rounds):
-        t0 = time.perf_counter()
-        updates, losses = local_train(clients, global_params, config, 0, r)
-        t1 = time.perf_counter()
-        global_params = _aggregate(global_params, updates, config, server_opt)
-        t2 = time.perf_counter()
-        report = evaluate(global_params, test, config.hidden_activation)
-        t3 = time.perf_counter()
-        events.extend(("local_train", c.client_id, 0, r) for c in clients)
-        events.append(("aggregate", 0, r))
-        logs.append(RoundLog(r, 0, report, losses, t3 - t0, local_train_time=t1 - t0,
-                             aggregate_time=t2 - t1, evaluate_time=t3 - t2))
-    return RunResult(logs, global_params, events)
+    return [_Task([p.shard for p in parts], test, config.n_rounds)]
 
 
-def run_fcl(config: ExperimentConfig, train: dataio.Dataset, test: dataio.Dataset,
-            rounds_per_task: list[int] | None = None) -> RunResult:
-    """Sequential two-task (circle then arrow) federated loop with the
-    configured continual-learning mechanism. cl_method 'none' runs the
-    unregularized sequential baseline.
-
-    ``rounds_per_task`` lists the rounds of each task in order; it defaults
-    to ``config.rounds_per_task`` (else ``config.n_rounds``) for both tasks.
-
-    Evaluation after task-1 rounds uses the circle-only test subset; task-2
-    rounds are evaluated on the full test set. Augmentation, when enabled,
-    is applied per task shard (task membership is decided on clean flags).
-    """
-    if config.strategy.kind != "fedavg":
-        raise ValueError("run_fcl adapts fedavg only")
+def _fcl_tasks(config: ExperimentConfig, train: dataio.Dataset, test: dataio.Dataset,
+               rounds_per_task: list[int] | None) -> list[_Task]:
+    """Circle then arrow: each client's shard split by the context flag,
+    augmented per task shard (task membership is decided on clean flags);
+    task-1 rounds evaluate on the circle test subset, task-2 rounds on the
+    full test set."""
     if rounds_per_task is None:
         rounds_per_task = [config.n_rounds if config.rounds_per_task is None
                            else config.rounds_per_task] * 2
@@ -475,46 +652,159 @@ def run_fcl(config: ExperimentConfig, train: dataio.Dataset, test: dataio.Datase
     eval_sets = [test_split.task1, test]
     if len(test_split.task1) < 2:
         raise ExperimentError("circle test subset too small to evaluate")
-
-    template = nn.MlpModel(config.hidden_activation)
-    template.init_params(np.random.default_rng([config.seed, 100]))
-    global_params = nn.extract_params(template)
-    clients = _build_clients(config, [t[0] for t in client_tasks], global_params)
-
-    logs: list[RoundLog] = []
-    events: list[tuple] = []
-    round_counter = 0
+    tasks = []
     for task_index, n_rounds in enumerate(rounds_per_task):
-        for c in clients:
-            shard = client_tasks[c.client_id][task_index]
-            if config.augmentation:
-                shard = dataio.augment(shard, config.augment_sigma,
-                                       derive_seed(config.seed, 25, c.client_id, task_index))
+        shards = [t[task_index] for t in client_tasks]
+        if config.augmentation:
+            shards = [dataio.augment(shard, config.augment_sigma,
+                                     derive_seed(config.seed, 25, cid, task_index))
+                      for cid, shard in enumerate(shards)]
+        tasks.append(_Task(shards, eval_sets[task_index], n_rounds))
+    return tasks
+
+
+class _Run:
+    """One experiment between rounds: its member, clients, FedOpt server
+    optimizer, round logs and events. ``run_group`` trains the clients of
+    all its runs together and then lets each finish the round on its own."""
+
+    def __init__(self, config: ExperimentConfig, shards: list[dataio.Dataset]):
+        template = nn.MlpModel(config.hidden_activation)
+        template.init_params(np.random.default_rng([config.seed, 100]))
+        self.member = Member(config, nn.extract_params(template))
+        self.clients = _build_clients(self.member, shards)
+        self.server_opt = (nn.Optimizer(config.strategy.server_optimizer,
+                                        config.strategy.server_learning_rate)
+                           if config.strategy.kind == "fedopt" else None)
+        self.logs: list[RoundLog] = []
+        self.events: list[tuple] = []
+
+    def start_task(self, task_index: int, task: _Task) -> None:
+        for c, shard in zip(self.clients, task.shards):
             c.shard = shard
             if task_index > 0:
                 c.optimizer.reset()
-        for r in range(n_rounds):
-            t0 = time.perf_counter()
-            updates, losses = local_train(clients, global_params, config,
-                                          task_index, round_counter)
-            t1 = t2 = time.perf_counter()
-            consolidating = r == n_rounds - 1 and config.cl_method != "none"
-            if consolidating:
-                for c in clients:
-                    _consolidate(c, config, task_index)
-                t2 = time.perf_counter()
-            global_params = _aggregate(global_params, updates, config, None)
-            t3 = time.perf_counter()
-            report = evaluate(global_params, eval_sets[task_index], config.hidden_activation)
-            t4 = time.perf_counter()
-            events.extend(("local_train", c.client_id, task_index, round_counter)
-                          for c in clients)
-            if consolidating:
-                events.extend(("importance", c.client_id, task_index, round_counter)
-                              for c in clients)
-            events.append(("aggregate", task_index, round_counter))
-            logs.append(RoundLog(round_counter, task_index, report, losses, t4 - t0,
-                                 local_train_time=t1 - t0, consolidate_time=t2 - t1,
-                                 aggregate_time=t3 - t2, evaluate_time=t4 - t3))
-            round_counter += 1
-    return RunResult(logs, global_params, events)
+
+    def finish_round(self, task_index: int, round_index: int, last: bool, task: _Task,
+                     trained: list[tuple]) -> RoundLog:
+        """Consolidate (in a task's last round), aggregate and evaluate, from
+        the (update, loss) of each client of this round. Returns the round's
+        log, whose training seconds the caller adds."""
+        cfg = self.member.config
+        t1 = t2 = time.perf_counter()
+        updates, losses = zip(*trained)
+        consolidating = last and cfg.cl_method != "none"
+        if consolidating:
+            for c in self.clients:
+                _consolidate(c, task_index)
+            t2 = time.perf_counter()
+        self.member.global_params = _aggregate(self.member.global_params, list(updates), cfg,
+                                               self.server_opt)
+        t3 = time.perf_counter()
+        report = evaluate(self.member.global_params, task.eval_set, cfg.hidden_activation)
+        t4 = time.perf_counter()
+        self.events.extend(("local_train", c.client_id, task_index, round_index)
+                           for c in self.clients)
+        if consolidating:
+            self.events.extend(("importance", c.client_id, task_index, round_index)
+                               for c in self.clients)
+        self.events.append(("aggregate", task_index, round_index))
+        self.logs.append(RoundLog(round_index, task_index, report, list(losses), t4 - t1,
+                                  consolidate_time=t2 - t1, aggregate_time=t3 - t2,
+                                  evaluate_time=t4 - t3))
+        return self.logs[-1]
+
+
+def run_group(configs: list[ExperimentConfig], train: dataio.Dataset, test: dataio.Dataset,
+              continual: bool, rounds_per_task: list[int] | None = None
+              ) -> list[RunResult | Exception]:
+    """Run experiments of one ``group_key`` in lockstep, FL (``continual``
+    false) or FCL. They share the shards and every minibatch draw; each
+    round, the clients of every member still running train as one cohort
+    through ``local_train``, in chunks of at most ``COHORT_CAP`` clients,
+    and then each member consolidates, aggregates and evaluates on its own.
+    Returns, in the order of ``configs``, each member's result or the
+    exception that stopped it; a member that fails does not stop the rest.
+    Each member computes the bits it would compute alone."""
+    if len({group_key(c) for c in configs}) != 1:
+        raise ValueError("the experiments of a group must have the same group_key")
+    for cfg in configs:
+        if continual and cfg.strategy.kind != "fedavg":
+            raise ValueError("run_fcl adapts fedavg only")
+        if not continual and cfg.cl_method != "none":
+            raise ValueError("run_fl requires cl_method == 'none'; use run_fcl")
+    tasks = (_fcl_tasks(configs[0], train, test, rounds_per_task) if continual
+             else _fl_tasks(configs[0], train, test))
+    runs = [_Run(cfg, tasks[0].shards) for cfg in configs]
+    plans = {} if len(runs) > 1 else None
+    for run in runs:
+        run.member.plans = plans
+    round_index = 0
+    for task_index, task in enumerate(tasks):
+        for run in runs:
+            run.start_task(task_index, task)
+        for r in range(task.n_rounds):
+            live = [run for run in runs if run.member.error is None]
+            run_of = {id(run.member): run for run in live}
+            waiting = {id(run): len(run.clients) for run in live}
+            trained, finished, train_s = {}, [], 0.0
+            cohort = _cohort_order([c for run in live for c in run.clients], task_index)
+            for i in range(0, len(cohort), COHORT_CAP):
+                chunk = cohort[i:i + COHORT_CAP]
+                t0 = time.perf_counter()
+                try:
+                    trained.update(zip(map(id, chunk), zip(*local_train(chunk, task_index,
+                                                                        round_index))))
+                except Exception as exc:
+                    for c in chunk:
+                        c.member.error = c.member.error or exc
+                train_s += time.perf_counter() - t0
+                # a member whose clients have all trained finishes its round
+                # now, so that its updates do not wait for the whole group
+                for c in chunk:
+                    run = run_of[id(c.member)]
+                    waiting[id(run)] -= 1
+                    if waiting[id(run)] == 0 and run.member.error is None:
+                        try:
+                            finished.append(run.finish_round(
+                                task_index, round_index, r == task.n_rounds - 1, task,
+                                [trained.pop(id(c)) for c in run.clients]))
+                        except Exception as exc:
+                            run.member.error = exc
+            if plans is not None:
+                plans.clear()  # no later round draws these again
+            for log in finished:
+                log.local_train_time = train_s
+                log.wall_time += train_s
+            round_index += 1
+    return [run.member.error or RunResult(run.logs, run.member.global_params, run.events)
+            for run in runs]
+
+
+def _alone(outcomes: list[RunResult | Exception]) -> RunResult:
+    (outcome,) = outcomes
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def run_fl(config: ExperimentConfig, train: dataio.Dataset, test: dataio.Dataset) -> RunResult:
+    """Plain federated round loop (no task sequencing): a group of one."""
+    return _alone(run_group([config], train, test, continual=False))
+
+
+def run_fcl(config: ExperimentConfig, train: dataio.Dataset, test: dataio.Dataset,
+            rounds_per_task: list[int] | None = None) -> RunResult:
+    """Sequential two-task (circle then arrow) federated loop with the
+    configured continual-learning mechanism, a group of one. cl_method
+    'none' runs the unregularized sequential baseline.
+
+    ``rounds_per_task`` lists the rounds of each task in order; it defaults
+    to ``config.rounds_per_task`` (else ``config.n_rounds``) for both tasks.
+
+    Evaluation after task-1 rounds uses the circle-only test subset; task-2
+    rounds are evaluated on the full test set. Augmentation, when enabled,
+    is applied per task shard (task membership is decided on clean flags).
+    """
+    return _alone(run_group([config], train, test, continual=True,
+                            rounds_per_task=rounds_per_task))

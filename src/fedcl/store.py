@@ -1,16 +1,20 @@
 """Result persistence and comparison-table emission.
 
 Each run gets one directory named by its deterministic run-id containing a
-config snapshot, a per-round CSV log, and the final report. Directories are
-plain files so results diff and version cleanly. A run directory appears
-complete or not at all: it is written under a temporary name and moved into
-place.
+config snapshot, a per-round CSV log, and the final report with the SHA-256
+of the final parameters. Directories are plain files so results diff and
+version cleanly. A run directory appears complete or not at all: it is
+written under a temporary name and moved into place.
+
+``run_suite`` trains the experiments of one shape (``orchestrator.group_key``,
+FL or FCL) as one lockstep ``Group`` and stores each result on its own.
 """
 
 from __future__ import annotations
 
 import csv
 import datetime
+import hashlib
 import json
 import math
 import os
@@ -20,7 +24,7 @@ from dataclasses import dataclass
 from . import __version__
 from . import data as dataio
 from .config import BenchmarkSuite, ExperimentSpec
-from .orchestrator import RunResult, run_fcl, run_fl
+from .orchestrator import RunResult, group_key, run_group
 
 
 @dataclass
@@ -54,11 +58,16 @@ def _round_rows(result: RunResult) -> list[dict]:
     return rows
 
 
+def _params_sha256(result: RunResult) -> str:
+    return hashlib.sha256(result.final_params.tobytes()).hexdigest()
+
+
 def _build_report(result: RunResult) -> dict:
     after_task = {}
     for log in result.round_logs:
         after_task[str(log.task_index)] = log.report.as_dict()  # last round of each task wins
-    return {"final": result.round_logs[-1].report.as_dict(), "after_task": after_task}
+    return {"final": result.round_logs[-1].report.as_dict(), "after_task": after_task,
+            "final_params_sha256": _params_sha256(result)}
 
 
 class IncompleteRunError(ValueError):
@@ -131,29 +140,81 @@ class ResultsStore:
         """Every run in the store. Each subdirectory is a run, and one that
         lacks a run file raises ``IncompleteRunError``; plain files and
         dot-prefixed entries (``write_run``'s temporary directories) are
-        ignored."""
-        return [self.load_run(name) for name in sorted(os.listdir(self.out_dir))
+        ignored. A rewrite stopped between its two moves left the earlier
+        run only under its hidden ``.<run_id>.<pid>.old`` name; it is moved
+        back first."""
+        names = os.listdir(self.out_dir)
+        for name in names:
+            if name.startswith(".") and name.endswith(".old"):
+                run_id = name[1:].split(".")[0]
+                if run_id not in names and os.path.isdir(os.path.join(self.out_dir, name)):
+                    os.replace(os.path.join(self.out_dir, name), self.run_dir(run_id))
+                    names.append(run_id)
+        return [self.load_run(name) for name in sorted(names)
                 if not name.startswith(".") and os.path.isdir(self.run_dir(name))]
 
 
-def execute_experiment(spec: ExperimentSpec, dataset: dataio.Dataset) -> RunResult:
-    """Split the shared dataset with the experiment's own seed and run it."""
-    config = spec.build()
-    train, test = dataio.train_test_split(dataset, 0.75, config.seed)
-    if spec.is_fcl:
-        return run_fcl(config, train, test)
-    return run_fl(config, train, test)
+class Group:
+    """Experiments that train in lockstep: all FL or all FCL, with one
+    ``group_key``. The first ``result`` call splits the dataset with their
+    shared seed and trains every member; each member's result (or the
+    exception that stopped it) is then handed out once."""
+
+    def __init__(self, specs: list[ExperimentSpec], dataset: dataio.Dataset):
+        self.specs = specs
+        self._dataset = dataset
+        self._outcomes: dict[int, RunResult | Exception] | None = None
+
+    def result(self, spec: ExperimentSpec) -> RunResult:
+        if self._outcomes is None:
+            try:
+                configs = [s.build() for s in self.specs]
+                train, test = dataio.train_test_split(self._dataset, 0.75, configs[0].seed)
+                outcomes = run_group(configs, train, test, continual=self.specs[0].is_fcl)
+            except Exception as exc:
+                outcomes = [exc] * len(self.specs)
+            self._outcomes = dict(zip(map(id, self.specs), outcomes))
+            self._dataset = None
+        outcome = self._outcomes.pop(id(spec))
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
+
+
+def group_suite(specs: list[ExperimentSpec], dataset: dataio.Dataset) -> dict[int, Group]:
+    """id(spec) -> the group it trains in; a spec whose config does not
+    build is a group of one, which reports that error."""
+    members: dict[tuple, list[ExperimentSpec]] = {}
+    for spec in specs:
+        try:
+            key = (spec.is_fcl, group_key(spec.build()))
+        except Exception:
+            key = ("alone", id(spec))
+        members.setdefault(key, []).append(spec)
+    return {id(spec): group for group in (Group(m, dataset) for m in members.values())
+            for spec in group.specs}
+
+
+def execute_experiment(spec: ExperimentSpec, dataset: dataio.Dataset,
+                       group: Group | None = None) -> RunResult:
+    """The experiment's result: from ``group``, which trains all its members
+    on its first call, or alone, as a group of one. Either way the bits are
+    those of the experiment run alone."""
+    return (group or Group([spec], dataset)).result(spec)
 
 
 def run_suite(suite: BenchmarkSuite, dataset: dataio.Dataset,
               out_dir: str) -> tuple[ResultsStore, list[tuple[str, str]]]:
-    """Execute every experiment, persisting results. Individual failures are
-    recorded and do not stop the suite. Returns (store, failures)."""
+    """Execute every experiment, persisting results. Experiments of one
+    shape train as one lockstep group, but each is executed, stored and
+    reported on its own, in suite order. Individual failures are recorded
+    and do not stop the suite. Returns (store, failures)."""
     store = ResultsStore(out_dir)
+    groups = group_suite(suite.experiments, dataset)
     failures = []
     for spec in suite.experiments:
         try:
-            result = execute_experiment(spec, dataset)
+            result = execute_experiment(spec, dataset, groups[id(spec)])
             store.write_run(spec, result)
         except Exception as exc:
             failures.append((spec.run_id(), str(exc)))
@@ -165,8 +226,9 @@ _TRAJECTORY_KEYS = ("avg_mse", "avg_rmse", "avg_pcc", "mean_client_train_loss")
 
 
 def verify_store(store: ResultsStore, dataset: dataio.Dataset) -> list[tuple[str, str]]:
-    """Re-run every stored experiment and compare bit-exactly the round count,
-    every round's metrics in ``rounds.csv`` and the final metrics.
+    """Re-run every stored experiment alone and compare bit-exactly the
+    round count, every round's metrics in ``rounds.csv``, the final metrics
+    and, when the run stored it, the SHA-256 of the final parameters.
     Returns a list of (run_id, message) reproducibility violations."""
     violations = []
     for record in store.list_runs():
@@ -186,6 +248,10 @@ def verify_store(store: ResultsStore, dataset: dataio.Dataset) -> list[tuple[str
                     if stored_row.get(key) != row[key]:
                         violations.append((record.run_id, f"round {row['round']}: {key}: stored "
                                                           f"{stored_row.get(key)!r} != re-run {row[key]!r}"))
+        stored_sha = record.report.get("final_params_sha256")
+        if stored_sha is not None and stored_sha != _params_sha256(result):
+            violations.append((record.run_id, f"final_params_sha256: stored {stored_sha} "
+                                              f"!= re-run {_params_sha256(result)}"))
         fresh = _build_report(result)["final"]
         stored = record.report["final"]
         for key in ("avg_mse", "avg_rmse", "avg_pcc"):

@@ -99,17 +99,20 @@ def fedbn_aggregate(updates: list[ClientUpdate], bn_mask: np.ndarray,
     return FedBnResult(per_client=per_client, eval_params=eval_params)
 
 
-def fedprox_penalty(omega: np.ndarray, omega_t: np.ndarray, mu: float) -> tuple[float, np.ndarray]:
+def fedprox_penalty(omega: np.ndarray, omega_t: np.ndarray,
+                    mu: float | np.ndarray) -> tuple[float, np.ndarray]:
     """Proximal term (mu/2) * ||omega - omega_t||^2 and its gradient.
 
-    ``omega`` may be a (C, P) stack of vectors sharing the anchor
-    ``omega_t``; the value is then one number per row."""
-    if omega.shape[-1:] != omega_t.shape:
+    ``omega`` may be a (C, P) stack of vectors; the anchor ``omega_t`` is
+    then shared, or stacked the same way, ``mu`` may be a (C,) array of one
+    strength per row, and the value is one number per row."""
+    if omega_t.shape not in (omega.shape, omega.shape[-1:]):
         raise ValueError("parameter layout mismatch")
-    if mu < 0.0:
+    mu_rows = np.asarray(mu, dtype=np.float64)
+    if (mu_rows < 0.0).any():
         raise ValueError("mu must be >= 0")
     diff = omega - omega_t
-    return 0.5 * mu * np.einsum("...i,...i->...", diff, diff), mu * diff
+    return 0.5 * mu * np.einsum("...i,...i->...", diff, diff), mu_rows[..., None] * diff
 
 
 def fedopt_server_step(global_params: np.ndarray, updates: list[ClientUpdate],
@@ -128,9 +131,12 @@ def fedopt_server_step(global_params: np.ndarray, updates: list[ClientUpdate],
     return server_opt.step(global_params, delta)
 
 
-def distill_target(labels: np.ndarray, teacher_pred: np.ndarray, distill_weight: float) -> np.ndarray:
+def distill_target(labels: np.ndarray, teacher_pred: np.ndarray,
+                   distill_weight: float | np.ndarray) -> np.ndarray:
     """Blended regression target whose MSE gradient equals the gradient of
-    (1-w)*MSE(pred, labels) + w*MSE(pred, teacher_pred)."""
-    if distill_weight == 0.0:
+    (1-w)*MSE(pred, labels) + w*MSE(pred, teacher_pred). ``distill_weight``
+    may be an array that broadcasts against the labels, e.g. one weight per
+    model of a (C, B, 8) stack of batches."""
+    if np.ndim(distill_weight) == 0 and distill_weight == 0.0:
         return labels
     return (1.0 - distill_weight) * labels + distill_weight * teacher_pred

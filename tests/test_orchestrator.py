@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -128,9 +130,11 @@ class TestRunFl:
         cfg = config(n_clients=2, n_rounds=1)
         bad = dataio.Dataset(np.zeros((1, 29)), np.full((1, 8), 3.0), "synthetic")
         parts = dataio.partition_clients(train, 2, cfg.seed)
-        client = orch.ClientState(1, bad, nn.MlpModel(), nn.Optimizer("sgd", 0.1))
-        with pytest.raises(ExperimentError, match="client 1"):
-            orch.local_train([client], np.zeros(nn.PARAM_COUNT), cfg, 0, 0)
+        member = orch.Member(cfg, np.zeros(nn.PARAM_COUNT))
+        client = orch.ClientState(1, bad, nn.MlpModel(), nn.Optimizer("sgd", 0.1), member)
+        assert orch.local_train([client], 0, 0) == ([None], [None])
+        assert isinstance(member.error, ExperimentError)
+        assert "client 1" in str(member.error)
         _ = parts
 
     def test_non_finite_gradient_names_client_round_and_step(self):
@@ -138,10 +142,13 @@ class TestRunFl:
         features = np.zeros((4, 29))
         features[2, 3] = np.inf
         shard = dataio.Dataset(features, np.full((4, 8), 3.0), "synthetic")
-        client = orch.ClientState(0, shard, nn.MlpModel(), nn.Optimizer("adam", 0.1))
-        with np.errstate(invalid="ignore"), pytest.raises(
-                ExperimentError, match=r"client 0 failed in round 3: epoch 0 batch 0: NaN or inf"):
-            orch.local_train([client], np.zeros(nn.PARAM_COUNT), cfg, 0, 3)
+        member = orch.Member(cfg, np.zeros(nn.PARAM_COUNT))
+        client = orch.ClientState(0, shard, nn.MlpModel(), nn.Optimizer("adam", 0.1), member)
+        with np.errstate(invalid="ignore"):
+            orch.local_train([client], 0, 3)
+        assert isinstance(member.error, ExperimentError)
+        assert re.search(r"client 0 failed in round 3: epoch 0 batch 0: NaN or inf",
+                         str(member.error))
 
     def test_update_is_not_aliased_to_the_client_model(self):
         # a round-r update must survive the same client training in round r+1
@@ -150,11 +157,12 @@ class TestRunFl:
         parts = dataio.partition_clients(train, cfg.n_clients, cfg.seed)
         template = nn.MlpModel()
         template.init_params(np.random.default_rng([cfg.seed, 100]))
-        clients = orch._build_clients(cfg, [p.shard for p in parts],
-                                      nn.extract_params(template))
-        (first,), _ = orch.local_train([clients[0]], nn.extract_params(template), cfg, 0, 0)
+        member = orch.Member(cfg, nn.extract_params(template))
+        clients = orch._build_clients(member, [p.shard for p in parts])
+        (first,), _ = orch.local_train([clients[0]], 0, 0)
         kept = first.params.copy()
-        (second,), _ = orch.local_train([clients[0]], first.params, cfg, 0, 1)
+        member.global_params = first.params
+        (second,), _ = orch.local_train([clients[0]], 0, 1)
         assert np.array_equal(first.params, kept)
         assert not np.array_equal(second.params, kept)
         for update in (first, second):
@@ -234,13 +242,13 @@ class TestStrategyEquivalences:
         parts = dataio.partition_clients(train, cfg.n_clients, cfg.seed)
         template = nn.MlpModel()
         template.init_params(np.random.default_rng([cfg.seed, 100]))
-        global_params = nn.extract_params(template)
-        clients = orch._build_clients(cfg, [p.shard for p in parts], global_params)
+        member = orch.Member(cfg, nn.extract_params(template))
+        clients = orch._build_clients(member, [p.shard for p in parts])
         for r in range(2):
-            updates, _ = orch.local_train(clients, global_params, cfg, 0, r)
-            global_params = fed.fedavg_aggregate(updates)
+            updates, _ = orch.local_train(clients, 0, r)
+            member.global_params = fed.fedavg_aggregate(updates)
         for c in clients:
-            assert not np.array_equal(nn.extract_params(c.teacher_model), global_params)
+            assert not np.array_equal(nn.extract_params(c.teacher_model), member.global_params)
 
     def test_fedprox_large_mu_contracts(self):
         # one local epoch with an enormous proximal term barely moves the
@@ -257,8 +265,9 @@ class TestStrategyEquivalences:
                              strategy=fed.StrategyConfig("fedprox", mu=mu))
                 model = nn.MlpModel()
                 nn.inject_params(model, start)
-                client = orch.ClientState(0, ds, model, nn.Optimizer("adam", 1e-3))
-                (upd,), _ = orch.local_train([client], start, cfg, 0, 0)
+                client = orch.ClientState(0, ds, model, nn.Optimizer("adam", 1e-3),
+                                          orch.Member(cfg, start))
+                (upd,), _ = orch.local_train([client], 0, 0)
                 disp[mu] = np.linalg.norm(upd.params[mask] - start[mask])
         assert disp[1e6] <= 1e-3 * disp[0.0]
 
@@ -378,10 +387,10 @@ class TestRunFcl:
         seen = {}
         original = orch.local_train
 
-        def audit(clients, global_params, config_, task_index, round_index):
+        def audit(clients, task_index, round_index):
             for client in clients:
                 seen.setdefault(client.client_id, set()).add(id(client.shard))
-            return original(clients, global_params, config_, task_index, round_index)
+            return original(clients, task_index, round_index)
 
         monkeypatch.setattr(orch, "local_train", audit)
         run_fcl(cfg, train, test)
@@ -437,19 +446,19 @@ class TestStackedEngine:
     def train(self, cfg, cohorts):
         template = nn.MlpModel(cfg.hidden_activation)
         template.init_params(np.random.default_rng([cfg.seed, 100]))
-        start = nn.extract_params(template)
-        clients = orch._build_clients(cfg, self.shards(), start)
+        clients = orch._build_clients(orch.Member(cfg, nn.extract_params(template)),
+                                      self.shards())
         out = {}
         for task in (0, 1):
             for r in range(2):
                 for cohort in cohorts:
-                    updates, losses = orch.local_train([clients[i] for i in cohort], start,
-                                                       cfg, task, 2 * task + r)
+                    updates, losses = orch.local_train([clients[i] for i in cohort], task,
+                                                       2 * task + r)
                     for u, loss in zip(updates, losses):
                         out[(task, r, u.client_id)] = (u.params, loss)
             if cfg.cl_method != "none":
                 for c in clients:
-                    orch._consolidate(c, cfg, task)
+                    orch._consolidate(c, task)
         return out, clients
 
     @pytest.mark.parametrize("kw", [
@@ -486,8 +495,10 @@ class TestStackedEngine:
         seed = derive_seed(cfg.seed, 21, 2, 0, 0)
         batch = next(b for b, idx in enumerate(dataio.minibatch_indices(40, 16, seed, 0))
                      if row in idx)
-        clients = orch._build_clients(cfg, shards, np.zeros(nn.PARAM_COUNT))
-        with np.errstate(invalid="ignore"), pytest.raises(
-                ExperimentError,
-                match=rf"^client 2 failed in round 0: epoch 0 batch {batch}: NaN or inf"):
-            orch.local_train(clients, np.zeros(nn.PARAM_COUNT), cfg, 0, 0)
+        member = orch.Member(cfg, np.zeros(nn.PARAM_COUNT))
+        clients = orch._build_clients(member, shards)
+        with np.errstate(invalid="ignore"):
+            orch.local_train(clients, 0, 0)
+        assert isinstance(member.error, ExperimentError)
+        assert re.match(rf"client 2 failed in round 0: epoch 0 batch {batch}: NaN or inf",
+                        str(member.error))
