@@ -7,10 +7,13 @@ import inspect
 import pathlib
 import sys
 
+import numpy as np
 import pytest
 
 from fedcl import data as dataio
 from fedcl import nn
+from fedcl import store
+from fedcl.config import parse_config
 from fedcl.orchestrator import ExperimentConfig, run_fcl
 
 TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -67,3 +70,43 @@ def test_consolidation_adds_no_training_rows(method, monkeypatch):
     if method == "ewc":  # the Fisher diagonal's backward is seen
         assert ("fedcl.continual", "eval") in calls
     assert ("fedcl.continual", "train") not in calls
+
+
+def test_run_suite_executes_each_experiment_once_in_suite_order(tmp_path, monkeypatch):
+    # the benchmark's traced process records each run's final_params digest
+    # from store.execute_experiment: call_args[0].run_id() and
+    # result.final_params, so run_suite must call it once per experiment,
+    # in suite order, with the spec first, and get that experiment's result
+    path = tmp_path / "suite.ini"
+    path.write_text("""
+[experiment]
+rounds = 2
+batch_size = 16
+
+[sweep]
+strategies = fedavg, fedprox
+cl_methods = none, nr
+clients = 2, 3
+
+[suite]
+synthetic_n = 200
+""")
+    suite = parse_config(str(path))
+    dataset, _ = dataio.synthetic_generate(200, seed=1, noise_std=0.1)
+    calls = []
+    original = store.execute_experiment
+
+    def recording(*args, **kwargs):
+        result = original(*args, **kwargs)
+        calls.append((args, result))
+        return result
+
+    monkeypatch.setattr(store, "execute_experiment", recording)
+    _, failures = store.run_suite(suite, dataset, str(tmp_path / "out"))
+    assert not failures
+    assert len(calls) == len(suite.experiments) == 6
+    for (args, result), spec in zip(calls, suite.experiments):
+        assert args[0] is spec
+        alone = original(spec, dataset)
+        assert np.array_equal(result.final_params, alone.final_params)
+        assert result.round_logs[-1].report.avg_mse == alone.round_logs[-1].report.avg_mse

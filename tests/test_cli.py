@@ -207,6 +207,35 @@ class TestVerify:
         assert f"round {rows[1]['round']}: avg_mse" in err
         assert err.count("REPRODUCIBILITY VIOLATION") == 1
 
+    def test_verify_detects_an_edited_params_hash(self, config_path, tmp_path, capsys):
+        out_dir = tmp_path / "results"
+        main(["run", "--config", config_path, "--out", str(out_dir)])
+        run_dir = next(p for p in out_dir.iterdir() if p.is_dir())
+        report = run_dir / "report.json"
+        doc = json.loads(report.read_text())
+        digest = doc["final_params_sha256"]
+        doc["final_params_sha256"] = ("1" if digest[0] == "0" else "0") + digest[1:]
+        report.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["verify", "--config", config_path, "--out", str(out_dir)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("REPRODUCIBILITY VIOLATION") == 1
+        assert f"REPRODUCIBILITY VIOLATION {run_dir.name}: final_params_sha256" in err
+
+    def test_verify_accepts_a_run_stored_without_the_params_hash(self, config_path, tmp_path,
+                                                                  capsys):
+        # a run written before reports carried the hash verifies on its floats
+        out_dir = tmp_path / "results"
+        main(["run", "--config", config_path, "--out", str(out_dir)])
+        report = next(p for p in out_dir.iterdir() if p.is_dir()) / "report.json"
+        doc = json.loads(report.read_text())
+        del doc["final_params_sha256"]
+        report.write_text(json.dumps(doc))
+        assert main(["verify", "--config", config_path, "--out", str(out_dir)]) == 0
+        doc["final"]["avg_mse"] += 1.0
+        report.write_text(json.dumps(doc))
+        assert main(["verify", "--config", config_path, "--out", str(out_dir)]) == 1
+
     def test_verify_missing_data_file_exits_2(self, config_path, tmp_path, capsys):
         out_dir = str(tmp_path / "results")
         main(["run", "--config", config_path, "--out", out_dir])

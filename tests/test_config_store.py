@@ -1,4 +1,5 @@
 import configparser
+import hashlib
 import json
 import os
 import tempfile
@@ -323,6 +324,39 @@ class TestStore:
         assert len(store.list_runs()) == 2
         os.mkdir(tmp_path / "out" / ".hidden")  # e.g. a killed write's temporary directory
         assert len(store.list_runs()) == 2
+
+    def test_rewrite_stopped_between_its_moves_keeps_the_run(self, small_suite, dataset,
+                                                             tmp_path, monkeypatch):
+        # a rewrite killed after the earlier run stepped aside, before the new
+        # one moved in, leaves the run only under its hidden .old name
+        store, _ = run_suite(small_suite, dataset, str(tmp_path / "out"))
+        spec = small_suite.experiments[0]
+        before = store.load_run(spec.run_id())
+        real_replace = os.replace
+        moves = []
+
+        def replace(src, dst):
+            moves.append(dst)
+            if len(moves) == 2:
+                raise KeyboardInterrupt("killed")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        with pytest.raises(KeyboardInterrupt):
+            store.write_run(spec, execute_experiment(spec, dataset))
+        monkeypatch.setattr(os, "replace", real_replace)
+        assert not os.path.exists(store.run_dir(spec.run_id()))
+        records = {r.run_id: r for r in store.list_runs()}
+        assert sorted(records) == sorted(s.run_id() for s in small_suite.experiments)
+        assert records[spec.run_id()].report == before.report
+        assert sorted(os.listdir(tmp_path / "out")) == sorted(records)
+
+    def test_report_carries_the_final_params_hash(self, small_suite, dataset, tmp_path):
+        store, _ = run_suite(small_suite, dataset, str(tmp_path / "out"))
+        for spec in small_suite.experiments:
+            params = execute_experiment(spec, dataset).final_params
+            assert (store.load_run(spec.run_id()).report["final_params_sha256"]
+                    == hashlib.sha256(params.tobytes()).hexdigest())
 
     def test_failures_do_not_stop_suite(self, dataset, tmp_path):
         text = """

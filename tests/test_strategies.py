@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fedcl import nn
 from fedcl import strategies as fed
@@ -59,6 +62,60 @@ class TestFedAvg:
                    fed.ClientUpdate(1, rng.normal(size=11), 5)]
         with pytest.raises(ValueError):
             fed.fedavg_aggregate(updates)
+
+
+# client parameter vectors: finite, of mixed magnitudes, negative zero included
+_ELEMENTS = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False, allow_subnormal=True)
+
+
+def _client_vectors(min_clients=1):
+    return st.integers(1, 40).flatmap(lambda length: st.lists(
+        hnp.arrays(np.float64, length, elements=_ELEMENTS), min_size=min_clients, max_size=8))
+
+
+def _relative_to_inputs(a, b, vectors):
+    """max |a - b|, each slot relative to the largest input at that slot."""
+    scale = np.max(np.abs(np.stack(vectors)), axis=0)
+    return float(np.max(np.abs(a - b) / np.where(scale > 0.0, scale, 1.0)))
+
+
+class TestFedAvgProperties:
+    @given(hnp.arrays(np.float64, st.integers(1, 40), elements=_ELEMENTS), st.integers(1, 8),
+           st.booleans())
+    def test_identical_updates_average_to_that_update(self, params, n_clients, weighted):
+        updates = [fed.ClientUpdate(k, params.copy(), 10 + k) for k in range(n_clients)]
+        out = fed.fedavg_aggregate(updates, weighted)
+        assert out.tobytes() == params.tobytes()
+
+    @given(_client_vectors(), st.randoms(use_true_random=False), st.booleans())
+    def test_client_order_moves_the_average_by_at_most_1e_12(self, vectors, order, weighted):
+        updates = [fed.ClientUpdate(k, v, 10 + 7 * k) for k, v in enumerate(vectors)]
+        shuffled = list(updates)
+        order.shuffle(shuffled)
+        a = fed.fedavg_aggregate(updates, weighted)
+        b = fed.fedavg_aggregate(shuffled, weighted)
+        assert _relative_to_inputs(a, b, vectors) <= 1e-12
+
+    @given(_client_vectors(), st.integers(1, 10_000))
+    def test_weighting_equal_shards_matches_the_plain_average(self, vectors, shard_size):
+        updates = [fed.ClientUpdate(k, v, shard_size) for k, v in enumerate(vectors)]
+        weighted = fed.fedavg_aggregate(updates, weighted=True)
+        plain = fed.fedavg_aggregate(updates, weighted=False)
+        assert _relative_to_inputs(weighted, plain, vectors) <= 1e-12
+
+
+class TestFedBnProperties:
+    @settings(max_examples=40)
+    @given(st.integers(1, 6), st.integers(0, 2 ** 32 - 1), st.floats(-30, 30), st.booleans())
+    def test_each_client_keeps_its_own_batchnorm_slots(self, n_clients, seed, log_scale,
+                                                       weighted):
+        rng = np.random.default_rng(seed)
+        updates = [fed.ClientUpdate(k, rng.normal(size=nn.PARAM_COUNT) * 10.0 ** log_scale,
+                                    int(rng.integers(1, 100))) for k in range(n_clients)]
+        mask = nn.bn_mask()
+        result = fed.fedbn_aggregate(updates, mask, weighted)
+        for update, own in zip(updates, result.per_client):
+            assert own[mask].tobytes() == update.params[mask].tobytes()
 
 
 class TestFedBn:
