@@ -100,20 +100,23 @@ def test_grouped_suite_equals_experiments_run_alone(sweep, cap, tmp_path, monkey
 
 
 def test_mixed_group_equals_experiments_run_alone(tmp_path, monkeypatch):
-    # SGD, relu, 2 local epochs; FedProx at two strengths beside FedBN,
-    # FedDistill and FedOpt, and the CL methods with NR, whose replay
+    # SGD, relu, 2 local epochs; FedProx and FedDistill at two strengths
+    # each beside FedBN and FedOpt, and the CL methods with NR, whose replay
     # batches have their own row counts. FCL runs only FedAvg, so the FL
     # and FCL members form two groups of the same settings.
     fl = suite_of(tmp_path, MIXED.format(
         sweep="strategies = fedavg, fedprox, fedbn, feddistill, fedopt"), "fl.ini")
     fcl = suite_of(tmp_path, MIXED.format(
         sweep="cl_methods = ewc, ewc_online, si, mas, nr"), "fcl.ini")
-    prox = next(s for s in fl.experiments if s.values["strategy"] == "fedprox")
-    experiments = fl.experiments + [ExperimentSpec(dict(prox.values, mu=0.5))] + fcl.experiments
+    prox, distill = (next(s for s in fl.experiments if s.values["strategy"] == kind)
+                     for kind in ("fedprox", "feddistill"))
+    experiments = fl.experiments + [ExperimentSpec(dict(prox.values, mu=0.5)),
+                                    ExperimentSpec(dict(distill.values, distill_weight=0.25))
+                                    ] + fcl.experiments
     suite = BenchmarkSuite(experiments, fl.suite)
     dataset, _ = dataio.synthetic_generate(300, seed=4, noise_std=0.1)
     groups = store.group_suite(suite.experiments, dataset)
-    assert sorted(len(g.specs) for g in {id(g): g for g in groups.values()}.values()) == [5, 6]
+    assert sorted(len(g.specs) for g in {id(g): g for g in groups.values()}.values()) == [5, 7]
     grouped, failures, cohorts = run_grouped(suite, dataset, str(tmp_path / "out"), monkeypatch)
     assert not failures
     assert max(len(members) for members in cohorts) >= 3
