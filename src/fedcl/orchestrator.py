@@ -686,10 +686,10 @@ class _Run:
                 c.optimizer.reset()
 
     def finish_round(self, task_index: int, round_index: int, last: bool, task: _Task,
-                     trained: list[tuple]) -> RoundLog:
+                     trained: list[tuple], train_s: float) -> None:
         """Consolidate (in a task's last round), aggregate and evaluate, from
-        the (update, loss) of each client of this round. Returns the round's
-        log, whose training seconds the caller adds."""
+        the (update, loss) of each client of this round, trained in
+        ``train_s`` seconds shared by the group."""
         cfg = self.member.config
         t1 = t2 = time.perf_counter()
         updates, losses = zip(*trained)
@@ -709,10 +709,10 @@ class _Run:
             self.events.extend(("importance", c.client_id, task_index, round_index)
                                for c in self.clients)
         self.events.append(("aggregate", task_index, round_index))
-        self.logs.append(RoundLog(round_index, task_index, report, list(losses), t4 - t1,
+        self.logs.append(RoundLog(round_index, task_index, report, list(losses),
+                                  train_s + (t4 - t1), local_train_time=train_s,
                                   consolidate_time=t2 - t1, aggregate_time=t3 - t2,
                                   evaluate_time=t4 - t3))
-        return self.logs[-1]
 
 
 def run_group(configs: list[ExperimentConfig], train: dataio.Dataset, test: dataio.Dataset,
@@ -745,37 +745,27 @@ def run_group(configs: list[ExperimentConfig], train: dataio.Dataset, test: data
             run.start_task(task_index, task)
         for r in range(task.n_rounds):
             live = [run for run in runs if run.member.error is None]
-            run_of = {id(run.member): run for run in live}
-            waiting = {id(run): len(run.clients) for run in live}
-            trained, finished, train_s = {}, [], 0.0
             cohort = _cohort_order([c for run in live for c in run.clients], task_index)
+            trained = {}
+            t0 = time.perf_counter()
             for i in range(0, len(cohort), COHORT_CAP):
                 chunk = cohort[i:i + COHORT_CAP]
-                t0 = time.perf_counter()
                 try:
-                    trained.update(zip(map(id, chunk), zip(*local_train(chunk, task_index,
-                                                                        round_index))))
+                    trained.update(zip(map(id, chunk),
+                                       zip(*local_train(chunk, task_index, round_index))))
                 except Exception as exc:
                     for c in chunk:
                         c.member.error = c.member.error or exc
-                train_s += time.perf_counter() - t0
-                # a member whose clients have all trained finishes its round
-                # now, so that its updates do not wait for the whole group
-                for c in chunk:
-                    run = run_of[id(c.member)]
-                    waiting[id(run)] -= 1
-                    if waiting[id(run)] == 0 and run.member.error is None:
-                        try:
-                            finished.append(run.finish_round(
-                                task_index, round_index, r == task.n_rounds - 1, task,
-                                [trained.pop(id(c)) for c in run.clients]))
-                        except Exception as exc:
-                            run.member.error = exc
+            train_s = time.perf_counter() - t0
             if plans is not None:
                 plans.clear()  # no later round draws these again
-            for log in finished:
-                log.local_train_time = train_s
-                log.wall_time += train_s
+            for run in live:
+                if run.member.error is None:
+                    try:
+                        run.finish_round(task_index, round_index, r == task.n_rounds - 1, task,
+                                         [trained[id(c)] for c in run.clients], train_s)
+                    except Exception as exc:
+                        run.member.error = exc
             round_index += 1
     return [run.member.error or RunResult(run.logs, run.member.global_params, run.events)
             for run in runs]

@@ -181,18 +181,31 @@ class Group:
         return outcome
 
 
+# The most clients whose state one group holds at once: every member's
+# clients keep their models, optimizer moments and CL anchors for the whole
+# run, so a group's memory grows with its members; past this many clients,
+# experiments of one shape train in several groups.
+GROUP_CLIENTS = 20
+
+
 def group_suite(specs: list[ExperimentSpec], dataset: dataio.Dataset) -> dict[int, Group]:
     """id(spec) -> the group it trains in; a spec whose config does not
     build is a group of one, which reports that error."""
     members: dict[tuple, list[ExperimentSpec]] = {}
     for spec in specs:
         try:
-            key = (spec.is_fcl, group_key(spec.build()))
+            config = spec.build()
+            key = (spec.is_fcl, group_key(config))
         except Exception:
             key = ("alone", id(spec))
         members.setdefault(key, []).append(spec)
-    return {id(spec): group for group in (Group(m, dataset) for m in members.values())
-            for spec in group.specs}
+    groups = {}
+    for key, same in members.items():
+        size = max(1, GROUP_CLIENTS // key[1][0]) if key[0] != "alone" else 1
+        for i in range(0, len(same), size):
+            group = Group(same[i:i + size], dataset)
+            groups.update((id(spec), group) for spec in group.specs)
+    return groups
 
 
 def execute_experiment(spec: ExperimentSpec, dataset: dataio.Dataset,

@@ -36,7 +36,7 @@ local_epochs = 2
 client_optimizer = sgd
 learning_rate = 0.01
 hidden_activation = relu
-clients = 3
+clients = 2
 seed = 9
 
 [sweep]
@@ -88,8 +88,10 @@ def run_grouped(suite, dataset, out_dir, monkeypatch):
 def test_grouped_suite_equals_experiments_run_alone(sweep, cap, tmp_path, monkeypatch):
     suite = suite_of(tmp_path, GRID.format(sweep=sweep, extra=""), "grid.ini")
     dataset, _ = dataio.synthetic_generate(400, seed=3, noise_std=0.1)
-    groups = store.group_suite(suite.experiments, dataset)
-    assert len({id(g) for g in groups.values()}) == 4  # one per (clients, augmentation) cell
+    monkeypatch.setattr(store, "GROUP_CLIENTS", 20)
+    groups = {id(g): g for g in store.group_suite(suite.experiments, dataset).values()}
+    # a 2-client cell is one group; a 10-client cell, at most 20 clients each
+    assert sorted(len(g.specs) for g in groups.values()) == [1, 1, 2, 2, 2, 2, 5, 5]
     monkeypatch.setattr(orch, "COHORT_CAP", cap)
     grouped, failures, cohorts = run_grouped(suite, dataset, str(tmp_path / "out"), monkeypatch)
     assert not failures
