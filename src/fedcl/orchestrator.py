@@ -124,9 +124,12 @@ class RunResult:
         return self.round_logs[-1].report
 
 
-# The largest cohort ``run_group`` passes to one ``local_train`` call. A
-# stacked nn.backward costs least per model near 10 models and more past
-# that (cache misses), so a group's clients train in chunks of this many.
+# The largest cohort ``run_group`` passes to one ``local_train`` call. Set
+# by a micro-benchmark: one round of each group shape of the benchmark grids
+# through local_train in chunks of 2 to 20 clients (2-core Xeon, 1 BLAS
+# thread, best of 9). Chunks of 10 were the fastest per client-round or
+# within noise of it; 5 cost 10-40% more and 20 up to 10% more, since a
+# stacked step's cost per model stops falling near 10 models.
 COHORT_CAP = 10
 
 # what the experiments of a group share: their shards, task split, round
@@ -242,6 +245,7 @@ class _Stack:
                  teachers: "_Stack | None" = None):
         self.clients, self.teachers = clients, teachers
         self.row_of = {id(c): k for k, c in enumerate(clients)}
+        self.failed = False  # whether a member with rows here has failed
         self._models = [c.teacher_model if teacher else c.model for c in clients]
         self._optimizers = [c.teacher_optimizer if teacher else c.optimizer for c in clients]
         self.hidden_activation = self._models[0].hidden_activation
@@ -390,12 +394,18 @@ def _epoch_batches(client: ClientState, purpose: int, task_index: int, round_ind
     return plan
 
 
-def _fail(client: ClientState, message: str, exc: Exception) -> None:
-    """Stop the client's member with its first error."""
-    if client.member.error is None:
-        error = ExperimentError(message)
-        error.__cause__ = exc
-        client.member.error = error
+def _fail(stack: _Stack, failing: list[ClientState], context: tuple, j: int,
+          exc: Exception) -> None:
+    """Stop the members of the failing clients, each with its first error,
+    naming the client, round and step; ``context`` is (round, label, epoch)."""
+    round_index, label, epoch = context
+    stack.failed = True
+    for c in failing:
+        if c.member.error is None:
+            error = ExperimentError(f"client {c.client_id} failed in round {round_index}: "
+                                    f"{label}epoch {epoch} batch {j}: {exc}")
+            error.__cause__ = exc
+            c.member.error = error
 
 
 def _live_runs(clients: list[ClientState], lo: int, hi: int):
@@ -410,9 +420,8 @@ def _live_runs(clients: list[ClientState], lo: int, hi: int):
 
 def _batch(clients: list[ClientState], plans: list, j: int, lo: int,
            hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """The client-major batch of rows lo:hi at step j, gathered in place."""
-    if hi - lo == 1:
-        return cl.mixed_batch_rows(clients[lo].buffer, clients[lo].shard, *plans[lo][j])
+    """The client-major batch of rows lo:hi (two or more) at step j,
+    gathered in place."""
     new, buf = plans[lo][j]
     n = len(new) + (0 if buf is None else len(buf))
     x, y = np.empty(((hi - lo) * n, nn.IN_DIM)), np.empty(((hi - lo) * n, nn.OUT_DIM))
@@ -455,27 +464,25 @@ def _apply(rows: _Rows, g: np.ndarray) -> None:
     rows.theta[...] = stepped
 
 
-def _step(stack: _Stack, plans: list, j: int, lo: int, hi: int, where: str) -> None:
+def _step(stack: _Stack, plans: list, j: int, lo: int, hi: int, context: tuple) -> None:
     """Step rows lo:hi of a stack on their j-th batches. A step that fails
     stops the members of its failing rows; every other row is stepped from
     the gradient already computed, since its forward has already moved its
     BatchNorm running statistics."""
     clients, k = stack.clients, hi - lo
     rows = stack.rows(lo, hi)
-    x, y = _batch(clients, plans, j, lo, hi)
+    x, y = (cl.mixed_batch_rows(clients[lo].buffer, clients[lo].shard, *plans[lo][j]) if k == 1
+            else _batch(clients, plans, j, lo, hi))
     try:
         g = _loss_gradient(rows, x, y, k)
     except ValueError as exc:
-        for c in clients[lo:hi]:
-            _fail(c, f"client {c.client_id} {where}: {exc}", exc)
+        _fail(stack, clients[lo:hi], context, j, exc)
         return
     try:
         _apply(rows, g)
     except ValueError as exc:  # a row's gradient is not finite
         finite = np.isfinite(g).reshape(k, -1).all(axis=1)
-        for i in np.flatnonzero(~finite):
-            c = clients[lo + i]
-            _fail(c, f"client {c.client_id} {where}: {exc}", exc)
+        _fail(stack, [clients[lo + i] for i in np.flatnonzero(~finite)], context, j, exc)
         for a, b in _live_runs(clients, lo, hi):
             _apply(stack.rows(a, b), g[a - lo] if b - a == 1 else g[a - lo:b - lo])
 
@@ -483,16 +490,19 @@ def _step(stack: _Stack, plans: list, j: int, lo: int, hi: int, where: str) -> N
 def _train_epochs(stack: _Stack, purpose: int, replay: bool, task_index: int, round_index: int,
                   label: str) -> None:
     """Every local epoch of a stack, each client's batches drawn from its
-    ``purpose`` stream; the rows of a failed member sit out the remaining
+    ``purpose`` stream; once a member fails, its rows sit out the remaining
     steps."""
     clients = stack.clients
     for epoch in range(clients[0].member.config.local_epochs):
         plans = [_epoch_batches(c, purpose, task_index, round_index, epoch, replay)
                  for c in clients]
-        for j, run_lo, run_hi in _schedule(plans):
-            for lo, hi in _live_runs(clients, run_lo, run_hi):
-                _step(stack, plans, j, lo, hi,
-                      f"failed in round {round_index}: {label}epoch {epoch} batch {j}")
+        context = (round_index, label, epoch)
+        for j, lo, hi in _schedule(plans):
+            if stack.failed:
+                for a, b in _live_runs(clients, lo, hi):
+                    _step(stack, plans, j, a, b, context)
+            else:
+                _step(stack, plans, j, lo, hi, context)
 
 
 def local_train(clients: list[ClientState], task_index: int,
