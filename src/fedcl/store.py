@@ -158,7 +158,8 @@ class Group:
     """Experiments that train in lockstep: all FL or all FCL, with one
     ``group_key``. The first ``result`` call splits the dataset with their
     shared seed and trains every member; each member's result (or the
-    exception that stopped it) is then handed out once."""
+    exception that stopped it) is then handed out once, and a member asked
+    for again runs alone."""
 
     def __init__(self, specs: list[ExperimentSpec], dataset: dataio.Dataset):
         self.specs = specs
@@ -174,8 +175,9 @@ class Group:
             except Exception as exc:
                 outcomes = [exc] * len(self.specs)
             self._outcomes = dict(zip(map(id, self.specs), outcomes))
-            self._dataset = None
-        outcome = self._outcomes.pop(id(spec))
+        outcome = self._outcomes.pop(id(spec), None)
+        if outcome is None:  # handed out already: the suite lists this spec twice
+            return Group([spec], self._dataset).result(spec)
         if isinstance(outcome, Exception):
             raise outcome
         return outcome

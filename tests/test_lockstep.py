@@ -159,3 +159,11 @@ synthetic_n = 200
     assert sorted(grouped) == sorted(s.run_id() for s in others)
     for spec in others:
         assert digest(grouped[spec.run_id()]) == digest(store.execute_experiment(spec, dataset))
+
+
+def test_a_spec_listed_twice_runs_twice(tmp_path):
+    suite = suite_of(tmp_path, MIXED.format(sweep="strategies = fedavg, fedprox"), "twice.ini")
+    suite = BenchmarkSuite(suite.experiments + suite.experiments[:1], suite.suite)
+    dataset, _ = dataio.synthetic_generate(300, seed=4, noise_std=0.1)
+    _, failures = store.run_suite(suite, dataset, str(tmp_path / "out"))
+    assert not failures
