@@ -32,7 +32,8 @@ DEFAULT_LAMBDAS = {"ewc": 100.0, "ewc_online": 100.0, "si": 1.0, "mas": 1.0}
 @dataclass
 class PenaltyConfig:
     lambda_: float | None = None   # None -> method default
-    gamma_online: float = 1.0      # EWC-Online decay
+    gamma_online: float = 1.0      # EWC-Online decay; no effect until a third task,
+                                   # so EWC-Online equals EWC over FCL's two
     fisher_samples: int = 8        # minibatches sampled for the Fisher diagonal
     xi: float = 0.1                # SI damping
     buffer_capacity: int = 1000    # NR
@@ -102,7 +103,9 @@ def quadratic_penalty(theta: np.ndarray, anchors: list[AnchorParams],
     """Sum over (anchor, importance) pairs of (lambda/2) * sum_i I_i (theta_i - theta*_i)^2.
 
     Shared by EWC (one pair per task), EWC-Online (single running pair),
-    SI and MAS (Omega in place of Fisher). Returns (value, gradient).
+    SI and MAS (Omega in place of Fisher), and FedProx: its proximal term
+    is lambda = mu, the round's global parameters as anchor and an
+    importance of 1 on every penalized slot. Returns (value, gradient).
 
     For a (C, P) stack of parameter vectors, every anchor and importance map
     is stacked the same way (row k belongs to model k), the value is one

@@ -7,15 +7,21 @@ round by round: each is a ``_Run``, and each round the clients of all its
 members train as one cohort through ``local_train``, in chunks of at most
 ``COHORT_CAP`` clients; then each member consolidates, aggregates and
 evaluates on its own. ``run_fl`` and ``run_fcl`` run a group of one.
+FCL is two tasks, circle then arrow; the last round of task 1 consolidates
+each client's CL state, and task 2 trains against it.
 
 Local training is client-stacked: ``local_train`` gathers a cohort of
 clients into (C, P) arrays (parameters, optimizer state, SI path
 integrals), takes each step of every client whose batch has the same row
 count with one ``nn.backward`` and one ``Optimizer.step`` on views of their
 rows, and writes the state back to each ``ClientState``. What a client's
-loss adds to the data loss (FedProx's mu and anchor, a CL penalty, a
-FedDistill teacher, NR replay) comes from its ``Member`` and its own state,
-so one cohort may mix the clients of several experiments.
+loss adds to the data loss (at most one quadratic penalty, a FedDistill
+teacher, NR replay) comes from its ``Member`` and its own state, so one
+cohort may mix the clients of several experiments. The quadratic penalty
+is one (lambda, anchor, importance) triple: FedProx's proximal term is
+(mu, the round's global parameters, a unit importance on the optimized
+slots), and EWC, EWC-Online, SI and MAS give, in task 2, (lambda, the
+parameters at the end of task 1, their importance map).
 
 Determinism: every random draw comes from a stream derived from
 (seed, purpose, client, task, round, ...) via numpy's SeedSequence, and
@@ -28,7 +34,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -104,9 +110,9 @@ class RoundLog:
     report: MetricsReport
     client_train_losses: list[float]
     wall_time: float
-    # seconds of each phase of the round; consolidate is 0 except in an FCL
-    # task's last round. The clients of a group train together, so in a
-    # group local_train_time is the group's shared training seconds.
+    # seconds of each phase of the round; consolidate is 0 except in the
+    # last round of FCL's task 1. The clients of a group train together,
+    # so in a group local_train_time is the group's shared training seconds.
     local_train_time: float = 0.0
     consolidate_time: float = 0.0
     aggregate_time: float = 0.0
@@ -117,7 +123,6 @@ class RoundLog:
 class RunResult:
     round_logs: list[RoundLog]
     final_params: np.ndarray
-    events: list[tuple]
 
     @property
     def final_report(self) -> MetricsReport:
@@ -132,18 +137,17 @@ class RunResult:
 # stacked step's cost per model stops falling near 10 models.
 COHORT_CAP = 10
 
-# what the experiments of a group share: their shards, task split, round
-# schedule and minibatch draws follow from these fields, and a stacked
-# optimizer steps every row with one kind and learning rate
-_GROUP_FIELDS = ("n_clients", "n_rounds", "rounds_per_task", "local_epochs", "batch_size", "seed",
-                 "augmentation", "augment_sigma", "hidden_activation", "client_optimizer",
-                 "learning_rate")
-
 
 def group_key(config: ExperimentConfig) -> tuple:
     """Experiments whose configs have the same key (and that are all FL or
-    all FCL) can train in lockstep as one group."""
-    return tuple(getattr(config, name) for name in _GROUP_FIELDS)
+    all FCL) can train in lockstep as one group. The key is every field but
+    the strategy, CL method and penalty options, which ride on each
+    client's ``Member``: the shards, task split, round schedule and
+    minibatch draws follow from the others, and a stacked optimizer steps
+    every row with one kind and learning rate. A field added later splits
+    groups unless it is left out here."""
+    return tuple(getattr(config, f.name) for f in fields(config)
+                 if f.name not in ("strategy", "cl_method", "penalty"))
 
 
 @dataclass
@@ -170,14 +174,18 @@ class ClientState:
     member: Member
     teacher_model: nn.MlpModel | None = None  # FedDistill with a nonzero weight
     teacher_optimizer: nn.Optimizer | None = None
-    anchors: list[cl.AnchorParams] = field(default_factory=list)
-    importances: list[np.ndarray] = field(default_factory=list)
-    running_fisher: np.ndarray | None = None
+    # EWC, EWC-Online, SI and MAS: the parameters at the end of task 1 and
+    # their importance map, which the task-2 penalty pulls towards
+    anchor: np.ndarray | None = None
+    importance: np.ndarray | None = None
     si_acc: cl.SiAccumulator | None = None
     buffer: cl.ReplayBuffer | None = None
 
 
 _BN_MASK = nn.bn_mask()
+# FedProx's importance: every optimized slot weighs 1, so its quadratic
+# penalty is the proximal term mu/2 * ||theta - anchor||^2 on those slots
+_UNIT_IMPORTANCE = cl.PENALIZED_MASK.astype(np.float64)
 
 
 def evaluate(params: np.ndarray, test_set: dataio.Dataset,
@@ -203,10 +211,9 @@ class _Rows:
     theta: np.ndarray
     model: nn.MlpModel
     optimizer: nn.Optimizer
-    si: tuple | None = None          # SI: (sel, accumulator of the path integrals)
-    prox: tuple | None = None        # FedProx: (sel, mu, anchor)
-    penalties: list[tuple] = field(default_factory=list)  # (sel, lambda, anchors, importances)
-    distill: list[tuple] = field(default_factory=list)  # (sel, teacher rows' _Rows, weight)
+    si: tuple | None = None       # SI: (sel, accumulator of the path integrals)
+    penalty: tuple | None = None  # (sel, lambda, [anchor], [importance])
+    distill: tuple | None = None  # FedDistill: (sel, teachers' model, weight)
 
 
 class _Part:
@@ -239,7 +246,7 @@ class _Stack:
     student stack are stacked once per term over the rows that carry it
     (``_Part``), and a run of rows reads them as views; the distillation
     targets come from ``teachers``, the teacher stack of the clients with
-    teachers."""
+    teachers, which has finished training."""
 
     def __init__(self, clients: list[ClientState], task_index: int, teacher: bool = False,
                  teachers: "_Stack | None" = None):
@@ -250,8 +257,7 @@ class _Stack:
         self._optimizers = [c.teacher_optimizer if teacher else c.optimizer for c in clients]
         self.hidden_activation = self._models[0].hidden_activation
         self._rows: dict[tuple[int, int], _Rows] = {}
-        self._si = self._prox = None
-        self._penalties: list[tuple[list[int], _Part]] = []  # (task ids, part) by anchor count
+        self._si = self._penalty = None
         if not teacher:
             self._stack_terms(task_index)
         if len(clients) == 1:
@@ -263,24 +269,13 @@ class _Stack:
         self.optimizer = nn.Optimizer.stack(self._optimizers, self.params)
 
     def _stack_terms(self, task_index: int) -> None:
-        def part(covers, *values):
-            """The _Part of the clients ``covers`` picks, with ``values`` of each."""
-            rows = [k for k, c in enumerate(self.clients) if covers(c)]
-            return (_Part(rows, *([value(self.clients[k]) for k in rows] for value in values))
-                    if rows else None)
-
-        self._si = part(lambda c: c.si_acc is not None, lambda c: c.si_acc.omega_running)
-        self._prox = part(lambda c: (c.member.config.strategy.kind == "fedprox"
-                                     and c.member.config.strategy.mu > 0.0),
-                          lambda c: c.member.config.strategy.mu, lambda c: c.member.global_params)
-        penalized = [c for c in self.clients if _penalty_lambda(c, task_index)]
-        for n in sorted({len(c.anchors) for c in penalized}):
-            task_ids = [a.task_id for a in next(c for c in penalized if len(c.anchors) == n).anchors]
-            self._penalties.append((task_ids, part(
-                lambda c, n=n: _penalty_lambda(c, task_index) > 0.0 and len(c.anchors) == n,
-                lambda c: _penalty_lambda(c, task_index),
-                *(lambda c, i=i: c.anchors[i].theta_star for i in range(n)),
-                *(lambda c, i=i: c.importances[i] for i in range(n)))))
+        si = [k for k, c in enumerate(self.clients) if c.si_acc is not None]
+        if si:
+            self._si = _Part(si, [self.clients[k].si_acc.omega_running for k in si])
+        terms = [_penalty(c, task_index) for c in self.clients]
+        penalized = [k for k, term in enumerate(terms) if term is not None]
+        if penalized:  # (lambdas, anchors, importances)
+            self._penalty = _Part(penalized, *zip(*(terms[k] for k in penalized)))
 
     def rows(self, lo: int, hi: int) -> _Rows:
         rows = self._rows.get((lo, hi))
@@ -298,26 +293,22 @@ class _Stack:
             sel, omega = si
             # only the path integral is stepped; the task's start is not read
             rows.si = sel, cl.SiAccumulator(None, omega)
-        if self._prox is not None:
-            rows.prox = self._prox.run(lo, hi)
-        for task_ids, part in self._penalties:
-            if run := part.run(lo, hi):
-                sel, lam, *arrays = run
-                n = len(task_ids)
-                rows.penalties.append((sel, lam, [cl.AnchorParams(a, t) for a, t
-                                                  in zip(arrays[:n], task_ids)], arrays[n:]))
+        if self._penalty is not None and (penalty := self._penalty.run(lo, hi)):
+            sel, lam, anchor, importance = penalty
+            # the anchor's task id is not read
+            rows.penalty = sel, lam, [cl.AnchorParams(anchor, 0)], [importance]
         if self.teachers is not None:
-            # each run of consecutive teacher rows forwards as one teacher view
-            k = hi - lo
-            pairs = [(i, self.teachers.row_of[id(c)]) for i, c in enumerate(self.clients[lo:hi])
-                     if c.teacher_model is not None]
-            for _, segment in itertools.groupby(enumerate(pairs), key=lambda e: e[1][1] - e[0]):
-                idx, teacher_rows = zip(*(pair for _, pair in segment))
-                rows.distill.append((
-                    slice(None) if len(idx) == k else np.array(idx),
-                    self.teachers.rows(teacher_rows[0], teacher_rows[-1] + 1),
-                    np.array([self.clients[lo + i].member.config.strategy.distill_weight
-                              for i in idx])[:, None, None]))
+            # the run's teachers forward as one model over a copy of their rows
+            idx = [i for i, c in enumerate(self.clients[lo:hi]) if c.teacher_model is not None]
+            if idx:
+                clients = [self.clients[lo + i] for i in idx]
+                theta = np.atleast_2d(self.teachers.params)[
+                    [self.teachers.row_of[id(c)] for c in clients]]
+                rows.distill = (
+                    slice(None) if len(idx) == hi - lo else np.array(idx),
+                    nn.MlpModel(self.hidden_activation, theta),
+                    np.array([c.member.config.strategy.distill_weight
+                              for c in clients])[:, None, None])
         return rows
 
     def unstack(self) -> None:
@@ -331,14 +322,18 @@ class _Stack:
         self.optimizer.unstack(self._optimizers)
 
 
-def _penalty_lambda(client: ClientState, task_index: int) -> float:
-    """The weight of the client's quadratic CL penalty (EWC, EWC-Online, SI,
-    MAS) this round; 0 when it trains without one."""
+def _penalty(client: ClientState, task_index: int) -> tuple | None:
+    """The client's quadratic penalty this round as (lambda, anchor,
+    importance), or None when it trains without one: FedProx's proximal
+    term towards the round's global parameters, or, in task 2, the CL
+    penalty (EWC, EWC-Online, SI, MAS) towards the end of task 1."""
     cfg = client.member.config
-    if cfg.cl_method not in ("ewc", "ewc_online", "si", "mas") or task_index == 0 \
-            or not client.anchors:
-        return 0.0
-    return cfg.penalty.effective_lambda(cfg.cl_method)
+    if cfg.strategy.kind == "fedprox" and cfg.strategy.mu > 0.0:
+        return cfg.strategy.mu, client.member.global_params, _UNIT_IMPORTANCE
+    if task_index == 0 or client.anchor is None:
+        return None
+    lam = cfg.penalty.effective_lambda(cfg.cl_method)
+    return (lam, client.anchor, client.importance) if lam > 0.0 else None
 
 
 def _replays(client: ClientState, task_index: int) -> bool:
@@ -434,25 +429,19 @@ def _batch(clients: list[ClientState], plans: list, j: int, lo: int,
 def _loss_gradient(rows: _Rows, x: np.ndarray, y: np.ndarray, k: int) -> np.ndarray:
     """The gradient of rows' loss on a client-major batch of k clients: the
     data loss against the labels, or the distillation target of the rows
-    with teachers, plus each row's FedProx or CL penalty."""
+    with teachers, plus each row's quadratic penalty."""
     target = y
-    if rows.distill:
+    if rows.distill is not None:
+        sel, teacher, weight = rows.distill
         target = y.reshape(k, -1, nn.OUT_DIM).copy()
-        for sel, teacher, weight in rows.distill:
-            tpred = teacher.model.forward(x.reshape(k, -1, nn.IN_DIM)[sel].reshape(-1, nn.IN_DIM),
-                                          mode="eval")
-            target[sel] = fed.distill_target(target[sel], tpred.reshape(target[sel].shape),
-                                             weight)
+        tpred = teacher.forward(x.reshape(k, -1, nn.IN_DIM)[sel].reshape(-1, nn.IN_DIM),
+                                mode="eval")
+        target[sel] = fed.distill_target(target[sel], tpred.reshape(target[sel].shape), weight)
         target = target.reshape(y.shape)
     g = nn.backward(rows.model, x, target)
-    if rows.prox is not None:
-        sel, mu, anchor = rows.prox
-        _, pg = fed.fedprox_penalty(rows.theta[sel], anchor, mu)
-        pg *= cl.PENALIZED_MASK
-        g[sel] += pg
-    for sel, lam, anchors, importances in rows.penalties:
-        _, pg = cl.quadratic_penalty(rows.theta[sel], anchors, importances, lam)
-        g[sel] += pg
+    if rows.penalty is not None:
+        sel, lam, anchors, importances = rows.penalty
+        g[sel] += cl.quadratic_penalty(rows.theta[sel], anchors, importances, lam)[1]
     return g
 
 
@@ -557,33 +546,25 @@ def local_train(clients: list[ClientState], task_index: int,
 
 def _consolidate(client: ClientState, task_index: int) -> None:
     """Record CL state from the local model after the task's final local
-    training and before the subsequent aggregation."""
+    training and before the subsequent aggregation: the replay buffer, or
+    the anchor and importance map of the next task's penalty."""
     cfg = client.member.config
+    method = cfg.cl_method
+    if method == "nr":
+        cl.nr_store(client.buffer, client.shard)
+        return
     theta = nn.extract_params(client.model)
     fseed = derive_seed(cfg.seed, 22, client.client_id, task_index)
-    method = cfg.cl_method
-    if method == "ewc":
+    if method in ("ewc", "ewc_online"):
         fisher = cl.compute_fisher(client.model, client.shard, cfg.penalty.fisher_samples,
                                    fseed, cfg.batch_size)
-        client.anchors.append(cl.AnchorParams(theta, task_index))
-        client.importances.append(fisher)
-    elif method == "ewc_online":
-        fisher = cl.compute_fisher(client.model, client.shard, cfg.penalty.fisher_samples,
-                                   fseed, cfg.batch_size)
-        client.running_fisher = cl.ewc_online_update(client.running_fisher, fisher,
-                                                     cfg.penalty.gamma_online)
-        client.anchors = [cl.AnchorParams(theta, task_index)]
-        client.importances = [client.running_fisher]
+        client.importance = (fisher if method == "ewc" else cl.ewc_online_update(
+            client.importance, fisher, cfg.penalty.gamma_online))
     elif method == "si":
-        omega = cl.si_consolidate(client.si_acc, theta)
-        client.anchors.append(cl.AnchorParams(theta, task_index))
-        client.importances.append(omega)
+        client.importance = cl.si_consolidate(client.si_acc, theta)
     elif method == "mas":
-        omega = cl.mas_importance(client.model, client.shard.features, fseed)
-        client.anchors.append(cl.AnchorParams(theta, task_index))
-        client.importances.append(omega)
-    elif method == "nr":
-        cl.nr_store(client.buffer, client.shard)
+        client.importance = cl.mas_importance(client.model, client.shard.features, fseed)
+    client.anchor = theta
 
 
 def _build_clients(member: Member, shards: list[dataio.Dataset]) -> list[ClientState]:
@@ -641,15 +622,14 @@ def _fl_tasks(config: ExperimentConfig, train: dataio.Dataset,
     return [_Task([p.shard for p in parts], test, config.n_rounds)]
 
 
-def _fcl_tasks(config: ExperimentConfig, train: dataio.Dataset, test: dataio.Dataset,
-               rounds_per_task: list[int] | None) -> list[_Task]:
-    """Circle then arrow: each client's shard split by the context flag,
-    augmented per task shard (task membership is decided on clean flags);
-    task-1 rounds evaluate on the circle test subset, task-2 rounds on the
-    full test set."""
-    if rounds_per_task is None:
-        rounds_per_task = [config.n_rounds if config.rounds_per_task is None
-                           else config.rounds_per_task] * 2
+def _fcl_tasks(config: ExperimentConfig, train: dataio.Dataset,
+               test: dataio.Dataset) -> list[_Task]:
+    """FCL's two tasks, circle then arrow, of ``config.rounds_per_task``
+    rounds each (``n_rounds`` when unset): each client's shard split by the
+    context flag, augmented per task shard (task membership is decided on
+    clean flags); task-1 rounds evaluate on the circle test subset, task-2
+    rounds on the full test set."""
+    n_rounds = config.n_rounds if config.rounds_per_task is None else config.rounds_per_task
     parts = dataio.partition_clients(train, config.n_clients, config.seed)
     client_tasks = []
     for p in parts:
@@ -663,19 +643,19 @@ def _fcl_tasks(config: ExperimentConfig, train: dataio.Dataset, test: dataio.Dat
     if len(test_split.task1) < 2:
         raise ExperimentError("circle test subset too small to evaluate")
     tasks = []
-    for task_index, n_rounds in enumerate(rounds_per_task):
+    for task_index, eval_set in enumerate(eval_sets):
         shards = [t[task_index] for t in client_tasks]
         if config.augmentation:
             shards = [dataio.augment(shard, config.augment_sigma,
                                      derive_seed(config.seed, 25, cid, task_index))
                       for cid, shard in enumerate(shards)]
-        tasks.append(_Task(shards, eval_sets[task_index], n_rounds))
+        tasks.append(_Task(shards, eval_set, n_rounds))
     return tasks
 
 
 class _Run:
     """One experiment between rounds: its member, clients, FedOpt server
-    optimizer, round logs and events. ``run_group`` trains the clients of
+    optimizer and round logs. ``run_group`` trains the clients of
     all its runs together and then lets each finish the round on its own."""
 
     def __init__(self, config: ExperimentConfig, shards: list[dataio.Dataset]):
@@ -687,7 +667,6 @@ class _Run:
                                         config.strategy.server_learning_rate)
                            if config.strategy.kind == "fedopt" else None)
         self.logs: list[RoundLog] = []
-        self.events: list[tuple] = []
 
     def start_task(self, task_index: int, task: _Task) -> None:
         for c, shard in zip(self.clients, task.shards):
@@ -695,16 +674,16 @@ class _Run:
             if task_index > 0:
                 c.optimizer.reset()
 
-    def finish_round(self, task_index: int, round_index: int, last: bool, task: _Task,
+    def finish_round(self, task_index: int, round_index: int, consolidate: bool, task: _Task,
                      trained: list[tuple], train_s: float) -> None:
-        """Consolidate (in a task's last round), aggregate and evaluate, from
-        the (update, loss) of each client of this round, trained in
-        ``train_s`` seconds shared by the group."""
+        """Consolidate (when ``consolidate``: the last round of a task that
+        another follows), aggregate and evaluate, from the (update, loss) of
+        each client of this round, trained in ``train_s`` seconds shared by
+        the group."""
         cfg = self.member.config
         t1 = t2 = time.perf_counter()
         updates, losses = zip(*trained)
-        consolidating = last and cfg.cl_method != "none"
-        if consolidating:
+        if consolidate and cfg.cl_method != "none":
             for c in self.clients:
                 _consolidate(c, task_index)
             t2 = time.perf_counter()
@@ -713,12 +692,6 @@ class _Run:
         t3 = time.perf_counter()
         report = evaluate(self.member.global_params, task.eval_set, cfg.hidden_activation)
         t4 = time.perf_counter()
-        self.events.extend(("local_train", c.client_id, task_index, round_index)
-                           for c in self.clients)
-        if consolidating:
-            self.events.extend(("importance", c.client_id, task_index, round_index)
-                               for c in self.clients)
-        self.events.append(("aggregate", task_index, round_index))
         self.logs.append(RoundLog(round_index, task_index, report, list(losses),
                                   train_s + (t4 - t1), local_train_time=train_s,
                                   consolidate_time=t2 - t1, aggregate_time=t3 - t2,
@@ -726,8 +699,7 @@ class _Run:
 
 
 def run_group(configs: list[ExperimentConfig], train: dataio.Dataset, test: dataio.Dataset,
-              continual: bool, rounds_per_task: list[int] | None = None
-              ) -> list[RunResult | Exception]:
+              continual: bool) -> list[RunResult | Exception]:
     """Run experiments of one ``group_key`` in lockstep, FL (``continual``
     false) or FCL. They share the shards and every minibatch draw; each
     round, the clients of every member still running train as one cohort
@@ -743,7 +715,7 @@ def run_group(configs: list[ExperimentConfig], train: dataio.Dataset, test: data
             raise ValueError("run_fcl adapts fedavg only")
         if not continual and cfg.cl_method != "none":
             raise ValueError("run_fl requires cl_method == 'none'; use run_fcl")
-    tasks = (_fcl_tasks(configs[0], train, test, rounds_per_task) if continual
+    tasks = (_fcl_tasks(configs[0], train, test) if continual
              else _fl_tasks(configs[0], train, test))
     runs = [_Run(cfg, tasks[0].shards) for cfg in configs]
     plans = {} if len(runs) > 1 else None
@@ -769,16 +741,17 @@ def run_group(configs: list[ExperimentConfig], train: dataio.Dataset, test: data
             train_s = time.perf_counter() - t0
             if plans is not None:
                 plans.clear()  # no later round draws these again
+            # a task's last round consolidates for the next task, if one follows
+            consolidate = r == task.n_rounds - 1 and task_index + 1 < len(tasks)
             for run in live:
                 if run.member.error is None:
                     try:
-                        run.finish_round(task_index, round_index, r == task.n_rounds - 1, task,
+                        run.finish_round(task_index, round_index, consolidate, task,
                                          [trained[id(c)] for c in run.clients], train_s)
                     except Exception as exc:
                         run.member.error = exc
             round_index += 1
-    return [run.member.error or RunResult(run.logs, run.member.global_params, run.events)
-            for run in runs]
+    return [run.member.error or RunResult(run.logs, run.member.global_params) for run in runs]
 
 
 def _alone(outcomes: list[RunResult | Exception]) -> RunResult:
@@ -793,18 +766,19 @@ def run_fl(config: ExperimentConfig, train: dataio.Dataset, test: dataio.Dataset
     return _alone(run_group([config], train, test, continual=False))
 
 
-def run_fcl(config: ExperimentConfig, train: dataio.Dataset, test: dataio.Dataset,
-            rounds_per_task: list[int] | None = None) -> RunResult:
+def run_fcl(config: ExperimentConfig, train: dataio.Dataset, test: dataio.Dataset) -> RunResult:
     """Sequential two-task (circle then arrow) federated loop with the
     configured continual-learning mechanism, a group of one. cl_method
     'none' runs the unregularized sequential baseline.
 
-    ``rounds_per_task`` lists the rounds of each task in order; it defaults
-    to ``config.rounds_per_task`` (else ``config.n_rounds``) for both tasks.
+    Each task trains ``config.rounds_per_task`` rounds (``config.n_rounds``
+    when unset). The last round of task 1 consolidates each client's CL
+    state (its anchor and importance map, or its replay buffer) before
+    aggregating; task 2 trains against it and consolidates nothing, so
+    EWC-Online equals EWC here whatever ``gamma_online`` is.
 
     Evaluation after task-1 rounds uses the circle-only test subset; task-2
     rounds are evaluated on the full test set. Augmentation, when enabled,
     is applied per task shard (task membership is decided on clean flags).
     """
-    return _alone(run_group([config], train, test, continual=True,
-                            rounds_per_task=rounds_per_task))
+    return _alone(run_group([config], train, test, continual=True))

@@ -99,20 +99,17 @@ def fedbn_aggregate(updates: list[ClientUpdate], bn_mask: np.ndarray,
     return FedBnResult(per_client=per_client, eval_params=eval_params)
 
 
-def fedprox_penalty(omega: np.ndarray, omega_t: np.ndarray,
-                    mu: float | np.ndarray) -> tuple[float, np.ndarray]:
+def fedprox_penalty(omega: np.ndarray, omega_t: np.ndarray, mu: float) -> tuple[float, np.ndarray]:
     """Proximal term (mu/2) * ||omega - omega_t||^2 and its gradient.
 
-    ``omega`` may be a (C, P) stack of vectors; the anchor ``omega_t`` is
-    then shared, or stacked the same way, ``mu`` may be a (C,) array of one
-    strength per row, and the value is one number per row."""
-    if omega_t.shape not in (omega.shape, omega.shape[-1:]):
+    Local training applies it as ``continual.quadratic_penalty`` with a unit
+    importance on the optimized slots, which equals this gradient there."""
+    if omega.shape != omega_t.shape:
         raise ValueError("parameter layout mismatch")
-    mu_rows = np.asarray(mu, dtype=np.float64)
-    if (mu_rows < 0.0).any():
+    if mu < 0.0:
         raise ValueError("mu must be >= 0")
     diff = omega - omega_t
-    return 0.5 * mu * np.einsum("...i,...i->...", diff, diff), mu_rows[..., None] * diff
+    return 0.5 * mu * float(diff @ diff), mu * diff
 
 
 def fedopt_server_step(global_params: np.ndarray, updates: list[ClientUpdate],

@@ -2,13 +2,16 @@
 each must compute exactly the bits it computes alone (acceptance criterion
 9's form, one level up: experiments instead of clients)."""
 
+import dataclasses
 import hashlib
 
 import numpy as np
 import pytest
 
 import fedcl.orchestrator as orch
+from fedcl import continual as cl
 from fedcl import data as dataio
+from fedcl import strategies as fed
 from fedcl import store
 from fedcl.config import BenchmarkSuite, ExperimentSpec, parse_config
 
@@ -167,3 +170,26 @@ def test_a_spec_listed_twice_runs_twice(tmp_path):
     dataset, _ = dataio.synthetic_generate(300, seed=4, noise_std=0.1)
     _, failures = store.run_suite(suite, dataset, str(tmp_path / "out"))
     assert not failures
+
+
+def test_group_key_is_every_field_but_the_members_own():
+    # a member's strategy, CL method and penalty options ride on its
+    # clients; any other field, also one added later, splits groups
+    base = orch.ExperimentConfig()
+    own = {"strategy": fed.StrategyConfig("fedprox", mu=0.5), "cl_method": "ewc",
+           "penalty": cl.PenaltyConfig(lambda_=3.0, gamma_online=0.5)}
+    choices = {"client_optimizer": "sgd", "hidden_activation": "relu"}
+    for f in dataclasses.fields(orch.ExperimentConfig):
+        value = getattr(base, f.name)
+        if f.name in own:
+            changed = own[f.name]
+        elif isinstance(value, bool):
+            changed = not value
+        elif isinstance(value, (int, float)):
+            changed = value + 1
+        elif value is None:
+            changed = 3
+        else:
+            changed = choices[f.name]
+        key = orch.group_key(dataclasses.replace(base, **{f.name: changed}))
+        assert (key == orch.group_key(base)) == (f.name in own), f.name

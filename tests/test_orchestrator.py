@@ -1,3 +1,4 @@
+import hashlib
 import re
 
 import numpy as np
@@ -206,10 +207,13 @@ class TestPhaseTimes:
         check_phase_times(run_fl(config(), train, test).round_logs, set())
 
     @pytest.mark.parametrize("method", ["none", "mas", "nr"])
-    def test_fcl_consolidates_in_each_tasks_last_round(self, method):
+    def test_fcl_consolidates_only_in_task_1s_last_round(self, method):
+        # no task follows task 2, so its last round consolidates nothing
         train, test = two_task()
-        result = run_fcl(config(cl_method=method), train, test, rounds_per_task=[2, 3])
-        check_phase_times(result.round_logs, set() if method == "none" else {1, 4})
+        result = run_fcl(config(cl_method=method, rounds_per_task=2), train, test)
+        assert [log.task_index for log in result.round_logs] == [0, 0, 1, 1]
+        check_phase_times(result.round_logs, set() if method == "none" else {1})
+        assert result.round_logs[-1].consolidate_time == 0.0
 
 
 class TestStrategyEquivalences:
@@ -330,24 +334,31 @@ class TestRunFcl:
         result = run_fcl(config(cl_method="ewc", n_rounds=3, rounds_per_task=1), train, test)
         assert [log.task_index for log in result.round_logs] == [0, 1]
 
-    def test_task_sequencing_and_eval_sets(self):
+    def test_task_sequencing_and_eval_sets(self, monkeypatch):
         train, test = two_task()
-        cfg = config(cl_method="ewc", n_rounds=2)
-        result = run_fcl(cfg, train, test)
+        calls = []
+        original = orch.evaluate
+
+        def record(params, eval_set, *args):
+            calls.append((params.copy(), eval_set))
+            return original(params, eval_set, *args)
+
+        monkeypatch.setattr(orch, "evaluate", record)
+        result = run_fcl(config(cl_method="ewc", n_rounds=2), train, test)
         tasks = [log.task_index for log in result.round_logs]
         assert tasks == [0, 0, 1, 1]
-        # the final round is evaluated on the full test set
-        rep = evaluate(result.final_params, test)
-        assert np.array_equal(rep.per_action_mse, result.round_logs[-1].report.per_action_mse)
-        # task-1 rounds are evaluated on the circle-only subset: replay task 1
-        # alone (deterministic) and compare its final global against the log
+        assert len(calls) == len(result.round_logs)
+        assert np.array_equal(calls[-1][0], result.final_params)
+        # task-1 rounds are evaluated on the circle-only subset, task-2
+        # rounds on the full test set
         circle_test = dataio.split_tasks(test).task1
         assert 0 < len(circle_test) < len(test)
-        only_task1 = run_fcl(config(cl_method="ewc", n_rounds=2), train, test,
-                             rounds_per_task=[2])
-        rep1 = evaluate(only_task1.final_params, circle_test)
-        assert np.array_equal(rep1.per_action_mse,
-                              result.round_logs[1].report.per_action_mse)
+        for log, (params, eval_set) in zip(result.round_logs, calls):
+            expected = circle_test if log.task_index == 0 else test
+            assert np.array_equal(eval_set.features, expected.features)
+            assert np.array_equal(eval_set.labels, expected.labels)
+            rep = original(params, expected)
+            assert np.array_equal(rep.per_action_mse, log.report.per_action_mse)
 
     def test_lambda_zero_matches_unregularized(self):
         train, test = two_task()
@@ -357,20 +368,37 @@ class TestRunFcl:
             b = run_fcl(config(cl_method="none", n_rounds=2), train, test)
             assert np.array_equal(a.final_params, b.final_params), method
 
-    def test_importance_computed_before_final_aggregation(self):
+    def test_importance_computed_before_final_aggregation(self, monkeypatch):
         train, test = two_task()
-        result = run_fcl(config(cl_method="ewc", n_rounds=2), train, test)
-        events = result.events
-        # the importance event for task 0 precedes the last aggregate of task 0
-        imp_idx = [i for i, e in enumerate(events) if e[0] == "importance" and e[2] == 0]
-        agg_idx = [i for i, e in enumerate(events) if e[0] == "aggregate" and e[1] == 0]
-        assert imp_idx and agg_idx
-        assert max(imp_idx) < max(agg_idx)
-        # and follows that round's local training
-        last_round = events[max(agg_idx)][2]
-        lt_idx = [i for i, e in enumerate(events)
-                  if e[0] == "local_train" and e[2] == 0 and e[3] == last_round]
-        assert max(lt_idx) < min(imp_idx)
+        calls = []
+
+        def record(name, fn, task_of):
+            def wrapper(*args):
+                calls.append((name, task_of(args)))
+                return fn(*args)
+            monkeypatch.setattr(orch, name, wrapper)
+
+        record("local_train", orch.local_train, lambda args: args[1])
+        record("_consolidate", orch._consolidate, lambda args: args[1])
+        record("_aggregate", orch._aggregate, lambda args: None)
+        run_fcl(config(cl_method="ewc", n_rounds=2), train, test)
+        # per round: local training, then (task 1's last round only) one
+        # consolidation per client, then the aggregation
+        train_round = [("local_train", 0), ("_aggregate", None)]
+        assert calls == (train_round + [("local_train", 0), ("_consolidate", 0),
+                                        ("_consolidate", 0), ("_aggregate", None)]
+                         + [("local_train", 1), ("_aggregate", None)] * 2)
+
+    def test_ewc_online_is_ewc_over_two_tasks(self):
+        # the running Fisher decays only from a third task on
+        train, test = two_task()
+        digests = set()
+        for method, gamma in (("ewc", 1.0), ("ewc_online", 1.0), ("ewc_online", 0.3)):
+            result = run_fcl(config(cl_method=method, n_rounds=2,
+                                    penalty=cl.PenaltyConfig(gamma_online=gamma)), train, test)
+            digests.add((hashlib.sha256(result.final_params.tobytes()).hexdigest(),
+                         tuple(repr(log.report.avg_mse) for log in result.round_logs)))
+        assert len(digests) == 1
 
     def test_determinism_with_workers(self, monkeypatch):
         # one client at a time against one stacked cohort

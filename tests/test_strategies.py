@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from fedcl import continual as cl
 from fedcl import nn
 from fedcl import strategies as fed
 from conftest import rel_err
@@ -171,6 +172,24 @@ class TestFedProx:
             wm = w.copy(); wm[i] -= h
             fd[i] = (fed.fedprox_penalty(wp, wt, mu)[0] - fed.fedprox_penalty(wm, wt, mu)[0]) / (2 * h)
         assert rel_err(grad, fd) <= 1e-6
+
+    @pytest.mark.parametrize("mu", [1e-5, 0.01, 0.5, 3.7])
+    def test_is_the_quadratic_penalty_with_unit_importance(self, rng, mu):
+        # local training applies FedProx as the quadratic penalty with an
+        # importance of 1 on the optimized slots; on the running statistics
+        # both gradients are a signed zero
+        unit = cl.PENALIZED_MASK.astype(np.float64)
+        theta = rng.normal(size=(3, nn.PARAM_COUNT))
+        anchor = rng.normal(size=(3, nn.PARAM_COUNT))
+        _, grad = cl.quadratic_penalty(theta[0], [cl.AnchorParams(anchor[0], 0)], [unit], mu)
+        assert np.array_equal(grad, fed.fedprox_penalty(theta[0], anchor[0], mu)[1]
+                              * cl.PENALIZED_MASK)
+        mus = np.array([mu, 2.0 * mu, mu / 3.0])
+        _, grad = cl.quadratic_penalty(theta, [cl.AnchorParams(anchor, 0)],
+                                       [np.tile(unit, (3, 1))], mus)
+        expected = np.stack([fed.fedprox_penalty(t, a, m)[1]
+                             for t, a, m in zip(theta, anchor, mus)]) * cl.PENALIZED_MASK
+        assert np.array_equal(grad, expected)
 
 
 class TestFedOpt:
