@@ -113,16 +113,29 @@ def quadratic_penalty(theta: np.ndarray, anchors: list[AnchorParams],
     row."""
     if len(anchors) != len(importances):
         raise ValueError("need one importance map per anchor")
-    lam = np.asarray(lambda_, dtype=np.float64)[..., None]  # broadcasts over a row
     value = 0.0
     grad = np.zeros_like(theta)
     for anchor, imp in zip(anchors, importances):
-        if anchor.theta_star.shape != theta.shape or imp.shape != theta.shape:
-            raise ValueError("parameter layout mismatch")
+        grad += quadratic_penalty_grad(theta, anchor.theta_star, imp, lambda_)
         diff = (theta - anchor.theta_star) * PENALIZED_MASK
         value = value + 0.5 * lambda_ * np.einsum("...i,...i->...", imp * diff, diff)
-        grad += lam * imp * diff
     return value, grad
+
+
+def quadratic_penalty_grad(theta: np.ndarray, anchor: np.ndarray, importance: np.ndarray,
+                           lambda_: float | np.ndarray) -> np.ndarray:
+    """The gradient of one (anchor, importance) pair's quadratic penalty,
+    lambda * I * (theta - theta*) on the penalized slots, without its value;
+    local training reads only this. Stacks and ``lambda_`` as in
+    ``quadratic_penalty``."""
+    if anchor.shape != theta.shape or importance.shape != theta.shape:
+        raise ValueError("parameter layout mismatch")
+    lam = np.asarray(lambda_, dtype=np.float64)[..., None]  # broadcasts over a row
+    diff = (theta - anchor) * PENALIZED_MASK
+    # summed from zero, as a running total over pairs is: a -0.0 term reads +0.0
+    grad = np.zeros_like(theta)
+    grad += lam * importance * diff
+    return grad
 
 
 def ewc_online_update(running: np.ndarray | None, new_fisher: np.ndarray,

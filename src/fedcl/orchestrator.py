@@ -3,12 +3,16 @@ barriers, continual-learning task sequencing, and evaluation scheduling.
 
 Experiments train in lockstep groups. ``run_group`` advances experiments
 that share a ``group_key`` (and so their shards and every minibatch draw)
-round by round: each is a ``_Run``, and each round the clients of all its
-members train as one cohort through ``local_train``, in chunks of at most
-``COHORT_CAP`` clients; then each member consolidates, aggregates and
-evaluates on its own. ``run_fl`` and ``run_fcl`` run a group of one.
-FCL is two tasks, circle then arrow; the last round of task 1 consolidates
-each client's CL state, and task 2 trains against it.
+round by round, in chunks of members with at most ``GROUP_CLIENTS``
+clients: each member is a ``_Run``, and each round the clients of all
+members of a chunk train as one cohort through ``local_train``, in chunks
+of at most ``COHORT_CAP`` clients; then each member consolidates,
+aggregates and evaluates on its own. ``run_fl`` and ``run_fcl`` run a
+group of one. FCL is two tasks, circle then arrow; the last round of task
+1 consolidates each client's CL state, and task 2 trains against it. No
+CL method acts before that consolidation, so a group trains FCL's task 1
+once per ``StrategyConfig`` (a lead run with no CL terms) and forks every
+member from it there.
 
 Local training is client-stacked: ``local_train`` gathers a cohort of
 clients into (C, P) arrays (parameters, optimizer state, SI path
@@ -32,8 +36,11 @@ cohorts and however experiments are grouped.
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import itertools
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -111,8 +118,9 @@ class RoundLog:
     client_train_losses: list[float]
     wall_time: float
     # seconds of each phase of the round; consolidate is 0 except in the
-    # last round of FCL's task 1. The clients of a group train together,
-    # so in a group local_train_time is the group's shared training seconds.
+    # last round of FCL's task 1. The clients of a chunk of members train
+    # together, so local_train_time is the chunk's shared training seconds;
+    # in a round of FCL's shared task 1, it is the lead run's.
     local_train_time: float = 0.0
     consolidate_time: float = 0.0
     aggregate_time: float = 0.0
@@ -160,8 +168,9 @@ class Member:
     config: ExperimentConfig
     global_params: np.ndarray
     error: Exception | None = None
-    # a group's plain batch draws of the round, shared by its members: a
-    # draw depends only on its key, so the copies of a client draw it once
+    # the plain batch draws of the round, shared by the members that train
+    # together: a draw depends only on its key, so the copies of a client
+    # draw it once
     plans: dict | None = None
 
 
@@ -212,7 +221,7 @@ class _Rows:
     model: nn.MlpModel
     optimizer: nn.Optimizer
     si: tuple | None = None       # SI: (sel, accumulator of the path integrals)
-    penalty: tuple | None = None  # (sel, lambda, [anchor], [importance])
+    penalty: tuple | None = None  # (sel, lambda, anchor, importance)
     distill: tuple | None = None  # FedDistill: (sel, teachers' model, weight)
 
 
@@ -293,10 +302,8 @@ class _Stack:
             sel, omega = si
             # only the path integral is stepped; the task's start is not read
             rows.si = sel, cl.SiAccumulator(None, omega)
-        if self._penalty is not None and (penalty := self._penalty.run(lo, hi)):
-            sel, lam, anchor, importance = penalty
-            # the anchor's task id is not read
-            rows.penalty = sel, lam, [cl.AnchorParams(anchor, 0)], [importance]
+        if self._penalty is not None:
+            rows.penalty = self._penalty.run(lo, hi)
         if self.teachers is not None:
             # the run's teachers forward as one model over a copy of their rows
             idx = [i for i, c in enumerate(self.clients[lo:hi]) if c.teacher_model is not None]
@@ -440,8 +447,8 @@ def _loss_gradient(rows: _Rows, x: np.ndarray, y: np.ndarray, k: int) -> np.ndar
         target = target.reshape(y.shape)
     g = nn.backward(rows.model, x, target)
     if rows.penalty is not None:
-        sel, lam, anchors, importances = rows.penalty
-        g[sel] += cl.quadratic_penalty(rows.theta[sel], anchors, importances, lam)[1]
+        sel, lam, anchor, importance = rows.penalty
+        g[sel] += cl.quadratic_penalty_grad(rows.theta[sel], anchor, importance, lam)
     return g
 
 
@@ -562,6 +569,7 @@ def _consolidate(client: ClientState, task_index: int) -> None:
             client.importance, fisher, cfg.penalty.gamma_online))
     elif method == "si":
         client.importance = cl.si_consolidate(client.si_acc, theta)
+        client.si_acc = None  # no later task reads a task-2 path integral
     elif method == "mas":
         client.importance = cl.mas_importance(client.model, client.shard.features, fseed)
     client.anchor = theta
@@ -655,8 +663,8 @@ def _fcl_tasks(config: ExperimentConfig, train: dataio.Dataset,
 
 class _Run:
     """One experiment between rounds: its member, clients, FedOpt server
-    optimizer and round logs. ``run_group`` trains the clients of
-    all its runs together and then lets each finish the round on its own."""
+    optimizer and round logs. ``run_group`` trains the clients of the runs
+    of a chunk together and then lets each finish the round on its own."""
 
     def __init__(self, config: ExperimentConfig, shards: list[dataio.Dataset]):
         template = nn.MlpModel(config.hidden_activation)
@@ -668,6 +676,25 @@ class _Run:
                            if config.strategy.kind == "fedopt" else None)
         self.logs: list[RoundLog] = []
 
+    def fork(self, config: ExperimentConfig, task: _Task, trained: dict,
+             train_s: float) -> _Run:
+        """A member that goes on from this lead, whose clients trained the
+        last round of ``task`` (task 1) into ``trained`` in ``train_s``
+        seconds. It copies the lead's round logs, trained client parameters
+        and SI path integrals, keeps its own optimizers, replay buffers and SI
+        damping, and finishes that round itself. (FCL aggregates with FedAvg,
+        which reads no earlier global parameters.)"""
+        run = _Run(config, task.shards)
+        run.logs = list(self.logs)
+        for c, lead in zip(run.clients, self.clients):
+            c.model.params[...] = lead.model.params
+            if c.si_acc is not None:
+                c.si_acc.omega_running[...] = lead.si_acc.omega_running
+        run.finish_round(0, task.n_rounds - 1, True, task,
+                         {id(c): trained[id(lead)] for c, lead in zip(run.clients, self.clients)},
+                         train_s)
+        return run
+
     def start_task(self, task_index: int, task: _Task) -> None:
         for c, shard in zip(self.clients, task.shards):
             c.shard = shard
@@ -675,22 +702,29 @@ class _Run:
                 c.optimizer.reset()
 
     def finish_round(self, task_index: int, round_index: int, consolidate: bool, task: _Task,
-                     trained: list[tuple], train_s: float) -> None:
+                     trained: dict, train_s: float) -> None:
         """Consolidate (when ``consolidate``: the last round of a task that
         another follows), aggregate and evaluate, from the (update, loss) of
-        each client of this round, trained in ``train_s`` seconds shared by
-        the group."""
+        each client of this round in ``trained`` (keyed by the client's
+        ``id``), trained in ``train_s`` seconds shared by the chunk. A run
+        already stopped does nothing, and an error here stops only this run."""
+        if self.member.error is not None:
+            return
         cfg = self.member.config
         t1 = t2 = time.perf_counter()
-        updates, losses = zip(*trained)
-        if consolidate and cfg.cl_method != "none":
-            for c in self.clients:
-                _consolidate(c, task_index)
-            t2 = time.perf_counter()
-        self.member.global_params = _aggregate(self.member.global_params, list(updates), cfg,
-                                               self.server_opt)
-        t3 = time.perf_counter()
-        report = evaluate(self.member.global_params, task.eval_set, cfg.hidden_activation)
+        try:
+            updates, losses = zip(*(trained[id(c)] for c in self.clients))
+            if consolidate and cfg.cl_method != "none":
+                for c in self.clients:
+                    _consolidate(c, task_index)
+                t2 = time.perf_counter()
+            self.member.global_params = _aggregate(self.member.global_params, list(updates),
+                                                   cfg, self.server_opt)
+            t3 = time.perf_counter()
+            report = evaluate(self.member.global_params, task.eval_set, cfg.hidden_activation)
+        except Exception as exc:
+            self.member.error = exc
+            return
         t4 = time.perf_counter()
         self.logs.append(RoundLog(round_index, task_index, report, list(losses),
                                   train_s + (t4 - t1), local_train_time=train_s,
@@ -698,13 +732,116 @@ class _Run:
                                   evaluate_time=t4 - t3))
 
 
+# The most clients whose state ``run_group`` holds at once for the members
+# that train together. Every member's clients keep their models, optimizer
+# moments and CL anchors until its last round, so memory grows with the
+# members of a chunk; a group whose members have more clients than this
+# trains them in chunks. At 20, a 10-client cell of the benchmark grid trains
+# in chunks of 2, 2 and 1 members, and the peak resident memory stays that
+# of running alone (all 5 at once: +5%).
+GROUP_CLIENTS = 20
+
+
+def _chunks(members: list[int], n_clients: int) -> list[list[int]]:
+    """``members`` in order, in chunks of at most ``GROUP_CLIENTS`` clients
+    (one member when it alone has more)."""
+    size = max(1, GROUP_CLIENTS // n_clients)
+    return [members[lo:lo + size] for lo in range(0, len(members), size)]
+
+
+def _train_round(runs: list[_Run], task_index: int, round_index: int) -> tuple[dict, float]:
+    """One round of local training for the clients of every run still
+    going, as one cohort in chunks of at most ``COHORT_CAP`` clients.
+    Returns id(client) -> (update, loss) and the seconds it took."""
+    cohort = _cohort_order([c for run in runs if run.member.error is None
+                            for c in run.clients], task_index)
+    trained = {}
+    t0 = time.perf_counter()
+    for i in range(0, len(cohort), COHORT_CAP):
+        chunk = cohort[i:i + COHORT_CAP]
+        try:
+            trained.update(zip(map(id, chunk), zip(*local_train(chunk, task_index, round_index))))
+        except Exception as exc:
+            for c in chunk:
+                c.member.error = c.member.error or exc
+    return trained, time.perf_counter() - t0
+
+
+def _lockstep(runs: list[_Run], tasks: list[_Task], task_index: int,
+              rounds: range) -> list[RunResult | Exception]:
+    """Rounds ``rounds`` of task ``task_index`` for runs in lockstep, and
+    then each run's result or the exception that stopped it. The runs share
+    their batch draws; each round trains the clients of every run still
+    going together, then each run finishes the round on its own. A task's
+    last round consolidates for the next task, if one follows."""
+    task, first = tasks[task_index], sum(t.n_rounds for t in tasks[:task_index])
+    plans = {} if len(runs) > 1 else None
+    for run in runs:
+        run.member.plans = plans
+        run.start_task(task_index, task)
+    for r in rounds:
+        trained, train_s = _train_round(runs, task_index, first + r)
+        if plans is not None:
+            plans.clear()  # no later round draws these again
+        consolidate = r == task.n_rounds - 1 and task_index + 1 < len(tasks)
+        for run in runs:
+            run.finish_round(task_index, first + r, consolidate, task, trained, train_s)
+    return [run.member.error or RunResult(run.logs, run.member.global_params) for run in runs]
+
+
+def _own_copy(error: Exception) -> Exception:
+    """A share's task-1 error as one member's own: the same type, message,
+    cause and traceback."""
+    own = copy.copy(error)
+    own.__cause__ = error.__cause__
+    return own.with_traceback(error.__traceback__)
+
+
+def _fcl_share(configs: list[ExperimentConfig], tasks: list[_Task],
+               share: list[int]) -> Iterator[tuple[int, RunResult | Exception]]:
+    """(position, result or exception) of each member ``share`` of
+    ``configs``, FCL members of one ``StrategyConfig``. Nothing in task 1
+    reads the CL method or its options, so one lead run with no CL terms
+    trains task 1 (accumulating SI path integrals if a member is SI) and
+    finishes every round of it but the last. The members fork from the lead
+    in chunks of at most ``GROUP_CLIENTS`` clients; each finishes the last
+    round itself (consolidate, aggregate, evaluate) and trains task 2 in
+    lockstep with its chunk. A task-1 failure stops every member, each with
+    its own copy of the error it gets alone."""
+    lead = _Run(dataclasses.replace(configs[share[0]], cl_method="none"), tasks[0].shards)
+    if any(configs[i].cl_method == "si" for i in share):
+        for c in lead.clients:
+            c.si_acc = cl.SiAccumulator(lead.member.global_params.copy())
+    last = tasks[0].n_rounds - 1
+    _lockstep([lead], tasks, 0, range(last))
+    trained, train_s = _train_round([lead], 0, last)
+    for c in lead.clients:
+        c.optimizer.reset()  # drops the Adam moments: task 2 resets every optimizer
+    if lead.member.error is not None:
+        yield from ((i, _own_copy(lead.member.error)) for i in share)
+        return
+    chunks = _chunks(share, len(lead.clients))
+    for k, chunk in enumerate(chunks):
+        runs = [lead.fork(configs[i], tasks[0], trained, train_s) for i in chunk]
+        if k == len(chunks) - 1:
+            del lead, trained  # every member has forked: not held through task 2
+        yield from zip(chunk, _lockstep(runs, tasks, 1, range(tasks[1].n_rounds)))
+        del runs  # its client state, before the next chunk is built
+
+
 def run_group(configs: list[ExperimentConfig], train: dataio.Dataset, test: dataio.Dataset,
               continual: bool) -> list[RunResult | Exception]:
-    """Run experiments of one ``group_key`` in lockstep, FL (``continual``
-    false) or FCL. They share the shards and every minibatch draw; each
-    round, the clients of every member still running train as one cohort
-    through ``local_train``, in chunks of at most ``COHORT_CAP`` clients,
-    and then each member consolidates, aggregates and evaluates on its own.
+    """Run experiments of one ``group_key``, FL (``continual`` false) or
+    FCL, sharing the shards and every minibatch draw. Members train in
+    chunks of at most ``GROUP_CLIENTS`` clients, in the order of
+    ``configs``: each round, the clients of every member of a chunk still
+    running train as one cohort through ``local_train``, in chunks of at
+    most ``COHORT_CAP`` clients, and then each member consolidates,
+    aggregates and evaluates on its own. FCL trains task 1 once per share,
+    the members with one ``StrategyConfig`` (``weighted_aggregation``
+    changes task 1's aggregate), and forks every member of the share from
+    it at the task-1 consolidation (``_fcl_share``).
+
     Returns, in the order of ``configs``, each member's result or the
     exception that stopped it; a member that fails does not stop the rest.
     Each member computes the bits it would compute alone."""
@@ -715,43 +852,21 @@ def run_group(configs: list[ExperimentConfig], train: dataio.Dataset, test: data
             raise ValueError("run_fcl adapts fedavg only")
         if not continual and cfg.cl_method != "none":
             raise ValueError("run_fl requires cl_method == 'none'; use run_fcl")
-    tasks = (_fcl_tasks(configs[0], train, test) if continual
-             else _fl_tasks(configs[0], train, test))
-    runs = [_Run(cfg, tasks[0].shards) for cfg in configs]
-    plans = {} if len(runs) > 1 else None
-    for run in runs:
-        run.member.plans = plans
-    round_index = 0
-    for task_index, task in enumerate(tasks):
-        for run in runs:
-            run.start_task(task_index, task)
-        for r in range(task.n_rounds):
-            live = [run for run in runs if run.member.error is None]
-            cohort = _cohort_order([c for run in live for c in run.clients], task_index)
-            trained = {}
-            t0 = time.perf_counter()
-            for i in range(0, len(cohort), COHORT_CAP):
-                chunk = cohort[i:i + COHORT_CAP]
-                try:
-                    trained.update(zip(map(id, chunk),
-                                       zip(*local_train(chunk, task_index, round_index))))
-                except Exception as exc:
-                    for c in chunk:
-                        c.member.error = c.member.error or exc
-            train_s = time.perf_counter() - t0
-            if plans is not None:
-                plans.clear()  # no later round draws these again
-            # a task's last round consolidates for the next task, if one follows
-            consolidate = r == task.n_rounds - 1 and task_index + 1 < len(tasks)
-            for run in live:
-                if run.member.error is None:
-                    try:
-                        run.finish_round(task_index, round_index, consolidate, task,
-                                         [trained[id(c)] for c in run.clients], train_s)
-                    except Exception as exc:
-                        run.member.error = exc
-            round_index += 1
-    return [run.member.error or RunResult(run.logs, run.member.global_params) for run in runs]
+    outcomes: dict[int, RunResult | Exception] = {}
+    if continual:
+        tasks = _fcl_tasks(configs[0], train, test)
+        shares: dict[tuple, list[int]] = {}
+        for i, cfg in enumerate(configs):
+            shares.setdefault(dataclasses.astuple(cfg.strategy), []).append(i)
+        for share in shares.values():
+            outcomes.update(_fcl_share(configs, tasks, share))
+    else:
+        tasks = _fl_tasks(configs[0], train, test)
+        for chunk in _chunks(list(range(len(configs))), configs[0].n_clients):
+            runs = [_Run(configs[i], tasks[0].shards) for i in chunk]
+            outcomes.update(zip(chunk, _lockstep(runs, tasks, 0, range(tasks[0].n_rounds))))
+            del runs  # its client state, before the next chunk is built
+    return [outcomes[i] for i in range(len(configs))]
 
 
 def _alone(outcomes: list[RunResult | Exception]) -> RunResult:
@@ -775,7 +890,10 @@ def run_fcl(config: ExperimentConfig, train: dataio.Dataset, test: dataio.Datase
     when unset). The last round of task 1 consolidates each client's CL
     state (its anchor and importance map, or its replay buffer) before
     aggregating; task 2 trains against it and consolidates nothing, so
-    EWC-Online equals EWC here whatever ``gamma_online`` is.
+    EWC-Online equals EWC here whatever ``gamma_online`` is. Task 1 is plain
+    FedAvg for every method (SI only records its path integral), which is
+    why ``run_group`` can train it once for many methods: alone, it trains
+    it once for this one, through the same lead-and-fork path.
 
     Evaluation after task-1 rounds uses the circle-only test subset; task-2
     rounds are evaluated on the full test set. Augmentation, when enabled,

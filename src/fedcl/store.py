@@ -7,7 +7,9 @@ version cleanly. A run directory appears complete or not at all: it is
 written under a temporary name and moved into place.
 
 ``run_suite`` trains the experiments of one shape (``orchestrator.group_key``,
-FL or FCL) as one lockstep ``Group`` and stores each result on its own.
+FL or FCL) as one lockstep ``Group`` and stores each result on its own;
+``orchestrator.run_group`` decides how many of them train at once
+(``orchestrator.GROUP_CLIENTS``) and shares FCL's task 1 among them.
 """
 
 from __future__ import annotations
@@ -183,33 +185,22 @@ class Group:
         return outcome
 
 
-# The most clients whose state one group holds at once. Every member's
-# clients keep their models, optimizer moments and CL anchors for the whole
-# run, so a group's memory grows with its members; experiments of one shape
-# with more clients than this train as several groups. At 20, a 10-client
-# cell of the benchmark grid trains in groups of 2, 2 and 1, and the peak
-# resident memory stays that of running alone (all 5 at once: +5%).
-GROUP_CLIENTS = 20
-
-
 def group_suite(specs: list[ExperimentSpec], dataset: dataio.Dataset) -> dict[int, Group]:
-    """id(spec) -> the group it trains in: the experiments of one shape, in
-    suite order, at most ``GROUP_CLIENTS`` clients' worth per group. A spec
-    whose config does not build is a group of one, which reports that
-    error."""
-    shapes: dict[tuple, tuple[int, list[ExperimentSpec]]] = {}
+    """id(spec) -> the group it trains in: the experiments of one shape
+    (FL or FCL and one ``orchestrator.group_key``), in suite order;
+    ``run_group`` caps how many clients train at once. A spec whose config
+    does not build is a group of one, which reports that error."""
+    shapes: dict[tuple, list[ExperimentSpec]] = {}
     for spec in specs:
         try:
-            config = spec.build()
-            key, per_group = (spec.is_fcl, group_key(config)), GROUP_CLIENTS // config.n_clients
+            key = (spec.is_fcl, group_key(spec.build()))
         except Exception:
-            key, per_group = ("alone", id(spec)), 1
-        shapes.setdefault(key, (max(1, per_group), []))[1].append(spec)
+            key = ("alone", id(spec))
+        shapes.setdefault(key, []).append(spec)
     groups = {}
-    for per_group, same in shapes.values():
-        for i in range(0, len(same), per_group):
-            group = Group(same[i:i + per_group], dataset)
-            groups.update((id(spec), group) for spec in group.specs)
+    for same in shapes.values():
+        group = Group(same, dataset)
+        groups.update((id(spec), group) for spec in same)
     return groups
 
 

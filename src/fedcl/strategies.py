@@ -102,8 +102,9 @@ def fedbn_aggregate(updates: list[ClientUpdate], bn_mask: np.ndarray,
 def fedprox_penalty(omega: np.ndarray, omega_t: np.ndarray, mu: float) -> tuple[float, np.ndarray]:
     """Proximal term (mu/2) * ||omega - omega_t||^2 and its gradient.
 
-    Local training applies it as ``continual.quadratic_penalty`` with a unit
-    importance on the optimized slots, which equals this gradient there."""
+    Local training applies its gradient as ``continual.quadratic_penalty_grad``
+    with a unit importance on the optimized slots, which equals this gradient
+    there."""
     if omega.shape != omega_t.shape:
         raise ValueError("parameter layout mismatch")
     if mu < 0.0:

@@ -175,6 +175,18 @@ class TestVerify:
         assert main(["verify", "--config", config_path, "--out", out_dir]) == 0
         assert "verified bit-identical" in capsys.readouterr().out
 
+    def test_verify_reruns_a_shared_task_1_sweep_alone(self, tmp_path, capsys):
+        # the five CL methods train task 1 once in the suite; each re-run
+        # alone trains its own and must match bit for bit
+        config_path = tmp_path / "fcl.ini"
+        config_path.write_text(CONFIG.replace("[suite]", "clients = 3\n\n[sweep]\n"
+                                              "cl_methods = ewc, ewc_online, si, mas, nr\n\n"
+                                              "[suite]"))
+        out_dir = str(tmp_path / "results")
+        assert main(["run", "--config", str(config_path), "--out", out_dir]) == 0
+        assert main(["verify", "--config", str(config_path), "--out", out_dir]) == 0
+        assert "5 run(s) verified bit-identical" in capsys.readouterr().out
+
     def test_verify_detects_tampering(self, config_path, tmp_path, capsys):
         out_dir = str(tmp_path / "results")
         main(["run", "--config", config_path, "--out", out_dir])

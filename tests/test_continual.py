@@ -112,6 +112,23 @@ class TestQuadraticPenalty:
         assert np.all(grad[nn.running_stat_mask()] == 0.0)
 
 
+    @pytest.mark.parametrize("shape, per_row_lambda", [
+        ((nn.PARAM_COUNT,), False), ((3, nn.PARAM_COUNT), False), ((3, nn.PARAM_COUNT), True),
+    ], ids=["P", "CxP", "CxP-per-row-lambda"])
+    def test_gradient_alone_is_bit_equal(self, rng, shape, per_row_lambda):
+        theta, star = rng.normal(size=shape), rng.normal(size=shape)
+        imp = np.abs(rng.normal(size=shape))
+        imp[..., ::7] = 0.0  # zero terms of either sign
+        lam = rng.uniform(0.5, 5.0, size=shape[0]) if per_row_lambda else 2.5
+        grad = cl.quadratic_penalty_grad(theta, star, imp, lam)
+        _, expected = cl.quadratic_penalty(theta, [cl.AnchorParams(star, 0)], [imp], lam)
+        assert grad.tobytes() == expected.tobytes()
+        # the sequence of a running total from zero, signed zeros included
+        total = np.zeros(shape)
+        total += np.asarray(lam)[..., None] * imp * ((theta - star) * cl.PENALIZED_MASK)
+        assert grad.tobytes() == total.tobytes()
+
+
 class TestEwcOnline:
     def test_first_update_copies(self, rng):
         f = np.abs(rng.normal(size=20))

@@ -4,6 +4,9 @@ each must compute exactly the bits it computes alone (acceptance criterion
 
 import dataclasses
 import hashlib
+import itertools
+import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -62,9 +65,16 @@ def digest(result):
             [log.client_train_losses for log in result.round_logs])
 
 
+class Cohort(NamedTuple):
+    task_index: int
+    round_index: int
+    members: set     # id() of the Member of each client
+    clients: int
+
+
 def run_grouped(suite, dataset, out_dir, monkeypatch):
     """run_suite, keeping the result execute_experiment hands back for each
-    experiment, and the members of every local_train cohort."""
+    experiment, and every local_train cohort."""
     results, cohorts = {}, []
     execute, train = store.execute_experiment, orch.local_train
 
@@ -72,9 +82,10 @@ def run_grouped(suite, dataset, out_dir, monkeypatch):
         results[spec.run_id()] = execute(spec, *args, **kwargs)
         return results[spec.run_id()]
 
-    def recording_train(clients, *args):
-        cohorts.append({id(c.member) for c in clients})
-        return train(clients, *args)
+    def recording_train(clients, task_index, round_index):
+        cohorts.append(Cohort(task_index, round_index, {id(c.member) for c in clients},
+                              len(clients)))
+        return train(clients, task_index, round_index)
 
     with monkeypatch.context() as patch:
         patch.setattr(store, "execute_experiment", recording_execute)
@@ -91,14 +102,20 @@ def run_grouped(suite, dataset, out_dir, monkeypatch):
 def test_grouped_suite_equals_experiments_run_alone(sweep, cap, tmp_path, monkeypatch):
     suite = suite_of(tmp_path, GRID.format(sweep=sweep, extra=""), "grid.ini")
     dataset, _ = dataio.synthetic_generate(400, seed=3, noise_std=0.1)
-    monkeypatch.setattr(store, "GROUP_CLIENTS", 20)
     groups = {id(g): g for g in store.group_suite(suite.experiments, dataset).values()}
-    # a 2-client cell is one group; a 10-client cell, at most 20 clients each
-    assert sorted(len(g.specs) for g in groups.values()) == [1, 1, 2, 2, 2, 2, 5, 5]
+    assert sorted(len(g.specs) for g in groups.values()) == [5, 5, 5, 5]  # one per shape
+    monkeypatch.setattr(orch, "GROUP_CLIENTS", 20)
     monkeypatch.setattr(orch, "COHORT_CAP", cap)
     grouped, failures, cohorts = run_grouped(suite, dataset, str(tmp_path / "out"), monkeypatch)
     assert not failures
-    assert max(len(members) for members in cohorts) > 1  # cohorts mix experiments
+    assert max(len(c.members) for c in cohorts) > 1  # cohorts mix experiments
+    # the members training one round together hold at most 20 clients: a
+    # 2-client cell trains its 5 members at once, a 10-client cell 2, 2 and 1
+    chunks = [list(same) for _, same in itertools.groupby(
+        cohorts, key=lambda c: (c.task_index, c.round_index))]
+    assert all(c.clients <= cap for c in cohorts)
+    assert max(sum(c.clients for c in chunk) for chunk in chunks) == 20
+    assert sorted({len(set().union(*(c.members for c in chunk))) for chunk in chunks}) == [1, 2, 5]
     for spec in suite.experiments:
         alone = store.execute_experiment(spec, dataset)
         assert digest(grouped[spec.run_id()]) == digest(alone), spec.values
@@ -124,7 +141,7 @@ def test_mixed_group_equals_experiments_run_alone(tmp_path, monkeypatch):
     assert sorted(len(g.specs) for g in {id(g): g for g in groups.values()}.values()) == [5, 7]
     grouped, failures, cohorts = run_grouped(suite, dataset, str(tmp_path / "out"), monkeypatch)
     assert not failures
-    assert max(len(members) for members in cohorts) >= 3
+    assert max(len(c.members) for c in cohorts) >= 3
     for spec in suite.experiments:
         assert digest(grouped[spec.run_id()]) == digest(store.execute_experiment(spec, dataset))
 
@@ -157,7 +174,7 @@ synthetic_n = 200
     assert str(alone.value).startswith("client ")
     assert "failed in round 1: epoch 0 batch" in str(alone.value)
     assert failures == [(diverging.run_id(), str(alone.value))]
-    assert max(len(members) for members in cohorts) == 4
+    assert max(len(c.members) for c in cohorts) == 4
     others = [s for s in suite.experiments if s is not diverging]
     assert sorted(grouped) == sorted(s.run_id() for s in others)
     for spec in others:
@@ -193,3 +210,89 @@ def test_group_key_is_every_field_but_the_members_own():
             changed = choices[f.name]
         key = orch.group_key(dataclasses.replace(base, **{f.name: changed}))
         assert (key == orch.group_key(base)) == (f.name in own), f.name
+
+
+FCL10 = """
+[experiment]
+rounds = 3
+rounds_per_task = {rounds_per_task}
+batch_size = 32
+clients = 10
+seed = 42
+{extra}
+
+[sweep]
+cl_methods = ewc, ewc_online, si, mas, nr
+
+[suite]
+synthetic_n = 400
+"""
+
+
+@pytest.mark.parametrize("cap", [orch.COHORT_CAP, 3])
+def test_fcl_task_1_trains_once_per_shape(cap, tmp_path, monkeypatch):
+    # nothing in task 1 reads the CL method, so one FedAvg run trains it
+    # and every member forks from it at the task-1 consolidation
+    suite = suite_of(tmp_path, FCL10.format(rounds_per_task=2, extra=""), "fcl10.ini")
+    dataset, _ = dataio.synthetic_generate(400, seed=3, noise_std=0.1)
+    monkeypatch.setattr(orch, "COHORT_CAP", cap)
+    grouped, failures, cohorts = run_grouped(suite, dataset, str(tmp_path / "out"), monkeypatch)
+    assert not failures
+    assert len([c for c in cohorts if c.task_index == 0]) == 2 * math.ceil(10 / cap)
+    # task 2 trains the 5 members in chunks of at most GROUP_CLIENTS clients
+    assert sum(c.clients for c in cohorts if c.task_index == 1) == 2 * 5 * 10
+    for spec in suite.experiments:
+        assert digest(grouped[spec.run_id()]) == digest(store.execute_experiment(spec, dataset))
+
+
+def test_members_of_other_options_fork_from_their_share(tmp_path, monkeypatch):
+    # the CL options act from the fork on, so they share task 1; the
+    # aggregation weighting changes task 1 itself, so it makes a second share
+    base = suite_of(tmp_path, MIXED.format(sweep="cl_methods = ewc, si, nr"), "opts.ini")
+    ewc, si, nr = base.experiments
+    variants = [dict(ewc.values, fisher_samples=3), dict(si.values, si_xi=0.5),
+                dict(nr.values, buffer_capacity=20),
+                dict(ewc.values, weighted_aggregation=True),
+                dict(si.values, weighted_aggregation=True)]
+    suite = BenchmarkSuite(base.experiments + [ExperimentSpec(v) for v in variants], base.suite)
+    dataset, _ = dataio.synthetic_generate(300, seed=4, noise_std=0.1)
+    grouped, failures, cohorts = run_grouped(suite, dataset, str(tmp_path / "out"), monkeypatch)
+    assert not failures
+    # two shares of 2 clients, 2 task-1 rounds each
+    assert sum(c.clients for c in cohorts if c.task_index == 0) == 2 * 2 * 2
+    digests = {}
+    for spec in suite.experiments:
+        digests[spec.run_id()] = digest(store.execute_experiment(spec, dataset))
+        assert digest(grouped[spec.run_id()]) == digests[spec.run_id()], spec.values
+    assert len({d[0] for d in digests.values()}) == len(suite.experiments)
+
+
+@pytest.mark.parametrize("rounds_per_task", [2, 3])
+def test_a_diverging_task_1_fails_every_member_alone(rounds_per_task, tmp_path, monkeypatch):
+    # SGD at a huge learning rate overflows in round 1, in task 1, which
+    # the five members share: in its last round (2 rounds per task) or
+    # before it (3). Each member reports the error it gets when it runs alone.
+    suite = suite_of(tmp_path, FCL10.format(
+        rounds_per_task=rounds_per_task,
+        extra="client_optimizer = sgd\nlearning_rate = 1e100"), "diverge.ini")
+    dataset, _ = dataio.synthetic_generate(400, seed=3, noise_std=0.1)
+    alone = []
+    with np.errstate(all="ignore"):
+        for spec in suite.experiments:
+            with pytest.raises(orch.ExperimentError) as error:
+                store.execute_experiment(spec, dataset)
+            alone.append((spec.run_id(), str(error.value)))
+        grouped, failures, cohorts = run_grouped(suite, dataset, str(tmp_path / "out"),
+                                                 monkeypatch)
+        configs = [spec.build() for spec in suite.experiments]
+        train, test = dataio.train_test_split(dataset, 0.75, configs[0].seed)
+        outcomes = orch.run_group(configs, train, test, continual=True)
+    assert not grouped
+    assert failures == alone
+    assert "failed in round 1: epoch 0 batch 0: NaN or inf" in alone[0][1]
+    # the shared task 1 trained rounds 0 and 1, once each, then stopped
+    assert [(c.task_index, c.round_index) for c in cohorts] == [(0, 0), (0, 1)]
+    assert len({id(o) for o in outcomes}) == 5
+    for outcome, (_, message) in zip(outcomes, alone):
+        assert isinstance(outcome, orch.ExperimentError) and str(outcome) == message
+        assert isinstance(outcome.__cause__, ValueError)

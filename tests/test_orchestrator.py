@@ -389,6 +389,25 @@ class TestRunFcl:
                                         ("_consolidate", 0), ("_aggregate", None)]
                          + [("local_train", 1), ("_aggregate", None)] * 2)
 
+    def test_si_accumulates_only_in_task_1(self, monkeypatch):
+        # the path integral of task 2 would only feed a third task's penalty
+        train, test = two_task()
+        task, tasks = [], []
+        train_round, accumulate = orch.local_train, cl.si_accumulate
+
+        def recording_train(clients, task_index, round_index):
+            task[:] = [task_index]
+            return train_round(clients, task_index, round_index)
+
+        def recording_accumulate(*args):
+            tasks.append(task[0])
+            return accumulate(*args)
+
+        monkeypatch.setattr(orch, "local_train", recording_train)
+        monkeypatch.setattr(cl, "si_accumulate", recording_accumulate)
+        run_fcl(config(cl_method="si", n_rounds=3), train, test)
+        assert tasks and set(tasks) == {0}
+
     def test_ewc_online_is_ewc_over_two_tasks(self):
         # the running Fisher decays only from a third task on
         train, test = two_task()
@@ -484,7 +503,7 @@ class TestStackedEngine:
                                                        2 * task + r)
                     for u, loss in zip(updates, losses):
                         out[(task, r, u.client_id)] = (u.params, loss)
-            if cfg.cl_method != "none":
+            if task == 0 and cfg.cl_method != "none":  # as run_fcl: task 1 only
                 for c in clients:
                     orch._consolidate(c, task)
         return out, clients
