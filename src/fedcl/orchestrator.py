@@ -12,7 +12,10 @@ group of one. FCL is two tasks, circle then arrow; the last round of task
 1 consolidates each client's CL state, and task 2 trains against it. No
 CL method acts before that consolidation, so a group trains FCL's task 1
 once per ``StrategyConfig`` (a lead run with no CL terms) and forks every
-member from it there.
+member from it there. Experiments of one ``trajectory_key`` (options their
+strategy and CL method never read aside, and EWC-Online, whose decay acts
+from a second consolidation on, as EWC) compute the same bits, so a group
+trains each key once and hands its result to every such twin.
 
 Local training is client-stacked: ``local_train`` gathers a cohort of
 clients into (C, P) arrays (parameters, optimizer state, SI path
@@ -120,7 +123,9 @@ class RoundLog:
     # seconds of each phase of the round; consolidate is 0 except in the
     # last round of FCL's task 1. The clients of a chunk of members train
     # together, so local_train_time is the chunk's shared training seconds;
-    # in a round of FCL's shared task 1, it is the lead run's.
+    # in a round of FCL's shared task 1, it is the lead run's. A twin (see
+    # ``trajectory_key``) has every log, timings included, of the run it
+    # shares its results with.
     local_train_time: float = 0.0
     consolidate_time: float = 0.0
     aggregate_time: float = 0.0
@@ -156,6 +161,33 @@ def group_key(config: ExperimentConfig) -> tuple:
     groups unless it is left out here."""
     return tuple(getattr(config, f.name) for f in fields(config)
                  if f.name not in ("strategy", "cl_method", "penalty"))
+
+
+# the options each strategy kind (besides weighted_aggregation, which every
+# aggregate reads) and each CL method reads
+_STRATEGY_READS = {"fedavg": (), "fedbn": (), "fedprox": ("mu",),
+                   "fedopt": ("server_optimizer", "server_learning_rate"),
+                   "feddistill": ("distill_weight",)}
+_PENALTY_READS = {"none": (), "ewc": ("lambda_", "fisher_samples"), "si": ("lambda_", "xi"),
+                  "mas": ("lambda_",), "nr": ("buffer_capacity", "mix_ratio")}
+
+
+def trajectory_key(config: ExperimentConfig) -> ExperimentConfig:
+    """The config with every strategy and penalty option that its strategy
+    kind and CL method never read reset to its default, ``lambda_`` made
+    the effective lambda, and EWC-Online made EWC: its decay acts from a
+    second consolidation on, and FCL has one, so over FCL's two tasks it
+    computes EWC's bits. Experiments of equal keys compute the same bits,
+    and ``run_group`` trains each key once."""
+    method = "ewc" if config.cl_method == "ewc_online" else config.cl_method
+    strat, pen = config.strategy, config.penalty
+    strategy = fed.StrategyConfig(strat.kind, weighted_aggregation=strat.weighted_aggregation,
+                                  **{n: getattr(strat, n) for n in _STRATEGY_READS[strat.kind]})
+    kept = {n: getattr(pen, n) for n in _PENALTY_READS[method]}
+    if "lambda_" in kept:
+        kept["lambda_"] = pen.effective_lambda(config.cl_method)
+    return dataclasses.replace(config, strategy=strategy, cl_method=method,
+                               penalty=cl.PenaltyConfig(**kept))
 
 
 @dataclass
@@ -790,8 +822,8 @@ def _lockstep(runs: list[_Run], tasks: list[_Task], task_index: int,
 
 
 def _own_copy(error: Exception) -> Exception:
-    """A share's task-1 error as one member's own: the same type, message,
-    cause and traceback."""
+    """An error as one more member's own: the same type, message, cause and
+    traceback."""
     own = copy.copy(error)
     own.__cause__ = error.__cause__
     return own.with_traceback(error.__traceback__)
@@ -800,14 +832,14 @@ def _own_copy(error: Exception) -> Exception:
 def _fcl_share(configs: list[ExperimentConfig], tasks: list[_Task],
                share: list[int]) -> Iterator[tuple[int, RunResult | Exception]]:
     """(position, result or exception) of each member ``share`` of
-    ``configs``, FCL members of one ``StrategyConfig``. Nothing in task 1
-    reads the CL method or its options, so one lead run with no CL terms
-    trains task 1 (accumulating SI path integrals if a member is SI) and
-    finishes every round of it but the last. The members fork from the lead
-    in chunks of at most ``GROUP_CLIENTS`` clients; each finishes the last
-    round itself (consolidate, aggregate, evaluate) and trains task 2 in
-    lockstep with its chunk. A task-1 failure stops every member, each with
-    its own copy of the error it gets alone."""
+    ``configs``, FCL members of one canonical ``StrategyConfig``. Nothing in
+    task 1 reads the CL method or its options, so one lead run with no CL
+    terms trains task 1 (accumulating SI path integrals if a member is SI)
+    and finishes every round of it but the last. The members fork from the
+    lead in chunks of at most ``GROUP_CLIENTS`` clients; each finishes the
+    last round itself (consolidate, aggregate, evaluate) and trains task 2
+    in lockstep with its chunk. A task-1 failure stops every member, each
+    with its own copy of the error it gets alone."""
     lead = _Run(dataclasses.replace(configs[share[0]], cl_method="none"), tasks[0].shards)
     if any(configs[i].cl_method == "si" for i in share):
         for c in lead.clients:
@@ -825,26 +857,40 @@ def _fcl_share(configs: list[ExperimentConfig], tasks: list[_Task],
         runs = [lead.fork(configs[i], tasks[0], trained, train_s) for i in chunk]
         if k == len(chunks) - 1:
             del lead, trained  # every member has forked: not held through task 2
-        yield from zip(chunk, _lockstep(runs, tasks, 1, range(tasks[1].n_rounds)))
-        del runs  # its client state, before the next chunk is built
+        outcomes = _lockstep(runs, tasks, 1, range(tasks[1].n_rounds))
+        del runs  # its client state, before the outcomes are handed out
+        yield from zip(chunk, outcomes)
+        del outcomes  # before the next chunk trains
 
 
-def run_group(configs: list[ExperimentConfig], train: dataio.Dataset, test: dataio.Dataset,
-              continual: bool) -> list[RunResult | Exception]:
-    """Run experiments of one ``group_key``, FL (``continual`` false) or
-    FCL, sharing the shards and every minibatch draw. Members train in
-    chunks of at most ``GROUP_CLIENTS`` clients, in the order of
-    ``configs``: each round, the clients of every member of a chunk still
-    running train as one cohort through ``local_train``, in chunks of at
-    most ``COHORT_CAP`` clients, and then each member consolidates,
-    aggregates and evaluates on its own. FCL trains task 1 once per share,
-    the members with one ``StrategyConfig`` (``weighted_aggregation``
-    changes task 1's aggregate), and forks every member of the share from
-    it at the task-1 consolidation (``_fcl_share``).
+def _distinct_outcomes(configs: list[ExperimentConfig], train: dataio.Dataset,
+                       test: dataio.Dataset,
+                       continual: bool) -> Iterator[tuple[int, RunResult | Exception]]:
+    """(position, result or exception) of every member of ``configs``, no
+    two of one ``trajectory_key``, in chunk order."""
+    if continual:
+        tasks = _fcl_tasks(configs[0], train, test)
+        shares: dict[tuple, list[int]] = {}
+        for i, cfg in enumerate(configs):
+            shares.setdefault(dataclasses.astuple(trajectory_key(cfg).strategy), []).append(i)
+        for share in shares.values():
+            yield from _fcl_share(configs, tasks, share)
+        return
+    tasks = _fl_tasks(configs[0], train, test)
+    for chunk in _chunks(list(range(len(configs))), configs[0].n_clients):
+        runs = [_Run(configs[i], tasks[0].shards) for i in chunk]
+        outcomes = _lockstep(runs, tasks, 0, range(tasks[0].n_rounds))
+        del runs  # its client state, before the outcomes are handed out
+        yield from zip(chunk, outcomes)
+        del outcomes  # before the next chunk trains
 
-    Returns, in the order of ``configs``, each member's result or the
-    exception that stopped it; a member that fails does not stop the rest.
-    Each member computes the bits it would compute alone."""
+
+def group_outcomes(configs: list[ExperimentConfig], train: dataio.Dataset, test: dataio.Dataset,
+                   continual: bool) -> Iterator[tuple[int, RunResult | Exception]]:
+    """``run_group``'s work as it finishes: (position in ``configs``,
+    result or exception) of each member, in chunk order, each member's
+    twins right after it. A caller that takes each chunk's outcomes before
+    asking for more holds one chunk's client state at a time."""
     if len({group_key(c) for c in configs}) != 1:
         raise ValueError("the experiments of a group must have the same group_key")
     for cfg in configs:
@@ -852,20 +898,39 @@ def run_group(configs: list[ExperimentConfig], train: dataio.Dataset, test: data
             raise ValueError("run_fcl adapts fedavg only")
         if not continual and cfg.cl_method != "none":
             raise ValueError("run_fl requires cl_method == 'none'; use run_fcl")
-    outcomes: dict[int, RunResult | Exception] = {}
-    if continual:
-        tasks = _fcl_tasks(configs[0], train, test)
-        shares: dict[tuple, list[int]] = {}
-        for i, cfg in enumerate(configs):
-            shares.setdefault(dataclasses.astuple(cfg.strategy), []).append(i)
-        for share in shares.values():
-            outcomes.update(_fcl_share(configs, tasks, share))
-    else:
-        tasks = _fl_tasks(configs[0], train, test)
-        for chunk in _chunks(list(range(len(configs))), configs[0].n_clients):
-            runs = [_Run(configs[i], tasks[0].shards) for i in chunk]
-            outcomes.update(zip(chunk, _lockstep(runs, tasks, 0, range(tasks[0].n_rounds))))
-            del runs  # its client state, before the next chunk is built
+    twins: dict[tuple, list[int]] = {}  # trajectory key -> positions, representative first
+    for i, cfg in enumerate(configs):
+        twins.setdefault(dataclasses.astuple(trajectory_key(cfg)), []).append(i)
+    same = list(twins.values())
+    for d, outcome in _distinct_outcomes([configs[s[0]] for s in same], train, test, continual):
+        failed = isinstance(outcome, Exception)
+        # the copies are made before the caller raises the error and adds to its traceback
+        yield from [(i, _own_copy(outcome) if k and failed else outcome)
+                    for k, i in enumerate(same[d])]
+        del outcome  # not held while the next chunk trains
+
+
+def run_group(configs: list[ExperimentConfig], train: dataio.Dataset, test: dataio.Dataset,
+              continual: bool) -> list[RunResult | Exception]:
+    """Run experiments of one ``group_key``, FL (``continual`` false) or
+    FCL, sharing the shards and every minibatch draw. Experiments of one
+    ``trajectory_key`` compute the same bits, so each key trains once, as
+    its first experiment (the representative), and every twin gets the
+    representative's result (round timings included) or its own copy of the
+    representative's error. The distinct experiments train in chunks of at
+    most ``GROUP_CLIENTS`` clients, in the order of ``configs``: each round,
+    the clients of every member of a chunk still running train as one
+    cohort through ``local_train``, in chunks of at most ``COHORT_CAP``
+    clients, and then each member consolidates, aggregates and evaluates on
+    its own. FCL trains task 1 once per share, the members with one
+    canonical ``StrategyConfig`` (``weighted_aggregation`` changes task 1's
+    aggregate), and forks every member of the share from it at the task-1
+    consolidation (``_fcl_share``).
+
+    Returns, in the order of ``configs``, each member's result or the
+    exception that stopped it; a member that fails does not stop the rest.
+    Each member computes the bits it would compute alone."""
+    outcomes = dict(group_outcomes(configs, train, test, continual))
     return [outcomes[i] for i in range(len(configs))]
 
 
@@ -890,10 +955,12 @@ def run_fcl(config: ExperimentConfig, train: dataio.Dataset, test: dataio.Datase
     when unset). The last round of task 1 consolidates each client's CL
     state (its anchor and importance map, or its replay buffer) before
     aggregating; task 2 trains against it and consolidates nothing, so
-    EWC-Online equals EWC here whatever ``gamma_online`` is. Task 1 is plain
-    FedAvg for every method (SI only records its path integral), which is
-    why ``run_group`` can train it once for many methods: alone, it trains
-    it once for this one, through the same lead-and-fork path.
+    EWC-Online equals EWC here whatever ``gamma_online`` is, and
+    ``run_group`` trains the two once, as whichever comes first, when both
+    are in a group. Task 1 is plain FedAvg for every method (SI only records
+    its path integral), which is why ``run_group`` can train it once for
+    many methods: alone, it trains it once for this one, through the same
+    lead-and-fork path.
 
     Evaluation after task-1 rounds uses the circle-only test subset; task-2
     rounds are evaluated on the full test set. Augmentation, when enabled,

@@ -6,10 +6,13 @@ import dataclasses
 import hashlib
 import itertools
 import math
+import weakref
 from typing import NamedTuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fedcl.orchestrator as orch
 from fedcl import continual as cl
@@ -95,11 +98,14 @@ def run_grouped(suite, dataset, out_dir, monkeypatch):
 
 
 @pytest.mark.parametrize("cap", [orch.COHORT_CAP, 3])
-@pytest.mark.parametrize("sweep", [
-    "strategies = fedavg, fedbn, fedprox, fedopt, feddistill",
-    "cl_methods = ewc, ewc_online, si, mas, nr",
+@pytest.mark.parametrize("sweep, chunk_members", [
+    ("strategies = fedavg, fedbn, fedprox, fedopt, feddistill", [1, 2, 5]),
+    # EWC-Online is EWC's twin, so 4 distinct members train: a 2-client
+    # cell trains them at once, a 10-client cell 2 and 2; 1 is the lead
+    ("cl_methods = ewc, ewc_online, si, mas, nr", [1, 2, 4]),
 ], ids=["fl_grid", "fcl_grid"])
-def test_grouped_suite_equals_experiments_run_alone(sweep, cap, tmp_path, monkeypatch):
+def test_grouped_suite_equals_experiments_run_alone(sweep, chunk_members, cap, tmp_path,
+                                                    monkeypatch):
     suite = suite_of(tmp_path, GRID.format(sweep=sweep, extra=""), "grid.ini")
     dataset, _ = dataio.synthetic_generate(400, seed=3, noise_std=0.1)
     groups = {id(g): g for g in store.group_suite(suite.experiments, dataset).values()}
@@ -110,12 +116,14 @@ def test_grouped_suite_equals_experiments_run_alone(sweep, cap, tmp_path, monkey
     assert not failures
     assert max(len(c.members) for c in cohorts) > 1  # cohorts mix experiments
     # the members training one round together hold at most 20 clients: a
-    # 2-client cell trains its 5 members at once, a 10-client cell 2, 2 and 1
+    # 2-client cell trains its distinct members at once, a 10-client cell
+    # two at a time
     chunks = [list(same) for _, same in itertools.groupby(
         cohorts, key=lambda c: (c.task_index, c.round_index))]
     assert all(c.clients <= cap for c in cohorts)
     assert max(sum(c.clients for c in chunk) for chunk in chunks) == 20
-    assert sorted({len(set().union(*(c.members for c in chunk))) for chunk in chunks}) == [1, 2, 5]
+    assert sorted({len(set().union(*(c.members for c in chunk)))
+                   for chunk in chunks}) == chunk_members
     for spec in suite.experiments:
         alone = store.execute_experiment(spec, dataset)
         assert digest(grouped[spec.run_id()]) == digest(alone), spec.values
@@ -239,8 +247,9 @@ def test_fcl_task_1_trains_once_per_shape(cap, tmp_path, monkeypatch):
     grouped, failures, cohorts = run_grouped(suite, dataset, str(tmp_path / "out"), monkeypatch)
     assert not failures
     assert len([c for c in cohorts if c.task_index == 0]) == 2 * math.ceil(10 / cap)
-    # task 2 trains the 5 members in chunks of at most GROUP_CLIENTS clients
-    assert sum(c.clients for c in cohorts if c.task_index == 1) == 2 * 5 * 10
+    # task 2 trains the 4 distinct members (EWC-Online is EWC's twin) in
+    # chunks of at most GROUP_CLIENTS clients
+    assert sum(c.clients for c in cohorts if c.task_index == 1) == 2 * 4 * 10
     for spec in suite.experiments:
         assert digest(grouped[spec.run_id()]) == digest(store.execute_experiment(spec, dataset))
 
@@ -296,3 +305,210 @@ def test_a_diverging_task_1_fails_every_member_alone(rounds_per_task, tmp_path, 
     for outcome, (_, message) in zip(outcomes, alone):
         assert isinstance(outcome, orch.ExperimentError) and str(outcome) == message
         assert isinstance(outcome.__cause__, ValueError)
+
+
+def test_results_are_written_as_their_chunk_finishes(tmp_path, monkeypatch):
+    # a 10-client FL cell trains its 5 members in chunks of 2, 2 and 1; each
+    # chunk's runs are written, and let go, before the next chunk trains
+    suite = suite_of(tmp_path, """
+[experiment]
+rounds = 2
+clients = 10
+
+[sweep]
+strategies = fedavg, fedbn, fedprox, fedopt, feddistill
+
+[suite]
+synthetic_n = 400
+""", "cell.ini")
+    dataset, _ = dataio.synthetic_generate(400, seed=3, noise_std=0.1)
+    events, written = [], []
+    write, train = store.ResultsStore.write_run, orch.local_train
+
+    def recording_write(self, spec, result):
+        events.append("write")
+        written.append(weakref.ref(result))
+        return write(self, spec, result)
+
+    def recording_train(clients, task_index, round_index):
+        events.append("train")
+        assert all(ref() is None for ref in written)  # earlier chunks' results are freed
+        return train(clients, task_index, round_index)
+
+    monkeypatch.setattr(orch, "GROUP_CLIENTS", 20)
+    monkeypatch.setattr(store.ResultsStore, "write_run", recording_write)
+    monkeypatch.setattr(orch, "local_train", recording_train)
+    _, failures = store.run_suite(suite, dataset, str(tmp_path / "out"))
+    assert not failures
+    runs = [(kind, len(list(same))) for kind, same in itertools.groupby(events)]
+    assert [kind for kind, _ in runs] == ["train", "write"] * 3
+    assert [n for kind, n in runs if kind == "write"] == [2, 2, 1]
+
+
+TRAJECTORY_OPTIONS = {  # a value other than the default for every option
+    "mu": 0.5, "server_optimizer": "sgd", "server_learning_rate": 0.02,
+    "distill_weight": 0.25, "weighted_aggregation": True,
+    "lambda_": 3.0, "gamma_online": 0.5, "fisher_samples": 9, "xi": 0.2,
+    "buffer_capacity": 999, "mix_ratio": 0.25,
+}
+READS = {  # what each strategy kind and CL method reads
+    "fedavg": {"weighted_aggregation"}, "fedbn": {"weighted_aggregation"},
+    "fedprox": {"mu", "weighted_aggregation"},
+    "fedopt": {"server_optimizer", "server_learning_rate", "weighted_aggregation"},
+    "feddistill": {"distill_weight", "weighted_aggregation"},
+    "none": set(), "ewc": {"lambda_", "fisher_samples"},
+    # gamma_online acts from a second consolidation on; FCL has one
+    "ewc_online": {"lambda_", "fisher_samples"}, "si": {"lambda_", "xi"},
+    "mas": {"lambda_"}, "nr": {"buffer_capacity", "mix_ratio"},
+}
+
+
+@pytest.mark.parametrize("kind, method", [(kind, "none") for kind in fed.STRATEGIES] + [
+    ("fedavg", method) for method in cl.CL_METHODS if method != "none"])
+def test_trajectory_key_is_what_the_strategy_and_method_read(kind, method):
+    base = orch.ExperimentConfig(strategy=fed.StrategyConfig(kind), cl_method=method)
+    reads = READS[kind] | READS[method]
+    for name, value in TRAJECTORY_OPTIONS.items():
+        part = "strategy" if hasattr(base.strategy, name) else "penalty"
+        changed = dataclasses.replace(
+            base, **{part: dataclasses.replace(getattr(base, part), **{name: value})})
+        same = orch.trajectory_key(changed) == orch.trajectory_key(base)
+        assert same == (name not in reads), name
+
+
+def test_trajectory_key_takes_the_effective_lambda_and_ewc_online_as_ewc():
+    def key(method, lambda_=None, **penalty):
+        return orch.trajectory_key(orch.ExperimentConfig(
+            cl_method=method, penalty=cl.PenaltyConfig(lambda_=lambda_, **penalty)))
+
+    for method in ("ewc", "ewc_online", "si", "mas"):
+        assert key(method) == key(method, cl.DEFAULT_LAMBDAS[method])
+    assert key("ewc_online", gamma_online=0.5) == key("ewc")
+    assert key("ewc_online", 3.0) == key("ewc", 3.0) != key("ewc")
+    # no other equivalence: FedProx at mu 0 is not FedAvg, EWC at lambda 0 not MAS
+    assert key("ewc", 0.0) != key("mas", 0.0)
+    prox = orch.ExperimentConfig(strategy=fed.StrategyConfig("fedprox", mu=0.0))
+    assert orch.trajectory_key(prox) != orch.trajectory_key(orch.ExperimentConfig())
+
+
+@st.composite
+def twin_configs(draw):
+    """Two configs of 2 clients and 2 rounds with equal trajectory keys: the
+    second draws every option anew, then takes the first's read options (and
+    lambda_ as given or as its effective value)."""
+    method = draw(st.sampled_from(cl.CL_METHODS))
+    kind = "fedavg" if method != "none" else draw(st.sampled_from(fed.STRATEGIES))
+
+    def options(method):
+        strategy = fed.StrategyConfig(
+            kind, mu=draw(st.sampled_from([0.0, 0.01, 0.5])),
+            server_optimizer=draw(st.sampled_from(["adam", "sgd"])),
+            server_learning_rate=draw(st.sampled_from([0.01, 0.1])),
+            distill_weight=draw(st.sampled_from([0.0, 0.5, 1.0])),
+            weighted_aggregation=draw(st.booleans()))
+        penalty = cl.PenaltyConfig(
+            lambda_=draw(st.sampled_from([None, 1.0, 3.0, 100.0])),
+            gamma_online=draw(st.sampled_from([0.5, 1.0])),
+            fisher_samples=draw(st.sampled_from([2, 8])), xi=draw(st.sampled_from([0.1, 0.5])),
+            buffer_capacity=draw(st.sampled_from([20, 1000])),
+            mix_ratio=draw(st.sampled_from([0.25, 0.5])))
+        return orch.ExperimentConfig(n_clients=2, n_rounds=2, batch_size=16, seed=5,
+                                     strategy=strategy, cl_method=method, penalty=penalty)
+
+    a = options(method)
+    twin = draw(st.sampled_from(["ewc", "ewc_online"])) if method.startswith("ewc") else method
+    b = options(twin)
+    reads = READS[kind] | READS[method]
+    lambda_ = draw(st.sampled_from([a.penalty.lambda_,
+                                    a.penalty.effective_lambda(method)]))
+    b.strategy = dataclasses.replace(b.strategy, **{
+        n: getattr(a.strategy, n) for n in reads if hasattr(a.strategy, n)})
+    b.penalty = dataclasses.replace(b.penalty, **{
+        n: lambda_ if n == "lambda_" else getattr(a.penalty, n)
+        for n in reads if hasattr(a.penalty, n)})
+    return a, b
+
+
+@settings(max_examples=25, deadline=None)
+@given(twin_configs())
+def test_configs_of_equal_trajectory_keys_compute_equal_bits(twins):
+    a, b = twins
+    assert orch.trajectory_key(a) == orch.trajectory_key(b)
+    dataset, _ = dataio.synthetic_generate(200, seed=1, noise_std=0.1)
+    train, test = dataio.train_test_split(dataset, 0.75, a.seed)
+    run = orch.run_fcl if a.cl_method != "none" else orch.run_fl
+    assert digest(run(a, train, test))[:2] == digest(run(b, train, test))[:2]
+
+
+def test_a_failing_representative_gives_each_twin_its_own_error(tmp_path):
+    # EWC-Online and a second EWC of another gamma_online are twins of EWC,
+    # which diverges in task 2 at lambda 1e300
+    base = orch.ExperimentConfig(n_clients=2, n_rounds=2, batch_size=16, seed=5,
+                                 client_optimizer="sgd", learning_rate=0.01, cl_method="ewc",
+                                 penalty=cl.PenaltyConfig(lambda_=1e300))
+    configs = [base, dataclasses.replace(base, cl_method="ewc_online"),
+               dataclasses.replace(base, cl_method="nr"),
+               dataclasses.replace(base, penalty=cl.PenaltyConfig(lambda_=1e300,
+                                                                  gamma_online=0.5))]
+    dataset, _ = dataio.synthetic_generate(300, seed=4, noise_std=0.1)
+    train, test = dataio.train_test_split(dataset, 0.75, base.seed)
+    with np.errstate(all="ignore"):
+        alone = [orch.run_group([c], train, test, continual=True)[0] for c in configs]
+        outcomes = orch.run_group(configs, train, test, continual=True)
+    twins = [outcomes[i] for i in (0, 1, 3)]
+    assert all(isinstance(e, orch.ExperimentError) for e in twins)
+    assert len({id(e) for e in twins}) == 3
+    for i in (0, 1, 3):
+        assert str(outcomes[i]) == str(alone[i]) and "failed in round 2" in str(alone[i])
+        assert isinstance(outcomes[i].__cause__, ValueError)
+    assert digest(outcomes[2]) == digest(alone[2])  # NR is no twin, and reads no lambda
+
+
+def test_a_failed_run_leaves_its_traceback(tmp_path):
+    suite = suite_of(tmp_path, FCL10.format(
+        rounds_per_task=2, extra="client_optimizer = sgd\nlearning_rate = 1e100"), "diverge.ini")
+    dataset, _ = dataio.synthetic_generate(400, seed=3, noise_std=0.1)
+    out = tmp_path / "out"
+    with np.errstate(all="ignore"):
+        results, failures = store.run_suite(suite, dataset, str(out))
+    assert len(failures) == 5 and not results.list_runs()
+    for run_id, message in failures:
+        text = (out / f"{run_id}.failed.txt").read_text()
+        assert text.startswith("Traceback (most recent call last):")
+        assert "ValueError: NaN or inf in gradients" in text  # the cause, then the error
+        assert "The above exception was the direct cause of the following exception" in text
+        assert text.endswith(f"ExperimentError: {message}\n")
+    # a later successful run of that id removes its traceback
+    spec = suite.experiments[0]
+    results.write_run(spec, store.execute_experiment(
+        ExperimentSpec(dict(spec.values, learning_rate=0.001)), dataset))
+    assert not (out / f"{spec.run_id()}.failed.txt").exists()
+    assert [r.run_id for r in results.list_runs()] == [spec.run_id()]
+    assert len(list(out.glob("*.failed.txt"))) == 4
+
+
+def test_one_shape_trains_at_a_time(tmp_path, monkeypatch):
+    # the sweep interleaves the four shapes (clients x augmentation) in
+    # suite order, and a 10-client shape trains in two chunks; each group
+    # still trains to its end before the next starts, so one group's shards
+    # and client state are alive at a time
+    suite = suite_of(tmp_path, GRID.format(sweep="strategies = fedavg, fedbn, fedprox",
+                                           extra=""), "shapes.ini")
+    dataset, _ = dataio.synthetic_generate(400, seed=3, noise_std=0.1)
+
+    def shape(values):
+        return values["clients"], values["augmentation"]
+
+    assert len(list(itertools.groupby(map(shape, (s.values for s in suite.experiments))))) == 12
+    trained, train = [], orch.local_train
+
+    def recording_train(clients, task_index, round_index):
+        cfg = clients[0].member.config
+        trained.append((cfg.n_clients, cfg.augmentation))
+        return train(clients, task_index, round_index)
+
+    monkeypatch.setattr(orch, "GROUP_CLIENTS", 20)
+    monkeypatch.setattr(orch, "local_train", recording_train)
+    _, failures = store.run_suite(suite, dataset, str(tmp_path / "out"))
+    assert not failures
+    assert len(list(itertools.groupby(trained))) == 4
