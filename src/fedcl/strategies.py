@@ -67,8 +67,10 @@ def fedavg_aggregate(updates: list[ClientUpdate], weighted: bool = False) -> np.
         return updates[0].params.copy()
     stacked = np.stack([u.params for u in updates])
     if weighted:
+        # divide once at the end: scaling each row by w / w.sum() first would
+        # round subnormal slots to zero that the plain mean keeps
         w = np.array([u.n_samples for u in updates], dtype=np.float64)
-        return (stacked * (w / w.sum())[:, None]).sum(axis=0)
+        return (stacked * w[:, None]).sum(axis=0) / w.sum()
     return stacked.mean(axis=0)
 
 
