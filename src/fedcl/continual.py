@@ -12,7 +12,7 @@ product of its output gradient delta and its input a, and
 |outer(delta, a)| = outer(|delta|, |a|), so the importance is
 |Delta|^T |A| / N from one eval pass over the shard. The Fisher diagonal
 takes all its minibatches in one ``nn.backward`` over a stack of the model,
-and the replay buffer keeps its rows in two preallocated arrays.
+and the replay buffer keeps its rows in two arrays that grow with them.
 """
 
 from __future__ import annotations
@@ -204,15 +204,16 @@ def mas_importance(model: nn.MlpModel, features: np.ndarray, seed: int) -> np.nd
         raise ValueError("cannot compute MAS importance on an empty shard")
     _ = seed
     pred, cache = model._forward_cached(features, "eval")
+    dy = 2.0 * pred  # d ||f||^2 / df = 2 f, per sample
+    terms, dense = nn._backprop(model, dy, cache)
     omega = np.zeros(nn.PARAM_COUNT)
-    # d ||f||^2 / df = 2 f, per sample
-    for scale, shift, delta, inp, dense in nn._backprop(model, 2.0 * pred, cache):
-        abs_delta = np.abs(delta)
-        if dense:
-            omega[scale] = (abs_delta.T @ np.abs(inp)).ravel() / n
-        else:
-            omega[scale] = np.add.reduce(abs_delta * np.abs(inp), axis=0) / n
-        omega[shift] = np.add.reduce(abs_delta, axis=0) / n
+    for name, (delta, inp) in zip(("out.weight", "lin2.weight", "lin1.weight"), dense):
+        omega[nn.slot_slice(name)] = (np.abs(delta).T @ np.abs(inp)).ravel() / n
+    # |delta * xhat| = |delta| * |xhat|, so gamma's terms need no second product
+    means = nn._two_layer_view(omega, "lin1.bias", 3, False)
+    np.add.reduce(np.abs(terms), axis=-2, out=means)
+    means /= n
+    omega[nn.slot_slice("out.bias")] = np.add.reduce(np.abs(dy), axis=0) / n
     return omega
 
 
@@ -223,10 +224,11 @@ def mas_importance(model: nn.MlpModel, features: np.ndarray, seed: int) -> np.nd
 class ReplayBuffer:
     """Reservoir-sampled store of previously seen (feature, label) pairs.
 
-    The rows live in two arrays of ``capacity`` rows, allocated with
-    ``np.empty`` by the first insert (which fixes the row shapes), so
-    capacity no row has reached yet is never written. ``features`` and
-    ``labels`` are views of the filled rows."""
+    The rows live in two arrays that grow geometrically (doubling, capped
+    at ``capacity``) as rows arrive, so a buffer holds about as many rows
+    as it has filled rather than ``capacity`` from its first insert; the
+    first insert fixes the row shapes. ``features`` and ``labels`` are views
+    of the filled rows."""
 
     def __init__(self, capacity: int, seed: int = 0):
         if capacity <= 0:
@@ -247,13 +249,22 @@ class ReplayBuffer:
     def labels(self) -> np.ndarray:
         return self._labels[:len(self)]
 
-    def _allocate(self, feature: np.ndarray, label: np.ndarray) -> None:
-        if self.n_seen == 0:
-            self._features = np.empty((self.capacity,) + feature.shape, dtype=feature.dtype)
-            self._labels = np.empty((self.capacity,) + label.shape, dtype=label.dtype)
+    def _reserve(self, rows: int, feature: np.ndarray, label: np.ndarray) -> None:
+        """Room for ``rows`` (at most ``capacity``) rows shaped like
+        ``feature`` and ``label``, keeping the filled rows."""
+        held = len(self._features) if self.n_seen else 0
+        if rows <= held:
+            return
+        size = min(self.capacity, max(rows, 2 * held))
+        features = np.empty((size,) + feature.shape, dtype=feature.dtype)
+        labels = np.empty((size,) + label.shape, dtype=label.dtype)
+        if held:
+            features[:len(self)] = self.features
+            labels[:len(self)] = self.labels
+        self._features, self._labels = features, labels
 
     def add(self, feature: np.ndarray, label: np.ndarray) -> None:
-        self._allocate(feature, label)
+        self._reserve(min(self.n_seen + 1, self.capacity), feature, label)
         self.n_seen += 1
         j = self.n_seen - 1
         if j >= self.capacity:  # full: keep with probability capacity / n_seen
@@ -267,9 +278,9 @@ class ReplayBuffer:
         are copied in one slice, and only the rest draw from the reservoir."""
         if len(ds) == 0:
             return
-        self._allocate(ds.features[0], ds.labels[0])
         fill = len(self)
         head = min(len(ds), self.capacity - fill)
+        self._reserve(fill + head, ds.features[0], ds.labels[0])
         self._features[fill:fill + head] = ds.features[:head]
         self._labels[fill:fill + head] = ds.labels[:head]
         self.n_seen += head

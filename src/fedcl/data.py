@@ -227,19 +227,22 @@ def train_test_split(ds: Dataset, ratio: float = 0.75, seed: int = 0) -> tuple[D
 
 def partition_clients(train: Dataset, n_clients: int, seed: int = 0) -> list[ClientPartition]:
     """Seeded shuffle, then contiguous near-equal shards (remainder spread
-    one-per-client starting at client 0)."""
+    one-per-client starting at client 0). The shards are consecutive row
+    views of one shuffled copy of ``train``."""
     n = len(train)
     if n_clients < 1:
         raise ValueError(f"n_clients must be >= 1, got {n_clients}")
     if n_clients > n:
         raise DataError(f"cannot partition {n} samples into {n_clients} clients")
-    perm = np.random.default_rng([seed, 2]).permutation(n)
+    shuffled = train.subset(np.random.default_rng([seed, 2]).permutation(n))
     base, rem = divmod(n, n_clients)
     parts = []
     pos = 0
     for cid in range(n_clients):
         size = base + (1 if cid < rem else 0)
-        parts.append(ClientPartition(cid, train.subset(perm[pos:pos + size])))
+        rows = slice(pos, pos + size)
+        parts.append(ClientPartition(cid, Dataset(shuffled.features[rows], shuffled.labels[rows],
+                                                  train.provenance, list(train.feature_names))))
         pos += size
     return parts
 

@@ -14,6 +14,30 @@ The layer code is written once over that optional leading axis: matmuls are
 -2, so a single model is the no-axis case and model k of a stack computes
 exactly the bits it would compute alone.
 
+A training step is dominated by numpy's per-call overhead, not by
+arithmetic, so the step code makes as few calls as it can while keeping
+each element's ufunc sequence, and so every bit:
+
+- Writes in place. The train-mode BatchNorm forward and backward compute
+  into their own temporaries; both layers' batch statistics go into one
+  array and update the running statistics with one pass over a strided view
+  of both layers' slots (``_two_layer_view``). ``backward`` overwrites the
+  forward's prediction with the output gradient, writes each weight
+  gradient with ``np.matmul(out=...)`` and every hidden bias and BatchNorm
+  gradient with one ``np.add.reduce(out=...)`` over ``_backprop``'s terms.
+  ``Optimizer.step(out=params)`` steps the parameters in place. Eval-mode
+  ``MlpModel.forward`` computes each layer over the previous one's output
+  and keeps no backward cache.
+- Reuses buffers. Each model keeps the gradient vector ``backward`` writes
+  (``MlpModel._gradient``) and the view of its running statistics;
+  ``backward`` returns a copy, so a caller never sees the buffer.
+- Aliasing. A model's layer arrays, running-statistic view and a stack's
+  row views alias ``params``; ``Optimizer.rows`` views alias the stacked
+  optimizer's state. ``backward`` writes neither its batch nor its target,
+  and ``BatchNormLayer.forward``/``backward`` write neither their input
+  nor ``dy``; ``BatchNormLayer.transform`` and ``step(out=...)`` write
+  over their argument by design.
+
 The architecture is fixed: 29 -> 16 -> 16 -> 8 with a BatchNorm layer after
 each hidden dense layer. Hidden activation is identity by default (a config
 switch enables ReLU). All math is float64 so finite-difference checks and
@@ -94,49 +118,89 @@ class BatchNormLayer:
         self.running_mean[...] = 0.0
         self.running_var[...] = 1.0
 
-    def forward(self, x: np.ndarray, train: bool, update_running: bool = True):
-        """Returns (y, cache); cache records which normalization was used."""
-        if train:
-            n = x.shape[-2]
-            if n < 2:
-                raise ValueError("batch normalization in train mode needs a batch of at least 2")
-            # the ufunc sequence of x.mean(axis=0) and x.var(axis=0), without
-            # their wrapper overhead; the results are bit-identical
-            stacked = x.ndim == 3
-            mean = np.add.reduce(x, axis=-2, keepdims=stacked) / n
-            centred = x - mean
-            var = np.add.reduce(centred * centred, axis=-2, keepdims=stacked) / n
-            std = np.sqrt(var + self.epsilon)
-            xhat = centred / std
-            if update_running:  # in place, rounding as (1 - m) * running + m * batch
-                self.running_mean *= 1.0 - self.momentum
-                self.running_mean += self.momentum * mean
-                self.running_var *= 1.0 - self.momentum
-                self.running_var += self.momentum * var
+    def forward(self, x: np.ndarray, train: bool, stats: np.ndarray | None = None):
+        """Returns (y, cache); cache records which normalization was used.
+        ``x`` is not written to.
+
+        In train mode the batch mean and variance are written to
+        ``stats[0]`` and ``stats[1]``. When ``stats`` is given, the caller
+        updates the running statistics from it (``MlpModel`` does both of
+        its layers at once); else the layer updates its own."""
+        if not train:
+            std = np.sqrt(self.running_var + self.epsilon)
+            xhat = x - self.running_mean
+            xhat /= std
             y = self.gamma * xhat
             y += self.beta
-            return y, ("train", xhat, std)
-        std = np.sqrt(self.running_var + self.epsilon)
-        xhat = (x - self.running_mean) / std
-        y = self.gamma * xhat
+            return y, ("eval", xhat, std)
+        n = float(x.shape[-2])  # a float divisor skips the int conversion, same bits
+        if n < 2:
+            raise ValueError("batch normalization in train mode needs a batch of at least 2")
+        # the ufunc sequence of x.mean(axis=0) and x.var(axis=0), without
+        # their wrapper overhead; the results are bit-identical
+        stacked = x.ndim == 3
+        own = stats is None
+        if own:
+            stats = np.empty((2,) + self.running_mean.shape)
+        mean, var = stats[0], stats[1]
+        np.add.reduce(x, axis=-2, keepdims=stacked, out=mean)
+        mean /= n
+        xhat = x - mean
+        y = xhat * xhat  # scratch for the variance, then the output
+        np.add.reduce(y, axis=-2, keepdims=stacked, out=var)
+        var /= n
+        std = var + self.epsilon
+        np.sqrt(std, out=std)
+        xhat /= std
+        if own:
+            _update_running(self.running_mean, mean, self.momentum)
+            _update_running(self.running_var, var, self.momentum)
+        np.multiply(self.gamma, xhat, out=y)
         y += self.beta
-        return y, ("eval", xhat, std)
+        return y, ("train", xhat, std)
 
-    def backward(self, dy: np.ndarray, cache) -> np.ndarray:
-        """The input gradient dx. (The parameter gradients are batch sums of
-        dy * xhat for gamma and of dy for beta; module-level ``backward`` forms
-        them.) In eval mode the running statistics are constants, so dx is a
-        plain elementwise rescale, row by row."""
+    def transform(self, x: np.ndarray) -> np.ndarray:
+        """The eval-mode output for ``x``, written over ``x``; keeps nothing
+        for a backward pass. The same ufuncs, in the same order, as
+        ``forward`` in eval mode."""
+        x -= self.running_mean
+        x /= np.sqrt(self.running_var + self.epsilon)
+        x *= self.gamma
+        x += self.beta
+        return x
+
+    def backward(self, dy: np.ndarray, cache, out: np.ndarray | None = None) -> np.ndarray:
+        """The input gradient dx, written to ``out`` when it is given;
+        ``dy`` is not written to. (The parameter gradients are batch sums of
+        dy * xhat for gamma and of dy for beta; module-level ``backward``
+        forms them.) In eval mode the running statistics are constants, so
+        dx is a plain elementwise rescale, row by row."""
         kind, xhat, std = cache
-        dxhat = dy * self.gamma
         if kind == "eval":
-            return dxhat / std
-        n = dy.shape[-2]
-        # (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)) / std, in place
-        dx = dxhat - np.add.reduce(dxhat, axis=-2, keepdims=True) / n
-        dx -= xhat * (np.add.reduce(dxhat * xhat, axis=-2, keepdims=True) / n)
+            dx = np.multiply(dy, self.gamma, out=out)
+            dx /= std
+            return dx
+        # (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)) / std, in place,
+        # with both means from one reduction
+        pair = np.empty((2,) + dy.shape)
+        dxhat, scratch = pair[0], pair[1]
+        np.multiply(dy, self.gamma, out=dxhat)
+        np.multiply(dxhat, xhat, out=scratch)
+        means = np.add.reduce(pair, axis=-2, keepdims=True)
+        means /= float(dy.shape[-2])
+        dx = np.subtract(dxhat, means[0], out=out)
+        np.multiply(xhat, means[1], out=scratch)
+        dx -= scratch
         dx /= std
         return dx
+
+
+def _update_running(running: np.ndarray, batch: np.ndarray, momentum: float) -> None:
+    """running <- (1 - momentum) * running + momentum * batch, in place and
+    rounded in that order; ``batch`` is overwritten."""
+    running *= 1.0 - momentum
+    batch *= momentum
+    running += batch
 
 
 class MlpModel:
@@ -178,6 +242,10 @@ class MlpModel:
         if fresh:  # the layers' initial values: zero linear layers, identity BatchNorm
             self.bn1.reset()
             self.bn2.reset()
+        # (layer, mean or variance) + the shape of one batch statistic
+        self._stats_shape = (2, 2) + self.bn1.running_mean.shape
+        self._running = None  # both layers' running statistics as one view, on first use
+        self._grad = None     # backward's gradient vector and its block views, on first use
 
     def init_params(self, rng: np.random.Generator) -> None:
         self.lin1.init_uniform(rng)
@@ -187,19 +255,27 @@ class MlpModel:
         self.bn2.reset()
 
     def _activate(self, h: np.ndarray) -> np.ndarray:
+        """The hidden activation, written over ``h``."""
         if self.hidden_activation == "relu":
-            return np.maximum(h, 0.0)
+            np.maximum(h, 0.0, out=h)
         return h
 
     def forward(self, batch: np.ndarray, mode: str = "eval") -> np.ndarray:
         """Predictions for a (B, 29) batch; for a stack of C models, a
-        client-major (C*B, 29) batch gives client-major (C*B, 8) predictions."""
-        y, _ = self._forward_cached(batch, mode)
-        return y.reshape(-1, OUT_DIM)
+        client-major (C*B, 29) batch gives client-major (C*B, 8) predictions.
+        Eval mode keeps nothing for a backward pass: each layer's output is
+        computed over the previous one in place."""
+        if mode == "train":
+            y, _ = self._forward_cached(batch, mode)
+            return y.reshape(-1, OUT_DIM)
+        x = self._batch(batch, mode)
+        h = self._activate(self.bn1.transform(self.lin1.forward(x)))
+        h = self._activate(self.bn2.transform(self.lin2.forward(h)))
+        return self.out.forward(h).reshape(-1, OUT_DIM)
 
-    def _forward_cached(self, batch: np.ndarray, mode: str):
-        """Forward pass keeping what backward needs; a stack of C models
-        splits the client-major batch into (C, B, 29) and returns (C, B, 8)."""
+    def _batch(self, batch: np.ndarray, mode: str) -> np.ndarray:
+        """The checked batch; a stack of C models splits a client-major
+        batch into (C, B, 29)."""
         if mode not in ("train", "eval"):
             raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
         batch = np.asarray(batch, dtype=np.float64)
@@ -213,20 +289,44 @@ class MlpModel:
                 raise ValueError(f"a stack of {n_models} models needs a client-major batch "
                                  f"of a multiple of {n_models} rows, got {batch.shape[0]}")
             batch = batch.reshape(n_models, -1, IN_DIM)
+        return batch
+
+    def _forward_cached(self, batch: np.ndarray, mode: str):
+        """Forward pass keeping what backward needs, as the tuple
+        (input, BatchNorm 1 cache, activation 1, BatchNorm 2 cache,
+        activation 2); a stack of C models splits the client-major batch
+        into (C, B, 29) and returns (C, B, 8). Train mode then updates both
+        BatchNorm layers' running statistics with one pass over them (the
+        model's layers use the default ``BN_MOMENTUM``)."""
+        x = self._batch(batch, mode)
         train = mode == "train"
-        cache = {"x": batch}
-        h1 = self.lin1.forward(batch)
-        b1, cache["bn1"] = self.bn1.forward(h1, train)
+        stats = np.empty(self._stats_shape) if train else (None, None)
+        b1, bn1 = self.bn1.forward(self.lin1.forward(x), train, stats[0])
         a1 = self._activate(b1)
-        cache["b1"] = b1
-        cache["a1"] = a1
-        h2 = self.lin2.forward(a1)
-        b2, cache["bn2"] = self.bn2.forward(h2, train)
+        b2, bn2 = self.bn2.forward(self.lin2.forward(a1), train, stats[1])
         a2 = self._activate(b2)
-        cache["b2"] = b2
-        cache["a2"] = a2
         y = self.out.forward(a2)
-        return y, cache
+        if train:
+            if self._running is None:
+                self._running = _two_layer_view(self.params, "bn1.running_mean", 2,
+                                                self.params.ndim == 2)
+            _update_running(self._running, stats, BN_MOMENTUM)
+        return y, (x, bn1, a1, bn2, a2)
+
+    def _gradient(self) -> tuple:
+        """The vector ``backward`` writes this model's gradient into, and
+        its views: the dense weights (output layer first), every hidden bias
+        and BatchNorm block (``_backprop``'s terms, summed), and the output
+        bias. It is reused by every call; the running-statistic slots stay
+        zero."""
+        if self._grad is None:
+            grad = np.zeros(self.params.shape, dtype=np.float64)
+            lead = grad.shape[:-1]
+            weights = [grad[..., slot_slice(name)].reshape(lead + OFFSETS[name][2])
+                       for name in ("out.weight", "lin2.weight", "lin1.weight")]
+            self._grad = (grad, weights, _two_layer_view(grad, "lin1.bias", 3, False),
+                          grad[..., slot_slice("out.bias")])
+        return self._grad
 
     def clone(self) -> "MlpModel":
         return MlpModel(self.hidden_activation, self.params.copy())
@@ -317,13 +417,25 @@ def inject_params(model: MlpModel, vec: np.ndarray) -> None:
     model.params[...] = vec
 
 
-# gradient blocks of backward, in the order it produces them
-_OUT_W, _OUT_B = slot_slice("out.weight"), slot_slice("out.bias")
-_BN2_G, _BN2_B = slot_slice("bn2.gamma"), slot_slice("bn2.beta")
-_LIN2_W, _LIN2_B = slot_slice("lin2.weight"), slot_slice("lin2.bias")
-_BN1_G, _BN1_B = slot_slice("bn1.gamma"), slot_slice("bn1.beta")
-_LIN1_W, _LIN1_B = slot_slice("lin1.weight"), slot_slice("lin1.bias")
+# Both hidden layers lay out their bias and BatchNorm vectors alike, this
+# many slots apart
+_LAYER_GAP = OFFSETS["lin2.bias"][0] - OFFSETS["lin1.bias"][0]
 
+
+def _two_layer_view(arr: np.ndarray, first: str, count: int, batch_axis: bool) -> np.ndarray:
+    """The ``count`` consecutive ``HIDDEN_DIM``-slot vectors of hidden layer
+    1 that start at slot ``first``, and the same vectors of hidden layer 2,
+    as one writable view of ``arr`` (a parameter or gradient vector or
+    stack), shaped (layer, vector) + (C,) for a stack + (1,) with
+    ``batch_axis`` + (HIDDEN_DIM,)."""
+    item = arr.itemsize
+    shape, strides = (2, count), (_LAYER_GAP * item, HIDDEN_DIM * item)
+    if arr.ndim == 2:
+        shape, strides = shape + arr.shape[:1], strides + arr.strides[:1]
+    if batch_axis:
+        shape, strides = shape + (1,), strides + (0,)
+    return np.lib.stride_tricks.as_strided(arr[..., OFFSETS[first][0]:], shape + (HIDDEN_DIM,),
+                                           strides + (item,))
 
 # ---------------------------------------------------------------------------
 # Loss and gradients
@@ -343,31 +455,38 @@ def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
     return float(per_action.mean()), per_action
 
 
-def _backprop(model: MlpModel, dy: np.ndarray, cache):
+def _backprop(model: MlpModel, dy: np.ndarray, cache) -> tuple[np.ndarray, list]:
     """The chain rule of ``backward``: from the gradient ``dy`` at the
-    model's output and the forward ``cache``, yields one
-    (scale slots, shift slots, delta, input, dense) tuple per layer, output
-    layer first. ``delta`` is the gradient at the layer's output and
-    ``input`` what its scale multiplies: the layer input for a dense layer,
-    whose weight gradient is delta^T @ input; xhat for BatchNorm, whose
-    gamma gradient is the batch sum of delta * input. The shift (bias, beta)
-    gradient is the batch sum of delta.
+    model's output and the forward ``cache``, the per-sample terms of every
+    parameter gradient but the output bias's (the batch sum of ``dy``).
 
-    Row i of every delta and input belongs to sample i. In eval mode no
-    step mixes rows, so one sample's gradient is built from its rows alone
+    Returns (terms, dense). ``terms`` holds, per hidden layer (axis 0), the
+    gradient at the dense layer's output, that at the BatchNorm output
+    times xhat, and that at the BatchNorm output (axis 1), each a
+    contiguous batch-shaped array: their batch sums are the gradients of
+    the layer's bias, gamma and beta, the order of ``LAYOUT``. ``dense`` is
+    (delta, input) per dense layer, output layer first: its weight gradient
+    is delta^T @ input.
+
+    Row i of every term and input belongs to sample i. In eval mode no step
+    mixes rows, so one sample's gradient is built from its rows alone
     (``continual.mas_importance`` relies on this)."""
+    x, bn1, a1, bn2, a2 = cache
     relu = model.hidden_activation == "relu"
-    yield _OUT_W, _OUT_B, dy, cache["a2"], True
-    da2 = dy @ model.out.weight
-    db2 = da2 * (cache["b2"] > 0.0) if relu else da2
-    yield _BN2_G, _BN2_B, db2, cache["bn2"][1], False
-    dh2 = model.bn2.backward(db2, cache["bn2"])
-    yield _LIN2_W, _LIN2_B, dh2, cache["a1"], True
-    da1 = dh2 @ model.lin2.weight
-    db1 = da1 * (cache["b1"] > 0.0) if relu else da1
-    yield _BN1_G, _BN1_B, db1, cache["bn1"][1], False
-    dh1 = model.bn1.backward(db1, cache["bn1"])
-    yield _LIN1_W, _LIN1_B, dh1, cache["x"], True
+    terms = np.empty((2, 3) + dy.shape[:-1] + (HIDDEN_DIM,))
+    dh1, dg1, db1, dh2, dg2, db2 = terms[0, 0], terms[0, 1], terms[0, 2], terms[1, 0], \
+        terms[1, 1], terms[1, 2]
+    np.matmul(dy, model.out.weight, out=db2)
+    if relu:  # a2 > 0 exactly where the BatchNorm output was
+        db2 *= a2 > 0.0
+    np.multiply(db2, bn2[1], out=dg2)
+    model.bn2.backward(db2, bn2, out=dh2)
+    np.matmul(dh2, model.lin2.weight, out=db1)
+    if relu:
+        db1 *= a1 > 0.0
+    np.multiply(db1, bn1[1], out=dg1)
+    model.bn1.backward(db1, bn1, out=dh1)
+    return terms, [(dy, a2), (dh2, a1), (dh1, x)]
 
 
 def backward(model: MlpModel, batch: np.ndarray, target: np.ndarray,
@@ -383,33 +502,32 @@ def backward(model: MlpModel, batch: np.ndarray, target: np.ndarray,
     For a stack of C models, ``batch`` is client-major (C*B, 29) and
     ``target`` (C*B, 8): rows k*B to (k+1)*B - 1 belong to model k, whose
     loss is averaged over its own B rows. The gradient then has the shape of
-    ``model.params``, (C, P), as does ``extra_penalty_grad``.
+    ``model.params``, (C, P), as does ``extra_penalty_grad``. The result is
+    a new array; ``batch`` and ``target`` are not written to.
     """
     target = np.asarray(target, dtype=np.float64)
-    pred, cache = model._forward_cached(batch, mode)
-    if target.shape != (pred.size // OUT_DIM, OUT_DIM):
-        raise ValueError(f"shape mismatch: pred {pred.shape} vs target {target.shape}")
-    target = target.reshape(pred.shape)
-    n, width = pred.shape[-2:]
-    dy = pred - target  # then 2 * dy / (n * width), in place
+    dy, cache = model._forward_cached(batch, mode)
+    if target.shape != (dy.size // OUT_DIM, OUT_DIM):
+        raise ValueError(f"shape mismatch: pred {dy.shape} vs target {target.shape}")
+    n, width = dy.shape[-2:]
+    dy -= target.reshape(dy.shape)  # then 2 * dy / (n * width), in place
     dy *= 2.0
-    dy /= n * width
+    dy /= float(n * width)
 
-    lead = model.params.shape[:-1]
-    vec = np.zeros(model.params.shape, dtype=np.float64)
-    for scale, shift, delta, inp, dense in _backprop(model, dy, cache):
-        if dense:
-            vec[..., scale] = (delta.swapaxes(-1, -2) @ inp).reshape(lead + (-1,))
-        else:
-            vec[..., scale] = np.add.reduce(delta * inp, axis=-2)
-        vec[..., shift] = np.add.reduce(delta, axis=-2)
+    terms, dense = _backprop(model, dy, cache)
+    grad, weights, sums, out_bias = model._gradient()
+    for weight, (delta, inp) in zip(weights, dense):
+        np.matmul(delta.swapaxes(-1, -2), inp, out=weight)
+    # every bias and BatchNorm gradient of both hidden layers in one reduction
+    np.add.reduce(terms, axis=-2, out=sums)
+    np.add.reduce(dy, axis=-2, out=out_bias)
 
-    if extra_penalty_grad is not None:
-        extra_penalty_grad = np.asarray(extra_penalty_grad, dtype=np.float64)
-        if extra_penalty_grad.shape != vec.shape:
-            raise ValueError("penalty gradient has wrong length")
-        vec += extra_penalty_grad
-    return vec
+    if extra_penalty_grad is None:
+        return grad.copy()
+    extra_penalty_grad = np.asarray(extra_penalty_grad, dtype=np.float64)
+    if extra_penalty_grad.shape != grad.shape:
+        raise ValueError("penalty gradient has wrong length")
+    return grad + extra_penalty_grad
 
 
 # ---------------------------------------------------------------------------
@@ -475,40 +593,49 @@ class Optimizer:
             if self.m is not None:
                 opt.m, opt.v = self.m[k], self.v[k]
 
-    def step(self, params: np.ndarray, grads: np.ndarray) -> np.ndarray:
+    def step(self, params: np.ndarray, grads: np.ndarray,
+             out: np.ndarray | None = None) -> np.ndarray:
+        """The parameters after one step on ``grads``, written to ``out``
+        when it is given (``params`` itself steps them in place), else to a
+        new array."""
         params = np.asarray(params, dtype=np.float64)
         grads = np.asarray(grads, dtype=np.float64)
         if params.shape != grads.shape:
             raise ValueError(f"shape mismatch: params {params.shape} vs grads {grads.shape}")
         # checked before any state changes, so a rejected step leaves the
-        # optimizer as it was
-        if not np.isfinite(grads).all():
+        # optimizer (and ``out``) as it was
+        if not np.logical_and.reduce(np.isfinite(grads), axis=None):
             raise ValueError("NaN or inf in gradients")
         self.step_count += 1  # in place when it is a view of a stack's counts
         if self.kind == "sgd":
-            return params - self.learning_rate * grads
+            return np.subtract(params, self.learning_rate * grads, out=out)
         if self.m is None:
             self.m = np.zeros_like(params)
             self.v = np.zeros_like(params)
-        # in place, so the moments of a view step the stack's rows
+        # in place, so the moments of a view step the stack's rows; one
+        # scratch array holds each temporary in turn
+        scratch = np.multiply(grads, 1.0 - self.beta1)
         self.m *= self.beta1
-        self.m += (1.0 - self.beta1) * grads
+        self.m += scratch
+        np.multiply(grads, grads, out=scratch)
+        scratch *= 1.0 - self.beta2
         self.v *= self.beta2
-        self.v += (1.0 - self.beta2) * grads ** 2
+        self.v += scratch
         # 1 - beta**t by Python's float pow, one value per row: numpy's
         # vectorised np.power differs from it in the last bit for some t
         t = self.step_count
         if isinstance(t, int) or t.ndim == 0:
             t = int(t)
             m_hat = self.m / (1.0 - self.beta1 ** t)
-            v_hat = self.v / (1.0 - self.beta2 ** t)
+            v_hat = np.divide(self.v, 1.0 - self.beta2 ** t, out=scratch)
         else:
             t = t.tolist()
             m_hat = self.m / np.array([1.0 - self.beta1 ** s for s in t])[:, None]
-            v_hat = self.v / np.array([1.0 - self.beta2 ** s for s in t])[:, None]
+            v_hat = np.divide(self.v, np.array([1.0 - self.beta2 ** s for s in t])[:, None],
+                              out=scratch)
         # params - lr * m_hat / (sqrt(v_hat) + eps), with the temporaries in place
         m_hat *= self.learning_rate
         np.sqrt(v_hat, out=v_hat)
         v_hat += self.epsilon
         m_hat /= v_hat
-        return params - m_hat
+        return np.subtract(params, m_hat, out=out)

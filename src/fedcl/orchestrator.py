@@ -144,10 +144,13 @@ class RunResult:
 
 # The largest cohort ``run_group`` passes to one ``local_train`` call. Set
 # by a micro-benchmark: one round of each group shape of the benchmark grids
-# through local_train in chunks of 2 to 20 clients (2-core Xeon, 1 BLAS
-# thread, best of 9). Chunks of 10 were the fastest per client-round or
-# within noise of it; 5 cost 10-40% more and 20 up to 10% more, since a
-# stacked step's cost per model stops falling near 10 models.
+# (all members of a shape in one cohort; FCL in task 2) through local_train
+# in chunks of 2 to 20 clients (2-core Xeon, 1 BLAS thread, best of 9), last
+# re-run with the in-place training step. Against chunks of 10, chunks of 2
+# cost 5-140% more on every shape and chunks of 5 from -23% to +94%; chunks
+# of 12, 15 and 20 ranged from -29% to +31%, faster on some shapes of each
+# grid and slower on others, within the host's noise. No size was faster
+# on every shape of both grids, and every size gave the same bits.
 COHORT_CAP = 10
 
 
@@ -351,6 +354,10 @@ class _Stack:
         return rows
 
     def unstack(self) -> None:
+        """Write the trained state back to the clients, and let go of the
+        row views (a FedDistill teacher stack outlives its training, and its
+        rows' gradient buffers need not)."""
+        self._rows.clear()
         if self._si is not None:  # in place: the accumulators keep their own arrays
             for k, omega in zip(self._si.rows, self._si.values[0]):
                 self.clients[k].si_acc.omega_running[...] = omega
@@ -452,17 +459,87 @@ def _live_runs(clients: list[ClientState], lo: int, hi: int):
             a = k + 1
 
 
-def _batch(clients: list[ClientState], plans: list, j: int, lo: int,
-           hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """The client-major batch of rows lo:hi (two or more) at step j,
-    gathered in place."""
-    new, buf = plans[lo][j]
-    n = len(new) + (0 if buf is None else len(buf))
-    x, y = np.empty(((hi - lo) * n, nn.IN_DIM)), np.empty(((hi - lo) * n, nn.OUT_DIM))
-    for i in range(lo, hi):
-        s = slice((i - lo) * n, (i - lo + 1) * n)
-        x[s], y[s] = cl.mixed_batch_rows(clients[i].buffer, clients[i].shard, *plans[i][j])
-    return x, y
+def _sources(clients: list[ClientState], replays: list[bool]) -> tuple:
+    """(features, labels, offsets) of the rows a stack's batches are taken
+    from; offsets[k] is where client k's shard and, when it replays, its
+    buffer rows start. Shards that are row slices of one table (a
+    partition's or a task's, ``_one_table``) are read from it without a
+    copy; otherwise every distinct shard and replay buffer is copied once
+    (the clients of one client id in a group share their shard)."""
+    shards = [c.shard for c in clients]
+    if not any(replays) and (table := _shared_table(shards)) is not None:
+        return table
+    blocks, offsets, starts, pos = [], [], {}, 0
+    for c, replay in zip(clients, replays):
+        own = (c.shard, c.buffer) if replay else (c.shard,)
+        for block in own:
+            if id(block) not in starts:
+                starts[id(block)] = pos
+                blocks.append(block)
+                pos += len(block)
+        offsets.append(tuple(starts[id(block)] for block in own))
+    if len(blocks) == 1:
+        return blocks[0].features, blocks[0].labels, offsets
+    return (np.concatenate([b.features for b in blocks]),
+            np.concatenate([b.labels for b in blocks]), offsets)
+
+
+def _shared_table(shards: list[dataio.Dataset]) -> tuple | None:
+    """(features, labels, offsets) of the table whose whole-row slices all
+    the shards are, or None when they are not."""
+    features, labels = shards[0].features.base, shards[0].labels.base
+    offsets = []
+    for s in shards:
+        row = _row_of(s.features, features)
+        if row is None or row != _row_of(s.labels, labels):
+            return None
+        offsets.append((row,))
+    return features, labels, offsets
+
+
+def _row_of(view: np.ndarray, table: np.ndarray | None) -> int | None:
+    """The row of the 2-D ``table`` at which ``view`` starts, if ``view`` is
+    a slice of whole rows of it, else None."""
+    if (table is None or view.base is not table or table.ndim != 2
+            or view.shape[1:] != table.shape[1:] or view.strides != table.strides):
+        return None
+    start = view.__array_interface__["data"][0] - table.__array_interface__["data"][0]
+    row, within = divmod(start, table.strides[0])
+    return None if within else row
+
+
+def _one_table(shards: list[dataio.Dataset]) -> list[dataio.Dataset]:
+    """The shards as consecutive row views of one table, so that a stack of
+    their clients takes its batches from it without a copy."""
+    features = np.concatenate([s.features for s in shards])
+    labels = np.concatenate([s.labels for s in shards])
+    ends = np.cumsum([len(s) for s in shards]).tolist()
+    return [dataio.Dataset(features[a:b], labels[a:b], s.provenance, list(s.feature_names))
+            for s, a, b in zip(shards, [0] + ends, ends)]
+
+
+def _epoch_index(offsets: list, plans: list, schedule: list) -> tuple:
+    """The source rows of every batch of an epoch, as one index array in
+    schedule order: the rows of entry (j, lo, hi) are the client-major
+    batch of rows lo:hi at step j, each client's new-shard rows then its
+    buffer rows. Returns (index, (first row, rows per client) of each
+    entry)."""
+    pieces, shifts, sizes, bounds, start = [], [], [], [], 0
+    for j, lo, hi in schedule:
+        n = 0
+        for k in range(lo, hi):
+            for idx, shift in zip(plans[k][j], offsets[k]):
+                if idx is not None:
+                    pieces.append(idx)
+                    shifts.append(shift)
+                    sizes.append(len(idx))
+                    n += len(idx)
+        bounds.append((start, n // (hi - lo)))
+        start += n
+    index = np.concatenate(pieces)
+    if any(shifts):
+        index += np.repeat(shifts, sizes)
+    return index, bounds
 
 
 def _loss_gradient(rows: _Rows, x: np.ndarray, y: np.ndarray, k: int) -> np.ndarray:
@@ -485,22 +562,23 @@ def _loss_gradient(rows: _Rows, x: np.ndarray, y: np.ndarray, k: int) -> np.ndar
 
 
 def _apply(rows: _Rows, g: np.ndarray) -> None:
+    if rows.si is None:  # nothing reads the old parameters: step them in place
+        rows.optimizer.step(rows.theta, g, out=rows.theta)
+        return
     stepped = rows.optimizer.step(rows.theta, g)
-    if rows.si is not None:
-        sel, acc = rows.si
-        cl.si_accumulate(acc, g[sel], (stepped - rows.theta)[sel])
+    sel, acc = rows.si
+    cl.si_accumulate(acc, g[sel], (stepped - rows.theta)[sel])
     rows.theta[...] = stepped
 
 
-def _step(stack: _Stack, plans: list, j: int, lo: int, hi: int, context: tuple) -> None:
-    """Step rows lo:hi of a stack on their j-th batches. A step that fails
-    stops the members of its failing rows; every other row is stepped from
-    the gradient already computed, since its forward has already moved its
-    BatchNorm running statistics."""
+def _step(stack: _Stack, x: np.ndarray, y: np.ndarray, j: int, lo: int, hi: int,
+          context: tuple) -> None:
+    """Step rows lo:hi of a stack on their client-major j-th batches
+    ``x`` and ``y``. A step that fails stops the members of its failing
+    rows; every other row is stepped from the gradient already computed,
+    since its forward has already moved its BatchNorm running statistics."""
     clients, k = stack.clients, hi - lo
     rows = stack.rows(lo, hi)
-    x, y = (cl.mixed_batch_rows(clients[lo].buffer, clients[lo].shard, *plans[lo][j]) if k == 1
-            else _batch(clients, plans, j, lo, hi))
     try:
         g = _loss_gradient(rows, x, y, k)
     except ValueError as exc:
@@ -518,19 +596,23 @@ def _step(stack: _Stack, plans: list, j: int, lo: int, hi: int, context: tuple) 
 def _train_epochs(stack: _Stack, purpose: int, replay: bool, task_index: int, round_index: int,
                   label: str) -> None:
     """Every local epoch of a stack, each client's batches drawn from its
-    ``purpose`` stream; once a member fails, its rows sit out the remaining
-    steps."""
+    ``purpose`` stream; a step gathers its run's client-major batch with
+    one ``take`` per array. Once a member fails, its rows sit out the
+    remaining steps."""
     clients = stack.clients
+    features, labels, offsets = _sources(clients, [replay and _replays(c, task_index)
+                                                   for c in clients])
     for epoch in range(clients[0].member.config.local_epochs):
         plans = [_epoch_batches(c, purpose, task_index, round_index, epoch, replay)
                  for c in clients]
+        schedule = _schedule(plans)
+        index, bounds = _epoch_index(offsets, plans, schedule)
         context = (round_index, label, epoch)
-        for j, lo, hi in _schedule(plans):
-            if stack.failed:
-                for a, b in _live_runs(clients, lo, hi):
-                    _step(stack, plans, j, a, b, context)
-            else:
-                _step(stack, plans, j, lo, hi, context)
+        for (j, lo, hi), (start, n) in zip(schedule, bounds):
+            for a, b in (_live_runs(clients, lo, hi) if stack.failed else ((lo, hi),)):
+                rows = index[start + (a - lo) * n:start + (b - lo) * n]
+                _step(stack, features.take(rows, axis=0), labels.take(rows, axis=0),
+                      j, a, b, context)
 
 
 def local_train(clients: list[ClientState], task_index: int,
@@ -689,7 +771,7 @@ def _fcl_tasks(config: ExperimentConfig, train: dataio.Dataset,
             shards = [dataio.augment(shard, config.augment_sigma,
                                      derive_seed(config.seed, 25, cid, task_index))
                       for cid, shard in enumerate(shards)]
-        tasks.append(_Task(shards, eval_set, n_rounds))
+        tasks.append(_Task(_one_table(shards), eval_set, n_rounds))
     return tasks
 
 

@@ -1,9 +1,11 @@
 """The benchmark (perfbench/) traces fedcl through names it looks up at run
 time. These tests fail when fedcl renames or removes one of them."""
 
+import dataclasses
 import importlib
 import importlib.util
 import inspect
+import math
 import pathlib
 import sys
 
@@ -14,7 +16,9 @@ from fedcl import data as dataio
 from fedcl import nn
 from fedcl import store
 from fedcl.config import parse_config
-from fedcl.orchestrator import ExperimentConfig, run_fcl
+from fedcl.continual import PenaltyConfig
+from fedcl.orchestrator import ExperimentConfig, run_fcl, run_group
+from fedcl.strategies import StrategyConfig
 
 TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -70,6 +74,65 @@ def test_consolidation_adds_no_training_rows(method, monkeypatch):
     if method == "ewc":  # the Fisher diagonal's backward is seen
         assert ("fedcl.continual", "eval") in calls
     assert ("fedcl.continual", "train") not in calls
+
+
+def record_train_rows(monkeypatch) -> list[int]:
+    """The row count of every train-mode nn.backward call, as the benchmark
+    counts it (len of the positional batch), after checking that the batch
+    is a 2-D client-major array: the same number of rows for each model."""
+    rows = []
+    original = nn.backward
+
+    def recording(model, batch, target, extra_penalty_grad=None, mode="train"):
+        if mode == "train":
+            models = 1 if model.params.ndim == 1 else model.params.shape[0]
+            assert batch.ndim == 2 and batch.shape[1] == nn.IN_DIM
+            assert len(batch) % models == 0 and target.shape == (len(batch), nn.OUT_DIM)
+            rows.append(len(batch))
+        return original(model, batch, target, extra_penalty_grad, mode)
+
+    monkeypatch.setattr(nn, "backward", recording)
+    return rows
+
+
+def plain_epoch_rows(n: int, batch_size: int) -> int:
+    """Rows one epoch of plain minibatches trains: all but a trailing single."""
+    return n - 1 if n % min(batch_size, n) == 1 else n
+
+
+@pytest.mark.parametrize("batch_size", [16, 17])
+def test_train_rows_are_the_rows_trained_in_a_group(batch_size, monkeypatch):
+    # nn.backward.train_rows, the numerator of train_samples_per_s, must count
+    # each trained row once: a FedAvg and a FedDistill member train as one
+    # stack (FedDistill's teachers train the same rows first); 120-row shards
+    # end in a ragged batch of 8 rows at 16, and in a dropped single row at 17
+    ds, _ = dataio.synthetic_two_task(240, seed=0, noise_std=0.05)
+    train, test = dataio.train_test_split(ds, 0.75, seed=0)
+    fedavg = ExperimentConfig(n_clients=3, n_rounds=2, local_epochs=2, batch_size=batch_size)
+    distill = dataclasses.replace(fedavg, strategy=StrategyConfig("feddistill", distill_weight=0.5))
+    rows = record_train_rows(monkeypatch)
+    run_group([fedavg, distill], train, test, continual=False)
+    shards = [p.shard for p in dataio.partition_clients(train, 3, fedavg.seed)]
+    per_member = 2 * 2 * sum(plain_epoch_rows(len(s), batch_size) for s in shards)
+    assert sum(rows) == 3 * per_member  # FedAvg's students, FedDistill's students and teachers
+
+
+def test_train_rows_are_the_rows_trained_with_replay(monkeypatch):
+    # an NR client's task-2 batches mix n_new shard rows with n_buf replayed rows
+    ds, _ = dataio.synthetic_two_task(240, seed=0, noise_std=0.05)
+    train, test = dataio.train_test_split(ds, 0.75, seed=0)
+    cfg = ExperimentConfig(n_clients=2, n_rounds=2, batch_size=16, cl_method="nr",
+                           penalty=PenaltyConfig(buffer_capacity=50, mix_ratio=0.5))
+    rows = record_train_rows(monkeypatch)
+    run_fcl(cfg, train, test)
+    splits = [dataio.split_tasks(p.shard) for p in dataio.partition_clients(train, 2, cfg.seed)]
+    task1 = sum(plain_epoch_rows(len(s.task1), 16) for s in splits)
+    task2 = 0
+    for s in splits:
+        n = len(s.task2)
+        n_buf = math.floor(0.5 * min(16, n))
+        task2 += n + n_buf * math.ceil(n / (min(16, n) - n_buf))
+    assert sum(rows) == 2 * (task1 + task2)
 
 
 def test_run_suite_executes_each_experiment_once_in_suite_order(tmp_path, monkeypatch):

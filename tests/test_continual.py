@@ -300,6 +300,45 @@ class TestReplayBuffer:
         assert np.array_equal(whole.labels, rowwise.labels)
         assert whole._rng.integers(0, 1 << 62) == rowwise._rng.integers(0, 1 << 62)
 
+    @pytest.mark.parametrize("capacity", [1, 7, 13])
+    def test_growing_rows_match_a_full_capacity_reservoir(self, rng, capacity):
+        # the row arrays grow with the rows stored; a reference that holds
+        # capacity rows from the start must see the same rows at the same
+        # positions and the same reservoir draws, across the capacity boundary
+        class FullCapacity:
+            def __init__(self):
+                self.features = np.full((capacity, 29), np.nan)
+                self.labels = np.full((capacity, 8), np.nan)
+                self.n_seen = 0
+                self.rng = np.random.default_rng([5, 9])
+
+            def add(self, feature, label):
+                self.n_seen += 1
+                j = self.n_seen - 1
+                if j >= capacity:
+                    j = int(self.rng.integers(0, self.n_seen))
+                if j < capacity:
+                    self.features[j], self.labels[j] = feature, label
+
+        buf, ref = cl.ReplayBuffer(capacity, seed=5), FullCapacity()
+        for op, n in [("add", 2), ("dataset", 3), ("add", 1), ("dataset", 0), ("dataset", 9),
+                      ("add", 4), ("dataset", 1), ("dataset", 20), ("add", 3)]:
+            ds = small_dataset(rng, n=n)
+            if op == "add":
+                for i in range(n):
+                    buf.add(ds.features[i], ds.labels[i])
+            else:
+                buf.add_dataset(ds)
+            for i in range(n):
+                ref.add(ds.features[i], ds.labels[i])
+            filled = min(ref.n_seen, capacity)
+            assert buf.n_seen == ref.n_seen and len(buf) == filled
+            assert np.array_equal(buf.features, ref.features[:filled])
+            assert np.array_equal(buf.labels, ref.labels[:filled])
+            assert buf._rng.bit_generator.state == ref.rng.bit_generator.state
+            if filled:
+                assert len(buf._features) <= min(capacity, 2 * filled)
+
     def test_rows_are_copies_at_the_given_positions(self, rng):
         buf = cl.ReplayBuffer(50, seed=4)
         cl.nr_store(buf, small_dataset(rng, n=20))

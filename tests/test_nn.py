@@ -400,3 +400,204 @@ class TestStackedModels:
         for opt, ref in zip(back, singles):
             assert opt.step_count == ref.step_count
             assert np.array_equal(opt.m, ref.m) and np.array_equal(opt.v, ref.v)
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the training step as it was written before the in-place rewrite
+# (one temporary per ufunc, gradient blocks assigned by slice, Adam moments
+# updated one at a time). The rewrite keeps every ufunc of that sequence, so
+# parameters, gradients and optimizer state must match it bit for bit.
+# ---------------------------------------------------------------------------
+
+def _ref_layers(params):
+    lead = params.shape[:-1]
+    return {name: params[..., start:stop].reshape(
+                lead + ((1,) + shape if lead and len(shape) == 1 else shape))
+            for name, (start, stop, shape) in nn.OFFSETS.items()}
+
+
+def _ref_bn_forward(p, layer, x, train):
+    gamma, beta = p[f"{layer}.gamma"], p[f"{layer}.beta"]
+    running_mean, running_var = p[f"{layer}.running_mean"], p[f"{layer}.running_var"]
+    if train:
+        n = x.shape[-2]
+        stacked = x.ndim == 3
+        mean = np.add.reduce(x, axis=-2, keepdims=stacked) / n
+        centred = x - mean
+        var = np.add.reduce(centred * centred, axis=-2, keepdims=stacked) / n
+        std = np.sqrt(var + nn.BN_EPSILON)
+        xhat = centred / std
+        running_mean *= 1.0 - nn.BN_MOMENTUM
+        running_mean += nn.BN_MOMENTUM * mean
+        running_var *= 1.0 - nn.BN_MOMENTUM
+        running_var += nn.BN_MOMENTUM * var
+        y = gamma * xhat
+        y += beta
+        return y, ("train", xhat, std)
+    std = np.sqrt(running_var + nn.BN_EPSILON)
+    xhat = (x - running_mean) / std
+    y = gamma * xhat
+    y += beta
+    return y, ("eval", xhat, std)
+
+
+def _ref_bn_backward(p, layer, dy, cache):
+    kind, xhat, std = cache
+    dxhat = dy * p[f"{layer}.gamma"]
+    if kind == "eval":
+        return dxhat / std
+    n = dy.shape[-2]
+    dx = dxhat - np.add.reduce(dxhat, axis=-2, keepdims=True) / n
+    dx -= xhat * (np.add.reduce(dxhat * xhat, axis=-2, keepdims=True) / n)
+    dx /= std
+    return dx
+
+
+def _ref_backward(params, activation, batch, target, extra, mode):
+    p = _ref_layers(params)
+    relu = activation == "relu"
+    x = batch.reshape(params.shape[0], -1, nn.IN_DIM) if params.ndim == 2 else batch
+    train = mode == "train"
+
+    def linear(name, h):
+        y = h @ p[f"{name}.weight"].swapaxes(-1, -2)
+        y += p[f"{name}.bias"]
+        return y
+
+    b1, c1 = _ref_bn_forward(p, "bn1", linear("lin1", x), train)
+    a1 = np.maximum(b1, 0.0) if relu else b1
+    b2, c2 = _ref_bn_forward(p, "bn2", linear("lin2", a1), train)
+    a2 = np.maximum(b2, 0.0) if relu else b2
+    pred = linear("out", a2)
+    target = target.reshape(pred.shape)
+    n, width = pred.shape[-2:]
+    dy = pred - target
+    dy *= 2.0
+    dy /= n * width
+
+    lead = params.shape[:-1]
+    vec = np.zeros(params.shape)
+
+    def put(name, value):
+        vec[..., nn.slot_slice(name)] = value.reshape(lead + (-1,))
+
+    put("out.weight", dy.swapaxes(-1, -2) @ a2)
+    put("out.bias", np.add.reduce(dy, axis=-2))
+    da2 = dy @ p["out.weight"]
+    db2 = da2 * (b2 > 0.0) if relu else da2
+    put("bn2.gamma", np.add.reduce(db2 * c2[1], axis=-2))
+    put("bn2.beta", np.add.reduce(db2, axis=-2))
+    dh2 = _ref_bn_backward(p, "bn2", db2, c2)
+    put("lin2.weight", dh2.swapaxes(-1, -2) @ a1)
+    put("lin2.bias", np.add.reduce(dh2, axis=-2))
+    da1 = dh2 @ p["lin2.weight"]
+    db1 = da1 * (b1 > 0.0) if relu else da1
+    put("bn1.gamma", np.add.reduce(db1 * c1[1], axis=-2))
+    put("bn1.beta", np.add.reduce(db1, axis=-2))
+    dh1 = _ref_bn_backward(p, "bn1", db1, c1)
+    put("lin1.weight", dh1.swapaxes(-1, -2) @ x)
+    put("lin1.bias", np.add.reduce(dh1, axis=-2))
+    if extra is not None:
+        vec += extra
+    return vec
+
+
+def _ref_step(state, kind, params, grads, lr=0.01, beta1=0.9, beta2=0.999, eps=1e-8):
+    """One optimizer step; ``state`` holds step_count (an int or one count
+    per row), m and v."""
+    state["step_count"] = state["step_count"] + 1
+    if kind == "sgd":
+        return params - lr * grads
+    if state["m"] is None:
+        state["m"], state["v"] = np.zeros_like(params), np.zeros_like(params)
+    m, v = state["m"], state["v"]
+    m *= beta1
+    m += (1.0 - beta1) * grads
+    v *= beta2
+    v += (1.0 - beta2) * grads ** 2
+    t = state["step_count"]
+    if isinstance(t, int):
+        m_hat = m / (1.0 - beta1 ** t)
+        v_hat = v / (1.0 - beta2 ** t)
+    else:
+        m_hat = m / np.array([1.0 - beta1 ** s for s in t.tolist()])[:, None]
+        v_hat = v / np.array([1.0 - beta2 ** s for s in t.tolist()])[:, None]
+    m_hat *= lr
+    np.sqrt(v_hat, out=v_hat)
+    v_hat += eps
+    m_hat /= v_hat
+    return params - m_hat
+
+
+class TestStepOracle:
+    """200 random steps of ``backward`` and ``Optimizer.step`` against the
+    reference above, on single models, stacks and row views of stacks."""
+
+    @pytest.mark.parametrize("rows", [None, 2, 10, "slice", "row"])
+    @pytest.mark.parametrize("activation", ["identity", "relu"])
+    @pytest.mark.parametrize("kind", ["sgd", "adam"])
+    def test_steps_match_the_reference(self, rng, rows, activation, kind):
+        # rows: None is one model; an int a stack of that many; "slice" rows
+        # 2:5 and "row" row 3 of a stack of 6, the views the engine steps
+        n_stack = {None: None, 2: 2, 10: 10, "slice": 6, "row": 6}[rows]
+        sel = {"slice": slice(2, 5), "row": 3}.get(rows, slice(None))
+        if n_stack is None:
+            storage = random_model(rng).params.copy()
+        else:
+            storage = np.stack([random_model(rng).params for _ in range(n_stack)])
+        reference = storage.copy()
+        # every row starts at its own step count (Adam moments to match), up
+        # to beyond 2,000, where numpy's vectorised power would differ
+        starts = rng.integers(0, 2100, size=() if n_stack is None else n_stack)
+        optimized = ~nn.running_stat_mask()
+        singles = []
+        for t0 in np.atleast_1d(starts):
+            opt = nn.Optimizer(kind, 0.01)
+            if kind == "adam" and t0:  # no moments on the running statistics
+                opt.step_count = int(t0)
+                opt.m = rng.normal(0.0, 0.01, size=nn.PARAM_COUNT) * optimized
+                opt.v = rng.uniform(0.0, 1e-4, size=nn.PARAM_COUNT) * optimized
+            singles.append(opt)
+        if n_stack is None:
+            optimizer = singles[0]
+        else:
+            optimizer = nn.Optimizer.stack(singles, storage).rows(sel)
+        count = optimizer.step_count  # the reference's state starts as a copy
+        state = {"step_count": count if isinstance(count, int) else
+                 int(count) if count.ndim == 0 else count.copy(),
+                 "m": None if optimizer.m is None else optimizer.m.copy(),
+                 "v": None if optimizer.v is None else optimizer.v.copy()}
+        theta, ref_theta = storage[sel], reference[sel]
+        model = nn.MlpModel(activation, theta)
+        k = 1 if theta.ndim == 1 else theta.shape[0]
+        for step in range(200):
+            b = int(rng.integers(2, 9))
+            x = rng.normal(0.0, 1.5, size=(k * b, nn.IN_DIM))
+            y = rng.uniform(1.0, 5.0, size=(k * b, nn.OUT_DIM))
+            extra = (rng.normal(0.0, 0.01, size=theta.shape) * optimized if step % 3 == 0
+                     else None)
+            mode = "eval" if step % 7 == 3 else "train"  # eval: the Fisher's gradients
+            g = nn.backward(model, x, y, extra, mode)
+            g_ref = _ref_backward(ref_theta, activation, x, y, extra, mode)
+            assert np.array_equal(g, g_ref)
+            assert np.array_equal(storage, reference)  # running statistics included
+            if mode == "eval":
+                continue
+            theta[...] = optimizer.step(theta, g)
+            ref_theta[...] = _ref_step(state, kind, ref_theta, g_ref)
+            assert np.array_equal(storage, reference)
+            assert np.array_equal(optimizer.step_count, state["step_count"])
+            if kind == "adam":
+                assert np.array_equal(optimizer.m, state["m"])
+                assert np.array_equal(optimizer.v, state["v"])
+
+    @pytest.mark.parametrize("kind", ["sgd", "adam"])
+    def test_step_into_out_equals_the_returned_step(self, rng, kind):
+        params = rng.normal(size=(3, nn.PARAM_COUNT))
+        into, returned = nn.Optimizer(kind, 0.01), nn.Optimizer(kind, 0.01)
+        theta = params.copy()
+        for _ in range(20):
+            g = rng.normal(size=params.shape)
+            assert into.step(theta, g, out=theta) is theta
+            params = returned.step(params, g)
+            assert np.array_equal(theta, params)
