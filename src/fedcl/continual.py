@@ -321,23 +321,18 @@ def nr_mixed_indices(buffer: ReplayBuffer, n: int, batch_size: int, mix_ratio: f
             for pos in range(0, n, n_new)]
 
 
-def mixed_batch_rows(buffer: ReplayBuffer | None, new_shard: dataio.Dataset,
-                     new_idx: np.ndarray, buffer_idx: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    """The (features, labels) of one batch of ``nr_mixed_indices``: the new
-    shard's rows, then the buffer's."""
-    features, labels = new_shard.features[new_idx], new_shard.labels[new_idx]
-    if buffer_idx is None:
-        return features, labels
-    bf, bl = buffer.rows(buffer_idx)
-    return np.concatenate([features, bf]), np.concatenate([labels, bl])
-
-
 def nr_mixed_batches(buffer: ReplayBuffer, new_shard: dataio.Dataset, batch_size: int,
                      mix_ratio: float, seed: int, epoch: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """Batches mixing floor(mix_ratio * batch_size) buffer samples (uniform
-    with replacement) with epoch-shuffled new-shard samples. Every new-shard
-    sample appears exactly once per epoch. An empty buffer degrades to plain
-    minibatches."""
-    return [mixed_batch_rows(buffer, new_shard, new_idx, buffer_idx)
-            for new_idx, buffer_idx in nr_mixed_indices(buffer, len(new_shard), batch_size,
-                                                        mix_ratio, seed, epoch)]
+    with replacement) with epoch-shuffled new-shard samples, each batch's
+    new-shard rows first. Every new-shard sample appears exactly once per
+    epoch. An empty buffer degrades to plain minibatches."""
+    batches = []
+    for new_idx, buffer_idx in nr_mixed_indices(buffer, len(new_shard), batch_size, mix_ratio,
+                                                seed, epoch):
+        features, labels = new_shard.features[new_idx], new_shard.labels[new_idx]
+        if buffer_idx is not None:
+            bf, bl = buffer.rows(buffer_idx)
+            features, labels = np.concatenate([features, bf]), np.concatenate([labels, bl])
+        batches.append((features, labels))
+    return batches

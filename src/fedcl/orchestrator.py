@@ -9,13 +9,14 @@ members of a chunk train as one cohort through ``local_train``, in chunks
 of at most ``COHORT_CAP`` clients; then each member consolidates,
 aggregates and evaluates on its own. ``run_fl`` and ``run_fcl`` run a
 group of one. FCL is two tasks, circle then arrow; the last round of task
-1 consolidates each client's CL state, and task 2 trains against it. No
-CL method acts before that consolidation, so a group trains FCL's task 1
-once per ``StrategyConfig`` (a lead run with no CL terms) and forks every
-member from it there. Experiments of one ``trajectory_key`` (options their
-strategy and CL method never read aside, and EWC-Online, whose decay acts
-from a second consolidation on, as EWC) compute the same bits, so a group
-trains each key once and hands its result to every such twin.
+1 consolidates each client's CL state, and task 2 trains against it.
+Members that compute the same bits up to a round's local training train
+that prefix once, as one lead run, and fork from it (``_Share``): FCL's
+task 1, where no CL method acts, and FL's round 0 for FedAvg, FedBN and
+FedOpt. Experiments of one ``trajectory_key`` (options their strategy and
+CL method never read aside, and EWC-Online, whose decay acts from a second
+consolidation on, as EWC) compute the same bits, so a group trains each
+key once and hands its result to every such twin.
 
 Local training is client-stacked: ``local_train`` gathers a cohort of
 clients into (C, P) arrays (parameters, optimizer state, SI path
@@ -123,7 +124,7 @@ class RoundLog:
     # seconds of each phase of the round; consolidate is 0 except in the
     # last round of FCL's task 1. The clients of a chunk of members train
     # together, so local_train_time is the chunk's shared training seconds;
-    # in a round of FCL's shared task 1, it is the lead run's. A twin (see
+    # a shared round (see ``_Share``) holds the lead's. A twin (see
     # ``trajectory_key``) has every log, timings included, of the run it
     # shares its results with.
     local_train_time: float = 0.0
@@ -777,7 +778,7 @@ def _fcl_tasks(config: ExperimentConfig, train: dataio.Dataset,
 
 class _Run:
     """One experiment between rounds: its member, clients, FedOpt server
-    optimizer and round logs. ``run_group`` trains the clients of the runs
+    optimizer and round logs. ``_lockstep`` trains the clients of the runs
     of a chunk together and then lets each finish the round on its own."""
 
     def __init__(self, config: ExperimentConfig, shards: list[dataio.Dataset]):
@@ -789,25 +790,6 @@ class _Run:
                                         config.strategy.server_learning_rate)
                            if config.strategy.kind == "fedopt" else None)
         self.logs: list[RoundLog] = []
-
-    def fork(self, config: ExperimentConfig, task: _Task, trained: dict,
-             train_s: float) -> _Run:
-        """A member that goes on from this lead, whose clients trained the
-        last round of ``task`` (task 1) into ``trained`` in ``train_s``
-        seconds. It copies the lead's round logs, trained client parameters
-        and SI path integrals, keeps its own optimizers, replay buffers and SI
-        damping, and finishes that round itself. (FCL aggregates with FedAvg,
-        which reads no earlier global parameters.)"""
-        run = _Run(config, task.shards)
-        run.logs = list(self.logs)
-        for c, lead in zip(run.clients, self.clients):
-            c.model.params[...] = lead.model.params
-            if c.si_acc is not None:
-                c.si_acc.omega_running[...] = lead.si_acc.omega_running
-        run.finish_round(0, task.n_rounds - 1, True, task,
-                         {id(c): trained[id(lead)] for c, lead in zip(run.clients, self.clients)},
-                         train_s)
-        return run
 
     def start_task(self, task_index: int, task: _Task) -> None:
         for c, shard in zip(self.clients, task.shards):
@@ -856,17 +838,11 @@ class _Run:
 GROUP_CLIENTS = 20
 
 
-def _chunks(members: list[int], n_clients: int) -> list[list[int]]:
-    """``members`` in order, in chunks of at most ``GROUP_CLIENTS`` clients
-    (one member when it alone has more)."""
-    size = max(1, GROUP_CLIENTS // n_clients)
-    return [members[lo:lo + size] for lo in range(0, len(members), size)]
-
-
 def _train_round(runs: list[_Run], task_index: int, round_index: int) -> tuple[dict, float]:
     """One round of local training for the clients of every run still
     going, as one cohort in chunks of at most ``COHORT_CAP`` clients.
-    Returns id(client) -> (update, loss) and the seconds it took."""
+    Returns id(client) -> (update, loss) and the seconds it took. An error
+    that stops a chunk stops each of its members with its own copy."""
     cohort = _cohort_order([c for run in runs if run.member.error is None
                             for c in run.clients], task_index)
     trained = {}
@@ -877,94 +853,101 @@ def _train_round(runs: list[_Run], task_index: int, round_index: int) -> tuple[d
             trained.update(zip(map(id, chunk), zip(*local_train(chunk, task_index, round_index))))
         except Exception as exc:
             for c in chunk:
-                c.member.error = c.member.error or exc
+                c.member.error = c.member.error or own_copy(exc)
     return trained, time.perf_counter() - t0
 
 
-def _lockstep(runs: list[_Run], tasks: list[_Task], task_index: int,
-              rounds: range) -> list[RunResult | Exception]:
-    """Rounds ``rounds`` of task ``task_index`` for runs in lockstep, and
-    then each run's result or the exception that stopped it. The runs share
-    their batch draws; each round trains the clients of every run still
-    going together, then each run finishes the round on its own. A task's
-    last round consolidates for the next task, if one follows."""
-    task, first = tasks[task_index], sum(t.n_rounds for t in tasks[:task_index])
-    plans = {} if len(runs) > 1 else None
-    for run in runs:
-        run.member.plans = plans
-        run.start_task(task_index, task)
-    for r in rounds:
-        trained, train_s = _train_round(runs, task_index, first + r)
-        if plans is not None:
-            plans.clear()  # no later round draws these again
-        consolidate = r == task.n_rounds - 1 and task_index + 1 < len(tasks)
-        for run in runs:
-            run.finish_round(task_index, first + r, consolidate, task, trained, train_s)
-    return [run.member.error or RunResult(run.logs, run.member.global_params) for run in runs]
-
-
-def _own_copy(error: Exception) -> Exception:
+def own_copy(error: Exception) -> Exception:
     """An error as one more member's own: the same type, message, cause and
+    traceback. Made before the error is raised again, which adds to its
     traceback."""
     own = copy.copy(error)
     own.__cause__ = error.__cause__
     return own.with_traceback(error.__traceback__)
 
 
-def _fcl_share(configs: list[ExperimentConfig], tasks: list[_Task],
-               share: list[int]) -> Iterator[tuple[int, RunResult | Exception]]:
-    """(position, result or exception) of each member ``share`` of
-    ``configs``, FCL members of one canonical ``StrategyConfig``. Nothing in
-    task 1 reads the CL method or its options, so one lead run with no CL
-    terms trains task 1 (accumulating SI path integrals if a member is SI)
-    and finishes every round of it but the last. The members fork from the
-    lead in chunks of at most ``GROUP_CLIENTS`` clients; each finishes the
-    last round itself (consolidate, aggregate, evaluate) and trains task 2
-    in lockstep with its chunk. A task-1 failure stops every member, each
-    with its own copy of the error it gets alone."""
-    lead = _Run(dataclasses.replace(configs[share[0]], cl_method="none"), tasks[0].shards)
-    if any(configs[i].cl_method == "si" for i in share):
-        for c in lead.clients:
-            c.si_acc = cl.SiAccumulator(lead.member.global_params.copy())
-    last = tasks[0].n_rounds - 1
-    _lockstep([lead], tasks, 0, range(last))
-    trained, train_s = _train_round([lead], 0, last)
-    for c in lead.clients:
-        c.optimizer.reset()  # drops the Adam moments: task 2 resets every optimizer
-    if lead.member.error is not None:
-        yield from ((i, _own_copy(lead.member.error)) for i in share)
-        return
-    chunks = _chunks(share, len(lead.clients))
-    for k, chunk in enumerate(chunks):
-        runs = [lead.fork(configs[i], tasks[0], trained, train_s) for i in chunk]
-        if k == len(chunks) - 1:
-            del lead, trained  # every member has forked: not held through task 2
-        outcomes = _lockstep(runs, tasks, 1, range(tasks[1].n_rounds))
-        del runs  # its client state, before the outcomes are handed out
-        yield from zip(chunk, outcomes)
-        del outcomes  # before the next chunk trains
+class _Share:
+    """Members that compute the same bits up to the local training of one
+    round, the fork round: a lead run trains that prefix once, in the chunk
+    of the share's first member, and each member forks from it. The lead is
+    let go after its last member forks."""
+
+    def __init__(self, configs: list[ExperimentConfig], members: list[int], task: _Task):
+        self.left = len(members)
+        # nothing before the fork round's aggregation reads the lead's CL method, so the lead
+        # is a member's run: an SI member's, if any, whose path integral runs from round 0 on
+        si = [i for i in members if configs[i].cl_method == "si"]
+        self.lead = _Run(configs[(si or members)[0]], task.shards)
+        self.trained: tuple[dict, float] | None = None  # the fork round's, once trained
+
+    def fork(self, config: ExperimentConfig, task_index: int, round_index: int,
+             consolidate: bool, task: _Task) -> _Run:
+        """A member that goes on from the lead. It copies the lead's round
+        logs, global parameters, client parameters, optimizer state and SI
+        path integrals, keeps its own server optimizer, replay buffers and SI
+        damping, and finishes the fork round itself. The Adam moments are
+        copied, not aliased: a cohort of one steps its optimizer in place. A
+        member of a failed lead gets its own copy of the lead's error."""
+        run, lead, (trained, train_s) = _Run(config, task.shards), self.lead, self.trained
+        self.left -= 1
+        if not self.left:  # not held while the members train on
+            self.lead = self.trained = None
+        if lead.member.error is not None:
+            run.member.error = own_copy(lead.member.error)
+            return run
+        run.logs = list(lead.logs)
+        run.member.global_params = lead.member.global_params.copy()
+        for c, own in zip(run.clients, lead.clients):
+            c.model.params[...] = own.model.params
+            c.optimizer = copy.deepcopy(own.optimizer)
+            if c.si_acc is not None:
+                c.si_acc.omega_running[...] = own.si_acc.omega_running
+        run.finish_round(task_index, round_index, consolidate, task,
+                         {id(c): trained[id(own)] for c, own in zip(run.clients, lead.clients)},
+                         train_s)
+        return run
 
 
-def _distinct_outcomes(configs: list[ExperimentConfig], train: dataio.Dataset,
-                       test: dataio.Dataset,
-                       continual: bool) -> Iterator[tuple[int, RunResult | Exception]]:
-    """(position, result or exception) of every member of ``configs``, no
-    two of one ``trajectory_key``, in chunk order."""
-    if continual:
-        tasks = _fcl_tasks(configs[0], train, test)
-        shares: dict[tuple, list[int]] = {}
-        for i, cfg in enumerate(configs):
-            shares.setdefault(dataclasses.astuple(trajectory_key(cfg).strategy), []).append(i)
-        for share in shares.values():
-            yield from _fcl_share(configs, tasks, share)
-        return
-    tasks = _fl_tasks(configs[0], train, test)
-    for chunk in _chunks(list(range(len(configs))), configs[0].n_clients):
-        runs = [_Run(configs[i], tasks[0].shards) for i in chunk]
-        outcomes = _lockstep(runs, tasks, 0, range(tasks[0].n_rounds))
-        del runs  # its client state, before the outcomes are handed out
-        yield from zip(chunk, outcomes)
-        del outcomes  # before the next chunk trains
+def _lockstep(configs: list[ExperimentConfig], chunk: list[int], shares: dict[int, _Share],
+              tasks: list[_Task], fork_at: int) -> list[RunResult | Exception]:
+    """Each member of ``chunk``'s result or the exception that stopped it.
+    The chunk walks the (task, round) position of every round in order. A
+    member in ``shares`` forks from its share after the local training of
+    round ``fork_at``, and its lead trains with the chunk up to there unless
+    an earlier chunk has trained it; every other member trains from round
+    0. Each round trains the clients of every run still going together,
+    sharing their batch draws, and then each run finishes the round on its
+    own; a task's last round consolidates for the next task, if one follows."""
+    runs = {i: _Run(configs[i], tasks[0].shards) for i in chunk if i not in shares}
+    leads = list(dict.fromkeys(shares[i] for i in chunk if i in shares and not shares[i].trained))
+    going = list(runs.values()) + [s.lead for s in leads]
+    plans: dict = {}
+    positions = [(t, r, task) for t, task in enumerate(tasks) for r in range(task.n_rounds)]
+    for p in range(0 if going else fork_at, len(positions)):
+        task_index, r, task = positions[p]
+        for run in going:
+            run.member.plans = plans
+            if r == 0:
+                run.start_task(task_index, task)
+        trained, train_s = _train_round(going, task_index, p)
+        plans.clear()  # no later round draws these again
+        consolidate = r == task.n_rounds - 1 and task_index + 1 < len(tasks)
+        if p == fork_at:  # each lead keeps its training of the round, done in the chunk's time
+            for share in leads:
+                share.trained = {id(c): trained.get(id(c)) for c in share.lead.clients}, train_s
+                if r == task.n_rounds - 1:  # the next task resets every optimizer
+                    for c in share.lead.clients:
+                        c.optimizer.reset()
+            going = list(runs.values())
+        for run in going:
+            run.finish_round(task_index, p, consolidate, task, trained, train_s)
+        if p == fork_at:
+            for i in chunk:
+                if i in shares:
+                    runs[i] = shares[i].fork(configs[i], task_index, p, consolidate, task)
+            going = list(runs.values())
+    return [runs[i].member.error or RunResult(runs[i].logs, runs[i].member.global_params)
+            for i in chunk]
 
 
 def group_outcomes(configs: list[ExperimentConfig], train: dataio.Dataset, test: dataio.Dataset,
@@ -972,7 +955,17 @@ def group_outcomes(configs: list[ExperimentConfig], train: dataio.Dataset, test:
     """``run_group``'s work as it finishes: (position in ``configs``,
     result or exception) of each member, in chunk order, each member's
     twins right after it. A caller that takes each chunk's outcomes before
-    asking for more holds one chunk's client state at a time."""
+    asking for more holds one chunk's client state at a time.
+
+    The distinct members, one per ``trajectory_key``, train in config order,
+    in chunks of at most ``GROUP_CLIENTS`` clients. Members that compute the
+    same bits up to a round share it (``_Share``); every other member trains
+    from round 0. FCL members of one canonical ``StrategyConfig`` share task
+    1 up to its last local training, as nothing in task 1 reads the CL
+    method or its options (``weighted_aggregation`` changes task 1's
+    aggregate). FL members of kind fedavg, fedbn or fedopt share round 0's
+    local training, which starts every client from the initial model with
+    no loss term but the data's."""
     if len({group_key(c) for c in configs}) != 1:
         raise ValueError("the experiments of a group must have the same group_key")
     for cfg in configs:
@@ -984,11 +977,25 @@ def group_outcomes(configs: list[ExperimentConfig], train: dataio.Dataset, test:
     for i, cfg in enumerate(configs):
         twins.setdefault(dataclasses.astuple(trajectory_key(cfg)), []).append(i)
     same = list(twins.values())
-    for d, outcome in _distinct_outcomes([configs[s[0]] for s in same], train, test, continual):
-        failed = isinstance(outcome, Exception)
-        # the copies are made before the caller raises the error and adds to its traceback
-        yield from [(i, _own_copy(outcome) if k and failed else outcome)
-                    for k, i in enumerate(same[d])]
+    distinct = [configs[s[0]] for s in same]
+    tasks = (_fcl_tasks if continual else _fl_tasks)(distinct[0], train, test)
+    fork_at = tasks[0].n_rounds - 1 if continual else 0
+    shared: dict[tuple, list[int]] = {}  # share key -> its members
+    for d, cfg in enumerate(distinct):
+        if continual or cfg.strategy.kind in ("fedavg", "fedbn", "fedopt"):
+            key = dataclasses.astuple(trajectory_key(cfg).strategy) if continual else ()
+            shared.setdefault(key, []).append(d)
+    shares: dict[int, _Share] = {}
+    size = max(1, GROUP_CLIENTS // distinct[0].n_clients)  # one member when it alone has more
+    for lo in range(0, len(distinct), size):
+        chunk = list(range(lo, min(lo + size, len(distinct))))
+        for members in shared.values():
+            if members[0] in chunk:
+                shares.update(dict.fromkeys(members, _Share(distinct, members, tasks[0])))
+        for d, outcome in zip(chunk, _lockstep(distinct, chunk, shares, tasks, fork_at)):
+            failed = isinstance(outcome, Exception)
+            yield from [(i, own_copy(outcome) if k and failed else outcome)
+                        for k, i in enumerate(same[d])]
         del outcome  # not held while the next chunk trains
 
 
@@ -999,15 +1006,8 @@ def run_group(configs: list[ExperimentConfig], train: dataio.Dataset, test: data
     ``trajectory_key`` compute the same bits, so each key trains once, as
     its first experiment (the representative), and every twin gets the
     representative's result (round timings included) or its own copy of the
-    representative's error. The distinct experiments train in chunks of at
-    most ``GROUP_CLIENTS`` clients, in the order of ``configs``: each round,
-    the clients of every member of a chunk still running train as one
-    cohort through ``local_train``, in chunks of at most ``COHORT_CAP``
-    clients, and then each member consolidates, aggregates and evaluates on
-    its own. FCL trains task 1 once per share, the members with one
-    canonical ``StrategyConfig`` (``weighted_aggregation`` changes task 1's
-    aggregate), and forks every member of the share from it at the task-1
-    consolidation (``_fcl_share``).
+    representative's error. ``group_outcomes`` says which members train
+    together, in chunks, and which fork from a shared lead.
 
     Returns, in the order of ``configs``, each member's result or the
     exception that stopped it; a member that fails does not stop the rest.

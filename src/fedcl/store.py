@@ -11,8 +11,11 @@ a later run of it succeeds.
 ``run_suite`` trains the experiments of one shape (``orchestrator.group_key``,
 FL or FCL) as one lockstep ``Group`` and stores each result on its own as
 soon as it exists; ``orchestrator.group_outcomes`` decides how many of them
-train at once (``orchestrator.GROUP_CLIENTS``), shares FCL's task 1 among
-them and trains experiments of one ``orchestrator.trajectory_key`` once.
+train at once (``orchestrator.GROUP_CLIENTS``), trains a prefix that several
+of them share once and forks them from it (FCL's task 1, FL's round 0 for
+FedAvg, FedBN and FedOpt), and trains experiments of one
+``orchestrator.trajectory_key`` once. An error that stops a whole group is
+each member's own copy, so each traceback reads as if it ran alone.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 from . import __version__
 from . import data as dataio
 from .config import BenchmarkSuite, ExperimentSpec
-from .orchestrator import RunResult, group_key, group_outcomes
+from .orchestrator import RunResult, group_key, group_outcomes, own_copy
 
 
 @dataclass
@@ -195,13 +198,13 @@ class Group:
 
     def _outcomes(self) -> Iterator[tuple[int, RunResult | Exception]]:
         """(position in ``specs``, outcome) as the members finish; an error
-        that stops the group is every member's outcome."""
+        that stops the group is every member's outcome, each its own copy."""
         try:
             configs = [s.build() for s in self.specs]
             train, test = dataio.train_test_split(self._dataset, 0.75, configs[0].seed)
             yield from group_outcomes(configs, train, test, continual=self.specs[0].is_fcl)
         except Exception as exc:
-            yield from ((i, exc) for i in range(len(self.specs)))
+            yield from enumerate([own_copy(exc) for _ in self.specs])
 
     def _keep(self, position: int, outcome: RunResult | Exception) -> None:
         key = id(self.specs[position])

@@ -99,7 +99,10 @@ def run_grouped(suite, dataset, out_dir, monkeypatch):
 
 @pytest.mark.parametrize("cap", [orch.COHORT_CAP, 3])
 @pytest.mark.parametrize("sweep, chunk_members", [
-    ("strategies = fedavg, fedbn, fedprox, fedopt, feddistill", [1, 2, 5]),
+    # FedAvg, FedBN and FedOpt fork from a lead after round 0's local
+    # training, so a 2-client cell trains round 0 as 3 members: the lead,
+    # FedProx and FedDistill
+    ("strategies = fedavg, fedbn, fedprox, fedopt, feddistill", [1, 2, 3, 5]),
     # EWC-Online is EWC's twin, so 4 distinct members train: a 2-client
     # cell trains them at once, a 10-client cell 2 and 2; 1 is the lead
     ("cl_methods = ewc, ewc_online, si, mas, nr", [1, 2, 4]),
@@ -133,7 +136,9 @@ def test_mixed_group_equals_experiments_run_alone(tmp_path, monkeypatch):
     # SGD, relu, 2 local epochs; FedProx and FedDistill at two strengths
     # each beside FedBN and FedOpt, and the CL methods with NR, whose replay
     # batches have their own row counts. FCL runs only FedAvg, so the FL
-    # and FCL members form two groups of the same settings.
+    # and FCL members form two groups of the same settings. A third group,
+    # the FL members in reverse order at another seed, has a FedAvg, FedBN
+    # and FedOpt share whose first member, and so its lead, is FedOpt.
     fl = suite_of(tmp_path, MIXED.format(
         sweep="strategies = fedavg, fedprox, fedbn, feddistill, fedopt"), "fl.ini")
     fcl = suite_of(tmp_path, MIXED.format(
@@ -142,11 +147,13 @@ def test_mixed_group_equals_experiments_run_alone(tmp_path, monkeypatch):
                      for kind in ("fedprox", "feddistill"))
     experiments = fl.experiments + [ExperimentSpec(dict(prox.values, mu=0.5)),
                                     ExperimentSpec(dict(distill.values, distill_weight=0.25))
-                                    ] + fcl.experiments
+                                    ] + fcl.experiments + [
+        ExperimentSpec(dict(s.values, seed=10)) for s in reversed(fl.experiments)]
     suite = BenchmarkSuite(experiments, fl.suite)
     dataset, _ = dataio.synthetic_generate(300, seed=4, noise_std=0.1)
     groups = store.group_suite(suite.experiments, dataset)
-    assert sorted(len(g.specs) for g in {id(g): g for g in groups.values()}.values()) == [5, 7]
+    assert sorted(len(g.specs) for g in {id(g): g for g in groups.values()}.values()) == [5, 5, 7]
+    assert suite.experiments[-5].values["strategy"] == "fedopt"
     grouped, failures, cohorts = run_grouped(suite, dataset, str(tmp_path / "out"), monkeypatch)
     assert not failures
     assert max(len(c.members) for c in cohorts) >= 3
@@ -187,6 +194,66 @@ synthetic_n = 200
     assert sorted(grouped) == sorted(s.run_id() for s in others)
     for spec in others:
         assert digest(grouped[spec.run_id()]) == digest(store.execute_experiment(spec, dataset))
+
+
+def test_fl_round_0_trains_once_for_fedavg_fedbn_and_fedopt(tmp_path, monkeypatch):
+    # round 0 starts every client from the initial model, and only FedProx
+    # and FedDistill add a loss term, so FedAvg, FedBN and FedOpt fork from
+    # one lead after its local training; from round 1 on each trains itself
+    suite = suite_of(tmp_path, MIXED.format(
+        sweep="strategies = fedavg, fedbn, fedprox, fedopt, feddistill"), "fl.ini")
+    dataset, _ = dataio.synthetic_generate(300, seed=4, noise_std=0.1)
+    grouped, failures, cohorts = run_grouped(suite, dataset, str(tmp_path / "out"), monkeypatch)
+    assert not failures
+    for round_index, members, clients in ((0, 3, 6), (1, 5, 10)):
+        same = [c for c in cohorts if c.round_index == round_index]
+        assert len(set().union(*(c.members for c in same))) == members
+        assert sum(c.clients for c in same) == clients
+    for spec in suite.experiments:
+        assert digest(grouped[spec.run_id()]) == digest(store.execute_experiment(spec, dataset))
+
+
+def test_forks_do_not_share_the_leads_adam_moments(monkeypatch):
+    # one client per member and one member per chunk: the lead and each
+    # member step their optimizers in place, as cohorts of one, and later
+    # chunks fork from the lead after the earlier members trained on
+    configs = [orch.ExperimentConfig(n_clients=1, n_rounds=3, batch_size=16, seed=5,
+                                     strategy=fed.StrategyConfig(kind))
+               for kind in ("fedavg", "fedbn", "fedopt")]
+    dataset, _ = dataio.synthetic_generate(200, seed=1, noise_std=0.1)
+    train, test = dataio.train_test_split(dataset, 0.75, configs[0].seed)
+    monkeypatch.setattr(orch, "GROUP_CLIENTS", 1)
+    outcomes = orch.run_group(configs, train, test, continual=False)
+    for config, outcome in zip(configs, outcomes):
+        assert digest(outcome) == digest(orch.run_fl(config, train, test)), config.strategy.kind
+
+
+def test_a_group_wide_error_leaves_each_member_its_own_traceback(tmp_path):
+    # no circle rows: every client's task-1 shard is empty, which stops the
+    # whole group before it trains
+    suite = suite_of(tmp_path, MIXED.format(sweep="cl_methods = ewc, si, nr"), "nocircle.ini")
+    dataset, _ = dataio.synthetic_generate(300, seed=4, noise_std=0.1)
+    dataset.features[:, 0] = 0.0
+    out = tmp_path / "out"
+    _, failures = store.run_suite(suite, dataset, str(out))
+    assert [m for _, m in failures] == ["client 0: task 1 shard is empty"] * 3
+    texts = [(out / f"{run_id}.failed.txt").read_text() for run_id, _ in failures]
+    assert texts[0] == texts[1] == texts[2]
+    assert texts[0].count(", in result\n") == 1
+
+
+def test_a_cohort_wide_error_gives_each_member_its_own(monkeypatch):
+    def failing_train(clients, task_index, round_index):
+        raise RuntimeError("the cohort failed")
+
+    configs = [orch.ExperimentConfig(n_clients=2, n_rounds=2, strategy=fed.StrategyConfig(kind))
+               for kind in ("fedavg", "fedprox", "feddistill")]
+    dataset, _ = dataio.synthetic_generate(200, seed=1, noise_std=0.1)
+    train, test = dataio.train_test_split(dataset, 0.75, configs[0].seed)
+    monkeypatch.setattr(orch, "local_train", failing_train)
+    outcomes = orch.run_group(configs, train, test, continual=False)
+    assert all(isinstance(o, RuntimeError) and str(o) == "the cohort failed" for o in outcomes)
+    assert len({id(o) for o in outcomes}) == 3
 
 
 def test_a_spec_listed_twice_runs_twice(tmp_path):
