@@ -210,8 +210,8 @@ def mas_importance(model: nn.MlpModel, features: np.ndarray, seed: int) -> np.nd
     for name, (delta, inp) in zip(("out.weight", "lin2.weight", "lin1.weight"), dense):
         omega[nn.slot_slice(name)] = (np.abs(delta).T @ np.abs(inp)).ravel() / n
     # |delta * xhat| = |delta| * |xhat|, so gamma's terms need no second product
-    means = nn._two_layer_view(omega, "lin1.bias", 3, False)
-    np.add.reduce(np.abs(terms), axis=-2, out=means)
+    means = nn._two_layer_view(omega, "lin1.bias", 3)
+    np.add.reduce(np.abs(terms), axis=2, out=means)
     means /= n
     omega[nn.slot_slice("out.bias")] = np.add.reduce(np.abs(dy), axis=0) / n
     return omega

@@ -54,14 +54,23 @@ def _row_pcc(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     variance, whose correlation is meaningless. When the rows are
     contiguous (or K is 1), each row takes the ufunc sequence of the 1-d
     computation, so it equals that row's own correlation bit for bit."""
-    xc = x - x.mean(axis=1, keepdims=True)
-    yc = y - y.mean(axis=1, keepdims=True)
-    sx = np.sqrt((xc ** 2).mean(axis=1))
-    sy = np.sqrt((yc ** 2).mean(axis=1))
+    xc = x - _mean(x, axis=1, keepdims=True)
+    yc = y - _mean(y, axis=1, keepdims=True)
+    sx = np.sqrt(_mean(xc ** 2, axis=1))
+    sy = np.sqrt(_mean(yc ** 2, axis=1))
     degenerate = (sx < DEGENERATE_STD) | (sy < DEGENERATE_STD)
     scale = sx * sy
     scale[degenerate] = 1.0  # their value is discarded; avoids dividing by 0
-    return (xc * yc).mean(axis=1) / scale, degenerate
+    return _mean(xc * yc, axis=1) / scale, degenerate
+
+
+def _mean(a: np.ndarray, axis: int = 0, keepdims: bool = False):
+    """``a.mean(axis, keepdims=keepdims)`` bit for bit: the ufunc sequence
+    of ``ndarray.mean`` (``np.add.reduce``, then a divide by the float
+    count) without its Python wrapper."""
+    total = np.add.reduce(a, axis=axis, keepdims=keepdims)
+    total /= float(a.shape[axis])
+    return total
 
 
 def compute_report(pred: np.ndarray, target: np.ndarray) -> MetricsReport:
@@ -72,19 +81,19 @@ def compute_report(pred: np.ndarray, target: np.ndarray) -> MetricsReport:
         raise ValueError(f"shape mismatch: pred {pred.shape} vs target {target.shape}")
     if pred.shape[0] < 2:
         raise ValueError("PCC needs at least 2 samples")
-    per_action_mse = ((pred - target) ** 2).mean(axis=0)
-    avg_mse = float(per_action_mse.mean())
+    per_action_mse = _mean((pred - target) ** 2)
+    avg_mse = float(_mean(per_action_mse))
     # every action at once, on (actions, samples) rows
     per_action_pcc, degenerate = _row_pcc(np.ascontiguousarray(pred.T),
                                           np.ascontiguousarray(target.T))
     per_action_pcc[degenerate] = np.nan
     finite = per_action_pcc[~np.isnan(per_action_pcc)]
-    avg_pcc = float(finite.mean()) if finite.size else float("nan")
+    avg_pcc = float(_mean(finite)) if finite.size else float("nan")
     return MetricsReport(
         per_action_mse=per_action_mse,
         avg_mse=avg_mse,
         avg_rmse=float(np.sqrt(avg_mse)),
-        mean_per_action_rmse=float(np.sqrt(per_action_mse).mean()),
+        mean_per_action_rmse=float(_mean(np.sqrt(per_action_mse))),
         per_action_pcc=per_action_pcc,
         avg_pcc=avg_pcc,
         degenerate_actions=np.flatnonzero(degenerate).tolist(),

@@ -7,12 +7,20 @@ aggregation and regularization code works on that vector directly, so every
 write to a layer array happens in place.
 
 An ``MlpModel`` can also hold a stack of C models of the same topology:
-``params`` is then (C, P), every layer array gains a leading C axis, and
-forward, backward and the optimizer step all C models with one call each.
-The layer code is written once over that optional leading axis: matmuls are
-``np.matmul`` over the trailing two axes and batch reductions run over axis
--2, so a single model is the no-axis case and model k of a stack computes
-exactly the bits it would compute alone.
+``params`` is then (C, P), every layer array gains a leading C axis (a
+per-feature vector is (C, dim)), and forward, backward and the optimizer
+step all C models with one call each. A stack's hidden activations are
+batch-major, (B, C, 16): a batch reduction over axis 0 then runs as B loops
+over C * 16 contiguous values, where a (C, B, 16) layout would loop over 16
+values per model and row, and a (C, 16) vector broadcasts over the batch.
+Each step reads the hidden layers' per-feature vectors from one contiguous
+copy (``MlpModel._hidden_vectors``). The matmuls run per model on the
+(C, B, .) views (``_flip``), writing through them; the input batch and the
+predictions stay client-major, (C*B, 29) and (C*B, 8). The layer code is
+written once, with the model axis after the batch axis, so a single
+model's (B, 16) is the no-axis case, and model k of a stack computes
+exactly the bits it would compute alone: each batch sum adds the same rows
+in the same order, whatever the layout.
 
 A training step is dominated by numpy's per-call overhead, not by
 arithmetic, so the step code makes as few calls as it can while keeping
@@ -61,8 +69,9 @@ OPTIMIZERS = ("sgd", "adam")
 
 class LinearLayer:
     """Dense layer y = x @ W.T + b with weight shape (out, in). A stack of C
-    layers has weight (C, out, in) and bias (C, 1, out), and maps a
-    (C, B, in) batch. ``arrays`` binds the layer to existing (weight, bias)
+    layers has weight (C, out, in) and bias (C, out), and maps a
+    batch-major (B, C, in) batch to (B, C, out), each model's rows through
+    its own weight. ``arrays`` binds the layer to existing (weight, bias)
     arrays instead of fresh zeros."""
 
     def __init__(self, in_dim: int, out_dim: int, arrays: tuple | None = None):
@@ -79,22 +88,47 @@ class LinearLayer:
         self.weight[...] = rng.uniform(-bound, bound, size=(self.out_dim, self.in_dim))
         self.bias[...] = rng.uniform(-bound, bound, size=self.out_dim)
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        y = x @ self.weight.swapaxes(-1, -2)
-        y += self.bias
-        return y
+    def forward(self, x: np.ndarray, bias: np.ndarray | None = None,
+                out: np.ndarray | None = None) -> np.ndarray:
+        """x @ W.T + b for a batch-major x, written to ``out`` when it is
+        given (a batch-major array or view), else to a new batch-major
+        array. A stack's matmul runs over the (C, B, .) views of both.
+        ``bias`` stands in for the layer's own (a stack's step passes a
+        contiguous copy)."""
+        weight = self.weight.swapaxes(-1, -2)
+        if out is None and x.ndim == 2:
+            out = x @ weight
+        else:
+            if out is None:
+                out = np.empty(x.shape[:-1] + (self.out_dim,))
+            np.matmul(_flip(x), weight, out=_flip(out))
+        out += self.bias if bias is None else bias
+        return out
+
+
+def _flip(a: np.ndarray) -> np.ndarray:
+    """A stack's batch-major (B, C, n) array as its model-major (C, B, n)
+    view, or the reverse; a single model's (B, n) array as it is."""
+    return a.swapaxes(0, 1) if a.ndim == 3 else a
 
 
 class BatchNormLayer:
-    """1-d batch normalization over the batch axis.
+    """1-d batch normalization over the batch axis, axis 0.
 
     Train mode normalizes with batch statistics and updates the running
     statistics as running <- (1 - momentum) * running + momentum * batch.
     Eval mode uses the running statistics only. A stack of C layers holds
-    its per-feature vectors as (C, 1, dim), so that they broadcast over each
-    layer's own batch of a (C, B, dim) input; statistics reduce over axis -2.
-    ``arrays`` binds the layer to existing (gamma, beta, running_mean,
-    running_var) arrays instead of a fresh identity transform.
+    its per-feature vectors as (C, dim) and maps a batch-major (B, C, dim)
+    input, so the vectors broadcast over the batch and every batch
+    statistic is one reduction over axis 0 in runs of C * dim contiguous
+    values. ``arrays`` binds the layer to existing (gamma, beta,
+    running_mean, running_var) arrays instead of a fresh identity
+    transform.
+
+    Each method takes the vectors it reads as ``vectors`` (gamma, beta,
+    running mean, running variance) or, in ``backward``, ``gamma``;
+    ``MlpModel`` passes a stack's contiguous copies. By default they are
+    the layer's own arrays.
     """
 
     def __init__(self, dim: int, momentum: float = BN_MOMENTUM, epsilon: float = BN_EPSILON,
@@ -118,7 +152,12 @@ class BatchNormLayer:
         self.running_mean[...] = 0.0
         self.running_var[...] = 1.0
 
-    def forward(self, x: np.ndarray, train: bool, stats: np.ndarray | None = None):
+    def vectors(self) -> tuple:
+        """The layer's own (gamma, beta, running_mean, running_var)."""
+        return self.gamma, self.beta, self.running_mean, self.running_var
+
+    def forward(self, x: np.ndarray, train: bool, stats: np.ndarray | None = None,
+                vectors: tuple | np.ndarray | None = None):
         """Returns (y, cache); cache records which normalization was used.
         ``x`` is not written to.
 
@@ -126,28 +165,28 @@ class BatchNormLayer:
         ``stats[0]`` and ``stats[1]``. When ``stats`` is given, the caller
         updates the running statistics from it (``MlpModel`` does both of
         its layers at once); else the layer updates its own."""
+        gamma, beta, running_mean, running_var = self.vectors() if vectors is None else vectors
         if not train:
-            std = np.sqrt(self.running_var + self.epsilon)
-            xhat = x - self.running_mean
+            std = np.sqrt(running_var + self.epsilon)
+            xhat = x - running_mean
             xhat /= std
-            y = self.gamma * xhat
-            y += self.beta
+            y = gamma * xhat
+            y += beta
             return y, ("eval", xhat, std)
-        n = float(x.shape[-2])  # a float divisor skips the int conversion, same bits
+        n = float(x.shape[0])  # a float divisor skips the int conversion, same bits
         if n < 2:
             raise ValueError("batch normalization in train mode needs a batch of at least 2")
         # the ufunc sequence of x.mean(axis=0) and x.var(axis=0), without
         # their wrapper overhead; the results are bit-identical
-        stacked = x.ndim == 3
         own = stats is None
         if own:
             stats = np.empty((2,) + self.running_mean.shape)
         mean, var = stats[0], stats[1]
-        np.add.reduce(x, axis=-2, keepdims=stacked, out=mean)
+        np.add.reduce(x, axis=0, out=mean)
         mean /= n
         xhat = x - mean
         y = xhat * xhat  # scratch for the variance, then the output
-        np.add.reduce(y, axis=-2, keepdims=stacked, out=var)
+        np.add.reduce(y, axis=0, out=var)
         var /= n
         std = var + self.epsilon
         np.sqrt(std, out=std)
@@ -155,39 +194,43 @@ class BatchNormLayer:
         if own:
             _update_running(self.running_mean, mean, self.momentum)
             _update_running(self.running_var, var, self.momentum)
-        np.multiply(self.gamma, xhat, out=y)
-        y += self.beta
+        np.multiply(gamma, xhat, out=y)
+        y += beta
         return y, ("train", xhat, std)
 
-    def transform(self, x: np.ndarray) -> np.ndarray:
+    def transform(self, x: np.ndarray, vectors: tuple | np.ndarray | None = None) -> np.ndarray:
         """The eval-mode output for ``x``, written over ``x``; keeps nothing
         for a backward pass. The same ufuncs, in the same order, as
         ``forward`` in eval mode."""
-        x -= self.running_mean
-        x /= np.sqrt(self.running_var + self.epsilon)
-        x *= self.gamma
-        x += self.beta
+        gamma, beta, running_mean, running_var = self.vectors() if vectors is None else vectors
+        x -= running_mean
+        x /= np.sqrt(running_var + self.epsilon)
+        x *= gamma
+        x += beta
         return x
 
-    def backward(self, dy: np.ndarray, cache, out: np.ndarray | None = None) -> np.ndarray:
+    def backward(self, dy: np.ndarray, cache, out: np.ndarray | None = None,
+                 gamma: np.ndarray | None = None) -> np.ndarray:
         """The input gradient dx, written to ``out`` when it is given;
         ``dy`` is not written to. (The parameter gradients are batch sums of
         dy * xhat for gamma and of dy for beta; module-level ``backward``
         forms them.) In eval mode the running statistics are constants, so
         dx is a plain elementwise rescale, row by row."""
         kind, xhat, std = cache
+        if gamma is None:
+            gamma = self.gamma
         if kind == "eval":
-            dx = np.multiply(dy, self.gamma, out=out)
+            dx = np.multiply(dy, gamma, out=out)
             dx /= std
             return dx
         # (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)) / std, in place,
         # with both means from one reduction
         pair = np.empty((2,) + dy.shape)
         dxhat, scratch = pair[0], pair[1]
-        np.multiply(dy, self.gamma, out=dxhat)
+        np.multiply(dy, gamma, out=dxhat)
         np.multiply(dxhat, xhat, out=scratch)
-        means = np.add.reduce(pair, axis=-2, keepdims=True)
-        means /= float(dy.shape[-2])
+        means = np.add.reduce(pair, axis=1)
+        means /= float(dy.shape[0])
         dx = np.subtract(dxhat, means[0], out=out)
         np.multiply(xhat, means[1], out=scratch)
         dx -= scratch
@@ -213,10 +256,11 @@ class MlpModel:
     Passing ``params`` binds the model to an existing float64 array instead
     of fresh storage, without changing its values: a (P,) array is one
     model, a (C, P) array a stack of C models (row k is model k), and a
-    view of rows of a larger stack steps those rows in place. The layer
-    arrays of a stack gain a leading C axis; its per-feature vectors (biases
-    and BatchNorm vectors) are (C, 1, dim), to broadcast over each model's
-    batch."""
+    view of rows of a larger stack steps those rows in place. Every layer
+    array of a stack gains a leading C axis: its per-feature vectors
+    (biases and BatchNorm vectors) are (C, dim). A stack's activations are
+    batch-major, (B, C, dim), from the first dense layer's output to the
+    output layer's."""
 
     def __init__(self, hidden_activation: str = "identity", params: np.ndarray | None = None):
         if hidden_activation not in HIDDEN_ACTIVATIONS:
@@ -231,8 +275,8 @@ class MlpModel:
         self.hidden_activation = hidden_activation
         self.params = params
         lead = params.shape[:-1]
-        views = {layer: tuple(params[..., slots].reshape(lead + stacked_shape if lead else shape)
-                              for slots, shape, stacked_shape in bindings)
+        views = {layer: tuple(params[..., slots].reshape(lead + shape)
+                              for slots, shape in bindings)
                  for layer, bindings in _BINDINGS.items()}
         self.lin1 = LinearLayer(IN_DIM, HIDDEN_DIM, views["lin1"])
         self.bn1 = BatchNormLayer(HIDDEN_DIM, arrays=views["bn1"])
@@ -246,6 +290,11 @@ class MlpModel:
         self._stats_shape = (2, 2) + self.bn1.running_mean.shape
         self._running = None  # both layers' running statistics as one view, on first use
         self._grad = None     # backward's gradient vector and its block views, on first use
+        # a single model's hidden vectors as its steps read them: its own;
+        # a stack's come from the view built on its first step
+        self._own_vectors = None if lead else (
+            (self.lin1.bias, self.bn1.vectors()), (self.lin2.bias, self.bn2.vectors()))
+        self._vector_view = None
 
     def init_params(self, rng: np.random.Generator) -> None:
         self.lin1.init_uniform(rng)
@@ -260,6 +309,20 @@ class MlpModel:
             np.maximum(h, 0.0, out=h)
         return h
 
+    def _hidden_vectors(self) -> tuple:
+        """Per hidden layer, (dense bias, BatchNorm vectors) as a step reads
+        them. A stack's are rows of ``params`` P slots apart, and numpy
+        broadcasts a strided operand in runs of ``HIDDEN_DIM`` values, so
+        each step reads one contiguous (2, 5, C, 16) copy of both layers'
+        bias, gamma, beta, running mean and running variance (consecutive
+        in ``LAYOUT``)."""
+        if self._own_vectors is not None:
+            return self._own_vectors
+        if self._vector_view is None:  # as_strided is slow: build it once
+            self._vector_view = _two_layer_view(self.params, "lin1.bias", 5)
+        v = self._vector_view.copy()
+        return (v[0, 0], v[0, 1:]), (v[1, 0], v[1, 1:])
+
     def forward(self, batch: np.ndarray, mode: str = "eval") -> np.ndarray:
         """Predictions for a (B, 29) batch; for a stack of C models, a
         client-major (C*B, 29) batch gives client-major (C*B, 8) predictions.
@@ -267,15 +330,27 @@ class MlpModel:
         computed over the previous one in place."""
         if mode == "train":
             y, _ = self._forward_cached(batch, mode)
-            return y.reshape(-1, OUT_DIM)
-        x = self._batch(batch, mode)
-        h = self._activate(self.bn1.transform(self.lin1.forward(x)))
-        h = self._activate(self.bn2.transform(self.lin2.forward(h)))
-        return self.out.forward(h).reshape(-1, OUT_DIM)
+        else:
+            x = self._batch(batch, mode)
+            (b1, v1), (b2, v2) = self._hidden_vectors()
+            h = self._activate(self.bn1.transform(self.lin1.forward(x, b1), v1))
+            h = self._activate(self.bn2.transform(self.lin2.forward(h, b2), v2))
+            y = self._predict(h)
+        return y.reshape(-1, OUT_DIM)
+
+    def _predict(self, h: np.ndarray) -> np.ndarray:
+        """The output layer over batch-major ``h``; a stack writes its
+        predictions client-major, (C, B, 8), through their batch-major
+        view."""
+        if h.ndim == 2:
+            return self.out.forward(h)
+        y = np.empty((h.shape[1], h.shape[0], OUT_DIM))
+        self.out.forward(h, out=_flip(y))
+        return y
 
     def _batch(self, batch: np.ndarray, mode: str) -> np.ndarray:
-        """The checked batch; a stack of C models splits a client-major
-        batch into (C, B, 29)."""
+        """The checked batch; a stack of C models takes a client-major batch
+        as its batch-major (B, C, 29) view."""
         if mode not in ("train", "eval"):
             raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
         batch = np.asarray(batch, dtype=np.float64)
@@ -288,30 +363,30 @@ class MlpModel:
             if batch.shape[0] % n_models:
                 raise ValueError(f"a stack of {n_models} models needs a client-major batch "
                                  f"of a multiple of {n_models} rows, got {batch.shape[0]}")
-            batch = batch.reshape(n_models, -1, IN_DIM)
+            batch = _flip(batch.reshape(n_models, -1, IN_DIM))
         return batch
 
     def _forward_cached(self, batch: np.ndarray, mode: str):
         """Forward pass keeping what backward needs, as the tuple
-        (input, BatchNorm 1 cache, activation 1, BatchNorm 2 cache,
-        activation 2); a stack of C models splits the client-major batch
-        into (C, B, 29) and returns (C, B, 8). Train mode then updates both
-        BatchNorm layers' running statistics with one pass over them (the
-        model's layers use the default ``BN_MOMENTUM``)."""
+        (input, hidden vectors, BatchNorm 1 cache, activation 1, BatchNorm 2
+        cache, activation 2), the activations batch-major; returns the
+        predictions, client-major (C, B, 8) for a stack. Train mode then
+        updates both BatchNorm layers' running statistics with one pass over
+        them (the model's layers use the default ``BN_MOMENTUM``)."""
         x = self._batch(batch, mode)
         train = mode == "train"
         stats = np.empty(self._stats_shape) if train else (None, None)
-        b1, bn1 = self.bn1.forward(self.lin1.forward(x), train, stats[0])
-        a1 = self._activate(b1)
-        b2, bn2 = self.bn2.forward(self.lin2.forward(a1), train, stats[1])
-        a2 = self._activate(b2)
-        y = self.out.forward(a2)
+        vectors = (b1, v1), (b2, v2) = self._hidden_vectors()
+        h1, bn1 = self.bn1.forward(self.lin1.forward(x, b1), train, stats[0], v1)
+        a1 = self._activate(h1)
+        h2, bn2 = self.bn2.forward(self.lin2.forward(a1, b2), train, stats[1], v2)
+        a2 = self._activate(h2)
+        y = self._predict(a2)
         if train:
             if self._running is None:
-                self._running = _two_layer_view(self.params, "bn1.running_mean", 2,
-                                                self.params.ndim == 2)
+                self._running = _two_layer_view(self.params, "bn1.running_mean", 2)
             _update_running(self._running, stats, BN_MOMENTUM)
-        return y, (x, bn1, a1, bn2, a2)
+        return y, (x, vectors, bn1, a1, bn2, a2)
 
     def _gradient(self) -> tuple:
         """The vector ``backward`` writes this model's gradient into, and
@@ -324,7 +399,7 @@ class MlpModel:
             lead = grad.shape[:-1]
             weights = [grad[..., slot_slice(name)].reshape(lead + OFFSETS[name][2])
                        for name in ("out.weight", "lin2.weight", "lin1.weight")]
-            self._grad = (grad, weights, _two_layer_view(grad, "lin1.bias", 3, False),
+            self._grad = (grad, weights, _two_layer_view(grad, "lin1.bias", 3),
                           grad[..., slot_slice("out.bias")])
         return self._grad
 
@@ -367,14 +442,12 @@ def _build_offsets():
 OFFSETS, PARAM_COUNT = _build_offsets()
 
 def _build_bindings():
-    """layer -> its (slots, shape, shape in a stack) in LAYOUT order, which is
-    the order of the layer constructors' ``arrays``: how MlpModel binds the
-    layer arrays to its parameters. A stack's per-feature vectors get a
-    broadcast axis for the batch."""
+    """layer -> its (slots, shape) in LAYOUT order, which is the order of the
+    layer constructors' ``arrays``: how MlpModel binds the layer arrays to
+    its parameters."""
     bindings = {}
     for name, (start, stop, shape) in OFFSETS.items():
-        bindings.setdefault(name.split(".")[0], []).append(
-            (slice(start, stop), shape, (1,) + shape if len(shape) == 1 else shape))
+        bindings.setdefault(name.split(".")[0], []).append((slice(start, stop), shape))
     return bindings
 
 
@@ -422,18 +495,15 @@ def inject_params(model: MlpModel, vec: np.ndarray) -> None:
 _LAYER_GAP = OFFSETS["lin2.bias"][0] - OFFSETS["lin1.bias"][0]
 
 
-def _two_layer_view(arr: np.ndarray, first: str, count: int, batch_axis: bool) -> np.ndarray:
+def _two_layer_view(arr: np.ndarray, first: str, count: int) -> np.ndarray:
     """The ``count`` consecutive ``HIDDEN_DIM``-slot vectors of hidden layer
     1 that start at slot ``first``, and the same vectors of hidden layer 2,
     as one writable view of ``arr`` (a parameter or gradient vector or
-    stack), shaped (layer, vector) + (C,) for a stack + (1,) with
-    ``batch_axis`` + (HIDDEN_DIM,)."""
+    stack), shaped (layer, vector) + (C,) for a stack + (HIDDEN_DIM,)."""
     item = arr.itemsize
     shape, strides = (2, count), (_LAYER_GAP * item, HIDDEN_DIM * item)
     if arr.ndim == 2:
         shape, strides = shape + arr.shape[:1], strides + arr.strides[:1]
-    if batch_axis:
-        shape, strides = shape + (1,), strides + (0,)
     return np.lib.stride_tricks.as_strided(arr[..., OFFSETS[first][0]:], shape + (HIDDEN_DIM,),
                                            strides + (item,))
 
@@ -441,18 +511,24 @@ def _two_layer_view(arr: np.ndarray, first: str, count: int, batch_axis: bool) -
 # Loss and gradients
 # ---------------------------------------------------------------------------
 
-def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
+def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple:
     """Mean squared error averaged over the batch then over the 8 actions.
 
     Returns (scalar, per_action) where per_action[a] is the batch-mean
-    squared error for action a and scalar is the mean of per_action.
+    squared error for action a and scalar is the mean of per_action. For
+    (C, B, 8) predictions and targets, the rows of C models, per_action is
+    (C, 8) and scalar a (C,) array, and row k is what model k's own (B, 8)
+    rows give. Each mean is ``np.add.reduce`` and a divide by the float
+    count: the ufunc sequence of ``ndarray.mean``, without its wrapper.
     """
     pred = np.asarray(pred, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
     if pred.shape != target.shape:
         raise ValueError(f"shape mismatch: pred {pred.shape} vs target {target.shape}")
-    per_action = ((pred - target) ** 2).mean(axis=0)
-    return float(per_action.mean()), per_action
+    per_action = np.add.reduce((pred - target) ** 2, axis=-2)
+    per_action /= float(pred.shape[-2])
+    scalar = np.add.reduce(per_action, axis=-1) / float(pred.shape[-1])
+    return (float(scalar) if pred.ndim == 2 else scalar), per_action
 
 
 def _backprop(model: MlpModel, dy: np.ndarray, cache) -> tuple[np.ndarray, list]:
@@ -463,30 +539,31 @@ def _backprop(model: MlpModel, dy: np.ndarray, cache) -> tuple[np.ndarray, list]
     Returns (terms, dense). ``terms`` holds, per hidden layer (axis 0), the
     gradient at the dense layer's output, that at the BatchNorm output
     times xhat, and that at the BatchNorm output (axis 1), each a
-    contiguous batch-shaped array: their batch sums are the gradients of
-    the layer's bias, gamma and beta, the order of ``LAYOUT``. ``dense`` is
-    (delta, input) per dense layer, output layer first: its weight gradient
-    is delta^T @ input.
+    contiguous batch-major array: their batch sums (over axis 2) are the
+    gradients of the layer's bias, gamma and beta, the order of ``LAYOUT``.
+    ``dense`` is (delta, input) per dense layer, output layer first, as
+    per-model views (a stack's (C, B, .)): its weight gradient is
+    delta^T @ input.
 
     Row i of every term and input belongs to sample i. In eval mode no step
     mixes rows, so one sample's gradient is built from its rows alone
     (``continual.mas_importance`` relies on this)."""
-    x, bn1, a1, bn2, a2 = cache
+    x, ((_, v1), (_, v2)), bn1, a1, bn2, a2 = cache
     relu = model.hidden_activation == "relu"
-    terms = np.empty((2, 3) + dy.shape[:-1] + (HIDDEN_DIM,))
+    terms = np.empty((2, 3) + a1.shape)
     dh1, dg1, db1, dh2, dg2, db2 = terms[0, 0], terms[0, 1], terms[0, 2], terms[1, 0], \
         terms[1, 1], terms[1, 2]
-    np.matmul(dy, model.out.weight, out=db2)
+    np.matmul(dy, model.out.weight, out=_flip(db2))
     if relu:  # a2 > 0 exactly where the BatchNorm output was
         db2 *= a2 > 0.0
     np.multiply(db2, bn2[1], out=dg2)
-    model.bn2.backward(db2, bn2, out=dh2)
-    np.matmul(dh2, model.lin2.weight, out=db1)
+    model.bn2.backward(db2, bn2, out=dh2, gamma=v2[0])
+    np.matmul(_flip(dh2), model.lin2.weight, out=_flip(db1))
     if relu:
         db1 *= a1 > 0.0
     np.multiply(db1, bn1[1], out=dg1)
-    model.bn1.backward(db1, bn1, out=dh1)
-    return terms, [(dy, a2), (dh2, a1), (dh1, x)]
+    model.bn1.backward(db1, bn1, out=dh1, gamma=v1[0])
+    return terms, [(dy, _flip(a2)), (_flip(dh2), _flip(a1)), (_flip(dh1), _flip(x))]
 
 
 def backward(model: MlpModel, batch: np.ndarray, target: np.ndarray,
@@ -519,7 +596,7 @@ def backward(model: MlpModel, batch: np.ndarray, target: np.ndarray,
     for weight, (delta, inp) in zip(weights, dense):
         np.matmul(delta.swapaxes(-1, -2), inp, out=weight)
     # every bias and BatchNorm gradient of both hidden layers in one reduction
-    np.add.reduce(terms, axis=-2, out=sums)
+    np.add.reduce(terms, axis=2, out=sums)
     np.add.reduce(dy, axis=-2, out=out_bias)
 
     if extra_penalty_grad is None:

@@ -22,14 +22,16 @@ Local training is client-stacked: ``local_train`` gathers a cohort of
 clients into (C, P) arrays (parameters, optimizer state, SI path
 integrals), takes each step of every client whose batch has the same row
 count with one ``nn.backward`` and one ``Optimizer.step`` on views of their
-rows, and writes the state back to each ``ClientState``. What a client's
-loss adds to the data loss (at most one quadratic penalty, a FedDistill
-teacher, NR replay) comes from its ``Member`` and its own state, so one
-cohort may mix the clients of several experiments. The quadratic penalty
-is one (lambda, anchor, importance) triple: FedProx's proximal term is
-(mu, the round's global parameters, a unit importance on the optimized
-slots), and EWC, EWC-Online, SI and MAS give, in task 2, (lambda, the
-parameters at the end of task 1, their importance map).
+rows, and writes the state back to each ``ClientState``; each client's
+loss on its shard after the round comes from a stacked eval pass over the
+clients with shards of its size. What a client's loss adds to the data
+loss (at most one quadratic penalty, a FedDistill teacher, NR replay) comes
+from its ``Member`` and its own state, so one cohort may mix the clients
+of several experiments. The quadratic penalty is one (lambda, anchor,
+importance) triple: FedProx's proximal term is (mu, the round's global
+parameters, a unit importance on the optimized slots), and EWC,
+EWC-Online, SI and MAS give, in task 2, (lambda, the parameters at the end
+of task 1, their importance map).
 
 Determinism: every random draw comes from a stream derived from
 (seed, purpose, client, task, round, ...) via numpy's SeedSequence, and
@@ -153,6 +155,14 @@ class RunResult:
 # grid and slower on others, within the host's noise. No size was faster
 # on every shape of both grids, and every size gave the same bits.
 COHORT_CAP = 10
+
+# The most shard rows one stacked eval forward of ``_shard_losses`` takes.
+# Set by measurement (``perfbench/run.py --workload fl_grid --seconds 8``,
+# 2-core Xeon): a 2-client cell stacks up to ten 750-row shards, and with no
+# cap the peak resident memory rose 7% over the per-client loss (40.4 to
+# 43.3 MB); with caps of 4,096, 2,048 and 1,024 rows it rose 2.5%, 0.6% and
+# not measurably, with wall times within the noise of one run each.
+LOSS_PASS_ROWS = 1024
 
 
 def group_key(config: ExperimentConfig) -> tuple:
@@ -622,7 +632,9 @@ def local_train(clients: list[ClientState], task_index: int,
     stack; the clients may belong to several members. Each client takes its
     member's global parameters (FedBN: all but the BatchNorm slots), trains
     its local epochs with its own loss terms, and gives an update. Returns
-    (updates, post-training shard losses) in the order of ``clients``.
+    (updates, post-training shard losses) in the order of ``clients``; the
+    losses of clients with shards of equal size come from one stacked eval
+    pass per at most ``LOSS_PASS_ROWS`` rows (``_shard_losses``).
 
     A failure stops the member of the failing client, not the cohort: the
     error, naming client, round and step, becomes its ``Member.error``, and
@@ -654,16 +666,40 @@ def local_train(clients: list[ClientState], task_index: int,
         _train_epochs(student, 21, True, task_index, round_index, "")
         student.unstack()
 
-    updates, losses = [], []
-    for c in clients:
-        if c.member.error is not None:
-            updates.append(None)
-            losses.append(None)
-            continue
-        pred = c.model.forward(c.shard.features, mode="eval")
-        updates.append(fed.ClientUpdate(c.client_id, nn.extract_params(c.model), len(c.shard)))
-        losses.append(nn.mse_loss(pred, c.shard.labels)[0])
-    return updates, losses
+    live = [c for c in clients if c.member.error is None]
+    losses = _shard_losses(live)
+    updates = {id(c): fed.ClientUpdate(c.client_id, nn.extract_params(c.model), len(c.shard))
+               for c in live}
+    return [updates.get(id(c)) for c in clients], [losses.get(id(c)) for c in clients]
+
+
+def _shard_losses(clients: list[ClientState]) -> dict[int, float]:
+    """id(client) -> the loss of its model's eval predictions on its shard.
+    Clients with shards of equal row count go through one stacked eval
+    forward and one ``nn.mse_loss`` call per pass of at most
+    ``LOSS_PASS_ROWS`` rows (a larger shard passes alone); model k of a
+    stack computes the bits it would compute alone, so each loss is the
+    client's own."""
+    def shape(c: ClientState) -> tuple:
+        return c.model.hidden_activation, len(c.shard)
+
+    losses = {}
+    for (activation, n), same in itertools.groupby(sorted(clients, key=shape), key=shape):
+        same = list(same)
+        per_pass = max(1, LOSS_PASS_ROWS // n)
+        for i in range(0, len(same), per_pass):
+            part = same[i:i + per_pass]
+            if len(part) == 1:
+                model, shard = part[0].model, part[0].shard
+                features, labels = shard.features, shard.labels
+            else:
+                model = nn.MlpModel(activation, np.stack([c.model.params for c in part]))
+                features = np.concatenate([c.shard.features for c in part])
+                labels = np.concatenate([c.shard.labels for c in part])
+            pred = model.forward(features, mode="eval").reshape(len(part), n, nn.OUT_DIM)
+            scalar, _ = nn.mse_loss(pred, labels.reshape(pred.shape))
+            losses.update(zip(map(id, part), scalar.tolist()))
+    return losses
 
 
 def _consolidate(client: ClientState, task_index: int) -> None:

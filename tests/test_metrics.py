@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fedcl import metrics
 from fedcl.metrics import DEGENERATE_STD, compute_report, pcc
 
 
@@ -129,6 +130,22 @@ class TestReport:
                     assert pcc(pred[:, a], target[:, a]) == r
             finite = [r for r in expected if r is not None]
             assert rep.avg_pcc == float(np.array(finite).mean())
+
+    def test_means_bit_equal_to_ndarray_mean(self, rng):
+        for _ in range(200):
+            shape = tuple(int(v) for v in rng.integers(1, 40, size=int(rng.integers(1, 4))))
+            a = rng.normal(size=shape) * rng.uniform(0.0, 1e3)
+            for axis in range(len(shape)):
+                for keepdims in (False, True):
+                    got = metrics._mean(a, axis=axis, keepdims=keepdims)
+                    assert np.array_equal(got, a.mean(axis=axis, keepdims=keepdims))
+            n = int(rng.integers(2, 300))
+            pred, target = rng.normal(size=(n, 8)), rng.uniform(1, 5, size=(n, 8))
+            rep = compute_report(pred, target)
+            per_action = ((pred - target) ** 2).mean(axis=0)
+            assert np.array_equal(rep.per_action_mse, per_action)
+            assert rep.avg_mse == float(per_action.mean())
+            assert rep.mean_per_action_rmse == float(np.sqrt(per_action).mean())
 
     def test_shape_and_size_validation(self, rng):
         with pytest.raises(ValueError):

@@ -130,6 +130,28 @@ class TestMseLoss:
         with pytest.raises(ValueError):
             nn.mse_loss(rng.normal(size=(3, 8)), rng.normal(size=(4, 8)))
 
+    def test_bit_equal_to_ndarray_mean(self, rng):
+        for _ in range(200):
+            n = int(rng.integers(1, 800))
+            pred = rng.normal(size=(n, 8)) * rng.uniform(0.0, 10.0)
+            target = rng.uniform(1, 5, size=(n, 8))
+            scalar, per_action = nn.mse_loss(pred, target)
+            expected = ((pred - target) ** 2).mean(axis=0)
+            assert np.array_equal(per_action, expected)
+            assert type(scalar) is float and scalar == float(expected.mean())
+
+    @pytest.mark.parametrize("n_models", [1, 2, 10])
+    def test_stacked_rows_equal_each_models_own(self, rng, n_models):
+        for n in (1, 2, 31, 750):
+            pred = rng.normal(size=(n_models, n, 8))
+            target = rng.uniform(1, 5, size=(n_models, n, 8))
+            scalar, per_action = nn.mse_loss(pred, target)
+            assert scalar.shape == (n_models,) and per_action.shape == (n_models, 8)
+            for k in range(n_models):
+                own = nn.mse_loss(pred[k], target[k])
+                assert scalar[k] == own[0]
+                assert np.array_equal(per_action[k], own[1])
+
 
 class TestBackward:
     def test_zero_gradient_when_pred_equals_target(self, rng):
@@ -338,7 +360,7 @@ class TestParameterVector:
 class TestStackedModels:
     @pytest.mark.parametrize("activation", ["identity", "relu"])
     @pytest.mark.parametrize("mode", ["train", "eval"])
-    @pytest.mark.parametrize("n_models", [2, 5])
+    @pytest.mark.parametrize("n_models", [2, 5, 10])
     def test_stacked_backward_equals_each_models_own(self, rng, n_models, mode, activation):
         singles = []
         for _ in range(n_models):
@@ -347,7 +369,7 @@ class TestStackedModels:
             singles.append(m)
         stack = nn.MlpModel(activation, np.stack([m.params for m in singles]))
         assert stack.lin1.weight.shape == (n_models, 16, 29)
-        assert stack.bn1.running_var.shape == (n_models, 1, 16)
+        assert stack.bn1.running_var.shape == (n_models, 16)
         for arr in (stack.lin1.weight, stack.out.bias, stack.bn2.running_mean):
             assert np.shares_memory(arr, stack.params)
         xs = [rng.normal(size=(6, 29)) for _ in singles]
@@ -529,17 +551,22 @@ def _ref_step(state, kind, params, grads, lr=0.01, beta1=0.9, beta2=0.999, eps=1
     return params - m_hat
 
 
+# rows per model in a step: small batches, the grids' batch size and a
+# ragged tail of it
+BATCH_ROWS = (2, 3, 4, 5, 6, 7, 8, 31, 32)
+
+
 class TestStepOracle:
     """200 random steps of ``backward`` and ``Optimizer.step`` against the
     reference above, on single models, stacks and row views of stacks."""
 
-    @pytest.mark.parametrize("rows", [None, 2, 10, "slice", "row"])
+    @pytest.mark.parametrize("rows", [None, 2, 5, 10, "slice", "row"])
     @pytest.mark.parametrize("activation", ["identity", "relu"])
     @pytest.mark.parametrize("kind", ["sgd", "adam"])
     def test_steps_match_the_reference(self, rng, rows, activation, kind):
         # rows: None is one model; an int a stack of that many; "slice" rows
         # 2:5 and "row" row 3 of a stack of 6, the views the engine steps
-        n_stack = {None: None, 2: 2, 10: 10, "slice": 6, "row": 6}[rows]
+        n_stack = {None: None, 2: 2, 5: 5, 10: 10, "slice": 6, "row": 6}[rows]
         sel = {"slice": slice(2, 5), "row": 3}.get(rows, slice(None))
         if n_stack is None:
             storage = random_model(rng).params.copy()
@@ -571,7 +598,7 @@ class TestStepOracle:
         model = nn.MlpModel(activation, theta)
         k = 1 if theta.ndim == 1 else theta.shape[0]
         for step in range(200):
-            b = int(rng.integers(2, 9))
+            b = int(rng.choice(BATCH_ROWS))
             x = rng.normal(0.0, 1.5, size=(k * b, nn.IN_DIM))
             y = rng.uniform(1.0, 5.0, size=(k * b, nn.OUT_DIM))
             extra = (rng.normal(0.0, 0.01, size=theta.shape) * optimized if step % 3 == 0

@@ -169,6 +169,37 @@ class TestRunFl:
         for update in (first, second):
             assert not np.shares_memory(update.params, clients[0].model.params)
 
+    def test_losses_equal_each_clients_own(self):
+        # a cohort of shards of several sizes, with a run of equal shards of
+        # more rows (5 x 300) than one stacked loss pass takes, a FedDistill
+        # member, and a member that failed before the round
+        ds, _ = dataio.synthetic_generate(3000, seed=3, noise_std=0.1)
+        shards, start = [], 0
+        for n in [300, 300, 300, 123, 300, 57, 300, 300, 90, 90]:
+            shards.append(dataio.Dataset(ds.features[start:start + n],
+                                         ds.labels[start:start + n], "synthetic"))
+            start += n
+        template = nn.MlpModel()
+        template.init_params(np.random.default_rng(11))
+        clients = []
+        for kind, part in (("fedavg", shards[:4]), ("feddistill", shards[4:8]),
+                           ("fedprox", shards[8:])):
+            cfg = config(strategy=fed.StrategyConfig(kind, mu=0.1, distill_weight=0.5),
+                         batch_size=32, client_optimizer="adam", learning_rate=0.01)
+            member = orch.Member(cfg, nn.extract_params(template))
+            clients += orch._build_clients(member, part)
+        failed = clients[-1].member
+        failed.error = ExperimentError("failed before the round")
+        order = [clients[k] for k in (5, 0, 8, 3, 1, 6, 9, 2, 4, 7)]
+        updates, losses = orch.local_train(order, 0, 0)
+        for c, update, loss in zip(order, updates, losses):
+            if c.member is failed:
+                assert update is None and loss is None
+                continue
+            own = nn.mse_loss(c.model.forward(c.shard.features, mode="eval"), c.shard.labels)
+            assert loss == own[0]
+            assert np.array_equal(update.params, c.model.params)
+
     def test_descent_direction(self, rng):
         # a tiny SGD step on one batch reduces that batch's train-mode loss
         for _ in range(50):
