@@ -69,10 +69,10 @@ OPTIMIZERS = ("sgd", "adam")
 
 class LinearLayer:
     """Dense layer y = x @ W.T + b with weight shape (out, in). A stack of C
-    layers has weight (C, out, in) and bias (C, out), and maps a
-    batch-major (B, C, in) batch to (B, C, out), each model's rows through
-    its own weight. ``arrays`` binds the layer to existing (weight, bias)
-    arrays instead of fresh zeros."""
+    layers has weight (C, out, in) and bias (C, out), and maps the
+    model-major (C, B, in) view of its input to a batch-major (B, C, out)
+    output, each model's rows through its own weight. ``arrays`` binds the
+    layer to existing (weight, bias) arrays instead of fresh zeros."""
 
     def __init__(self, in_dim: int, out_dim: int, arrays: tuple | None = None):
         self.in_dim = in_dim
@@ -90,18 +90,18 @@ class LinearLayer:
 
     def forward(self, x: np.ndarray, bias: np.ndarray | None = None,
                 out: np.ndarray | None = None) -> np.ndarray:
-        """x @ W.T + b for a batch-major x, written to ``out`` when it is
-        given (a batch-major array or view), else to a new batch-major
-        array. A stack's matmul runs over the (C, B, .) views of both.
-        ``bias`` stands in for the layer's own (a stack's step passes a
-        contiguous copy)."""
+        """x @ W.T + b, written to ``out`` when it is given (a batch-major
+        array or view), else to a new batch-major array. A stack's ``x`` is
+        model-major, (C, B, in), and its matmul writes through the
+        model-major view of ``out``. ``bias`` stands in for the layer's own
+        (a stack's step passes a contiguous copy)."""
         weight = self.weight.swapaxes(-1, -2)
         if out is None and x.ndim == 2:
             out = x @ weight
         else:
             if out is None:
-                out = np.empty(x.shape[:-1] + (self.out_dim,))
-            np.matmul(_flip(x), weight, out=_flip(out))
+                out = np.empty((x.shape[1], x.shape[0], self.out_dim))
+            np.matmul(x, weight, out=_flip(out))
         out += self.bias if bias is None else bias
         return out
 
@@ -334,7 +334,7 @@ class MlpModel:
             x = self._batch(batch, mode)
             (b1, v1), (b2, v2) = self._hidden_vectors()
             h = self._activate(self.bn1.transform(self.lin1.forward(x, b1), v1))
-            h = self._activate(self.bn2.transform(self.lin2.forward(h, b2), v2))
+            h = self._activate(self.bn2.transform(self.lin2.forward(_flip(h), b2), v2))
             y = self._predict(h)
         return y.reshape(-1, OUT_DIM)
 
@@ -345,12 +345,13 @@ class MlpModel:
         if h.ndim == 2:
             return self.out.forward(h)
         y = np.empty((h.shape[1], h.shape[0], OUT_DIM))
-        self.out.forward(h, out=_flip(y))
+        self.out.forward(_flip(h), out=_flip(y))
         return y
 
     def _batch(self, batch: np.ndarray, mode: str) -> np.ndarray:
         """The checked batch; a stack of C models takes a client-major batch
-        as its batch-major (B, C, 29) view."""
+        as its model-major (C, B, 29) view, which the first dense layer
+        reads as it is."""
         if mode not in ("train", "eval"):
             raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
         batch = np.asarray(batch, dtype=np.float64)
@@ -363,13 +364,14 @@ class MlpModel:
             if batch.shape[0] % n_models:
                 raise ValueError(f"a stack of {n_models} models needs a client-major batch "
                                  f"of a multiple of {n_models} rows, got {batch.shape[0]}")
-            batch = _flip(batch.reshape(n_models, -1, IN_DIM))
+            batch = batch.reshape(n_models, -1, IN_DIM)
         return batch
 
     def _forward_cached(self, batch: np.ndarray, mode: str):
         """Forward pass keeping what backward needs, as the tuple
         (input, hidden vectors, BatchNorm 1 cache, activation 1, BatchNorm 2
-        cache, activation 2), the activations batch-major; returns the
+        cache, activation 2), a stack's input model-major (``_batch``) and
+        its activations batch-major; returns the
         predictions, client-major (C, B, 8) for a stack. Train mode then
         updates both BatchNorm layers' running statistics with one pass over
         them (the model's layers use the default ``BN_MOMENTUM``)."""
@@ -379,7 +381,7 @@ class MlpModel:
         vectors = (b1, v1), (b2, v2) = self._hidden_vectors()
         h1, bn1 = self.bn1.forward(self.lin1.forward(x, b1), train, stats[0], v1)
         a1 = self._activate(h1)
-        h2, bn2 = self.bn2.forward(self.lin2.forward(a1, b2), train, stats[1], v2)
+        h2, bn2 = self.bn2.forward(self.lin2.forward(_flip(a1), b2), train, stats[1], v2)
         a2 = self._activate(h2)
         y = self._predict(a2)
         if train:
@@ -558,12 +560,13 @@ def _backprop(model: MlpModel, dy: np.ndarray, cache) -> tuple[np.ndarray, list]
         db2 *= a2 > 0.0
     np.multiply(db2, bn2[1], out=dg2)
     model.bn2.backward(db2, bn2, out=dh2, gamma=v2[0])
-    np.matmul(_flip(dh2), model.lin2.weight, out=_flip(db1))
+    delta2 = _flip(dh2)
+    np.matmul(delta2, model.lin2.weight, out=_flip(db1))
     if relu:
         db1 *= a1 > 0.0
     np.multiply(db1, bn1[1], out=dg1)
     model.bn1.backward(db1, bn1, out=dh1, gamma=v1[0])
-    return terms, [(dy, _flip(a2)), (_flip(dh2), _flip(a1)), (_flip(dh1), _flip(x))]
+    return terms, [(dy, _flip(a2)), (delta2, _flip(a1)), (_flip(dh1), x)]
 
 
 def backward(model: MlpModel, batch: np.ndarray, target: np.ndarray,
@@ -616,7 +619,7 @@ class Optimizer:
 
     The state takes the shape of the parameters it steps: for a (C, P)
     stack of vectors, Adam's moments are (C, P) and ``step_count`` holds one
-    count per row (see ``stack``, ``rows`` and ``unstack``)."""
+    count per row (see ``stack`` and ``rows``)."""
 
     def __init__(self, kind: str = "sgd", learning_rate: float = 1e-3,
                  beta1: float = 0.9, beta2: float = 0.999, epsilon: float = 1e-8):
@@ -662,13 +665,6 @@ class Optimizer:
         if self.m is not None:
             view.m, view.v = self.m[sel], self.v[sel]
         return view
-
-    def unstack(self, optimizers: list["Optimizer"]) -> None:
-        """Write state row k of a stacked optimizer back into ``optimizers[k]``."""
-        for k, opt in enumerate(optimizers):
-            opt.step_count = int(self.step_count[k])
-            if self.m is not None:
-                opt.m, opt.v = self.m[k], self.v[k]
 
     def step(self, params: np.ndarray, grads: np.ndarray,
              out: np.ndarray | None = None) -> np.ndarray:

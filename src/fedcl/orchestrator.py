@@ -20,18 +20,20 @@ key once and hands its result to every such twin.
 
 Local training is client-stacked: ``local_train`` gathers a cohort of
 clients into (C, P) arrays (parameters, optimizer state, SI path
-integrals), takes each step of every client whose batch has the same row
-count with one ``nn.backward`` and one ``Optimizer.step`` on views of their
-rows, and writes the state back to each ``ClientState``; each client's
-loss on its shard after the round comes from a stacked eval pass over the
-clients with shards of its size. What a client's loss adds to the data
-loss (at most one quadratic penalty, a FedDistill teacher, NR replay) comes
-from its ``Member`` and its own state, so one cohort may mix the clients
-of several experiments. The quadratic penalty is one (lambda, anchor,
-importance) triple: FedProx's proximal term is (mu, the round's global
-parameters, a unit importance on the optimized slots), and EWC,
-EWC-Online, SI and MAS give, in task 2, (lambda, the parameters at the end
-of task 1, their importance map).
+integrals) once per task, and from then on each client's state is row
+views of its cohort's stack (``_Stack``), kept from round to round while
+the cohort trains together. It takes each step of every client whose
+batch has the same row count with one ``nn.backward`` and one
+``Optimizer.step`` on views of their rows, so nothing is written back;
+each client's loss on its shard after the round comes from a stacked eval
+pass over adjacent rows with shards of its size. What a client's loss
+adds to the data loss (at most one quadratic penalty, a FedDistill
+teacher, NR replay) comes from its ``Member`` and its own state, so one
+cohort may mix the clients of several experiments. The quadratic penalty
+is one (lambda, anchor, importance) triple: FedProx's proximal term is
+(mu, the round's global parameters, a unit importance on the optimized
+slots), and EWC, EWC-Online, SI and MAS give, in task 2, (lambda, the
+parameters at the end of task 1, their importance map).
 
 Determinism: every random draw comes from a stream derived from
 (seed, purpose, client, task, round, ...) via numpy's SeedSequence, and
@@ -218,10 +220,17 @@ class Member:
     # together: a draw depends only on its key, so the copies of a client
     # draw it once
     plans: dict | None = None
+    # the cohort stacks of the members that train together, kept from round
+    # to round of a task (``local_train``)
+    stacks: dict | None = None
 
 
 @dataclass
 class ClientState:
+    """One client of a member. While its cohort trains together in a task,
+    ``model``, ``optimizer`` (and the teacher's) and the SI path integral
+    ``si_acc.omega_running`` are views of the client's row of the cohort's
+    stack (``_Stack``); a cohort of one steps the client's own arrays."""
     client_id: int
     shard: dataio.Dataset
     model: nn.MlpModel
@@ -293,53 +302,99 @@ class _Part:
 
 
 class _Stack:
-    """One round's training state of a cohort of models, stacked: row k of
-    every array belongs to the k-th client's model and optimizer (or, with
-    ``teacher`` true, its FedDistill teacher model and optimizer), which
-    ``unstack`` writes back to. A cohort of one is not copied: its only rows
-    are the model's own state, stepped in place. The loss terms of a
-    student stack are stacked once per term over the rows that carry it
-    (``_Part``), and a run of rows reads them as views; the distillation
-    targets come from ``teachers``, the teacher stack of the clients with
-    teachers, which has finished training."""
+    """The training state of a cohort of models for a task, stacked: row k
+    of every array belongs to the k-th client's model and optimizer (or,
+    with ``teacher`` true, its FedDistill teacher model and optimizer).
+    Building it copies the clients' state into the stack once and rebinds
+    each client's model, optimizer and SI path integral to views of its
+    row, so the steps train the clients' own state and nothing is written
+    back. A cohort of one is not copied: its only rows are the model's own
+    state, stepped in place. ``local_train`` keeps a stack, its row views
+    (``rows``, ``model``) and its loss terms while the cohort trains
+    together in the task, and ``refresh`` brings in what changes from round
+    to round. The loss terms of a student stack are stacked once per term
+    over the rows that carry it (``_Part``), and a run of rows reads them
+    as views; the distillation targets come from ``teachers``, the teacher
+    stack of the clients with teachers, which has finished the round's
+    training."""
 
     def __init__(self, clients: list[ClientState], task_index: int, teacher: bool = False,
                  teachers: "_Stack | None" = None):
         self.clients, self.teachers = clients, teachers
         self.row_of = {id(c): k for k, c in enumerate(clients)}
-        self.failed = False  # whether a member with rows here has failed
-        self._models = [c.teacher_model if teacher else c.model for c in clients]
-        self._optimizers = [c.teacher_optimizer if teacher else c.optimizer for c in clients]
-        self.hidden_activation = self._models[0].hidden_activation
+        self.failed = False  # whether a member with rows here has failed this round
+        self.round = None    # the last round it trained in (``_lockstep`` drops the others)
+        self.sources = None  # ``_sources`` of its batches, on first use
+        models = [c.teacher_model if teacher else c.model for c in clients]
+        optimizers = [c.teacher_optimizer if teacher else c.optimizer for c in clients]
+        self.hidden_activation = models[0].hidden_activation
+        if len(clients) == 1:
+            self.params = models[0].params
+        else:
+            self.params = np.stack([m.params for m in models])
+            self.optimizer = nn.Optimizer.stack(optimizers, self.params)
+            models = [nn.MlpModel(self.hidden_activation, row) for row in self.params]
+            optimizers = [self.optimizer.rows(k) for k in range(len(clients))]
+            for c, model, optimizer in zip(clients, models, optimizers):
+                if teacher:
+                    c.teacher_model, c.teacher_optimizer = model, optimizer
+                else:
+                    c.model, c.optimizer = model, optimizer
+        self._optimizers = optimizers
+        self._models = {(k, k + 1): model for k, model in enumerate(models)}
         self._rows: dict[tuple[int, int], _Rows] = {}
         self._si = self._penalty = None
+        self._anchored: list[tuple[int, Member]] = []  # FedProx: (penalty row, member)
+        self._teacher_rows: list[tuple] = []  # (clients, copy of their teachers' rows)
         if not teacher:
             self._stack_terms(task_index)
-        if len(clients) == 1:
-            self.params = self._models[0].params
-            self._rows[(0, 1)] = self._with_terms(
-                _Rows(self.params, self._models[0], self._optimizers[0]), 0, 1)
-            return
-        self.params = np.stack([m.params for m in self._models])
-        self.optimizer = nn.Optimizer.stack(self._optimizers, self.params)
 
     def _stack_terms(self, task_index: int) -> None:
         si = [k for k, c in enumerate(self.clients) if c.si_acc is not None]
         if si:
             self._si = _Part(si, [self.clients[k].si_acc.omega_running for k in si])
+            for k, omega in zip(si, self._si.values[0]):
+                self.clients[k].si_acc.omega_running = omega
         terms = [_penalty(c, task_index) for c in self.clients]
         penalized = [k for k, term in enumerate(terms) if term is not None]
         if penalized:  # (lambdas, anchors, importances)
             self._penalty = _Part(penalized, *zip(*(terms[k] for k in penalized)))
+            self._anchored = [(q, self.clients[k].member) for q, k in enumerate(penalized)
+                              if self.clients[k].member.config.strategy.kind == "fedprox"]
+
+    def refresh(self, teachers: "_Stack | None") -> None:
+        """Bring in what changes from one round to the next: FedProx's
+        anchor, the round's global parameters, and the rows of the round's
+        teacher stack ``teachers``."""
+        self.failed = False
+        for q, member in self._anchored:
+            self._penalty.values[1][q] = member.global_params
+        self.teachers = teachers
+        for clients, theta in self._teacher_rows:
+            theta[...] = self._teacher_params(clients)
+
+    def _teacher_params(self, clients: list[ClientState]) -> np.ndarray:
+        """A copy of the rows of the clients' teachers."""
+        return np.atleast_2d(self.teachers.params)[[self.teachers.row_of[id(c)]
+                                                     for c in clients]]
+
+    def model(self, lo: int, hi: int) -> nn.MlpModel:
+        """The model of rows lo:hi, a view built once; row k's is the k-th
+        client's own."""
+        model = self._models.get((lo, hi))
+        if model is None:
+            model = self._models[(lo, hi)] = nn.MlpModel(self.hidden_activation,
+                                                         self.params[lo:hi])
+        return model
 
     def rows(self, lo: int, hi: int) -> _Rows:
         rows = self._rows.get((lo, hi))
         if rows is None:
-            sel = lo if hi - lo == 1 else slice(lo, hi)
-            theta = self.params[sel]
-            rows = self._with_terms(_Rows(theta, nn.MlpModel(self.hidden_activation, theta),
-                                          self.optimizer.rows(sel)), lo, hi)
-            self._rows[(lo, hi)] = rows
+            model = self.model(lo, hi)
+            optimizer = (self._optimizers[lo] if hi - lo == 1
+                         else self.optimizer.rows(slice(lo, hi)))
+            rows = self._rows[(lo, hi)] = self._with_terms(
+                _Rows(model.params, model, optimizer), lo, hi)
         return rows
 
     def _with_terms(self, rows: _Rows, lo: int, hi: int) -> _Rows:
@@ -355,28 +410,14 @@ class _Stack:
             idx = [i for i, c in enumerate(self.clients[lo:hi]) if c.teacher_model is not None]
             if idx:
                 clients = [self.clients[lo + i] for i in idx]
-                theta = np.atleast_2d(self.teachers.params)[
-                    [self.teachers.row_of[id(c)] for c in clients]]
+                theta = self._teacher_params(clients)
+                self._teacher_rows.append((clients, theta))
                 rows.distill = (
                     slice(None) if len(idx) == hi - lo else np.array(idx),
                     nn.MlpModel(self.hidden_activation, theta),
                     np.array([c.member.config.strategy.distill_weight
                               for c in clients])[:, None, None])
         return rows
-
-    def unstack(self) -> None:
-        """Write the trained state back to the clients, and let go of the
-        row views (a FedDistill teacher stack outlives its training, and its
-        rows' gradient buffers need not)."""
-        self._rows.clear()
-        if self._si is not None:  # in place: the accumulators keep their own arrays
-            for k, omega in zip(self._si.rows, self._si.values[0]):
-                self.clients[k].si_acc.omega_running[...] = omega
-        if len(self._models) == 1:
-            return
-        for model, row in zip(self._models, self.params):
-            model.params[...] = row
-        self.optimizer.unstack(self._optimizers)
 
 
 def _penalty(client: ClientState, task_index: int) -> tuple | None:
@@ -611,8 +652,9 @@ def _train_epochs(stack: _Stack, purpose: int, replay: bool, task_index: int, ro
     one ``take`` per array. Once a member fails, its rows sit out the
     remaining steps."""
     clients = stack.clients
-    features, labels, offsets = _sources(clients, [replay and _replays(c, task_index)
-                                                   for c in clients])
+    if stack.sources is None:  # a task's shards and replay buffers stay as they are
+        stack.sources = _sources(clients, [replay and _replays(c, task_index) for c in clients])
+    features, labels, offsets = stack.sources
     for epoch in range(clients[0].member.config.local_epochs):
         plans = [_epoch_batches(c, purpose, task_index, round_index, epoch, replay)
                  for c in clients]
@@ -633,8 +675,18 @@ def local_train(clients: list[ClientState], task_index: int,
     member's global parameters (FedBN: all but the BatchNorm slots), trains
     its local epochs with its own loss terms, and gives an update. Returns
     (updates, post-training shard losses) in the order of ``clients``; the
-    losses of clients with shards of equal size come from one stacked eval
-    pass per at most ``LOSS_PASS_ROWS`` rows (``_shard_losses``).
+    losses come from one stacked eval pass per run of adjacent rows with
+    shards of equal size, at most ``LOSS_PASS_ROWS`` rows a pass
+    (``_shard_losses``).
+
+    The stacks (the teachers' and the students') are kept in the members'
+    ``Member.stacks``, keyed by (teacher or not, task, the ids of their
+    clients in order), so a cohort that trains together again in the task
+    finds its stack, and its clients' state still row views of it: only
+    what changes between rounds is refreshed (``_Stack.refresh``). A cohort
+    whose members changed, e.g. when a member failed, is stacked afresh
+    from its clients' current state. Without ``stacks`` the stacks last
+    this call.
 
     A failure stops the member of the failing client, not the cohort: the
     error, naming client, round and step, becomes its ``Member.error``, and
@@ -646,14 +698,16 @@ def local_train(clients: list[ClientState], task_index: int,
     live = _cohort_order([c for c in clients if c.member.error is None], task_index)
     if len({c.member.config.local_epochs for c in live}) > 1:
         raise ValueError("the clients of a cohort must train the same number of local epochs")
+    stacks = live[0].member.stacks if live else None
+    if stacks is None:
+        stacks = {}
 
     # FedDistill: the personalised teachers train on the raw shards first
-    teachers = None
+    teachers = student = None
     distilling = [c for c in live if c.teacher_model is not None]
     if distilling:
-        teachers = _Stack(distilling, task_index, teacher=True)
+        teachers = _cohort_stack(stacks, distilling, task_index, round_index, teacher=True)
         _train_epochs(teachers, 20, False, task_index, round_index, "teacher ")
-        teachers.unstack()
         live = [c for c in live if c.member.error is None]
 
     if live:
@@ -662,44 +716,73 @@ def local_train(clients: list[ClientState], task_index: int,
                 c.model.params[~_BN_MASK] = c.member.global_params[~_BN_MASK]
             else:
                 c.model.params[...] = c.member.global_params
-        student = _Stack(live, task_index, teachers=teachers)
+        student = _cohort_stack(stacks, live, task_index, round_index, teachers=teachers)
         _train_epochs(student, 21, True, task_index, round_index, "")
-        student.unstack()
 
-    live = [c for c in clients if c.member.error is None]
-    losses = _shard_losses(live)
+    losses = {} if student is None else _shard_losses(student)
     updates = {id(c): fed.ClientUpdate(c.client_id, nn.extract_params(c.model), len(c.shard))
-               for c in live}
+               for c in clients if c.member.error is None}
     return [updates.get(id(c)) for c in clients], [losses.get(id(c)) for c in clients]
 
 
-def _shard_losses(clients: list[ClientState]) -> dict[int, float]:
-    """id(client) -> the loss of its model's eval predictions on its shard.
-    Clients with shards of equal row count go through one stacked eval
-    forward and one ``nn.mse_loss`` call per pass of at most
-    ``LOSS_PASS_ROWS`` rows (a larger shard passes alone); model k of a
-    stack computes the bits it would compute alone, so each loss is the
-    client's own."""
-    def shape(c: ClientState) -> tuple:
-        return c.model.hidden_activation, len(c.shard)
+def _cohort_stack(stacks: dict, clients: list[ClientState], task_index: int, round_index: int,
+                  teacher: bool = False, teachers: _Stack | None = None) -> _Stack:
+    """The clients' stack kept in ``stacks`` from an earlier round of the
+    task, refreshed, or a new one, kept for the rounds after."""
+    key = (teacher, task_index, *map(id, clients))
+    stack = stacks.get(key)
+    if stack is None:
+        stack = stacks[key] = _Stack(clients, task_index, teacher, teachers)
+    else:
+        stack.refresh(teachers)
+    stack.round = round_index
+    return stack
 
-    losses = {}
-    for (activation, n), same in itertools.groupby(sorted(clients, key=shape), key=shape):
-        same = list(same)
+
+def _shard_losses(stack: _Stack) -> dict[int, float]:
+    """id(client) -> the loss of its model's eval predictions on its shard,
+    for each client of the stack whose member has not failed. Each run of
+    adjacent such rows with shards of equal row count goes through one eval
+    forward of the stack's model of those rows and one ``nn.mse_loss`` call
+    per pass of at most ``LOSS_PASS_ROWS`` rows (a larger shard passes
+    alone); model k of a stack computes the bits it would compute alone, so
+    each loss is the client's own."""
+    clients, losses = stack.clients, {}
+
+    def shape(k: int) -> tuple:
+        return clients[k].member.error is None, len(clients[k].shard)
+
+    for (live, n), run in itertools.groupby(range(len(clients)), key=shape):
+        if not live:
+            continue
+        run = list(run)
         per_pass = max(1, LOSS_PASS_ROWS // n)
-        for i in range(0, len(same), per_pass):
-            part = same[i:i + per_pass]
-            if len(part) == 1:
-                model, shard = part[0].model, part[0].shard
-                features, labels = shard.features, shard.labels
-            else:
-                model = nn.MlpModel(activation, np.stack([c.model.params for c in part]))
-                features = np.concatenate([c.shard.features for c in part])
-                labels = np.concatenate([c.shard.labels for c in part])
-            pred = model.forward(features, mode="eval").reshape(len(part), n, nn.OUT_DIM)
+        for lo in range(run[0], run[-1] + 1, per_pass):
+            hi = min(lo + per_pass, run[-1] + 1)
+            part = clients[lo:hi]
+            features, labels = _pass_rows([c.shard for c in part])
+            pred = stack.model(lo, hi).forward(features, mode="eval")
+            pred = pred.reshape(hi - lo, n, nn.OUT_DIM)
             scalar, _ = nn.mse_loss(pred, labels.reshape(pred.shape))
             losses.update(zip(map(id, part), scalar.tolist()))
     return losses
+
+
+def _pass_rows(shards: list[dataio.Dataset]) -> tuple[np.ndarray, np.ndarray]:
+    """(features, labels) of the equal-size shards' rows, shard after
+    shard: a view of their table when they are consecutive row slices of
+    one (``_shared_table``), else a copy."""
+    if len(shards) == 1:
+        return shards[0].features, shards[0].labels
+    n, rows = len(shards[0]), len(shards) * len(shards[0])
+    table = _shared_table(shards)
+    if table is not None:
+        features, labels, offsets = table
+        start = offsets[0][0]
+        if [row for row, in offsets] == list(range(start, start + rows, n)):
+            return features[start:start + rows], labels[start:start + rows]
+    return (np.concatenate([s.features for s in shards]),
+            np.concatenate([s.labels for s in shards]))
 
 
 def _consolidate(client: ClientState, task_index: int) -> None:
@@ -958,15 +1041,20 @@ def _lockstep(configs: list[ExperimentConfig], chunk: list[int], shares: dict[in
     leads = list(dict.fromkeys(shares[i] for i in chunk if i in shares and not shares[i].trained))
     going = list(runs.values()) + [s.lead for s in leads]
     plans: dict = {}
+    stacks: dict = {}
     positions = [(t, r, task) for t, task in enumerate(tasks) for r in range(task.n_rounds)]
     for p in range(0 if going else fork_at, len(positions)):
         task_index, r, task = positions[p]
+        if r == 0:  # a task changes the shards and resets every optimizer
+            stacks.clear()
         for run in going:
-            run.member.plans = plans
+            run.member.plans, run.member.stacks = plans, stacks
             if r == 0:
                 run.start_task(task_index, task)
         trained, train_s = _train_round(going, task_index, p)
         plans.clear()  # no later round draws these again
+        for key in [key for key, stack in stacks.items() if stack.round != p]:
+            del stacks[key]  # its cohort has changed
         consolidate = r == task.n_rounds - 1 and task_index + 1 < len(tasks)
         if p == fork_at:  # each lead keeps its training of the round, done in the chunk's time
             for share in leads:
@@ -982,6 +1070,7 @@ def _lockstep(configs: list[ExperimentConfig], chunk: list[int], shares: dict[in
                 if i in shares:
                     runs[i] = shares[i].fork(configs[i], task_index, p, consolidate, task)
             going = list(runs.values())
+    stacks.clear()  # a lead that outlives the chunk holds the dict
     return [runs[i].member.error or RunResult(runs[i].logs, runs[i].member.global_params)
             for i in chunk]
 

@@ -579,3 +579,82 @@ def test_one_shape_trains_at_a_time(tmp_path, monkeypatch):
     _, failures = store.run_suite(suite, dataset, str(tmp_path / "out"))
     assert not failures
     assert len(list(itertools.groupby(trained))) == 4
+
+
+def test_a_cohort_is_stacked_once_per_task(monkeypatch):
+    # each cohort builds its stack, and the row models of its clients and
+    # runs, in the first round it trains together; later rounds find it, so
+    # a run of 6 rounds builds no model in local_train that one of 2 does
+    # not, and every client's parameters are a row of its cohort's stack.
+    # The fedavg member forks from its lead after round 0, so its cohorts
+    # are stacked in rounds 0 and 1.
+    dataset, _ = dataio.synthetic_generate(400, seed=3, noise_std=0.1)
+    train, test = dataio.train_test_split(dataset, 0.75, 42)
+    built, inside = [0], [False]
+    init, local_train = orch.nn.MlpModel.__init__, orch.local_train
+    trained: dict[int, set] = {}  # round -> ids of the clients trained in it
+
+    def counting_init(self, *args, **kwargs):
+        built[0] += inside[0]
+        init(self, *args, **kwargs)
+
+    def checking_train(clients, task_index, round_index):
+        # a stack whose cohort did not train in the last round is let go
+        trained.setdefault(round_index, set()).update(map(id, clients))
+        recent = trained.get(round_index - 1, set()) | trained[round_index]
+        assert all(id(c) in recent for stack in clients[0].member.stacks.values()
+                   for c in stack.clients)
+        inside[0] = True
+        try:
+            result = local_train(clients, task_index, round_index)
+        finally:
+            inside[0] = False
+        for c in clients:
+            if c.member.error is None:  # its model is a row of its cohort's student stack
+                (stack,) = [s for (teacher, *_), s in c.member.stacks.items()
+                            if not teacher and id(c) in s.row_of]
+                assert np.shares_memory(c.model.params, stack.params)
+        return result
+
+    monkeypatch.setattr(orch.nn.MlpModel, "__init__", counting_init)
+    monkeypatch.setattr(orch, "local_train", checking_train)
+    counts = []
+    for n_rounds in (2, 6):
+        configs = [orch.ExperimentConfig(n_clients=10, n_rounds=n_rounds, seed=42,
+                                         strategy=fed.StrategyConfig(kind))
+                   for kind in ("fedavg", "fedprox", "feddistill")]
+        built[0], trained = 0, {}
+        outcomes = orch.run_group(configs, train, test, continual=False)
+        for outcome in outcomes:
+            if isinstance(outcome, Exception):  # e.g. a failed check above
+                raise outcome
+        counts.append(built[0])
+    assert counts[0] == counts[1] > 0
+    # the kept stacks took each round's FedProx anchor and teachers
+    for config, outcome in zip(configs, outcomes):
+        assert digest(outcome) == digest(orch.run_fl(config, train, test)), config.strategy.kind
+
+
+def test_survivors_are_restacked_after_a_member_fails_in_task_2(tmp_path, monkeypatch):
+    # with SGD, EWC at lambda 1e300 overflows in task 2, in the stack it
+    # shares with SI, MAS and NR; the later rounds of the task hold only the
+    # survivors, stacked afresh from their row views of the first round's
+    # stack, and each survivor computes the bits it computes alone
+    base = suite_of(tmp_path, MIXED.format(sweep="cl_methods = ewc, si, mas, nr")
+                    .replace("rounds = 2", "rounds = 3"), "restack.ini")
+    ewc = base.experiments[0]
+    diverging = ExperimentSpec(dict(ewc.values, penalty_lambda=1e300))
+    suite = BenchmarkSuite([diverging] + base.experiments[1:], base.suite)
+    dataset, _ = dataio.synthetic_generate(300, seed=4, noise_std=0.1)
+    with np.errstate(all="ignore"):
+        with pytest.raises(orch.ExperimentError) as alone:
+            store.execute_experiment(diverging, dataset)
+        grouped, failures, cohorts = run_grouped(suite, dataset, str(tmp_path / "out"),
+                                                 monkeypatch)
+    assert failures == [(diverging.run_id(), str(alone.value))]
+    # task 2 is rounds 3 to 5; EWC fails inside round 3, after its first step
+    assert "failed in round 3: epoch 0 batch 1: NaN or inf" in str(alone.value)
+    assert [(c.round_index, len(c.members), c.clients) for c in cohorts
+            if c.task_index == 1] == [(3, 4, 8), (4, 3, 6), (5, 3, 6)]
+    for spec in base.experiments[1:]:
+        assert digest(grouped[spec.run_id()]) == digest(store.execute_experiment(spec, dataset))

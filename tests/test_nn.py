@@ -417,11 +417,12 @@ class TestStackedModels:
             for k in rows:
                 params[k] = singles[k].step(params[k], g[k])
             assert np.array_equal(theta, np.stack(params))
-        back = [nn.Optimizer("adam", 1e-3) for _ in starts]
-        stacked.unstack(back)
-        for opt, ref in zip(back, singles):
-            assert opt.step_count == ref.step_count
-            assert np.array_equal(opt.m, ref.m) and np.array_equal(opt.v, ref.v)
+        # row k's view holds optimizer k's state, in the stack's own arrays
+        for k, ref in enumerate(singles):
+            view = stacked.rows(k)
+            assert view.step_count == ref.step_count
+            assert np.array_equal(view.m, ref.m) and np.array_equal(view.v, ref.v)
+            assert np.shares_memory(view.m, stacked.m) and np.shares_memory(view.v, stacked.v)
 
 
 # ---------------------------------------------------------------------------
