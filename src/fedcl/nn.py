@@ -513,7 +513,7 @@ def _two_layer_view(arr: np.ndarray, first: str, count: int) -> np.ndarray:
 # Loss and gradients
 # ---------------------------------------------------------------------------
 
-def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple:
+def mse_loss(pred: np.ndarray, target: np.ndarray, counts: np.ndarray | None = None) -> tuple:
     """Mean squared error averaged over the batch then over the 8 actions.
 
     Returns (scalar, per_action) where per_action[a] is the batch-mean
@@ -522,13 +522,32 @@ def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple:
     (C, 8) and scalar a (C,) array, and row k is what model k's own (B, 8)
     rows give. Each mean is ``np.add.reduce`` and a divide by the float
     count: the ufunc sequence of ``ndarray.mean``, without its wrapper.
+
+    ``counts``, one row count per model of (C, B, 8) rows, says that only
+    model k's first counts[k] rows are its own and the rest padding: their
+    squared errors are set to exactly 0.0 before the batch sum, and each
+    model's sum is divided by its own count. The batch sum adds rows in
+    order, and adding 0.0 to a sum of squares leaves it as it is, so row k
+    is still what model k's own counts[k] rows give.
     """
     pred = np.asarray(pred, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
     if pred.shape != target.shape:
         raise ValueError(f"shape mismatch: pred {pred.shape} vs target {target.shape}")
-    per_action = np.add.reduce((pred - target) ** 2, axis=-2)
-    per_action /= float(pred.shape[-2])
+    squared = (pred - target) ** 2
+    n = float(pred.shape[-2])
+    if counts is not None:
+        if pred.ndim != 3 or np.shape(counts) != pred.shape[:1]:
+            raise ValueError(f"counts must hold one row count per model, shape {pred.shape[:1]}")
+        counts = np.asarray(counts).tolist()  # a few models: plain ints are cheaper
+        if not all(1 <= c <= n for c in counts):
+            raise ValueError(f"row counts must be in 1..{pred.shape[-2]}, got {counts}")
+        for k, c in enumerate(counts):
+            if c < n:
+                squared[k, c:] = 0.0
+        n = np.array(counts, dtype=np.float64)[:, None]
+    per_action = np.add.reduce(squared, axis=-2)
+    per_action /= n
     scalar = np.add.reduce(per_action, axis=-1) / float(pred.shape[-1])
     return (float(scalar) if pred.ndim == 2 else scalar), per_action
 

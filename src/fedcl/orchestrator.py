@@ -26,7 +26,8 @@ the cohort trains together. It takes each step of every client whose
 batch has the same row count with one ``nn.backward`` and one
 ``Optimizer.step`` on views of their rows, so nothing is written back;
 each client's loss on its shard after the round comes from a stacked eval
-pass over adjacent rows with shards of its size. What a client's loss
+pass over adjacent rows of any shard sizes, each shard padded to the
+pass's largest and the padding left out of its loss. What a client's loss
 adds to the data loss (at most one quadratic penalty, a FedDistill
 teacher, NR replay) comes from its ``Member`` and its own state, so one
 cohort may mix the clients of several experiments. The quadratic penalty
@@ -158,12 +159,14 @@ class RunResult:
 # on every shape of both grids, and every size gave the same bits.
 COHORT_CAP = 10
 
-# The most shard rows one stacked eval forward of ``_shard_losses`` takes.
-# Set by measurement (``perfbench/run.py --workload fl_grid --seconds 8``,
-# 2-core Xeon): a 2-client cell stacks up to ten 750-row shards, and with no
-# cap the peak resident memory rose 7% over the per-client loss (40.4 to
-# 43.3 MB); with caps of 4,096, 2,048 and 1,024 rows it rose 2.5%, 0.6% and
-# not measurably, with wall times within the noise of one run each.
+# The most padded shard rows (rows of the pass times its largest shard) one
+# stacked eval forward of ``_shard_losses`` takes; a larger shard passes
+# alone. Set by measurement (``perfbench/run.py --workload fl_grid --seconds
+# 8``, 2-core Xeon), when a pass took equal-size shards only: a 2-client cell
+# stacks up to ten 750-row shards, and with no cap the peak resident memory
+# rose 7% over the per-client loss (40.4 to 43.3 MB); with caps of 4,096,
+# 2,048 and 1,024 rows it rose 2.5%, 0.6% and not measurably, with wall
+# times within the noise of one run each.
 LOSS_PASS_ROWS = 1024
 
 
@@ -252,12 +255,15 @@ _BN_MASK = nn.bn_mask()
 _UNIT_IMPORTANCE = cl.PENALIZED_MASK.astype(np.float64)
 
 
-def evaluate(params: np.ndarray, test_set: dataio.Dataset,
-             hidden_activation: str = "identity") -> MetricsReport:
-    """Single eval-mode pass of the aggregated model over the test set."""
+def evaluate(params: np.ndarray, test_set: dataio.Dataset, hidden_activation: str = "identity",
+             model: nn.MlpModel | None = None) -> MetricsReport:
+    """Single eval-mode pass of the aggregated model over the test set.
+    ``model``, a single model of ``hidden_activation`` (a run's own), takes
+    the parameters in place of a fresh model."""
     if len(test_set) == 0:
         raise ValueError("empty test set")
-    model = nn.MlpModel(hidden_activation)
+    if model is None:
+        model = nn.MlpModel(hidden_activation)
     nn.inject_params(model, params)
     pred = model.forward(test_set.features, mode="eval")
     return compute_report(pred, test_set.labels)
@@ -316,7 +322,9 @@ class _Stack:
     over the rows that carry it (``_Part``), and a run of rows reads them
     as views; the distillation targets come from ``teachers``, the teacher
     stack of the clients with teachers, which has finished the round's
-    training."""
+    training. The plan of its post-round loss passes (``_loss_passes``: the
+    rows of each pass, their source rows and shard sizes) is built once too,
+    and again only in a round in which a member with rows here failed."""
 
     def __init__(self, clients: list[ClientState], task_index: int, teacher: bool = False,
                  teachers: "_Stack | None" = None):
@@ -325,6 +333,7 @@ class _Stack:
         self.failed = False  # whether a member with rows here has failed this round
         self.round = None    # the last round it trained in (``_lockstep`` drops the others)
         self.sources = None  # ``_sources`` of its batches, on first use
+        self.passes = None   # ``_loss_passes``, on first use
         models = [c.teacher_model if teacher else c.model for c in clients]
         optimizers = [c.teacher_optimizer if teacher else c.optimizer for c in clients]
         self.hidden_activation = models[0].hidden_activation
@@ -675,9 +684,9 @@ def local_train(clients: list[ClientState], task_index: int,
     member's global parameters (FedBN: all but the BatchNorm slots), trains
     its local epochs with its own loss terms, and gives an update. Returns
     (updates, post-training shard losses) in the order of ``clients``; the
-    losses come from one stacked eval pass per run of adjacent rows with
-    shards of equal size, at most ``LOSS_PASS_ROWS`` rows a pass
-    (``_shard_losses``).
+    losses come from stacked eval passes over adjacent rows of any shard
+    sizes, each shard padded to the pass's largest, at most
+    ``LOSS_PASS_ROWS`` padded rows a pass (``_shard_losses``).
 
     The stacks (the teachers' and the students') are kept in the members'
     ``Member.stacks``, keyed by (teacher or not, task, the ids of their
@@ -741,48 +750,57 @@ def _cohort_stack(stacks: dict, clients: list[ClientState], task_index: int, rou
 
 def _shard_losses(stack: _Stack) -> dict[int, float]:
     """id(client) -> the loss of its model's eval predictions on its shard,
-    for each client of the stack whose member has not failed. Each run of
-    adjacent such rows with shards of equal row count goes through one eval
-    forward of the stack's model of those rows and one ``nn.mse_loss`` call
-    per pass of at most ``LOSS_PASS_ROWS`` rows (a larger shard passes
-    alone); model k of a stack computes the bits it would compute alone, so
-    each loss is the client's own."""
+    for each client of the stack whose member has not failed. Each pass of
+    ``_loss_passes`` gathers its rows' shards, each padded to the pass's
+    largest, with one ``take`` per array, and goes through one eval forward
+    of the stack's model of those rows and one ``nn.mse_loss`` call, which
+    leaves the padded rows out of each model's sum. Model k of a stack
+    computes the bits it would compute alone, so each loss is the client's
+    own."""
+    if stack.passes is None or stack.failed:
+        stack.passes = _loss_passes(stack)
+    features, labels, _ = stack.sources
     clients, losses = stack.clients, {}
-
-    def shape(k: int) -> tuple:
-        return clients[k].member.error is None, len(clients[k].shard)
-
-    for (live, n), run in itertools.groupby(range(len(clients)), key=shape):
-        if not live:
-            continue
-        run = list(run)
-        per_pass = max(1, LOSS_PASS_ROWS // n)
-        for lo in range(run[0], run[-1] + 1, per_pass):
-            hi = min(lo + per_pass, run[-1] + 1)
-            part = clients[lo:hi]
-            features, labels = _pass_rows([c.shard for c in part])
-            pred = stack.model(lo, hi).forward(features, mode="eval")
-            pred = pred.reshape(hi - lo, n, nn.OUT_DIM)
-            scalar, _ = nn.mse_loss(pred, labels.reshape(pred.shape))
-            losses.update(zip(map(id, part), scalar.tolist()))
+    for lo, hi, rows, counts in stack.passes:
+        if isinstance(rows, slice):
+            x, y = features[rows], labels[rows]
+        else:
+            x, y = features.take(rows, axis=0), labels.take(rows, axis=0)
+        pred = stack.model(lo, hi).forward(x, mode="eval").reshape(hi - lo, -1, nn.OUT_DIM)
+        scalar, _ = nn.mse_loss(pred, y.reshape(pred.shape), counts)
+        losses.update(zip(map(id, clients[lo:hi]), scalar.tolist()))
     return losses
 
 
-def _pass_rows(shards: list[dataio.Dataset]) -> tuple[np.ndarray, np.ndarray]:
-    """(features, labels) of the equal-size shards' rows, shard after
-    shard: a view of their table when they are consecutive row slices of
-    one (``_shared_table``), else a copy."""
-    if len(shards) == 1:
-        return shards[0].features, shards[0].labels
-    n, rows = len(shards[0]), len(shards) * len(shards[0])
-    table = _shared_table(shards)
-    if table is not None:
-        features, labels, offsets = table
-        start = offsets[0][0]
-        if [row for row, in offsets] == list(range(start, start + rows, n)):
-            return features[start:start + rows], labels[start:start + rows]
-    return (np.concatenate([s.features for s in shards]),
-            np.concatenate([s.labels for s in shards]))
+def _loss_passes(stack: _Stack) -> list[tuple]:
+    """The eval passes of ``_shard_losses`` over the rows of live members,
+    as (lo, hi, source rows, shard sizes). Each run of such rows is cut into
+    passes of adjacent rows whose padded size (rows times the largest shard
+    of the pass) is at most ``LOSS_PASS_ROWS``; a larger shard passes alone.
+    The source rows index ``stack.sources``: each row's shard, padded with
+    repeats of its last row, or a slice when the shards are consecutive
+    equal-size rows of one table."""
+    clients, offsets = stack.clients, stack.sources[2]
+    sizes = [len(c.shard) for c in clients]
+    passes = []
+    for a, b in _live_runs(clients, 0, len(clients)):
+        lo = a
+        while lo < b:
+            hi, n = lo + 1, sizes[lo]
+            while hi < b and (hi + 1 - lo) * max(n, sizes[hi]) <= LOSS_PASS_ROWS:
+                n = max(n, sizes[hi])
+                hi += 1
+            counts = np.array(sizes[lo:hi])
+            starts = [offsets[k][0] for k in range(lo, hi)]
+            first, end = starts[0], starts[0] + n * (hi - lo)
+            if (counts == n).all() and starts == list(range(first, end, n)):
+                rows = slice(first, end)
+            else:
+                rows = (np.minimum(np.arange(n), counts[:, None] - 1)
+                        + np.array(starts)[:, None]).ravel()
+            passes.append((lo, hi, rows, counts))
+            lo = hi
+    return passes
 
 
 def _consolidate(client: ClientState, task_index: int) -> None:
@@ -897,13 +915,14 @@ def _fcl_tasks(config: ExperimentConfig, train: dataio.Dataset,
 
 class _Run:
     """One experiment between rounds: its member, clients, FedOpt server
-    optimizer and round logs. ``_lockstep`` trains the clients of the runs
-    of a chunk together and then lets each finish the round on its own."""
+    optimizer, round logs and the model it evaluates each round's global
+    parameters with. ``_lockstep`` trains the clients of the runs of a chunk
+    together and then lets each finish the round on its own."""
 
     def __init__(self, config: ExperimentConfig, shards: list[dataio.Dataset]):
-        template = nn.MlpModel(config.hidden_activation)
-        template.init_params(np.random.default_rng([config.seed, 100]))
-        self.member = Member(config, nn.extract_params(template))
+        self.model = nn.MlpModel(config.hidden_activation)
+        self.model.init_params(np.random.default_rng([config.seed, 100]))
+        self.member = Member(config, nn.extract_params(self.model))
         self.clients = _build_clients(self.member, shards)
         self.server_opt = (nn.Optimizer(config.strategy.server_optimizer,
                                         config.strategy.server_learning_rate)
@@ -936,7 +955,8 @@ class _Run:
             self.member.global_params = _aggregate(self.member.global_params, list(updates),
                                                    cfg, self.server_opt)
             t3 = time.perf_counter()
-            report = evaluate(self.member.global_params, task.eval_set, cfg.hidden_activation)
+            report = evaluate(self.member.global_params, task.eval_set, cfg.hidden_activation,
+                              self.model)
         except Exception as exc:
             self.member.error = exc
             return

@@ -32,8 +32,14 @@ from dataclasses import dataclass
 
 from . import __version__
 from . import data as dataio
-from .config import BenchmarkSuite, ExperimentSpec
+from .config import EXPERIMENT_SCHEMA, BenchmarkSuite, ExperimentSpec
 from .orchestrator import RunResult, group_key, group_outcomes, own_copy
+
+
+# the columns of rounds.csv that a re-run must reproduce exactly
+_TRAJECTORY_KEYS = ("avg_mse", "avg_rmse", "avg_pcc", "mean_client_train_loss")
+# the metrics of each report in report.json
+_METRIC_KEYS = ("avg_mse", "avg_rmse", "avg_pcc")
 
 
 @dataclass
@@ -80,7 +86,65 @@ def _build_report(result: RunResult) -> dict:
 
 
 class IncompleteRunError(ValueError):
-    """A run directory lacks one of the files every complete run has."""
+    """A run directory lacks one of the files every complete run has, or
+    one of them is cut short or malformed."""
+
+
+def _corrupt(d: str, name: str, problem: str) -> IncompleteRunError:
+    return IncompleteRunError(f"corrupt run directory {d}: {name}: {problem}")
+
+
+def _check_keys(obj, keys, d: str, name: str, where: str) -> dict:
+    """``obj``, checked to be a JSON object with every one of ``keys``;
+    ``where`` is its path in the file, as a prefix of its keys."""
+    if not isinstance(obj, dict):
+        raise _corrupt(d, name, f"{where.rstrip('.') or 'the file'} is not a JSON object")
+    for key in keys:
+        if key not in obj:
+            raise _corrupt(d, name, f"missing key {where}{key}")
+    return obj
+
+
+def _read_json(d: str, name: str, keys: tuple) -> dict:
+    """The run file's JSON object, checked to have ``keys``."""
+    try:
+        with open(os.path.join(d, name), encoding="utf-8") as fh:
+            obj = json.load(fh)
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise _corrupt(d, name, f"not valid JSON: {exc}") from exc
+    return _check_keys(obj, keys, d, name, "")
+
+
+def _read_rounds(d: str, n_rounds: int) -> list[dict]:
+    """The rows of the run's ``rounds.csv``, checked: ``n_rounds`` rows,
+    each ended by its line end, whose ``round`` counts 0, 1, ... and whose
+    trajectory columns hold numbers."""
+    name = "rounds.csv"
+    with open(os.path.join(d, name), newline="", encoding="utf-8", errors="replace") as fh:
+        text = fh.read()
+    if not text.endswith("\n"):
+        raise _corrupt(d, name, "cut short: the last line has no line end")
+    reader = csv.DictReader(text.splitlines(keepends=True))
+    columns = reader.fieldnames or []
+    for key in ("round",) + _TRAJECTORY_KEYS:
+        if key not in columns:
+            raise _corrupt(d, name, f"missing column {key}")
+    rows = list(reader)
+    for i, row in enumerate(rows):
+        if None in row or None in row.values():
+            raise _corrupt(d, name, f"row {i + 1} has {'more' if None in row else 'fewer'} "
+                                    f"fields than the header")
+        if row["round"] != str(i):
+            raise _corrupt(d, name, f"row {i + 1}: round {row['round']!r}, expected {i}")
+        for key in _TRAJECTORY_KEYS:
+            try:
+                float(row[key])
+            except ValueError:
+                problem = f"row {i + 1}: {key} {row[key]!r} is not a number"
+                raise _corrupt(d, name, problem) from None
+    if len(rows) != n_rounds:
+        raise _corrupt(d, name, f"{len(rows)} rounds, the run's config has {n_rounds}")
+    return rows
 
 
 class ResultsStore:
@@ -150,17 +214,36 @@ class ResultsStore:
         return RunRecord(run_id, dict(spec.values), rows, report)
 
     def load_run(self, run_id: str) -> RunRecord:
+        """The stored run, checked: each file parses and has the keys every
+        complete run has, and ``rounds.csv`` holds one whole row per round
+        of the run's config, ``round`` counting 0, 1, ..., each with every
+        trajectory column. A failed check raises ``IncompleteRunError``
+        naming the run directory, the file and the problem."""
         d = self.run_dir(run_id)
         for name in ("config.json", "rounds.csv", "report.json"):
             if not os.path.isfile(os.path.join(d, name)):
                 raise IncompleteRunError(f"incomplete run directory {d}: missing {name}")
-        with open(os.path.join(d, "config.json"), encoding="utf-8") as fh:
-            snapshot = json.load(fh)
-        with open(os.path.join(d, "rounds.csv"), newline="", encoding="utf-8") as fh:
-            rounds = list(csv.DictReader(fh))
-        with open(os.path.join(d, "report.json"), encoding="utf-8") as fh:
-            report = json.load(fh)
-        return RunRecord(snapshot["run_id"], snapshot["config"], rounds, report)
+        snapshot = _read_json(d, "config.json", ("run_id", "config"))
+        values = _check_keys(snapshot["config"], EXPERIMENT_SCHEMA, d, "config.json", "config.")
+        spec = ExperimentSpec(values)
+        try:
+            config = spec.build()
+        except (ValueError, TypeError) as exc:
+            raise _corrupt(d, "config.json", f"invalid config: {exc}") from exc
+        if spec.is_fcl:  # two tasks, circle then arrow
+            tasks = ("0", "1")
+            per_task = (config.n_rounds if config.rounds_per_task is None
+                        else config.rounds_per_task)
+        else:
+            tasks, per_task = ("0",), config.n_rounds
+        rounds = _read_rounds(d, len(tasks) * per_task)
+        report = _read_json(d, "report.json", ("final", "after_task"))
+        _check_keys(report["final"], _METRIC_KEYS, d, "report.json", "final.")
+        _check_keys(report["after_task"], tasks, d, "report.json", "after_task.")
+        for task in tasks:
+            _check_keys(report["after_task"][task], _METRIC_KEYS, d, "report.json",
+                        f"after_task.{task}.")
+        return RunRecord(snapshot["run_id"], values, rounds, report)
 
     def list_runs(self) -> list[RunRecord]:
         """Every run in the store. Each subdirectory is a run, and one that
@@ -291,10 +374,6 @@ def run_suite(suite: BenchmarkSuite, dataset: dataio.Dataset,
     return store, failures
 
 
-# the columns of rounds.csv that a re-run must reproduce exactly
-_TRAJECTORY_KEYS = ("avg_mse", "avg_rmse", "avg_pcc", "mean_client_train_loss")
-
-
 def verify_store(store: ResultsStore, dataset: dataio.Dataset) -> list[tuple[str, str]]:
     """Re-run every stored experiment alone and compare bit-exactly the
     round count, every round's metrics in ``rounds.csv``, the final metrics
@@ -337,7 +416,6 @@ def verify_store(store: ResultsStore, dataset: dataio.Dataset) -> list[tuple[str
 # Comparison tables
 # ---------------------------------------------------------------------------
 
-_METRIC_KEYS = ("avg_mse", "avg_rmse", "avg_pcc")
 _METRIC_TITLES = ("Loss", "RMSE", "PCC")
 
 

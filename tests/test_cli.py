@@ -1,8 +1,14 @@
+import contextlib
 import csv
+import io
 import json
 import os
+import shutil
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedcl import data as dataio
 from fedcl.cli import main
@@ -286,3 +292,69 @@ class TestVerify:
     def test_verify_empty_store_exits_1(self, config_path, tmp_path):
         assert main(["verify", "--config", config_path,
                      "--out", str(tmp_path / "nothing")]) == 1
+
+
+# keys of each run file that every complete run has, as paths into the file
+_REQUIRED = {
+    "config.json": ["run_id", "config", "config.clients", "config.rounds", "config.cl_method"],
+    "report.json": ["final", "after_task", "final.avg_mse", "final.avg_pcc",
+                    "after_task.0", "after_task.0.avg_rmse"],
+    "rounds.csv": ["round", "avg_mse", "avg_rmse", "avg_pcc", "mean_client_train_loss"],
+}
+
+
+def _delete_key(name: str, text: str, key: str) -> str:
+    """The run file's text without ``key``: a JSON key, or a CSV column."""
+    if name == "rounds.csv":
+        rows = list(csv.reader(io.StringIO(text, newline="")))
+        drop = rows[0].index(key)
+        out = io.StringIO(newline="")
+        csv.writer(out).writerows([r[:drop] + r[drop + 1:] for r in rows])
+        return out.getvalue()
+    obj = json.loads(text)
+    *parents, last = key.split(".")
+    inner = obj
+    for part in parents:
+        inner = inner[part]
+    del inner[last]
+    return json.dumps(obj, indent=2)
+
+
+@pytest.fixture(scope="module")
+def stored_runs(tmp_path_factory):
+    """(config path, results directory) of an FL and an FCL run."""
+    root = tmp_path_factory.mktemp("stored")
+    path = root / "bench.ini"
+    path.write_text(CONFIG + "\n[sweep]\ncl_methods = none, nr\n")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["run", "--config", str(path), "--out", str(root / "results")]) == 0
+    return str(path), str(root / "results")
+
+
+class TestCorruptRunDirectory:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_exits_1_naming_the_run_and_file(self, stored_runs, data):
+        config_path, results = stored_runs
+        run = data.draw(st.sampled_from(sorted(os.listdir(results))), label="run")
+        name = data.draw(st.sampled_from(sorted(_REQUIRED)), label="file")
+        with tempfile.TemporaryDirectory() as tmp:
+            out = os.path.join(tmp, "results")
+            shutil.copytree(results, out)
+            path = os.path.join(out, run, name)
+            with open(path, encoding="utf-8", newline="") as fh:
+                text = fh.read()
+            if data.draw(st.booleans(), label="cut"):
+                text = text[:data.draw(st.integers(0, len(text) - 1), label="offset")]
+            else:
+                text = _delete_key(name, text, data.draw(st.sampled_from(_REQUIRED[name]),
+                                                         label="deleted key"))
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+            for command in (["table"], ["verify", "--config", config_path]):
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                    assert main(command + ["--out", out]) == 1
+                message = err.getvalue()
+                assert os.path.join(out, run) in message and name in message, message
+                assert "Traceback" not in message

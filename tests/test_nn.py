@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedcl import nn
 from conftest import finite_difference, random_model, rel_err
@@ -151,6 +153,41 @@ class TestMseLoss:
                 own = nn.mse_loss(pred[k], target[k])
                 assert scalar[k] == own[0]
                 assert np.array_equal(per_action[k], own[1])
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(1, 60), min_size=1, max_size=12), st.integers(0, 2 ** 32 - 1),
+           st.integers(0, 5))
+    def test_counts_give_each_models_own_loss(self, sizes, seed, extra):
+        # C models' rows padded to the longest (plus ``extra`` more rows) with
+        # non-zero garbage: each model's loss is that of its own rows alone
+        rng = np.random.default_rng(seed)
+        n = max(sizes) + extra
+        pred = rng.normal(size=(len(sizes), n, 8)) * rng.uniform(0.0, 10.0)
+        target = rng.uniform(1, 5, size=(len(sizes), n, 8))
+        kept = (pred.copy(), target.copy())
+        scalar, per_action = nn.mse_loss(pred, target, np.array(sizes))
+        assert np.array_equal(pred, kept[0]) and np.array_equal(target, kept[1])
+        for k, rows in enumerate(sizes):
+            own = nn.mse_loss(pred[k, :rows], target[k, :rows])
+            assert scalar[k] == own[0]
+            assert np.array_equal(per_action[k], own[1])
+
+    def test_counts_padding_may_be_non_finite(self, rng):
+        pred, target = rng.normal(size=(2, 5, 8)), rng.normal(size=(2, 5, 8))
+        pred[0, 3:] = np.inf
+        scalar, _ = nn.mse_loss(pred, target, np.array([3, 5]))
+        assert scalar[0] == nn.mse_loss(pred[0, :3], target[0, :3])[0]
+
+    @pytest.mark.parametrize("counts", [[0, 3], [3, 6], [3], [[3, 3]]])
+    def test_counts_out_of_range_rejected(self, rng, counts):
+        with pytest.raises(ValueError, match="count"):
+            nn.mse_loss(rng.normal(size=(2, 5, 8)), rng.normal(size=(2, 5, 8)),
+                        np.array(counts))
+
+    def test_counts_need_a_model_axis(self, rng):
+        with pytest.raises(ValueError, match="count"):
+            nn.mse_loss(rng.normal(size=(5, 8)), rng.normal(size=(5, 8)), np.array(3))
 
 
 class TestBackward:

@@ -346,6 +346,123 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(np.zeros(nn.PARAM_COUNT), ds.subset(np.array([], dtype=int)))
 
+    @pytest.mark.parametrize("continual", [False, True])
+    def test_each_run_keeps_one_evaluation_model(self, monkeypatch, continual):
+        # the models finish_round builds do not grow with the rounds it finishes
+        built, inside = [0], [False]
+        finish, init = orch._Run.finish_round, nn.MlpModel.__init__
+
+        def counted_finish(self, *args):
+            inside[0] = True
+            try:
+                finish(self, *args)
+            finally:
+                inside[0] = False
+
+        def counted_init(self, *args, **kw):
+            built[0] += inside[0]
+            init(self, *args, **kw)
+
+        monkeypatch.setattr(orch._Run, "finish_round", counted_finish)
+        monkeypatch.setattr(nn.MlpModel, "__init__", counted_init)
+        counts = []
+        for rounds in (2, 5):
+            built[0] = 0
+            if continual:
+                run_fcl(config(cl_method="ewc", n_rounds=rounds), *two_task(100))
+            else:
+                run_fl(config(n_rounds=rounds), *synth()[:2])
+            counts.append(built[0])
+        assert counts[0] == counts[1]
+
+
+class TestShardLosses:
+    """The post-round loss pass: each client's loss is its own eval loss on
+    its whole shard, whatever the shard sizes of the rows around it."""
+
+    @staticmethod
+    def own_loss(c):
+        return nn.mse_loss(c.model.forward(c.shard.features, mode="eval"), c.shard.labels)[0]
+
+    @staticmethod
+    def count_eval_forwards(monkeypatch):
+        count, forward = [0], nn.MlpModel.forward
+
+        def counted(self, batch, mode="eval"):
+            count[0] += mode == "eval"
+            return forward(self, batch, mode)
+
+        monkeypatch.setattr(nn.MlpModel, "forward", counted)
+        return count
+
+    def test_task_2_cohort_of_distinct_sizes_takes_one_pass(self, monkeypatch):
+        # an NR and an EWC member of 5 clients each, through task 1 and its
+        # consolidation; in task 2 the 10 shards have 10 distinct sizes and
+        # the NR clients replay
+        ds, _ = dataio.synthetic_two_task(500, seed=5, noise_std=0.1)
+        sizes = ([30, 34, 38, 42, 46] * 2, [23, 41, 57, 66, 80, 29, 35, 50, 61, 74])
+        cuts = np.cumsum([0] + sizes[0] + sizes[1])
+        shards = [ds.subset(np.arange(cuts[k], cuts[k + 1])) for k in range(20)]
+        task1, task2 = shards[:10], orch._one_table(shards[10:])
+        template = nn.MlpModel()
+        template.init_params(np.random.default_rng(3))
+        clients = []
+        for k, method in enumerate(("nr", "ewc")):
+            member = orch.Member(config(n_clients=5, cl_method=method, batch_size=16),
+                                 nn.extract_params(template))
+            clients += orch._build_clients(member, task1[5 * k:5 * k + 5])
+        orch.local_train(clients, 0, 0)
+        for c, shard in zip(clients, task2):
+            orch._consolidate(c, 0)
+            c.shard = shard
+            c.optimizer.reset()
+        assert all(orch._replays(c, 1) == (c.member.config.cl_method == "nr") for c in clients)
+        forwards = self.count_eval_forwards(monkeypatch)
+        _, losses = orch.local_train(clients, 1, 1)
+        padded = len(clients) * max(sizes[1])
+        assert forwards[0] <= -(-padded // orch.LOSS_PASS_ROWS)
+        for c, loss in zip(clients, losses):
+            assert loss == self.own_loss(c)
+
+    def test_member_failing_mid_round(self):
+        # three members whose shards interleave by size; B fails at its
+        # last batch of round 1, and the survivors' losses stay their own in
+        # that round, where B's rows are skipped, and in the next, where the
+        # survivors are stacked afresh
+        ds, _ = dataio.synthetic_generate(300, seed=6, noise_std=0.1)
+        sizes = {"A": [20, 33, 47], "B": [26, 40], "C": [29, 52]}
+        cuts = np.cumsum([0] + sum(sizes.values(), []))
+        shards = orch._one_table([ds.subset(np.arange(cuts[k], cuts[k + 1]))
+                                  for k in range(len(cuts) - 1)])
+        template = nn.MlpModel()
+        template.init_params(np.random.default_rng(4))
+        stacks, members, clients = {}, {}, []
+        for name, strategy in (("A", fed.StrategyConfig()), ("B", fed.StrategyConfig()),
+                               ("C", fed.StrategyConfig("fedprox", mu=0.1))):
+            members[name] = orch.Member(config(n_clients=len(sizes[name]), batch_size=8,
+                                               strategy=strategy),
+                                        nn.extract_params(template), stacks=stacks)
+            part, shards = shards[:len(sizes[name])], shards[len(sizes[name]):]
+            clients += orch._build_clients(members[name], part)
+        failing = next(c for c in clients if c.member is members["B"] and len(c.shard) == 40)
+        cfg = members["B"].config
+        batches = dataio.minibatch_indices(40, 8, derive_seed(cfg.seed, 21, 1, 0, 1), 0)
+        for r in range(3):
+            if r == 1:  # the shards are views of the stack's source table
+                failing.shard.features[batches[-1][0], 5] = np.inf
+            with np.errstate(invalid="ignore", over="ignore"):
+                _, losses = orch.local_train(clients, 0, r)
+            for key in [key for key, stack in stacks.items() if stack.round != r]:
+                del stacks[key]
+            if r >= 1:
+                assert re.match(rf"client 1 failed in round 1: epoch 0 batch {len(batches) - 1}",
+                                str(members["B"].error))
+            for c, loss in zip(clients, losses):
+                if r >= 1 and c.member is members["B"]:
+                    assert loss is None
+                else:
+                    assert loss == self.own_loss(c), (r, c.client_id)
+
 
 class TestRunFcl:
     def test_requires_fedavg(self):
