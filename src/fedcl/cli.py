@@ -20,7 +20,7 @@ import sys
 
 from . import data as dataio
 from .config import ConfigError, parse_config
-from .store import IncompleteRunError, ResultsStore, emit_table, run_suite, verify_store
+from .store import ResultsStore, emit_table, run_suite, verify_store
 
 
 def _resolve_out(args) -> str:
@@ -81,7 +81,7 @@ def _cmd_verify(args) -> int:
     store = ResultsStore(_resolve_out(args))
     try:
         records = store.list_runs()
-    except IncompleteRunError as exc:
+    except ValueError as exc:  # a missing directory or an IncompleteRunError
         print(str(exc), file=sys.stderr)
         return 1
     if not records:

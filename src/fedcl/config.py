@@ -192,10 +192,15 @@ def _read_section(parser: configparser.ConfigParser, section: str, schema: dict)
 
 
 def parse_config(path: str, seed: int | None = None) -> BenchmarkSuite:
-    """Parse and fully validate a benchmark config file. A ``seed`` replaces
-    the config's seed and any seeds sweep before duplicates are dropped."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    read = parser.read(path)
+    """Parse and fully validate a benchmark config file, read as UTF-8 with
+    values taken literally (a ``%`` is a plain character). A ``seed``
+    replaces the config's seed and any seeds sweep before duplicates are
+    dropped."""
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None)
+    try:
+        read = parser.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     if not read:
         raise ConfigError(f"config file not found: {path}")
 

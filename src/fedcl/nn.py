@@ -2,49 +2,51 @@
 MSE loss, hand-derived reverse-mode gradients and SGD/Adam optimizers.
 
 Every model parameter lives in one float64 vector, ``MlpModel.params``, laid
-out by ``LAYOUT``; each layer's arrays are reshaped views into it. The
-aggregation and regularization code works on that vector directly, so every
-write to a layer array happens in place.
+out by ``LAYOUT``. ``model.lin1``, ``bn1``, ``lin2``, ``bn2`` and ``out`` are
+plain namespaces of reshaped views into it, and the layers are functions
+over the arrays their caller passes (``_dense``, ``_batchnorm``,
+``_batchnorm_eval``, ``_batchnorm_backward``), with BatchNorm's epsilon and
+momentum fixed by ``BN_EPSILON`` and ``BN_MOMENTUM``. Every write to a
+layer view happens in place, so the aggregation and regularization code
+works on the vector directly.
 
-An ``MlpModel`` can also hold a stack of C models of the same topology:
-``params`` is then (C, P), every layer array gains a leading C axis (a
-per-feature vector is (C, dim)), and forward, backward and the optimizer
-step all C models with one call each. A stack's hidden activations are
-batch-major, (B, C, 16): a batch reduction over axis 0 then runs as B loops
-over C * 16 contiguous values, where a (C, B, 16) layout would loop over 16
-values per model and row, and a (C, 16) vector broadcasts over the batch.
-Each step reads the hidden layers' per-feature vectors from one contiguous
-copy (``MlpModel._hidden_vectors``). The matmuls run per model on the
-(C, B, .) views (``_flip``), writing through them; the input batch and the
-predictions stay client-major, (C*B, 29) and (C*B, 8). The layer code is
-written once, with the model axis after the batch axis, so a single
-model's (B, 16) is the no-axis case, and model k of a stack computes
-exactly the bits it would compute alone: each batch sum adds the same rows
-in the same order, whatever the layout.
+An ``MlpModel`` can also hold a stack of C models: ``params`` is then
+(C, P), every layer view gains a leading C axis (a per-feature vector is
+(C, dim)), and forward, backward and the optimizer step all C models with
+one call each. A stack's hidden activations are batch-major, (B, C, 16), so
+a batch reduction over axis 0 runs as B loops over C * 16 contiguous values
+and a (C, 16) vector broadcasts over the batch; each step reads the hidden
+layers' per-feature vectors from one contiguous copy
+(``MlpModel._hidden_vectors``). The matmuls run per model on the (C, B, .)
+views (``_flip``); the input batch and the predictions stay client-major,
+(C*B, 29) and (C*B, 8). The layer functions are written once, with the
+model axis after the batch axis, so a single model's (B, 16) is the no-axis
+case, and model k of a stack computes exactly the bits it would compute
+alone: each batch sum adds the same rows in the same order.
 
-A training step is dominated by numpy's per-call overhead, not by
-arithmetic, so the step code makes as few calls as it can while keeping
-each element's ufunc sequence, and so every bit:
+A training step is dominated by numpy's per-call overhead, so the step
+code makes as few calls as it can while keeping each element's ufunc
+sequence, and so every bit: a train step plus Adam makes 27 profiled numpy
+calls for one model and 47 for a stack, an eval forward 6 and 17
+(``tests/test_nn.py`` holds them to that).
 
-- Writes in place. The train-mode BatchNorm forward and backward compute
-  into their own temporaries; both layers' batch statistics go into one
-  array and update the running statistics with one pass over a strided view
-  of both layers' slots (``_two_layer_view``). ``backward`` overwrites the
+- Writes in place. ``_batchnorm`` and ``_batchnorm_backward`` compute into
+  their own temporaries; both layers' batch statistics go into one array
+  and update the running statistics with one pass over a strided view of
+  both layers' slots (``_two_layer_view``). ``backward`` overwrites the
   forward's prediction with the output gradient, writes each weight
   gradient with ``np.matmul(out=...)`` and every hidden bias and BatchNorm
   gradient with one ``np.add.reduce(out=...)`` over ``_backprop``'s terms.
   ``Optimizer.step(out=params)`` steps the parameters in place. Eval-mode
-  ``MlpModel.forward`` computes each layer over the previous one's output
-  and keeps no backward cache.
+  ``MlpModel.forward`` keeps no backward cache.
 - Reuses buffers. Each model keeps the gradient vector ``backward`` writes
   (``MlpModel._gradient``) and the view of its running statistics;
   ``backward`` returns a copy, so a caller never sees the buffer.
-- Aliasing. A model's layer arrays, running-statistic view and a stack's
-  row views alias ``params``; ``Optimizer.rows`` views alias the stacked
-  optimizer's state. ``backward`` writes neither its batch nor its target,
-  and ``BatchNormLayer.forward``/``backward`` write neither their input
-  nor ``dy``; ``BatchNormLayer.transform`` and ``step(out=...)`` write
-  over their argument by design.
+- Aliasing. A model's layer views and a stack's row views alias
+  ``params``; ``Optimizer.rows`` views alias the stacked optimizer's state.
+  ``backward``, ``_batchnorm`` and ``_batchnorm_backward`` write none of
+  their inputs; ``_batchnorm_eval`` and ``step(out=...)`` write over their
+  argument by design.
 
 The architecture is fixed: 29 -> 16 -> 16 -> 8 with a BatchNorm layer after
 each hidden dense layer. Hidden activation is identity by default (a config
@@ -53,6 +55,8 @@ bitwise reproducibility are meaningful.
 """
 
 from __future__ import annotations
+
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -67,43 +71,23 @@ HIDDEN_ACTIVATIONS = ("identity", "relu")
 OPTIMIZERS = ("sgd", "adam")
 
 
-class LinearLayer:
-    """Dense layer y = x @ W.T + b with weight shape (out, in). A stack of C
-    layers has weight (C, out, in) and bias (C, out), and maps the
-    model-major (C, B, in) view of its input to a batch-major (B, C, out)
-    output, each model's rows through its own weight. ``arrays`` binds the
-    layer to existing (weight, bias) arrays instead of fresh zeros."""
-
-    def __init__(self, in_dim: int, out_dim: int, arrays: tuple | None = None):
-        self.in_dim = in_dim
-        self.out_dim = out_dim
-        if arrays is None:
-            arrays = (np.zeros((out_dim, in_dim), dtype=np.float64),
-                      np.zeros(out_dim, dtype=np.float64))
-        self.weight, self.bias = arrays
-
-    def init_uniform(self, rng: np.random.Generator) -> None:
-        # uniform in +-1/sqrt(fan_in)
-        bound = 1.0 / np.sqrt(self.in_dim)
-        self.weight[...] = rng.uniform(-bound, bound, size=(self.out_dim, self.in_dim))
-        self.bias[...] = rng.uniform(-bound, bound, size=self.out_dim)
-
-    def forward(self, x: np.ndarray, bias: np.ndarray | None = None,
-                out: np.ndarray | None = None) -> np.ndarray:
-        """x @ W.T + b, written to ``out`` when it is given (a batch-major
-        array or view), else to a new batch-major array. A stack's ``x`` is
-        model-major, (C, B, in), and its matmul writes through the
-        model-major view of ``out``. ``bias`` stands in for the layer's own
-        (a stack's step passes a contiguous copy)."""
-        weight = self.weight.swapaxes(-1, -2)
-        if out is None and x.ndim == 2:
-            out = x @ weight
-        else:
-            if out is None:
-                out = np.empty((x.shape[1], x.shape[0], self.out_dim))
-            np.matmul(x, weight, out=_flip(out))
-        out += self.bias if bias is None else bias
-        return out
+def _dense(x: np.ndarray, weight: np.ndarray, bias: np.ndarray,
+           out: np.ndarray | None = None) -> np.ndarray:
+    """x @ weight.T + bias for a (out, in) weight, written to ``out`` when
+    it is given (a batch-major array or view), else to a new batch-major
+    array. A stack's weight is (C, out, in) and its bias (C, out); its ``x``
+    is model-major, (C, B, in), and its matmul writes through the
+    model-major view of ``out``, each model's rows through its own
+    weight."""
+    w = weight.swapaxes(-1, -2)
+    if out is None and x.ndim == 2:
+        out = x @ w
+    else:
+        if out is None:
+            out = np.empty((x.shape[1], x.shape[0], weight.shape[-2]))
+        np.matmul(x, w, out=_flip(out))
+    out += bias
+    return out
 
 
 def _flip(a: np.ndarray) -> np.ndarray:
@@ -112,155 +96,100 @@ def _flip(a: np.ndarray) -> np.ndarray:
     return a.swapaxes(0, 1) if a.ndim == 3 else a
 
 
-class BatchNormLayer:
-    """1-d batch normalization over the batch axis, axis 0.
+def _batchnorm(x: np.ndarray, vectors, stats: np.ndarray | None = None) -> tuple:
+    """1-d batch normalization of ``x`` over its batch axis, axis 0, with
+    ``vectors`` (gamma, beta, running mean, running variance) broadcast over
+    the batch; returns (y, cache), where the cache records which
+    normalization was used. ``x`` is not written to.
 
-    Train mode normalizes with batch statistics and updates the running
-    statistics as running <- (1 - momentum) * running + momentum * batch.
-    Eval mode uses the running statistics only. A stack of C layers holds
-    its per-feature vectors as (C, dim) and maps a batch-major (B, C, dim)
-    input, so the vectors broadcast over the batch and every batch
-    statistic is one reduction over axis 0 in runs of C * dim contiguous
-    values. ``arrays`` binds the layer to existing (gamma, beta,
-    running_mean, running_var) arrays instead of a fresh identity
-    transform.
-
-    Each method takes the vectors it reads as ``vectors`` (gamma, beta,
-    running mean, running variance) or, in ``backward``, ``gamma``;
-    ``MlpModel`` passes a stack's contiguous copies. By default they are
-    the layer's own arrays.
-    """
-
-    def __init__(self, dim: int, momentum: float = BN_MOMENTUM, epsilon: float = BN_EPSILON,
-                 arrays: tuple | None = None):
-        if not 0.0 < momentum < 1.0:
-            raise ValueError(f"momentum must be in (0, 1), got {momentum}")
-        if epsilon <= 0.0:
-            raise ValueError(f"epsilon must be positive, got {epsilon}")
-        self.dim = dim
-        self.momentum = momentum
-        self.epsilon = epsilon
-        if arrays is None:
-            arrays = (np.ones(dim, dtype=np.float64), np.zeros(dim, dtype=np.float64),
-                      np.zeros(dim, dtype=np.float64), np.ones(dim, dtype=np.float64))
-        self.gamma, self.beta, self.running_mean, self.running_var = arrays
-
-    def reset(self) -> None:
-        """Identity transform and fresh running statistics, written in place."""
-        self.gamma[...] = 1.0
-        self.beta[...] = 0.0
-        self.running_mean[...] = 0.0
-        self.running_var[...] = 1.0
-
-    def vectors(self) -> tuple:
-        """The layer's own (gamma, beta, running_mean, running_var)."""
-        return self.gamma, self.beta, self.running_mean, self.running_var
-
-    def forward(self, x: np.ndarray, train: bool, stats: np.ndarray | None = None,
-                vectors: tuple | np.ndarray | None = None):
-        """Returns (y, cache); cache records which normalization was used.
-        ``x`` is not written to.
-
-        In train mode the batch mean and variance are written to
-        ``stats[0]`` and ``stats[1]``. When ``stats`` is given, the caller
-        updates the running statistics from it (``MlpModel`` does both of
-        its layers at once); else the layer updates its own."""
-        gamma, beta, running_mean, running_var = self.vectors() if vectors is None else vectors
-        if not train:
-            std = np.sqrt(running_var + self.epsilon)
-            xhat = x - running_mean
-            xhat /= std
-            y = gamma * xhat
-            y += beta
-            return y, ("eval", xhat, std)
-        n = float(x.shape[0])  # a float divisor skips the int conversion, same bits
-        if n < 2:
-            raise ValueError("batch normalization in train mode needs a batch of at least 2")
-        # the ufunc sequence of x.mean(axis=0) and x.var(axis=0), without
-        # their wrapper overhead; the results are bit-identical
-        own = stats is None
-        if own:
-            stats = np.empty((2,) + self.running_mean.shape)
-        mean, var = stats[0], stats[1]
-        np.add.reduce(x, axis=0, out=mean)
-        mean /= n
-        xhat = x - mean
-        y = xhat * xhat  # scratch for the variance, then the output
-        np.add.reduce(y, axis=0, out=var)
-        var /= n
-        std = var + self.epsilon
-        np.sqrt(std, out=std)
+    With ``stats`` (train mode) it normalizes with the batch statistics and
+    writes their mean and variance to ``stats[0]`` and ``stats[1]``; the
+    caller updates the running statistics from them. Without, it
+    normalizes with the running statistics (eval mode)."""
+    gamma, beta, running_mean, running_var = vectors
+    if stats is None:
+        std = np.sqrt(running_var + BN_EPSILON)
+        xhat = x - running_mean
         xhat /= std
-        if own:
-            _update_running(self.running_mean, mean, self.momentum)
-            _update_running(self.running_var, var, self.momentum)
-        np.multiply(gamma, xhat, out=y)
+        y = gamma * xhat
         y += beta
-        return y, ("train", xhat, std)
+        return y, ("eval", xhat, std)
+    n = float(x.shape[0])  # a float divisor skips the int conversion, same bits
+    if n < 2:
+        raise ValueError("batch normalization in train mode needs a batch of at least 2")
+    # the ufunc sequence of x.mean(axis=0) and x.var(axis=0), without
+    # their wrapper overhead; the results are bit-identical
+    mean, var = stats[0], stats[1]
+    np.add.reduce(x, axis=0, out=mean)
+    mean /= n
+    xhat = x - mean
+    y = xhat * xhat  # scratch for the variance, then the output
+    np.add.reduce(y, axis=0, out=var)
+    var /= n
+    std = var + BN_EPSILON
+    np.sqrt(std, out=std)
+    xhat /= std
+    np.multiply(gamma, xhat, out=y)
+    y += beta
+    return y, ("train", xhat, std)
 
-    def transform(self, x: np.ndarray, vectors: tuple | np.ndarray | None = None) -> np.ndarray:
-        """The eval-mode output for ``x``, written over ``x``; keeps nothing
-        for a backward pass. The same ufuncs, in the same order, as
-        ``forward`` in eval mode."""
-        gamma, beta, running_mean, running_var = self.vectors() if vectors is None else vectors
-        x -= running_mean
-        x /= np.sqrt(running_var + self.epsilon)
-        x *= gamma
-        x += beta
-        return x
 
-    def backward(self, dy: np.ndarray, cache, out: np.ndarray | None = None,
-                 gamma: np.ndarray | None = None) -> np.ndarray:
-        """The input gradient dx, written to ``out`` when it is given;
-        ``dy`` is not written to. (The parameter gradients are batch sums of
-        dy * xhat for gamma and of dy for beta; module-level ``backward``
-        forms them.) In eval mode the running statistics are constants, so
-        dx is a plain elementwise rescale, row by row."""
-        kind, xhat, std = cache
-        if gamma is None:
-            gamma = self.gamma
-        if kind == "eval":
-            dx = np.multiply(dy, gamma, out=out)
-            dx /= std
-            return dx
-        # (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)) / std, in place,
-        # with both means from one reduction
-        pair = np.empty((2,) + dy.shape)
-        dxhat, scratch = pair[0], pair[1]
-        np.multiply(dy, gamma, out=dxhat)
-        np.multiply(dxhat, xhat, out=scratch)
-        means = np.add.reduce(pair, axis=1)
-        means /= float(dy.shape[0])
-        dx = np.subtract(dxhat, means[0], out=out)
-        np.multiply(xhat, means[1], out=scratch)
-        dx -= scratch
+def _batchnorm_eval(x: np.ndarray, vectors) -> np.ndarray:
+    """The eval-mode output for ``x``, written over ``x``; keeps nothing
+    for a backward pass. The same ufuncs, in the same order, as
+    ``_batchnorm`` without ``stats``."""
+    gamma, beta, running_mean, running_var = vectors
+    x -= running_mean
+    x /= np.sqrt(running_var + BN_EPSILON)
+    x *= gamma
+    x += beta
+    return x
+
+
+def _batchnorm_backward(dy: np.ndarray, cache, gamma: np.ndarray,
+                        out: np.ndarray) -> np.ndarray:
+    """The input gradient dx of ``_batchnorm``, written to ``out``; ``dy``
+    is not written to. (The parameter gradients are batch sums of dy * xhat
+    for gamma and of dy for beta; ``backward`` forms them.) In eval mode the
+    running statistics are constants, so dx is a plain elementwise rescale,
+    row by row."""
+    kind, xhat, std = cache
+    if kind == "eval":
+        dx = np.multiply(dy, gamma, out=out)
         dx /= std
         return dx
-
-
-def _update_running(running: np.ndarray, batch: np.ndarray, momentum: float) -> None:
-    """running <- (1 - momentum) * running + momentum * batch, in place and
-    rounded in that order; ``batch`` is overwritten."""
-    running *= 1.0 - momentum
-    batch *= momentum
-    running += batch
+    # (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)) / std, in place,
+    # with both means from one reduction
+    pair = np.empty((2,) + dy.shape)
+    dxhat, scratch = pair[0], pair[1]
+    np.multiply(dy, gamma, out=dxhat)
+    np.multiply(dxhat, xhat, out=scratch)
+    means = np.add.reduce(pair, axis=1)
+    means /= float(dy.shape[0])
+    dx = np.subtract(dxhat, means[0], out=out)
+    np.multiply(xhat, means[1], out=scratch)
+    dx -= scratch
+    dx /= std
+    return dx
 
 
 class MlpModel:
     """Fixed-topology regressor: Linear(29,16) BN Linear(16,16) BN Linear(16,8).
 
     ``params`` is the single store of every parameter (``LAYOUT`` order);
-    the layer arrays are views into it, bound once here. Write to it in
-    place (``params[...] = v``); rebinding it detaches the layers.
+    ``lin1``, ``bn1``, ``lin2``, ``bn2`` and ``out`` are namespaces of views
+    into it, bound once here. Write to it in place (``params[...] = v``);
+    rebinding it detaches the views.
 
     Passing ``params`` binds the model to an existing float64 array instead
     of fresh storage, without changing its values: a (P,) array is one
     model, a (C, P) array a stack of C models (row k is model k), and a
     view of rows of a larger stack steps those rows in place. Every layer
-    array of a stack gains a leading C axis: its per-feature vectors
+    view of a stack gains a leading C axis: its per-feature vectors
     (biases and BatchNorm vectors) are (C, dim). A stack's activations are
     batch-major, (B, C, dim), from the first dense layer's output to the
-    output layer's."""
+    output layer's. Fresh storage holds zero dense layers and identity
+    BatchNorm layers."""
 
     def __init__(self, hidden_activation: str = "identity", params: np.ndarray | None = None):
         if hidden_activation not in HIDDEN_ACTIVATIONS:
@@ -275,33 +204,40 @@ class MlpModel:
         self.hidden_activation = hidden_activation
         self.params = params
         lead = params.shape[:-1]
-        views = {layer: tuple(params[..., slots].reshape(lead + shape)
-                              for slots, shape in bindings)
-                 for layer, bindings in _BINDINGS.items()}
-        self.lin1 = LinearLayer(IN_DIM, HIDDEN_DIM, views["lin1"])
-        self.bn1 = BatchNormLayer(HIDDEN_DIM, arrays=views["bn1"])
-        self.lin2 = LinearLayer(HIDDEN_DIM, HIDDEN_DIM, views["lin2"])
-        self.bn2 = BatchNormLayer(HIDDEN_DIM, arrays=views["bn2"])
-        self.out = LinearLayer(HIDDEN_DIM, OUT_DIM, views["out"])
-        if fresh:  # the layers' initial values: zero linear layers, identity BatchNorm
-            self.bn1.reset()
-            self.bn2.reset()
+        self.lin1, self.bn1, self.lin2, self.bn2, self.out = (
+            SimpleNamespace(**{attr: params[..., slots].reshape(lead + shape)
+                               for attr, slots, shape in bindings})
+            for bindings in _BINDINGS.values())
+        if fresh:
+            self._identity_batchnorm()
         # (layer, mean or variance) + the shape of one batch statistic
         self._stats_shape = (2, 2) + self.bn1.running_mean.shape
         self._running = None  # both layers' running statistics as one view, on first use
         self._grad = None     # backward's gradient vector and its block views, on first use
-        # a single model's hidden vectors as its steps read them: its own;
-        # a stack's come from the view built on its first step
-        self._own_vectors = None if lead else (
-            (self.lin1.bias, self.bn1.vectors()), (self.lin2.bias, self.bn2.vectors()))
+        # a single model's hidden vectors as its steps read them: its own
+        # views; a stack's come from the view built on its first step
+        self._own_vectors = None if lead else tuple(
+            (dense.bias, (bn.gamma, bn.beta, bn.running_mean, bn.running_var))
+            for dense, bn in ((self.lin1, self.bn1), (self.lin2, self.bn2)))
         self._vector_view = None
 
+    def _identity_batchnorm(self) -> None:
+        """Identity BatchNorm layers with fresh running statistics, written
+        in place."""
+        for bn in (self.bn1, self.bn2):
+            bn.gamma[...] = 1.0
+            bn.beta[...] = 0.0
+            bn.running_mean[...] = 0.0
+            bn.running_var[...] = 1.0
+
     def init_params(self, rng: np.random.Generator) -> None:
-        self.lin1.init_uniform(rng)
-        self.lin2.init_uniform(rng)
-        self.out.init_uniform(rng)
-        self.bn1.reset()
-        self.bn2.reset()
+        """Each dense layer's weight, then its bias, uniform in
+        +-1/sqrt(fan_in), in the order lin1, lin2, out; identity BatchNorm."""
+        for dense in (self.lin1, self.lin2, self.out):
+            bound = 1.0 / np.sqrt(dense.weight.shape[-1])
+            dense.weight[...] = rng.uniform(-bound, bound, size=dense.weight.shape[-2:])
+            dense.bias[...] = rng.uniform(-bound, bound, size=dense.bias.shape[-1:])
+        self._identity_batchnorm()
 
     def _activate(self, h: np.ndarray) -> np.ndarray:
         """The hidden activation, written over ``h``."""
@@ -333,8 +269,8 @@ class MlpModel:
         else:
             x = self._batch(batch, mode)
             (b1, v1), (b2, v2) = self._hidden_vectors()
-            h = self._activate(self.bn1.transform(self.lin1.forward(x, b1), v1))
-            h = self._activate(self.bn2.transform(self.lin2.forward(_flip(h), b2), v2))
+            h = self._activate(_batchnorm_eval(_dense(x, self.lin1.weight, b1), v1))
+            h = self._activate(_batchnorm_eval(_dense(_flip(h), self.lin2.weight, b2), v2))
             y = self._predict(h)
         return y.reshape(-1, OUT_DIM)
 
@@ -343,9 +279,9 @@ class MlpModel:
         predictions client-major, (C, B, 8), through their batch-major
         view."""
         if h.ndim == 2:
-            return self.out.forward(h)
+            return _dense(h, self.out.weight, self.out.bias)
         y = np.empty((h.shape[1], h.shape[0], OUT_DIM))
-        self.out.forward(_flip(h), out=_flip(y))
+        _dense(_flip(h), self.out.weight, self.out.bias, out=_flip(y))
         return y
 
     def _batch(self, batch: np.ndarray, mode: str) -> np.ndarray:
@@ -371,23 +307,26 @@ class MlpModel:
         """Forward pass keeping what backward needs, as the tuple
         (input, hidden vectors, BatchNorm 1 cache, activation 1, BatchNorm 2
         cache, activation 2), a stack's input model-major (``_batch``) and
-        its activations batch-major; returns the
-        predictions, client-major (C, B, 8) for a stack. Train mode then
-        updates both BatchNorm layers' running statistics with one pass over
-        them (the model's layers use the default ``BN_MOMENTUM``)."""
+        its activations batch-major; returns the predictions, client-major
+        (C, B, 8) for a stack. Train mode then updates both BatchNorm layers'
+        running statistics with one pass over them, as
+        running <- (1 - BN_MOMENTUM) * running + BN_MOMENTUM * batch, rounded
+        in that order."""
         x = self._batch(batch, mode)
         train = mode == "train"
         stats = np.empty(self._stats_shape) if train else (None, None)
         vectors = (b1, v1), (b2, v2) = self._hidden_vectors()
-        h1, bn1 = self.bn1.forward(self.lin1.forward(x, b1), train, stats[0], v1)
+        h1, bn1 = _batchnorm(_dense(x, self.lin1.weight, b1), v1, stats[0])
         a1 = self._activate(h1)
-        h2, bn2 = self.bn2.forward(self.lin2.forward(_flip(a1), b2), train, stats[1], v2)
+        h2, bn2 = _batchnorm(_dense(_flip(a1), self.lin2.weight, b2), v2, stats[1])
         a2 = self._activate(h2)
         y = self._predict(a2)
         if train:
             if self._running is None:
                 self._running = _two_layer_view(self.params, "bn1.running_mean", 2)
-            _update_running(self._running, stats, BN_MOMENTUM)
+            self._running *= 1.0 - BN_MOMENTUM
+            stats *= BN_MOMENTUM
+            self._running += stats
         return y, (x, vectors, bn1, a1, bn2, a2)
 
     def _gradient(self) -> tuple:
@@ -443,13 +382,14 @@ def _build_offsets():
 
 OFFSETS, PARAM_COUNT = _build_offsets()
 
+
 def _build_bindings():
-    """layer -> its (slots, shape) in LAYOUT order, which is the order of the
-    layer constructors' ``arrays``: how MlpModel binds the layer arrays to
-    its parameters."""
+    """layer -> its (attribute, slots, shape) in LAYOUT order: how MlpModel
+    binds each layer's namespace of views to its parameters."""
     bindings = {}
     for name, (start, stop, shape) in OFFSETS.items():
-        bindings.setdefault(name.split(".")[0], []).append((slice(start, stop), shape))
+        layer, attr = name.split(".")
+        bindings.setdefault(layer, []).append((attr, slice(start, stop), shape))
     return bindings
 
 
@@ -578,13 +518,13 @@ def _backprop(model: MlpModel, dy: np.ndarray, cache) -> tuple[np.ndarray, list]
     if relu:  # a2 > 0 exactly where the BatchNorm output was
         db2 *= a2 > 0.0
     np.multiply(db2, bn2[1], out=dg2)
-    model.bn2.backward(db2, bn2, out=dh2, gamma=v2[0])
+    _batchnorm_backward(db2, bn2, v2[0], dh2)
     delta2 = _flip(dh2)
     np.matmul(delta2, model.lin2.weight, out=_flip(db1))
     if relu:
         db1 *= a1 > 0.0
     np.multiply(db1, bn1[1], out=dg1)
-    model.bn1.backward(db1, bn1, out=dh1, gamma=v1[0])
+    _batchnorm_backward(db1, bn1, v1[0], dh1)
     return terms, [(dy, _flip(a2)), (delta2, _flip(a1)), (_flip(dh1), x)]
 
 

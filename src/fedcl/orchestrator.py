@@ -118,6 +118,11 @@ class ExperimentConfig:
         if self.rounds_per_task is not None and self.rounds_per_task < 1:
             raise ValueError(f"rounds_per_task must be >= 1, got {self.rounds_per_task}")
 
+    @property
+    def task_rounds(self) -> int:
+        """The rounds of each FCL task: ``rounds_per_task``, else ``n_rounds``."""
+        return self.n_rounds if self.rounds_per_task is None else self.rounds_per_task
+
 
 @dataclass
 class RoundLog:
@@ -233,7 +238,7 @@ class ClientState:
     """One client of a member. While its cohort trains together in a task,
     ``model``, ``optimizer`` (and the teacher's) and the SI path integral
     ``si_acc.omega_running`` are views of the client's row of the cohort's
-    stack (``_Stack``); a cohort of one steps the client's own arrays."""
+    stack (``_Stack``)."""
     client_id: int
     shard: dataio.Dataset
     model: nn.MlpModel
@@ -271,14 +276,13 @@ def evaluate(params: np.ndarray, test_set: dataio.Dataset, hidden_activation: st
 
 @dataclass
 class _Rows:
-    """Views of rows lo:hi of a ``_Stack``, stepped together in place, and
-    the loss terms of the clients on them. A single row is a plain
-    one-model view: (P,) parameters, 2-D batches.
+    """Views of rows lo:hi of a ``_Stack``, stepped together in place
+    (``model.params``), and the loss terms of the clients on them. A single
+    row is a plain one-model view: (P,) parameters, 2-D batches.
 
     Each loss term covers the rows ``sel`` of the run (``slice(None)`` for
     all of them, else their positions) and holds one value per covered row,
     stacked like the rows (a plain value for a single row)."""
-    theta: np.ndarray
     model: nn.MlpModel
     optimizer: nn.Optimizer
     si: tuple | None = None       # SI: (sel, accumulator of the path integrals)
@@ -314,15 +318,13 @@ class _Stack:
     Building it copies the clients' state into the stack once and rebinds
     each client's model, optimizer and SI path integral to views of its
     row, so the steps train the clients' own state and nothing is written
-    back. A cohort of one is not copied: its only rows are the model's own
-    state, stepped in place. ``local_train`` keeps a stack, its row views
-    (``rows``, ``model``) and its loss terms while the cohort trains
-    together in the task, and ``refresh`` brings in what changes from round
-    to round. The loss terms of a student stack are stacked once per term
-    over the rows that carry it (``_Part``), and a run of rows reads them
-    as views; the distillation targets come from ``teachers``, the teacher
-    stack of the clients with teachers, which has finished the round's
-    training. The plan of its post-round loss passes (``_loss_passes``: the
+    back. ``local_train`` keeps a stack, its row views (``rows``,
+    ``model``) and its loss terms while the cohort trains together in the
+    task, and ``refresh`` brings in what changes from round to round. The
+    loss terms of a student stack are stacked once per term over the rows
+    that carry it (``_Part``), and a run of rows reads them as views; the
+    distillation targets come from ``teachers``, the teacher stack of the
+    clients with teachers, which has finished the round's training. The plan of its post-round loss passes (``_loss_passes``: the
     rows of each pass, their source rows and shard sizes) is built once too,
     and again only in a round in which a member with rows here failed."""
 
@@ -337,20 +339,15 @@ class _Stack:
         models = [c.teacher_model if teacher else c.model for c in clients]
         optimizers = [c.teacher_optimizer if teacher else c.optimizer for c in clients]
         self.hidden_activation = models[0].hidden_activation
-        if len(clients) == 1:
-            self.params = models[0].params
-        else:
-            self.params = np.stack([m.params for m in models])
-            self.optimizer = nn.Optimizer.stack(optimizers, self.params)
-            models = [nn.MlpModel(self.hidden_activation, row) for row in self.params]
-            optimizers = [self.optimizer.rows(k) for k in range(len(clients))]
-            for c, model, optimizer in zip(clients, models, optimizers):
-                if teacher:
-                    c.teacher_model, c.teacher_optimizer = model, optimizer
-                else:
-                    c.model, c.optimizer = model, optimizer
-        self._optimizers = optimizers
-        self._models = {(k, k + 1): model for k, model in enumerate(models)}
+        self.params = np.stack([m.params for m in models])
+        self.optimizer = nn.Optimizer.stack(optimizers, self.params)
+        self._models = {}  # (lo, hi) -> the model of rows lo:hi
+        for k, c in enumerate(clients):
+            model = self._models[(k, k + 1)] = nn.MlpModel(self.hidden_activation, self.params[k])
+            if teacher:
+                c.teacher_model, c.teacher_optimizer = model, self.optimizer.rows(k)
+            else:
+                c.model, c.optimizer = model, self.optimizer.rows(k)
         self._rows: dict[tuple[int, int], _Rows] = {}
         self._si = self._penalty = None
         self._anchored: list[tuple[int, Member]] = []  # FedProx: (penalty row, member)
@@ -384,12 +381,11 @@ class _Stack:
 
     def _teacher_params(self, clients: list[ClientState]) -> np.ndarray:
         """A copy of the rows of the clients' teachers."""
-        return np.atleast_2d(self.teachers.params)[[self.teachers.row_of[id(c)]
-                                                     for c in clients]]
+        return self.teachers.params[[self.teachers.row_of[id(c)] for c in clients]]
 
     def model(self, lo: int, hi: int) -> nn.MlpModel:
         """The model of rows lo:hi, a view built once; row k's is the k-th
-        client's own."""
+        client's model."""
         model = self._models.get((lo, hi))
         if model is None:
             model = self._models[(lo, hi)] = nn.MlpModel(self.hidden_activation,
@@ -399,11 +395,9 @@ class _Stack:
     def rows(self, lo: int, hi: int) -> _Rows:
         rows = self._rows.get((lo, hi))
         if rows is None:
-            model = self.model(lo, hi)
-            optimizer = (self._optimizers[lo] if hi - lo == 1
-                         else self.optimizer.rows(slice(lo, hi)))
+            optimizer = self.optimizer.rows(lo if hi - lo == 1 else slice(lo, hi))
             rows = self._rows[(lo, hi)] = self._with_terms(
-                _Rows(model.params, model, optimizer), lo, hi)
+                _Rows(self.model(lo, hi), optimizer), lo, hi)
         return rows
 
     def _with_terms(self, rows: _Rows, lo: int, hi: int) -> _Rows:
@@ -618,18 +612,19 @@ def _loss_gradient(rows: _Rows, x: np.ndarray, y: np.ndarray, k: int) -> np.ndar
     g = nn.backward(rows.model, x, target)
     if rows.penalty is not None:
         sel, lam, anchor, importance = rows.penalty
-        g[sel] += cl.quadratic_penalty_grad(rows.theta[sel], anchor, importance, lam)
+        g[sel] += cl.quadratic_penalty_grad(rows.model.params[sel], anchor, importance, lam)
     return g
 
 
 def _apply(rows: _Rows, g: np.ndarray) -> None:
+    theta = rows.model.params
     if rows.si is None:  # nothing reads the old parameters: step them in place
-        rows.optimizer.step(rows.theta, g, out=rows.theta)
+        rows.optimizer.step(theta, g, out=theta)
         return
-    stepped = rows.optimizer.step(rows.theta, g)
+    stepped = rows.optimizer.step(theta, g)
     sel, acc = rows.si
-    cl.si_accumulate(acc, g[sel], (stepped - rows.theta)[sel])
-    rows.theta[...] = stepped
+    cl.si_accumulate(acc, g[sel], (stepped - theta)[sel])
+    theta[...] = stepped
 
 
 def _step(stack: _Stack, x: np.ndarray, y: np.ndarray, j: int, lo: int, hi: int,
@@ -884,12 +879,11 @@ def _fl_tasks(config: ExperimentConfig, train: dataio.Dataset,
 
 def _fcl_tasks(config: ExperimentConfig, train: dataio.Dataset,
                test: dataio.Dataset) -> list[_Task]:
-    """FCL's two tasks, circle then arrow, of ``config.rounds_per_task``
-    rounds each (``n_rounds`` when unset): each client's shard split by the
-    context flag, augmented per task shard (task membership is decided on
-    clean flags); task-1 rounds evaluate on the circle test subset, task-2
-    rounds on the full test set."""
-    n_rounds = config.n_rounds if config.rounds_per_task is None else config.rounds_per_task
+    """FCL's two tasks, circle then arrow, of ``config.task_rounds`` rounds
+    each: each client's shard split by the context flag, augmented per task
+    shard (task membership is decided on clean flags); task-1 rounds
+    evaluate on the circle test subset, task-2 rounds on the full test
+    set."""
     parts = dataio.partition_clients(train, config.n_clients, config.seed)
     client_tasks = []
     for p in parts:
@@ -909,7 +903,7 @@ def _fcl_tasks(config: ExperimentConfig, train: dataio.Dataset,
             shards = [dataio.augment(shard, config.augment_sigma,
                                      derive_seed(config.seed, 25, cid, task_index))
                       for cid, shard in enumerate(shards)]
-        tasks.append(_Task(_one_table(shards), eval_set, n_rounds))
+        tasks.append(_Task(_one_table(shards), eval_set, config.task_rounds))
     return tasks
 
 
@@ -1024,9 +1018,9 @@ class _Share:
         """A member that goes on from the lead. It copies the lead's round
         logs, global parameters, client parameters, optimizer state and SI
         path integrals, keeps its own server optimizer, replay buffers and SI
-        damping, and finishes the fork round itself. The Adam moments are
-        copied, not aliased: a cohort of one steps its optimizer in place. A
-        member of a failed lead gets its own copy of the lead's error."""
+        damping, and finishes the fork round itself. The optimizer state is
+        copied, not aliased, as the lead's is a view of its cohort's stack.
+        A member of a failed lead gets its own copy of the lead's error."""
         run, lead, (trained, train_s) = _Run(config, task.shards), self.lead, self.trained
         self.left -= 1
         if not self.left:  # not held while the members train on

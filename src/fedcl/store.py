@@ -51,7 +51,7 @@ class RunRecord:
 
     @property
     def is_fcl(self) -> bool:
-        return self.values["cl_method"] != "none"
+        return ExperimentSpec(self.values).is_fcl
 
 
 def _round_rows(result: RunResult) -> list[dict]:
@@ -148,11 +148,11 @@ def _read_rounds(d: str, n_rounds: int) -> list[dict]:
 
 
 class ResultsStore:
-    """Append-only directory-per-run result store."""
+    """Append-only directory-per-run result store. Its directory is made by
+    the first write, so reading a store never creates one."""
 
     def __init__(self, out_dir: str):
         self.out_dir = out_dir
-        os.makedirs(out_dir, exist_ok=True)
 
     def run_dir(self, run_id: str) -> str:
         return os.path.join(self.out_dir, run_id)
@@ -167,6 +167,7 @@ class ResultsStore:
         import traceback  # here, not at start-up: it adds 0.13 MB to every process's peak RSS
 
         path = self.failure_path(spec.run_id())
+        os.makedirs(self.out_dir, exist_ok=True)
         tmp = os.path.join(self.out_dir, f".{os.path.basename(path)}.{os.getpid()}")
         with open(tmp, "w", encoding="utf-8") as fh:
             fh.write("".join(traceback.format_exception(exc)))
@@ -180,7 +181,7 @@ class ResultsStore:
         d = self.run_dir(run_id)
         tmp = os.path.join(self.out_dir, f".{run_id}.{os.getpid()}")
         shutil.rmtree(tmp, ignore_errors=True)  # left behind by a killed write
-        os.mkdir(tmp)
+        os.makedirs(tmp)  # and the store's directory, on its first write
         try:
             snapshot = {
                 "run_id": run_id,
@@ -231,9 +232,7 @@ class ResultsStore:
         except (ValueError, TypeError) as exc:
             raise _corrupt(d, "config.json", f"invalid config: {exc}") from exc
         if spec.is_fcl:  # two tasks, circle then arrow
-            tasks = ("0", "1")
-            per_task = (config.n_rounds if config.rounds_per_task is None
-                        else config.rounds_per_task)
+            tasks, per_task = ("0", "1"), config.task_rounds
         else:
             tasks, per_task = ("0",), config.n_rounds
         rounds = _read_rounds(d, len(tasks) * per_task)
@@ -251,7 +250,10 @@ class ResultsStore:
         dot-prefixed entries (``write_run``'s temporary directories) are
         ignored. A rewrite stopped between its two moves left the earlier
         run only under its hidden ``.<run_id>.<pid>.old`` name; it is moved
-        back first."""
+        back first. A store whose directory does not exist raises
+        ``ValueError`` naming it."""
+        if not os.path.isdir(self.out_dir):
+            raise ValueError(f"results store is empty: {self.out_dir} does not exist")
         names = os.listdir(self.out_dir)
         for name in names:
             if name.startswith(".") and name.endswith(".old"):
@@ -403,7 +405,7 @@ def verify_store(store: ResultsStore, dataset: dataio.Dataset) -> list[tuple[str
                                               f"!= re-run {_params_sha256(result)}"))
         fresh = _build_report(result)["final"]
         stored = record.report["final"]
-        for key in ("avg_mse", "avg_rmse", "avg_pcc"):
+        for key in _METRIC_KEYS:
             a, b = fresh[key], stored[key]
             same = (a == b) or (isinstance(a, float) and isinstance(b, float)
                                 and math.isnan(a) and math.isnan(b))

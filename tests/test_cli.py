@@ -92,6 +92,25 @@ class TestRun:
         assert err.startswith("invalid config: ") and f"{section}.{key}:" in err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("content, problem", [
+        (b"[experiment]\nrounds = 2\nrounds = 3\n", "invalid config: "),
+        (b"[experiment]\nrounds = 2\n[experiment]\nseed = 1\n", "invalid config: "),
+        (b"rounds = 2\n", "invalid config: "),
+        (b"[experiment]\nrounds\n", "invalid config: "),
+        (b"[experiment]\nrounds = 2 ; caf\xe9\n", "invalid config: "),
+        # read literally: no interpolation, so the dataset path is what it says
+        (b"[suite]\ndataset = my%data.csv\n", "invalid dataset: "),
+    ], ids=["duplicate-key", "duplicate-section", "no-section-header", "no-equals",
+            "not-utf8", "percent"])
+    def test_malformed_ini_exits_2(self, tmp_path, capsys, content, problem):
+        path = tmp_path / "bad.ini"
+        path.write_bytes(content)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "r")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(problem) and "Traceback" not in err
+        if b"%" in content:
+            assert "my%data.csv" in err
+
     def test_failed_experiment_exits_1(self, tmp_path, capsys):
         path = tmp_path / "bench.ini"
         path.write_text(CONFIG + "\n[sweep]\nclients = 500\n")
@@ -143,6 +162,15 @@ class TestTable:
     def test_empty_store_exits_1(self, tmp_path, capsys):
         assert main(["table", "--out", str(tmp_path / "nothing")]) == 1
         assert "empty" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["table", "verify"])
+    def test_missing_directory_exits_1_and_stays_missing(self, config_path, tmp_path, capsys,
+                                                         command):
+        out_dir = tmp_path / "typo"
+        config = ["--config", config_path] if command == "verify" else []
+        assert main([command, "--out", str(out_dir)] + config) == 1
+        assert str(out_dir) in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_incomplete_run_directory_exits_1(self, config_path, tmp_path, capsys):
         out_dir = tmp_path / "results"

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,7 @@ def straight_line_forward(model: nn.MlpModel, x: np.ndarray, mode: str) -> np.nd
             mean, var = h.mean(axis=0), h.var(axis=0)
         else:
             mean, var = layer.running_mean, layer.running_var
-        return layer.gamma * (h - mean) / np.sqrt(var + layer.epsilon) + layer.beta
+        return layer.gamma * (h - mean) / np.sqrt(var + nn.BN_EPSILON) + layer.beta
 
     h = linear(model.lin1, x)
     h = bn(model.bn1, h)
@@ -40,10 +42,8 @@ class TestForward:
         assert np.all(out == 0.0)
 
     def test_identity_linear_layer(self):
-        layer = nn.LinearLayer(8, 8)
-        layer.weight = np.eye(8)
         x = np.random.default_rng(1).normal(size=(4, 8))
-        assert np.array_equal(layer.forward(x), x)
+        assert np.array_equal(nn._dense(x, np.eye(8), np.zeros(8)), x)
 
     @pytest.mark.parametrize("mode", ["train", "eval"])
     def test_matches_straight_line_oracle(self, rng, mode):
@@ -76,28 +76,39 @@ class TestForward:
     def test_batchnorm_normalizes_batch(self, rng):
         # gamma 1, beta 0: per-feature mean ~0 and variance ~1 (inputs scaled
         # so the epsilon term is negligible relative to the batch variance)
-        bn = nn.BatchNormLayer(16)
+        identity = (np.ones(16), np.zeros(16), np.zeros(16), np.ones(16))
         x = rng.normal(0.0, 10.0, size=(64, 16))
-        y, _ = bn.forward(x, train=True)
+        y, _ = nn._batchnorm(x, identity, np.empty((2, 16)))
         assert np.max(np.abs(y.mean(axis=0))) <= 1e-9
         assert np.max(np.abs(y.var(axis=0) - 1.0)) <= 1e-6
 
     def test_batchnorm_train_statistics_bit_equal_to_mean_and_var(self, rng):
         # reference: ndarray.mean / ndarray.var, which the layer must match exactly
-        bn = nn.BatchNormLayer(16)
+        gamma = rng.normal(size=16)
+        vectors = (gamma, rng.normal(size=16), np.zeros(16), np.ones(16))
         x = rng.normal(3.0, 2.0, size=(13, 16))
         mean, var = x.mean(axis=0), x.var(axis=0)
-        _, cache = bn.forward(x, train=True)
+        stats = np.empty((2, 16))
+        _, cache = nn._batchnorm(x, vectors, stats)
         _, xhat, std = cache
-        assert np.array_equal(std, np.sqrt(var + bn.epsilon))
+        assert np.array_equal(stats, np.stack([mean, var]))
+        assert np.array_equal(std, np.sqrt(var + nn.BN_EPSILON))
         assert np.array_equal(xhat, (x - mean) / std)
-        assert np.array_equal(bn.running_mean, (1.0 - bn.momentum) * 0.0 + bn.momentum * mean)
-        assert np.array_equal(bn.running_var, (1.0 - bn.momentum) * 1.0 + bn.momentum * var)
         dy = rng.normal(size=x.shape)
-        dx = bn.backward(dy, cache)
-        dxhat = dy * bn.gamma
+        dx = nn._batchnorm_backward(dy, cache, gamma, np.empty_like(dy))
+        dxhat = dy * gamma
         expected = (dxhat - dxhat.mean(axis=0) - xhat * (dxhat * xhat).mean(axis=0)) / std
         assert np.array_equal(dx, expected)
+        # a train-mode forward moves each layer's running statistics by
+        # BN_MOMENTUM towards its batch statistics
+        m = random_model(rng)
+        x = rng.normal(size=(13, 29))
+        h = x @ m.lin1.weight.T + m.lin1.bias
+        running = m.bn1.running_mean.copy(), m.bn1.running_var.copy()
+        m.forward(x, mode="train")
+        for after, before, batch in zip((m.bn1.running_mean, m.bn1.running_var), running,
+                                        (h.mean(axis=0), h.var(axis=0))):
+            assert np.array_equal(after, (1.0 - nn.BN_MOMENTUM) * before + nn.BN_MOMENTUM * batch)
 
 
 class TestMseLoss:
@@ -311,6 +322,10 @@ class TestParameterVector:
     def test_layer_arrays_are_views_into_params(self, rng):
         for model in (nn.MlpModel(), random_model(rng), random_model(rng).clone()):
             assert model.params.shape == (nn.PARAM_COUNT,)
+            # a layer is its parameter views and nothing else: no option of its own
+            for layer in ("lin1", "bn1", "lin2", "bn2", "out"):
+                assert set(vars(getattr(model, layer))) == {
+                    name.split(".")[1] for name in nn.OFFSETS if name.startswith(layer + ".")}
             for name, (start, stop, shape) in nn.OFFSETS.items():
                 layer, attr = name.split(".")
                 arr = getattr(getattr(model, layer), attr)
@@ -666,3 +681,64 @@ class TestStepOracle:
             assert into.step(theta, g, out=theta) is theta
             params = returned.step(params, g)
             assert np.array_equal(theta, params)
+
+
+# ---------------------------------------------------------------------------
+# The hot path's numpy call budget
+# ---------------------------------------------------------------------------
+
+def _c_calls(fn) -> int:
+    """The ``c_call`` profiler events of one call of ``fn``: the calls of
+    C functions and methods (numpy's constructors, reductions and array
+    methods) made from Python. Operators and plain ufunc calls raise
+    none."""
+    events = 0
+
+    def profile(frame, event, arg):
+        nonlocal events
+        events += event == "c_call"
+
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return events
+
+
+class TestCallBudget:
+    """The numpy calls of a step, as the ``nn`` module docstring states
+    them, counted with ``_c_calls`` after two warm-up calls have built the
+    model's buffers and Adam's moments. A change may lower a budget, not
+    raise it."""
+
+    @staticmethod
+    def _model(rng, n_models):
+        shape = (nn.PARAM_COUNT,) if n_models is None else (n_models, nn.PARAM_COUNT)
+        params = rng.normal(0.0, 0.5, size=shape)
+        for name in ("bn1.running_var", "bn2.running_var"):
+            params[..., nn.slot_slice(name)] = 1.0
+        rows = 32 * (n_models or 1)
+        return (nn.MlpModel("identity", params), rng.normal(size=(rows, nn.IN_DIM)),
+                rng.normal(size=(rows, nn.OUT_DIM)))
+
+    @pytest.mark.parametrize("n_models, budget", [(None, 27), (2, 47), (10, 47)])
+    def test_train_step_plus_adam(self, rng, n_models, budget):
+        model, x, y = self._model(rng, n_models)
+        optimizer = nn.Optimizer("adam", 1e-3)
+        if n_models is not None:
+            optimizer = nn.Optimizer.stack([nn.Optimizer("adam", 1e-3)] * n_models, model.params)
+
+        def step():
+            optimizer.step(model.params, nn.backward(model, x, y), out=model.params)
+
+        step()
+        step()
+        assert _c_calls(step) <= budget
+
+    @pytest.mark.parametrize("n_models, budget", [(None, 6), (2, 17), (10, 17)])
+    def test_eval_forward(self, rng, n_models, budget):
+        model, x, _ = self._model(rng, n_models)
+        model.forward(x, mode="eval")
+        model.forward(x, mode="eval")
+        assert _c_calls(lambda: model.forward(x, mode="eval")) <= budget
