@@ -49,7 +49,6 @@ class Dataset:
 
     features: np.ndarray
     labels: np.ndarray
-    provenance: str = "real"
     feature_names: list[str] = field(default_factory=lambda: list(DEFAULT_FEATURE_COLUMNS))
 
     def __post_init__(self):
@@ -64,16 +63,12 @@ class Dataset:
         return self.features.shape[0]
 
     def subset(self, idx) -> "Dataset":
-        return Dataset(self.features[idx], self.labels[idx], self.provenance, list(self.feature_names))
+        return Dataset(self.features[idx], self.labels[idx], list(self.feature_names))
 
 
-def concat(a: Dataset, b: Dataset, provenance: str | None = None) -> Dataset:
-    return Dataset(
-        np.concatenate([a.features, b.features]),
-        np.concatenate([a.labels, b.labels]),
-        provenance if provenance is not None else a.provenance,
-        list(a.feature_names),
-    )
+def concat(a: Dataset, b: Dataset) -> Dataset:
+    return Dataset(np.concatenate([a.features, b.features]),
+                   np.concatenate([a.labels, b.labels]), list(a.feature_names))
 
 
 @dataclass
@@ -148,7 +143,7 @@ def load_csv(path: str) -> Dataset:
         i, j = divmod(int(np.argmax(outside)), N_LABELS)
         raise DataError(f"{path}: row {i + 2}, column {LABEL_COLUMNS[j]!r}: "
                         f"label {labels[i, j]} outside [1, 5]")
-    return Dataset(features, labels, "real", ordered_features)
+    return Dataset(features, labels, ordered_features)
 
 
 def _check_header(path: str, header: list[str]) -> list[str]:
@@ -242,7 +237,7 @@ def partition_clients(train: Dataset, n_clients: int, seed: int = 0) -> list[Cli
         size = base + (1 if cid < rem else 0)
         rows = slice(pos, pos + size)
         parts.append(ClientPartition(cid, Dataset(shuffled.features[rows], shuffled.labels[rows],
-                                                  train.provenance, list(train.feature_names))))
+                                                  list(train.feature_names))))
         pos += size
     return parts
 
@@ -271,7 +266,6 @@ def augment(ds: Dataset, sigma: float = 0.01, seed: int = 0) -> Dataset:
     return Dataset(
         np.concatenate([ds.features, noisy]),
         np.concatenate([ds.labels, ds.labels]),
-        "augmented",
         list(ds.feature_names),
     )
 
@@ -308,7 +302,7 @@ def synthetic_generate(n: int, seed: int = 0, noise_std: float = 0.1,
         b = np.asarray(b, dtype=np.float64)
     noise = rng.normal(0.0, noise_std, size=(n, N_LABELS)) if noise_std > 0 else 0.0
     labels = np.clip(features @ a.T + b + noise, 1.0, 5.0)
-    return Dataset(features, labels, "synthetic"), (a, b)
+    return Dataset(features, labels), (a, b)
 
 
 def synthetic_two_task(n_per_task: int, seed: int = 0, noise_std: float = 0.1):
@@ -316,7 +310,7 @@ def synthetic_two_task(n_per_task: int, seed: int = 0, noise_std: float = 0.1):
     and the arrow map, used by the continual-learning benchmark."""
     circle, map1 = synthetic_generate(n_per_task, seed=seed, noise_std=noise_std, flag_value=1.0)
     arrow, map2 = synthetic_generate(n_per_task, seed=seed + 1, noise_std=noise_std, flag_value=0.0)
-    ds = concat(circle, arrow, provenance="synthetic")
+    ds = concat(circle, arrow)
     perm = np.random.default_rng([seed, 5]).permutation(len(ds))
     return ds.subset(perm), (map1, map2)
 

@@ -66,6 +66,10 @@ OUT_DIM = 8
 
 BN_EPSILON = 1e-5
 BN_MOMENTUM = 0.1
+# Adam's moment decay rates and the denominator's epsilon
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
 
 HIDDEN_ACTIVATIONS = ("identity", "relu")
 OPTIMIZERS = ("sgd", "adam")
@@ -574,23 +578,20 @@ def backward(model: MlpModel, batch: np.ndarray, target: np.ndarray,
 # ---------------------------------------------------------------------------
 
 class Optimizer:
-    """SGD or Adam on flat parameter vectors. State lives in the instance.
+    """SGD or Adam (``ADAM_BETA1``, ``ADAM_BETA2``, ``ADAM_EPSILON``) on
+    flat parameter vectors. State lives in the instance.
 
     The state takes the shape of the parameters it steps: for a (C, P)
     stack of vectors, Adam's moments are (C, P) and ``step_count`` holds one
     count per row (see ``stack`` and ``rows``)."""
 
-    def __init__(self, kind: str = "sgd", learning_rate: float = 1e-3,
-                 beta1: float = 0.9, beta2: float = 0.999, epsilon: float = 1e-8):
+    def __init__(self, kind: str = "sgd", learning_rate: float = 1e-3):
         if kind not in OPTIMIZERS:
             raise ValueError(f"unknown optimizer kind {kind!r}")
         if learning_rate < 0.0:
             raise ValueError("learning rate must be nonnegative")
         self.kind = kind
         self.learning_rate = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.epsilon = epsilon
         self.step_count = 0
         self.m: np.ndarray | None = None
         self.v: np.ndarray | None = None
@@ -601,7 +602,7 @@ class Optimizer:
         self.v = None
 
     def _like(self) -> "Optimizer":
-        return Optimizer(self.kind, self.learning_rate, self.beta1, self.beta2, self.epsilon)
+        return Optimizer(self.kind, self.learning_rate)
 
     @classmethod
     def stack(cls, optimizers: list["Optimizer"], params: np.ndarray) -> "Optimizer":
@@ -646,28 +647,28 @@ class Optimizer:
             self.v = np.zeros_like(params)
         # in place, so the moments of a view step the stack's rows; one
         # scratch array holds each temporary in turn
-        scratch = np.multiply(grads, 1.0 - self.beta1)
-        self.m *= self.beta1
+        scratch = np.multiply(grads, 1.0 - ADAM_BETA1)
+        self.m *= ADAM_BETA1
         self.m += scratch
         np.multiply(grads, grads, out=scratch)
-        scratch *= 1.0 - self.beta2
-        self.v *= self.beta2
+        scratch *= 1.0 - ADAM_BETA2
+        self.v *= ADAM_BETA2
         self.v += scratch
         # 1 - beta**t by Python's float pow, one value per row: numpy's
         # vectorised np.power differs from it in the last bit for some t
         t = self.step_count
         if isinstance(t, int) or t.ndim == 0:
             t = int(t)
-            m_hat = self.m / (1.0 - self.beta1 ** t)
-            v_hat = np.divide(self.v, 1.0 - self.beta2 ** t, out=scratch)
+            m_hat = self.m / (1.0 - ADAM_BETA1 ** t)
+            v_hat = np.divide(self.v, 1.0 - ADAM_BETA2 ** t, out=scratch)
         else:
             t = t.tolist()
-            m_hat = self.m / np.array([1.0 - self.beta1 ** s for s in t])[:, None]
-            v_hat = np.divide(self.v, np.array([1.0 - self.beta2 ** s for s in t])[:, None],
+            m_hat = self.m / np.array([1.0 - ADAM_BETA1 ** s for s in t])[:, None]
+            v_hat = np.divide(self.v, np.array([1.0 - ADAM_BETA2 ** s for s in t])[:, None],
                               out=scratch)
         # params - lr * m_hat / (sqrt(v_hat) + eps), with the temporaries in place
         m_hat *= self.learning_rate
         np.sqrt(v_hat, out=v_hat)
-        v_hat += self.epsilon
+        v_hat += ADAM_EPSILON
         m_hat /= v_hat
         return np.subtract(params, m_hat, out=out)

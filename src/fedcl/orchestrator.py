@@ -569,7 +569,7 @@ def _one_table(shards: list[dataio.Dataset]) -> list[dataio.Dataset]:
     features = np.concatenate([s.features for s in shards])
     labels = np.concatenate([s.labels for s in shards])
     ends = np.cumsum([len(s) for s in shards]).tolist()
-    return [dataio.Dataset(features[a:b], labels[a:b], s.provenance, list(s.feature_names))
+    return [dataio.Dataset(features[a:b], labels[a:b], list(s.feature_names))
             for s, a, b in zip(shards, [0] + ends, ends)]
 
 

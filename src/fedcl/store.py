@@ -8,13 +8,15 @@ written under a temporary name and moved into place. A run that failed
 leaves the traceback of its error in ``<run_id>.failed.txt`` instead, until
 a later run of it succeeds.
 
-``run_suite`` trains the experiments of one shape (``orchestrator.group_key``,
-FL or FCL) as one lockstep ``Group`` and stores each result on its own as
-soon as it exists; ``orchestrator.group_outcomes`` decides how many of them
-train at once (``orchestrator.GROUP_CLIENTS``), trains a prefix that several
-of them share once and forks them from it (FCL's task 1, FL's round 0 for
-FedAvg, FedBN and FedOpt), and trains experiments of one
-``orchestrator.trajectory_key`` once. An error that stops a whole group is
+``run_suite`` draws every experiment's outcome from one stream, which
+trains the experiments of one shape (``orchestrator.group_key``, FL or FCL)
+as one lockstep group, shape by shape, and stores each result on its own,
+in suite order, as soon as it exists. ``orchestrator.group_outcomes``
+decides how many of a shape's experiments train at once
+(``orchestrator.GROUP_CLIENTS``), trains a prefix that several of them share
+once and forks them from it (FCL's task 1, FL's round 0 for FedAvg, FedBN
+and FedOpt), and trains experiments of one ``orchestrator.trajectory_key``
+once, a spec listed twice included. An error that stops a whole shape is
 each member's own copy, so each traceback reads as if it ran alone.
 """
 
@@ -24,7 +26,6 @@ import csv
 import datetime
 import hashlib
 import json
-import math
 import os
 import shutil
 from collections.abc import Iterator
@@ -40,6 +41,9 @@ from .orchestrator import RunResult, group_key, group_outcomes, own_copy
 _TRAJECTORY_KEYS = ("avg_mse", "avg_rmse", "avg_pcc", "mean_client_train_loss")
 # the metrics of each report in report.json
 _METRIC_KEYS = ("avg_mse", "avg_rmse", "avg_pcc")
+# the seconds each round took, per phase, in rounds.csv
+_TIME_KEYS = ("wall_time", "local_train_time", "consolidate_time", "aggregate_time",
+              "evaluate_time")
 
 
 @dataclass
@@ -55,22 +59,12 @@ class RunRecord:
 
 
 def _round_rows(result: RunResult) -> list[dict]:
-    rows = []
-    for log in result.round_logs:
-        rows.append({
-            "round": log.round_index,
-            "task": log.task_index,
-            "avg_mse": repr(log.report.avg_mse),
-            "avg_rmse": repr(log.report.avg_rmse),
-            "avg_pcc": repr(log.report.avg_pcc),
-            "mean_client_train_loss": repr(sum(log.client_train_losses) / len(log.client_train_losses)),
-            "wall_time": f"{log.wall_time:.4f}",
-            "local_train_time": f"{log.local_train_time:.4f}",
-            "consolidate_time": f"{log.consolidate_time:.4f}",
-            "aggregate_time": f"{log.aggregate_time:.4f}",
-            "evaluate_time": f"{log.evaluate_time:.4f}",
-        })
-    return rows
+    return [{"round": log.round_index, "task": log.task_index,
+             **{key: repr(getattr(log.report, key)) for key in _METRIC_KEYS},
+             "mean_client_train_loss": repr(sum(log.client_train_losses)
+                                            / len(log.client_train_losses)),
+             **{key: f"{getattr(log, key):.4f}" for key in _TIME_KEYS}}
+            for log in result.round_logs]
 
 
 def _params_sha256(result: RunResult) -> str:
@@ -78,9 +72,8 @@ def _params_sha256(result: RunResult) -> str:
 
 
 def _build_report(result: RunResult) -> dict:
-    after_task = {}
-    for log in result.round_logs:
-        after_task[str(log.task_index)] = log.report.as_dict()  # last round of each task wins
+    # the last round of each task wins
+    after_task = {str(log.task_index): log.report.as_dict() for log in result.round_logs}
     return {"final": result.round_logs[-1].report.as_dict(), "after_task": after_task,
             "final_params_sha256": _params_sha256(result)}
 
@@ -265,105 +258,70 @@ class ResultsStore:
                 if not name.startswith(".") and os.path.isdir(self.run_dir(name))]
 
 
-class Group:
-    """Experiments that train in lockstep: all FL or all FCL, with one
-    ``group_key``. The first ``result`` call splits the dataset with their
-    shared seed and starts training; each call trains on only until the
-    asked member's result (or the exception that stopped it) exists, so the
-    members of earlier chunks are handed out before later chunks train.
-    Each outcome is handed out once, and a member asked for again runs
-    alone."""
-
-    def __init__(self, specs: list[ExperimentSpec], dataset: dataio.Dataset):
-        self.specs = specs
-        self._dataset = dataset
-        self._pending = self._outcomes()  # a generator: trains nothing until advanced
-        self._ready: dict[int, RunResult | Exception] = {}  # id(spec) -> outcome
-        self._asked: set[int] = set()
-
-    def _outcomes(self) -> Iterator[tuple[int, RunResult | Exception]]:
-        """(position in ``specs``, outcome) as the members finish; an error
-        that stops the group is every member's outcome, each its own copy."""
-        try:
-            configs = [s.build() for s in self.specs]
-            train, test = dataio.train_test_split(self._dataset, 0.75, configs[0].seed)
-            yield from group_outcomes(configs, train, test, continual=self.specs[0].is_fcl)
-        except Exception as exc:
-            yield from enumerate([own_copy(exc) for _ in self.specs])
-
-    def _keep(self, position: int, outcome: RunResult | Exception) -> None:
-        key = id(self.specs[position])
-        if key not in self._asked and key not in self._ready:
-            self._ready[key] = outcome
-
-    def finish(self) -> None:
-        """Train every member to its end, keeping the outcomes not yet
-        handed out: the group's shards and client state go, and its
-        results stay."""
-        for position, outcome in self._pending:
-            self._keep(position, outcome)
-
-    def result(self, spec: ExperimentSpec) -> RunResult:
-        if id(spec) in self._asked:  # handed out already: the suite lists this spec twice
-            return Group([spec], self._dataset).result(spec)
-        while id(spec) not in self._ready:
-            self._keep(*next(self._pending))
-        self._asked.add(id(spec))
-        outcome = self._ready.pop(id(spec))
-        if isinstance(outcome, Exception):
-            raise outcome
-        return outcome
-
-
-def group_suite(specs: list[ExperimentSpec], dataset: dataio.Dataset) -> dict[int, Group]:
-    """id(spec) -> the group it trains in: the experiments of one shape
-    (FL or FCL and one ``orchestrator.group_key``), in suite order;
-    ``orchestrator.group_outcomes`` caps how many clients train at once. A
-    spec whose config does not build is a group of one, which reports that
-    error."""
-    shapes: dict[tuple, list[ExperimentSpec]] = {}
-    for spec in specs:
+def _stream(specs: list[ExperimentSpec],
+            dataset: dataio.Dataset) -> Iterator[tuple[int, RunResult | Exception]]:
+    """(position in ``specs``, outcome) of every experiment, shape by shape,
+    in the order each shape first appears: a shape is FL or FCL and one
+    ``orchestrator.group_key``, and a spec whose config does not build is a
+    shape of its own, which reports that error. A shape splits the dataset
+    with its seed and passes ``orchestrator.group_outcomes`` through; an
+    error that stops it is the outcome of every member not yet handed out,
+    each its own copy."""
+    shapes: dict[tuple, list[int]] = {}
+    for position, spec in enumerate(specs):
         try:
             key = (spec.is_fcl, group_key(spec.build()))
         except Exception:
-            key = ("alone", id(spec))
-        shapes.setdefault(key, []).append(spec)
-    groups = {}
-    for same in shapes.values():
-        group = Group(same, dataset)
-        groups.update((id(spec), group) for spec in same)
-    return groups
+            key = ("alone", position)
+        shapes.setdefault(key, []).append(position)
+    for positions in shapes.values():
+        handed = set()
+        try:
+            configs = [specs[p].build() for p in positions]
+            # only group_outcomes holds the split, so it goes when the shape ends
+            for i, outcome in group_outcomes(
+                    configs, *dataio.train_test_split(dataset, 0.75, configs[0].seed),
+                    continual=specs[positions[0]].is_fcl):
+                handed.add(i)
+                yield positions[i], outcome
+                del outcome  # held here, a result would outlive its write
+        except Exception as exc:
+            yield from ((p, own_copy(exc)) for i, p in enumerate(positions) if i not in handed)
 
 
 def execute_experiment(spec: ExperimentSpec, dataset: dataio.Dataset,
-                       group: Group | None = None) -> RunResult:
-    """The experiment's result: from ``group``, which trains its members
-    until this one's result exists, or alone, as a group of one. Either way
+                       outcome: RunResult | Exception | None = None) -> RunResult:
+    """The experiment's result: its ``outcome`` from a suite's stream, or,
+    without one, its result trained alone, as a stream of one. Either way
     the bits are those of the experiment run alone."""
-    return (group or Group([spec], dataset)).result(spec)
+    if outcome is None:
+        ((_, outcome),) = _stream([spec], dataset)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def run_suite(suite: BenchmarkSuite, dataset: dataio.Dataset,
               out_dir: str) -> tuple[ResultsStore, list[tuple[str, str]]]:
     """Execute every experiment, persisting results. Experiments of one
     shape train as one lockstep group, but each is executed, stored and
-    reported on its own, in suite order, as soon as its result exists, and
-    let go before its group trains later chunks. When the suite moves on to
-    another group, the one it leaves trains to its end first, so one
-    group's shards and client state are alive at a time. Individual
-    failures are recorded and do not stop the suite; an experiment that
-    fails leaves its traceback in the store (``ResultsStore.write_failure``).
-    Returns (store, failures)."""
+    reported on its own, in suite order: the suite's stream trains on only
+    until the next experiment's outcome exists, keeping the outcomes of
+    later experiments it finishes on the way, and each result is let go
+    before the stream trains later chunks. A shape trains to its end before
+    the next one starts, so one shape's shards and client state are alive
+    at a time. Individual failures are recorded and do not stop the suite;
+    an experiment that fails leaves its traceback in the store
+    (``ResultsStore.write_failure``). Returns (store, failures)."""
     store = ResultsStore(out_dir)
-    groups = group_suite(suite.experiments, dataset)
+    stream = _stream(suite.experiments, dataset)
+    ready: dict[int, RunResult | Exception] = {}  # position -> outcome not yet executed
     failures = []
-    live = None
-    for spec in suite.experiments:
-        if live is not None and live is not groups[id(spec)]:
-            live.finish()
-        live = groups[id(spec)]
+    for position, spec in enumerate(suite.experiments):
+        while position not in ready:
+            ready.update([next(stream)])
         try:
-            result = execute_experiment(spec, dataset, live)
+            result = execute_experiment(spec, dataset, ready.pop(position))
         except Exception as exc:
             failures.append((spec.run_id(), str(exc)))
             store.write_failure(spec, exc)
@@ -372,7 +330,7 @@ def run_suite(suite: BenchmarkSuite, dataset: dataio.Dataset,
             store.write_run(spec, result)
         except Exception as exc:  # the store's own error: a second write would meet it too
             failures.append((spec.run_id(), str(exc)))
-        del result  # let go before the group trains later chunks
+        del result  # let go before the stream trains later chunks
     return store, failures
 
 
@@ -404,12 +362,9 @@ def verify_store(store: ResultsStore, dataset: dataio.Dataset) -> list[tuple[str
             violations.append((record.run_id, f"final_params_sha256: stored {stored_sha} "
                                               f"!= re-run {_params_sha256(result)}"))
         fresh = _build_report(result)["final"]
-        stored = record.report["final"]
         for key in _METRIC_KEYS:
-            a, b = fresh[key], stored[key]
-            same = (a == b) or (isinstance(a, float) and isinstance(b, float)
-                                and math.isnan(a) and math.isnan(b))
-            if not same:
+            a, b = fresh[key], record.report["final"][key]
+            if repr(a) != repr(b):  # bit-exact, NaN equal to NaN
                 violations.append((record.run_id, f"{key}: stored {b!r} != re-run {a!r}"))
     return violations
 
@@ -453,7 +408,11 @@ def _method_label(record: RunRecord) -> str:
 
 
 def _table_grid(records: list[RunRecord], fcl: bool):
-    """Returns (header, rows) where each row is (label, [cell strings])."""
+    """Returns (header, labels, rows of cell strings, higher_is_better flag
+    per column). A row is a method label, with `` key=value`` for each
+    experiment key besides the method, augmentation and client count whose
+    value differs among ``records``, so runs that differ only there (seeds,
+    say) keep rows of their own."""
     client_counts = sorted({r.values["clients"] for r in records})
     stages = ["1"] if not fcl else ["0", "1"]
     stage_titles = [""] if not fcl else ["T1 ", "T2 "]
@@ -466,16 +425,17 @@ def _table_grid(records: list[RunRecord], fcl: bool):
                 header.append(f"{stage_title}{title} ({n_cli}c)")
                 col_better.append(key == "avg_pcc")
 
+    varying = [key for key in EXPERIMENT_SCHEMA
+               if key not in ("strategy", "cl_method", "augmentation", "clients")
+               and len({repr(r.values[key]) for r in records}) > 1]
     by_key = {}
-    row_labels = []
     for r in records:
-        label = _method_label(r)
-        if label not in row_labels:
-            row_labels.append(label)
+        label = _method_label(r) + "".join(f" {key}={r.values[key]}" for key in varying)
         by_key[(label, r.values["clients"])] = r
+    labels = list(dict.fromkeys(label for label, _ in by_key))
 
     rows = []
-    for label in row_labels:
+    for label in labels:
         cells = []
         for n_cli in client_counts:
             r = by_key.get((label, n_cli))
@@ -486,8 +446,8 @@ def _table_grid(records: list[RunRecord], fcl: bool):
                     rep = r.report["final"] if r else None
                 for key in _METRIC_KEYS:
                     cells.append(_fmt(rep[key]) if rep else "-")
-        rows.append((label, cells))
-    return header, rows, col_better
+        rows.append(cells)
+    return header, labels, rows, col_better
 
 
 def emit_table(store: ResultsStore, fmt: str = "markdown") -> str:
@@ -504,20 +464,16 @@ def emit_table(store: ResultsStore, fmt: str = "markdown") -> str:
         subset = [r for r in records if r.is_fcl == fcl]
         if not subset:
             continue
-        header, rows, col_better = _table_grid(subset, fcl)
+        header, labels, rows, col_better = _table_grid(subset, fcl)
         if fmt == "markdown":
-            columns = list(zip(*[cells for _, cells in rows])) if rows else []
-            decorated = [_decorate(list(col), better)
-                         for col, better in zip(columns, col_better)]
-            out_rows = [[label] + [decorated[c][i] for c in range(len(decorated))]
-                        for i, (label, _) in enumerate(rows)]
-            lines = [f"## {title}", "",
-                     "| " + " | ".join(header) + " |",
+            rows = zip(*(_decorate(list(column), better)
+                         for column, better in zip(zip(*rows), col_better)))
+            lines = [f"## {title}", "", "| " + " | ".join(header) + " |",
                      "|" + "|".join("---" for _ in header) + "|"]
-            lines += ["| " + " | ".join(row) + " |" for row in out_rows]
-            blocks.append("\n".join(lines))
+            lines += ["| " + " | ".join([label, *cells]) + " |"
+                      for label, cells in zip(labels, rows)]
         else:
-            lines = [",".join(header)]
-            lines += [",".join([label] + cells) for label, cells in rows]
-            blocks.append("\n".join(lines))
+            lines = [",".join(header)] + [",".join([label, *cells])
+                                          for label, cells in zip(labels, rows)]
+        blocks.append("\n".join(lines))
     return "\n\n".join(blocks) + "\n"

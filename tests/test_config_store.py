@@ -413,6 +413,22 @@ class TestEmitTable:
         cell = doc.strip().splitlines()[1].split(",")[1]
         assert len(cell.split(".")[1]) == 3
 
+    def test_runs_that_differ_in_other_keys_keep_their_own_rows(self, dataset, tmp_path):
+        # three seeds of one strategy are three runs: each is a row of its
+        # own, labelled by the key that tells it apart
+        suite = parse_config(write_config(tmp_path, SMALL_SUITE.format(extra="").replace(
+            "strategies = fedavg, fedprox", "seeds = 1, 2, 3")))
+        store, _ = run_suite(suite, dataset, str(tmp_path / "out"))
+        assert len(store.list_runs()) == 3
+        rows = emit_table(store, "csv").strip().splitlines()[1:]
+        assert sorted(row.split(",")[0] for row in rows) == [
+            "fedavg seed=1", "fedavg seed=2", "fedavg seed=3"]
+        finals = {r.values["seed"]: r.report["final"] for r in store.list_runs()}
+        for row in rows:
+            seed = int(row.split(",")[0].rpartition("=")[2])
+            assert row.split(",")[1:] == [f"{finals[seed][key]:.3f}"
+                                          for key in ("avg_mse", "avg_rmse", "avg_pcc")]
+
     def test_empty_store_rejected(self, tmp_path):
         store = ResultsStore(str(tmp_path / "empty"))
         with pytest.raises(ValueError):

@@ -11,7 +11,7 @@ def small_dataset(rng, n=40):
     features = rng.uniform(0, 1, size=(n, 29))
     features[:, 0] = rng.integers(0, 2, size=n)
     labels = rng.uniform(1, 5, size=(n, 8))
-    return dataio.Dataset(features, labels, "synthetic")
+    return dataio.Dataset(features, labels)
 
 
 class TestFisher:
@@ -27,7 +27,7 @@ class TestFisher:
         m = random_model(rng)
         features = rng.uniform(0, 1, size=(30, 29))
         labels = m.forward(features, mode="eval")
-        ds = dataio.Dataset(features, np.clip(labels, -100, 100), "synthetic")
+        ds = dataio.Dataset(features, np.clip(labels, -100, 100))
         f = cl.compute_fisher(m, ds, fisher_samples=4, seed=1, batch_size=30)
         assert np.max(f) <= 1e-10
 

@@ -17,7 +17,7 @@ def make_dataset(n, seed=0, flag=None):
     features = rng.uniform(0, 1, size=(n, 29))
     features[:, 0] = rng.integers(0, 2, size=n) if flag is None else flag
     labels = rng.uniform(1, 5, size=(n, 8))
-    return dataio.Dataset(features, labels, "synthetic")
+    return dataio.Dataset(features, labels)
 
 
 class TestCsv:
@@ -72,7 +72,7 @@ class TestCsv:
         names = ds.feature_names[1:] + [dataio.CIRCLE_FLAG_COLUMN]
         shuffled = dataio.Dataset(
             np.concatenate([ds.features[:, 1:], ds.features[:, :1]], axis=1),
-            ds.labels, "synthetic", names)
+            ds.labels, names)
         path = tmp_path / "data.csv"
         dataio.save_csv(shuffled, str(path))
         loaded = dataio.load_csv(str(path))
@@ -137,7 +137,7 @@ class TestCsvParse:
         stored = np.concatenate([others[:, :at], flag, others[:, at:]], axis=1)
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "data.csv")
-            dataio.save_csv(dataio.Dataset(stored, labels, "synthetic", names), path)
+            dataio.save_csv(dataio.Dataset(stored, labels, names), path)
             loaded = dataio.load_csv(path)
         assert loaded.features.tobytes() == np.concatenate([flag, others], axis=1).tobytes()
         assert loaded.labels.tobytes() == labels.tobytes()

@@ -97,6 +97,19 @@ def run_grouped(suite, dataset, out_dir, monkeypatch):
     return results, failures, cohorts
 
 
+def record_shapes(monkeypatch) -> list[int]:
+    """The member count of each shape the suite's stream trains, as it
+    calls group_outcomes."""
+    sizes, outcomes = [], store.group_outcomes
+
+    def recording(configs, *args, **kwargs):
+        sizes.append(len(configs))
+        return outcomes(configs, *args, **kwargs)
+
+    monkeypatch.setattr(store, "group_outcomes", recording)
+    return sizes
+
+
 @pytest.mark.parametrize("cap", [orch.COHORT_CAP, 3])
 @pytest.mark.parametrize("sweep, chunk_members", [
     # FedAvg, FedBN and FedOpt fork from a lead after round 0's local
@@ -111,11 +124,11 @@ def test_grouped_suite_equals_experiments_run_alone(sweep, chunk_members, cap, t
                                                     monkeypatch):
     suite = suite_of(tmp_path, GRID.format(sweep=sweep, extra=""), "grid.ini")
     dataset, _ = dataio.synthetic_generate(400, seed=3, noise_std=0.1)
-    groups = {id(g): g for g in store.group_suite(suite.experiments, dataset).values()}
-    assert sorted(len(g.specs) for g in groups.values()) == [5, 5, 5, 5]  # one per shape
+    shapes = record_shapes(monkeypatch)
     monkeypatch.setattr(orch, "GROUP_CLIENTS", 20)
     monkeypatch.setattr(orch, "COHORT_CAP", cap)
     grouped, failures, cohorts = run_grouped(suite, dataset, str(tmp_path / "out"), monkeypatch)
+    assert sorted(shapes) == [5, 5, 5, 5]  # one per shape
     assert not failures
     assert max(len(c.members) for c in cohorts) > 1  # cohorts mix experiments
     # the members training one round together hold at most 20 clients: a
@@ -151,10 +164,10 @@ def test_mixed_group_equals_experiments_run_alone(tmp_path, monkeypatch):
         ExperimentSpec(dict(s.values, seed=10)) for s in reversed(fl.experiments)]
     suite = BenchmarkSuite(experiments, fl.suite)
     dataset, _ = dataio.synthetic_generate(300, seed=4, noise_std=0.1)
-    groups = store.group_suite(suite.experiments, dataset)
-    assert sorted(len(g.specs) for g in {id(g): g for g in groups.values()}.values()) == [5, 5, 7]
+    shapes = record_shapes(monkeypatch)
     assert suite.experiments[-5].values["strategy"] == "fedopt"
     grouped, failures, cohorts = run_grouped(suite, dataset, str(tmp_path / "out"), monkeypatch)
+    assert sorted(shapes) == [5, 5, 7]
     assert not failures
     assert max(len(c.members) for c in cohorts) >= 3
     for spec in suite.experiments:
@@ -239,7 +252,7 @@ def test_a_group_wide_error_leaves_each_member_its_own_traceback(tmp_path):
     assert [m for _, m in failures] == ["client 0: task 1 shard is empty"] * 3
     texts = [(out / f"{run_id}.failed.txt").read_text() for run_id, _ in failures]
     assert texts[0] == texts[1] == texts[2]
-    assert texts[0].count(", in result\n") == 1
+    assert texts[0].count(", in execute_experiment\n") == 1
 
 
 def test_a_cohort_wide_error_gives_each_member_its_own(monkeypatch):
@@ -256,12 +269,62 @@ def test_a_cohort_wide_error_gives_each_member_its_own(monkeypatch):
     assert len({id(o) for o in outcomes}) == 3
 
 
-def test_a_spec_listed_twice_runs_twice(tmp_path):
-    suite = suite_of(tmp_path, MIXED.format(sweep="strategies = fedavg, fedprox"), "twice.ini")
-    suite = BenchmarkSuite(suite.experiments + suite.experiments[:1], suite.suite)
+def test_a_spec_listed_twice_trains_once(tmp_path, monkeypatch):
+    # the second listing is a trajectory twin of the first in its shape:
+    # the suite trains what it trains with the spec listed once, and
+    # writes the twin's run
+    once = suite_of(tmp_path, MIXED.format(sweep="strategies = fedavg, fedprox"), "twice.ini")
+    twice = BenchmarkSuite(once.experiments + once.experiments[:1], once.suite)
     dataset, _ = dataio.synthetic_generate(300, seed=4, noise_std=0.1)
-    _, failures = store.run_suite(suite, dataset, str(tmp_path / "out"))
-    assert not failures
+    trained = []
+    for name, suite in (("once", once), ("twice", twice)):
+        grouped, failures, cohorts = run_grouped(suite, dataset, str(tmp_path / name),
+                                                 monkeypatch)
+        assert not failures
+        trained.append([(c.task_index, c.round_index, c.clients) for c in cohorts])
+    assert trained[0] == trained[1]
+    assert sorted(p.name for p in (tmp_path / "twice").iterdir()) == sorted(
+        s.run_id() for s in once.experiments)
+    spec = twice.experiments[-1]
+    assert digest(grouped[spec.run_id()]) == digest(store.execute_experiment(spec, dataset))
+
+
+def test_a_shape_that_fails_midway_keeps_what_it_handed_out(tmp_path, monkeypatch):
+    # group_outcomes hands out one member's result, then stops: that member
+    # is written, and each later member fails with its own copy of the error
+    suite = suite_of(tmp_path, MIXED.format(sweep="strategies = fedavg, fedprox, feddistill"),
+                     "midway.ini")
+    dataset, _ = dataio.synthetic_generate(300, seed=4, noise_std=0.1)
+    handed, errors = [], []
+    outcomes, execute = store.group_outcomes, store.execute_experiment
+
+    def failing_outcomes(*args, **kwargs):
+        first = next(outcomes(*args, **kwargs))
+        handed.append(suite.experiments[first[0]])
+        yield first
+        raise RuntimeError("the shape failed")
+
+    def recording_execute(spec, dataset, outcome=None):
+        if isinstance(outcome, Exception):
+            errors.append(outcome)
+        return execute(spec, dataset, outcome)
+
+    out = tmp_path / "out"
+    with monkeypatch.context() as patch:
+        patch.setattr(store, "group_outcomes", failing_outcomes)
+        patch.setattr(store, "execute_experiment", recording_execute)
+        results, failures = store.run_suite(suite, dataset, str(out))
+        # the stream hands out each member once
+        assert sorted(p for p, _ in store._stream(suite.experiments, dataset)) == [0, 1, 2]
+    first = handed[0]
+    later = [s for s in suite.experiments if s is not first]
+    assert failures == [(s.run_id(), "the shape failed") for s in later]
+    assert len(errors) == 2 and errors[0] is not errors[1]
+    assert all(isinstance(e, RuntimeError) for e in errors)
+    assert [r.run_id for r in results.list_runs()] == [first.run_id()]
+    stored = results.load_run(first.run_id()).report["final_params_sha256"]
+    params = store.execute_experiment(first, dataset).final_params
+    assert stored == hashlib.sha256(params.tobytes()).hexdigest()
 
 
 def test_group_key_is_every_field_but_the_members_own():

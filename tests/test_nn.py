@@ -288,8 +288,8 @@ class TestOptimizer:
 
     def test_adam_matches_reference(self):
         # hand-rolled Adam on a scalar quadratic f(x) = x^2, grad 2x
-        lr, b1, b2, eps = 0.1, 0.9, 0.999, 1e-8
-        opt = nn.Optimizer("adam", lr, b1, b2, eps)
+        lr, b1, b2, eps = 0.1, 0.9, 0.999, 1e-8  # nn.ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON
+        opt = nn.Optimizer("adam", lr)
         x = np.array([3.0])
         x_ref, m_ref, v_ref = 3.0, 0.0, 0.0
         for t in range(1, 4):

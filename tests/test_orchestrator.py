@@ -129,7 +129,7 @@ class TestRunFl:
     def test_client_failure_names_client_and_round(self):
         train, test, _ = synth(n=40)
         cfg = config(n_clients=2, n_rounds=1)
-        bad = dataio.Dataset(np.zeros((1, 29)), np.full((1, 8), 3.0), "synthetic")
+        bad = dataio.Dataset(np.zeros((1, 29)), np.full((1, 8), 3.0))
         parts = dataio.partition_clients(train, 2, cfg.seed)
         member = orch.Member(cfg, np.zeros(nn.PARAM_COUNT))
         client = orch.ClientState(1, bad, nn.MlpModel(), nn.Optimizer("sgd", 0.1), member)
@@ -142,7 +142,7 @@ class TestRunFl:
         cfg = config(n_clients=1, n_rounds=1)
         features = np.zeros((4, 29))
         features[2, 3] = np.inf
-        shard = dataio.Dataset(features, np.full((4, 8), 3.0), "synthetic")
+        shard = dataio.Dataset(features, np.full((4, 8), 3.0))
         member = orch.Member(cfg, np.zeros(nn.PARAM_COUNT))
         client = orch.ClientState(0, shard, nn.MlpModel(), nn.Optimizer("adam", 0.1), member)
         with np.errstate(invalid="ignore"):
@@ -177,7 +177,7 @@ class TestRunFl:
         shards, start = [], 0
         for n in [300, 300, 300, 123, 300, 57, 300, 300, 90, 90]:
             shards.append(dataio.Dataset(ds.features[start:start + n],
-                                         ds.labels[start:start + n], "synthetic"))
+                                         ds.labels[start:start + n]))
             start += n
         template = nn.MlpModel()
         template.init_params(np.random.default_rng(11))

@@ -210,8 +210,8 @@ class TestFedOpt:
         assert np.max(np.abs(out_adam - global_params)) <= 1e-12
 
     def test_adam_server_matches_reference(self, rng):
-        lr, b1, b2, eps = 0.05, 0.9, 0.999, 1e-8
-        server = nn.Optimizer("adam", lr, b1, b2, eps)
+        lr, b1, b2, eps = 0.05, 0.9, 0.999, 1e-8  # nn.ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON
+        server = nn.Optimizer("adam", lr)
         g = rng.normal(size=12)
         m = np.zeros(12)
         v = np.zeros(12)
