@@ -6,10 +6,10 @@ Subcommands:
     verify  re-run stored experiments and check bit-identical metrics
     synth   generate a synthetic dataset CSV
 
-Exit codes: 0 success, 1 any experiment failed or verification violated,
-2 invalid configuration or a dataset that cannot be read. Only the output
-directory may come from the environment (FEDCL_OUT); everything
-science-relevant lives in the config.
+Exit codes: 0 success, 1 any experiment failed, verification violated or
+an output that cannot be written, 2 invalid configuration or options, or a
+dataset that cannot be read. Only the output directory may come from the
+environment (FEDCL_OUT); everything science-relevant lives in the config.
 """
 
 from __future__ import annotations
@@ -103,8 +103,15 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    ds, _ = dataio.synthetic_generate(args.n, seed=args.seed, noise_std=args.noise_std)
-    dataio.save_csv(ds, args.out)
+    try:
+        ds, _ = dataio.synthetic_generate(args.n, seed=args.seed, noise_std=args.noise_std)
+        dataio.save_csv(ds, args.out)
+    except ValueError as exc:
+        print(f"invalid synth option: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"cannot write {args.out}: {exc}", file=sys.stderr)
+        return 1
     print(f"wrote {len(ds)} samples to {args.out}")
     return 0
 

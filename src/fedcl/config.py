@@ -77,7 +77,7 @@ class SuiteSpec:
     def __post_init__(self):
         if self.synthetic_n < 1:
             raise ValueError(f"synthetic_n must be >= 1, got {self.synthetic_n}")
-        if self.synthetic_noise < 0.0:
+        if not self.synthetic_noise >= 0.0:  # NaN included
             raise ValueError(f"synthetic_noise must be >= 0, got {self.synthetic_noise}")
 
 

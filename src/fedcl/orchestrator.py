@@ -4,12 +4,12 @@ barriers, continual-learning task sequencing, and evaluation scheduling.
 Experiments train in lockstep groups. ``run_group`` advances experiments
 that share a ``group_key`` (and so their shards and every minibatch draw)
 round by round, in chunks of members with at most ``GROUP_CLIENTS``
-clients: each member is a ``_Run``, and each round the clients of all
-members of a chunk train as one cohort through ``local_train``, in chunks
-of at most ``COHORT_CAP`` clients; then each member consolidates,
-aggregates and evaluates on its own. ``run_fl`` and ``run_fcl`` run a
-group of one. FCL is two tasks, circle then arrow; the last round of task
-1 consolidates each client's CL state, and task 2 trains against it.
+clients (a member with more trains alone): each member is a ``_Run``, and
+each round the clients of all members of a chunk train as one cohort in
+one ``local_train`` call; then each member consolidates, aggregates and
+evaluates on its own. ``run_fl`` and ``run_fcl`` run a group of one. FCL
+is two tasks, circle then arrow; the last round of task 1 consolidates
+each client's CL state, and task 2 trains against it.
 Members that compute the same bits up to a round's local training train
 that prefix once, as one lead run, and fork from it (``_Share``): FCL's
 task 1, where no CL method acts, and FL's round 0 for FedAvg, FedBN and
@@ -39,8 +39,7 @@ parameters at the end of task 1, their importance map).
 Determinism: every random draw comes from a stream derived from
 (seed, purpose, client, task, round, ...) via numpy's SeedSequence, and
 model k of a stack computes exactly the bits it would compute alone, so
-results are bit-identical however the clients of a round are grouped into
-cohorts and however experiments are grouped.
+results are bit-identical however experiments are grouped into chunks.
 """
 
 from __future__ import annotations
@@ -153,17 +152,6 @@ class RunResult:
         return self.round_logs[-1].report
 
 
-# The largest cohort ``run_group`` passes to one ``local_train`` call. Set
-# by a micro-benchmark: one round of each group shape of the benchmark grids
-# (all members of a shape in one cohort; FCL in task 2) through local_train
-# in chunks of 2 to 20 clients (2-core Xeon, 1 BLAS thread, best of 9), last
-# re-run with the in-place training step. Against chunks of 10, chunks of 2
-# cost 5-140% more on every shape and chunks of 5 from -23% to +94%; chunks
-# of 12, 15 and 20 ranged from -29% to +31%, faster on some shapes of each
-# grid and slower on others, within the host's noise. No size was faster
-# on every shape of both grids, and every size gave the same bits.
-COHORT_CAP = 10
-
 # The most padded shard rows (rows of the pass times its largest shard) one
 # stacked eval forward of ``_shard_losses`` takes; a larger shard passes
 # alone. Set by measurement (``perfbench/run.py --workload fl_grid --seconds
@@ -224,12 +212,8 @@ class Member:
     config: ExperimentConfig
     global_params: np.ndarray
     error: Exception | None = None
-    # the plain batch draws of the round, shared by the members that train
-    # together: a draw depends only on its key, so the copies of a client
-    # draw it once
-    plans: dict | None = None
-    # the cohort stacks of the members that train together, kept from round
-    # to round of a task (``local_train``)
+    # the stacks that the last ``local_train`` of the members that train
+    # together trained, kept for the next round of the task
     stacks: dict | None = None
 
 
@@ -324,16 +308,16 @@ class _Stack:
     loss terms of a student stack are stacked once per term over the rows
     that carry it (``_Part``), and a run of rows reads them as views; the
     distillation targets come from ``teachers``, the teacher stack of the
-    clients with teachers, which has finished the round's training. The plan of its post-round loss passes (``_loss_passes``: the
-    rows of each pass, their source rows and shard sizes) is built once too,
-    and again only in a round in which a member with rows here failed."""
+    clients with teachers, which has finished the round's training. The
+    plan of its post-round loss passes (``_loss_passes``: the rows of each
+    pass, their source rows and shard sizes) is built once too, and again
+    only in a round in which a member with rows here failed."""
 
     def __init__(self, clients: list[ClientState], task_index: int, teacher: bool = False,
                  teachers: "_Stack | None" = None):
         self.clients, self.teachers = clients, teachers
         self.row_of = {id(c): k for k, c in enumerate(clients)}
         self.failed = False  # whether a member with rows here has failed this round
-        self.round = None    # the last round it trained in (``_lockstep`` drops the others)
         self.sources = None  # ``_sources`` of its batches, on first use
         self.passes = None   # ``_loss_passes``, on first use
         models = [c.teacher_model if teacher else c.model for c in clients]
@@ -444,9 +428,7 @@ def _replays(client: ClientState, task_index: int) -> bool:
 def _cohort_order(clients: list[ClientState], task_index: int) -> list[ClientState]:
     """The rows of a cohort: clients whose batches have equal row counts
     are adjacent, so they step as one run, also in a ragged last batch.
-    The sort is stable, so a group's chunks keep each member's clients
-    together where shard sizes allow (and its FedDistill teachers in one
-    stack)."""
+    The sort is stable, so each member's clients stay in order."""
     return sorted(clients, key=lambda c: (_replays(c, task_index), len(c.shard)))
 
 
@@ -470,10 +452,13 @@ def _schedule(plans: list[list[tuple]]) -> list[tuple[int, int, int]]:
 
 
 def _epoch_batches(client: ClientState, purpose: int, task_index: int, round_index: int,
-                   epoch: int, replay: bool) -> list[tuple[np.ndarray, np.ndarray | None]]:
+                   epoch: int, replay: bool,
+                   drawn: dict) -> list[tuple[np.ndarray, np.ndarray | None]]:
     """One client's batches of an epoch from its ``purpose`` stream, as
-    (shard row indices, replay buffer positions or None)."""
-    cfg, n, plans = client.member.config, len(client.shard), client.member.plans
+    (shard row indices, replay buffer positions or None). A plain draw
+    depends only on its key, so it is kept in ``drawn``, the stack's draws
+    of the epoch, and the clients of one client id in a stack draw it once."""
+    cfg, n = client.member.config, len(client.shard)
     # small shards (e.g. task splits at 10 clients) cap the batch size
     batch_size = min(cfg.batch_size, n)
     if replay and _replays(client, task_index):
@@ -481,13 +466,11 @@ def _epoch_batches(client: ClientState, purpose: int, task_index: int, round_ind
         return cl.nr_mixed_indices(client.buffer, n, batch_size, cfg.penalty.mix_ratio,
                                    stream, epoch)
     key = (cfg.seed, purpose, client.client_id, task_index, round_index, n, batch_size, epoch)
-    if plans is not None and key in plans:
-        return plans[key]
-    stream = derive_seed(cfg.seed, purpose, client.client_id, task_index, round_index)
-    plan = [(idx, None) for idx in dataio.minibatch_indices(n, batch_size, stream, epoch)]
-    if plans is not None:
-        plans[key] = plan
-    return plan
+    if key not in drawn:
+        stream = derive_seed(cfg.seed, purpose, client.client_id, task_index, round_index)
+        batches = dataio.minibatch_indices(n, batch_size, stream, epoch)
+        drawn[key] = [(idx, None) for idx in batches]
+    return drawn[key]
 
 
 def _fail(stack: _Stack, failing: list[ClientState], context: tuple, j: int,
@@ -660,7 +643,8 @@ def _train_epochs(stack: _Stack, purpose: int, replay: bool, task_index: int, ro
         stack.sources = _sources(clients, [replay and _replays(c, task_index) for c in clients])
     features, labels, offsets = stack.sources
     for epoch in range(clients[0].member.config.local_epochs):
-        plans = [_epoch_batches(c, purpose, task_index, round_index, epoch, replay)
+        drawn: dict = {}
+        plans = [_epoch_batches(c, purpose, task_index, round_index, epoch, replay, drawn)
                  for c in clients]
         schedule = _schedule(plans)
         index, bounds = _epoch_index(offsets, plans, schedule)
@@ -685,12 +669,13 @@ def local_train(clients: list[ClientState], task_index: int,
 
     The stacks (the teachers' and the students') are kept in the members'
     ``Member.stacks``, keyed by (teacher or not, task, the ids of their
-    clients in order), so a cohort that trains together again in the task
-    finds its stack, and its clients' state still row views of it: only
-    what changes between rounds is refreshed (``_Stack.refresh``). A cohort
-    whose members changed, e.g. when a member failed, is stacked afresh
-    from its clients' current state. Without ``stacks`` the stacks last
-    this call.
+    clients in order), which the call leaves holding exactly the stacks it
+    trained. A cohort that trains together again in the next round of the
+    task finds its stack, and its clients' state still row views of it:
+    only what changes between rounds is refreshed (``_Stack.refresh``). A
+    cohort whose key changed, in a new task or when a member failed, is
+    stacked afresh from its clients' current state, and the stack it
+    leaves is let go. Without ``Member.stacks`` the stacks last this call.
 
     A failure stops the member of the failing client, not the cohort: the
     error, naming client, round and step, becomes its ``Member.error``, and
@@ -702,15 +687,15 @@ def local_train(clients: list[ClientState], task_index: int,
     live = _cohort_order([c for c in clients if c.member.error is None], task_index)
     if len({c.member.config.local_epochs for c in live}) > 1:
         raise ValueError("the clients of a cohort must train the same number of local epochs")
-    stacks = live[0].member.stacks if live else None
-    if stacks is None:
-        stacks = {}
+    stacks = live[0].member.stacks if live and live[0].member.stacks is not None else {}
+    earlier = stacks.copy()
+    stacks.clear()  # to hold the stacks this call trains
 
     # FedDistill: the personalised teachers train on the raw shards first
     teachers = student = None
     distilling = [c for c in live if c.teacher_model is not None]
     if distilling:
-        teachers = _cohort_stack(stacks, distilling, task_index, round_index, teacher=True)
+        teachers = _cohort_stack(earlier, stacks, distilling, task_index, teacher=True)
         _train_epochs(teachers, 20, False, task_index, round_index, "teacher ")
         live = [c for c in live if c.member.error is None]
 
@@ -720,7 +705,7 @@ def local_train(clients: list[ClientState], task_index: int,
                 c.model.params[~_BN_MASK] = c.member.global_params[~_BN_MASK]
             else:
                 c.model.params[...] = c.member.global_params
-        student = _cohort_stack(stacks, live, task_index, round_index, teachers=teachers)
+        student = _cohort_stack(earlier, stacks, live, task_index, teachers=teachers)
         _train_epochs(student, 21, True, task_index, round_index, "")
 
     losses = {} if student is None else _shard_losses(student)
@@ -729,17 +714,17 @@ def local_train(clients: list[ClientState], task_index: int,
     return [updates.get(id(c)) for c in clients], [losses.get(id(c)) for c in clients]
 
 
-def _cohort_stack(stacks: dict, clients: list[ClientState], task_index: int, round_index: int,
+def _cohort_stack(earlier: dict, stacks: dict, clients: list[ClientState], task_index: int,
                   teacher: bool = False, teachers: _Stack | None = None) -> _Stack:
-    """The clients' stack kept in ``stacks`` from an earlier round of the
-    task, refreshed, or a new one, kept for the rounds after."""
+    """The clients' stack from ``earlier``, the last round's stacks,
+    refreshed, or a new one; either way entered in ``stacks``."""
     key = (teacher, task_index, *map(id, clients))
-    stack = stacks.get(key)
+    stack = earlier.get(key)
     if stack is None:
-        stack = stacks[key] = _Stack(clients, task_index, teacher, teachers)
+        stack = _Stack(clients, task_index, teacher, teachers)
     else:
         stack.refresh(teachers)
-    stack.round = round_index
+    stacks[key] = stack
     return stack
 
 
@@ -962,31 +947,34 @@ class _Run:
 
 
 # The most clients whose state ``run_group`` holds at once for the members
-# that train together. Every member's clients keep their models, optimizer
-# moments and CL anchors until its last round, so memory grows with the
-# members of a chunk; a group whose members have more clients than this
-# trains them in chunks. At 20, a 10-client cell of the benchmark grid trains
-# in chunks of 2, 2 and 1 members, and the peak resident memory stays that
-# of running alone (all 5 at once: +5%).
+# that train together, and so the most clients one ``local_train`` call
+# stacks; a member that has more trains alone, as one stack of all its
+# clients. Every member's clients keep their models, optimizer moments and
+# CL anchors until its last round, and a round's training step temporaries
+# grow with the stack, so memory grows with the members of a chunk. At 20, a
+# 10-client cell of the benchmark grid trains in chunks of 2, 2 and 1
+# members, and a 2-client cell all at once. Measured with ``perfbench/child.py
+# --mode timed`` (2-core Xeon, medians of 3 processes), the peak resident
+# memory is 4% above that of training each member alone (fl_grid 40.1 to
+# 41.7 MB, fcl_grid 40.6 to 42.4 MB); all members at once cost 15% and 12%.
 GROUP_CLIENTS = 20
 
 
 def _train_round(runs: list[_Run], task_index: int, round_index: int) -> tuple[dict, float]:
     """One round of local training for the clients of every run still
-    going, as one cohort in chunks of at most ``COHORT_CAP`` clients.
-    Returns id(client) -> (update, loss) and the seconds it took. An error
-    that stops a chunk stops each of its members with its own copy."""
-    cohort = _cohort_order([c for run in runs if run.member.error is None
-                            for c in run.clients], task_index)
-    trained = {}
+    going, as one ``local_train`` call. Returns id(client) -> (update,
+    loss) and the seconds it took. An error that stops the call stops each
+    member with its own copy."""
+    cohort = [c for run in runs if run.member.error is None for c in run.clients]
+    if not cohort:  # e.g. a later chunk's fork round, whose leads have trained
+        return {}, 0.0
     t0 = time.perf_counter()
-    for i in range(0, len(cohort), COHORT_CAP):
-        chunk = cohort[i:i + COHORT_CAP]
-        try:
-            trained.update(zip(map(id, chunk), zip(*local_train(chunk, task_index, round_index))))
-        except Exception as exc:
-            for c in chunk:
-                c.member.error = c.member.error or own_copy(exc)
+    try:
+        trained = dict(zip(map(id, cohort), zip(*local_train(cohort, task_index, round_index))))
+    except Exception as exc:
+        trained = {}
+        for c in cohort:
+            c.member.error = c.member.error or own_copy(exc)
     return trained, time.perf_counter() - t0
 
 
@@ -1048,27 +1036,21 @@ def _lockstep(configs: list[ExperimentConfig], chunk: list[int], shares: dict[in
     member in ``shares`` forks from its share after the local training of
     round ``fork_at``, and its lead trains with the chunk up to there unless
     an earlier chunk has trained it; every other member trains from round
-    0. Each round trains the clients of every run still going together,
-    sharing their batch draws, and then each run finishes the round on its
-    own; a task's last round consolidates for the next task, if one follows."""
+    0. Each round trains the clients of every run still going in one
+    ``local_train`` call, and then each run finishes the round on its own;
+    a task's last round consolidates for the next task, if one follows."""
     runs = {i: _Run(configs[i], tasks[0].shards) for i in chunk if i not in shares}
     leads = list(dict.fromkeys(shares[i] for i in chunk if i in shares and not shares[i].trained))
     going = list(runs.values()) + [s.lead for s in leads]
-    plans: dict = {}
     stacks: dict = {}
     positions = [(t, r, task) for t, task in enumerate(tasks) for r in range(task.n_rounds)]
     for p in range(0 if going else fork_at, len(positions)):
         task_index, r, task = positions[p]
-        if r == 0:  # a task changes the shards and resets every optimizer
-            stacks.clear()
         for run in going:
-            run.member.plans, run.member.stacks = plans, stacks
-            if r == 0:
+            run.member.stacks = stacks
+            if r == 0:  # a task changes the shards and resets every optimizer
                 run.start_task(task_index, task)
         trained, train_s = _train_round(going, task_index, p)
-        plans.clear()  # no later round draws these again
-        for key in [key for key, stack in stacks.items() if stack.round != p]:
-            del stacks[key]  # its cohort has changed
         consolidate = r == task.n_rounds - 1 and task_index + 1 < len(tasks)
         if p == fork_at:  # each lead keeps its training of the round, done in the chunk's time
             for share in leads:

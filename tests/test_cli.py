@@ -48,6 +48,26 @@ class TestSynth:
         assert len(ds) == 50
         assert "wrote 50 samples" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("option, value, reason", [
+        ("--n", "0", "n must be >= 1, got 0"),
+        ("--noise-std", "-1", "noise_std must be >= 0, got -1.0"),  # once no noise, exit 0
+        ("--noise-std", "nan", "noise_std must be >= 0, got nan"),
+    ], ids=["n-0", "noise-std--1", "noise-std-nan"])
+    def test_invalid_option_exits_2_with_the_reason(self, tmp_path, capsys, option, value,
+                                                    reason):
+        out = tmp_path / "data.csv"
+        assert main(["synth", "--out", str(out), option, value]) == 2
+        assert capsys.readouterr().err == f"invalid synth option: {reason}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("out", ["missing/data.csv", "."])
+    def test_unwritable_out_exits_1_with_the_reason(self, tmp_path, capsys, out):
+        path = str(tmp_path / out)
+        assert main(["synth", "--out", path, "--n", "5"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"cannot write {path}: ")
+        assert not (tmp_path / "missing").exists()
+
 
 class TestRun:
     def test_run_and_table(self, config_path, tmp_path, capsys):
@@ -81,6 +101,7 @@ class TestRun:
         ("experiment", "seed", "-1"),
         ("suite", "synthetic_n", "0"),
         ("suite", "synthetic_noise", "-0.1"),
+        ("suite", "synthetic_noise", "nan"),  # once a noiseless dataset
     ])
     def test_out_of_range_value_exits_2_naming_the_key(self, tmp_path, capsys,
                                                        section, key, value):

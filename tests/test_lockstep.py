@@ -73,13 +73,14 @@ class Cohort(NamedTuple):
     round_index: int
     members: set     # id() of the Member of each client
     clients: int
+    chunk: int       # its chunk: the count of chunks started by its call
 
 
 def run_grouped(suite, dataset, out_dir, monkeypatch):
     """run_suite, keeping the result execute_experiment hands back for each
     experiment, and every local_train cohort."""
-    results, cohorts = {}, []
-    execute, train = store.execute_experiment, orch.local_train
+    results, cohorts, chunks = {}, [], [0]
+    execute, train, lockstep = store.execute_experiment, orch.local_train, orch._lockstep
 
     def recording_execute(spec, *args, **kwargs):
         results[spec.run_id()] = execute(spec, *args, **kwargs)
@@ -87,12 +88,17 @@ def run_grouped(suite, dataset, out_dir, monkeypatch):
 
     def recording_train(clients, task_index, round_index):
         cohorts.append(Cohort(task_index, round_index, {id(c.member) for c in clients},
-                              len(clients)))
+                              len(clients), chunks[0]))
         return train(clients, task_index, round_index)
+
+    def counting_lockstep(*args, **kwargs):
+        chunks[0] += 1
+        return lockstep(*args, **kwargs)
 
     with monkeypatch.context() as patch:
         patch.setattr(store, "execute_experiment", recording_execute)
         patch.setattr(orch, "local_train", recording_train)
+        patch.setattr(orch, "_lockstep", counting_lockstep)
         _, failures = store.run_suite(suite, dataset, out_dir)
     return results, failures, cohorts
 
@@ -110,36 +116,33 @@ def record_shapes(monkeypatch) -> list[int]:
     return sizes
 
 
-@pytest.mark.parametrize("cap", [orch.COHORT_CAP, 3])
+@pytest.mark.parametrize("group_clients", [20, 10, 3])
 @pytest.mark.parametrize("sweep, chunk_members", [
     # FedAvg, FedBN and FedOpt fork from a lead after round 0's local
     # training, so a 2-client cell trains round 0 as 3 members: the lead,
-    # FedProx and FedDistill
-    ("strategies = fedavg, fedbn, fedprox, fedopt, feddistill", [1, 2, 3, 5]),
-    # EWC-Online is EWC's twin, so 4 distinct members train: a 2-client
-    # cell trains them at once, a 10-client cell 2 and 2; 1 is the lead
-    ("cl_methods = ewc, ewc_online, si, mas, nr", [1, 2, 4]),
+    # FedProx and FedDistill. At 20 clients a 2-client cell trains its
+    # members at once and a 10-client cell 2, 2 and 1 at a time; at 10 the
+    # 10-client cell trains one at a time, and at 3 every member trains
+    # alone, a 10-client one as one stack of more clients than the cap
+    ("strategies = fedavg, fedbn, fedprox, fedopt, feddistill",
+     {20: [1, 2, 3, 5], 10: [1, 3, 5], 3: [1]}),
+    # EWC-Online is EWC's twin, so 4 distinct members train; 1 is the lead
+    ("cl_methods = ewc, ewc_online, si, mas, nr", {20: [1, 2, 4], 10: [1, 4], 3: [1]}),
 ], ids=["fl_grid", "fcl_grid"])
-def test_grouped_suite_equals_experiments_run_alone(sweep, chunk_members, cap, tmp_path,
-                                                    monkeypatch):
+def test_grouped_suite_equals_experiments_run_alone(sweep, chunk_members, group_clients,
+                                                    tmp_path, monkeypatch):
     suite = suite_of(tmp_path, GRID.format(sweep=sweep, extra=""), "grid.ini")
     dataset, _ = dataio.synthetic_generate(400, seed=3, noise_std=0.1)
     shapes = record_shapes(monkeypatch)
-    monkeypatch.setattr(orch, "GROUP_CLIENTS", 20)
-    monkeypatch.setattr(orch, "COHORT_CAP", cap)
+    monkeypatch.setattr(orch, "GROUP_CLIENTS", group_clients)
     grouped, failures, cohorts = run_grouped(suite, dataset, str(tmp_path / "out"), monkeypatch)
     assert sorted(shapes) == [5, 5, 5, 5]  # one per shape
     assert not failures
-    assert max(len(c.members) for c in cohorts) > 1  # cohorts mix experiments
-    # the members training one round together hold at most 20 clients: a
-    # 2-client cell trains its distinct members at once, a 10-client cell
-    # two at a time
-    chunks = [list(same) for _, same in itertools.groupby(
-        cohorts, key=lambda c: (c.task_index, c.round_index))]
-    assert all(c.clients <= cap for c in cohorts)
-    assert max(sum(c.clients for c in chunk) for chunk in chunks) == 20
-    assert sorted({len(set().union(*(c.members for c in chunk)))
-                   for chunk in chunks}) == chunk_members
+    # each round of a chunk is one local_train call, of at most
+    # GROUP_CLIENTS clients unless one member alone has more
+    assert len({(c.chunk, c.task_index, c.round_index) for c in cohorts}) == len(cohorts)
+    assert all(c.clients <= group_clients or len(c.members) == 1 for c in cohorts)
+    assert sorted({len(c.members) for c in cohorts}) == chunk_members[group_clients]
     for spec in suite.experiments:
         alone = store.execute_experiment(spec, dataset)
         assert digest(grouped[spec.run_id()]) == digest(alone), spec.values
@@ -367,19 +370,25 @@ synthetic_n = 400
 """
 
 
-@pytest.mark.parametrize("cap", [orch.COHORT_CAP, 3])
-def test_fcl_task_1_trains_once_per_shape(cap, tmp_path, monkeypatch):
-    # nothing in task 1 reads the CL method, so one FedAvg run trains it
-    # and every member forks from it at the task-1 consolidation
+@pytest.mark.parametrize("group_clients", [20, 10, 3])
+def test_fcl_task_1_trains_once_per_shape(group_clients, tmp_path, monkeypatch):
+    # nothing in task 1 reads the CL method, so one FedAvg run trains it,
+    # one local_train call a round, and every member forks from it at the
+    # task-1 consolidation
     suite = suite_of(tmp_path, FCL10.format(rounds_per_task=2, extra=""), "fcl10.ini")
     dataset, _ = dataio.synthetic_generate(400, seed=3, noise_std=0.1)
-    monkeypatch.setattr(orch, "COHORT_CAP", cap)
+    monkeypatch.setattr(orch, "GROUP_CLIENTS", group_clients)
     grouped, failures, cohorts = run_grouped(suite, dataset, str(tmp_path / "out"), monkeypatch)
     assert not failures
-    assert len([c for c in cohorts if c.task_index == 0]) == 2 * math.ceil(10 / cap)
+    assert [(c.round_index, c.clients) for c in cohorts if c.task_index == 0] == [(0, 10), (1, 10)]
     # task 2 trains the 4 distinct members (EWC-Online is EWC's twin) in
-    # chunks of at most GROUP_CLIENTS clients
-    assert sum(c.clients for c in cohorts if c.task_index == 1) == 2 * 4 * 10
+    # chunks of at most GROUP_CLIENTS clients, or of one member that has
+    # more, each chunk one call a round
+    task_2 = [c for c in cohorts if c.task_index == 1]
+    per_chunk = max(1, group_clients // 10)
+    assert len(task_2) == 2 * math.ceil(4 / per_chunk)
+    assert all(len(c.members) == per_chunk for c in task_2)
+    assert sum(c.clients for c in task_2) == 2 * 4 * 10
     for spec in suite.experiments:
         assert digest(grouped[spec.run_id()]) == digest(store.execute_experiment(spec, dataset))
 
@@ -662,21 +671,25 @@ def test_a_cohort_is_stacked_once_per_task(monkeypatch):
         init(self, *args, **kwargs)
 
     def checking_train(clients, task_index, round_index):
-        # a stack whose cohort did not train in the last round is let go
-        trained.setdefault(round_index, set()).update(map(id, clients))
-        recent = trained.get(round_index - 1, set()) | trained[round_index]
-        assert all(id(c) in recent for stack in clients[0].member.stacks.values()
-                   for c in stack.clients)
+        # the chunk's stacks are those its last round trained, if any
+        stacks = clients[0].member.stacks
+        assert {id(c) for s in stacks.values() for c in s.clients} <= trained.get(
+            round_index - 1, set())
         inside[0] = True
         try:
             result = local_train(clients, task_index, round_index)
         finally:
             inside[0] = False
-        for c in clients:
-            if c.member.error is None:  # its model is a row of its cohort's student stack
-                (stack,) = [s for (teacher, *_), s in c.member.stacks.items()
-                            if not teacher and id(c) in s.row_of]
-                assert np.shares_memory(c.model.params, stack.params)
+        trained[round_index] = set(map(id, clients))
+        # one call trains the whole chunk as one student stack (and one of
+        # its FedDistill teachers), and keeps exactly those
+        teachers = [c for c in clients if c.teacher_model is not None]
+        assert sorted(teacher for teacher, *_ in stacks) == [False] + [True] * bool(teachers)
+        for (teacher, *_), s in stacks.items():
+            assert sorted(map(id, s.clients)) == sorted(map(id, teachers if teacher else clients))
+        (stack,) = [s for (teacher, *_), s in stacks.items() if not teacher]
+        for c in clients:  # its model is a row of the chunk's student stack
+            assert np.shares_memory(c.model.params, stack.params)
         return result
 
     monkeypatch.setattr(orch.nn.MlpModel, "__init__", counting_init)

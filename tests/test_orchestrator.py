@@ -447,13 +447,19 @@ class TestShardLosses:
         failing = next(c for c in clients if c.member is members["B"] and len(c.shard) == 40)
         cfg = members["B"].config
         batches = dataio.minibatch_indices(40, 8, derive_seed(cfg.seed, 21, 1, 0, 1), 0)
+        kept = None
         for r in range(3):
             if r == 1:  # the shards are views of the stack's source table
                 failing.shard.features[batches[-1][0], 5] = np.inf
+            live = [c for c in clients if c.member.error is None]
             with np.errstate(invalid="ignore", over="ignore"):
                 _, losses = orch.local_train(clients, 0, r)
-            for key in [key for key, stack in stacks.items() if stack.round != r]:
-                del stacks[key]
+            # local_train keeps only the stack it trained: round 1 finds
+            # round 0's, and round 2 stacks the survivors afresh
+            (stack,) = stacks.values()
+            assert sorted(map(id, stack.clients)) == sorted(map(id, live))
+            assert (stack is kept) == (r == 1)
+            kept = stack
             if r >= 1:
                 assert re.match(rf"client 1 failed in round 1: epoch 0 batch {len(batches) - 1}",
                                 str(members["B"].error))
