@@ -41,13 +41,13 @@ class PenaltyConfig:
 
     # each message starts with the field's name, which config.py maps to its INI key
     def __post_init__(self):
-        if self.lambda_ is not None and self.lambda_ < 0.0:
+        if self.lambda_ is not None and not self.lambda_ >= 0.0:  # NaN included
             raise ValueError(f"lambda_ must be >= 0, got {self.lambda_}")
         if not 0.0 < self.gamma_online <= 1.0:
             raise ValueError(f"gamma_online must be in (0, 1], got {self.gamma_online}")
         if self.fisher_samples < 1:
             raise ValueError(f"fisher_samples must be >= 1, got {self.fisher_samples}")
-        if self.xi <= 0.0:
+        if not self.xi > 0.0:
             raise ValueError(f"xi must be positive, got {self.xi}")
         if self.buffer_capacity < 1:
             raise ValueError(f"buffer_capacity must be >= 1, got {self.buffer_capacity}")

@@ -285,6 +285,8 @@ def synthetic_generate(n: int, seed: int = 0, noise_std: float = 0.1,
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if not noise_std >= 0.0:
         raise ValueError(f"noise_std must be >= 0, got {noise_std}")
     rng = np.random.default_rng([seed, 4])

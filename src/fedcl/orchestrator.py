@@ -27,14 +27,19 @@ batch has the same row count with one ``nn.backward`` and one
 ``Optimizer.step`` on views of their rows, so nothing is written back;
 each client's loss on its shard after the round comes from a stacked eval
 pass over adjacent rows of any shard sizes, each shard padded to the
-pass's largest and the padding left out of its loss. What a client's loss
-adds to the data loss (at most one quadratic penalty, a FedDistill
-teacher, NR replay) comes from its ``Member`` and its own state, so one
-cohort may mix the clients of several experiments. The quadratic penalty
-is one (lambda, anchor, importance) triple: FedProx's proximal term is
-(mu, the round's global parameters, a unit importance on the optimized
-slots), and EWC, EWC-Online, SI and MAS give, in task 2, (lambda, the
-parameters at the end of task 1, their importance map).
+pass's largest and the padding left out of its loss. What a client's
+training adds to the data loss (at most one of NR replay, SI's path
+integral, a quadratic penalty and a FedDistill teacher) comes from its
+``Member`` and its own state, so one cohort may mix the clients of
+several experiments. A stack's rows are sorted by that term
+(``_cohort_order``), so each term covers one block of adjacent rows and
+a run of rows reads its share of the term as a slice; the teachers are
+a stack of their own, in the order of their students' block, and a run
+reads them in place. The quadratic penalty is one (lambda, anchor,
+importance) triple: FedProx's proximal term is (mu, the round's global
+parameters, a unit importance on the optimized slots), and EWC,
+EWC-Online, SI and MAS give, in task 2, (lambda, the parameters at the
+end of task 1, their importance map).
 
 Determinism: every random draw comes from a stream derived from
 (seed, purpose, client, task, round, ...) via numpy's SeedSequence, and
@@ -98,7 +103,7 @@ class ExperimentConfig:
             raise ValueError(f"batch_size must be >= 2, got {self.batch_size}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.learning_rate < 0.0:
+        if not self.learning_rate >= 0.0:  # NaN included
             raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate}")
         if self.client_optimizer not in nn.OPTIMIZERS:
             raise ValueError(f"client_optimizer must be one of {', '.join(nn.OPTIMIZERS)}, "
@@ -106,7 +111,7 @@ class ExperimentConfig:
         if self.hidden_activation not in nn.HIDDEN_ACTIVATIONS:
             raise ValueError(f"hidden_activation must be one of "
                              f"{', '.join(nn.HIDDEN_ACTIVATIONS)}, got {self.hidden_activation!r}")
-        if self.augment_sigma < 0.0:
+        if not self.augment_sigma >= 0.0:
             raise ValueError(f"augment_sigma must be >= 0, got {self.augment_sigma}")
         if self.cl_method not in cl.CL_METHODS:
             raise ValueError(f"cl_method must be one of {', '.join(cl.CL_METHODS)}, "
@@ -212,9 +217,6 @@ class Member:
     config: ExperimentConfig
     global_params: np.ndarray
     error: Exception | None = None
-    # the stacks that the last ``local_train`` of the members that train
-    # together trained, kept for the next round of the task
-    stacks: dict | None = None
 
 
 @dataclass
@@ -264,35 +266,15 @@ class _Rows:
     (``model.params``), and the loss terms of the clients on them. A single
     row is a plain one-model view: (P,) parameters, 2-D batches.
 
-    Each loss term covers the rows ``sel`` of the run (``slice(None)`` for
-    all of them, else their positions) and holds one value per covered row,
-    stacked like the rows (a plain value for a single row)."""
+    Each loss term covers the rows ``sel`` of the run, a slice
+    (``slice(None)`` for a single row), and holds one value per covered
+    row, a view of the stack's values stacked like the rows (a plain value
+    for a single row)."""
     model: nn.MlpModel
     optimizer: nn.Optimizer
     si: tuple | None = None       # SI: (sel, accumulator of the path integrals)
     penalty: tuple | None = None  # (sel, lambda, anchor, importance)
     distill: tuple | None = None  # FedDistill: (sel, teachers' model, weight)
-
-
-class _Part:
-    """The rows of a stack that carry one loss term, in row order, with
-    the term's values stacked the same way. The covered rows of a run are
-    consecutive here, so a run reads its values as views."""
-
-    def __init__(self, rows: list[int], *values: list):
-        self.rows = rows
-        self._pos = {r: q for q, r in enumerate(rows)}
-        self.values = [np.stack(v) for v in values]
-
-    def run(self, lo: int, hi: int):
-        """(sel, the run's values) for rows lo:hi, or None if none is covered."""
-        covered = [self._pos[r] for r in range(lo, hi) if r in self._pos]
-        if not covered:
-            return None
-        a, b = covered[0], covered[-1] + 1
-        sel = (slice(None) if b - a == hi - lo
-               else np.array([r - lo for r in self.rows[a:b]]))
-        return (sel, *(v[a] if hi - lo == 1 else v[a:b] for v in self.values))
 
 
 class _Stack:
@@ -302,23 +284,26 @@ class _Stack:
     Building it copies the clients' state into the stack once and rebinds
     each client's model, optimizer and SI path integral to views of its
     row, so the steps train the clients' own state and nothing is written
-    back. ``local_train`` keeps a stack, its row views (``rows``,
-    ``model``) and its loss terms while the cohort trains together in the
-    task, and ``refresh`` brings in what changes from round to round. The
-    loss terms of a student stack are stacked once per term over the rows
-    that carry it (``_Part``), and a run of rows reads them as views; the
-    distillation targets come from ``teachers``, the teacher stack of the
-    clients with teachers, which has finished the round's training. The
-    plan of its post-round loss passes (``_loss_passes``: the rows of each
-    pass, their source rows and shard sizes) is built once too, and again
-    only in a round in which a member with rows here failed."""
+    back; it also fixes the rows its batches are taken from (``sources``).
+    ``local_train`` keeps a stack, its row views (``rows``, ``model``) and
+    its loss terms while the cohort trains together in the task, and
+    ``refresh`` brings in FedProx's anchor, the one term value that changes
+    from round to round.
 
-    def __init__(self, clients: list[ClientState], task_index: int, teacher: bool = False,
-                 teachers: "_Stack | None" = None):
-        self.clients, self.teachers = clients, teachers
-        self.row_of = {id(c): k for k, c in enumerate(clients)}
+    A student stack's rows are in ``_cohort_order``, so each loss term
+    covers one block a:b of them, and it is kept as (a, b, its values
+    stacked over the block): a run of rows takes the slice of the block it
+    overlaps as views. The FedDistill teachers are ``teachers``, the stack
+    of the clients with teachers, whose rows follow the block's order and
+    have finished the round's training when the students step. The plan of
+    its post-round loss passes (``_loss_passes``: the rows of each pass,
+    their source rows and shard sizes) is built once too, and again only in
+    a round in which a member with rows here failed."""
+
+    def __init__(self, clients: list[ClientState], task_index: int,
+                 teachers: "_Stack | None" = None, teacher: bool = False):
+        self.clients, self.teachers, self.teacher = clients, teachers, teacher
         self.failed = False  # whether a member with rows here has failed this round
-        self.sources = None  # ``_sources`` of its batches, on first use
         self.passes = None   # ``_loss_passes``, on first use
         models = [c.teacher_model if teacher else c.model for c in clients]
         optimizers = [c.teacher_optimizer if teacher else c.optimizer for c in clients]
@@ -332,40 +317,39 @@ class _Stack:
                 c.teacher_model, c.teacher_optimizer = model, self.optimizer.rows(k)
             else:
                 c.model, c.optimizer = model, self.optimizer.rows(k)
+        # a task's shards and replay buffers stay as they are
+        self.sources = _sources(clients, [not teacher and _replays(c, task_index)
+                                          for c in clients])
         self._rows: dict[tuple[int, int], _Rows] = {}
-        self._si = self._penalty = None
-        self._anchored: list[tuple[int, Member]] = []  # FedProx: (penalty row, member)
-        self._teacher_rows: list[tuple] = []  # (clients, copy of their teachers' rows)
+        self._terms: dict[str, tuple] = {}  # loss term -> (a, b, *its values over rows a:b)
+        self._anchored: list[tuple[np.ndarray, Member]] = []  # FedProx: (anchor row, member)
         if not teacher:
             self._stack_terms(task_index)
 
     def _stack_terms(self, task_index: int) -> None:
-        si = [k for k, c in enumerate(self.clients) if c.si_acc is not None]
-        if si:
-            self._si = _Part(si, [self.clients[k].si_acc.omega_running for k in si])
-            for k, omega in zip(si, self._si.values[0]):
-                self.clients[k].si_acc.omega_running = omega
-        terms = [_penalty(c, task_index) for c in self.clients]
-        penalized = [k for k, term in enumerate(terms) if term is not None]
-        if penalized:  # (lambdas, anchors, importances)
-            self._penalty = _Part(penalized, *zip(*(terms[k] for k in penalized)))
-            self._anchored = [(q, self.clients[k].member) for q, k in enumerate(penalized)
-                              if self.clients[k].member.config.strategy.kind == "fedprox"]
+        clients = self.clients
+        penalties = [_penalty(c, task_index) for c in clients]
+        if si := _block([c.si_acc is not None for c in clients]):
+            a, b = si
+            omega = np.stack([c.si_acc.omega_running for c in clients[a:b]])
+            for c, row in zip(clients[a:b], omega):
+                c.si_acc.omega_running = row
+            self._terms["si"] = (a, b, omega)
+        if penalized := _block([term is not None for term in penalties]):
+            a, b = penalized
+            lambdas, anchors, importances = map(np.stack, zip(*penalties[a:b]))
+            self._terms["penalty"] = (a, b, lambdas, anchors, importances)
+            self._anchored = [(anchor, c.member) for c, anchor in zip(clients[a:b], anchors)
+                              if c.member.config.strategy.kind == "fedprox"]
+        if distilled := _block([c.teacher_model is not None for c in clients]):
+            a, b = distilled
+            self._terms["distill"] = (a, b, np.array(
+                [c.member.config.strategy.distill_weight for c in clients[a:b]])[:, None, None])
 
-    def refresh(self, teachers: "_Stack | None") -> None:
-        """Bring in what changes from one round to the next: FedProx's
-        anchor, the round's global parameters, and the rows of the round's
-        teacher stack ``teachers``."""
-        self.failed = False
-        for q, member in self._anchored:
-            self._penalty.values[1][q] = member.global_params
-        self.teachers = teachers
-        for clients, theta in self._teacher_rows:
-            theta[...] = self._teacher_params(clients)
-
-    def _teacher_params(self, clients: list[ClientState]) -> np.ndarray:
-        """A copy of the rows of the clients' teachers."""
-        return self.teachers.params[[self.teachers.row_of[id(c)] for c in clients]]
+    def refresh(self) -> None:
+        """Bring in FedProx's anchor, the round's global parameters."""
+        for anchor, member in self._anchored:
+            anchor[...] = member.global_params
 
     def model(self, lo: int, hi: int) -> nn.MlpModel:
         """The model of rows lo:hi, a view built once; row k's is the k-th
@@ -377,34 +361,32 @@ class _Stack:
         return model
 
     def rows(self, lo: int, hi: int) -> _Rows:
+        """The views of rows lo:hi, built once. A term kept over rows a:b
+        covers their rows max(a, lo):min(b, hi), if any."""
         rows = self._rows.get((lo, hi))
-        if rows is None:
-            optimizer = self.optimizer.rows(lo if hi - lo == 1 else slice(lo, hi))
-            rows = self._rows[(lo, hi)] = self._with_terms(
-                _Rows(self.model(lo, hi), optimizer), lo, hi)
+        if rows is not None:
+            return rows
+        one = hi - lo == 1
+        rows = self._rows[(lo, hi)] = _Rows(self.model(lo, hi),
+                                            self.optimizer.rows(lo if one else slice(lo, hi)))
+        for name, (a, b, *values) in self._terms.items():
+            i, j = max(a, lo), min(b, hi)
+            if i < j:
+                part = i - a if one else slice(i - a, j - a)
+                term = [slice(None) if one else slice(i - lo, j - lo), *(v[part] for v in values)]
+                if name == "si":  # only the path integral is stepped; the task's start is not read
+                    term[1] = cl.SiAccumulator(None, term[1])
+                if name == "distill":
+                    term.insert(1, self.teachers.model(i - a, j - a))
+                setattr(rows, name, tuple(term))
         return rows
 
-    def _with_terms(self, rows: _Rows, lo: int, hi: int) -> _Rows:
-        """Fill in the loss terms of rows lo:hi from the stacked parts."""
-        if self._si is not None and (si := self._si.run(lo, hi)):
-            sel, omega = si
-            # only the path integral is stepped; the task's start is not read
-            rows.si = sel, cl.SiAccumulator(None, omega)
-        if self._penalty is not None:
-            rows.penalty = self._penalty.run(lo, hi)
-        if self.teachers is not None:
-            # the run's teachers forward as one model over a copy of their rows
-            idx = [i for i, c in enumerate(self.clients[lo:hi]) if c.teacher_model is not None]
-            if idx:
-                clients = [self.clients[lo + i] for i in idx]
-                theta = self._teacher_params(clients)
-                self._teacher_rows.append((clients, theta))
-                rows.distill = (
-                    slice(None) if len(idx) == hi - lo else np.array(idx),
-                    nn.MlpModel(self.hidden_activation, theta),
-                    np.array([c.member.config.strategy.distill_weight
-                              for c in clients])[:, None, None])
-        return rows
+
+def _block(flags: list[bool]) -> tuple[int, int] | None:
+    """The rows a:b whose flags are set, adjacent in ``_cohort_order``, or
+    None when none is."""
+    rows = [k for k, flag in enumerate(flags) if flag]
+    return (rows[0], rows[-1] + 1) if rows else None
 
 
 def _penalty(client: ClientState, task_index: int) -> tuple | None:
@@ -426,10 +408,20 @@ def _replays(client: ClientState, task_index: int) -> bool:
 
 
 def _cohort_order(clients: list[ClientState], task_index: int) -> list[ClientState]:
-    """The rows of a cohort: clients whose batches have equal row counts
-    are adjacent, so they step as one run, also in a ragged last batch.
-    The sort is stable, so each member's clients stay in order."""
-    return sorted(clients, key=lambda c: (_replays(c, task_index), len(c.shard)))
+    """The rows of a cohort, sorted by the terms their clients train with
+    (NR replay, SI's path integral, a quadratic penalty, a FedDistill
+    teacher), then by shard size. So each term covers one block of
+    adjacent rows, and clients whose batches have equal row counts are
+    adjacent within a block, so they step as one run, also in a ragged last
+    batch. The sort is stable, so each member's clients stay in order. A
+    client with more than one term is an error: no config builds one."""
+    def key(c: ClientState) -> tuple:
+        terms = (_replays(c, task_index), c.si_acc is not None,
+                 _penalty(c, task_index) is not None, c.teacher_model is not None)
+        if sum(terms) > 1:
+            raise ValueError(f"client {c.client_id} trains with more than one loss term")
+        return (*terms, len(c.shard))
+    return sorted(clients, key=key)
 
 
 def _schedule(plans: list[list[tuple]]) -> list[tuple[int, int, int]]:
@@ -632,20 +624,21 @@ def _step(stack: _Stack, x: np.ndarray, y: np.ndarray, j: int, lo: int, hi: int,
             _apply(stack.rows(a, b), g[a - lo] if b - a == 1 else g[a - lo:b - lo])
 
 
-def _train_epochs(stack: _Stack, purpose: int, replay: bool, task_index: int, round_index: int,
-                  label: str) -> None:
+def _train_epochs(stack: _Stack, task_index: int, round_index: int) -> None:
     """Every local epoch of a stack, each client's batches drawn from its
-    ``purpose`` stream; a step gathers its run's client-major batch with
-    one ``take`` per array. Once a member fails, its rows sit out the
-    remaining steps."""
+    teacher stream (purpose 20) in a teacher stack, else from its training
+    stream (21), mixed with its replay buffer when it replays; a step
+    gathers its run's client-major batch with one ``take`` per array. The
+    rows of a member that has failed, before the call or in it, sit out
+    every remaining step."""
     clients = stack.clients
-    if stack.sources is None:  # a task's shards and replay buffers stay as they are
-        stack.sources = _sources(clients, [replay and _replays(c, task_index) for c in clients])
+    purpose, label = (20, "teacher ") if stack.teacher else (21, "")
+    stack.failed = any(c.member.error is not None for c in clients)
     features, labels, offsets = stack.sources
     for epoch in range(clients[0].member.config.local_epochs):
         drawn: dict = {}
-        plans = [_epoch_batches(c, purpose, task_index, round_index, epoch, replay, drawn)
-                 for c in clients]
+        plans = [_epoch_batches(c, purpose, task_index, round_index, epoch, not stack.teacher,
+                                drawn) for c in clients]
         schedule = _schedule(plans)
         index, bounds = _epoch_index(offsets, plans, schedule)
         context = (round_index, label, epoch)
@@ -656,8 +649,9 @@ def _train_epochs(stack: _Stack, purpose: int, replay: bool, task_index: int, ro
                       j, a, b, context)
 
 
-def local_train(clients: list[ClientState], task_index: int,
-                round_index: int) -> tuple[list[fed.ClientUpdate | None], list[float | None]]:
+def local_train(clients: list[ClientState], task_index: int, round_index: int,
+                stacks: dict | None = None
+                ) -> tuple[list[fed.ClientUpdate | None], list[float | None]]:
     """One round of local training for a cohort of clients, trained as one
     stack; the clients may belong to several members. Each client takes its
     member's global parameters (FedBN: all but the BatchNorm slots), trains
@@ -665,21 +659,25 @@ def local_train(clients: list[ClientState], task_index: int,
     (updates, post-training shard losses) in the order of ``clients``; the
     losses come from stacked eval passes over adjacent rows of any shard
     sizes, each shard padded to the pass's largest, at most
-    ``LOSS_PASS_ROWS`` padded rows a pass (``_shard_losses``).
+    ``LOSS_PASS_ROWS`` padded rows a pass (``_shard_losses``). The stack's
+    rows are in ``_cohort_order``, so each loss term covers one block of
+    them; a client with more than one term is a ValueError.
 
-    The stacks (the teachers' and the students') are kept in the members'
-    ``Member.stacks``, keyed by (teacher or not, task, the ids of their
-    clients in order), which the call leaves holding exactly the stacks it
-    trained. A cohort that trains together again in the next round of the
-    task finds its stack, and its clients' state still row views of it:
-    only what changes between rounds is refreshed (``_Stack.refresh``). A
-    cohort whose key changed, in a new task or when a member failed, is
-    stacked afresh from its clients' current state, and the stack it
-    leaves is let go. Without ``Member.stacks`` the stacks last this call.
+    The stacks (the teachers' and the students') are kept in ``stacks``,
+    keyed by (teacher or not, task, the ids of their clients in order),
+    which the call leaves holding exactly the stacks it trained. A cohort
+    that trains together again in the next round of the task finds its
+    stack, and its clients' state still row views of it: only FedProx's
+    anchor is refreshed (``_Stack.refresh``). A cohort whose key changed,
+    in a new task or when a member failed, is stacked afresh from its
+    clients' current state, and the stack it leaves is let go. With
+    ``stacks`` None the stacks last this call.
 
     A failure stops the member of the failing client, not the cohort: the
     error, naming client, round and step, becomes its ``Member.error``, and
-    every client of a failed member gets None for both."""
+    every client of a failed member gets None for both. A member whose
+    teacher fails keeps its rows in the student stack, where they sit out
+    the round's steps as a member's rows do after a failed step."""
     for c in clients:
         if c.member.error is None and len(c.shard) < 2:
             c.member.error = ExperimentError(f"client {c.client_id} failed in round "
@@ -687,17 +685,15 @@ def local_train(clients: list[ClientState], task_index: int,
     live = _cohort_order([c for c in clients if c.member.error is None], task_index)
     if len({c.member.config.local_epochs for c in live}) > 1:
         raise ValueError("the clients of a cohort must train the same number of local epochs")
-    stacks = live[0].member.stacks if live and live[0].member.stacks is not None else {}
+    stacks = {} if stacks is None else stacks
     earlier = stacks.copy()
     stacks.clear()  # to hold the stacks this call trains
 
     # FedDistill: the personalised teachers train on the raw shards first
     teachers = student = None
-    distilling = [c for c in live if c.teacher_model is not None]
-    if distilling:
+    if distilling := [c for c in live if c.teacher_model is not None]:
         teachers = _cohort_stack(earlier, stacks, distilling, task_index, teacher=True)
-        _train_epochs(teachers, 20, False, task_index, round_index, "teacher ")
-        live = [c for c in live if c.member.error is None]
+        _train_epochs(teachers, task_index, round_index)
 
     if live:
         for c in live:
@@ -705,8 +701,8 @@ def local_train(clients: list[ClientState], task_index: int,
                 c.model.params[~_BN_MASK] = c.member.global_params[~_BN_MASK]
             else:
                 c.model.params[...] = c.member.global_params
-        student = _cohort_stack(earlier, stacks, live, task_index, teachers=teachers)
-        _train_epochs(student, 21, True, task_index, round_index, "")
+        student = _cohort_stack(earlier, stacks, live, task_index, teachers)
+        _train_epochs(student, task_index, round_index)
 
     losses = {} if student is None else _shard_losses(student)
     updates = {id(c): fed.ClientUpdate(c.client_id, nn.extract_params(c.model), len(c.shard))
@@ -715,15 +711,15 @@ def local_train(clients: list[ClientState], task_index: int,
 
 
 def _cohort_stack(earlier: dict, stacks: dict, clients: list[ClientState], task_index: int,
-                  teacher: bool = False, teachers: _Stack | None = None) -> _Stack:
+                  teachers: _Stack | None = None, teacher: bool = False) -> _Stack:
     """The clients' stack from ``earlier``, the last round's stacks,
     refreshed, or a new one; either way entered in ``stacks``."""
     key = (teacher, task_index, *map(id, clients))
     stack = earlier.get(key)
     if stack is None:
-        stack = _Stack(clients, task_index, teacher, teachers)
+        stack = _Stack(clients, task_index, teachers, teacher)
     else:
-        stack.refresh(teachers)
+        stack.refresh()
     stacks[key] = stack
     return stack
 
@@ -960,17 +956,19 @@ class _Run:
 GROUP_CLIENTS = 20
 
 
-def _train_round(runs: list[_Run], task_index: int, round_index: int) -> tuple[dict, float]:
+def _train_round(runs: list[_Run], task_index: int, round_index: int,
+                 stacks: dict) -> tuple[dict, float]:
     """One round of local training for the clients of every run still
-    going, as one ``local_train`` call. Returns id(client) -> (update,
-    loss) and the seconds it took. An error that stops the call stops each
-    member with its own copy."""
+    going, as one ``local_train`` call that keeps its stacks in ``stacks``.
+    Returns id(client) -> (update, loss) and the seconds it took. An error
+    that stops the call stops each member with its own copy."""
     cohort = [c for run in runs if run.member.error is None for c in run.clients]
     if not cohort:  # e.g. a later chunk's fork round, whose leads have trained
         return {}, 0.0
     t0 = time.perf_counter()
     try:
-        trained = dict(zip(map(id, cohort), zip(*local_train(cohort, task_index, round_index))))
+        trained = dict(zip(map(id, cohort),
+                           zip(*local_train(cohort, task_index, round_index, stacks))))
     except Exception as exc:
         trained = {}
         for c in cohort:
@@ -1042,20 +1040,21 @@ def _lockstep(configs: list[ExperimentConfig], chunk: list[int], shares: dict[in
     runs = {i: _Run(configs[i], tasks[0].shards) for i in chunk if i not in shares}
     leads = list(dict.fromkeys(shares[i] for i in chunk if i in shares and not shares[i].trained))
     going = list(runs.values()) + [s.lead for s in leads]
-    stacks: dict = {}
+    stacks: dict = {}  # the stacks the chunk's last round trained (``local_train``)
     positions = [(t, r, task) for t, task in enumerate(tasks) for r in range(task.n_rounds)]
     for p in range(0 if going else fork_at, len(positions)):
         task_index, r, task = positions[p]
-        for run in going:
-            run.member.stacks = stacks
-            if r == 0:  # a task changes the shards and resets every optimizer
+        if r == 0:  # a task changes the shards and resets every optimizer
+            for run in going:
                 run.start_task(task_index, task)
-        trained, train_s = _train_round(going, task_index, p)
+        trained, train_s = _train_round(going, task_index, p, stacks)
         consolidate = r == task.n_rounds - 1 and task_index + 1 < len(tasks)
         if p == fork_at:  # each lead keeps its training of the round, done in the chunk's time
             for share in leads:
                 share.trained = {id(c): trained.get(id(c)) for c in share.lead.clients}, train_s
-                if r == task.n_rounds - 1:  # the next task resets every optimizer
+                # the forks' optimizers are reset at the next task's start anyway;
+                # resetting the lead's spares copying its Adam moments into every fork
+                if r == task.n_rounds - 1:
                     for c in share.lead.clients:
                         c.optimizer.reset()
             going = list(runs.values())
@@ -1066,7 +1065,6 @@ def _lockstep(configs: list[ExperimentConfig], chunk: list[int], shares: dict[in
                 if i in shares:
                     runs[i] = shares[i].fork(configs[i], task_index, p, consolidate, task)
             going = list(runs.values())
-    stacks.clear()  # a lead that outlives the chunk holds the dict
     return [runs[i].member.error or RunResult(runs[i].logs, runs[i].member.global_params)
             for i in chunk]
 

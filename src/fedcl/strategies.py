@@ -36,12 +36,12 @@ class StrategyConfig:
     def __post_init__(self):
         if self.kind not in STRATEGIES:
             raise ValueError(f"kind must be one of {', '.join(STRATEGIES)}, got {self.kind!r}")
-        if self.mu < 0.0:
+        if not self.mu >= 0.0:  # NaN included
             raise ValueError(f"mu must be >= 0, got {self.mu}")
         if self.server_optimizer not in nn.OPTIMIZERS:
             raise ValueError(f"server_optimizer must be one of {', '.join(nn.OPTIMIZERS)}, "
                              f"got {self.server_optimizer!r}")
-        if self.server_learning_rate < 0.0:
+        if not self.server_learning_rate >= 0.0:
             raise ValueError(f"server_learning_rate must be >= 0, got {self.server_learning_rate}")
         if not 0.0 <= self.distill_weight <= 1.0:
             raise ValueError(f"distill_weight must be in [0, 1], got {self.distill_weight}")

@@ -52,7 +52,8 @@ class TestSynth:
         ("--n", "0", "n must be >= 1, got 0"),
         ("--noise-std", "-1", "noise_std must be >= 0, got -1.0"),  # once no noise, exit 0
         ("--noise-std", "nan", "noise_std must be >= 0, got nan"),
-    ], ids=["n-0", "noise-std--1", "noise-std-nan"])
+        ("--seed", "-1", "seed must be >= 0, got -1"),
+    ], ids=["n-0", "noise-std--1", "noise-std-nan", "seed--1"])
     def test_invalid_option_exits_2_with_the_reason(self, tmp_path, capsys, option, value,
                                                     reason):
         out = tmp_path / "data.csv"
@@ -102,6 +103,14 @@ class TestRun:
         ("suite", "synthetic_n", "0"),
         ("suite", "synthetic_noise", "-0.1"),
         ("suite", "synthetic_noise", "nan"),  # once a noiseless dataset
+        # NaN once passed these range checks, and the first four changed
+        # what a run computes without an error
+        ("experiment", "mu", "nan"),
+        ("experiment", "penalty_lambda", "nan"),
+        ("experiment", "augment_sigma", "nan"),
+        ("experiment", "server_learning_rate", "nan"),
+        ("experiment", "learning_rate", "nan"),
+        ("experiment", "si_xi", "nan"),
     ])
     def test_out_of_range_value_exits_2_naming_the_key(self, tmp_path, capsys,
                                                        section, key, value):

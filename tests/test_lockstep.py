@@ -6,6 +6,7 @@ import dataclasses
 import hashlib
 import itertools
 import math
+import re
 import weakref
 from typing import NamedTuple
 
@@ -86,10 +87,10 @@ def run_grouped(suite, dataset, out_dir, monkeypatch):
         results[spec.run_id()] = execute(spec, *args, **kwargs)
         return results[spec.run_id()]
 
-    def recording_train(clients, task_index, round_index):
+    def recording_train(clients, task_index, round_index, stacks=None):
         cohorts.append(Cohort(task_index, round_index, {id(c.member) for c in clients},
                               len(clients), chunks[0]))
-        return train(clients, task_index, round_index)
+        return train(clients, task_index, round_index, stacks)
 
     def counting_lockstep(*args, **kwargs):
         chunks[0] += 1
@@ -259,7 +260,7 @@ def test_a_group_wide_error_leaves_each_member_its_own_traceback(tmp_path):
 
 
 def test_a_cohort_wide_error_gives_each_member_its_own(monkeypatch):
-    def failing_train(clients, task_index, round_index):
+    def failing_train(clients, task_index, round_index, stacks=None):
         raise RuntimeError("the cohort failed")
 
     configs = [orch.ExperimentConfig(n_clients=2, n_rounds=2, strategy=fed.StrategyConfig(kind))
@@ -469,10 +470,10 @@ synthetic_n = 400
         written.append(weakref.ref(result))
         return write(self, spec, result)
 
-    def recording_train(clients, task_index, round_index):
+    def recording_train(clients, task_index, round_index, stacks=None):
         events.append("train")
         assert all(ref() is None for ref in written)  # earlier chunks' results are freed
-        return train(clients, task_index, round_index)
+        return train(clients, task_index, round_index, stacks)
 
     monkeypatch.setattr(orch, "GROUP_CLIENTS", 20)
     monkeypatch.setattr(store.ResultsStore, "write_run", recording_write)
@@ -641,10 +642,10 @@ def test_one_shape_trains_at_a_time(tmp_path, monkeypatch):
     assert len(list(itertools.groupby(map(shape, (s.values for s in suite.experiments))))) == 12
     trained, train = [], orch.local_train
 
-    def recording_train(clients, task_index, round_index):
+    def recording_train(clients, task_index, round_index, stacks=None):
         cfg = clients[0].member.config
         trained.append((cfg.n_clients, cfg.augmentation))
-        return train(clients, task_index, round_index)
+        return train(clients, task_index, round_index, stacks)
 
     monkeypatch.setattr(orch, "GROUP_CLIENTS", 20)
     monkeypatch.setattr(orch, "local_train", recording_train)
@@ -670,14 +671,13 @@ def test_a_cohort_is_stacked_once_per_task(monkeypatch):
         built[0] += inside[0]
         init(self, *args, **kwargs)
 
-    def checking_train(clients, task_index, round_index):
+    def checking_train(clients, task_index, round_index, stacks):
         # the chunk's stacks are those its last round trained, if any
-        stacks = clients[0].member.stacks
         assert {id(c) for s in stacks.values() for c in s.clients} <= trained.get(
             round_index - 1, set())
         inside[0] = True
         try:
-            result = local_train(clients, task_index, round_index)
+            result = local_train(clients, task_index, round_index, stacks)
         finally:
             inside[0] = False
         trained[round_index] = set(map(id, clients))
@@ -734,3 +734,42 @@ def test_survivors_are_restacked_after_a_member_fails_in_task_2(tmp_path, monkey
             if c.task_index == 1] == [(3, 4, 8), (4, 3, 6), (5, 3, 6)]
     for spec in base.experiments[1:]:
         assert digest(grouped[spec.run_id()]) == digest(store.execute_experiment(spec, dataset))
+
+
+def test_a_failed_teacher_leaves_its_students_rows_to_sit_out_the_round(monkeypatch):
+    # a NaN written into one FedDistill member's teacher row in round 1
+    # stops that member with a teacher error; its clients keep their rows
+    # in the round's student stack, where they are skipped, and every other
+    # member, the other FedDistill one included, computes the bits it
+    # computes alone
+    dataset, _ = dataio.synthetic_generate(517, seed=5, noise_std=0.1)
+    train, test = dataio.train_test_split(dataset, 0.75, 42)
+    strategies = [fed.StrategyConfig("fedavg"), fed.StrategyConfig("fedprox", mu=0.1),
+                  fed.StrategyConfig("feddistill", distill_weight=0.5),
+                  fed.StrategyConfig("feddistill", distill_weight=0.25)]
+    configs = [orch.ExperimentConfig(n_clients=5, n_rounds=3, batch_size=16, strategy=s)
+               for s in strategies]
+    epochs, students = orch._train_epochs, []
+
+    def poisoning_epochs(stack, task_index, round_index):
+        if stack.teacher and round_index == 1:
+            (k, *_) = [k for k, c in enumerate(stack.clients) if c.member.config is configs[3]]
+            stack.params[k, 0] = np.nan
+        epochs(stack, task_index, round_index)
+        if not stack.teacher:
+            held = [c for c in stack.clients if c.member.config is configs[3]]
+            students.append((round_index, stack.failed, len(held)))
+            for c in held if round_index == 1 else ():  # its rows took no step
+                assert np.array_equal(c.model.params, c.member.global_params)
+
+    monkeypatch.setattr(orch, "_train_epochs", poisoning_epochs)
+    with np.errstate(invalid="ignore"):
+        outcomes = orch.run_group(configs, train, test, continual=False)
+    monkeypatch.undo()
+    assert isinstance(outcomes[3], orch.ExperimentError)
+    assert re.match(r"client \d failed in round 1: teacher epoch 0 batch \d+: ", str(outcomes[3]))
+    # each round is one student stack: round 1's holds the failed member's
+    # five rows, marked failed, and round 2's is stacked without them
+    assert students == [(0, False, 5), (1, True, 5), (2, False, 0)]
+    for config, outcome in zip(configs[:3], outcomes):
+        assert digest(outcome) == digest(orch.run_fl(config, train, test)), config.strategy

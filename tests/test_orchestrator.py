@@ -151,6 +151,18 @@ class TestRunFl:
         assert re.search(r"client 0 failed in round 3: epoch 0 batch 0: NaN or inf",
                          str(member.error))
 
+    def test_a_client_with_two_loss_terms_is_an_error(self):
+        # no config builds one (SI needs fedavg), but local_train is public:
+        # a FedProx client given an SI path integral by hand is named
+        train, _, _ = synth()
+        cfg = config(strategy=fed.StrategyConfig("fedprox", mu=0.1))
+        member = orch.Member(cfg, np.zeros(nn.PARAM_COUNT))
+        parts = dataio.partition_clients(train, cfg.n_clients, cfg.seed)
+        clients = orch._build_clients(member, [p.shard for p in parts])
+        clients[1].si_acc = cl.SiAccumulator(member.global_params.copy())
+        with pytest.raises(ValueError, match=r"^client 1 trains with more than one loss term"):
+            orch.local_train(clients, 0, 0)
+
     def test_update_is_not_aliased_to_the_client_model(self):
         # a round-r update must survive the same client training in round r+1
         train, _, _ = synth()
@@ -441,7 +453,7 @@ class TestShardLosses:
                                ("C", fed.StrategyConfig("fedprox", mu=0.1))):
             members[name] = orch.Member(config(n_clients=len(sizes[name]), batch_size=8,
                                                strategy=strategy),
-                                        nn.extract_params(template), stacks=stacks)
+                                        nn.extract_params(template))
             part, shards = shards[:len(sizes[name])], shards[len(sizes[name]):]
             clients += orch._build_clients(members[name], part)
         failing = next(c for c in clients if c.member is members["B"] and len(c.shard) == 40)
@@ -453,7 +465,7 @@ class TestShardLosses:
                 failing.shard.features[batches[-1][0], 5] = np.inf
             live = [c for c in clients if c.member.error is None]
             with np.errstate(invalid="ignore", over="ignore"):
-                _, losses = orch.local_train(clients, 0, r)
+                _, losses = orch.local_train(clients, 0, r, stacks)
             # local_train keeps only the stack it trained: round 1 finds
             # round 0's, and round 2 stacks the survivors afresh
             (stack,) = stacks.values()
@@ -549,9 +561,9 @@ class TestRunFcl:
         task, tasks = [], []
         train_round, accumulate = orch.local_train, cl.si_accumulate
 
-        def recording_train(clients, task_index, round_index):
+        def recording_train(clients, task_index, round_index, stacks=None):
             task[:] = [task_index]
-            return train_round(clients, task_index, round_index)
+            return train_round(clients, task_index, round_index, stacks)
 
         def recording_accumulate(*args):
             tasks.append(task[0])
@@ -588,10 +600,10 @@ class TestRunFcl:
         seen = {}
         original = orch.local_train
 
-        def audit(clients, task_index, round_index):
+        def audit(clients, task_index, round_index, stacks=None):
             for client in clients:
                 seen.setdefault(client.client_id, set()).add(id(client.shard))
-            return original(clients, task_index, round_index)
+            return original(clients, task_index, round_index, stacks)
 
         monkeypatch.setattr(orch, "local_train", audit)
         run_fcl(cfg, train, test)
