@@ -57,6 +57,7 @@ import functools
 import hashlib
 import itertools
 import json
+import math
 import typing
 from dataclasses import dataclass
 
@@ -77,8 +78,9 @@ class SuiteSpec:
     def __post_init__(self):
         if self.synthetic_n < 1:
             raise ValueError(f"synthetic_n must be >= 1, got {self.synthetic_n}")
-        if not self.synthetic_noise >= 0.0:  # NaN included
-            raise ValueError(f"synthetic_noise must be >= 0, got {self.synthetic_noise}")
+        if not 0.0 <= self.synthetic_noise < math.inf:  # NaN included
+            raise ValueError(f"synthetic_noise must be finite and >= 0, "
+                             f"got {self.synthetic_noise}")
 
 
 _hints = functools.cache(typing.get_type_hints)

@@ -17,6 +17,7 @@ and the replay buffer keeps its rows in two arrays that grow with them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,14 +42,14 @@ class PenaltyConfig:
 
     # each message starts with the field's name, which config.py maps to its INI key
     def __post_init__(self):
-        if self.lambda_ is not None and not self.lambda_ >= 0.0:  # NaN included
-            raise ValueError(f"lambda_ must be >= 0, got {self.lambda_}")
+        if self.lambda_ is not None and not 0.0 <= self.lambda_ < math.inf:  # NaN included
+            raise ValueError(f"lambda_ must be finite and >= 0, got {self.lambda_}")
         if not 0.0 < self.gamma_online <= 1.0:
             raise ValueError(f"gamma_online must be in (0, 1], got {self.gamma_online}")
         if self.fisher_samples < 1:
             raise ValueError(f"fisher_samples must be >= 1, got {self.fisher_samples}")
-        if not self.xi > 0.0:
-            raise ValueError(f"xi must be positive, got {self.xi}")
+        if not 0.0 < self.xi < math.inf:
+            raise ValueError(f"xi must be finite and positive, got {self.xi}")
         if self.buffer_capacity < 1:
             raise ValueError(f"buffer_capacity must be >= 1, got {self.buffer_capacity}")
         if not 0.0 <= self.mix_ratio <= 1.0:

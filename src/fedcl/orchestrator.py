@@ -10,13 +10,16 @@ one ``local_train`` call; then each member consolidates, aggregates and
 evaluates on its own. ``run_fl`` and ``run_fcl`` run a group of one. FCL
 is two tasks, circle then arrow; the last round of task 1 consolidates
 each client's CL state, and task 2 trains against it.
-Members that compute the same bits up to a round's local training train
-that prefix once, as one lead run, and fork from it (``_Share``): FCL's
-task 1, where no CL method acts, and FL's round 0 for FedAvg, FedBN and
-FedOpt. Experiments of one ``trajectory_key`` (options their strategy and
-CL method never read aside, and EWC-Online, whose decay acts from a second
-consolidation on, as EWC) compute the same bits, so a group trains each
-key once and hands its result to every such twin.
+Members that compute the same bits up to a round's local training, the
+fork round, train that prefix once, as one lead run, before any chunk
+trains: FCL's task 1, where no CL method acts, and FL's round 0 for
+FedAvg, FedBN and FedOpt. Each such member forks from its lead as its
+chunk starts (``_fork``), finishes the fork round itself and joins the
+chunk's training at the next round. Experiments of one
+``trajectory_key`` (options their strategy and CL method never read
+aside, and EWC-Online, whose decay acts from a second consolidation on,
+as EWC) compute the same bits, so a group trains each key once and hands
+its result to every such twin.
 
 Local training is client-stacked: ``local_train`` gathers a cohort of
 clients into (C, P) arrays (parameters, optimizer state, SI path
@@ -52,6 +55,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import itertools
+import math
 import time
 from collections.abc import Iterator
 from dataclasses import dataclass, field, fields
@@ -103,16 +107,16 @@ class ExperimentConfig:
             raise ValueError(f"batch_size must be >= 2, got {self.batch_size}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if not self.learning_rate >= 0.0:  # NaN included
-            raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate}")
+        if not 0.0 <= self.learning_rate < math.inf:  # NaN included
+            raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
         if self.client_optimizer not in nn.OPTIMIZERS:
             raise ValueError(f"client_optimizer must be one of {', '.join(nn.OPTIMIZERS)}, "
                              f"got {self.client_optimizer!r}")
         if self.hidden_activation not in nn.HIDDEN_ACTIVATIONS:
             raise ValueError(f"hidden_activation must be one of "
                              f"{', '.join(nn.HIDDEN_ACTIVATIONS)}, got {self.hidden_activation!r}")
-        if not self.augment_sigma >= 0.0:
-            raise ValueError(f"augment_sigma must be >= 0, got {self.augment_sigma}")
+        if not 0.0 <= self.augment_sigma < math.inf:
+            raise ValueError(f"augment_sigma must be finite and >= 0, got {self.augment_sigma}")
         if self.cl_method not in cl.CL_METHODS:
             raise ValueError(f"cl_method must be one of {', '.join(cl.CL_METHODS)}, "
                              f"got {self.cl_method!r}")
@@ -138,9 +142,9 @@ class RoundLog:
     # seconds of each phase of the round; consolidate is 0 except in the
     # last round of FCL's task 1. The clients of a chunk of members train
     # together, so local_train_time is the chunk's shared training seconds;
-    # a shared round (see ``_Share``) holds the lead's. A twin (see
-    # ``trajectory_key``) has every log, timings included, of the run it
-    # shares its results with.
+    # a fork's rounds up to its fork round (see ``_fork``) hold its lead's,
+    # which trains alone. A twin (see ``trajectory_key``) has every log,
+    # timings included, of the run it shares its results with.
     local_train_time: float = 0.0
     consolidate_time: float = 0.0
     aggregate_time: float = 0.0
@@ -318,8 +322,7 @@ class _Stack:
             else:
                 c.model, c.optimizer = model, self.optimizer.rows(k)
         # a task's shards and replay buffers stay as they are
-        self.sources = _sources(clients, [not teacher and _replays(c, task_index)
-                                          for c in clients])
+        self.sources = _sources(clients, [_replays(c, task_index) for c in clients])
         self._rows: dict[tuple[int, int], _Rows] = {}
         self._terms: dict[str, tuple] = {}  # loss term -> (a, b, *its values over rows a:b)
         self._anchored: list[tuple[np.ndarray, Member]] = []  # FedProx: (anchor row, member)
@@ -444,8 +447,7 @@ def _schedule(plans: list[list[tuple]]) -> list[tuple[int, int, int]]:
 
 
 def _epoch_batches(client: ClientState, purpose: int, task_index: int, round_index: int,
-                   epoch: int, replay: bool,
-                   drawn: dict) -> list[tuple[np.ndarray, np.ndarray | None]]:
+                   epoch: int, drawn: dict) -> list[tuple[np.ndarray, np.ndarray | None]]:
     """One client's batches of an epoch from its ``purpose`` stream, as
     (shard row indices, replay buffer positions or None). A plain draw
     depends only on its key, so it is kept in ``drawn``, the stack's draws
@@ -453,7 +455,7 @@ def _epoch_batches(client: ClientState, purpose: int, task_index: int, round_ind
     cfg, n = client.member.config, len(client.shard)
     # small shards (e.g. task splits at 10 clients) cap the batch size
     batch_size = min(cfg.batch_size, n)
-    if replay and _replays(client, task_index):
+    if _replays(client, task_index):
         stream = derive_seed(cfg.seed, purpose, client.client_id, task_index, round_index)
         return cl.nr_mixed_indices(client.buffer, n, batch_size, cfg.penalty.mix_ratio,
                                    stream, epoch)
@@ -637,8 +639,8 @@ def _train_epochs(stack: _Stack, task_index: int, round_index: int) -> None:
     features, labels, offsets = stack.sources
     for epoch in range(clients[0].member.config.local_epochs):
         drawn: dict = {}
-        plans = [_epoch_batches(c, purpose, task_index, round_index, epoch, not stack.teacher,
-                                drawn) for c in clients]
+        plans = [_epoch_batches(c, purpose, task_index, round_index, epoch, drawn)
+                 for c in clients]
         schedule = _schedule(plans)
         index, bounds = _epoch_index(offsets, plans, schedule)
         context = (round_index, label, epoch)
@@ -958,13 +960,11 @@ GROUP_CLIENTS = 20
 
 def _train_round(runs: list[_Run], task_index: int, round_index: int,
                  stacks: dict) -> tuple[dict, float]:
-    """One round of local training for the clients of every run still
-    going, as one ``local_train`` call that keeps its stacks in ``stacks``.
-    Returns id(client) -> (update, loss) and the seconds it took. An error
-    that stops the call stops each member with its own copy."""
-    cohort = [c for run in runs if run.member.error is None for c in run.clients]
-    if not cohort:  # e.g. a later chunk's fork round, whose leads have trained
-        return {}, 0.0
+    """One round of local training for the clients of ``runs``, as one
+    ``local_train`` call that keeps its stacks in ``stacks``. Returns
+    id(client) -> (update, loss) and the seconds it took. An error that
+    stops the call stops each member with its own copy."""
+    cohort = [c for run in runs for c in run.clients]
     t0 = time.perf_counter()
     try:
         trained = dict(zip(map(id, cohort),
@@ -985,88 +985,61 @@ def own_copy(error: Exception) -> Exception:
     return own.with_traceback(error.__traceback__)
 
 
-class _Share:
-    """Members that compute the same bits up to the local training of one
-    round, the fork round: a lead run trains that prefix once, in the chunk
-    of the share's first member, and each member forks from it. The lead is
-    let go after its last member forks."""
-
-    def __init__(self, configs: list[ExperimentConfig], members: list[int], task: _Task):
-        self.left = len(members)
-        # nothing before the fork round's aggregation reads the lead's CL method, so the lead
-        # is a member's run: an SI member's, if any, whose path integral runs from round 0 on
-        si = [i for i in members if configs[i].cl_method == "si"]
-        self.lead = _Run(configs[(si or members)[0]], task.shards)
-        self.trained: tuple[dict, float] | None = None  # the fork round's, once trained
-
-    def fork(self, config: ExperimentConfig, task_index: int, round_index: int,
-             consolidate: bool, task: _Task) -> _Run:
-        """A member that goes on from the lead. It copies the lead's round
-        logs, global parameters, client parameters, optimizer state and SI
-        path integrals, keeps its own server optimizer, replay buffers and SI
-        damping, and finishes the fork round itself. The optimizer state is
-        copied, not aliased, as the lead's is a view of its cohort's stack.
-        A member of a failed lead gets its own copy of the lead's error."""
-        run, lead, (trained, train_s) = _Run(config, task.shards), self.lead, self.trained
-        self.left -= 1
-        if not self.left:  # not held while the members train on
-            self.lead = self.trained = None
-        if lead.member.error is not None:
-            run.member.error = own_copy(lead.member.error)
-            return run
-        run.logs = list(lead.logs)
-        run.member.global_params = lead.member.global_params.copy()
-        for c, own in zip(run.clients, lead.clients):
-            c.model.params[...] = own.model.params
-            c.optimizer = copy.deepcopy(own.optimizer)
-            if c.si_acc is not None:
-                c.si_acc.omega_running[...] = own.si_acc.omega_running
-        run.finish_round(task_index, round_index, consolidate, task,
-                         {id(c): trained[id(own)] for c, own in zip(run.clients, lead.clients)},
-                         train_s)
+def _fork(lead: _Run, training: tuple[dict, float] | None, config: ExperimentConfig,
+          round_index: int, position: tuple) -> _Run:
+    """A member that goes on from its share's lead, which has trained up to
+    the local training of round ``round_index`` (at ``position``) and gave
+    ``training``. It copies the lead's round logs, global parameters,
+    client parameters, optimizer state and SI path integrals, keeps its own
+    server optimizer, replay buffers and SI damping, and finishes the fork
+    round itself. The optimizer state is copied, not aliased, as the lead's
+    is a view of its cohort's stack, and only when the fork round is not
+    its task's last: no fork steps its optimizer before the next task
+    resets it. A member of a failed lead gets its own copy of the lead's
+    error."""
+    task_index, r, task, consolidates = position
+    run = _Run(config, task.shards)
+    if lead.member.error is not None:
+        run.member.error = own_copy(lead.member.error)
         return run
+    trained, train_s = training
+    run.logs = list(lead.logs)
+    run.member.global_params = lead.member.global_params.copy()
+    for c, own in zip(run.clients, lead.clients):
+        c.model.params[...] = own.model.params
+        if r < task.n_rounds - 1:
+            c.optimizer = copy.deepcopy(own.optimizer)
+        if c.si_acc is not None:
+            c.si_acc.omega_running[...] = own.si_acc.omega_running
+    run.finish_round(task_index, round_index, consolidates, task,
+                     {id(c): trained[id(own)] for c, own in zip(run.clients, lead.clients)},
+                     train_s)
+    return run
 
 
-def _lockstep(configs: list[ExperimentConfig], chunk: list[int], shares: dict[int, _Share],
-              tasks: list[_Task], fork_at: int) -> list[RunResult | Exception]:
-    """Each member of ``chunk``'s result or the exception that stopped it.
-    The chunk walks the (task, round) position of every round in order. A
-    member in ``shares`` forks from its share after the local training of
-    round ``fork_at``, and its lead trains with the chunk up to there unless
-    an earlier chunk has trained it; every other member trains from round
-    0. Each round trains the clients of every run still going in one
-    ``local_train`` call, and then each run finishes the round on its own;
-    a task's last round consolidates for the next task, if one follows."""
-    runs = {i: _Run(configs[i], tasks[0].shards) for i in chunk if i not in shares}
-    leads = list(dict.fromkeys(shares[i] for i in chunk if i in shares and not shares[i].trained))
-    going = list(runs.values()) + [s.lead for s in leads]
-    stacks: dict = {}  # the stacks the chunk's last round trained (``local_train``)
-    positions = [(t, r, task) for t, task in enumerate(tasks) for r in range(task.n_rounds)]
-    for p in range(0 if going else fork_at, len(positions)):
-        task_index, r, task = positions[p]
+def _lockstep(runs: list[_Run], positions: list[tuple],
+              stop: int | None = None) -> tuple[dict, float] | None:
+    """Walk ``positions``, the (task index, round of the task, task, whether
+    it consolidates for the next task) of every round in order. A run joins
+    at its next round, which is its count of round logs, so a fork joins
+    after its fork round; a run that has failed sits out. Each round trains
+    the clients of every run going in one ``local_train`` call, and then
+    each run finishes the round on its own. With ``stop``, the walk ends at
+    that round's local training and returns it (``_train_round``), or None
+    when every run has failed before it."""
+    stacks: dict = {}  # the stacks the last round trained (``local_train``)
+    for p, (task_index, r, task, consolidates) in enumerate(positions):
+        going = [run for run in runs if len(run.logs) == p and run.member.error is None]
+        if not going:  # before the forks join, or after every run has failed
+            continue
         if r == 0:  # a task changes the shards and resets every optimizer
             for run in going:
                 run.start_task(task_index, task)
         trained, train_s = _train_round(going, task_index, p, stacks)
-        consolidate = r == task.n_rounds - 1 and task_index + 1 < len(tasks)
-        if p == fork_at:  # each lead keeps its training of the round, done in the chunk's time
-            for share in leads:
-                share.trained = {id(c): trained.get(id(c)) for c in share.lead.clients}, train_s
-                # the forks' optimizers are reset at the next task's start anyway;
-                # resetting the lead's spares copying its Adam moments into every fork
-                if r == task.n_rounds - 1:
-                    for c in share.lead.clients:
-                        c.optimizer.reset()
-            going = list(runs.values())
+        if p == stop:
+            return trained, train_s
         for run in going:
-            run.finish_round(task_index, p, consolidate, task, trained, train_s)
-        if p == fork_at:
-            for i in chunk:
-                if i in shares:
-                    runs[i] = shares[i].fork(configs[i], task_index, p, consolidate, task)
-            going = list(runs.values())
-    return [runs[i].member.error or RunResult(runs[i].logs, runs[i].member.global_params)
-            for i in chunk]
+            run.finish_round(task_index, p, consolidates, task, trained, train_s)
 
 
 def group_outcomes(configs: list[ExperimentConfig], train: dataio.Dataset, test: dataio.Dataset,
@@ -1074,15 +1047,19 @@ def group_outcomes(configs: list[ExperimentConfig], train: dataio.Dataset, test:
     """``run_group``'s work as it finishes: (position in ``configs``,
     result or exception) of each member, in chunk order, each member's
     twins right after it. A caller that takes each chunk's outcomes before
-    asking for more holds one chunk's client state at a time.
+    asking for more holds one chunk's client state at a time, besides the
+    leads that members of later chunks fork from.
 
     The distinct members, one per ``trajectory_key``, train in config order,
     in chunks of at most ``GROUP_CLIENTS`` clients. Members that compute the
-    same bits up to a round share it (``_Share``); every other member trains
-    from round 0. FCL members of one canonical ``StrategyConfig`` share task
-    1 up to its last local training, as nothing in task 1 reads the CL
-    method or its options (``weighted_aggregation`` changes task 1's
-    aggregate). FL members of kind fedavg, fedbn or fedopt share round 0's
+    same bits up to the local training of a round, the fork round, form a
+    share. Before the first chunk, each share's lead trains that prefix
+    once (``_lockstep`` with ``stop``); each chunk then starts its runs,
+    each forked from its share's lead (``_fork``) or fresh, and a lead is
+    let go as its last member forks. FCL members of one canonical
+    ``StrategyConfig`` share task 1 up to its last local training, as
+    nothing in task 1 reads the CL method or its options
+    (``weighted_aggregation`` changes task 1's aggregate). FL members of kind fedavg, fedbn or fedopt share round 0's
     local training, which starts every client from the initial model with
     no loss term but the data's."""
     if len({group_key(c) for c in configs}) != 1:
@@ -1098,24 +1075,33 @@ def group_outcomes(configs: list[ExperimentConfig], train: dataio.Dataset, test:
     same = list(twins.values())
     distinct = [configs[s[0]] for s in same]
     tasks = (_fcl_tasks if continual else _fl_tasks)(distinct[0], train, test)
+    positions = [(t, r, task, r == task.n_rounds - 1 and t + 1 < len(tasks))
+                 for t, task in enumerate(tasks) for r in range(task.n_rounds)]
     fork_at = tasks[0].n_rounds - 1 if continual else 0
     shared: dict[tuple, list[int]] = {}  # share key -> its members
     for d, cfg in enumerate(distinct):
         if continual or cfg.strategy.kind in ("fedavg", "fedbn", "fedopt"):
             key = dataclasses.astuple(trajectory_key(cfg).strategy) if continual else ()
             shared.setdefault(key, []).append(d)
-    shares: dict[int, _Share] = {}
+    leads: dict[int, tuple] = {}  # member -> its share's lead and its training, until it forks
+    for members in shared.values():
+        # nothing before the fork round's aggregation reads the lead's CL method, so the lead
+        # is a member's run: an SI member's, if any, whose path integral runs from round 0 on
+        si = [d for d in members if distinct[d].cl_method == "si"]
+        lead = _Run(distinct[(si or members)[0]], tasks[0].shards)
+        leads.update(dict.fromkeys(members, (lead, _lockstep([lead], positions, stop=fork_at))))
+        del lead  # held by ``leads`` alone, so let go as its last member forks
     size = max(1, GROUP_CLIENTS // distinct[0].n_clients)  # one member when it alone has more
     for lo in range(0, len(distinct), size):
-        chunk = list(range(lo, min(lo + size, len(distinct))))
-        for members in shared.values():
-            if members[0] in chunk:
-                shares.update(dict.fromkeys(members, _Share(distinct, members, tasks[0])))
-        for d, outcome in zip(chunk, _lockstep(distinct, chunk, shares, tasks, fork_at)):
-            failed = isinstance(outcome, Exception)
-            yield from [(i, own_copy(outcome) if k and failed else outcome)
-                        for k, i in enumerate(same[d])]
-        del outcome  # not held while the next chunk trains
+        chunk = range(lo, min(lo + size, len(distinct)))
+        runs = [_fork(*leads.pop(d), distinct[d], fork_at, positions[fork_at]) if d in leads
+                else _Run(distinct[d], tasks[0].shards) for d in chunk]
+        _lockstep(runs, positions)
+        for d, run in zip(chunk, runs):
+            outcome = run.member.error or RunResult(run.logs, run.member.global_params)
+            yield from [(i, own_copy(outcome) if k and isinstance(outcome, Exception)
+                         else outcome) for k, i in enumerate(same[d])]
+        del runs, run, outcome  # not held while the next chunk trains
 
 
 def run_group(configs: list[ExperimentConfig], train: dataio.Dataset, test: dataio.Dataset,

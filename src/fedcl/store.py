@@ -257,6 +257,17 @@ class ResultsStore:
         return [self.load_run(name) for name in sorted(names)
                 if not name.startswith(".") and os.path.isdir(self.run_dir(name))]
 
+    def failures(self) -> dict[str, str]:
+        """run id -> the error line (the traceback's last line) of each
+        ``<run_id>.failed.txt`` in the store, in run id order."""
+        failed = {}
+        for name in sorted(os.listdir(self.out_dir)):
+            if name.endswith(".failed.txt") and not name.startswith("."):
+                with open(os.path.join(self.out_dir, name), encoding="utf-8") as fh:
+                    lines = fh.read().splitlines()
+                failed[name.removesuffix(".failed.txt")] = lines[-1] if lines else ""
+        return failed
+
 
 def _stream(specs: list[ExperimentSpec],
             dataset: dataio.Dataset) -> Iterator[tuple[int, RunResult | Exception]]:
@@ -453,12 +464,15 @@ def _table_grid(records: list[RunRecord], fcl: bool):
 def emit_table(store: ResultsStore, fmt: str = "markdown") -> str:
     """Emit Loss/RMSE/PCC comparison tables for the stored runs (FL table,
     then FCL table when both kinds are present), 3-decimal values; markdown
-    marks best values bold and second-best bracketed per column."""
+    marks best values bold and second-best bracketed per column, and lists
+    each failed run under the tables with its error line. A store with no
+    completed run is a ValueError that names its failed runs."""
     if fmt not in ("markdown", "csv"):
         raise ValueError(f"unknown table format {fmt!r}")
-    records = store.list_runs()
+    records, failed = store.list_runs(), store.failures()
     if not records:
-        raise ValueError("results store is empty")
+        raise ValueError(f"no run completed; failed: {', '.join(failed)}" if failed
+                         else "results store is empty")
     blocks = []
     for fcl, title in ((False, "Federated Learning"), (True, "Federated Continual Learning")):
         subset = [r for r in records if r.is_fcl == fcl]
@@ -476,4 +490,7 @@ def emit_table(store: ResultsStore, fmt: str = "markdown") -> str:
             lines = [",".join(header)] + [",".join([label, *cells])
                                           for label, cells in zip(labels, rows)]
         blocks.append("\n".join(lines))
+    if failed and fmt == "markdown":
+        blocks.append("\n".join(["## Failed runs", ""] + [f"- `{run_id}`: {error}"
+                                                        for run_id, error in failed.items()]))
     return "\n\n".join(blocks) + "\n"

@@ -7,6 +7,7 @@ in the Optimizer instance the caller owns.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,13 +37,14 @@ class StrategyConfig:
     def __post_init__(self):
         if self.kind not in STRATEGIES:
             raise ValueError(f"kind must be one of {', '.join(STRATEGIES)}, got {self.kind!r}")
-        if not self.mu >= 0.0:  # NaN included
-            raise ValueError(f"mu must be >= 0, got {self.mu}")
+        if not 0.0 <= self.mu < math.inf:  # NaN included
+            raise ValueError(f"mu must be finite and >= 0, got {self.mu}")
         if self.server_optimizer not in nn.OPTIMIZERS:
             raise ValueError(f"server_optimizer must be one of {', '.join(nn.OPTIMIZERS)}, "
                              f"got {self.server_optimizer!r}")
-        if not self.server_learning_rate >= 0.0:
-            raise ValueError(f"server_learning_rate must be >= 0, got {self.server_learning_rate}")
+        if not 0.0 <= self.server_learning_rate < math.inf:
+            raise ValueError(f"server_learning_rate must be finite and >= 0, "
+                             f"got {self.server_learning_rate}")
         if not 0.0 <= self.distill_weight <= 1.0:
             raise ValueError(f"distill_weight must be in [0, 1], got {self.distill_weight}")
 
@@ -60,9 +62,7 @@ def _check_layouts(updates: list[ClientUpdate]) -> int:
 def fedavg_aggregate(updates: list[ClientUpdate], weighted: bool = False) -> np.ndarray:
     """Elementwise mean of client parameter vectors (BN slots included)."""
     _check_layouts(updates)
-    if len(updates) == 1:
-        return updates[0].params.copy()
-    # consensus fast path keeps aggregation bit-exactly idempotent
+    # consensus fast path, one update included, keeps aggregation bit-exactly idempotent
     if all(np.array_equal(u.params, updates[0].params) for u in updates[1:]):
         return updates[0].params.copy()
     stacked = np.stack([u.params for u in updates])

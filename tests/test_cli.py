@@ -111,6 +111,15 @@ class TestRun:
         ("experiment", "server_learning_rate", "nan"),
         ("experiment", "learning_rate", "nan"),
         ("experiment", "si_xi", "nan"),
+        # inf once passed them too: the first five failed after training
+        # started, SI trained with no penalty and every label was 1 or 5
+        ("experiment", "learning_rate", "inf"),
+        ("experiment", "mu", "inf"),
+        ("experiment", "server_learning_rate", "inf"),
+        ("experiment", "augment_sigma", "inf"),
+        ("experiment", "penalty_lambda", "inf"),
+        ("experiment", "si_xi", "inf"),
+        ("suite", "synthetic_noise", "inf"),
     ])
     def test_out_of_range_value_exits_2_naming_the_key(self, tmp_path, capsys,
                                                        section, key, value):
@@ -192,6 +201,29 @@ class TestTable:
     def test_empty_store_exits_1(self, tmp_path, capsys):
         assert main(["table", "--out", str(tmp_path / "nothing")]) == 1
         assert "empty" in capsys.readouterr().err
+
+    def test_failed_runs_are_named(self, tmp_path, capsys):
+        # 500 clients leave the 2-client run's shards; its run fails alone
+        path = tmp_path / "bench.ini"
+        path.write_text(CONFIG + "\n[sweep]\nclients = 2, 500\n")
+        out_dir = str(tmp_path / "r")
+        assert main(["run", "--config", str(path), "--out", out_dir]) == 1
+        (failed,) = [name.removesuffix(".failed.txt") for name in os.listdir(out_dir)
+                     if name.endswith(".failed.txt")]
+        error = (tmp_path / "r" / f"{failed}.failed.txt").read_text().splitlines()[-1]
+        capsys.readouterr()
+        assert main(["table", "--out", out_dir]) == 0
+        markdown = capsys.readouterr().out
+        assert markdown.endswith(f"## Failed runs\n\n- `{failed}`: {error}\n")
+        assert main(["table", "--out", out_dir, "--format", "csv"]) == 0
+        assert failed not in capsys.readouterr().out
+        # with no completed run the table exits 1, naming the failed run
+        completed = next(p for p in (tmp_path / "r").iterdir() if p.is_dir())
+        shutil.rmtree(completed)
+        for fmt in ("markdown", "csv"):
+            assert main(["table", "--out", out_dir, "--format", fmt]) == 1
+            captured = capsys.readouterr()
+            assert failed in captured.err and not captured.out
 
     @pytest.mark.parametrize("command", ["table", "verify"])
     def test_missing_directory_exits_1_and_stays_missing(self, config_path, tmp_path, capsys,

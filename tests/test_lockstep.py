@@ -119,14 +119,15 @@ def record_shapes(monkeypatch) -> list[int]:
 
 @pytest.mark.parametrize("group_clients", [20, 10, 3])
 @pytest.mark.parametrize("sweep, chunk_members", [
-    # FedAvg, FedBN and FedOpt fork from a lead after round 0's local
-    # training, so a 2-client cell trains round 0 as 3 members: the lead,
-    # FedProx and FedDistill. At 20 clients a 2-client cell trains its
-    # members at once and a 10-client cell 2, 2 and 1 at a time; at 10 the
-    # 10-client cell trains one at a time, and at 3 every member trains
-    # alone, a 10-client one as one stack of more clients than the cap
+    # FedAvg, FedBN and FedOpt fork from a lead that trains round 0's local
+    # training alone, before the chunks, so a 2-client cell trains round 0
+    # as the lead, then FedProx and FedDistill. At 20 clients a 2-client
+    # cell trains its members at once and a 10-client cell 2, 2 and 1 at a
+    # time; at 10 the 10-client cell trains one at a time, and at 3 every
+    # member trains alone, a 10-client one as one stack of more clients
+    # than the cap
     ("strategies = fedavg, fedbn, fedprox, fedopt, feddistill",
-     {20: [1, 2, 3, 5], 10: [1, 3, 5], 3: [1]}),
+     {20: [1, 2, 5], 10: [1, 2, 5], 3: [1]}),
     # EWC-Online is EWC's twin, so 4 distinct members train; 1 is the lead
     ("cl_methods = ewc, ewc_online, si, mas, nr", {20: [1, 2, 4], 10: [1, 4], 3: [1]}),
 ], ids=["fl_grid", "fcl_grid"])
@@ -243,6 +244,34 @@ def test_forks_do_not_share_the_leads_adam_moments(monkeypatch):
     outcomes = orch.run_group(configs, train, test, continual=False)
     for config, outcome in zip(configs, outcomes):
         assert digest(outcome) == digest(orch.run_fl(config, train, test)), config.strategy.kind
+
+
+def test_a_lead_is_let_go_as_its_last_member_forks(monkeypatch):
+    # 10 clients a member: the chunks are FedAvg and FedBN, FedProx and
+    # FedOpt, then FedDistill. FedOpt, the share's last member, forks as
+    # its chunk starts, so the lead, the group's first run, is gone before
+    # that chunk's first local training
+    configs = [orch.ExperimentConfig(n_clients=10, n_rounds=2, seed=42,
+                                     strategy=fed.StrategyConfig(kind))
+               for kind in ("fedavg", "fedbn", "fedprox", "fedopt", "feddistill")]
+    dataset, _ = dataio.synthetic_generate(400, seed=3, noise_std=0.1)
+    train, test = dataio.train_test_split(dataset, 0.75, 42)
+    runs, seen, init, local_train = [], [], orch._Run.__init__, orch.local_train
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        runs.append(weakref.ref(self))
+
+    def checking_train(clients, *args, **kwargs):
+        if not seen and any(c.member.config.strategy.kind == "fedprox" for c in clients):
+            seen.append(runs[0]() is None)
+        return local_train(clients, *args, **kwargs)
+
+    monkeypatch.setattr(orch._Run, "__init__", recording_init)
+    monkeypatch.setattr(orch, "local_train", checking_train)
+    outcomes = orch.run_group(configs, train, test, continual=False)
+    assert not any(isinstance(outcome, Exception) for outcome in outcomes)
+    assert seen == [True]
 
 
 def test_a_group_wide_error_leaves_each_member_its_own_traceback(tmp_path):
@@ -768,8 +797,9 @@ def test_a_failed_teacher_leaves_its_students_rows_to_sit_out_the_round(monkeypa
     monkeypatch.undo()
     assert isinstance(outcomes[3], orch.ExperimentError)
     assert re.match(r"client \d failed in round 1: teacher epoch 0 batch \d+: ", str(outcomes[3]))
-    # each round is one student stack: round 1's holds the failed member's
-    # five rows, marked failed, and round 2's is stacked without them
-    assert students == [(0, False, 5), (1, True, 5), (2, False, 0)]
+    # the FedAvg lead trains round 0 alone, before the chunk; then each
+    # round is one student stack: round 1's holds the failed member's five
+    # rows, marked failed, and round 2's is stacked without them
+    assert students == [(0, False, 0), (0, False, 5), (1, True, 5), (2, False, 0)]
     for config, outcome in zip(configs[:3], outcomes):
         assert digest(outcome) == digest(orch.run_fl(config, train, test)), config.strategy
