@@ -11,6 +11,7 @@ columns carry the 8 canonical ``label_*`` names and hold values on the
 from __future__ import annotations
 
 import csv
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -257,8 +258,8 @@ def augment(ds: Dataset, sigma: float = 0.01, seed: int = 0) -> Dataset:
 
     Noise is i.i.d. N(0, sigma) per feature; labels are left untouched.
     """
-    if sigma < 0.0:
-        raise ValueError(f"sigma must be >= 0, got {sigma}")
+    if not 0.0 <= sigma < math.inf:  # NaN included
+        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
     if len(ds) == 0:
         raise DataError("cannot augment an empty dataset")
     rng = np.random.default_rng([seed, 3])
@@ -287,8 +288,8 @@ def synthetic_generate(n: int, seed: int = 0, noise_std: float = 0.1,
         raise ValueError(f"n must be >= 1, got {n}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    if not noise_std >= 0.0:
-        raise ValueError(f"noise_std must be >= 0, got {noise_std}")
+    if not 0.0 <= noise_std < math.inf:  # NaN included
+        raise ValueError(f"noise_std must be finite and >= 0, got {noise_std}")
     rng = np.random.default_rng([seed, 4])
     features = rng.uniform(0.0, 1.0, size=(n, N_FEATURES))
     if flag_value is None:

@@ -56,6 +56,7 @@ bitwise reproducibility are meaningful.
 
 from __future__ import annotations
 
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -588,8 +589,8 @@ class Optimizer:
     def __init__(self, kind: str = "sgd", learning_rate: float = 1e-3):
         if kind not in OPTIMIZERS:
             raise ValueError(f"unknown optimizer kind {kind!r}")
-        if learning_rate < 0.0:
-            raise ValueError("learning rate must be nonnegative")
+        if not 0.0 <= learning_rate < math.inf:  # NaN included
+            raise ValueError(f"learning_rate must be finite and >= 0, got {learning_rate}")
         self.kind = kind
         self.learning_rate = learning_rate
         self.step_count = 0

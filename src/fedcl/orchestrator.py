@@ -10,12 +10,12 @@ one ``local_train`` call; then each member consolidates, aggregates and
 evaluates on its own. ``run_fl`` and ``run_fcl`` run a group of one. FCL
 is two tasks, circle then arrow; the last round of task 1 consolidates
 each client's CL state, and task 2 trains against it.
-Members that compute the same bits up to a round's local training, the
-fork round, train that prefix once, as one lead run, before any chunk
-trains: FCL's task 1, where no CL method acts, and FL's round 0 for
-FedAvg, FedBN and FedOpt. Each such member forks from its lead as its
-chunk starts (``_fork``), finishes the fork round itself and joins the
-chunk's training at the next round. Experiments of one
+FCL members compute the same bits up to task 1's last local training,
+the fork round, as no CL method acts in task 1, so a group trains that
+prefix once, as one lead run, before any chunk trains; FL members share
+nothing. Each FCL member forks from its lead as its chunk starts
+(``_fork``), finishes the fork round itself and joins the chunk's
+training at the next round. Experiments of one
 ``trajectory_key`` (options their strategy and CL method never read
 aside, and EWC-Online, whose decay acts from a second consolidation on,
 as EWC) compute the same bits, so a group trains each key once and hands
@@ -23,11 +23,12 @@ its result to every such twin.
 
 Local training is client-stacked: ``local_train`` gathers a cohort of
 clients into (C, P) arrays (parameters, optimizer state, SI path
-integrals) once per task, and from then on each client's state is row
-views of its cohort's stack (``_Stack``), kept from round to round while
-the cohort trains together. It takes each step of every client whose
-batch has the same row count with one ``nn.backward`` and one
-``Optimizer.step`` on views of their rows, so nothing is written back;
+integrals) once per task, with one copy of its clients' shards, and from
+then on each client's state is row views of its cohort's stack
+(``_Stack``), kept from round to round while the cohort trains
+together. It takes each step of every client whose batch has the same
+row count with one ``nn.backward`` and one ``Optimizer.step`` on views
+of their rows, so nothing is written back;
 each client's loss on its shard after the round comes from a stacked eval
 pass over adjacent rows of any shard sizes, each shard padded to the
 pass's largest and the padding left out of its loss. What a client's
@@ -288,7 +289,8 @@ class _Stack:
     Building it copies the clients' state into the stack once and rebinds
     each client's model, optimizer and SI path integral to views of its
     row, so the steps train the clients' own state and nothing is written
-    back; it also fixes the rows its batches are taken from (``sources``).
+    back; it also copies its clients' shards and replay buffers, once, into
+    the table its batches are taken from (``sources``; see ``_sources``).
     ``local_train`` keeps a stack, its row views (``rows``, ``model``) and
     its loss terms while the cohort trains together in the task, and
     ``refresh`` brings in FedProx's anchor, the one term value that changes
@@ -494,13 +496,10 @@ def _live_runs(clients: list[ClientState], lo: int, hi: int):
 def _sources(clients: list[ClientState], replays: list[bool]) -> tuple:
     """(features, labels, offsets) of the rows a stack's batches are taken
     from; offsets[k] is where client k's shard and, when it replays, its
-    buffer rows start. Shards that are row slices of one table (a
-    partition's or a task's, ``_one_table``) are read from it without a
-    copy; otherwise every distinct shard and replay buffer is copied once
-    (the clients of one client id in a group share their shard)."""
-    shards = [c.shard for c in clients]
-    if not any(replays) and (table := _shared_table(shards)) is not None:
-        return table
+    buffer rows start. Each distinct shard and replay buffer is copied once,
+    when the stack is built (the clients of one client id in a group share
+    their shard); a lone block, such as a one-client stack's shard, is read
+    in place."""
     blocks, offsets, starts, pos = [], [], {}, 0
     for c, replay in zip(clients, replays):
         own = (c.shard, c.buffer) if replay else (c.shard,)
@@ -514,40 +513,6 @@ def _sources(clients: list[ClientState], replays: list[bool]) -> tuple:
         return blocks[0].features, blocks[0].labels, offsets
     return (np.concatenate([b.features for b in blocks]),
             np.concatenate([b.labels for b in blocks]), offsets)
-
-
-def _shared_table(shards: list[dataio.Dataset]) -> tuple | None:
-    """(features, labels, offsets) of the table whose whole-row slices all
-    the shards are, or None when they are not."""
-    features, labels = shards[0].features.base, shards[0].labels.base
-    offsets = []
-    for s in shards:
-        row = _row_of(s.features, features)
-        if row is None or row != _row_of(s.labels, labels):
-            return None
-        offsets.append((row,))
-    return features, labels, offsets
-
-
-def _row_of(view: np.ndarray, table: np.ndarray | None) -> int | None:
-    """The row of the 2-D ``table`` at which ``view`` starts, if ``view`` is
-    a slice of whole rows of it, else None."""
-    if (table is None or view.base is not table or table.ndim != 2
-            or view.shape[1:] != table.shape[1:] or view.strides != table.strides):
-        return None
-    start = view.__array_interface__["data"][0] - table.__array_interface__["data"][0]
-    row, within = divmod(start, table.strides[0])
-    return None if within else row
-
-
-def _one_table(shards: list[dataio.Dataset]) -> list[dataio.Dataset]:
-    """The shards as consecutive row views of one table, so that a stack of
-    their clients takes its batches from it without a copy."""
-    features = np.concatenate([s.features for s in shards])
-    labels = np.concatenate([s.labels for s in shards])
-    ends = np.cumsum([len(s) for s in shards]).tolist()
-    return [dataio.Dataset(features[a:b], labels[a:b], list(s.feature_names))
-            for s, a, b in zip(shards, [0] + ends, ends)]
 
 
 def _epoch_index(offsets: list, plans: list, schedule: list) -> tuple:
@@ -886,7 +851,7 @@ def _fcl_tasks(config: ExperimentConfig, train: dataio.Dataset,
             shards = [dataio.augment(shard, config.augment_sigma,
                                      derive_seed(config.seed, 25, cid, task_index))
                       for cid, shard in enumerate(shards)]
-        tasks.append(_Task(_one_table(shards), eval_set, config.task_rounds))
+        tasks.append(_Task(shards, eval_set, config.task_rounds))
     return tasks
 
 
@@ -906,11 +871,10 @@ class _Run:
                            if config.strategy.kind == "fedopt" else None)
         self.logs: list[RoundLog] = []
 
-    def start_task(self, task_index: int, task: _Task) -> None:
+    def start_task(self, task: _Task) -> None:
         for c, shard in zip(self.clients, task.shards):
             c.shard = shard
-            if task_index > 0:
-                c.optimizer.reset()
+            c.optimizer.reset()
 
     def finish_round(self, task_index: int, round_index: int, consolidate: bool, task: _Task,
                      trained: dict, train_s: float) -> None:
@@ -988,16 +952,14 @@ def own_copy(error: Exception) -> Exception:
 def _fork(lead: _Run, training: tuple[dict, float] | None, config: ExperimentConfig,
           round_index: int, position: tuple) -> _Run:
     """A member that goes on from its share's lead, which has trained up to
-    the local training of round ``round_index`` (at ``position``) and gave
-    ``training``. It copies the lead's round logs, global parameters,
-    client parameters, optimizer state and SI path integrals, keeps its own
-    server optimizer, replay buffers and SI damping, and finishes the fork
-    round itself. The optimizer state is copied, not aliased, as the lead's
-    is a view of its cohort's stack, and only when the fork round is not
-    its task's last: no fork steps its optimizer before the next task
-    resets it. A member of a failed lead gets its own copy of the lead's
-    error."""
-    task_index, r, task, consolidates = position
+    the local training of round ``round_index`` (at ``position``), the last
+    of task 1, and gave ``training``. It copies the lead's round logs,
+    global parameters, client parameters and SI path integrals, keeps its
+    own server optimizer, replay buffers and SI damping, and finishes the
+    fork round itself. Its optimizers stay fresh: task 2's start resets
+    every optimizer before any step. A member of a failed lead gets its own
+    copy of the lead's error."""
+    task_index, _, task, consolidates = position
     run = _Run(config, task.shards)
     if lead.member.error is not None:
         run.member.error = own_copy(lead.member.error)
@@ -1007,8 +969,6 @@ def _fork(lead: _Run, training: tuple[dict, float] | None, config: ExperimentCon
     run.member.global_params = lead.member.global_params.copy()
     for c, own in zip(run.clients, lead.clients):
         c.model.params[...] = own.model.params
-        if r < task.n_rounds - 1:
-            c.optimizer = copy.deepcopy(own.optimizer)
         if c.si_acc is not None:
             c.si_acc.omega_running[...] = own.si_acc.omega_running
     run.finish_round(task_index, round_index, consolidates, task,
@@ -1034,7 +994,7 @@ def _lockstep(runs: list[_Run], positions: list[tuple],
             continue
         if r == 0:  # a task changes the shards and resets every optimizer
             for run in going:
-                run.start_task(task_index, task)
+                run.start_task(task)
         trained, train_s = _train_round(going, task_index, p, stacks)
         if p == stop:
             return trained, train_s
@@ -1051,17 +1011,15 @@ def group_outcomes(configs: list[ExperimentConfig], train: dataio.Dataset, test:
     leads that members of later chunks fork from.
 
     The distinct members, one per ``trajectory_key``, train in config order,
-    in chunks of at most ``GROUP_CLIENTS`` clients. Members that compute the
-    same bits up to the local training of a round, the fork round, form a
-    share. Before the first chunk, each share's lead trains that prefix
-    once (``_lockstep`` with ``stop``); each chunk then starts its runs,
-    each forked from its share's lead (``_fork``) or fresh, and a lead is
-    let go as its last member forks. FCL members of one canonical
-    ``StrategyConfig`` share task 1 up to its last local training, as
-    nothing in task 1 reads the CL method or its options
-    (``weighted_aggregation`` changes task 1's aggregate). FL members of kind fedavg, fedbn or fedopt share round 0's
-    local training, which starts every client from the initial model with
-    no loss term but the data's."""
+    in chunks of at most ``GROUP_CLIENTS`` clients. FCL members of one
+    canonical ``StrategyConfig`` compute the same bits up to task 1's last
+    local training, the fork round, as nothing in task 1 reads the CL
+    method or its options (``weighted_aggregation`` changes task 1's
+    aggregate), so they form a share. Before the first chunk, each share's
+    lead trains that prefix once (``_lockstep`` with ``stop``); each chunk
+    then starts its runs, each forked from its share's lead (``_fork``),
+    and a lead is let go as its last member forks. FL members share
+    nothing and train from round 0 in their own chunk."""
     if len({group_key(c) for c in configs}) != 1:
         raise ValueError("the experiments of a group must have the same group_key")
     for cfg in configs:
@@ -1077,12 +1035,10 @@ def group_outcomes(configs: list[ExperimentConfig], train: dataio.Dataset, test:
     tasks = (_fcl_tasks if continual else _fl_tasks)(distinct[0], train, test)
     positions = [(t, r, task, r == task.n_rounds - 1 and t + 1 < len(tasks))
                  for t, task in enumerate(tasks) for r in range(task.n_rounds)]
-    fork_at = tasks[0].n_rounds - 1 if continual else 0
-    shared: dict[tuple, list[int]] = {}  # share key -> its members
-    for d, cfg in enumerate(distinct):
-        if continual or cfg.strategy.kind in ("fedavg", "fedbn", "fedopt"):
-            key = dataclasses.astuple(trajectory_key(cfg).strategy) if continual else ()
-            shared.setdefault(key, []).append(d)
+    fork_at = tasks[0].n_rounds - 1
+    shared: dict[tuple, list[int]] = {}  # FCL: share key -> its members
+    for d, cfg in enumerate(distinct if continual else ()):
+        shared.setdefault(dataclasses.astuple(trajectory_key(cfg).strategy), []).append(d)
     leads: dict[int, tuple] = {}  # member -> its share's lead and its training, until it forks
     for members in shared.values():
         # nothing before the fork round's aggregation reads the lead's CL method, so the lead

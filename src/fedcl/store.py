@@ -13,9 +13,9 @@ trains the experiments of one shape (``orchestrator.group_key``, FL or FCL)
 as one lockstep group, shape by shape, and stores each result on its own,
 in suite order, as soon as it exists. ``orchestrator.group_outcomes``
 decides how many of a shape's experiments train at once
-(``orchestrator.GROUP_CLIENTS``), trains a prefix that several of them share
-once and forks them from it (FCL's task 1, FL's round 0 for FedAvg, FedBN
-and FedOpt), and trains experiments of one ``orchestrator.trajectory_key``
+(``orchestrator.GROUP_CLIENTS``), trains FCL's task 1, which a shape's
+experiments share, once and forks them from it, and trains experiments of
+one ``orchestrator.trajectory_key``
 once, a spec listed twice included. An error that stops a whole shape is
 each member's own copy, so each traceback reads as if it ran alone.
 """

@@ -50,10 +50,11 @@ class TestSynth:
 
     @pytest.mark.parametrize("option, value, reason", [
         ("--n", "0", "n must be >= 1, got 0"),
-        ("--noise-std", "-1", "noise_std must be >= 0, got -1.0"),  # once no noise, exit 0
-        ("--noise-std", "nan", "noise_std must be >= 0, got nan"),
+        ("--noise-std", "-1", "noise_std must be finite and >= 0, got -1.0"),  # once no noise, exit 0
+        ("--noise-std", "nan", "noise_std must be finite and >= 0, got nan"),
+        ("--noise-std", "inf", "noise_std must be finite and >= 0, got inf"),  # once labels 1 or 5
         ("--seed", "-1", "seed must be >= 0, got -1"),
-    ], ids=["n-0", "noise-std--1", "noise-std-nan", "seed--1"])
+    ], ids=["n-0", "noise-std--1", "noise-std-nan", "noise-std-inf", "seed--1"])
     def test_invalid_option_exits_2_with_the_reason(self, tmp_path, capsys, option, value,
                                                     reason):
         out = tmp_path / "data.csv"

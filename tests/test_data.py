@@ -372,6 +372,13 @@ class TestAugment:
         assert abs(perturbation.mean() - expected) <= 0.05 * expected
 
 
+    @pytest.mark.parametrize("sigma", [np.nan, np.inf])
+    def test_non_finite_sigma_rejected(self, sigma):
+        # a NaN sigma fails a `sigma > 0` test and adds no noise; an infinite one gives inf features
+        with pytest.raises(ValueError, match=f"^sigma must be finite and >= 0, got {sigma}$"):
+            dataio.augment(make_dataset(5), sigma, seed=1)
+
+
 class TestSynthetic:
     def test_deterministic(self):
         a, _ = dataio.synthetic_generate(100, seed=5)

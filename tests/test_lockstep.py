@@ -119,15 +119,12 @@ def record_shapes(monkeypatch) -> list[int]:
 
 @pytest.mark.parametrize("group_clients", [20, 10, 3])
 @pytest.mark.parametrize("sweep, chunk_members", [
-    # FedAvg, FedBN and FedOpt fork from a lead that trains round 0's local
-    # training alone, before the chunks, so a 2-client cell trains round 0
-    # as the lead, then FedProx and FedDistill. At 20 clients a 2-client
-    # cell trains its members at once and a 10-client cell 2, 2 and 1 at a
-    # time; at 10 the 10-client cell trains one at a time, and at 3 every
-    # member trains alone, a 10-client one as one stack of more clients
-    # than the cap
+    # FL members never fork: at 20 clients a 2-client cell trains its
+    # members at once and a 10-client cell 2, 2 and 1 at a time; at 10 the
+    # 10-client cell trains one at a time, and at 3 every member trains
+    # alone, a 10-client one as one stack of more clients than the cap
     ("strategies = fedavg, fedbn, fedprox, fedopt, feddistill",
-     {20: [1, 2, 5], 10: [1, 2, 5], 3: [1]}),
+     {20: [1, 2, 5], 10: [1, 5], 3: [1]}),
     # EWC-Online is EWC's twin, so 4 distinct members train; 1 is the lead
     ("cl_methods = ewc, ewc_online, si, mas, nr", {20: [1, 2, 4], 10: [1, 4], 3: [1]}),
 ], ids=["fl_grid", "fcl_grid"])
@@ -155,8 +152,7 @@ def test_mixed_group_equals_experiments_run_alone(tmp_path, monkeypatch):
     # each beside FedBN and FedOpt, and the CL methods with NR, whose replay
     # batches have their own row counts. FCL runs only FedAvg, so the FL
     # and FCL members form two groups of the same settings. A third group,
-    # the FL members in reverse order at another seed, has a FedAvg, FedBN
-    # and FedOpt share whose first member, and so its lead, is FedOpt.
+    # the FL members in reverse order at another seed, starts with FedOpt.
     fl = suite_of(tmp_path, MIXED.format(
         sweep="strategies = fedavg, fedprox, fedbn, feddistill, fedopt"), "fl.ini")
     fcl = suite_of(tmp_path, MIXED.format(
@@ -214,63 +210,46 @@ synthetic_n = 200
         assert digest(grouped[spec.run_id()]) == digest(store.execute_experiment(spec, dataset))
 
 
-def test_fl_round_0_trains_once_for_fedavg_fedbn_and_fedopt(tmp_path, monkeypatch):
-    # round 0 starts every client from the initial model, and only FedProx
-    # and FedDistill add a loss term, so FedAvg, FedBN and FedOpt fork from
-    # one lead after its local training; from round 1 on each trains itself
+def test_fl_members_never_fork(tmp_path, monkeypatch):
+    # every FL member trains from round 0 in its chunk, so a 2-client group
+    # of the five strategies makes one local_train call a round, of all of
+    # them, and none before
     suite = suite_of(tmp_path, MIXED.format(
         sweep="strategies = fedavg, fedbn, fedprox, fedopt, feddistill"), "fl.ini")
     dataset, _ = dataio.synthetic_generate(300, seed=4, noise_std=0.1)
     grouped, failures, cohorts = run_grouped(suite, dataset, str(tmp_path / "out"), monkeypatch)
     assert not failures
-    for round_index, members, clients in ((0, 3, 6), (1, 5, 10)):
-        same = [c for c in cohorts if c.round_index == round_index]
-        assert len(set().union(*(c.members for c in same))) == members
-        assert sum(c.clients for c in same) == clients
+    assert [(c.round_index, len(c.members), c.clients) for c in cohorts] == [(0, 5, 10),
+                                                                            (1, 5, 10)]
     for spec in suite.experiments:
         assert digest(grouped[spec.run_id()]) == digest(store.execute_experiment(spec, dataset))
 
 
-def test_forks_do_not_share_the_leads_adam_moments(monkeypatch):
-    # one client per member and one member per chunk: the lead and each
-    # member step their optimizers in place, as cohorts of one, and later
-    # chunks fork from the lead after the earlier members trained on
-    configs = [orch.ExperimentConfig(n_clients=1, n_rounds=3, batch_size=16, seed=5,
-                                     strategy=fed.StrategyConfig(kind))
-               for kind in ("fedavg", "fedbn", "fedopt")]
-    dataset, _ = dataio.synthetic_generate(200, seed=1, noise_std=0.1)
-    train, test = dataio.train_test_split(dataset, 0.75, configs[0].seed)
-    monkeypatch.setattr(orch, "GROUP_CLIENTS", 1)
-    outcomes = orch.run_group(configs, train, test, continual=False)
-    for config, outcome in zip(configs, outcomes):
-        assert digest(outcome) == digest(orch.run_fl(config, train, test)), config.strategy.kind
-
-
 def test_a_lead_is_let_go_as_its_last_member_forks(monkeypatch):
-    # 10 clients a member: the chunks are FedAvg and FedBN, FedProx and
-    # FedOpt, then FedDistill. FedOpt, the share's last member, forks as
-    # its chunk starts, so the lead, the group's first run, is gone before
-    # that chunk's first local training
-    configs = [orch.ExperimentConfig(n_clients=10, n_rounds=2, seed=42,
-                                     strategy=fed.StrategyConfig(kind))
-               for kind in ("fedavg", "fedbn", "fedprox", "fedopt", "feddistill")]
+    # 10 clients a member: the chunks are EWC and SI, then MAS and NR. The
+    # lead, the SI member's run and the group's first, is gone once NR, the
+    # share's last member, forks as its chunk starts, before that chunk's
+    # first local training
+    configs = [orch.ExperimentConfig(n_clients=10, n_rounds=2, seed=42, cl_method=method)
+               for method in ("ewc", "si", "mas", "nr")]
     dataset, _ = dataio.synthetic_generate(400, seed=3, noise_std=0.1)
     train, test = dataio.train_test_split(dataset, 0.75, 42)
     runs, seen, init, local_train = [], [], orch._Run.__init__, orch.local_train
 
-    def recording_init(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        runs.append(weakref.ref(self))
+    def recording_init(self, config, *args, **kwargs):
+        init(self, config, *args, **kwargs)
+        runs.append((weakref.ref(self), config.cl_method))
 
     def checking_train(clients, *args, **kwargs):
-        if not seen and any(c.member.config.strategy.kind == "fedprox" for c in clients):
-            seen.append(runs[0]() is None)
+        if not seen and any(c.member.config.cl_method == "mas" for c in clients):
+            seen.append(runs[0][0]() is None)
         return local_train(clients, *args, **kwargs)
 
     monkeypatch.setattr(orch._Run, "__init__", recording_init)
     monkeypatch.setattr(orch, "local_train", checking_train)
-    outcomes = orch.run_group(configs, train, test, continual=False)
+    outcomes = orch.run_group(configs, train, test, continual=True)
     assert not any(isinstance(outcome, Exception) for outcome in outcomes)
+    assert runs[0][1] == "si"
     assert seen == [True]
 
 
@@ -688,8 +667,8 @@ def test_a_cohort_is_stacked_once_per_task(monkeypatch):
     # runs, in the first round it trains together; later rounds find it, so
     # a run of 6 rounds builds no model in local_train that one of 2 does
     # not, and every client's parameters are a row of its cohort's stack.
-    # The fedavg member forks from its lead after round 0, so its cohorts
-    # are stacked in rounds 0 and 1.
+    # Every member trains from round 0 in the chunk, so its cohorts are
+    # stacked in round 0.
     dataset, _ = dataio.synthetic_generate(400, seed=3, noise_std=0.1)
     train, test = dataio.train_test_split(dataset, 0.75, 42)
     built, inside = [0], [False]
@@ -797,9 +776,8 @@ def test_a_failed_teacher_leaves_its_students_rows_to_sit_out_the_round(monkeypa
     monkeypatch.undo()
     assert isinstance(outcomes[3], orch.ExperimentError)
     assert re.match(r"client \d failed in round 1: teacher epoch 0 batch \d+: ", str(outcomes[3]))
-    # the FedAvg lead trains round 0 alone, before the chunk; then each
-    # round is one student stack: round 1's holds the failed member's five
-    # rows, marked failed, and round 2's is stacked without them
-    assert students == [(0, False, 0), (0, False, 5), (1, True, 5), (2, False, 0)]
+    # each round is one student stack: round 1's holds the failed member's
+    # five rows, marked failed, and round 2's is stacked without them
+    assert students == [(0, False, 5), (1, True, 5), (2, False, 0)]
     for config, outcome in zip(configs[:3], outcomes):
         assert digest(outcome) == digest(orch.run_fl(config, train, test)), config.strategy

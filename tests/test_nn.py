@@ -318,6 +318,12 @@ class TestOptimizer:
         with pytest.raises(ValueError):
             nn.Optimizer("sgd").step(np.zeros(2), np.zeros(3))
 
+    @pytest.mark.parametrize("kind", ["sgd", "adam"])
+    @pytest.mark.parametrize("lr", [np.nan, np.inf])
+    def test_non_finite_learning_rate_rejected(self, kind, lr):
+        with pytest.raises(ValueError, match=f"^learning_rate must be finite and >= 0, got {lr}$"):
+            nn.Optimizer(kind, lr)
+
 
 class TestParameterVector:
     def test_layer_arrays_are_views_into_params(self, rng):

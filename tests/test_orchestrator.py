@@ -181,6 +181,21 @@ class TestRunFl:
         for update in (first, second):
             assert not np.shares_memory(update.params, clients[0].model.params)
 
+    def test_a_lone_client_reads_its_shard_in_place(self):
+        # a one-client stack takes its batches from the shard itself, so a
+        # central run holds no second copy of its training rows
+        train, _, _ = synth()
+        cfg = config(n_clients=1)
+        template = nn.MlpModel()
+        template.init_params(np.random.default_rng([cfg.seed, 100]))
+        (client,) = orch._build_clients(orch.Member(cfg, nn.extract_params(template)), [train])
+        stacks = {}
+        orch.local_train([client], 0, 0, stacks)
+        (stack,) = stacks.values()
+        features, labels, _ = stack.sources
+        assert np.shares_memory(features, train.features)
+        assert np.shares_memory(labels, train.labels)
+
     def test_losses_equal_each_clients_own(self):
         # a cohort of shards of several sizes, with a run of equal shards of
         # more rows (5 x 300) than one stacked loss pass takes, a FedDistill
@@ -415,7 +430,7 @@ class TestShardLosses:
         sizes = ([30, 34, 38, 42, 46] * 2, [23, 41, 57, 66, 80, 29, 35, 50, 61, 74])
         cuts = np.cumsum([0] + sizes[0] + sizes[1])
         shards = [ds.subset(np.arange(cuts[k], cuts[k + 1])) for k in range(20)]
-        task1, task2 = shards[:10], orch._one_table(shards[10:])
+        task1, task2 = shards[:10], shards[10:]
         template = nn.MlpModel()
         template.init_params(np.random.default_rng(3))
         clients = []
@@ -444,8 +459,7 @@ class TestShardLosses:
         ds, _ = dataio.synthetic_generate(300, seed=6, noise_std=0.1)
         sizes = {"A": [20, 33, 47], "B": [26, 40], "C": [29, 52]}
         cuts = np.cumsum([0] + sum(sizes.values(), []))
-        shards = orch._one_table([ds.subset(np.arange(cuts[k], cuts[k + 1]))
-                                  for k in range(len(cuts) - 1)])
+        shards = [ds.subset(np.arange(cuts[k], cuts[k + 1])) for k in range(len(cuts) - 1)]
         template = nn.MlpModel()
         template.init_params(np.random.default_rng(4))
         stacks, members, clients = {}, {}, []
@@ -461,8 +475,10 @@ class TestShardLosses:
         batches = dataio.minibatch_indices(40, 8, derive_seed(cfg.seed, 21, 1, 0, 1), 0)
         kept = None
         for r in range(3):
-            if r == 1:  # the shards are views of the stack's source table
-                failing.shard.features[batches[-1][0], 5] = np.inf
+            if r == 1:  # the stack kept from round 0 takes its batches from its own table
+                k = next(k for k, c in enumerate(kept.clients) if c is failing)
+                features, _, offsets = kept.sources
+                features[offsets[k][0] + batches[-1][0], 5] = np.inf
             live = [c for c in clients if c.member.error is None]
             with np.errstate(invalid="ignore", over="ignore"):
                 _, losses = orch.local_train(clients, 0, r, stacks)
