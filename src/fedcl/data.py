@@ -11,6 +11,7 @@ columns carry the 8 canonical ``label_*`` names and hold values on the
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -70,6 +71,17 @@ class Dataset:
 def concat(a: Dataset, b: Dataset) -> Dataset:
     return Dataset(np.concatenate([a.features, b.features]),
                    np.concatenate([a.labels, b.labels]), list(a.feature_names))
+
+
+def take_rows(ds: Dataset, pieces: list[np.ndarray]) -> list[Dataset]:
+    """The rows ``ds`` has at each index array of ``pieces``, as consecutive
+    row slices of one copy, taken in piece order with one ``take`` per
+    array: the pieces share that copy, and none holds its rows apart."""
+    rows = np.concatenate(pieces)
+    features, labels = ds.features.take(rows, axis=0), ds.labels.take(rows, axis=0)
+    bounds = list(itertools.accumulate((len(p) for p in pieces), initial=0))
+    return [Dataset(features[a:b], labels[a:b], list(ds.feature_names))
+            for a, b in zip(bounds, bounds[1:])]
 
 
 @dataclass
@@ -209,48 +221,59 @@ def save_csv(ds: Dataset, path: str) -> None:
 # Splitting / partitioning
 # ---------------------------------------------------------------------------
 
-def train_test_split(ds: Dataset, ratio: float = 0.75, seed: int = 0) -> tuple[Dataset, Dataset]:
-    """Seeded uniform shuffle, then split at floor(ratio * n)."""
+def split_indices(n: int, ratio: float = 0.75, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of an n-row dataset's train and test sets: a seeded uniform
+    shuffle, cut at floor(ratio * n)."""
     if not 0.0 < ratio < 1.0:
         raise ValueError(f"ratio must be in (0, 1), got {ratio}")
-    n = len(ds)
     if n == 0:
         raise DataError("cannot split an empty dataset")
     perm = np.random.default_rng([seed, 1]).permutation(n)
     cut = int(np.floor(ratio * n))
-    return ds.subset(perm[:cut]), ds.subset(perm[cut:])
+    return perm[:cut], perm[cut:]
 
 
-def partition_clients(train: Dataset, n_clients: int, seed: int = 0) -> list[ClientPartition]:
-    """Seeded shuffle, then contiguous near-equal shards (remainder spread
-    one-per-client starting at client 0). The shards are consecutive row
-    views of one shuffled copy of ``train``."""
-    n = len(train)
+def train_test_split(ds: Dataset, ratio: float = 0.75, seed: int = 0) -> tuple[Dataset, Dataset]:
+    """The train and test sets of ``split_indices``, row slices of one copy
+    of their rows."""
+    train, test = take_rows(ds, split_indices(len(ds), ratio, seed))
+    return train, test
+
+
+def partition_indices(n: int, n_clients: int, seed: int = 0) -> list[np.ndarray]:
+    """Each client's rows of an n-row training set: a seeded shuffle, cut
+    into contiguous near-equal shards (remainder spread one-per-client
+    starting at client 0); client k's indices are a view of the shuffle."""
     if n_clients < 1:
         raise ValueError(f"n_clients must be >= 1, got {n_clients}")
     if n_clients > n:
         raise DataError(f"cannot partition {n} samples into {n_clients} clients")
-    shuffled = train.subset(np.random.default_rng([seed, 2]).permutation(n))
+    perm = np.random.default_rng([seed, 2]).permutation(n)
     base, rem = divmod(n, n_clients)
-    parts = []
-    pos = 0
-    for cid in range(n_clients):
-        size = base + (1 if cid < rem else 0)
-        rows = slice(pos, pos + size)
-        parts.append(ClientPartition(cid, Dataset(shuffled.features[rows], shuffled.labels[rows],
-                                                  list(train.feature_names))))
-        pos += size
-    return parts
+    cuts = itertools.accumulate((base + (cid < rem) for cid in range(n_clients)), initial=0)
+    return np.split(perm, list(cuts)[1:-1])
+
+
+def partition_clients(train: Dataset, n_clients: int, seed: int = 0) -> list[ClientPartition]:
+    """The shards of ``partition_indices``, consecutive row slices of one
+    shuffled copy of ``train``."""
+    shards = take_rows(train, partition_indices(len(train), n_clients, seed))
+    return [ClientPartition(cid, shard) for cid, shard in enumerate(shards)]
+
+
+def task_indices(flags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The positions of the circle rows (flag 1, task 1) and of the arrow
+    rows (flag 0, task 2) of a column of circle/arrow flags, in order."""
+    bad = ~np.isin(flags, (0.0, 1.0))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise DataError(f"sample {i}: circle/arrow flag must be 0 or 1, got {flags[i]}")
+    return np.flatnonzero(flags == 1.0), np.flatnonzero(flags == 0.0)
 
 
 def split_tasks(ds: Dataset) -> TaskSplit:
     """Split by the circle/arrow flag: flag 1 -> task1 (circle), 0 -> task2."""
-    flag = ds.features[:, 0]
-    bad = ~np.isin(flag, (0.0, 1.0))
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise DataError(f"sample {i}: circle/arrow flag must be 0 or 1, got {flag[i]}")
-    return TaskSplit(task1=ds.subset(flag == 1.0), task2=ds.subset(flag == 0.0))
+    return TaskSplit(*take_rows(ds, task_indices(ds.features[:, 0])))
 
 
 def augment(ds: Dataset, sigma: float = 0.01, seed: int = 0) -> Dataset:

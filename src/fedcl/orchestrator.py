@@ -163,10 +163,14 @@ class RunResult:
 
 
 # The most padded shard rows (rows of the pass times its largest shard) one
-# stacked eval forward of ``_shard_losses`` takes; a larger shard passes
-# alone. Set by measurement (``perfbench/run.py --workload fl_grid --seconds
-# 8``, 2-core Xeon), when a pass took equal-size shards only: a 2-client cell
-# stacks up to ten 750-row shards, and with no cap the peak resident memory
+# stacked eval forward of ``_shard_losses`` takes, and the most rows of one
+# forward of a single model: a larger shard passes alone, and it and a
+# larger test set go through ``_predictions`` in chunks of at most this many
+# rows (one more where a one-row tail is folded in), so a pass's
+# temporaries are bounded whatever the data. Set by measurement
+# (``perfbench/run.py --workload fl_grid --seconds 8``, 2-core Xeon), when a
+# pass took equal-size shards only: a 2-client cell stacks up to ten
+# 750-row shards, and with no cap the peak resident memory
 # rose 7% over the per-client loss (40.4 to 43.3 MB); with caps of 4,096,
 # 2,048 and 1,024 rows it rose 2.5%, 0.6% and not measurably, with wall
 # times within the noise of one run each.
@@ -261,8 +265,31 @@ def evaluate(params: np.ndarray, test_set: dataio.Dataset, hidden_activation: st
     if model is None:
         model = nn.MlpModel(hidden_activation)
     nn.inject_params(model, params)
-    pred = model.forward(test_set.features, mode="eval")
-    return compute_report(pred, test_set.labels)
+    return compute_report(_predictions(model, test_set.features), test_set.labels)
+
+
+def _predictions(model: nn.MlpModel, features: np.ndarray,
+                 rows: slice | np.ndarray = slice(None)) -> np.ndarray:
+    """The eval predictions of ``model`` for ``features[rows]``, as one
+    array. More than ``LOSS_PASS_ROWS`` rows, which only a single model's
+    pass has (``_loss_passes`` keeps a stack's within that), are forwarded
+    in chunks of at most that many, written into the array, a one-row tail
+    folded into the chunk before it: numpy takes a matrix-vector path for
+    a single row, which changes its bits, while chunks of two rows or more
+    give each row the bits of one large pass (``TestChunkedForward`` in
+    ``tests/test_orchestrator.py`` checks this on the build it runs on)."""
+    if isinstance(rows, slice):
+        features, rows = features[rows], None
+    n = len(features) if rows is None else len(rows)
+    if n <= LOSS_PASS_ROWS:
+        x = features if rows is None else features.take(rows, axis=0)
+        return model.forward(x, mode="eval")
+    starts = list(range(0, n - 1, LOSS_PASS_ROWS))  # no chunk starts at the last row
+    pred = np.empty((n, nn.OUT_DIM))
+    for a, b in zip(starts, starts[1:] + [n]):
+        pred[a:b] = model.forward(features[a:b] if rows is None
+                                  else features.take(rows[a:b], axis=0), mode="eval")
+    return pred
 
 
 @dataclass
@@ -696,7 +723,8 @@ def _shard_losses(stack: _Stack) -> dict[int, float]:
     for each client of the stack whose member has not failed. Each pass of
     ``_loss_passes`` gathers its rows' shards, each padded to the pass's
     largest, with one ``take`` per array, and goes through one eval forward
-    of the stack's model of those rows and one ``nn.mse_loss`` call, which
+    of the stack's model of those rows (a lone large shard through chunks
+    of ``LOSS_PASS_ROWS`` rows) and one ``nn.mse_loss`` call, which
     leaves the padded rows out of each model's sum. Model k of a stack
     computes the bits it would compute alone, so each loss is the client's
     own."""
@@ -705,11 +733,8 @@ def _shard_losses(stack: _Stack) -> dict[int, float]:
     features, labels, _ = stack.sources
     clients, losses = stack.clients, {}
     for lo, hi, rows, counts in stack.passes:
-        if isinstance(rows, slice):
-            x, y = features[rows], labels[rows]
-        else:
-            x, y = features.take(rows, axis=0), labels.take(rows, axis=0)
-        pred = stack.model(lo, hi).forward(x, mode="eval").reshape(hi - lo, -1, nn.OUT_DIM)
+        y = labels[rows] if isinstance(rows, slice) else labels.take(rows, axis=0)
+        pred = _predictions(stack.model(lo, hi), features, rows).reshape(hi - lo, -1, nn.OUT_DIM)
         scalar, _ = nn.mse_loss(pred, y.reshape(pred.shape), counts)
         losses.update(zip(map(id, clients[lo:hi]), scalar.tolist()))
     return losses
@@ -719,7 +744,8 @@ def _loss_passes(stack: _Stack) -> list[tuple]:
     """The eval passes of ``_shard_losses`` over the rows of live members,
     as (lo, hi, source rows, shard sizes). Each run of such rows is cut into
     passes of adjacent rows whose padded size (rows times the largest shard
-    of the pass) is at most ``LOSS_PASS_ROWS``; a larger shard passes alone.
+    of the pass) is at most ``LOSS_PASS_ROWS``; a larger shard passes alone,
+    forwarded in chunks (``_predictions``).
     The source rows index ``stack.sources``: each row's shard, padded with
     repeats of its last row, or a slice when the shards are consecutive
     equal-size rows of one table."""
@@ -816,42 +842,62 @@ class _Task:
     n_rounds: int
 
 
-def _fl_tasks(config: ExperimentConfig, train: dataio.Dataset,
-              test: dataio.Dataset) -> list[_Task]:
-    """Plain FL is one task: the (augmented) training set, partitioned."""
+def _fl_tasks(config: ExperimentConfig, dataset: dataio.Dataset,
+              split: tuple[np.ndarray, np.ndarray]) -> list[_Task]:
+    """Plain FL is one task: the training set of ``split``, the (train
+    rows, test rows) of ``dataset``, partitioned, and its test set. The
+    shards and the test set are slices of one copy of their rows, taken in
+    partition order; with augmentation, the shards are slices of one
+    shuffled copy of the augmented training set."""
+    train_rows, test_rows = split
+    if len(test_rows) < 2:
+        raise ExperimentError(f"test set too small to evaluate: {len(test_rows)} row(s), "
+                              f"evaluation needs 2")
     if config.augmentation:
-        train = dataio.augment(train, config.augment_sigma, derive_seed(config.seed, 24))
-    parts = dataio.partition_clients(train, config.n_clients, config.seed)
-    return [_Task([p.shard for p in parts], test, config.n_rounds)]
+        train = dataio.augment(dataset.subset(train_rows), config.augment_sigma,
+                               derive_seed(config.seed, 24))
+        shards = [p.shard for p in dataio.partition_clients(train, config.n_clients, config.seed)]
+        test = dataset.subset(test_rows)
+    else:
+        pieces = [train_rows[rows] for rows in
+                  dataio.partition_indices(len(train_rows), config.n_clients, config.seed)]
+        *shards, test = dataio.take_rows(dataset, pieces + [test_rows])
+    return [_Task(shards, test, config.n_rounds)]
 
 
-def _fcl_tasks(config: ExperimentConfig, train: dataio.Dataset,
-               test: dataio.Dataset) -> list[_Task]:
+def _fcl_tasks(config: ExperimentConfig, dataset: dataio.Dataset,
+               split: tuple[np.ndarray, np.ndarray]) -> list[_Task]:
     """FCL's two tasks, circle then arrow, of ``config.task_rounds`` rounds
-    each: each client's shard split by the context flag, augmented per task
-    shard (task membership is decided on clean flags); task-1 rounds
-    evaluate on the circle test subset, task-2 rounds on the full test
-    set."""
-    parts = dataio.partition_clients(train, config.n_clients, config.seed)
-    client_tasks = []
-    for p in parts:
-        split = dataio.split_tasks(p.shard)
-        for t_idx, t_ds in enumerate((split.task1, split.task2)):
-            if len(t_ds) == 0:
-                raise ExperimentError(f"client {p.client_id}: task {t_idx + 1} shard is empty")
-        client_tasks.append((split.task1, split.task2))
-    test_split = dataio.split_tasks(test)
-    eval_sets = [test_split.task1, test]
-    if len(test_split.task1) < 2:
-        raise ExperimentError("circle test subset too small to evaluate")
+    each, from ``split``, the (train rows, test rows) of ``dataset``: each
+    client's shard of the training set split by the context flag, augmented
+    per task shard (task membership is decided on clean flags); task-1
+    rounds evaluate on the circle test subset, task-2 rounds on the full
+    test set. The task shards and both test sets are slices of one copy of
+    their rows."""
+    train_rows, test_rows = split
+    flags = dataset.features[:, 0]
+    pieces: tuple[list, list] = ([], [])  # task -> each client's rows
+    for cid, rows in enumerate(dataio.partition_indices(len(train_rows), config.n_clients,
+                                                        config.seed)):
+        rows = train_rows[rows]
+        for t_idx, task_rows in enumerate(dataio.task_indices(flags[rows])):
+            if len(task_rows) == 0:
+                raise ExperimentError(f"client {cid}: task {t_idx + 1} shard is empty")
+            pieces[t_idx].append(rows[task_rows])
+    circle = test_rows[dataio.task_indices(flags[test_rows])[0]]
+    if len(circle) < 2:
+        raise ExperimentError(f"circle test subset too small to evaluate: {len(circle)} "
+                              f"row(s), evaluation needs 2")
+    *shards, circle_test, test = dataio.take_rows(dataset, [*pieces[0], *pieces[1], circle,
+                                                            test_rows])
     tasks = []
-    for task_index, eval_set in enumerate(eval_sets):
-        shards = [t[task_index] for t in client_tasks]
+    for task_index, eval_set in enumerate((circle_test, test)):
+        task_shards = shards[task_index * config.n_clients:(task_index + 1) * config.n_clients]
         if config.augmentation:
-            shards = [dataio.augment(shard, config.augment_sigma,
-                                     derive_seed(config.seed, 25, cid, task_index))
-                      for cid, shard in enumerate(shards)]
-        tasks.append(_Task(shards, eval_set, config.task_rounds))
+            task_shards = [dataio.augment(shard, config.augment_sigma,
+                                          derive_seed(config.seed, 25, cid, task_index))
+                           for cid, shard in enumerate(task_shards)]
+        tasks.append(_Task(task_shards, eval_set, config.task_rounds))
     return tasks
 
 
@@ -1002,13 +1048,17 @@ def _lockstep(runs: list[_Run], positions: list[tuple],
             run.finish_round(task_index, p, consolidates, task, trained, train_s)
 
 
-def group_outcomes(configs: list[ExperimentConfig], train: dataio.Dataset, test: dataio.Dataset,
+def group_outcomes(configs: list[ExperimentConfig], dataset: dataio.Dataset,
+                   split: tuple[np.ndarray, np.ndarray],
                    continual: bool) -> Iterator[tuple[int, RunResult | Exception]]:
-    """``run_group``'s work as it finishes: (position in ``configs``,
-    result or exception) of each member, in chunk order, each member's
-    twins right after it. A caller that takes each chunk's outcomes before
-    asking for more holds one chunk's client state at a time, besides the
-    leads that members of later chunks fork from.
+    """``run_group``'s work as it finishes, on the training and test sets
+    of ``split``, the (train rows, test rows) of ``dataset``: (position in
+    ``configs``, result or exception) of each member, in chunk order, each
+    member's twins right after it. The group's shards and test sets are
+    slices of one copy of their rows (``_fl_tasks``, ``_fcl_tasks``), taken
+    before any member trains. A caller that takes each chunk's outcomes
+    before asking for more holds one chunk's client state at a time,
+    besides the leads that members of later chunks fork from.
 
     The distinct members, one per ``trajectory_key``, train in config order,
     in chunks of at most ``GROUP_CLIENTS`` clients. FCL members of one
@@ -1032,7 +1082,8 @@ def group_outcomes(configs: list[ExperimentConfig], train: dataio.Dataset, test:
         twins.setdefault(dataclasses.astuple(trajectory_key(cfg)), []).append(i)
     same = list(twins.values())
     distinct = [configs[s[0]] for s in same]
-    tasks = (_fcl_tasks if continual else _fl_tasks)(distinct[0], train, test)
+    tasks = (_fcl_tasks if continual else _fl_tasks)(distinct[0], dataset, split)
+    del dataset, split  # the tasks hold the rows they read
     positions = [(t, r, task, r == task.n_rounds - 1 and t + 1 < len(tasks))
                  for t, task in enumerate(tasks) for r in range(task.n_rounds)]
     fork_at = tasks[0].n_rounds - 1
@@ -1073,7 +1124,9 @@ def run_group(configs: list[ExperimentConfig], train: dataio.Dataset, test: data
     Returns, in the order of ``configs``, each member's result or the
     exception that stopped it; a member that fails does not stop the rest.
     Each member computes the bits it would compute alone."""
-    outcomes = dict(group_outcomes(configs, train, test, continual))
+    n = len(train)
+    outcomes = dict(group_outcomes(configs, dataio.concat(train, test),
+                                   (np.arange(n), np.arange(n, n + len(test))), continual))
     return [outcomes[i] for i in range(len(configs))]
 
 

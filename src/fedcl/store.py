@@ -274,10 +274,13 @@ def _stream(specs: list[ExperimentSpec],
     """(position in ``specs``, outcome) of every experiment, shape by shape,
     in the order each shape first appears: a shape is FL or FCL and one
     ``orchestrator.group_key``, and a spec whose config does not build is a
-    shape of its own, which reports that error. A shape splits the dataset
-    with its seed and passes ``orchestrator.group_outcomes`` through; an
-    error that stops it is the outcome of every member not yet handed out,
-    each its own copy."""
+    shape of its own, which reports that error. A shape splits the
+    dataset's row indices with its seed (``data.split_indices``) and passes
+    ``orchestrator.group_outcomes`` through, which takes the rows of the
+    shape's shards and test sets once, as one copy; so the rows are held
+    at most twice, by the caller's dataset and by that copy, besides the
+    copies FL's augmentation makes. An error that stops a shape is the
+    outcome of every member not yet handed out, each its own copy."""
     shapes: dict[tuple, list[int]] = {}
     for position, spec in enumerate(specs):
         try:
@@ -289,9 +292,9 @@ def _stream(specs: list[ExperimentSpec],
         handed = set()
         try:
             configs = [specs[p].build() for p in positions]
-            # only group_outcomes holds the split, so it goes when the shape ends
+            # only group_outcomes holds the shape's rows, so they go when the shape ends
             for i, outcome in group_outcomes(
-                    configs, *dataio.train_test_split(dataset, 0.75, configs[0].seed),
+                    configs, dataset, dataio.split_indices(len(dataset), 0.75, configs[0].seed),
                     continual=specs[positions[0]].is_fcl):
                 handed.add(i)
                 yield positions[i], outcome

@@ -157,6 +157,12 @@ class TestRun:
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "r")]) == 1
         assert "FAILED" in capsys.readouterr().err
 
+    def test_a_test_set_under_two_rows_fails_naming_it(self, tmp_path, capsys):
+        path = tmp_path / "tiny.ini"
+        path.write_text("[experiment]\nclients = 1\n\n[suite]\nsynthetic_n = 4\n")
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "r")]) == 1
+        assert "test set too small to evaluate: 1 row(s)" in capsys.readouterr().err
+
     def test_out_dir_from_environment(self, config_path, tmp_path, monkeypatch):
         out_dir = str(tmp_path / "env_results")
         monkeypatch.setenv("FEDCL_OUT", out_dir)

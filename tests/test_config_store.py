@@ -4,6 +4,7 @@ import json
 import os
 import tempfile
 import textwrap
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -382,6 +383,27 @@ clients = 2, 500
         report_path.write_text(json.dumps(doc))
         violations = verify_store(store, dataset)
         assert violations and violations[0][0] == rid
+
+
+class TestSuiteMemory:
+    # traced peak of the 1-client suite below, above the loaded dataset:
+    # 8.0 MB, one copy of the rows (5.92 MB) and the temporaries of the
+    # largest pass, the 15,000-row loss pass; the rows were held three times
+    # (14.4 MB) when the split and the partition each kept a copy
+    PASS_ALLOWANCE = 3_000_000  # bytes
+
+    def test_a_suite_holds_one_copy_of_the_rows(self, tmp_path):
+        ds, _ = dataio.synthetic_generate(20_000, seed=0, noise_std=0.1)
+        suite = parse_config(write_config(tmp_path, "[experiment]\nclients = 1\nrounds = 1\n"))
+        rows = ds.features.nbytes + ds.labels.nbytes
+        tracemalloc.start()
+        try:
+            _, failures = run_suite(suite, ds, str(tmp_path / "out"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert failures == []
+        assert peak < rows + self.PASS_ALLOWANCE
 
 
 class TestEmitTable:

@@ -297,6 +297,28 @@ class TestSplit:
         with pytest.raises(ValueError):
             dataio.train_test_split(make_dataset(10), 1.0, seed=0)
 
+    def test_sets_are_the_rows_of_split_indices_in_one_copy(self):
+        ds = make_dataset(40, seed=2)
+        train, test = dataio.train_test_split(ds, 0.75, seed=4)
+        train_rows, test_rows = dataio.split_indices(len(ds), 0.75, seed=4)
+        assert np.array_equal(train.features, ds.features[train_rows])
+        assert np.array_equal(test.labels, ds.labels[test_rows])
+        assert train.features.base is test.features.base
+        assert not np.shares_memory(train.features, ds.features)
+
+
+class TestTakeRows:
+    def test_pieces_are_consecutive_slices_of_one_copy(self):
+        ds = make_dataset(30, seed=3)
+        pieces = [np.array([4, 2]), np.array([], dtype=int), np.array([2, 29, 0])]
+        taken = dataio.take_rows(ds, pieces)
+        for piece, part in zip(pieces, taken):
+            assert np.array_equal(part.features, ds.features[piece])
+            assert np.array_equal(part.labels, ds.labels[piece])
+            assert part.features.flags.c_contiguous
+        assert taken[0].features.base is taken[2].features.base
+        assert not np.shares_memory(taken[0].features, ds.features)
+
 
 class TestPartition:
     def test_ten_equal_shards(self):
@@ -320,6 +342,14 @@ class TestPartition:
     def test_too_many_clients(self):
         with pytest.raises(DataError):
             dataio.partition_clients(make_dataset(3), 4, seed=0)
+
+    def test_shards_are_the_rows_of_partition_indices(self):
+        ds = make_dataset(23, seed=5)
+        parts = dataio.partition_clients(ds, 4, seed=1)
+        indices = dataio.partition_indices(len(ds), 4, seed=1)
+        assert [len(rows) for rows in indices] == [6, 6, 6, 5]
+        for part, rows in zip(parts, indices):
+            assert np.array_equal(part.shard.features, ds.features[rows])
 
 
 class TestTaskSplit:

@@ -126,6 +126,16 @@ class TestRunFl:
         mask = ~nn.running_stat_mask()  # BN running stats still drift in forward
         assert np.array_equal(result.final_params[mask], init[mask])
 
+    def test_a_test_set_under_two_rows_is_rejected_before_training(self, monkeypatch):
+        # 4 rows split 3 and 1: one test row gives no PCC, so the run stops
+        # before round 0 trains, naming the test set and its row count
+        trained = []
+        monkeypatch.setattr(orch, "local_train", lambda *args: trained.append(args))
+        ds, _ = dataio.synthetic_generate(4, seed=0)
+        with pytest.raises(ExperimentError, match=r"test set too small to evaluate: 1 row"):
+            run_fl(config(n_clients=1), *dataio.train_test_split(ds, 0.75, seed=0))
+        assert trained == []
+
     def test_client_failure_names_client_and_round(self):
         train, test, _ = synth(n=40)
         cfg = config(n_clients=2, n_rounds=1)
@@ -368,6 +378,17 @@ class TestEvaluate:
         assert np.array_equal(full.per_action_mse, chunked.per_action_mse)
         assert full.avg_pcc == chunked.avg_pcc
 
+    def test_a_long_test_set_gives_the_report_of_one_pass(self, rng):
+        m = nn.MlpModel("relu")
+        m.init_params(rng)
+        m.forward(rng.uniform(0, 1, size=(64, 29)), mode="train")  # non-trivial BN stats
+        ds, _ = dataio.synthetic_generate(3 * orch.LOSS_PASS_ROWS + 1, seed=4)
+        chunked = evaluate(nn.extract_params(m), ds, "relu")
+        from fedcl.metrics import compute_report
+        whole = compute_report(m.forward(ds.features, mode="eval"), ds.labels)
+        for name, value in vars(whole).items():
+            assert np.array_equal(getattr(chunked, name), value, equal_nan=True), name
+
     def test_empty_test_set_rejected(self, rng):
         ds, _ = dataio.synthetic_generate(10, seed=1)
         with pytest.raises(ValueError):
@@ -451,6 +472,25 @@ class TestShardLosses:
         for c, loss in zip(clients, losses):
             assert loss == self.own_loss(c)
 
+    def test_a_lone_large_shard_passes_in_chunks(self, monkeypatch):
+        shard = dataio.synthetic_generate(2 * orch.LOSS_PASS_ROWS + 1, seed=7)[0]
+        template = nn.MlpModel()
+        template.init_params(np.random.default_rng(8))
+        (client,) = orch._build_clients(orch.Member(config(n_clients=1, batch_size=256),
+                                                    nn.extract_params(template)), [shard])
+        rows, forward = [], nn.MlpModel.forward
+
+        def recorded(self, batch, mode="eval"):
+            if mode == "eval":
+                rows.append(len(batch))
+            return forward(self, batch, mode)
+
+        monkeypatch.setattr(nn.MlpModel, "forward", recorded)
+        _, (loss,) = orch.local_train([client], 0, 0)
+        assert rows == [orch.LOSS_PASS_ROWS, orch.LOSS_PASS_ROWS + 1]
+        monkeypatch.undo()
+        assert loss == self.own_loss(client)
+
     def test_member_failing_mid_round(self):
         # three members whose shards interleave by size; B fails at its
         # last batch of round 1, and the survivors' losses stay their own in
@@ -496,6 +536,42 @@ class TestShardLosses:
                     assert loss is None
                 else:
                     assert loss == self.own_loss(c), (r, c.client_id)
+
+
+class TestChunkedForward:
+    """A single model forwards more than ``LOSS_PASS_ROWS`` rows in chunks
+    of at most that many, a one-row tail folded into the chunk before it,
+    and every row keeps the bits of one large pass."""
+
+    @pytest.mark.parametrize("n, chunks", [
+        (1025, [1025]),
+        (2049, [1024, 1025]),
+        (3073, [1024, 1024, 1025]),
+        (15000, [1024] * 14 + [664]),
+    ])
+    @pytest.mark.parametrize("activation", ["identity", "relu"])
+    def test_chunks_give_the_bits_of_one_pass(self, n, chunks, activation, monkeypatch):
+        assert orch.LOSS_PASS_ROWS == 1024  # the chunk sizes above
+        rng = np.random.default_rng(n)
+        model = nn.MlpModel(activation)
+        model.init_params(rng)
+        model.forward(rng.uniform(0, 1, size=(64, 29)), mode="train")  # non-trivial BN stats
+        features = rng.uniform(0, 1, size=(n + 5, 29))
+        rows = rng.permutation(n + 5)[:n]
+        whole = model.forward(features[:n], mode="eval")
+        gathered = model.forward(features[rows], mode="eval")
+        sizes, forward = [], nn.MlpModel.forward
+
+        def recorded(self, batch, mode="eval"):
+            sizes.append(len(batch))
+            return forward(self, batch, mode)
+
+        monkeypatch.setattr(nn.MlpModel, "forward", recorded)
+        by_slice = orch._predictions(model, features, slice(0, n))
+        by_index = orch._predictions(model, features, rows)
+        assert sizes == chunks * 2
+        assert np.array_equal(by_slice.view(np.int64), whole.view(np.int64))
+        assert np.array_equal(by_index.view(np.int64), gathered.view(np.int64))
 
 
 class TestRunFcl:
