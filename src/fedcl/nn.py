@@ -597,11 +597,6 @@ class Optimizer:
         self.m: np.ndarray | None = None
         self.v: np.ndarray | None = None
 
-    def reset(self) -> None:
-        self.step_count = 0
-        self.m = None
-        self.v = None
-
     def _like(self) -> "Optimizer":
         return Optimizer(self.kind, self.learning_rate)
 

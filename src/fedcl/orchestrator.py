@@ -14,8 +14,10 @@ FCL members compute the same bits up to task 1's last local training,
 the fork round, as no CL method acts in task 1, so a group trains that
 prefix once, as one lead run, before any chunk trains; FL members share
 nothing. Each FCL member forks from its lead as its chunk starts
-(``_fork``), finishes the fork round itself and joins the chunk's
-training at the next round. Experiments of one
+(``_fork``), finishes the fork round itself, takes task 2's shards and
+trains task 2 with its chunk. So a walk of rounds (``_lockstep``) covers
+one task: a lead's task 1 up to the fork round's training, an FL chunk's
+one task or an FCL chunk's task 2. Experiments of one
 ``trajectory_key`` (options their strategy and CL method never read
 aside, and EWC-Online, whose decay acts from a second consolidation on,
 as EWC) compute the same bits, so a group trains each key once and hands
@@ -37,9 +39,10 @@ integral, a quadratic penalty and a FedDistill teacher) comes from its
 ``Member`` and its own state, so one cohort may mix the clients of
 several experiments. A stack's rows are sorted by that term
 (``_cohort_order``), so each term covers one block of adjacent rows and
-a run of rows reads its share of the term as a slice; the teachers are
-a stack of their own, in the order of their students' block, and a run
-reads them in place. The quadratic penalty is one (lambda, anchor,
+a run of rows reads its share of the term as a slice; a FedDistill
+teacher is a client of its own (``ClientState.teacher``), the teachers
+are a stack of their own, in the order of their students' block, and a
+run reads them in place. The quadratic penalty is one (lambda, anchor,
 importance) triple: FedProx's proximal term is (mu, the round's global
 parameters, a unit importance on the optimized slots), and EWC,
 EWC-Online, SI and MAS give, in task 2, (lambda, the parameters at the
@@ -231,16 +234,19 @@ class Member:
 @dataclass
 class ClientState:
     """One client of a member. While its cohort trains together in a task,
-    ``model``, ``optimizer`` (and the teacher's) and the SI path integral
+    ``model``, ``optimizer`` and the SI path integral
     ``si_acc.omega_running`` are views of the client's row of the cohort's
-    stack (``_Stack``)."""
+    stack (``_Stack``). A FedDistill teacher is a client of its own, of the
+    same id, shard and member, with no loss term, stacked with the other
+    teachers. Which task a client trains in shows in its own state: an
+    anchor or a filled replay buffer exists only after task 1's
+    consolidation."""
     client_id: int
     shard: dataio.Dataset
     model: nn.MlpModel
     optimizer: nn.Optimizer
     member: Member
-    teacher_model: nn.MlpModel | None = None  # FedDistill with a nonzero weight
-    teacher_optimizer: nn.Optimizer | None = None
+    teacher: ClientState | None = None  # FedDistill with a nonzero weight
     # EWC, EWC-Online, SI and MAS: the parameters at the end of task 1 and
     # their importance map, which the task-2 penalty pulls towards
     anchor: np.ndarray | None = None
@@ -268,27 +274,23 @@ def evaluate(params: np.ndarray, test_set: dataio.Dataset, hidden_activation: st
     return compute_report(_predictions(model, test_set.features), test_set.labels)
 
 
-def _predictions(model: nn.MlpModel, features: np.ndarray,
-                 rows: slice | np.ndarray = slice(None)) -> np.ndarray:
-    """The eval predictions of ``model`` for ``features[rows]``, as one
-    array. More than ``LOSS_PASS_ROWS`` rows, which only a single model's
-    pass has (``_loss_passes`` keeps a stack's within that), are forwarded
-    in chunks of at most that many, written into the array, a one-row tail
-    folded into the chunk before it: numpy takes a matrix-vector path for
-    a single row, which changes its bits, while chunks of two rows or more
-    give each row the bits of one large pass (``TestChunkedForward`` in
+def _predictions(model: nn.MlpModel, x: np.ndarray) -> np.ndarray:
+    """The eval predictions of ``model`` for the rows ``x``, as one array.
+    More than ``LOSS_PASS_ROWS`` rows, which only a single model's pass has
+    (``_loss_passes`` keeps a stack's within that, and gives a single
+    model's rows as a slice, so they are a view), are forwarded in chunks
+    of at most that many, written into the array, a one-row tail folded
+    into the chunk before it: numpy takes a matrix-vector path for a single
+    row, which changes its bits, while chunks of two rows or more give each
+    row the bits of one large pass (``TestChunkedForward`` in
     ``tests/test_orchestrator.py`` checks this on the build it runs on)."""
-    if isinstance(rows, slice):
-        features, rows = features[rows], None
-    n = len(features) if rows is None else len(rows)
+    n = len(x)
     if n <= LOSS_PASS_ROWS:
-        x = features if rows is None else features.take(rows, axis=0)
         return model.forward(x, mode="eval")
     starts = list(range(0, n - 1, LOSS_PASS_ROWS))  # no chunk starts at the last row
     pred = np.empty((n, nn.OUT_DIM))
     for a, b in zip(starts, starts[1:] + [n]):
-        pred[a:b] = model.forward(features[a:b] if rows is None
-                                  else features.take(rows[a:b], axis=0), mode="eval")
+        pred[a:b] = model.forward(x[a:b], mode="eval")
     return pred
 
 
@@ -310,9 +312,11 @@ class _Rows:
 
 
 class _Stack:
-    """The training state of a cohort of models for a task, stacked: row k
-    of every array belongs to the k-th client's model and optimizer (or,
-    with ``teacher`` true, its FedDistill teacher model and optimizer).
+    """The training state of a cohort of clients for a task, stacked: row k
+    of every array belongs to the k-th client's model and optimizer. A
+    FedDistill teacher is a client of its own, so a stack of teachers is
+    built like any other; ``teacher`` only makes its clients draw from the
+    teacher stream and name their errors so (``_train_epochs``).
     Building it copies the clients' state into the stack once and rebinds
     each client's model, optimizer and SI path integral to views of its
     row, so the steps train the clients' own state and nothing is written
@@ -333,34 +337,28 @@ class _Stack:
     their source rows and shard sizes) is built once too, and again only in
     a round in which a member with rows here failed."""
 
-    def __init__(self, clients: list[ClientState], task_index: int,
-                 teachers: "_Stack | None" = None, teacher: bool = False):
+    def __init__(self, clients: list[ClientState], teachers: "_Stack | None" = None,
+                 teacher: bool = False):
         self.clients, self.teachers, self.teacher = clients, teachers, teacher
         self.failed = False  # whether a member with rows here has failed this round
         self.passes = None   # ``_loss_passes``, on first use
-        models = [c.teacher_model if teacher else c.model for c in clients]
-        optimizers = [c.teacher_optimizer if teacher else c.optimizer for c in clients]
-        self.hidden_activation = models[0].hidden_activation
-        self.params = np.stack([m.params for m in models])
-        self.optimizer = nn.Optimizer.stack(optimizers, self.params)
+        self.hidden_activation = clients[0].model.hidden_activation
+        self.params = np.stack([c.model.params for c in clients])
+        self.optimizer = nn.Optimizer.stack([c.optimizer for c in clients], self.params)
         self._models = {}  # (lo, hi) -> the model of rows lo:hi
         for k, c in enumerate(clients):
-            model = self._models[(k, k + 1)] = nn.MlpModel(self.hidden_activation, self.params[k])
-            if teacher:
-                c.teacher_model, c.teacher_optimizer = model, self.optimizer.rows(k)
-            else:
-                c.model, c.optimizer = model, self.optimizer.rows(k)
+            c.model = self._models[k, k + 1] = nn.MlpModel(self.hidden_activation, self.params[k])
+            c.optimizer = self.optimizer.rows(k)
         # a task's shards and replay buffers stay as they are
-        self.sources = _sources(clients, [_replays(c, task_index) for c in clients])
+        self.sources = _sources(clients, [_replays(c) for c in clients])
         self._rows: dict[tuple[int, int], _Rows] = {}
         self._terms: dict[str, tuple] = {}  # loss term -> (a, b, *its values over rows a:b)
         self._anchored: list[tuple[np.ndarray, Member]] = []  # FedProx: (anchor row, member)
-        if not teacher:
-            self._stack_terms(task_index)
+        self._stack_terms()
 
-    def _stack_terms(self, task_index: int) -> None:
+    def _stack_terms(self) -> None:
         clients = self.clients
-        penalties = [_penalty(c, task_index) for c in clients]
+        penalties = [_penalty(c) for c in clients]
         if si := _block([c.si_acc is not None for c in clients]):
             a, b = si
             omega = np.stack([c.si_acc.omega_running for c in clients[a:b]])
@@ -373,7 +371,7 @@ class _Stack:
             self._terms["penalty"] = (a, b, lambdas, anchors, importances)
             self._anchored = [(anchor, c.member) for c, anchor in zip(clients[a:b], anchors)
                               if c.member.config.strategy.kind == "fedprox"]
-        if distilled := _block([c.teacher_model is not None for c in clients]):
+        if distilled := _block([c.teacher is not None for c in clients]):
             a, b = distilled
             self._terms["distill"] = (a, b, np.array(
                 [c.member.config.strategy.distill_weight for c in clients[a:b]])[:, None, None])
@@ -421,25 +419,28 @@ def _block(flags: list[bool]) -> tuple[int, int] | None:
     return (rows[0], rows[-1] + 1) if rows else None
 
 
-def _penalty(client: ClientState, task_index: int) -> tuple | None:
+def _penalty(client: ClientState) -> tuple | None:
     """The client's quadratic penalty this round as (lambda, anchor,
     importance), or None when it trains without one: FedProx's proximal
-    term towards the round's global parameters, or, in task 2, the CL
-    penalty (EWC, EWC-Online, SI, MAS) towards the end of task 1."""
+    term towards the round's global parameters, or, in task 2 (once task
+    1's consolidation set the anchor), the CL penalty (EWC, EWC-Online, SI,
+    MAS) towards the end of task 1."""
     cfg = client.member.config
     if cfg.strategy.kind == "fedprox" and cfg.strategy.mu > 0.0:
         return cfg.strategy.mu, client.member.global_params, _UNIT_IMPORTANCE
-    if task_index == 0 or client.anchor is None:
+    if client.anchor is None:
         return None
     lam = cfg.penalty.effective_lambda(cfg.cl_method)
     return (lam, client.anchor, client.importance) if lam > 0.0 else None
 
 
-def _replays(client: ClientState, task_index: int) -> bool:
-    return task_index > 0 and client.buffer is not None and len(client.buffer) > 0
+def _replays(client: ClientState) -> bool:
+    """Whether the client mixes replayed rows into its batches: in task 2,
+    once task 1's consolidation has filled its buffer."""
+    return client.buffer is not None and len(client.buffer) > 0
 
 
-def _cohort_order(clients: list[ClientState], task_index: int) -> list[ClientState]:
+def _cohort_order(clients: list[ClientState]) -> list[ClientState]:
     """The rows of a cohort, sorted by the terms their clients train with
     (NR replay, SI's path integral, a quadratic penalty, a FedDistill
     teacher), then by shard size. So each term covers one block of
@@ -448,8 +449,8 @@ def _cohort_order(clients: list[ClientState], task_index: int) -> list[ClientSta
     batch. The sort is stable, so each member's clients stay in order. A
     client with more than one term is an error: no config builds one."""
     def key(c: ClientState) -> tuple:
-        terms = (_replays(c, task_index), c.si_acc is not None,
-                 _penalty(c, task_index) is not None, c.teacher_model is not None)
+        terms = (_replays(c), c.si_acc is not None, _penalty(c) is not None,
+                 c.teacher is not None)
         if sum(terms) > 1:
             raise ValueError(f"client {c.client_id} trains with more than one loss term")
         return (*terms, len(c.shard))
@@ -484,7 +485,7 @@ def _epoch_batches(client: ClientState, purpose: int, task_index: int, round_ind
     cfg, n = client.member.config, len(client.shard)
     # small shards (e.g. task splits at 10 clients) cap the batch size
     batch_size = min(cfg.batch_size, n)
-    if _replays(client, task_index):
+    if _replays(client):
         stream = derive_seed(cfg.seed, purpose, client.client_id, task_index, round_index)
         return cl.nr_mixed_indices(client.buffer, n, batch_size, cfg.penalty.mix_ratio,
                                    stream, epoch)
@@ -676,7 +677,7 @@ def local_train(clients: list[ClientState], task_index: int, round_index: int,
         if c.member.error is None and len(c.shard) < 2:
             c.member.error = ExperimentError(f"client {c.client_id} failed in round "
                                              f"{round_index}: shard too small to train on")
-    live = _cohort_order([c for c in clients if c.member.error is None], task_index)
+    live = _cohort_order([c for c in clients if c.member.error is None])
     if len({c.member.config.local_epochs for c in live}) > 1:
         raise ValueError("the clients of a cohort must train the same number of local epochs")
     stacks = {} if stacks is None else stacks
@@ -685,7 +686,7 @@ def local_train(clients: list[ClientState], task_index: int, round_index: int,
 
     # FedDistill: the personalised teachers train on the raw shards first
     teachers = student = None
-    if distilling := [c for c in live if c.teacher_model is not None]:
+    if distilling := [c.teacher for c in live if c.teacher is not None]:
         teachers = _cohort_stack(earlier, stacks, distilling, task_index, teacher=True)
         _train_epochs(teachers, task_index, round_index)
 
@@ -711,7 +712,7 @@ def _cohort_stack(earlier: dict, stacks: dict, clients: list[ClientState], task_
     key = (teacher, task_index, *map(id, clients))
     stack = earlier.get(key)
     if stack is None:
-        stack = _Stack(clients, task_index, teachers, teacher)
+        stack = _Stack(clients, teachers, teacher)
     else:
         stack.refresh()
     stacks[key] = stack
@@ -722,7 +723,8 @@ def _shard_losses(stack: _Stack) -> dict[int, float]:
     """id(client) -> the loss of its model's eval predictions on its shard,
     for each client of the stack whose member has not failed. Each pass of
     ``_loss_passes`` gathers its rows' shards, each padded to the pass's
-    largest, with one ``take`` per array, and goes through one eval forward
+    largest, with one ``take`` per array (views, when the pass's rows are
+    a slice, as a lone shard's always are), and goes through one eval forward
     of the stack's model of those rows (a lone large shard through chunks
     of ``LOSS_PASS_ROWS`` rows) and one ``nn.mse_loss`` call, which
     leaves the padded rows out of each model's sum. Model k of a stack
@@ -733,8 +735,11 @@ def _shard_losses(stack: _Stack) -> dict[int, float]:
     features, labels, _ = stack.sources
     clients, losses = stack.clients, {}
     for lo, hi, rows, counts in stack.passes:
-        y = labels[rows] if isinstance(rows, slice) else labels.take(rows, axis=0)
-        pred = _predictions(stack.model(lo, hi), features, rows).reshape(hi - lo, -1, nn.OUT_DIM)
+        if isinstance(rows, slice):
+            x, y = features[rows], labels[rows]
+        else:
+            x, y = features.take(rows, axis=0), labels.take(rows, axis=0)
+        pred = _predictions(stack.model(lo, hi), x).reshape(hi - lo, -1, nn.OUT_DIM)
         scalar, _ = nn.mse_loss(pred, y.reshape(pred.shape), counts)
         losses.update(zip(map(id, clients[lo:hi]), scalar.tolist()))
     return losses
@@ -748,7 +753,7 @@ def _loss_passes(stack: _Stack) -> list[tuple]:
     forwarded in chunks (``_predictions``).
     The source rows index ``stack.sources``: each row's shard, padded with
     repeats of its last row, or a slice when the shards are consecutive
-    equal-size rows of one table."""
+    equal-size rows of one table, as a pass of one row always is."""
     clients, offsets = stack.clients, stack.sources[2]
     sizes = [len(c.shard) for c in clients]
     passes = []
@@ -797,24 +802,22 @@ def _consolidate(client: ClientState, task_index: int) -> None:
 
 
 def _build_clients(member: Member, shards: list[dataio.Dataset]) -> list[ClientState]:
-    """The member's clients, each starting from its global parameters."""
+    """The member's clients, each starting from its global parameters, and
+    each FedDistill client's teacher, a client of its own built alike."""
     config = member.config
-    clients = []
-    for cid, shard in enumerate(shards):
+
+    def client(cid: int, shard: dataio.Dataset) -> ClientState:
         model = nn.MlpModel(config.hidden_activation)
         nn.inject_params(model, member.global_params)
-        state = ClientState(
-            client_id=cid,
-            shard=shard,
-            model=model,
-            optimizer=nn.Optimizer(config.client_optimizer, config.learning_rate),
-            member=member,
-        )
+        return ClientState(cid, shard, model,
+                           nn.Optimizer(config.client_optimizer, config.learning_rate), member)
+
+    clients = []
+    for cid, shard in enumerate(shards):
+        state = client(cid, shard)
         # a teacher of weight 0 would train without reaching any target
         if config.strategy.kind == "feddistill" and config.strategy.distill_weight > 0.0:
-            state.teacher_model = nn.MlpModel(config.hidden_activation)
-            nn.inject_params(state.teacher_model, member.global_params)
-            state.teacher_optimizer = nn.Optimizer(config.client_optimizer, config.learning_rate)
+            state.teacher = client(cid, shard)
         if config.cl_method == "si":
             state.si_acc = cl.SiAccumulator(member.global_params.copy(), xi=config.penalty.xi)
         if config.cl_method == "nr":
@@ -917,11 +920,6 @@ class _Run:
                            if config.strategy.kind == "fedopt" else None)
         self.logs: list[RoundLog] = []
 
-    def start_task(self, task: _Task) -> None:
-        for c, shard in zip(self.clients, task.shards):
-            c.shard = shard
-            c.optimizer.reset()
-
     def finish_round(self, task_index: int, round_index: int, consolidate: bool, task: _Task,
                      trained: dict, train_s: float) -> None:
         """Consolidate (when ``consolidate``: the last round of a task that
@@ -996,17 +994,17 @@ def own_copy(error: Exception) -> Exception:
 
 
 def _fork(lead: _Run, training: tuple[dict, float] | None, config: ExperimentConfig,
-          round_index: int, position: tuple) -> _Run:
+          tasks: list[_Task]) -> _Run:
     """A member that goes on from its share's lead, which has trained up to
-    the local training of round ``round_index`` (at ``position``), the last
-    of task 1, and gave ``training``. It copies the lead's round logs,
-    global parameters, client parameters and SI path integrals, keeps its
-    own server optimizer, replay buffers and SI damping, and finishes the
-    fork round itself. Its optimizers stay fresh: task 2's start resets
-    every optimizer before any step. A member of a failed lead gets its own
-    copy of the lead's error."""
-    task_index, _, task, consolidates = position
-    run = _Run(config, task.shards)
+    the local training of the fork round, the last of task 1, and gave
+    ``training``. It copies the lead's round logs, global parameters, client
+    parameters and SI path integrals, keeps its own server optimizer, replay
+    buffers and SI damping, finishes the fork round itself, consolidating
+    on task 1's shards, and then takes task 2's shards. Its optimizers have
+    never stepped, so task 2 starts them fresh. A member of a failed lead
+    gets its own copy of the lead's error."""
+    first, second = tasks
+    run = _Run(config, first.shards)
     if lead.member.error is not None:
         run.member.error = own_copy(lead.member.error)
         return run
@@ -1017,35 +1015,35 @@ def _fork(lead: _Run, training: tuple[dict, float] | None, config: ExperimentCon
         c.model.params[...] = own.model.params
         if c.si_acc is not None:
             c.si_acc.omega_running[...] = own.si_acc.omega_running
-    run.finish_round(task_index, round_index, consolidates, task,
+    run.finish_round(0, first.n_rounds - 1, True, first,
                      {id(c): trained[id(own)] for c, own in zip(run.clients, lead.clients)},
                      train_s)
+    for c, shard in zip(run.clients, second.shards):
+        c.shard = shard
     return run
 
 
-def _lockstep(runs: list[_Run], positions: list[tuple],
+def _lockstep(runs: list[_Run], task_index: int, task: _Task, first: int,
               stop: int | None = None) -> tuple[dict, float] | None:
-    """Walk ``positions``, the (task index, round of the task, task, whether
-    it consolidates for the next task) of every round in order. A run joins
-    at its next round, which is its count of round logs, so a fork joins
-    after its fork round; a run that has failed sits out. Each round trains
-    the clients of every run going in one ``local_train`` call, and then
-    each run finishes the round on its own. With ``stop``, the walk ends at
-    that round's local training and returns it (``_train_round``), or None
-    when every run has failed before it."""
+    """Walk the rounds of one task, ``task``, whose first round is global
+    round ``first``, for runs whose clients hold the task's shards and
+    whose optimizers have never stepped. Each round trains the clients of
+    every run that has not failed in one ``local_train`` call, and then
+    each run finishes the round on its own. No walk finishes a round that
+    consolidates: a lead's walk of task 1 ends at global round ``stop``,
+    the fork round, after its local training, and returns that training
+    (``_train_round``), or None when every run has failed before it; each
+    fork finishes the round itself (``_fork``)."""
     stacks: dict = {}  # the stacks the last round trained (``local_train``)
-    for p, (task_index, r, task, consolidates) in enumerate(positions):
-        going = [run for run in runs if len(run.logs) == p and run.member.error is None]
-        if not going:  # before the forks join, or after every run has failed
-            continue
-        if r == 0:  # a task changes the shards and resets every optimizer
-            for run in going:
-                run.start_task(task)
+    for p in range(first, first + task.n_rounds):
+        going = [run for run in runs if run.member.error is None]
+        if not going:
+            return None
         trained, train_s = _train_round(going, task_index, p, stacks)
         if p == stop:
             return trained, train_s
         for run in going:
-            run.finish_round(task_index, p, consolidates, task, trained, train_s)
+            run.finish_round(task_index, p, False, task, trained, train_s)
 
 
 def group_outcomes(configs: list[ExperimentConfig], dataset: dataio.Dataset,
@@ -1068,8 +1066,8 @@ def group_outcomes(configs: list[ExperimentConfig], dataset: dataio.Dataset,
     aggregate), so they form a share. Before the first chunk, each share's
     lead trains that prefix once (``_lockstep`` with ``stop``); each chunk
     then starts its runs, each forked from its share's lead (``_fork``),
-    and a lead is let go as its last member forks. FL members share
-    nothing and train from round 0 in their own chunk."""
+    and walks task 2, and a lead is let go as its last member forks. FL
+    members share nothing and walk their one task in their own chunk."""
     if len({group_key(c) for c in configs}) != 1:
         raise ValueError("the experiments of a group must have the same group_key")
     for cfg in configs:
@@ -1084,9 +1082,6 @@ def group_outcomes(configs: list[ExperimentConfig], dataset: dataio.Dataset,
     distinct = [configs[s[0]] for s in same]
     tasks = (_fcl_tasks if continual else _fl_tasks)(distinct[0], dataset, split)
     del dataset, split  # the tasks hold the rows they read
-    positions = [(t, r, task, r == task.n_rounds - 1 and t + 1 < len(tasks))
-                 for t, task in enumerate(tasks) for r in range(task.n_rounds)]
-    fork_at = tasks[0].n_rounds - 1
     shared: dict[tuple, list[int]] = {}  # FCL: share key -> its members
     for d, cfg in enumerate(distinct if continual else ()):
         shared.setdefault(dataclasses.astuple(trajectory_key(cfg).strategy), []).append(d)
@@ -1096,14 +1091,16 @@ def group_outcomes(configs: list[ExperimentConfig], dataset: dataio.Dataset,
         # is a member's run: an SI member's, if any, whose path integral runs from round 0 on
         si = [d for d in members if distinct[d].cl_method == "si"]
         lead = _Run(distinct[(si or members)[0]], tasks[0].shards)
-        leads.update(dict.fromkeys(members, (lead, _lockstep([lead], positions, stop=fork_at))))
+        training = _lockstep([lead], 0, tasks[0], 0, stop=tasks[0].n_rounds - 1)
+        leads.update(dict.fromkeys(members, (lead, training)))
         del lead  # held by ``leads`` alone, so let go as its last member forks
+    last = len(tasks) - 1  # the task a chunk walks: FL's one task, FCL's task 2
     size = max(1, GROUP_CLIENTS // distinct[0].n_clients)  # one member when it alone has more
     for lo in range(0, len(distinct), size):
         chunk = range(lo, min(lo + size, len(distinct)))
-        runs = [_fork(*leads.pop(d), distinct[d], fork_at, positions[fork_at]) if d in leads
+        runs = [_fork(*leads.pop(d), distinct[d], tasks) if d in leads
                 else _Run(distinct[d], tasks[0].shards) for d in chunk]
-        _lockstep(runs, positions)
+        _lockstep(runs, last, tasks[last], last * tasks[0].n_rounds)
         for d, run in zip(chunk, runs):
             outcome = run.member.error or RunResult(run.logs, run.member.global_params)
             yield from [(i, own_copy(outcome) if k and isinstance(outcome, Exception)

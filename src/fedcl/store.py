@@ -209,10 +209,13 @@ class ResultsStore:
 
     def load_run(self, run_id: str) -> RunRecord:
         """The stored run, checked: each file parses and has the keys every
-        complete run has, and ``rounds.csv`` holds one whole row per round
-        of the run's config, ``round`` counting 0, 1, ..., each with every
-        trajectory column. A failed check raises ``IncompleteRunError``
-        naming the run directory, the file and the problem."""
+        complete run has, ``config.json``'s ``run_id`` and the run id of its
+        config are both the directory's name, so an edited config or a
+        renamed directory cannot pass one run's numbers off as another's,
+        and ``rounds.csv`` holds one whole row per round of the run's
+        config, ``round`` counting 0, 1, ..., each with every trajectory
+        column. A failed check raises ``IncompleteRunError`` naming the run
+        directory, the file and the problem."""
         d = self.run_dir(run_id)
         for name in ("config.json", "rounds.csv", "report.json"):
             if not os.path.isfile(os.path.join(d, name)):
@@ -224,6 +227,9 @@ class ResultsStore:
             config = spec.build()
         except (ValueError, TypeError) as exc:
             raise _corrupt(d, "config.json", f"invalid config: {exc}") from exc
+        for what, rid in (("run_id", snapshot["run_id"]), ("config's run id", spec.run_id())):
+            if rid != run_id:
+                raise _corrupt(d, "config.json", f"{what} {rid!r} is not the directory's name")
         if spec.is_fcl:  # two tasks, circle then arrow
             tasks, per_task = ("0", "1"), config.task_rounds
         else:

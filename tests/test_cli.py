@@ -429,23 +429,36 @@ def stored_runs(tmp_path_factory):
 
 
 class TestCorruptRunDirectory:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=120, deadline=None)
     @given(st.data())
     def test_exits_1_naming_the_run_and_file(self, stored_runs, data):
         config_path, results = stored_runs
         run = data.draw(st.sampled_from(sorted(os.listdir(results))), label="run")
-        name = data.draw(st.sampled_from(sorted(_REQUIRED)), label="file")
+        # reseed and rename leave every file whole, but the directory's name
+        # no longer is the run id of its config, which would pass another
+        # run's numbers off as this one's
+        edit = data.draw(st.sampled_from(["cut", "delete key", "reseed", "rename"]),
+                         label="edit")
+        name = ("config.json" if edit in ("reseed", "rename")
+                else data.draw(st.sampled_from(sorted(_REQUIRED)), label="file"))
         with tempfile.TemporaryDirectory() as tmp:
             out = os.path.join(tmp, "results")
             shutil.copytree(results, out)
+            if edit == "rename":  # to a run id that is neither run's
+                os.rename(os.path.join(out, run), os.path.join(out, "f" * 12))
+                run = "f" * 12
             path = os.path.join(out, run, name)
             with open(path, encoding="utf-8", newline="") as fh:
                 text = fh.read()
-            if data.draw(st.booleans(), label="cut"):
+            if edit == "cut":
                 text = text[:data.draw(st.integers(0, len(text) - 1), label="offset")]
-            else:
+            elif edit == "delete key":
                 text = _delete_key(name, text, data.draw(st.sampled_from(_REQUIRED[name]),
                                                          label="deleted key"))
+            elif edit == "reseed":
+                snapshot = json.loads(text)
+                snapshot["config"]["seed"] = 7  # the runs' seed is 5
+                text = json.dumps(snapshot, indent=2)
             with open(path, "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)
             for command in (["table"], ["verify", "--config", config_path]):

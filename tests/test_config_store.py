@@ -1,7 +1,10 @@
 import configparser
+import csv
 import hashlib
 import json
 import os
+import re
+import shutil
 import tempfile
 import textwrap
 import tracemalloc
@@ -383,6 +386,88 @@ clients = 2, 500
         report_path.write_text(json.dumps(doc))
         violations = verify_store(store, dataset)
         assert violations and violations[0][0] == rid
+
+
+def _set_cell(row: int, column: int, value: str):
+    def edit(rows):
+        rows[row][column] = value
+    return edit
+
+
+def _set_config(key: str, value):
+    def edit(snapshot):
+        snapshot["config"][key] = value
+        return snapshot
+    return edit
+
+
+@pytest.fixture(scope="module")
+def stored_run(tmp_path_factory):
+    """The results directory of one stored 2-round FL run (seed 5)."""
+    root = tmp_path_factory.mktemp("stored")
+    suite = parse_config(write_config(root, MINIMAL.replace("seed = 3", "seed = 5")))
+    ds, _ = dataio.synthetic_generate(200, seed=0, noise_std=0.1)
+    _, failures = run_suite(suite, ds, str(root / "out"))
+    assert failures == []
+    return str(root / "out")
+
+
+class TestCorruptRunFiles:
+    """One fixed case for each check of ``load_run`` that cutting a file or
+    deleting a key does not reach, each named exactly. rounds.csv's row i is
+    ``rows[i]``, its header ``rows[0]``: round, task, avg_mse, avg_rmse,
+    avg_pcc, ..."""
+
+    @pytest.mark.parametrize("name, edit, problem", [
+        ("rounds.csv", lambda rows: rows[1].append("0.5"),
+         "row 1 has more fields than the header"),
+        ("rounds.csv", lambda rows: rows[2].pop(), "row 2 has fewer fields than the header"),
+        ("rounds.csv", _set_cell(2, 0, "5"), "row 2: round '5', expected 1"),
+        ("rounds.csv", _set_cell(1, 4, "high"), "row 1: avg_pcc 'high' is not a number"),
+        ("rounds.csv", lambda rows: rows.pop(), "1 rounds, the run's config has 2"),
+        ("config.json", _set_config("clients", 0),
+         "invalid config: experiment.clients: must be >= 1, got 0"),
+        ("config.json", lambda snapshot: [snapshot], "the file is not a JSON object"),
+        ("report.json", lambda report: list(report), "the file is not a JSON object"),
+        # whole files whose config is not the run the directory names
+        ("config.json", _set_config("seed", 7),
+         r"config's run id '[0-9a-f]{12}' is not the directory's name"),
+        ("config.json", lambda snapshot: {**snapshot, "run_id": "0" * 12},
+         "run_id '000000000000' is not the directory's name"),
+    ], ids=["more-fields", "fewer-fields", "round-counter", "non-numeric", "too-few-rows",
+            "invalid-config", "config-not-object", "report-not-object", "reseeded",
+            "other-run-id"])
+    def test_load_names_the_run_file_and_problem(self, stored_run, tmp_path, name, edit,
+                                                 problem):
+        out = str(tmp_path / "out")
+        shutil.copytree(stored_run, out)
+        (run_id,) = os.listdir(out)
+        path = os.path.join(out, run_id, name)
+        if name == "rounds.csv":
+            with open(path, newline="", encoding="utf-8") as fh:
+                rows = list(csv.reader(fh))
+            edit(rows)
+            with open(path, "w", newline="", encoding="utf-8") as fh:
+                csv.writer(fh).writerows(rows)
+        else:
+            with open(path, encoding="utf-8") as fh:
+                obj = edit(json.load(fh))
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(obj, fh)
+        with pytest.raises(IncompleteRunError) as info:
+            ResultsStore(out).list_runs()
+        prefix = re.escape(f"corrupt run directory {os.path.join(out, run_id)}: {name}: ")
+        assert re.fullmatch(prefix + problem, str(info.value)), str(info.value)
+
+    def test_a_renamed_run_directory_is_named(self, stored_run, tmp_path):
+        out = str(tmp_path / "out")
+        shutil.copytree(stored_run, out)
+        (run_id,) = os.listdir(out)
+        os.rename(os.path.join(out, run_id), os.path.join(out, "f" * 12))
+        with pytest.raises(IncompleteRunError) as info:
+            ResultsStore(out).list_runs()
+        assert str(info.value) == (f"corrupt run directory {os.path.join(out, 'f' * 12)}: "
+                                   f"config.json: run_id {run_id!r} is not the directory's name")
 
 
 class TestSuiteMemory:

@@ -281,6 +281,32 @@ def test_a_cohort_wide_error_gives_each_member_its_own(monkeypatch):
     assert len({id(o) for o in outcomes}) == 3
 
 
+def test_a_failure_in_finish_round_stops_only_its_own_run(monkeypatch):
+    # the FedProx member's aggregation fails in round 1, after the chunk's
+    # shared training: it stops with that very error and aggregates no more,
+    # and the members it trained beside compute the bits they compute alone
+    configs = [orch.ExperimentConfig(n_clients=3, n_rounds=3, batch_size=16,
+                                     strategy=fed.StrategyConfig(kind))
+               for kind in ("fedavg", "fedprox", "fedopt")]
+    dataset, _ = dataio.synthetic_generate(300, seed=1, noise_std=0.1)
+    train, test = dataio.train_test_split(dataset, 0.75, configs[0].seed)
+    alone = [orch.run_fl(config, train, test) for config in configs]
+    aggregate, error, calls = orch._aggregate, RuntimeError("aggregation failed"), []
+
+    def failing_aggregate(global_params, updates, config, server_opt):
+        calls.append(config.strategy.kind)
+        if config is configs[1] and calls.count("fedprox") == 2:
+            raise error
+        return aggregate(global_params, updates, config, server_opt)
+
+    monkeypatch.setattr(orch, "_aggregate", failing_aggregate)
+    outcomes = orch.run_group(configs, train, test, continual=False)
+    assert outcomes[1] is error
+    assert calls == ["fedavg", "fedprox", "fedopt"] * 2 + ["fedavg", "fedopt"]
+    for i in (0, 2):
+        assert digest(outcomes[i]) == digest(alone[i]), configs[i].strategy.kind
+
+
 def test_a_spec_listed_twice_trains_once(tmp_path, monkeypatch):
     # the second listing is a trajectory twin of the first in its shape:
     # the suite trains what it trains with the spec listed once, and
@@ -673,7 +699,7 @@ def test_a_cohort_is_stacked_once_per_task(monkeypatch):
     train, test = dataio.train_test_split(dataset, 0.75, 42)
     built, inside = [0], [False]
     init, local_train = orch.nn.MlpModel.__init__, orch.local_train
-    trained: dict[int, set] = {}  # round -> ids of the clients trained in it
+    trained: dict[int, set] = {}  # round -> ids of the clients (and teachers) trained in it
 
     def counting_init(self, *args, **kwargs):
         built[0] += inside[0]
@@ -688,10 +714,10 @@ def test_a_cohort_is_stacked_once_per_task(monkeypatch):
             result = local_train(clients, task_index, round_index, stacks)
         finally:
             inside[0] = False
-        trained[round_index] = set(map(id, clients))
         # one call trains the whole chunk as one student stack (and one of
-        # its FedDistill teachers), and keeps exactly those
-        teachers = [c for c in clients if c.teacher_model is not None]
+        # its FedDistill teachers, clients of their own), and keeps exactly those
+        teachers = [c.teacher for c in clients if c.teacher is not None]
+        trained[round_index] = set(map(id, clients + teachers))
         assert sorted(teacher for teacher, *_ in stacks) == [False] + [True] * bool(teachers)
         for (teacher, *_), s in stacks.items():
             assert sorted(map(id, s.clients)) == sorted(map(id, teachers if teacher else clients))
