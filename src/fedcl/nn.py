@@ -24,10 +24,18 @@ model axis after the batch axis, so a single model's (B, 16) is the no-axis
 case, and model k of a stack computes exactly the bits it would compute
 alone: each batch sum adds the same rows in the same order.
 
+A stack's models may also step on different row counts in one call, a
+ragged step (``backward``'s ``counts``): their real rows are scattered
+into a zero-padded (C, max count, 29) batch, every pad row is zeroed before
+each batch sum, and each model's sums are divided by its own count. A sum
+adds its rows in order and trailing zeros leave it as it is, so each model
+still computes the bits of its own rows alone.
+
 A training step is dominated by numpy's per-call overhead, so the step
 code makes as few calls as it can while keeping each element's ufunc
 sequence, and so every bit: a train step plus Adam makes 27 profiled numpy
-calls for one model and 47 for a stack, an eval forward 6 and 17
+calls for one model and 47 for a stack, a ragged step of a stack 58 (its
+padding's layout and scatters), an eval forward 6 and 17
 (``tests/test_nn.py`` holds them to that).
 
 - Writes in place. ``_batchnorm`` and ``_batchnorm_backward`` compute into
@@ -45,7 +53,8 @@ calls for one model and 47 for a stack, an eval forward 6 and 17
 - Aliasing. A model's layer views and a stack's row views alias
   ``params``; ``Optimizer.rows`` views alias the stacked optimizer's state.
   ``backward``, ``_batchnorm`` and ``_batchnorm_backward`` write none of
-  their inputs; ``_batchnorm_eval`` and ``step(out=...)`` write over their
+  their inputs, but ``_batchnorm`` zeroes the pad rows of a ragged step's
+  dense output; ``_batchnorm_eval`` and ``step(out=...)`` write over their
   argument by design.
 
 The architecture is fixed: 29 -> 16 -> 16 -> 8 with a BatchNorm layer after
@@ -101,16 +110,21 @@ def _flip(a: np.ndarray) -> np.ndarray:
     return a.swapaxes(0, 1) if a.ndim == 3 else a
 
 
-def _batchnorm(x: np.ndarray, vectors, stats: np.ndarray | None = None) -> tuple:
+def _batchnorm(x: np.ndarray, vectors, stats: np.ndarray | None = None,
+               pad: tuple | None = None) -> tuple:
     """1-d batch normalization of ``x`` over its batch axis, axis 0, with
     ``vectors`` (gamma, beta, running mean, running variance) broadcast over
     the batch; returns (y, cache), where the cache records which
-    normalization was used. ``x`` is not written to.
+    normalization was used. ``x`` is not written to, but for a ragged
+    step's pad rows.
 
     With ``stats`` (train mode) it normalizes with the batch statistics and
     writes their mean and variance to ``stats[0]`` and ``stats[1]``; the
     caller updates the running statistics from them. Without, it
-    normalizes with the running statistics (eval mode)."""
+    normalizes with the running statistics (eval mode). In a ragged step
+    (``pad``, see ``_padding``) the pad rows of ``x`` and of the squared
+    deviations are zeroed before each batch sum, and model k's sums are
+    divided by its own row count."""
     gamma, beta, running_mean, running_var = vectors
     if stats is None:
         std = np.sqrt(running_var + BN_EPSILON)
@@ -119,9 +133,13 @@ def _batchnorm(x: np.ndarray, vectors, stats: np.ndarray | None = None) -> tuple
         y = gamma * xhat
         y += beta
         return y, ("eval", xhat, std)
-    n = float(x.shape[0])  # a float divisor skips the int conversion, same bits
-    if n < 2:
-        raise ValueError("batch normalization in train mode needs a batch of at least 2")
+    if pad is None:
+        n = float(x.shape[0])  # a float divisor skips the int conversion, same bits
+        if n < 2:
+            raise ValueError("batch normalization in train mode needs a batch of at least 2")
+    else:
+        _, drop, n = pad
+        x[drop.T] = 0.0
     # the ufunc sequence of x.mean(axis=0) and x.var(axis=0), without
     # their wrapper overhead; the results are bit-identical
     mean, var = stats[0], stats[1]
@@ -129,6 +147,8 @@ def _batchnorm(x: np.ndarray, vectors, stats: np.ndarray | None = None) -> tuple
     mean /= n
     xhat = x - mean
     y = xhat * xhat  # scratch for the variance, then the output
+    if pad is not None:
+        y[drop.T] = 0.0
     np.add.reduce(y, axis=0, out=var)
     var /= n
     std = var + BN_EPSILON
@@ -152,12 +172,13 @@ def _batchnorm_eval(x: np.ndarray, vectors) -> np.ndarray:
 
 
 def _batchnorm_backward(dy: np.ndarray, cache, gamma: np.ndarray,
-                        out: np.ndarray) -> np.ndarray:
+                        out: np.ndarray, pad: tuple | None = None) -> np.ndarray:
     """The input gradient dx of ``_batchnorm``, written to ``out``; ``dy``
     is not written to. (The parameter gradients are batch sums of dy * xhat
     for gamma and of dy for beta; ``backward`` forms them.) In eval mode the
     running statistics are constants, so dx is a plain elementwise rescale,
-    row by row."""
+    row by row. In a ragged step (``pad``) ``dy``'s pad rows are zero, model
+    k's means divide by its own row count and dx's pad rows are zeroed."""
     kind, xhat, std = cache
     if kind == "eval":
         dx = np.multiply(dy, gamma, out=out)
@@ -170,11 +191,13 @@ def _batchnorm_backward(dy: np.ndarray, cache, gamma: np.ndarray,
     np.multiply(dy, gamma, out=dxhat)
     np.multiply(dxhat, xhat, out=scratch)
     means = np.add.reduce(pair, axis=1)
-    means /= float(dy.shape[0])
+    means /= float(dy.shape[0]) if pad is None else pad[2]
     dx = np.subtract(dxhat, means[0], out=out)
     np.multiply(xhat, means[1], out=scratch)
     dx -= scratch
     dx /= std
+    if pad is not None:
+        dx[pad[1].T] = 0.0
     return dx
 
 
@@ -272,7 +295,7 @@ class MlpModel:
         if mode == "train":
             y, _ = self._forward_cached(batch, mode)
         else:
-            x = self._batch(batch, mode)
+            x, _ = self._batch(batch, mode)
             (b1, v1), (b2, v2) = self._hidden_vectors()
             h = self._activate(_batchnorm_eval(_dense(x, self.lin1.weight, b1), v1))
             h = self._activate(_batchnorm_eval(_dense(_flip(h), self.lin2.weight, b2), v2))
@@ -289,10 +312,13 @@ class MlpModel:
         _dense(_flip(h), self.out.weight, self.out.bias, out=_flip(y))
         return y
 
-    def _batch(self, batch: np.ndarray, mode: str) -> np.ndarray:
-        """The checked batch; a stack of C models takes a client-major batch
-        as its model-major (C, B, 29) view, which the first dense layer
-        reads as it is."""
+    def _batch(self, batch: np.ndarray, mode: str, counts=None) -> tuple:
+        """The checked batch and its ``_padding`` (None but in a ragged
+        step). A stack of C models takes a client-major batch as its
+        model-major (C, B, 29) view, which the first dense layer reads as it
+        is; with ``counts``, model k's counts[k] rows of a ragged
+        client-major batch are scattered into a zero-padded (C, max count,
+        29) array."""
         if mode not in ("train", "eval"):
             raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
         batch = np.asarray(batch, dtype=np.float64)
@@ -300,30 +326,35 @@ class MlpModel:
             raise ValueError(f"expected batch of shape (B, {IN_DIM}), got {batch.shape}")
         if batch.shape[0] < 1:
             raise ValueError("empty batch")
+        if counts is not None:
+            pad = _padding(counts, self.params.shape[:-1], len(batch))
+            return _scatter(batch, pad[0]), pad
         if self.params.ndim == 2:
             n_models = self.params.shape[0]
             if batch.shape[0] % n_models:
                 raise ValueError(f"a stack of {n_models} models needs a client-major batch "
                                  f"of a multiple of {n_models} rows, got {batch.shape[0]}")
             batch = batch.reshape(n_models, -1, IN_DIM)
-        return batch
+        return batch, None
 
-    def _forward_cached(self, batch: np.ndarray, mode: str):
+    def _forward_cached(self, batch: np.ndarray, mode: str, counts=None):
         """Forward pass keeping what backward needs, as the tuple
         (input, hidden vectors, BatchNorm 1 cache, activation 1, BatchNorm 2
-        cache, activation 2), a stack's input model-major (``_batch``) and
-        its activations batch-major; returns the predictions, client-major
-        (C, B, 8) for a stack. Train mode then updates both BatchNorm layers'
-        running statistics with one pass over them, as
+        cache, activation 2, padding), a stack's input model-major
+        (``_batch``) and its activations batch-major; returns the
+        predictions, client-major (C, B, 8) for a stack, (C, max count, 8)
+        in a ragged step (``counts``), whose pad rows are not predictions.
+        Train mode then updates both BatchNorm layers' running statistics
+        with one pass over them, as
         running <- (1 - BN_MOMENTUM) * running + BN_MOMENTUM * batch, rounded
         in that order."""
-        x = self._batch(batch, mode)
+        x, pad = self._batch(batch, mode, counts)
         train = mode == "train"
         stats = np.empty(self._stats_shape) if train else (None, None)
         vectors = (b1, v1), (b2, v2) = self._hidden_vectors()
-        h1, bn1 = _batchnorm(_dense(x, self.lin1.weight, b1), v1, stats[0])
+        h1, bn1 = _batchnorm(_dense(x, self.lin1.weight, b1), v1, stats[0], pad)
         a1 = self._activate(h1)
-        h2, bn2 = _batchnorm(_dense(_flip(a1), self.lin2.weight, b2), v2, stats[1])
+        h2, bn2 = _batchnorm(_dense(_flip(a1), self.lin2.weight, b2), v2, stats[1], pad)
         a2 = self._activate(h2)
         y = self._predict(a2)
         if train:
@@ -332,7 +363,7 @@ class MlpModel:
             self._running *= 1.0 - BN_MOMENTUM
             stats *= BN_MOMENTUM
             self._running += stats
-        return y, (x, vectors, bn1, a1, bn2, a2)
+        return y, (x, vectors, bn1, a1, bn2, a2, pad)
 
     def _gradient(self) -> tuple:
         """The vector ``backward`` writes this model's gradient into, and
@@ -497,6 +528,42 @@ def mse_loss(pred: np.ndarray, target: np.ndarray, counts: np.ndarray | None = N
     return (float(scalar) if pred.ndim == 2 else scalar), per_action
 
 
+def _padding(counts, lead: tuple, rows: int) -> tuple:
+    """The layout of a ragged step of a stack of C models (``lead`` is
+    (C,)): model k has counts[k] of the batch's ``rows`` client-major rows,
+    padded with zero rows to the largest count. Returns (keep, drop, n):
+    the (C, max count) mask of the real rows, its complement, and the
+    counts as a (C, 1) float divisor of each model's batch sums."""
+    counts = np.asarray(counts)
+    if counts.ndim != 1 or counts.shape != lead:
+        raise ValueError(f"counts must hold one row count per model of a stack, "
+                         f"shape {lead}, got {counts.shape}")
+    if counts.min() < 2:  # as train-mode BatchNorm needs
+        raise ValueError(f"a ragged step needs at least 2 rows a model, "
+                         f"got counts {counts.tolist()}")
+    if counts.sum() != rows:
+        raise ValueError(f"counts add up to {counts.sum()} rows, the batch has {rows}")
+    keep = np.arange(counts.max()) < counts[:, None]
+    return keep, ~keep, counts[:, None].astype(np.float64)
+
+
+def _scatter(rows: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Client-major ragged ``rows`` as a (C, max count, dim) array, zero
+    where ``keep`` (see ``_padding``) marks no row."""
+    out = np.zeros(keep.shape + rows.shape[-1:])
+    out[keep] = rows
+    return out
+
+
+def pad_rows(rows: np.ndarray, counts) -> tuple[np.ndarray, np.ndarray]:
+    """The client-major ragged ``rows`` of a stack's step, counts[k] rows
+    for model k, as the zero-padded (C, max count, dim) array a ragged
+    ``backward`` steps on, and the mask of its real rows: ``padded[mask]``
+    gives ``rows`` back."""
+    keep, _, _ = _padding(counts, np.shape(counts), len(rows))
+    return _scatter(rows, keep), keep
+
+
 def _backprop(model: MlpModel, dy: np.ndarray, cache) -> tuple[np.ndarray, list]:
     """The chain rule of ``backward``: from the gradient ``dy`` at the
     model's output and the forward ``cache``, the per-sample terms of every
@@ -513,8 +580,9 @@ def _backprop(model: MlpModel, dy: np.ndarray, cache) -> tuple[np.ndarray, list]
 
     Row i of every term and input belongs to sample i. In eval mode no step
     mixes rows, so one sample's gradient is built from its rows alone
-    (``continual.mas_importance`` relies on this)."""
-    x, ((_, v1), (_, v2)), bn1, a1, bn2, a2 = cache
+    (``continual.mas_importance`` relies on this). In a ragged step, whose
+    ``dy`` is zero on the pad rows, every term is zero there too."""
+    x, ((_, v1), (_, v2)), bn1, a1, bn2, a2, pad = cache
     relu = model.hidden_activation == "relu"
     terms = np.empty((2, 3) + a1.shape)
     dh1, dg1, db1, dh2, dg2, db2 = terms[0, 0], terms[0, 1], terms[0, 2], terms[1, 0], \
@@ -523,19 +591,19 @@ def _backprop(model: MlpModel, dy: np.ndarray, cache) -> tuple[np.ndarray, list]
     if relu:  # a2 > 0 exactly where the BatchNorm output was
         db2 *= a2 > 0.0
     np.multiply(db2, bn2[1], out=dg2)
-    _batchnorm_backward(db2, bn2, v2[0], dh2)
+    _batchnorm_backward(db2, bn2, v2[0], dh2, pad)
     delta2 = _flip(dh2)
     np.matmul(delta2, model.lin2.weight, out=_flip(db1))
     if relu:
         db1 *= a1 > 0.0
     np.multiply(db1, bn1[1], out=dg1)
-    _batchnorm_backward(db1, bn1, v1[0], dh1)
+    _batchnorm_backward(db1, bn1, v1[0], dh1, pad)
     return terms, [(dy, _flip(a2)), (delta2, _flip(a1)), (_flip(dh1), x)]
 
 
 def backward(model: MlpModel, batch: np.ndarray, target: np.ndarray,
              extra_penalty_grad: np.ndarray | None = None,
-             mode: str = "train") -> np.ndarray:
+             mode: str = "train", counts=None) -> np.ndarray:
     """Exact reverse-mode gradient of mse_loss (plus an optional pre-computed
     penalty gradient in parameter space) w.r.t. every parameter slot.
 
@@ -548,15 +616,36 @@ def backward(model: MlpModel, batch: np.ndarray, target: np.ndarray,
     loss is averaged over its own B rows. The gradient then has the shape of
     ``model.params``, (C, P), as does ``extra_penalty_grad``. The result is
     a new array; ``batch`` and ``target`` are not written to.
+
+    A ragged step of a stack passes ``counts``, one row count per model:
+    ``batch`` and ``target`` are then the real rows, client-major, counts[k]
+    of them for model k, and each model's loss is averaged over its own
+    rows. They are scattered into a zero-padded (C, max count, .) layout,
+    and the pad rows are made inert: they are zeroed before every batch sum
+    of the forward and the backward pass (``_batchnorm``,
+    ``_batchnorm_backward``, the output gradient), and each model's sums
+    are divided by its own count. A sum adds its rows in order, and
+    trailing zero terms leave it as it is, so model k computes the bits its
+    own counts[k] rows give alone. A step whose counts are all equal passes
+    none.
     """
     target = np.asarray(target, dtype=np.float64)
-    dy, cache = model._forward_cached(batch, mode)
-    if target.shape != (dy.size // OUT_DIM, OUT_DIM):
+    dy, cache = model._forward_cached(batch, mode, counts)
+    pad = cache[-1]
+    rows = dy.size // OUT_DIM if pad is None else len(batch)
+    if target.shape != (rows, OUT_DIM):
         raise ValueError(f"shape mismatch: pred {dy.shape} vs target {target.shape}")
     n, width = dy.shape[-2:]
-    dy -= target.reshape(dy.shape)  # then 2 * dy / (n * width), in place
-    dy *= 2.0
-    dy /= float(n * width)
+    if pad is None:
+        dy -= target.reshape(dy.shape)  # then 2 * dy / (n * width), in place
+        dy *= 2.0
+        dy /= float(n * width)
+    else:
+        keep, drop, n = pad
+        dy -= _scatter(target, keep)
+        dy *= 2.0
+        dy /= (n * width)[:, None]
+        dy[drop] = 0.0
 
     terms, dense = _backprop(model, dy, cache)
     grad, weights, sums, out_bias = model._gradient()

@@ -28,9 +28,11 @@ clients into (C, P) arrays (parameters, optimizer state, SI path
 integrals) once per task, with one copy of its clients' shards, and from
 then on each client's state is row views of its cohort's stack
 (``_Stack``), kept from round to round while the cohort trains
-together. It takes each step of every client whose batch has the same
-row count with one ``nn.backward`` and one ``Optimizer.step`` on views
-of their rows, so nothing is written back;
+together. It takes step j of every run of adjacent clients that have a
+j-th batch, whatever their batches' row counts (``_schedule``; the
+shorter ones are padded inside ``nn.backward``), with one ``nn.backward``
+and one ``Optimizer.step`` on views of their rows, so nothing is written
+back;
 each client's loss on its shard after the round comes from a stacked eval
 pass over adjacent rows of any shard sizes, each shard padded to the
 pass's largest and the padding left out of its loss. What a client's
@@ -444,9 +446,9 @@ def _cohort_order(clients: list[ClientState]) -> list[ClientState]:
     """The rows of a cohort, sorted by the terms their clients train with
     (NR replay, SI's path integral, a quadratic penalty, a FedDistill
     teacher), then by shard size. So each term covers one block of
-    adjacent rows, and clients whose batches have equal row counts are
-    adjacent within a block, so they step as one run, also in a ragged last
-    batch. The sort is stable, so each member's clients stay in order. A
+    adjacent rows, and within a block the clients that have a j-th batch
+    are adjacent, so they step as one run (``_schedule``). The sort is
+    stable, so each member's clients stay in order. A
     client with more than one term is an error: no config builds one."""
     def key(c: ClientState) -> tuple:
         terms = (_replays(c), c.si_acc is not None, _penalty(c) is not None,
@@ -458,19 +460,20 @@ def _cohort_order(clients: list[ClientState]) -> list[ClientState]:
 
 
 def _schedule(plans: list[list[tuple]]) -> list[tuple[int, int, int]]:
-    """(step j, lo, hi) for every run of adjacent rows lo:hi whose j-th
-    batches have the same row count; plans[k][j] is row k's j-th batch as
-    (new-shard indices, buffer positions or None)."""
-    sizes = [[len(new) + (0 if buf is None else len(buf)) for new, buf in plan]
-             for plan in plans]
+    """(step j, lo, hi) for every maximal run of adjacent rows lo:hi that
+    have a j-th batch, whatever its row count; plans[k] is row k's batches.
+    A row with no j-th batch takes no step. The rows of a loss-term block
+    are sorted by shard size (``_cohort_order``), so those that have a j-th
+    batch are one run per block."""
+    lengths = [len(plan) for plan in plans]
     if len(plans) == 1:
-        return [(j, 0, 1) for j in range(len(plans[0]))]
+        return [(j, 0, 1) for j in range(lengths[0])]
     schedule = []
-    for j, column in enumerate(itertools.zip_longest(*sizes, fillvalue=0)):
+    for j in range(max(lengths)):
         lo = 0
-        for rows, run in itertools.groupby(column):
+        for has, run in itertools.groupby(lengths, key=j.__lt__):
             hi = lo + len(tuple(run))
-            if rows:
+            if has:
                 schedule.append((j, lo, hi))
             lo = hi
     return schedule
@@ -547,39 +550,51 @@ def _epoch_index(offsets: list, plans: list, schedule: list) -> tuple:
     """The source rows of every batch of an epoch, as one index array in
     schedule order: the rows of entry (j, lo, hi) are the client-major
     batch of rows lo:hi at step j, each client's new-shard rows then its
-    buffer rows. Returns (index, (first row, rows per client) of each
-    entry)."""
+    buffer rows, of any count. Returns (index, the edges of each entry):
+    client lo + i's rows of an entry are index[edges[i]:edges[i + 1]]."""
     pieces, shifts, sizes, bounds, start = [], [], [], [], 0
     for j, lo, hi in schedule:
-        n = 0
+        edges = [start]
         for k in range(lo, hi):
             for idx, shift in zip(plans[k][j], offsets[k]):
                 if idx is not None:
                     pieces.append(idx)
                     shifts.append(shift)
                     sizes.append(len(idx))
-                    n += len(idx)
-        bounds.append((start, n // (hi - lo)))
-        start += n
+                    start += len(idx)
+            edges.append(start)
+        bounds.append(edges)
     index = np.concatenate(pieces)
     if any(shifts):
         index += np.repeat(shifts, sizes)
     return index, bounds
 
 
-def _loss_gradient(rows: _Rows, x: np.ndarray, y: np.ndarray, k: int) -> np.ndarray:
-    """The gradient of rows' loss on a client-major batch of k clients: the
+def _counts(edges: list) -> list | None:
+    """The row count of each client between adjacent ``edges``, or None
+    when they are all equal."""
+    counts = [e - s for s, e in zip(edges, edges[1:])]
+    return None if min(counts) == max(counts) else counts
+
+
+def _loss_gradient(rows: _Rows, x: np.ndarray, y: np.ndarray, k: int,
+                   counts: list | None) -> np.ndarray:
+    """The gradient of rows' loss on a client-major batch of k clients,
+    ``counts`` rows each in a ragged step (else None: equal counts): the
     data loss against the labels, or the distillation target of the rows
-    with teachers, plus each row's quadratic penalty."""
+    with teachers, plus each row's quadratic penalty. The teachers of a
+    ragged step forward its rows padded as ``nn.backward`` pads them."""
     target = y
     if rows.distill is not None:
         sel, teacher, weight = rows.distill
-        target = y.reshape(k, -1, nn.OUT_DIM).copy()
-        tpred = teacher.forward(x.reshape(k, -1, nn.IN_DIM)[sel].reshape(-1, nn.IN_DIM),
-                                mode="eval")
+        if counts is None:
+            xs, target = x.reshape(k, -1, nn.IN_DIM), y.reshape(k, -1, nn.OUT_DIM).copy()
+        else:
+            (xs, keep), (target, _) = nn.pad_rows(x, counts), nn.pad_rows(y, counts)
+        tpred = teacher.forward(xs[sel].reshape(-1, nn.IN_DIM), mode="eval")
         target[sel] = fed.distill_target(target[sel], tpred.reshape(target[sel].shape), weight)
-        target = target.reshape(y.shape)
-    g = nn.backward(rows.model, x, target)
+        target = target.reshape(y.shape) if counts is None else target[keep]
+    g = nn.backward(rows.model, x, target, None, "train", counts)
     if rows.penalty is not None:
         sel, lam, anchor, importance = rows.penalty
         g[sel] += cl.quadratic_penalty_grad(rows.model.params[sel], anchor, importance, lam)
@@ -598,15 +613,17 @@ def _apply(rows: _Rows, g: np.ndarray) -> None:
 
 
 def _step(stack: _Stack, x: np.ndarray, y: np.ndarray, j: int, lo: int, hi: int,
-          context: tuple) -> None:
+          counts: list | None, context: tuple) -> None:
     """Step rows lo:hi of a stack on their client-major j-th batches
-    ``x`` and ``y``. A step that fails stops the members of its failing
-    rows; every other row is stepped from the gradient already computed,
-    since its forward has already moved its BatchNorm running statistics."""
+    ``x`` and ``y``, as one ragged step when ``counts`` gives each row's
+    row count (``_counts``). A step that fails stops the members of its
+    failing rows; every other row is stepped from the gradient already
+    computed, since its forward has already moved its BatchNorm running
+    statistics."""
     clients, k = stack.clients, hi - lo
     rows = stack.rows(lo, hi)
     try:
-        g = _loss_gradient(rows, x, y, k)
+        g = _loss_gradient(rows, x, y, k, counts)
     except ValueError as exc:
         _fail(stack, clients[lo:hi], context, j, exc)
         return
@@ -622,10 +639,14 @@ def _step(stack: _Stack, x: np.ndarray, y: np.ndarray, j: int, lo: int, hi: int,
 def _train_epochs(stack: _Stack, task_index: int, round_index: int) -> None:
     """Every local epoch of a stack, each client's batches drawn from its
     teacher stream (purpose 20) in a teacher stack, else from its training
-    stream (21), mixed with its replay buffer when it replays; a step
-    gathers its run's client-major batch with one ``take`` per array. The
-    rows of a member that has failed, before the call or in it, sit out
-    every remaining step."""
+    stream (21), mixed with its replay buffer when it replays. Step j of an
+    epoch is one ``nn.backward`` and one ``Optimizer.step`` per run of
+    ``_schedule``, all the adjacent rows that have a j-th batch, padded
+    inside ``nn.backward`` when their row counts differ; a step gathers its
+    run's client-major batch with one ``take`` per array. The rows of a
+    member that has failed, before the call or in it, sit out every
+    remaining step, and the live rows around them step as runs of their
+    own, on their own slices of the batch."""
     clients = stack.clients
     purpose, label = (20, "teacher ") if stack.teacher else (21, "")
     stack.failed = any(c.member.error is not None for c in clients)
@@ -637,11 +658,12 @@ def _train_epochs(stack: _Stack, task_index: int, round_index: int) -> None:
         schedule = _schedule(plans)
         index, bounds = _epoch_index(offsets, plans, schedule)
         context = (round_index, label, epoch)
-        for (j, lo, hi), (start, n) in zip(schedule, bounds):
+        for (j, lo, hi), edges in zip(schedule, bounds):
             for a, b in (_live_runs(clients, lo, hi) if stack.failed else ((lo, hi),)):
-                rows = index[start + (a - lo) * n:start + (b - lo) * n]
+                part = edges[a - lo:b - lo + 1]
+                rows = index[part[0]:part[-1]]
                 _step(stack, features.take(rows, axis=0), labels.take(rows, axis=0),
-                      j, a, b, context)
+                      j, a, b, None if b - a == 1 else _counts(part), context)
 
 
 def local_train(clients: list[ClientState], task_index: int, round_index: int,
@@ -1029,7 +1051,8 @@ def _lockstep(runs: list[_Run], task_index: int, task: _Task, first: int,
     round ``first``, for runs whose clients hold the task's shards and
     whose optimizers have never stepped. Each round trains the clients of
     every run that has not failed in one ``local_train`` call, and then
-    each run finishes the round on its own. No walk finishes a round that
+    each run finishes the round on its own, and the round's updates are let
+    go before the next round trains. No walk finishes a round that
     consolidates: a lead's walk of task 1 ends at global round ``stop``,
     the fork round, after its local training, and returns that training
     (``_train_round``), or None when every run has failed before it; each
@@ -1044,6 +1067,7 @@ def _lockstep(runs: list[_Run], task_index: int, task: _Task, first: int,
             return trained, train_s
         for run in going:
             run.finish_round(task_index, p, False, task, trained, train_s)
+        del trained  # each client's update: not held while the next round trains
 
 
 def group_outcomes(configs: list[ExperimentConfig], dataset: dataio.Dataset,

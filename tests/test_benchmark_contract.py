@@ -46,11 +46,12 @@ def test_every_traced_name_resolves():
 
 def test_backward_arguments_the_row_counter_reads():
     # nn.backward.train_rows counts len(batch) at index 1 when mode, at
-    # index 4 and "train" by default, is "train"
+    # index 4 and "train" by default, is "train"; a ragged step's counts
+    # come after mode, and its batch holds the real rows alone
     params = inspect.signature(nn.backward).parameters
     names = list(params)
-    assert names[1] == "batch" and names[4] == "mode"
-    assert params["mode"].default == "train"
+    assert names[1] == "batch" and names[4] == "mode" and names[5] == "counts"
+    assert params["mode"].default == "train" and params["counts"].default is None
 
 
 @pytest.mark.parametrize("method", ["ewc", "mas", "nr"])
@@ -76,20 +77,29 @@ def test_consolidation_adds_no_training_rows(method, monkeypatch):
     assert ("fedcl.continual", "train") not in calls
 
 
-def record_train_rows(monkeypatch) -> list[int]:
+def record_train_rows(monkeypatch, ragged: list | None = None) -> list[int]:
     """The row count of every train-mode nn.backward call, as the benchmark
     counts it (len of the positional batch), after checking that the batch
-    is a 2-D client-major array: the same number of rows for each model."""
+    is a 2-D client-major array: the same number of rows for each model,
+    or, in a ragged step, the rows its counts give, at least 2 a model. The
+    counts of each ragged step go to ``ragged``."""
     rows = []
     original = nn.backward
 
-    def recording(model, batch, target, extra_penalty_grad=None, mode="train"):
+    def recording(model, batch, target, extra_penalty_grad=None, mode="train", counts=None):
         if mode == "train":
             models = 1 if model.params.ndim == 1 else model.params.shape[0]
             assert batch.ndim == 2 and batch.shape[1] == nn.IN_DIM
-            assert len(batch) % models == 0 and target.shape == (len(batch), nn.OUT_DIM)
+            assert target.shape == (len(batch), nn.OUT_DIM)
+            if counts is None:
+                assert len(batch) % models == 0
+            else:
+                assert len(counts) == models and min(counts) >= 2
+                assert sum(counts) == len(batch)
+                if ragged is not None:
+                    ragged.append(list(counts))
             rows.append(len(batch))
-        return original(model, batch, target, extra_penalty_grad, mode)
+        return original(model, batch, target, extra_penalty_grad, mode, counts)
 
     monkeypatch.setattr(nn, "backward", recording)
     return rows
@@ -133,6 +143,25 @@ def test_train_rows_are_the_rows_trained_with_replay(monkeypatch):
         n_buf = math.floor(0.5 * min(16, n))
         task2 += n + n_buf * math.ceil(n / (min(16, n) - n_buf))
     assert sum(rows) == 2 * (task1 + task2)
+
+
+def test_train_rows_are_the_rows_trained_in_a_ragged_step(monkeypatch):
+    # an EWC and an SI member of 3 clients fork from one task-1 lead; their
+    # task-2 shards have distinct sizes, so their last batches step as
+    # ragged steps, padded inside nn.backward, where pad rows must not count
+    ds, _ = dataio.synthetic_two_task(240, seed=0, noise_std=0.05)
+    train, test = dataio.train_test_split(ds, 0.75, seed=0)
+    ewc = ExperimentConfig(n_clients=3, n_rounds=2, local_epochs=2, batch_size=16,
+                           cl_method="ewc")
+    ragged = []
+    rows = record_train_rows(monkeypatch, ragged)
+    run_group([ewc, dataclasses.replace(ewc, cl_method="si")], train, test, continual=True)
+    splits = [dataio.split_tasks(p.shard) for p in dataio.partition_clients(train, 3, ewc.seed)]
+    task2 = [len(s.task2) for s in splits]
+    assert len(set(task2)) == 3 and ragged  # the tails did step ragged
+    task1 = sum(plain_epoch_rows(len(s.task1), 16) for s in splits)
+    # task 1 once, by the lead; task 2 once per member
+    assert sum(rows) == 2 * 2 * (task1 + 2 * sum(plain_epoch_rows(n, 16) for n in task2))
 
 
 def test_run_suite_executes_each_experiment_once_in_suite_order(tmp_path, monkeypatch):

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 import fedcl.orchestrator as orch
 from fedcl import continual as cl
 from fedcl import data as dataio
+from fedcl import nn
 from fedcl import strategies as fed
 from fedcl import store
 from fedcl.config import BenchmarkSuite, ExperimentSpec, parse_config
@@ -517,6 +518,44 @@ synthetic_n = 400
     runs = [(kind, len(list(same))) for kind, same in itertools.groupby(events)]
     assert [kind for kind, _ in runs] == ["train", "write"] * 3
     assert [n for kind, n in runs if kind == "write"] == [2, 2, 1]
+
+
+def test_a_rounds_updates_are_let_go_before_the_next_round_trains(tmp_path, monkeypatch):
+    # each client update holds a copy of its parameters; once every run has
+    # aggregated them, none may stay alive while the next round's steps run
+    suite = suite_of(tmp_path, """
+[experiment]
+rounds = 3
+clients = 2
+
+[sweep]
+strategies = fedavg, fedbn, fedprox
+
+[suite]
+synthetic_n = 200
+""", "rounds.ini")
+    dataset, _ = dataio.synthetic_generate(200, seed=3, noise_std=0.1)
+    updates, current, checked = [], [None], []
+    train, backward = orch.local_train, nn.backward
+
+    def recording_train(clients, task_index, round_index, stacks=None):
+        current[0] = round_index
+        result = train(clients, task_index, round_index, stacks)
+        updates.extend((round_index, weakref.ref(u.params)) for u in result[0])
+        return result
+
+    def checking_backward(*args, **kwargs):
+        mode = args[4] if len(args) > 4 else kwargs.get("mode", "train")
+        if current[0] not in checked and mode == "train":
+            checked.append(current[0])  # the round's first train-mode backward
+            assert all(ref() is None for r, ref in updates if r < current[0])
+        return backward(*args, **kwargs)
+
+    monkeypatch.setattr(orch, "local_train", recording_train)
+    monkeypatch.setattr(nn, "backward", checking_backward)
+    _, failures = store.run_suite(suite, dataset, str(tmp_path / "out"))
+    assert not failures
+    assert checked == [0, 1, 2] and len(updates) == 3 * 3 * 2
 
 
 TRAJECTORY_OPTIONS = {  # a value other than the default for every option

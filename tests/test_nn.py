@@ -444,6 +444,47 @@ class TestStackedModels:
         assert np.array_equal(pred, np.concatenate([m.forward(x, "eval")
                                                     for m, x in zip(singles, xs)]))
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.integers(2, 32), min_size=1, max_size=6),
+           st.sampled_from(["identity", "relu"]), st.integers(0, 2 ** 32 - 1))
+    def test_ragged_step_equals_each_models_own(self, counts, activation, seed):
+        # model k's counts[k] rows of a ragged train step, padded inside
+        # backward: its gradient row, running statistics and Adam step are
+        # what its own rows give it alone, over two steps
+        rng = np.random.default_rng(seed)
+        singles = []
+        for _ in counts:
+            m = nn.MlpModel(activation)
+            nn.inject_params(m, nn.extract_params(random_model(rng)))
+            singles.append(m)
+        own = [nn.Optimizer("adam", 1e-2) for _ in singles]
+        stack = nn.MlpModel(activation, np.stack([m.params for m in singles]))
+        stacked = nn.Optimizer.stack(own, stack.params)
+        for step_counts in (counts, counts[::-1]):
+            xs = [rng.normal(0.0, 1.5, size=(n, nn.IN_DIM)) for n in step_counts]
+            ys = [rng.uniform(1.0, 5.0, size=(n, nn.OUT_DIM)) for n in step_counts]
+            x, y = np.concatenate(xs), np.concatenate(ys)
+            kept = (x.copy(), y.copy())
+            g = nn.backward(stack, x, y, None, "train", step_counts)
+            assert np.array_equal(x, kept[0]) and np.array_equal(y, kept[1])
+            stacked.step(stack.params, g, out=stack.params)
+            for k, m in enumerate(singles):
+                gk = nn.backward(m, xs[k], ys[k])
+                assert np.array_equal(g[k], gk)
+                own[k].step(m.params, gk, out=m.params)
+                assert np.array_equal(stack.params[k], m.params)  # running statistics too
+                assert np.array_equal(stacked.m[k], own[k].m)
+                assert np.array_equal(stacked.v[k], own[k].v)
+
+    @pytest.mark.parametrize("counts, match", [
+        ([5, 3], "one row count per model"), ([5, 4, 1], "at least 2 rows"),
+        ([5, 4, 2], "add up to 11 rows, the batch has 10")])
+    def test_ragged_counts_are_checked(self, rng, counts, match):
+        stack = nn.MlpModel("identity", np.stack([random_model(rng).params] * 3))
+        with pytest.raises(ValueError, match=match):
+            nn.backward(stack, rng.normal(size=(10, 29)), rng.normal(size=(10, 8)), None,
+                        "train", counts)
+
     def test_stacked_batch_must_split_evenly(self, rng):
         stack = nn.MlpModel("identity", np.stack([random_model(rng).params] * 3))
         with pytest.raises(ValueError, match="client-major"):
@@ -743,6 +784,22 @@ class TestCallBudget:
 
         def step():
             optimizer.step(model.params, nn.backward(model, x, y), out=model.params)
+
+        step()
+        step()
+        assert _c_calls(step) <= budget
+
+    @pytest.mark.parametrize("n_models, budget", [(2, 58), (10, 58)])
+    def test_ragged_train_step_plus_adam(self, rng, n_models, budget):
+        # the rows of every other model end 13 rows short: a padded step
+        model, _, _ = self._model(rng, n_models)
+        counts = [32 - 13 * (k % 2) for k in range(n_models)]
+        x, y = rng.normal(size=(sum(counts), nn.IN_DIM)), rng.normal(size=(sum(counts), nn.OUT_DIM))
+        optimizer = nn.Optimizer.stack([nn.Optimizer("adam", 1e-3)] * n_models, model.params)
+
+        def step():
+            optimizer.step(model.params, nn.backward(model, x, y, None, "train", counts),
+                           out=model.params)
 
         step()
         step()

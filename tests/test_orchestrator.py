@@ -1,4 +1,6 @@
 import hashlib
+import itertools
+import math
 import re
 
 import numpy as np
@@ -443,20 +445,23 @@ class TestShardLosses:
         monkeypatch.setattr(nn.MlpModel, "forward", counted)
         return count
 
-    def test_task_2_cohort_of_distinct_sizes_takes_one_pass(self, monkeypatch):
-        # an NR and an EWC member of 5 clients each, through task 1 and its
-        # consolidation; in task 2 the 10 shards have 10 distinct sizes and
-        # the NR clients replay
+    # task 2's shard sizes of an NR member's 5 clients, then an EWC member's
+    TASK_2_SIZES = [23, 41, 57, 66, 80, 29, 35, 50, 61, 74]
+
+    def task_2_cohort(self, **kw) -> list:
+        """An NR and an EWC member of 5 clients each, through task 1 and its
+        consolidation, holding task-2 shards of 10 distinct sizes; the NR
+        clients replay."""
         ds, _ = dataio.synthetic_two_task(500, seed=5, noise_std=0.1)
-        sizes = ([30, 34, 38, 42, 46] * 2, [23, 41, 57, 66, 80, 29, 35, 50, 61, 74])
-        cuts = np.cumsum([0] + sizes[0] + sizes[1])
+        sizes = [30, 34, 38, 42, 46] * 2 + self.TASK_2_SIZES
+        cuts = np.cumsum([0] + sizes)
         shards = [ds.subset(np.arange(cuts[k], cuts[k + 1])) for k in range(20)]
         task1, task2 = shards[:10], shards[10:]
         template = nn.MlpModel()
         template.init_params(np.random.default_rng(3))
         clients = []
         for k, method in enumerate(("nr", "ewc")):
-            member = orch.Member(config(n_clients=5, cl_method=method, batch_size=16),
+            member = orch.Member(config(n_clients=5, cl_method=method, batch_size=16, **kw),
                                  nn.extract_params(template))
             clients += orch._build_clients(member, task1[5 * k:5 * k + 5])
         orch.local_train(clients, 0, 0)
@@ -466,12 +471,51 @@ class TestShardLosses:
             # fresh, as every client's optimizer is when its run walks task 2
             c.optimizer = nn.Optimizer(c.optimizer.kind, c.optimizer.learning_rate)
         assert all(orch._replays(c) == (c.member.config.cl_method == "nr") for c in clients)
+        return clients
+
+    def test_task_2_cohort_of_distinct_sizes_takes_one_pass(self, monkeypatch):
+        clients = self.task_2_cohort()
         forwards = self.count_eval_forwards(monkeypatch)
         _, losses = orch.local_train(clients, 1, 1)
-        padded = len(clients) * max(sizes[1])
+        padded = len(clients) * max(self.TASK_2_SIZES)
         assert forwards[0] <= -(-padded // orch.LOSS_PASS_ROWS)
         for c, loss in zip(clients, losses):
             assert loss == self.own_loss(c)
+
+    def test_task_2_cohort_of_distinct_sizes_steps_once_per_batch_index(self, monkeypatch):
+        # each member's rows are one block, sorted by shard size, so at step j
+        # the rows that have a j-th batch are one run per block, whatever
+        # their batches' row counts: one backward and one optimizer step each
+        clients = self.task_2_cohort(local_epochs=2)
+        calls, backward, step = [], nn.backward, nn.Optimizer.step
+
+        def counted(model, *args, **kwargs):
+            if (args[3:4] or [kwargs.get("mode", "train")])[0] == "train":
+                calls.append(1 if model.params.ndim == 1 else len(model.params))
+            return backward(model, *args, **kwargs)
+
+        def stepped(self, params, grads, out=None):
+            calls.append("step")
+            return step(self, params, grads, out)
+
+        monkeypatch.setattr(nn, "backward", counted)
+        monkeypatch.setattr(nn.Optimizer, "step", stepped)
+        orch.local_train(clients, 1, 1)
+        # batches per client, in row order (the replaying NR block last, each
+        # block by shard size): EWC's plain 16-row batches, a trailing single
+        # row dropped, then NR's 8 new rows a batch beside 8 replayed ones
+        batches = ([n // 16 + (n % 16 >= 2) for n in self.TASK_2_SIZES[5:]]
+                   + [math.ceil(n / 8) for n in self.TASK_2_SIZES[:5]])
+        assert batches == [2, 3, 4, 4, 5, 3, 6, 8, 9, 10]
+        # the maximal runs of rows that have a j-th batch: one for j < 3, two
+        # for j = 3 and 4 (EWC's tail and NR's), then NR's alone
+        runs = sum(len([has for has, _ in itertools.groupby(b > j for b in batches) if has])
+                   for j in range(max(batches)))
+        assert runs == 3 + 2 * 2 + 5
+        assert len(calls) == 2 * (2 * runs)  # 2 epochs, a backward and a step each
+        assert [c for c in calls if c != "step"] == [c for c in calls[::2]]
+        # every client steps once per batch it has
+        assert sum(calls[::2]) == 2 * sum(batches)
 
     def test_a_lone_large_shard_passes_in_chunks(self, monkeypatch):
         shard = dataio.synthetic_generate(2 * orch.LOSS_PASS_ROWS + 1, seed=7)[0]
@@ -790,6 +834,46 @@ class TestStackedEngine:
             if a.optimizer.m is not None:
                 assert np.array_equal(a.optimizer.m, b.optimizer.m)
                 assert np.array_equal(a.optimizer.v, b.optimizer.v)
+
+    def test_a_member_failing_in_a_ragged_step_leaves_the_others_their_own_bits(self):
+        # rows by shard size 23 (A), 37 (B), 38, 45 (C), 50 (A), batch 16: B's
+        # second batch holds an inf, so its row fails inside the ragged step
+        # j = 1 (7, 16, 16, 16, 16 rows); from j = 2 on, C's and A's rows
+        # step around it on their own slices of each ragged batch
+        sizes = {"A": [23, 50], "B": [37], "C": [38, 45]}
+
+        def build():
+            ds, _ = dataio.synthetic_generate(300, seed=6, noise_std=0.1)
+            cuts = np.cumsum([0] + sum(sizes.values(), []))
+            shards = [ds.subset(np.arange(cuts[k], cuts[k + 1])) for k in range(5)]
+            cfg = config(n_clients=1, local_epochs=2)
+            bad = dataio.minibatch_indices(37, 16, derive_seed(cfg.seed, 21, 0, 0, 0), 0)[1][0]
+            shards[2].features[bad, 5] = np.inf
+            template = nn.MlpModel()
+            template.init_params(np.random.default_rng(4))
+            members = {}
+            for name in sizes:
+                part, shards = shards[:len(sizes[name])], shards[len(sizes[name]):]
+                member = orch.Member(config(n_clients=len(part), local_epochs=2),
+                                     nn.extract_params(template))
+                members[name] = (member, orch._build_clients(member, part))
+            return members
+
+        together = build()
+        with np.errstate(invalid="ignore"):
+            updates, _ = orch.local_train(sum((c for _, c in together.values()), []), 0, 0)
+        alone = build()
+        for name, (member, clients) in alone.items():
+            with np.errstate(invalid="ignore"):
+                mine = orch.local_train(clients, 0, 0)[0]
+            theirs, updates = updates[:len(clients)], updates[len(clients):]
+            if name == "B":
+                assert theirs == mine == [None]
+                assert re.match(r"client 0 failed in round 0: epoch 0 batch 1: NaN or inf",
+                                str(together["B"][0].error))
+                continue
+            for u, own in zip(theirs, mine):
+                assert np.array_equal(u.params, own.params), name
 
     def test_non_finite_gradient_names_the_client_of_its_row(self):
         cfg = config(n_clients=3, n_rounds=1)
