@@ -6,18 +6,17 @@ that share a ``group_key`` (and so their shards and every minibatch draw)
 round by round, in chunks of members with at most ``GROUP_CLIENTS``
 clients (a member with more trains alone): each member is a ``_Run``, and
 each round the clients of all members of a chunk train as one cohort in
-one ``local_train`` call; then each member consolidates, aggregates and
-evaluates on its own. ``run_fl`` and ``run_fcl`` run a group of one. FCL
-is two tasks, circle then arrow; the last round of task 1 consolidates
-each client's CL state, and task 2 trains against it.
-FCL members compute the same bits up to task 1's last local training,
-the fork round, as no CL method acts in task 1, so a group trains that
-prefix once, as one lead run, before any chunk trains; FL members share
-nothing. Each FCL member forks from its lead as its chunk starts
-(``_fork``), finishes the fork round itself, takes task 2's shards and
-trains task 2 with its chunk. So a walk of rounds (``_lockstep``) covers
-one task: a lead's task 1 up to the fork round's training, an FL chunk's
-one task or an FCL chunk's task 2. Experiments of one
+one ``local_train`` call; then each member aggregates and evaluates on
+its own. ``run_fl`` and ``run_fcl`` run a group of one. FCL is two tasks,
+circle then arrow; after task 1 each client consolidates its CL state,
+and task 2 trains against it. Task 1 is plain FedAvg for every CL
+method, so an FCL group has one lead run, which walks and finishes all
+of task 1 before any chunk trains; FL members share nothing. Each FCL
+member forks from the lead as its chunk starts (``_fork``): it copies
+the lead, consolidates its own clients, takes task 2's shards and trains
+task 2 with its chunk. So a walk of rounds (``_lockstep``) covers one
+task, and finishes every round it trains: the lead's task 1, an FL
+chunk's one task or an FCL chunk's task 2. Experiments of one
 ``trajectory_key`` (options their strategy and CL method never read
 aside, and EWC-Online, whose decay acts from a second consolidation on,
 as EWC) compute the same bits, so a group trains each key once and hands
@@ -148,8 +147,9 @@ class RoundLog:
     # seconds of each phase of the round; consolidate is 0 except in the
     # last round of FCL's task 1. The clients of a chunk of members train
     # together, so local_train_time is the chunk's shared training seconds;
-    # a fork's rounds up to its fork round (see ``_fork``) hold its lead's,
-    # which trains alone. A twin (see ``trajectory_key``) has every log,
+    # a fork's task-1 rounds (see ``_fork``) hold its lead's, which trains
+    # alone, and the last of them adds the fork's own consolidation to
+    # consolidate and wall time. A twin (see ``trajectory_key``) has every log,
     # timings included, of the run it shares its results with.
     local_train_time: float = 0.0
     consolidate_time: float = 0.0
@@ -188,10 +188,14 @@ def group_key(config: ExperimentConfig) -> tuple:
     the strategy, CL method and penalty options, which ride on each
     client's ``Member``: the shards, task split, round schedule and
     minibatch draws follow from the others, and a stacked optimizer steps
-    every row with one kind and learning rate. A field added later splits
-    groups unless it is left out here."""
-    return tuple(getattr(config, f.name) for f in fields(config)
-                 if f.name not in ("strategy", "cl_method", "penalty"))
+    every row with one kind and learning rate. It adds
+    ``weighted_aggregation``, the one strategy option FCL's task 1 reads,
+    so an FCL group's members share all of task 1 and fork from one lead
+    (``group_outcomes``). A field added later splits groups unless it is
+    left out here."""
+    return (config.strategy.weighted_aggregation,
+            *(getattr(config, f.name) for f in fields(config)
+              if f.name not in ("strategy", "cl_method", "penalty")))
 
 
 # the options each strategy kind (besides weighted_aggregation, which every
@@ -801,8 +805,9 @@ def _loss_passes(stack: _Stack) -> list[tuple]:
 
 def _consolidate(client: ClientState, task_index: int) -> None:
     """Record CL state from the local model after the task's final local
-    training and before the subsequent aggregation: the replay buffer, or
-    the anchor and importance map of the next task's penalty."""
+    training, which that round's aggregation and evaluation leave as it is:
+    the replay buffer, or the anchor and importance map of the next task's
+    penalty."""
     cfg = client.member.config
     method = cfg.cl_method
     if method == "nr":
@@ -867,63 +872,50 @@ class _Task:
     n_rounds: int
 
 
-def _fl_tasks(config: ExperimentConfig, dataset: dataio.Dataset,
-              split: tuple[np.ndarray, np.ndarray]) -> list[_Task]:
-    """Plain FL is one task: the training set of ``split``, the (train
-    rows, test rows) of ``dataset``, partitioned, and its test set. The
-    shards and the test set are slices of one copy of their rows, taken in
-    partition order; with augmentation, the shards are slices of one
-    shuffled copy of the augmented training set."""
+def _tasks(config: ExperimentConfig, dataset: dataio.Dataset,
+           split: tuple[np.ndarray, np.ndarray], continual: bool) -> list[_Task]:
+    """The group's tasks, from ``split``, the (train rows, test rows) of
+    ``dataset``. Plain FL is one task of ``config.n_rounds`` rounds: the
+    training set, augmented when asked and then partitioned, and the test
+    set. FCL is two tasks, circle then arrow, of ``config.task_rounds``
+    rounds each: each client's shard of the training set split by the
+    context flag, augmented per task shard (task membership is decided on
+    clean flags); task-1 rounds evaluate on the circle test subset, task-2
+    rounds on the full test set. The shards are slices of one copy of their
+    rows, and the test sets of one more."""
     train_rows, test_rows = split
-    if len(test_rows) < 2:
-        raise ExperimentError(f"test set too small to evaluate: {len(test_rows)} row(s), "
-                              f"evaluation needs 2")
-    if config.augmentation:
-        train = dataio.augment(dataset.subset(train_rows), config.augment_sigma,
-                               derive_seed(config.seed, 24))
-        shards = [p.shard for p in dataio.partition_clients(train, config.n_clients, config.seed)]
-        test = dataset.subset(test_rows)
-    else:
-        pieces = [train_rows[rows] for rows in
-                  dataio.partition_indices(len(train_rows), config.n_clients, config.seed)]
-        *shards, test = dataio.take_rows(dataset, pieces + [test_rows])
-    return [_Task(shards, test, config.n_rounds)]
-
-
-def _fcl_tasks(config: ExperimentConfig, dataset: dataio.Dataset,
-               split: tuple[np.ndarray, np.ndarray]) -> list[_Task]:
-    """FCL's two tasks, circle then arrow, of ``config.task_rounds`` rounds
-    each, from ``split``, the (train rows, test rows) of ``dataset``: each
-    client's shard of the training set split by the context flag, augmented
-    per task shard (task membership is decided on clean flags); task-1
-    rounds evaluate on the circle test subset, task-2 rounds on the full
-    test set. The task shards and both test sets are slices of one copy of
-    their rows."""
-    train_rows, test_rows = split
-    flags = dataset.features[:, 0]
-    pieces: tuple[list, list] = ([], [])  # task -> each client's rows
-    for cid, rows in enumerate(dataio.partition_indices(len(train_rows), config.n_clients,
-                                                        config.seed)):
-        rows = train_rows[rows]
-        for t_idx, task_rows in enumerate(dataio.task_indices(flags[rows])):
-            if len(task_rows) == 0:
-                raise ExperimentError(f"client {cid}: task {t_idx + 1} shard is empty")
-            pieces[t_idx].append(rows[task_rows])
-    circle = test_rows[dataio.task_indices(flags[test_rows])[0]]
-    if len(circle) < 2:
-        raise ExperimentError(f"circle test subset too small to evaluate: {len(circle)} "
-                              f"row(s), evaluation needs 2")
-    *shards, circle_test, test = dataio.take_rows(dataset, [*pieces[0], *pieces[1], circle,
-                                                            test_rows])
-    tasks = []
-    for task_index, eval_set in enumerate((circle_test, test)):
-        task_shards = shards[task_index * config.n_clients:(task_index + 1) * config.n_clients]
+    source, flags, tests = dataset, dataset.features[:, 0], [test_rows]
+    if not continual:
+        if len(test_rows) < 2:
+            raise ExperimentError(f"test set too small to evaluate: {len(test_rows)} row(s), "
+                                  f"evaluation needs 2")
         if config.augmentation:
-            task_shards = [dataio.augment(shard, config.augment_sigma,
-                                          derive_seed(config.seed, 25, cid, task_index))
-                           for cid, shard in enumerate(task_shards)]
-        tasks.append(_Task(task_shards, eval_set, config.task_rounds))
-    return tasks
+            source = dataio.augment(dataset.subset(train_rows), config.augment_sigma,
+                                    derive_seed(config.seed, 24))
+            train_rows = np.arange(len(source))
+    pieces = [train_rows[rows] for rows in
+              dataio.partition_indices(len(train_rows), config.n_clients, config.seed)]
+    if continual:
+        by_task: tuple[list, list] = ([], [])  # task -> each client's rows
+        for cid, rows in enumerate(pieces):
+            for t_idx, task_rows in enumerate(dataio.task_indices(flags[rows])):
+                if len(task_rows) == 0:
+                    raise ExperimentError(f"client {cid}: task {t_idx + 1} shard is empty")
+                by_task[t_idx].append(rows[task_rows])
+        pieces = by_task[0] + by_task[1]
+        circle = test_rows[dataio.task_indices(flags[test_rows])[0]]
+        if len(circle) < 2:
+            raise ExperimentError(f"circle test subset too small to evaluate: {len(circle)} "
+                                  f"row(s), evaluation needs 2")
+        tests = [circle, test_rows]
+    shards, n = dataio.take_rows(source, pieces), config.n_clients  # task-major
+    if continual and config.augmentation:  # shard k is client k % n's of task k // n
+        shards = [dataio.augment(shard, config.augment_sigma,
+                                 derive_seed(config.seed, 25, k % n, k // n))
+                  for k, shard in enumerate(shards)]
+    return [_Task(shards[t * n:(t + 1) * n], eval_set,
+                  config.task_rounds if continual else config.n_rounds)
+            for t, eval_set in enumerate(dataio.take_rows(dataset, tests))]
 
 
 class _Run:
@@ -942,36 +934,33 @@ class _Run:
                            if config.strategy.kind == "fedopt" else None)
         self.logs: list[RoundLog] = []
 
-    def finish_round(self, task_index: int, round_index: int, consolidate: bool, task: _Task,
-                     trained: dict, train_s: float) -> None:
-        """Consolidate (when ``consolidate``: the last round of a task that
-        another follows), aggregate and evaluate, from the (update, loss) of
-        each client of this round in ``trained`` (keyed by the client's
-        ``id``), trained in ``train_s`` seconds shared by the chunk. A run
-        already stopped does nothing, and an error here stops only this run."""
+    def finish_round(self, task_index: int, round_index: int, task: _Task, trained: dict,
+                     train_s: float) -> None:
+        """Aggregate and evaluate, from the (update, loss) of each client of
+        this round in ``trained`` (keyed by the client's ``id``), trained in
+        ``train_s`` seconds shared by the chunk. A run already stopped does
+        nothing, and an error here stops only this run, as an
+        ``ExperimentError`` that names the round and the phase and is caused
+        by the error."""
         if self.member.error is not None:
             return
         cfg = self.member.config
-        t1 = t2 = time.perf_counter()
+        phase, t1 = "aggregation", time.perf_counter()
         try:
             updates, losses = zip(*(trained[id(c)] for c in self.clients))
-            if consolidate and cfg.cl_method != "none":
-                for c in self.clients:
-                    _consolidate(c, task_index)
-                t2 = time.perf_counter()
             self.member.global_params = _aggregate(self.member.global_params, list(updates),
                                                    cfg, self.server_opt)
-            t3 = time.perf_counter()
+            phase, t2 = "evaluation", time.perf_counter()
             report = evaluate(self.member.global_params, task.eval_set, cfg.hidden_activation,
                               self.model)
         except Exception as exc:
-            self.member.error = exc
+            self.member.error = ExperimentError(f"failed in round {round_index}: {phase}: {exc}")
+            self.member.error.__cause__ = exc
             return
-        t4 = time.perf_counter()
+        t3 = time.perf_counter()
         self.logs.append(RoundLog(round_index, task_index, report, list(losses),
-                                  train_s + (t4 - t1), local_train_time=train_s,
-                                  consolidate_time=t2 - t1, aggregate_time=t3 - t2,
-                                  evaluate_time=t4 - t3))
+                                  train_s + (t3 - t1), local_train_time=train_s,
+                                  aggregate_time=t2 - t1, evaluate_time=t3 - t2))
 
 
 # The most clients whose state ``run_group`` holds at once for the members
@@ -988,24 +977,6 @@ class _Run:
 GROUP_CLIENTS = 20
 
 
-def _train_round(runs: list[_Run], task_index: int, round_index: int,
-                 stacks: dict) -> tuple[dict, float]:
-    """One round of local training for the clients of ``runs``, as one
-    ``local_train`` call that keeps its stacks in ``stacks``. Returns
-    id(client) -> (update, loss) and the seconds it took. An error that
-    stops the call stops each member with its own copy."""
-    cohort = [c for run in runs for c in run.clients]
-    t0 = time.perf_counter()
-    try:
-        trained = dict(zip(map(id, cohort),
-                           zip(*local_train(cohort, task_index, round_index, stacks))))
-    except Exception as exc:
-        trained = {}
-        for c in cohort:
-            c.member.error = c.member.error or own_copy(exc)
-    return trained, time.perf_counter() - t0
-
-
 def own_copy(error: Exception) -> Exception:
     """An error as one more member's own: the same type, message, cause and
     traceback. Made before the error is raised again, which adds to its
@@ -1015,14 +986,17 @@ def own_copy(error: Exception) -> Exception:
     return own.with_traceback(error.__traceback__)
 
 
-def _fork(lead: _Run, training: tuple[dict, float] | None, config: ExperimentConfig,
-          tasks: list[_Task]) -> _Run:
-    """A member that goes on from its share's lead, which has trained up to
-    the local training of the fork round, the last of task 1, and gave
-    ``training``. It copies the lead's round logs, global parameters, client
-    parameters and SI path integrals, keeps its own server optimizer, replay
-    buffers and SI damping, finishes the fork round itself, consolidating
-    on task 1's shards, and then takes task 2's shards. Its optimizers have
+def _fork(lead: _Run, config: ExperimentConfig, tasks: list[_Task]) -> _Run:
+    """A member that goes on from its group's lead, which has walked and
+    finished task 1. It copies the lead's round logs, global parameters,
+    client parameters and SI path integrals, keeps its own server
+    optimizer, replay buffers and SI damping, consolidates each client on
+    its task-1 shard (the seconds count in its last task-1 log), and then
+    takes task 2's shards. Consolidation reads only each client's local
+    model after task 1's last training, which the lead's aggregation and
+    evaluation leave as they are, so it gives the bits it gives before
+    them. A consolidation that fails stops the member with an
+    ``ExperimentError`` naming the client and round. Its optimizers have
     never stepped, so task 2 starts them fresh. A member of a failed lead
     gets its own copy of the lead's error."""
     first, second = tasks
@@ -1030,43 +1004,54 @@ def _fork(lead: _Run, training: tuple[dict, float] | None, config: ExperimentCon
     if lead.member.error is not None:
         run.member.error = own_copy(lead.member.error)
         return run
-    trained, train_s = training
     run.logs = list(lead.logs)
     run.member.global_params = lead.member.global_params.copy()
     for c, own in zip(run.clients, lead.clients):
         c.model.params[...] = own.model.params
         if c.si_acc is not None:
             c.si_acc.omega_running[...] = own.si_acc.omega_running
-    run.finish_round(0, first.n_rounds - 1, True, first,
-                     {id(c): trained[id(own)] for c, own in zip(run.clients, lead.clients)},
-                     train_s)
+    if config.cl_method != "none":
+        t0 = time.perf_counter()
+        for c in run.clients:
+            try:
+                _consolidate(c, 0)
+            except Exception as exc:
+                run.member.error = ExperimentError(f"client {c.client_id} failed in round "
+                                                   f"{first.n_rounds - 1}: consolidation: {exc}")
+                run.member.error.__cause__ = exc
+                return run
+        spent, log = time.perf_counter() - t0, run.logs[-1]
+        run.logs[-1] = dataclasses.replace(log, consolidate_time=spent,
+                                           wall_time=log.wall_time + spent)
     for c, shard in zip(run.clients, second.shards):
         c.shard = shard
     return run
 
 
-def _lockstep(runs: list[_Run], task_index: int, task: _Task, first: int,
-              stop: int | None = None) -> tuple[dict, float] | None:
+def _lockstep(runs: list[_Run], task_index: int, task: _Task, first: int) -> None:
     """Walk the rounds of one task, ``task``, whose first round is global
     round ``first``, for runs whose clients hold the task's shards and
     whose optimizers have never stepped. Each round trains the clients of
-    every run that has not failed in one ``local_train`` call, and then
-    each run finishes the round on its own, and the round's updates are let
-    go before the next round trains. No walk finishes a round that
-    consolidates: a lead's walk of task 1 ends at global round ``stop``,
-    the fork round, after its local training, and returns that training
-    (``_train_round``), or None when every run has failed before it; each
-    fork finishes the round itself (``_fork``)."""
+    every run that has not failed in one ``local_train`` call, which keeps
+    its stacks from round to round, and then each run finishes the round on
+    its own; the round's updates are let go before the next round trains.
+    An error that stops the call stops each member with its own copy."""
     stacks: dict = {}  # the stacks the last round trained (``local_train``)
     for p in range(first, first + task.n_rounds):
         going = [run for run in runs if run.member.error is None]
         if not going:
-            return None
-        trained, train_s = _train_round(going, task_index, p, stacks)
-        if p == stop:
-            return trained, train_s
+            return
+        cohort = [c for run in going for c in run.clients]
+        t0 = time.perf_counter()
+        try:
+            trained = dict(zip(map(id, cohort), zip(*local_train(cohort, task_index, p, stacks))))
+        except Exception as exc:
+            for c in cohort:
+                c.member.error = c.member.error or own_copy(exc)
+            return
+        train_s = time.perf_counter() - t0
         for run in going:
-            run.finish_round(task_index, p, False, task, trained, train_s)
+            run.finish_round(task_index, p, task, trained, train_s)
         del trained  # each client's update: not held while the next round trains
 
 
@@ -1076,21 +1061,19 @@ def group_outcomes(configs: list[ExperimentConfig], dataset: dataio.Dataset,
     """``run_group``'s work as it finishes, on the training and test sets
     of ``split``, the (train rows, test rows) of ``dataset``: (position in
     ``configs``, result or exception) of each member, in chunk order, each
-    member's twins right after it. The group's shards and test sets are
-    slices of one copy of their rows (``_fl_tasks``, ``_fcl_tasks``), taken
+    member's twins right after it. The group's shards are slices of one
+    copy of their rows, and its test sets of one more (``_tasks``), taken
     before any member trains. A caller that takes each chunk's outcomes
     before asking for more holds one chunk's client state at a time,
-    besides the leads that members of later chunks fork from.
+    besides the lead that members of later chunks fork from.
 
     The distinct members, one per ``trajectory_key``, train in config order,
-    in chunks of at most ``GROUP_CLIENTS`` clients. FCL members of one
-    canonical ``StrategyConfig`` compute the same bits up to task 1's last
-    local training, the fork round, as nothing in task 1 reads the CL
-    method or its options (``weighted_aggregation`` changes task 1's
-    aggregate), so they form a share. Before the first chunk, each share's
-    lead trains that prefix once (``_lockstep`` with ``stop``); each chunk
-    then starts its runs, each forked from its share's lead (``_fork``),
-    and walks task 2, and a lead is let go as its last member forks. FL
+    in chunks of at most ``GROUP_CLIENTS`` clients. Task 1 is plain FedAvg
+    for every CL method, and ``group_key`` holds the aggregation weighting,
+    so an FCL group has one lead, which walks and finishes all of task 1
+    before the first chunk; each chunk then starts its runs, each forked
+    from the lead (``_fork``: a copy that consolidates on its own), and
+    walks task 2, and the lead is let go once the last chunk has forked. FL
     members share nothing and walk their one task in their own chunk."""
     if len({group_key(c) for c in configs}) != 1:
         raise ValueError("the experiments of a group must have the same group_key")
@@ -1104,26 +1087,23 @@ def group_outcomes(configs: list[ExperimentConfig], dataset: dataio.Dataset,
         twins.setdefault(dataclasses.astuple(trajectory_key(cfg)), []).append(i)
     same = list(twins.values())
     distinct = [configs[s[0]] for s in same]
-    tasks = (_fcl_tasks if continual else _fl_tasks)(distinct[0], dataset, split)
+    tasks = _tasks(distinct[0], dataset, split, continual)
     del dataset, split  # the tasks hold the rows they read
-    shared: dict[tuple, list[int]] = {}  # FCL: share key -> its members
-    for d, cfg in enumerate(distinct if continual else ()):
-        shared.setdefault(dataclasses.astuple(trajectory_key(cfg).strategy), []).append(d)
-    leads: dict[int, tuple] = {}  # member -> its share's lead and its training, until it forks
-    for members in shared.values():
-        # nothing before the fork round's aggregation reads the lead's CL method, so the lead
-        # is a member's run: an SI member's, if any, whose path integral runs from round 0 on
-        si = [d for d in members if distinct[d].cl_method == "si"]
-        lead = _Run(distinct[(si or members)[0]], tasks[0].shards)
-        training = _lockstep([lead], 0, tasks[0], 0, stop=tasks[0].n_rounds - 1)
-        leads.update(dict.fromkeys(members, (lead, training)))
-        del lead  # held by ``leads`` alone, so let go as its last member forks
+    lead = None  # FCL: the run of task 1, until the last chunk has forked from it
+    if continual:
+        # nothing in task 1 reads the lead's CL method, so the lead is a member's run: an
+        # SI member's, if any, whose path integral runs from round 0 on
+        lead = _Run(next((c for c in distinct if c.cl_method == "si"), distinct[0]),
+                    tasks[0].shards)
+        _lockstep([lead], 0, tasks[0], 0)
     last = len(tasks) - 1  # the task a chunk walks: FL's one task, FCL's task 2
     size = max(1, GROUP_CLIENTS // distinct[0].n_clients)  # one member when it alone has more
     for lo in range(0, len(distinct), size):
         chunk = range(lo, min(lo + size, len(distinct)))
-        runs = [_fork(*leads.pop(d), distinct[d], tasks) if d in leads
+        runs = [_fork(lead, distinct[d], tasks) if continual
                 else _Run(distinct[d], tasks[0].shards) for d in chunk]
+        if chunk.stop == len(distinct):
+            lead = None
         _lockstep(runs, last, tasks[last], last * tasks[0].n_rounds)
         for d, run in zip(chunk, runs):
             outcome = run.member.error or RunResult(run.logs, run.member.global_params)
@@ -1140,7 +1120,7 @@ def run_group(configs: list[ExperimentConfig], train: dataio.Dataset, test: data
     its first experiment (the representative), and every twin gets the
     representative's result (round timings included) or its own copy of the
     representative's error. ``group_outcomes`` says which members train
-    together, in chunks, and which fork from a shared lead.
+    together, in chunks, and how FCL members fork from one lead.
 
     Returns, in the order of ``configs``, each member's result or the
     exception that stopped it; a member that fails does not stop the rest.
@@ -1169,14 +1149,15 @@ def run_fcl(config: ExperimentConfig, train: dataio.Dataset, test: dataio.Datase
     'none' runs the unregularized sequential baseline.
 
     Each task trains ``config.rounds_per_task`` rounds (``config.n_rounds``
-    when unset). The last round of task 1 consolidates each client's CL
-    state (its anchor and importance map, or its replay buffer) before
-    aggregating; task 2 trains against it and consolidates nothing, so
-    EWC-Online equals EWC here whatever ``gamma_online`` is, and
+    when unset). After task 1, each client consolidates its CL state (its
+    anchor and importance map, or its replay buffer) from its local model
+    after task 1's last training; task 2 trains against it and consolidates
+    nothing, so EWC-Online equals EWC here whatever ``gamma_online`` is, and
     ``run_group`` trains the two once, as whichever comes first, when both
     are in a group. Task 1 is plain FedAvg for every method (SI only records
-    its path integral), which is why ``run_group`` can train it once for
-    many methods: alone, it trains it once for this one, through the same
+    its path integral), which is why ``run_group`` trains it once for many
+    methods, as one lead that finishes it, and forks each method from the
+    lead to consolidate: alone, it trains this one through the same
     lead-and-fork path.
 
     Evaluation after task-1 rounds uses the circle-only test subset; task-2

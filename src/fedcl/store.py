@@ -14,9 +14,10 @@ as one lockstep group, shape by shape, and stores each result on its own,
 in suite order, as soon as it exists. ``orchestrator.group_outcomes``
 decides how many of a shape's experiments train at once
 (``orchestrator.GROUP_CLIENTS``), trains FCL's task 1, which a shape's
-experiments share, once and forks them from it, and trains experiments of
-one ``orchestrator.trajectory_key``
-once, a spec listed twice included. An error that stops a whole shape is
+experiments share, once, as one lead that finishes it, and forks each
+experiment from that lead, a copy that consolidates on its own, and
+trains experiments of one ``orchestrator.trajectory_key`` once, a spec
+listed twice included. An error that stops a whole shape is
 each member's own copy, so each traceback reads as if it ran alone.
 """
 

@@ -229,7 +229,7 @@ def test_fl_members_never_fork(tmp_path, monkeypatch):
 def test_a_lead_is_let_go_as_its_last_member_forks(monkeypatch):
     # 10 clients a member: the chunks are EWC and SI, then MAS and NR. The
     # lead, the SI member's run and the group's first, is gone once NR, the
-    # share's last member, forks as its chunk starts, before that chunk's
+    # group's last member, forks as its chunk starts, before that chunk's
     # first local training
     configs = [orch.ExperimentConfig(n_clients=10, n_rounds=2, seed=42, cl_method=method)
                for method in ("ewc", "si", "mas", "nr")]
@@ -284,8 +284,9 @@ def test_a_cohort_wide_error_gives_each_member_its_own(monkeypatch):
 
 def test_a_failure_in_finish_round_stops_only_its_own_run(monkeypatch):
     # the FedProx member's aggregation fails in round 1, after the chunk's
-    # shared training: it stops with that very error and aggregates no more,
-    # and the members it trained beside compute the bits they compute alone
+    # shared training: it stops with an error that names the round and the
+    # phase and is caused by that very error, and aggregates no more, and the
+    # members it trained beside compute the bits they compute alone
     configs = [orch.ExperimentConfig(n_clients=3, n_rounds=3, batch_size=16,
                                      strategy=fed.StrategyConfig(kind))
                for kind in ("fedavg", "fedprox", "fedopt")]
@@ -302,7 +303,9 @@ def test_a_failure_in_finish_round_stops_only_its_own_run(monkeypatch):
 
     monkeypatch.setattr(orch, "_aggregate", failing_aggregate)
     outcomes = orch.run_group(configs, train, test, continual=False)
-    assert outcomes[1] is error
+    assert isinstance(outcomes[1], orch.ExperimentError)
+    assert str(outcomes[1]) == "failed in round 1: aggregation: aggregation failed"
+    assert outcomes[1].__cause__ is error
     assert calls == ["fedavg", "fedprox", "fedopt"] * 2 + ["fedavg", "fedopt"]
     for i in (0, 2):
         assert digest(outcomes[i]) == digest(alone[i]), configs[i].strategy.kind
@@ -387,6 +390,10 @@ def test_group_key_is_every_field_but_the_members_own():
             changed = choices[f.name]
         key = orch.group_key(dataclasses.replace(base, **{f.name: changed}))
         assert (key == orch.group_key(base)) == (f.name in own), f.name
+    # but the aggregation weighting, the one strategy option FCL's task 1
+    # reads, splits groups, so a group's FCL members share all of task 1
+    weighted = fed.StrategyConfig(weighted_aggregation=True)
+    assert orch.group_key(dataclasses.replace(base, strategy=weighted)) != orch.group_key(base)
 
 
 FCL10 = """
@@ -408,9 +415,9 @@ synthetic_n = 400
 
 @pytest.mark.parametrize("group_clients", [20, 10, 3])
 def test_fcl_task_1_trains_once_per_shape(group_clients, tmp_path, monkeypatch):
-    # nothing in task 1 reads the CL method, so one FedAvg run trains it,
-    # one local_train call a round, and every member forks from it at the
-    # task-1 consolidation
+    # nothing in task 1 reads the CL method, so one FedAvg run trains and
+    # finishes it, one local_train call a round, and every member forks from
+    # it after task 1 and consolidates on its own
     suite = suite_of(tmp_path, FCL10.format(rounds_per_task=2, extra=""), "fcl10.ini")
     dataset, _ = dataio.synthetic_generate(400, seed=3, noise_std=0.1)
     monkeypatch.setattr(orch, "GROUP_CLIENTS", group_clients)
@@ -429,9 +436,9 @@ def test_fcl_task_1_trains_once_per_shape(group_clients, tmp_path, monkeypatch):
         assert digest(grouped[spec.run_id()]) == digest(store.execute_experiment(spec, dataset))
 
 
-def test_members_of_other_options_fork_from_their_share(tmp_path, monkeypatch):
+def test_members_of_other_options_fork_from_their_shapes_lead(tmp_path, monkeypatch):
     # the CL options act from the fork on, so they share task 1; the
-    # aggregation weighting changes task 1 itself, so it makes a second share
+    # aggregation weighting changes task 1 itself, so it is a second shape
     base = suite_of(tmp_path, MIXED.format(sweep="cl_methods = ewc, si, nr"), "opts.ini")
     ewc, si, nr = base.experiments
     variants = [dict(ewc.values, fisher_samples=3), dict(si.values, si_xi=0.5),
@@ -440,15 +447,45 @@ def test_members_of_other_options_fork_from_their_share(tmp_path, monkeypatch):
                 dict(si.values, weighted_aggregation=True)]
     suite = BenchmarkSuite(base.experiments + [ExperimentSpec(v) for v in variants], base.suite)
     dataset, _ = dataio.synthetic_generate(300, seed=4, noise_std=0.1)
+    shapes = record_shapes(monkeypatch)
     grouped, failures, cohorts = run_grouped(suite, dataset, str(tmp_path / "out"), monkeypatch)
     assert not failures
-    # two shares of 2 clients, 2 task-1 rounds each
+    assert shapes == [6, 2]
+    # one lead of 2 clients a shape, 2 task-1 rounds each
     assert sum(c.clients for c in cohorts if c.task_index == 0) == 2 * 2 * 2
     digests = {}
     for spec in suite.experiments:
         digests[spec.run_id()] = digest(store.execute_experiment(spec, dataset))
         assert digest(grouped[spec.run_id()]) == digests[spec.run_id()], spec.values
     assert len({d[0] for d in digests.values()}) == len(suite.experiments)
+
+
+def test_a_failing_consolidation_stops_only_its_own_fork(monkeypatch):
+    # the EWC member's Fisher fails on client 1, as it forks from the lead
+    # after task 1 (global rounds 0 and 1): it stops with an error naming
+    # that client and round, caused by that very error, and the members
+    # that fork from the same lead compute the bits they compute alone
+    configs = [orch.ExperimentConfig(n_clients=2, n_rounds=2, batch_size=16, cl_method=method)
+               for method in ("ewc", "si", "mas", "nr")]
+    dataset, _ = dataio.synthetic_generate(300, seed=1, noise_std=0.1)
+    train, test = dataio.train_test_split(dataset, 0.75, configs[0].seed)
+    alone = [orch.run_fcl(config, train, test) for config in configs]
+    fisher, error, calls = cl.compute_fisher, RuntimeError("fisher failed"), []
+
+    def failing_fisher(model, shard, *args):
+        calls.append(shard)
+        if len(calls) == 2:
+            raise error
+        return fisher(model, shard, *args)
+
+    monkeypatch.setattr(cl, "compute_fisher", failing_fisher)
+    outcomes = orch.run_group(configs, train, test, continual=True)
+    assert len(calls) == 2
+    assert isinstance(outcomes[0], orch.ExperimentError)
+    assert str(outcomes[0]) == "client 1 failed in round 1: consolidation: fisher failed"
+    assert outcomes[0].__cause__ is error
+    for i in (1, 2, 3):
+        assert digest(outcomes[i]) == digest(alone[i]), configs[i].cl_method
 
 
 @pytest.mark.parametrize("rounds_per_task", [2, 3])

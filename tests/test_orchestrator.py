@@ -672,25 +672,61 @@ class TestRunFcl:
             assert np.array_equal(a.final_params, b.final_params), method
 
     def test_importance_computed_before_final_aggregation(self, monkeypatch):
+        # each client's importance comes from its local model after task 1's
+        # last training, not from the aggregate: a shape's lead finishes that
+        # round, aggregating and evaluating each task-1 round once for the
+        # shape, and each fork's clients, copies of the lead's, consolidate
+        # on their own, once each, on the lead client's trained parameters
         train, test = two_task()
-        calls = []
+        local_train, consolidate = orch.local_train, orch._consolidate
+        aggregate, evaluate_ = orch._aggregate, orch.evaluate
+        for rounds_per_task in (1, 3):
+            configs = [config(cl_method=method, n_rounds=2, rounds_per_task=rounds_per_task)
+                       for method in ("ewc", "si", "mas", "nr")]
+            trained, consolidated, aggregates, evaluated, task = {}, [], [], [], [None]
 
-        def record(name, fn, task_of):
-            def wrapper(*args):
-                calls.append((name, task_of(args)))
-                return fn(*args)
-            monkeypatch.setattr(orch, name, wrapper)
+            def recording_train(clients, task_index, round_index, stacks=None):
+                task[0] = task_index
+                updates, losses = local_train(clients, task_index, round_index, stacks)
+                if task_index == 0:  # the last task-1 round's wins
+                    trained.update({u.client_id: u.params.copy() for u in updates})
+                return updates, losses
 
-        record("local_train", orch.local_train, lambda args: args[1])
-        record("_consolidate", orch._consolidate, lambda args: args[1])
-        record("_aggregate", orch._aggregate, lambda args: None)
-        run_fcl(config(cl_method="ewc", n_rounds=2), train, test)
-        # per round: local training, then (task 1's last round only) one
-        # consolidation per client, then the aggregation
-        train_round = [("local_train", 0), ("_aggregate", None)]
-        assert calls == (train_round + [("local_train", 0), ("_consolidate", 0),
-                                        ("_consolidate", 0), ("_aggregate", None)]
-                         + [("local_train", 1), ("_aggregate", None)] * 2)
+            def recording_consolidate(client, task_index):
+                consolidated.append((client.member.config.cl_method, client.client_id,
+                                     client.model.params.copy()))
+                return consolidate(client, task_index)
+
+            def recording_aggregate(*args):
+                params = aggregate(*args)
+                if task[0] == 0:
+                    aggregates.append(params)
+                return params
+
+            def recording_evaluate(*args):
+                if task[0] == 0:
+                    evaluated.append(args[1])
+                return evaluate_(*args)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(orch, "local_train", recording_train)
+                patch.setattr(orch, "_consolidate", recording_consolidate)
+                patch.setattr(orch, "_aggregate", recording_aggregate)
+                patch.setattr(orch, "evaluate", recording_evaluate)
+                outcomes = orch.run_group(configs, train, test, continual=True)
+            assert not any(isinstance(o, Exception) for o in outcomes)
+            assert len(aggregates) == len(evaluated) == rounds_per_task
+            assert sorted((m, cid) for m, cid, _ in consolidated) == sorted(
+                itertools.product(("ewc", "mas", "nr", "si"), (0, 1)))
+            for _, cid, params in consolidated:
+                assert np.array_equal(params, trained[cid])
+                assert not np.array_equal(params, aggregates[-1])
+            # each fork's last task-1 log is its own, with its consolidation's seconds
+            logs = [o.round_logs[rounds_per_task - 1] for o in outcomes]
+            assert len({id(log) for log in logs}) == len(logs)
+            for log in logs:
+                assert log.task_index == 0 and log.consolidate_time > 0.0
+                assert log.wall_time > log.local_train_time + log.consolidate_time
 
     def test_si_accumulates_only_in_task_1(self, monkeypatch):
         # the path integral of task 2 would only feed a third task's penalty
