@@ -34,7 +34,7 @@ still computes the bits of its own rows alone.
 A training step is dominated by numpy's per-call overhead, so the step
 code makes as few calls as it can while keeping each element's ufunc
 sequence, and so every bit: a train step plus Adam makes 27 profiled numpy
-calls for one model and 47 for a stack, a ragged step of a stack 58 (its
+calls for one model and 47 for a stack, a ragged step of a stack 55 (its
 padding's layout and scatters), an eval forward 6 and 17
 (``tests/test_nn.py`` holds them to that).
 
@@ -533,18 +533,20 @@ def _padding(counts, lead: tuple, rows: int) -> tuple:
     (C,)): model k has counts[k] of the batch's ``rows`` client-major rows,
     padded with zero rows to the largest count. Returns (keep, drop, n):
     the (C, max count) mask of the real rows, its complement, and the
-    counts as a (C, 1) float divisor of each model's batch sums."""
-    counts = np.asarray(counts)
-    if counts.ndim != 1 or counts.shape != lead:
+    counts as a (C, 1) float divisor of each model's batch sums. The
+    counts are a few ints, so they are checked as a sequence, by Python's
+    builtins, not as an array."""
+    if (len(counts),) != lead:
         raise ValueError(f"counts must hold one row count per model of a stack, "
-                         f"shape {lead}, got {counts.shape}")
-    if counts.min() < 2:  # as train-mode BatchNorm needs
+                         f"shape {lead}, got {np.shape(counts)}")
+    if min(counts) < 2:  # as train-mode BatchNorm needs
         raise ValueError(f"a ragged step needs at least 2 rows a model, "
-                         f"got counts {counts.tolist()}")
-    if counts.sum() != rows:
-        raise ValueError(f"counts add up to {counts.sum()} rows, the batch has {rows}")
-    keep = np.arange(counts.max()) < counts[:, None]
-    return keep, ~keep, counts[:, None].astype(np.float64)
+                         f"got counts {list(counts)}")
+    if sum(counts) != rows:
+        raise ValueError(f"counts add up to {sum(counts)} rows, the batch has {rows}")
+    n = np.array(counts, dtype=np.float64)[:, None]
+    keep = np.arange(max(counts)) < n
+    return keep, ~keep, n
 
 
 def _scatter(rows: np.ndarray, keep: np.ndarray) -> np.ndarray:
@@ -560,7 +562,7 @@ def pad_rows(rows: np.ndarray, counts) -> tuple[np.ndarray, np.ndarray]:
     for model k, as the zero-padded (C, max count, dim) array a ragged
     ``backward`` steps on, and the mask of its real rows: ``padded[mask]``
     gives ``rows`` back."""
-    keep, _, _ = _padding(counts, np.shape(counts), len(rows))
+    keep, _, _ = _padding(counts, (len(counts),), len(rows))
     return _scatter(rows, keep), keep
 
 

@@ -40,14 +40,17 @@ integral, a quadratic penalty and a FedDistill teacher) comes from its
 ``Member`` and its own state, so one cohort may mix the clients of
 several experiments. A stack's rows are sorted by that term
 (``_cohort_order``), so each term covers one block of adjacent rows and
-a run of rows reads its share of the term as a slice; a FedDistill
-teacher is a client of its own (``ClientState.teacher``), the teachers
-are a stack of their own, in the order of their students' block, and a
-run reads them in place. The quadratic penalty is one (lambda, anchor,
-importance) triple: FedProx's proximal term is (mu, the round's global
-parameters, a unit importance on the optimized slots), and EWC,
-EWC-Online, SI and MAS give, in task 2, (lambda, the parameters at the
-end of task 1, their importance map).
+a run of rows reads its share of the term as a slice. A FedDistill
+teacher is a client of its own (``ClientState.teacher``) that never
+reads the global parameters, so it trains a round ahead: its rows follow
+the students' in their stack, with no loss term, and step round r + 1 in
+the students' steps of round r, while the students distil from a
+snapshot of its round-r rows, in the order of their block, taken as the
+round starts; round 0's teachers train it alone first. The quadratic
+penalty is one (lambda, anchor, importance) triple: FedProx's proximal
+term is (mu, the round's global parameters, a unit importance on the
+optimized slots), and EWC, EWC-Online, SI and MAS give, in task 2,
+(lambda, the parameters at the end of task 1, their importance map).
 
 Determinism: every random draw comes from a stream derived from
 (seed, purpose, client, task, round, ...) via numpy's SeedSequence, and
@@ -228,13 +231,16 @@ def trajectory_key(config: ExperimentConfig) -> ExperimentConfig:
 @dataclass
 class Member:
     """One experiment as its clients see it: its config, the global
-    parameters broadcast to them this round (FedProx's anchor), and the
-    error that stopped it. Every loss term a client trains with comes from
-    its member and its own ``ClientState``, so one cohort may mix the
-    clients of several experiments."""
+    parameters broadcast to them this round (FedProx's anchor), the error
+    that stopped it, and ``ahead_error``, the first error of its FedDistill
+    teachers in the round they train ahead of its students, which becomes
+    ``error`` when that round starts (``local_train``). Every loss term a
+    client trains with comes from its member and its own ``ClientState``,
+    so one cohort may mix the clients of several experiments."""
     config: ExperimentConfig
     global_params: np.ndarray
     error: Exception | None = None
+    ahead_error: Exception | None = None
 
 
 @dataclass
@@ -243,16 +249,20 @@ class ClientState:
     ``model``, ``optimizer`` and the SI path integral
     ``si_acc.omega_running`` are views of the client's row of the cohort's
     stack (``_Stack``). A FedDistill teacher is a client of its own, of the
-    same id, shard and member, with no loss term, stacked with the other
-    teachers. Which task a client trains in shows in its own state: an
-    anchor or a filled replay buffer exists only after task 1's
-    consolidation."""
+    same id, shard and member, with no loss term. It never reads the global
+    parameters, so its round r + 1 depends only on its round r, and it
+    trains it as rows of its students' stack in their round r; its
+    ``trained_round`` is the last round it trained, which says whether it
+    is already a round ahead. Which task a client trains in shows in its
+    own state: an anchor or a filled replay buffer exists only after task
+    1's consolidation."""
     client_id: int
     shard: dataio.Dataset
     model: nn.MlpModel
     optimizer: nn.Optimizer
     member: Member
     teacher: ClientState | None = None  # FedDistill with a nonzero weight
+    trained_round: int | None = None    # a teacher's own: -1 until it trains
     # EWC, EWC-Online, SI and MAS: the parameters at the end of task 1 and
     # their importance map, which the task-2 penalty pulls towards
     anchor: np.ndarray | None = None
@@ -314,15 +324,17 @@ class _Rows:
     optimizer: nn.Optimizer
     si: tuple | None = None       # SI: (sel, accumulator of the path integrals)
     penalty: tuple | None = None  # (sel, lambda, anchor, importance)
-    distill: tuple | None = None  # FedDistill: (sel, teachers' model, weight)
+    distill: tuple | None = None  # FedDistill: (sel, model of the teachers' snapshot, weight)
 
 
 class _Stack:
     """The training state of a cohort of clients for a task, stacked: row k
     of every array belongs to the k-th client's model and optimizer. A
-    FedDistill teacher is a client of its own, so a stack of teachers is
-    built like any other; ``teacher`` only makes its clients draw from the
-    teacher stream and name their errors so (``_train_epochs``).
+    FedDistill teacher is a client of its own, with no loss term: its rows
+    follow every student's (``_cohort_order``), and they draw from the
+    teacher stream and name their errors so (``_stream``), a round ahead of
+    their students; the teachers of round 0, which have not trained, first
+    train it alone, as a stack of teachers built like any other.
     Building it copies the clients' state into the stack once and rebinds
     each client's model, optimizer and SI path integral to views of its
     row, so the steps train the clients' own state and nothing is written
@@ -330,23 +342,24 @@ class _Stack:
     the table its batches are taken from (``sources``; see ``_sources``).
     ``local_train`` keeps a stack, its row views (``rows``, ``model``) and
     its loss terms while the cohort trains together in the task, and
-    ``refresh`` brings in FedProx's anchor, the one term value that changes
-    from round to round.
+    ``refresh`` brings in the term values that change from round to round.
 
-    A student stack's rows are in ``_cohort_order``, so each loss term
-    covers one block a:b of them, and it is kept as (a, b, its values
-    stacked over the block): a run of rows takes the slice of the block it
-    overlaps as views. The FedDistill teachers are ``teachers``, the stack
-    of the clients with teachers, whose rows follow the block's order and
-    have finished the round's training when the students step. The plan of
-    its post-round loss passes (``_loss_passes``: the rows of each pass,
-    their source rows and shard sizes) is built once too, and again only in
-    a round in which a member with rows here failed."""
+    A stack's rows are in ``_cohort_order``, so each loss term covers one
+    block a:b of them, and it is kept as (a, b, its values stacked over the
+    block): a run of rows takes the slice of the block it overlaps as
+    views. The students of the FedDistill block distil from ``snapshot``, a
+    copy of their teachers' rows (row i is student a + i's teacher,
+    running statistics included) taken as the round starts, so the
+    teachers' steps of the next round leave the round's targets as they
+    are. The plan of its post-round loss passes over the student rows,
+    0:``students`` (``_loss_passes``: the rows of each pass, their source
+    rows and shard sizes), is built once too, and again only in a round in
+    which a row here stopped."""
 
-    def __init__(self, clients: list[ClientState], teachers: "_Stack | None" = None,
-                 teacher: bool = False):
-        self.clients, self.teachers, self.teacher = clients, teachers, teacher
-        self.failed = False  # whether a member with rows here has failed this round
+    def __init__(self, clients: list[ClientState]):
+        self.clients = clients
+        self.students = sum(c.trained_round is None for c in clients)  # the teachers' rows follow
+        self.failed = False  # whether a row here has stopped this round (``_stopped``)
         self.passes = None   # ``_loss_passes``, on first use
         self.hidden_activation = clients[0].model.hidden_activation
         self.params = np.stack([c.model.params for c in clients])
@@ -360,6 +373,8 @@ class _Stack:
         self._rows: dict[tuple[int, int], _Rows] = {}
         self._terms: dict[str, tuple] = {}  # loss term -> (a, b, *its values over rows a:b)
         self._anchored: list[tuple[np.ndarray, Member]] = []  # FedProx: (anchor row, member)
+        self._taught: list[int] | None = None  # FedDistill: the row of each student's teacher
+        self.snapshot: np.ndarray | None = None  # and a copy of those rows (``refresh``)
         self._stack_terms()
 
     def _stack_terms(self) -> None:
@@ -379,13 +394,19 @@ class _Stack:
                               if c.member.config.strategy.kind == "fedprox"]
         if distilled := _block([c.teacher is not None for c in clients]):
             a, b = distilled
+            row = {id(c): k for k, c in enumerate(clients)}
+            self._taught = [row[id(c.teacher)] for c in clients[a:b]]
+            self.snapshot = self.params[self._taught]
             self._terms["distill"] = (a, b, np.array(
                 [c.member.config.strategy.distill_weight for c in clients[a:b]])[:, None, None])
 
     def refresh(self) -> None:
-        """Bring in FedProx's anchor, the round's global parameters."""
+        """Bring in FedProx's anchor, the round's global parameters, and
+        the FedDistill teachers' snapshot of the round they have trained."""
         for anchor, member in self._anchored:
             anchor[...] = member.global_params
+        if self._taught is not None:
+            np.take(self.params, self._taught, axis=0, out=self.snapshot)
 
     def model(self, lo: int, hi: int) -> nn.MlpModel:
         """The model of rows lo:hi, a view built once; row k's is the k-th
@@ -412,8 +433,9 @@ class _Stack:
                 term = [slice(None) if one else slice(i - lo, j - lo), *(v[part] for v in values)]
                 if name == "si":  # only the path integral is stepped; the task's start is not read
                     term[1] = cl.SiAccumulator(None, term[1])
-                if name == "distill":
-                    term.insert(1, self.teachers.model(i - a, j - a))
+                if name == "distill":  # a single teacher's row as a one-model view
+                    taught = self.snapshot[i - a] if j - i == 1 else self.snapshot[i - a:j - a]
+                    term.insert(1, nn.MlpModel(self.hidden_activation, taught))
                 setattr(rows, name, tuple(term))
         return rows
 
@@ -447,19 +469,21 @@ def _replays(client: ClientState) -> bool:
 
 
 def _cohort_order(clients: list[ClientState]) -> list[ClientState]:
-    """The rows of a cohort, sorted by the terms their clients train with
-    (NR replay, SI's path integral, a quadratic penalty, a FedDistill
-    teacher), then by shard size. So each term covers one block of
-    adjacent rows, and within a block the clients that have a j-th batch
-    are adjacent, so they step as one run (``_schedule``). The sort is
-    stable, so each member's clients stay in order. A
+    """The rows of a cohort, the FedDistill teachers' after every
+    student's, sorted by the terms their clients train with (NR replay,
+    SI's path integral, a quadratic penalty, a FedDistill teacher), then by
+    shard size. So each term covers one block of adjacent rows, and within
+    a block the clients that have a j-th batch are adjacent, so they step
+    as one run (``_schedule``); the student rows are adjacent, as their
+    loss passes read them (``_loss_passes``). The sort is stable, so each
+    member's clients stay in order, and the teachers in their students'. A
     client with more than one term is an error: no config builds one."""
     def key(c: ClientState) -> tuple:
         terms = (_replays(c), c.si_acc is not None, _penalty(c) is not None,
                  c.teacher is not None)
         if sum(terms) > 1:
             raise ValueError(f"client {c.client_id} trains with more than one loss term")
-        return (*terms, len(c.shard))
+        return (c.trained_round is not None, *terms, len(c.shard))
     return sorted(clients, key=key)
 
 
@@ -504,25 +528,54 @@ def _epoch_batches(client: ClientState, purpose: int, task_index: int, round_ind
     return drawn[key]
 
 
+def _stream(client: ClientState, round_index: int) -> tuple[int, int] | None:
+    """(purpose, round) of the stream a row draws its batches from in a
+    call for round ``round_index``: a student's training stream (21) at
+    that round; a FedDistill teacher's stream (20) at that round, or, when
+    it has trained it already, at the next (a round ahead of its students),
+    or None when that is past its member's last round."""
+    if client.trained_round is None:
+        return 21, round_index
+    if client.trained_round < round_index:
+        return 20, round_index
+    ahead = round_index + 1
+    return (20, ahead) if ahead < client.member.config.n_rounds else None
+
+
+def _stopped(client: ClientState) -> bool:
+    """Whether a row sits out: its member has failed, or it is a teacher's
+    and its member's teachers have failed in the round they train ahead."""
+    member = client.member
+    return member.error is not None or (client.trained_round is not None
+                                        and member.ahead_error is not None)
+
+
 def _fail(stack: _Stack, failing: list[ClientState], context: tuple, j: int,
           exc: Exception) -> None:
-    """Stop the members of the failing clients, each with its first error,
-    naming the client, round and step; ``context`` is (round, label, epoch)."""
-    round_index, label, epoch = context
+    """Stop the failing rows' members, each with its first error, naming
+    the client, the round and stream of the row (``_stream``) and the step;
+    ``context`` is (the call's round, epoch). A teacher that fails a round
+    ahead of its students gives its member's ``ahead_error``: the member's
+    teachers sit out the call, and its students finish their round."""
+    round_index, epoch = context
     stack.failed = True
     for c in failing:
-        if c.member.error is None:
-            error = ExperimentError(f"client {c.client_id} failed in round {round_index}: "
-                                    f"{label}epoch {epoch} batch {j}: {exc}")
-            error.__cause__ = exc
+        purpose, r = _stream(c, round_index)
+        label = "teacher " if purpose == 20 else ""
+        error = ExperimentError(f"client {c.client_id} failed in round {r}: "
+                                f"{label}epoch {epoch} batch {j}: {exc}")
+        error.__cause__ = exc
+        if r > round_index:
+            c.member.ahead_error = c.member.ahead_error or error
+        elif c.member.error is None:
             c.member.error = error
 
 
 def _live_runs(clients: list[ClientState], lo: int, hi: int):
-    """The maximal runs a:b inside lo:hi of rows whose member has not failed."""
+    """The maximal runs a:b inside lo:hi of rows that have not stopped."""
     a = lo
     for k in range(lo, hi + 1):
-        if k == hi or clients[k].member.error is not None:
+        if k == hi or _stopped(clients[k]):
             if k > a:
                 yield a, k
             a = k + 1
@@ -554,11 +607,12 @@ def _epoch_index(offsets: list, plans: list, schedule: list) -> tuple:
     """The source rows of every batch of an epoch, as one index array in
     schedule order: the rows of entry (j, lo, hi) are the client-major
     batch of rows lo:hi at step j, each client's new-shard rows then its
-    buffer rows, of any count. Returns (index, the edges of each entry):
-    client lo + i's rows of an entry are index[edges[i]:edges[i + 1]]."""
+    buffer rows, of any count. Returns (index, (the edges, whether the
+    counts differ) of each entry): client lo + i's rows of an entry are
+    index[edges[i]:edges[i + 1]]."""
     pieces, shifts, sizes, bounds, start = [], [], [], [], 0
     for j, lo, hi in schedule:
-        edges = [start]
+        edges, ragged = [start], False
         for k in range(lo, hi):
             for idx, shift in zip(plans[k][j], offsets[k]):
                 if idx is not None:
@@ -567,7 +621,8 @@ def _epoch_index(offsets: list, plans: list, schedule: list) -> tuple:
                     sizes.append(len(idx))
                     start += len(idx)
             edges.append(start)
-        bounds.append(edges)
+            ragged = ragged or start - edges[-2] != edges[1] - edges[0]
+        bounds.append((edges, ragged))
     index = np.concatenate(pieces)
     if any(shifts):
         index += np.repeat(shifts, sizes)
@@ -575,8 +630,8 @@ def _epoch_index(offsets: list, plans: list, schedule: list) -> tuple:
 
 
 def _counts(edges: list) -> list | None:
-    """The row count of each client between adjacent ``edges``, or None
-    when they are all equal."""
+    """The row count of each client between adjacent ``edges`` of a
+    ragged entry, or None when they are all equal (a sub-run may be)."""
     counts = [e - s for s, e in zip(edges, edges[1:])]
     return None if min(counts) == max(counts) else counts
 
@@ -641,33 +696,40 @@ def _step(stack: _Stack, x: np.ndarray, y: np.ndarray, j: int, lo: int, hi: int,
 
 
 def _train_epochs(stack: _Stack, task_index: int, round_index: int) -> None:
-    """Every local epoch of a stack, each client's batches drawn from its
-    teacher stream (purpose 20) in a teacher stack, else from its training
-    stream (21), mixed with its replay buffer when it replays. Step j of an
+    """Every local epoch of a stack in a call for round ``round_index``,
+    each row's batches drawn from its own stream (``_stream``): a student's
+    training stream (purpose 21) at that round, mixed with its replay
+    buffer when it replays, and a FedDistill teacher's stream (20) at the
+    round it trains, the next one in its students' stack; a teacher past
+    its member's last round takes no step. Each teacher's
+    ``trained_round`` then becomes the round it trained. Step j of an
     epoch is one ``nn.backward`` and one ``Optimizer.step`` per run of
     ``_schedule``, all the adjacent rows that have a j-th batch, padded
     inside ``nn.backward`` when their row counts differ; a step gathers its
-    run's client-major batch with one ``take`` per array. The rows of a
-    member that has failed, before the call or in it, sit out every
-    remaining step, and the live rows around them step as runs of their
-    own, on their own slices of the batch."""
+    run's client-major batch with one ``take`` per array. A row that has
+    stopped (``_stopped``), before the call or in it, sits out every
+    remaining step, and the live rows around it step as runs of their own,
+    on their own slices of the batch."""
     clients = stack.clients
-    purpose, label = (20, "teacher ") if stack.teacher else (21, "")
-    stack.failed = any(c.member.error is not None for c in clients)
+    streams = [_stream(c, round_index) for c in clients]
+    stack.failed = any(map(_stopped, clients))
     features, labels, offsets = stack.sources
     for epoch in range(clients[0].member.config.local_epochs):
         drawn: dict = {}
-        plans = [_epoch_batches(c, purpose, task_index, round_index, epoch, drawn)
-                 for c in clients]
+        plans = [[] if s is None else _epoch_batches(c, s[0], task_index, s[1], epoch, drawn)
+                 for c, s in zip(clients, streams)]
         schedule = _schedule(plans)
         index, bounds = _epoch_index(offsets, plans, schedule)
-        context = (round_index, label, epoch)
-        for (j, lo, hi), edges in zip(schedule, bounds):
+        context = (round_index, epoch)
+        for (j, lo, hi), (edges, ragged) in zip(schedule, bounds):
             for a, b in (_live_runs(clients, lo, hi) if stack.failed else ((lo, hi),)):
                 part = edges[a - lo:b - lo + 1]
                 rows = index[part[0]:part[-1]]
                 _step(stack, features.take(rows, axis=0), labels.take(rows, axis=0),
-                      j, a, b, None if b - a == 1 else _counts(part), context)
+                      j, a, b, _counts(part) if ragged and b - a > 1 else None, context)
+    for c, s in zip(clients, streams):
+        if s is not None and s[0] == 20:
+            c.trained_round = s[1]
 
 
 def local_train(clients: list[ClientState], task_index: int, round_index: int,
@@ -684,45 +746,64 @@ def local_train(clients: list[ClientState], task_index: int, round_index: int,
     rows are in ``_cohort_order``, so each loss term covers one block of
     them; a client with more than one term is a ValueError.
 
-    The stacks (the teachers' and the students') are kept in ``stacks``,
-    keyed by (teacher or not, task, the ids of their clients in order),
-    which the call leaves holding exactly the stacks it trained. A cohort
-    that trains together again in the next round of the task finds its
-    stack, and its clients' state still row views of it: only FedProx's
-    anchor is refreshed (``_Stack.refresh``). A cohort whose key changed,
-    in a new task or when a member failed, is stacked afresh from its
-    clients' current state, and the stack it leaves is let go. With
-    ``stacks`` None the stacks last this call.
+    FedDistill's personalised teachers train on the raw shards and never
+    read the global parameters, so a teacher trains round r + 1 as rows of
+    its students' stack in their round r, with no loss term, and its
+    students distil from its snapshot of round r (``_Stack.refresh``); a
+    teacher that has not trained round r (round 0's) trains it alone
+    first, as a stack of teachers that is let go once its rows are copied,
+    and no teacher trains past its member's last round. Whether a teacher
+    is a round ahead is its own ``trained_round``, so calls with ``stacks``
+    None train the same.
+
+    The cohort's stack is kept in ``stacks``, keyed by (task, the ids of
+    its rows' clients in order), which the call leaves holding exactly that
+    stack. A cohort that trains together again in the next round of the
+    task finds its stack, and its clients' state still row views of it:
+    only FedProx's anchor and the teachers' snapshot are refreshed
+    (``_Stack.refresh``). A cohort whose key changed, in a new task or when
+    a member failed, is stacked afresh from its clients' current state, and
+    the stack it leaves is let go before the call trains. With ``stacks``
+    None the stack lasts this call.
 
     A failure stops the member of the failing client, not the cohort: the
     error, naming client, round and step, becomes its ``Member.error``, and
-    every client of a failed member gets None for both. A member whose
-    teacher fails keeps its rows in the student stack, where they sit out
-    the round's steps as a member's rows do after a failed step."""
+    every client of a failed member gets None for both. A teacher that
+    fails a round ahead stops its member's teacher rows for the call, and
+    its error becomes the member's as that round starts, here, unless one
+    of its students failed first: the member finishes the round its
+    students train."""
     for c in clients:
-        if c.member.error is None and len(c.shard) < 2:
-            c.member.error = ExperimentError(f"client {c.client_id} failed in round "
-                                             f"{round_index}: shard too small to train on")
-    live = _cohort_order([c for c in clients if c.member.error is None])
+        member = c.member
+        if member.error is None and member.ahead_error is not None:
+            member.error, member.ahead_error = member.ahead_error, None
+        if member.error is None and len(c.shard) < 2:
+            member.error = ExperimentError(f"client {c.client_id} failed in round "
+                                           f"{round_index}: shard too small to train on")
+    live = [c for c in clients if c.member.error is None]
+    teachers = [c.teacher for c in live if c.teacher is not None]
+    order = _cohort_order(live + teachers)
     if len({c.member.config.local_epochs for c in live}) > 1:
         raise ValueError("the clients of a cohort must train the same number of local epochs")
     stacks = {} if stacks is None else stacks
-    earlier = stacks.copy()
-    stacks.clear()  # to hold the stacks this call trains
+    key = (task_index, *map(id, order))
+    student = stacks.pop(key, None)  # the last round's, when the cohort is the same
+    stacks.clear()  # any other is let go before this call trains
 
-    # FedDistill: the personalised teachers train on the raw shards first
-    teachers = student = None
-    if distilling := [c.teacher for c in live if c.teacher is not None]:
-        teachers = _cohort_stack(earlier, stacks, distilling, task_index, teacher=True)
-        _train_epochs(teachers, task_index, round_index)
-
+    if behind := _cohort_order([t for t in teachers if t.trained_round < round_index]):
+        # kept by no one: its shard table goes now, its rows once the students' stack copies them
+        _train_epochs(_Stack(behind), task_index, round_index)
     if live:
         for c in live:
             if c.member.config.strategy.kind == "fedbn":
                 c.model.params[~_BN_MASK] = c.member.global_params[~_BN_MASK]
             else:
                 c.model.params[...] = c.member.global_params
-        student = _cohort_stack(earlier, stacks, live, task_index, teachers)
+        if student is None:
+            student = _Stack(order)
+        else:
+            student.refresh()
+        stacks[key] = student
         _train_epochs(student, task_index, round_index)
 
     losses = {} if student is None else _shard_losses(student)
@@ -731,31 +812,17 @@ def local_train(clients: list[ClientState], task_index: int, round_index: int,
     return [updates.get(id(c)) for c in clients], [losses.get(id(c)) for c in clients]
 
 
-def _cohort_stack(earlier: dict, stacks: dict, clients: list[ClientState], task_index: int,
-                  teachers: _Stack | None = None, teacher: bool = False) -> _Stack:
-    """The clients' stack from ``earlier``, the last round's stacks,
-    refreshed, or a new one; either way entered in ``stacks``."""
-    key = (teacher, task_index, *map(id, clients))
-    stack = earlier.get(key)
-    if stack is None:
-        stack = _Stack(clients, teachers, teacher)
-    else:
-        stack.refresh()
-    stacks[key] = stack
-    return stack
-
-
 def _shard_losses(stack: _Stack) -> dict[int, float]:
     """id(client) -> the loss of its model's eval predictions on its shard,
-    for each client of the stack whose member has not failed. Each pass of
-    ``_loss_passes`` gathers its rows' shards, each padded to the pass's
-    largest, with one ``take`` per array (views, when the pass's rows are
-    a slice, as a lone shard's always are), and goes through one eval forward
-    of the stack's model of those rows (a lone large shard through chunks
-    of ``LOSS_PASS_ROWS`` rows) and one ``nn.mse_loss`` call, which
-    leaves the padded rows out of each model's sum. Model k of a stack
-    computes the bits it would compute alone, so each loss is the client's
-    own."""
+    for each student of the stack whose member has not failed; a teacher's
+    row takes no pass. Each pass of ``_loss_passes`` gathers its rows'
+    shards, each padded to the pass's largest, with one ``take`` per array
+    (views, when the pass's rows are a slice, as a lone shard's always
+    are), and goes through one eval forward of the stack's model of those
+    rows (a lone large shard through chunks of ``LOSS_PASS_ROWS`` rows) and
+    one ``nn.mse_loss`` call, which leaves the padded rows out of each
+    model's sum. Model k of a stack computes the bits it would compute
+    alone, so each loss is the client's own."""
     if stack.passes is None or stack.failed:
         stack.passes = _loss_passes(stack)
     features, labels, _ = stack.sources
@@ -772,18 +839,18 @@ def _shard_losses(stack: _Stack) -> dict[int, float]:
 
 
 def _loss_passes(stack: _Stack) -> list[tuple]:
-    """The eval passes of ``_shard_losses`` over the rows of live members,
-    as (lo, hi, source rows, shard sizes). Each run of such rows is cut into
-    passes of adjacent rows whose padded size (rows times the largest shard
-    of the pass) is at most ``LOSS_PASS_ROWS``; a larger shard passes alone,
-    forwarded in chunks (``_predictions``).
+    """The eval passes of ``_shard_losses`` over the student rows of live
+    members, as (lo, hi, source rows, shard sizes). Each run of such rows
+    is cut into passes of adjacent rows whose padded size (rows times the
+    largest shard of the pass) is at most ``LOSS_PASS_ROWS``; a larger
+    shard passes alone, forwarded in chunks (``_predictions``).
     The source rows index ``stack.sources``: each row's shard, padded with
     repeats of its last row, or a slice when the shards are consecutive
     equal-size rows of one table, as a pass of one row always is."""
     clients, offsets = stack.clients, stack.sources[2]
     sizes = [len(c.shard) for c in clients]
     passes = []
-    for a, b in _live_runs(clients, 0, len(clients)):
+    for a, b in _live_runs(clients, 0, stack.students):
         lo = a
         while lo < b:
             hi, n = lo + 1, sizes[lo]
@@ -845,6 +912,7 @@ def _build_clients(member: Member, shards: list[dataio.Dataset]) -> list[ClientS
         # a teacher of weight 0 would train without reaching any target
         if config.strategy.kind == "feddistill" and config.strategy.distill_weight > 0.0:
             state.teacher = client(cid, shard)
+            state.teacher.trained_round = -1
         if config.cl_method == "si":
             state.si_acc = cl.SiAccumulator(member.global_params.copy(), xi=config.penalty.xi)
         if config.cl_method == "nr":
@@ -1033,10 +1101,10 @@ def _lockstep(runs: list[_Run], task_index: int, task: _Task, first: int) -> Non
     round ``first``, for runs whose clients hold the task's shards and
     whose optimizers have never stepped. Each round trains the clients of
     every run that has not failed in one ``local_train`` call, which keeps
-    its stacks from round to round, and then each run finishes the round on
+    its stack from round to round, and then each run finishes the round on
     its own; the round's updates are let go before the next round trains.
     An error that stops the call stops each member with its own copy."""
-    stacks: dict = {}  # the stacks the last round trained (``local_train``)
+    stacks: dict = {}  # the stack the last round trained (``local_train``)
     for p in range(first, first + task.n_rounds):
         going = [run for run in runs if run.member.error is None]
         if not going:

@@ -114,7 +114,8 @@ def plain_epoch_rows(n: int, batch_size: int) -> int:
 def test_train_rows_are_the_rows_trained_in_a_group(batch_size, monkeypatch):
     # nn.backward.train_rows, the numerator of train_samples_per_s, must count
     # each trained row once: a FedAvg and a FedDistill member train as one
-    # stack (FedDistill's teachers train the same rows first); 120-row shards
+    # stack (FedDistill's teachers train the same rows in it, a round ahead
+    # of their students, and round 0 alone first); 120-row shards
     # end in a ragged batch of 8 rows at 16, and in a dropped single row at 17
     ds, _ = dataio.synthetic_two_task(240, seed=0, noise_std=0.05)
     train, test = dataio.train_test_split(ds, 0.75, seed=0)

@@ -790,15 +790,16 @@ def test_a_cohort_is_stacked_once_per_task(monkeypatch):
             result = local_train(clients, task_index, round_index, stacks)
         finally:
             inside[0] = False
-        # one call trains the whole chunk as one student stack (and one of
-        # its FedDistill teachers, clients of their own), and keeps exactly those
+        # one call trains the whole chunk as one stack, its FedDistill
+        # teachers (clients of their own) as rows after the students', a
+        # round ahead, and keeps exactly that (round 0's teachers first
+        # train it alone, in a stack that is let go)
         teachers = [c.teacher for c in clients if c.teacher is not None]
         trained[round_index] = set(map(id, clients + teachers))
-        assert sorted(teacher for teacher, *_ in stacks) == [False] + [True] * bool(teachers)
-        for (teacher, *_), s in stacks.items():
-            assert sorted(map(id, s.clients)) == sorted(map(id, teachers if teacher else clients))
-        (stack,) = [s for (teacher, *_), s in stacks.items() if not teacher]
-        for c in clients:  # its model is a row of the chunk's student stack
+        (stack,) = stacks.values()
+        assert sorted(map(id, stack.clients[:stack.students])) == sorted(map(id, clients))
+        assert sorted(map(id, stack.clients[stack.students:])) == sorted(map(id, teachers))
+        for c in clients + teachers:  # its model is a row of the chunk's stack
             assert np.shares_memory(c.model.params, stack.params)
         return result
 
@@ -816,7 +817,7 @@ def test_a_cohort_is_stacked_once_per_task(monkeypatch):
                 raise outcome
         counts.append(built[0])
     assert counts[0] == counts[1] > 0
-    # the kept stacks took each round's FedProx anchor and teachers
+    # the kept stacks took each round's FedProx anchor and teachers' snapshot
     for config, outcome in zip(configs, outcomes):
         assert digest(outcome) == digest(orch.run_fl(config, train, test)), config.strategy.kind
 
@@ -846,12 +847,8 @@ def test_survivors_are_restacked_after_a_member_fails_in_task_2(tmp_path, monkey
         assert digest(grouped[spec.run_id()]) == digest(store.execute_experiment(spec, dataset))
 
 
-def test_a_failed_teacher_leaves_its_students_rows_to_sit_out_the_round(monkeypatch):
-    # a NaN written into one FedDistill member's teacher row in round 1
-    # stops that member with a teacher error; its clients keep their rows
-    # in the round's student stack, where they are skipped, and every other
-    # member, the other FedDistill one included, computes the bits it
-    # computes alone
+def distill_group():
+    """Four 5-client members on 517 rows, two of them FedDistill."""
     dataset, _ = dataio.synthetic_generate(517, seed=5, noise_std=0.1)
     train, test = dataio.train_test_split(dataset, 0.75, 42)
     strategies = [fed.StrategyConfig("fedavg"), fed.StrategyConfig("fedprox", mu=0.1),
@@ -859,27 +856,148 @@ def test_a_failed_teacher_leaves_its_students_rows_to_sit_out_the_round(monkeypa
                   fed.StrategyConfig("feddistill", distill_weight=0.25)]
     configs = [orch.ExperimentConfig(n_clients=5, n_rounds=3, batch_size=16, strategy=s)
                for s in strategies]
-    epochs, students = orch._train_epochs, []
+    return configs, train, test
+
+
+def record_aggregates(monkeypatch, configs) -> list:
+    """(member position, the updates' parameters) of each ``_aggregate`` call."""
+    calls, aggregate = [], orch._aggregate
+
+    def recording(global_params, updates, config, server_opt):
+        calls.append((configs.index(config), [u.params.copy() for u in updates]))
+        return aggregate(global_params, updates, config, server_opt)
+
+    monkeypatch.setattr(orch, "_aggregate", recording)
+    return calls
+
+
+def test_a_failed_teacher_leaves_its_students_rows_to_sit_out_the_round(monkeypatch):
+    # a NaN written into one FedDistill member's teacher row as round 0's
+    # stack starts, where the teachers train round 1, stops that member
+    # with a teacher error of round 1: its teacher rows sit out the rest of
+    # the call, its students finish round 0 and it aggregates it, and round
+    # 1's stack is built without its rows. Every other member, the other
+    # FedDistill one included, computes the bits it computes alone
+    configs, train, test = distill_group()
+    epochs, stacked = orch._train_epochs, []
 
     def poisoning_epochs(stack, task_index, round_index):
-        if stack.teacher and round_index == 1:
-            (k, *_) = [k for k, c in enumerate(stack.clients) if c.member.config is configs[3]]
-            stack.params[k, 0] = np.nan
+        mine = [k for k, c in enumerate(stack.clients) if c.member.config is configs[3]]
+        poisoned = stack.students and round_index == 0
+        if poisoned:
+            stack.params[mine[-1], 0] = np.nan  # its last teacher's row
+        before = stack.optimizer.step_count[mine].copy()
         epochs(stack, task_index, round_index)
-        if not stack.teacher:
-            held = [c for c in stack.clients if c.member.config is configs[3]]
-            students.append((round_index, stack.failed, len(held)))
-            for c in held if round_index == 1 else ():  # its rows took no step
-                assert np.array_equal(c.model.params, c.member.global_params)
+        if stack.students:
+            stacked.append((round_index, stack.failed, len(mine)))
+        if poisoned:  # its teachers took no step from the first on, its students every step
+            taken = stack.optimizer.step_count[mine] - before
+            assert taken[5:].tolist() == [0] * 5 and min(taken[:5]) > 0
 
+    clean = record_aggregates(monkeypatch, configs)
+    orch.run_fl(configs[3], train, test)
     monkeypatch.setattr(orch, "_train_epochs", poisoning_epochs)
+    calls = record_aggregates(monkeypatch, configs)
     with np.errstate(invalid="ignore"):
         outcomes = orch.run_group(configs, train, test, continual=False)
     monkeypatch.undo()
     assert isinstance(outcomes[3], orch.ExperimentError)
-    assert re.match(r"client \d failed in round 1: teacher epoch 0 batch \d+: ", str(outcomes[3]))
-    # each round is one student stack: round 1's holds the failed member's
-    # five rows, marked failed, and round 2's is stacked without them
-    assert students == [(0, False, 5), (1, True, 5), (2, False, 0)]
+    assert re.match(r"client \d failed in round 1: teacher epoch 0 batch 0: NaN or inf",
+                    str(outcomes[3]))
+    # round 0's stack holds the failed member's five students and five
+    # teachers, marked failed; round 1's is stacked without them
+    assert stacked == [(0, True, 10), (1, False, 0), (2, False, 0)]
+    # it aggregates round 0, from the updates it gives without the NaN, and no later round
+    assert [i for i, _ in calls] == [0, 1, 2, 3] + [0, 1, 2] * 2
+    (_, poisoned), (_, own) = calls[3], clean[0]
+    assert all(np.array_equal(a, b) for a, b in zip(poisoned, own))
     for config, outcome in zip(configs[:3], outcomes):
         assert digest(outcome) == digest(orch.run_fl(config, train, test)), config.strategy
+
+
+def test_a_students_error_wins_over_its_teachers_error_of_the_next_round(monkeypatch):
+    # in round 0's stack a FedDistill member's teacher fails at step 0 of
+    # the round it trains ahead, round 1, and then one of its students at
+    # step 1 of round 0: the student's error, of the earlier round, stops
+    # the member, which aggregates no round
+    configs, train, test = distill_group()
+    epochs, step = orch._train_epochs, orch._step
+
+    def poisoning_epochs(stack, task_index, round_index):
+        if stack.students and round_index == 0:
+            (k, *_) = [k for k, c in enumerate(stack.clients) if c.member.config is configs[3]
+                       and c.trained_round is not None]
+            stack.params[k, 0] = np.nan
+        epochs(stack, task_index, round_index)
+
+    def poisoning_step(stack, x, y, j, lo, hi, counts, context):
+        if context == (0, 0) and j == 1 and stack.students:
+            (k, *_) = [k for k, c in enumerate(stack.clients) if c.member.config is configs[3]]
+            if lo <= k < hi:
+                stack.params[k, 0] = np.nan
+        step(stack, x, y, j, lo, hi, counts, context)
+
+    monkeypatch.setattr(orch, "_train_epochs", poisoning_epochs)
+    monkeypatch.setattr(orch, "_step", poisoning_step)
+    calls = record_aggregates(monkeypatch, configs)
+    with np.errstate(invalid="ignore"):
+        outcomes = orch.run_group(configs, train, test, continual=False)
+    monkeypatch.undo()
+    assert isinstance(outcomes[3], orch.ExperimentError)
+    assert re.match(r"client \d failed in round 0: epoch 0 batch 1: NaN or inf", str(outcomes[3]))
+    assert 3 not in [i for i, _ in calls]
+    for config, outcome in zip(configs[:3], outcomes):
+        assert digest(outcome) == digest(orch.run_fl(config, train, test)), config.strategy
+
+
+def test_feddistill_teachers_step_in_their_students_steps(monkeypatch):
+    # a 2-client FedAvg and FedDistill group: round 0's teachers train it
+    # alone, and from then on they train a round ahead inside the students'
+    # steps, so the train-mode backward calls are the students' steps and
+    # round 0's teacher steps
+    dataset, _ = dataio.synthetic_generate(400, seed=3, noise_std=0.1)
+    train, test = dataio.train_test_split(dataset, 0.75, 42)
+    fedavg = orch.ExperimentConfig(n_clients=2, n_rounds=4, local_epochs=2, batch_size=16)
+    distill = dataclasses.replace(fedavg, strategy=fed.StrategyConfig("feddistill",
+                                                                      distill_weight=0.5))
+    calls, backward = [], nn.backward
+
+    def counting(model, batch, target, extra=None, mode="train", counts=None):
+        calls.append(mode)
+        return backward(model, batch, target, extra, mode, counts)
+
+    monkeypatch.setattr(nn, "backward", counting)
+    orch.run_group([fedavg, distill], train, test, continual=False)
+    shards = [len(s) for s in orch._tasks(fedavg, dataio.concat(train, test),
+                                          (np.arange(len(train)),
+                                           np.arange(len(train), len(train) + len(test))),
+                                          False)[0].shards]
+    steps = fedavg.local_epochs * max(len(dataio.minibatch_indices(n, 16, 0, 0)) for n in shards)
+    assert calls.count("train") == (fedavg.n_rounds + 1) * steps
+
+
+def test_a_stack_left_behind_is_let_go_before_the_next_trains(monkeypatch):
+    # round 0's FedDistill teachers train in a stack of their own, and a
+    # FedProx member whose round-0 aggregation fails makes round 1 stack
+    # the survivors afresh: neither stack left behind is held while the
+    # next one trains
+    configs, train, test = distill_group()
+    epochs, aggregate, seen, stacked = orch._train_epochs, orch._aggregate, [], []
+
+    def checking_epochs(stack, task_index, round_index):
+        assert [ref for ref in seen if ref() is not None and ref() is not stack] == []
+        seen.append(weakref.ref(stack))
+        stacked.append((round_index, stack.students))
+        epochs(stack, task_index, round_index)
+
+    def failing_aggregate(global_params, updates, config, server_opt):
+        if config is configs[1]:
+            raise RuntimeError("aggregation failed")
+        return aggregate(global_params, updates, config, server_opt)
+
+    monkeypatch.setattr(orch, "_train_epochs", checking_epochs)
+    monkeypatch.setattr(orch, "_aggregate", failing_aggregate)
+    outcomes = orch.run_group(configs, train, test, continual=False)
+    assert str(outcomes[1]) == "failed in round 0: aggregation: aggregation failed"
+    assert not any(isinstance(o, Exception) for o in outcomes[:1] + outcomes[2:])
+    assert stacked == [(0, 0), (0, 20), (1, 15), (2, 15)]
